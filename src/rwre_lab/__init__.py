@@ -21,9 +21,9 @@ from .estimators import (FreeEnergyEstimate, GapReport, RatePointEstimate, bound
                          bound_Iq, certify_gap, estimate_free_energy, exact_gap_oracle,
                          legendre_transform, rate_point)
 from .numutil import BudgetError
-from .tilting import (TiltParams, qwalk_step_distribution, solve_tilt,
-                      tilt_invariant_residuals, verify_identity_annealed,
-                      verify_identity_quenched, zero_disorder_free_energy)
+from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
+                      verify_identity_annealed, verify_identity_quenched,
+                      zero_disorder_free_energy)
 from .walks import (Path, annealed_path_weight, annealed_point_probability,
                     enumerate_paths, quenched_path_weight, quenched_point_probability,
                     simulate_quenched)

@@ -17,7 +17,6 @@ laws reproduces u(e) * xi(x, e).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 from .environments import Environment, IIDProductLaw, direction_index
 from .numutil import BudgetError, fsum
 from .tilting import TiltParams
-from .walks import Path, enumerate_paths
+from .walks import Path, enumerate_paths, path_sites, site_grouped_log_moment
 
 TAU_HORIZON = 10**7
 
@@ -339,9 +338,6 @@ class BlockSample:
     psi_product: float
     on_ray: bool
 
-    def csv_row(self):
-        return [self.tau1, int(self.on_ray), repr(math.log(self.psi_product)) if self.psi_product > 0 else "-inf"]
-
 
 def sample_ray_block(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
                      env_or_law, mode: str, rng, horizon: int = TAU_HORIZON) -> BlockSample:
@@ -383,35 +379,13 @@ def annealed_psi_product(tp: TiltParams, eps: EpsilonLaw, law: IIDProductLaw,
     independent. Forced-symbol steps contribute the bare indicator.
     """
     d = tp.dimension
-    u = tp.u_array
-    xi_atoms = law.xi_values()  # (K, 2d)
-    groups: dict = {}
-    pos = path.positions
-    indicator = 1.0
-    for j, k in enumerate(path.steps):
-        s = int(symbols[j])
-        if s < 2 * d:
-            if s != k:
-                indicator = 0.0
-                break
-            continue
-        key = tuple(int(v) for v in pos[j])
-        groups.setdefault(key, []).append(int(k))
-    if indicator == 0.0:
+    steps = np.asarray(path.steps, dtype=np.int64)[None, :]
+    flat, _ = path_sites(steps, d)
+    symbols = np.asarray(symbols)
+    free = symbols == 2 * d
+    if np.any(symbols[~free] != steps[0, ~free]):
         return 0.0
-    total = 1.0
-    for key, ks in groups.items():
-        per_atom = np.ones(len(law.weights))
-        for k in ks:
-            c = eps.kbar / (u[k] - eps.kbar)
-            per_atom *= xi_atoms[:, k] + c * (xi_atoms[:, k] - 1.0)
-        total *= float(law.weights @ per_atom)
-    return total
-
-
-def write_blocks_csv(blocks, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau1", "on_ray", "log_psi_product"])
-        for b in blocks:
-            w.writerow(b.csv_row())
+    xi = law.xi_values()
+    psi = xi + eps.kbar / (tp.u_array - eps.kbar) * (xi - 1.0)  # (K, 2d), may be signed
+    sign, log_abs = site_grouped_log_moment(psi, law.weights, flat[:, free], steps[:, free])
+    return float(sign[0] * math.exp(log_abs[0]))

@@ -16,7 +16,6 @@ Direction convention used throughout the package: the 2d unit steps are indexed
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -171,16 +170,6 @@ class IIDProductLaw:
         """Deterministic atom choice per site via the counter-based hash."""
         u = site_uniforms(seed, np.atleast_2d(np.asarray(sites, dtype=np.int64)))
         return np.searchsorted(self._cum, u, side="right").clip(max=len(self.weights) - 1)
-
-    def site_moment(self, dir_counts) -> float:
-        """E[prod_e omega(0,e)^counts_e] for one site, exact over atoms."""
-        c = np.asarray(dir_counts, dtype=np.float64)
-        return float(self.weights @ np.prod(self.atoms**c, axis=1))
-
-    def xi_moment(self, dir_counts) -> float:
-        """E[prod_e xi(0,e)^counts_e] for one site, exact over atoms."""
-        c = np.asarray(dir_counts, dtype=np.float64)
-        return float(self.weights @ np.prod((self.atoms / self._means) ** c, axis=1))
 
 
 class MarkovFieldLaw:
@@ -350,11 +339,6 @@ class Environment:
     def omega(self, site) -> np.ndarray:
         return self.omega_many(site)[0]
 
-    def xi(self, site, e: int) -> float:
-        """omega(site, e) / E[omega(0, e)]; strictly positive."""
-        means = _law_means(self.law)
-        return float(self.omega(site)[e] / means[e])
-
     def dense(self, box: Box | None = None) -> tuple:
         """Materialize (values, lo) with values shaped box.shape + (2d,)."""
         box = box or self.box
@@ -362,25 +346,6 @@ class Environment:
             raise BudgetError(f"dense region of {box.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
         vals = self.omega_many(box.all_sites())
         return vals.reshape(box.shape + (2 * self.law.dimension,)), np.asarray(box.lo)
-
-    def to_csv(self, path):
-        """Flat CSV: site coordinates followed by the 2d probabilities."""
-        d = self.law.dimension
-        header = [f"x{a + 1}" for a in range(d)] + _direction_labels(d)
-        sites = self.box.all_sites()
-        vals = self.omega_many(sites)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for s, v in zip(sites, vals):
-                w.writerow([int(c) for c in s] + [repr(float(p)) for p in v])
-
-
-def _direction_labels(d: int):
-    out = []
-    for axis in range(d):
-        out += [f"p_plus_e{axis + 1}", f"p_minus_e{axis + 1}"]
-    return out
 
 
 def _law_means(law) -> np.ndarray:

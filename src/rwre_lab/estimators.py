@@ -29,8 +29,9 @@ from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                            centered_box, direction_vectors, sample_environment)
 from .numutil import (BudgetError, derive_seed, effective_sample_size, fsum,
                       jackknife_stderr_logmean, logmeanexp, logsumexp)
-from .tilting import TiltParams, _xi_path_moment, solve_tilt
-from .walks import log_point_probability_dp, enumerate_paths, positions_of
+from .tilting import TiltParams, solve_tilt
+from .walks import (log_point_probability_dp, path_sites, realized_log_xi,
+                    site_grouped_log_moment, step_matrix)
 
 CHUNK = 1024
 ESS_FLOOR = 10.0
@@ -70,26 +71,6 @@ class FreeEnergyEstimate:
         return self.ess < ESS_FLOOR
 
 
-def _log_xi_moment_fast(law: IIDProductLaw, flat_sites: np.ndarray, steps: np.ndarray) -> float:
-    """log E[prod xi] for one path, with site visits grouped by unique keys.
-
-    Repeated visits to a site must be closed jointly, so (site, direction)
-    step counts are aggregated first and the per-site atom mixture is taken in
-    log space.
-    """
-    two_d = 2 * law.dimension
-    key = flat_sites.astype(np.int64) * two_d + steps
-    uniq, cnt = np.unique(key, return_counts=True)
-    site_ids = uniq // two_d
-    dirs = uniq % two_d
-    starts = np.r_[0, np.nonzero(np.diff(site_ids))[0] + 1]
-    log_xi = np.log(law.xi_values())  # (K, 2d)
-    contrib = log_xi[:, dirs] * cnt  # (K, n_keys)
-    seg = np.add.reduceat(contrib, starts, axis=1)  # (K, n_sites)
-    site_logs = logsumexp(np.log(law.weights)[:, None] + seg, axis=0)
-    return float(np.sum(site_logs))
-
-
 def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mode: str,
                          *, law=None, env: Environment | None = None, seed: int = 0,
                          method: str = "mc", threads: int = 1,
@@ -121,50 +102,26 @@ def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mod
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
 
-    u = tp.u_array
     means = tp.means_array
-    lo = None
     if mode == "quenched":
-        dense, lo = env.dense(centered_box(d, horizon))
-        log_xi_realized = np.log(dense / means)  # (box..., 2d)
+        tables = [realized_log_xi(env, means, horizon)]
     elif isinstance(law, IIDProductLaw):
-        pass
+        tables = None  # the annealed moment closes exactly per path
     else:
         # paired environment resampling for field laws
-        field_envs = [sample_environment(law, derive_seed(seed, 9000 + e), centered_box(d, horizon))
-                      for e in range(field_env_replicas)]
-        field_log_xi = [np.log(e.dense(centered_box(d, horizon))[0] / means) for e in field_envs]
-        lo = -np.full(d, horizon, dtype=np.int64)
-
-    shape = (2 * horizon + 1,) * d
+        tables = [realized_log_xi(sample_environment(law, derive_seed(seed, 9000 + e),
+                                                     centered_box(d, horizon)), means, horizon)
+                  for e in range(field_env_replicas)]
 
     def one_chunk(c, start, size):
         rng = np.random.default_rng(derive_seed(seed, c))
-        steps = rng.choice(2 * d, size=(size, horizon), p=u)
-        pos = positions_of(steps, d)
-        ends = pos[:, -1, :].astype(np.float64)
-        logw = ends @ theta
-        if mode == "quenched":
-            idx = pos[:, :-1, :] - lo
-            flat = np.ravel_multi_index(np.moveaxis(idx, 2, 0), shape)
-            logw += np.take_along_axis(
-                log_xi_realized.reshape(-1, 2 * d)[flat.reshape(-1)],
-                steps.reshape(-1, 1).astype(np.int64), axis=1).reshape(size, horizon).sum(axis=1)
-        elif isinstance(law, IIDProductLaw):
-            idx = pos[:, :-1, :] + horizon
-            flat = np.ravel_multi_index(np.moveaxis(idx, 2, 0), shape)
-            for i in range(size):
-                logw[i] += _log_xi_moment_fast(law, flat[i], steps[i].astype(np.int64))
+        steps = rng.choice(2 * d, size=(size, horizon), p=tp.u_array)
+        flat, ends = path_sites(steps, d)
+        if tables is None:
+            log_xi = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
         else:
-            idx = pos[:, :-1, :] - lo
-            flat = np.ravel_multi_index(np.moveaxis(idx, 2, 0), shape)
-            env_vals = np.empty((len(field_log_xi), size))
-            for e, lxi in enumerate(field_log_xi):
-                env_vals[e] = np.take_along_axis(
-                    lxi.reshape(-1, 2 * d)[flat.reshape(-1)],
-                    steps.reshape(-1, 1).astype(np.int64), axis=1).reshape(size, horizon).sum(axis=1)
-            logw += logmeanexp(env_vals, axis=0)
-        return logw
+            log_xi = logmeanexp([t[flat, steps].sum(axis=1) for t in tables], axis=0)
+        return ends @ theta + log_xi
 
     logw = np.concatenate(_chunk_map(one_chunk, replicas, threads))
     value = logmeanexp(logw) / horizon
@@ -178,19 +135,13 @@ def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mod
 
 def _free_energy_exact(tp: TiltParams, theta, n: int, mode: str, *, law=None,
                        env: Environment | None = None) -> float:
-    u = tp.u_array
-    means = tp.means_array
-    terms = []
-    for path in enumerate_paths(n, tp.dimension):
-        end = np.asarray(path.endpoint, dtype=np.float64)
-        w = float(np.prod(u[list(path.steps)])) * math.exp(float(theta @ end))
-        if mode == "annealed":
-            w *= _xi_path_moment(law, path)
-        else:
-            pos = path.positions
-            for j, k in enumerate(path.steps):
-                w *= float(env.omega(pos[j])[k] / means[k])
-        terms.append(w)
+    steps = step_matrix(n, tp.dimension)
+    flat, ends = path_sites(steps, tp.dimension)
+    if mode == "annealed":
+        log_xi = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
+    else:
+        log_xi = realized_log_xi(env, tp.means_array, n)[flat, steps].sum(axis=1)
+    terms = np.prod(tp.u_array[steps], axis=1) * np.exp(ends @ theta + log_xi)
     return math.log(fsum(terms)) / n
 
 
@@ -562,6 +513,8 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     eps.validate_against(tp)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
+    if budget < 2:
+        raise ValueError("the gap needs at least 2 replicas for a standard error")
     h = horizon or choose_horizon(eps, cfg)
     et = expected_tau(eps, cfg)
     w = log_w_const(tp, cfg.ell)
@@ -572,7 +525,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         q_side, q_se = float(log_inner[0]) / et, 0.0
     else:
         q_side = float(log_inner.mean()) / et
-        q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et if budget > 1 else 0.0
+        q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et
     if isinstance(law, IIDProductLaw):
         a_side = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et
         a_se = 0.0
@@ -760,27 +713,13 @@ def _tilted_grid_values(tp, law, env, grid, horizon, replicas, seed) -> np.ndarr
     d = tp.dimension
     rng = np.random.default_rng(seed)
     steps = rng.choice(2 * d, size=(replicas, horizon), p=tp.u_array)
-    pos = positions_of(steps, d)
-    ends = pos[:, -1, :].astype(np.float64)
-    means = tp.means_array
+    flat, ends = path_sites(steps, d)
     if env is None:
         if not isinstance(law, IIDProductLaw):
             raise TypeError("tilted-mc annealed route needs a product law")
-        shape = (2 * horizon + 1,) * d
-        base = np.empty(replicas)
-        idx = pos[:, :-1, :] + horizon
-        flat = np.ravel_multi_index(np.moveaxis(idx, 2, 0), shape)
-        for i in range(replicas):
-            base[i] = _log_xi_moment_fast(law, flat[i], steps[i].astype(np.int64))
+        base = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
     else:
-        dense, lo = env.dense(centered_box(d, horizon))
-        log_xi = np.log(dense / means)
-        shape = (2 * horizon + 1,) * d
-        idx = pos[:, :-1, :] - lo
-        flat = np.ravel_multi_index(np.moveaxis(idx, 2, 0), shape)
-        base = np.take_along_axis(log_xi.reshape(-1, 2 * d)[flat.reshape(-1)],
-                                  steps.reshape(-1, 1).astype(np.int64),
-                                  axis=1).reshape(replicas, horizon).sum(axis=1)
+        base = realized_log_xi(env, tp.means_array, horizon)[flat, steps].sum(axis=1)
     out = np.empty(len(grid))
     for g, theta in enumerate(grid):
         out[g] = logmeanexp(base + ends @ theta) / horizon

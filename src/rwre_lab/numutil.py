@@ -75,10 +75,13 @@ def jackknife_stderr_logmean(logw: np.ndarray) -> float:
     if n < 2:
         return float("nan")
     total = logsumexp(logw)
-    # leave-one-out log sums, log(e^total - e^wi) done stably
-    delta = logw - total
+    # leave-one-out log sums, log(e^total - e^wi) done stably; every replica
+    # but the largest holds at most half the total, so only that one can
+    # cancel catastrophically, and its leave-one-out sum is taken directly
     with np.errstate(divide="ignore"):
-        loo = total + np.log1p(-np.exp(delta))
+        loo = total + np.log1p(-np.exp(logw - total))
+    top = int(np.argmax(logw))
+    loo[top] = logsumexp(np.delete(logw, top))
     loo -= math.log(n - 1)
     center = loo.mean()
     var = (n - 1) / n * np.sum((loo - center) ** 2)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .environments import Environment, IIDProductLaw, direction_vectors
 from .numutil import fsum
-from .walks import Path
+from .walks import path_sites, realized_log_xi, site_grouped_log_moment, step_matrix
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -157,11 +157,6 @@ def solve_tilt(law_or_means, z, tol: float = SOLVE_RESIDUAL_TOL) -> TiltParams:
     )
 
 
-def qwalk_step_distribution(tp: TiltParams) -> np.ndarray:
-    """Homogeneous step law of the auxiliary walk (a copy of u)."""
-    return tp.u_array.copy()
-
-
 def tilt_invariant_residuals(tp: TiltParams) -> dict:
     """Numerical residuals of every defining identity of the construction.
 
@@ -195,31 +190,6 @@ def zero_disorder_free_energy(tp: TiltParams, theta) -> float:
     return float(np.log(np.sum(np.exp(vecs @ theta) * tp.u_array)))
 
 
-def _xi_path_moment(law: IIDProductLaw, path: Path) -> float:
-    """E[prod_j xi(X_{j-1}, step_j)], exact; groups repeated site visits."""
-    groups: dict = {}
-    pos = path.positions
-    for j, k in enumerate(path.steps):
-        key = tuple(int(v) for v in pos[j])
-        counts = groups.setdefault(key, np.zeros(2 * law.dimension, dtype=np.int64))
-        counts[k] += 1
-    w = 1.0
-    for counts in groups.values():
-        w *= law.xi_moment(counts)
-    return w
-
-
-def _enumeration_arrays(n: int, d: int):
-    """Step matrix, flattened visit sites and endpoints for all length-n paths."""
-    from .walks import positions_of, step_matrix
-
-    steps = step_matrix(n, d).astype(np.int64)
-    pos = positions_of(steps, d)
-    shape = (2 * n + 1,) * d
-    flat = np.ravel_multi_index(np.moveaxis(pos[:, :-1, :] + n, 2, 0), shape) if n else None
-    return steps, pos, flat, shape
-
-
 def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     """Both sides of the annealed change-of-measure identity, by enumeration.
 
@@ -229,49 +199,24 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     computed from the original walk with exact annealed path weights.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    d = tp.dimension
-    u = tp.u_array
-    steps, pos, flat, _ = _enumeration_arrays(n, d)
-    ends = pos[:, -1, :].astype(np.float64)
-    uw = np.prod(u[steps], axis=1)
-    xi_mom = np.empty(len(steps))
-    om_mom = np.empty(len(steps))
-    for i in range(len(steps)):
-        xi_mom[i] = _site_grouped_moment(law.xi_values(), law.weights, flat[i], steps[i])
-        om_mom[i] = _site_grouped_moment(law.atoms, law.weights, flat[i], steps[i])
-    lhs = fsum(uw * xi_mom * np.exp(ends @ theta))
-    rhs = tp.D**n * fsum(om_mom * np.exp(ends @ (theta + tp.theta_array)))
+    steps = step_matrix(n, tp.dimension)
+    flat, ends = path_sites(steps, tp.dimension)
+    uw = np.prod(tp.u_array[steps], axis=1)
+    _, xi_log = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)
+    _, om_log = site_grouped_log_moment(law.atoms, law.weights, flat, steps)
+    lhs = fsum(uw * np.exp(xi_log + ends @ theta))
+    rhs = tp.D**n * fsum(np.exp(om_log + ends @ (theta + tp.theta_array)))
     return lhs, rhs
-
-
-def _site_grouped_moment(values: np.ndarray, weights: np.ndarray, flat_sites: np.ndarray,
-                         steps: np.ndarray) -> float:
-    """E[prod_j values[atom, step_j]] with one atom draw per distinct site."""
-    two_d = values.shape[1]
-    key = flat_sites * two_d + steps
-    uniq, cnt = np.unique(key, return_counts=True)
-    site_ids = uniq // two_d
-    starts = np.r_[0, np.nonzero(np.diff(site_ids))[0] + 1]
-    contrib = np.log(values[:, uniq % two_d]) * cnt
-    seg = np.add.reduceat(contrib, starts, axis=1)
-    return float(np.exp(np.log(weights)[:, None] + seg).sum(axis=0).prod())
 
 
 def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) -> tuple:
     """Quenched version: xi and omega read from one fixed realization."""
-    from .environments import centered_box
-
     theta = np.asarray(theta, dtype=np.float64)
-    d = tp.dimension
-    u = tp.u_array
-    means = tp.means_array
-    steps, pos, flat, shape = _enumeration_arrays(n, d)
-    ends = pos[:, -1, :].astype(np.float64)
-    dense, _ = env.dense(centered_box(d, n))
-    omega_flat = dense.reshape(-1, 2 * d)
-    om = np.take_along_axis(omega_flat[flat.reshape(-1)], steps.reshape(-1, 1), axis=1)
-    om = om.reshape(steps.shape)
-    uw = np.prod(u[steps], axis=1)
-    lhs = fsum(uw * np.prod(om / means[steps], axis=1) * np.exp(ends @ theta))
-    rhs = tp.D**n * fsum(np.prod(om, axis=1) * np.exp(ends @ (theta + tp.theta_array)))
+    steps = step_matrix(n, tp.dimension)
+    flat, ends = path_sites(steps, tp.dimension)
+    uw = np.prod(tp.u_array[steps], axis=1)
+    xi_prod = np.exp(realized_log_xi(env, tp.means_array, n)[flat, steps].sum(axis=1))
+    om_prod = xi_prod * np.prod(tp.means_array[steps], axis=1)
+    lhs = fsum(uw * xi_prod * np.exp(ends @ theta))
+    rhs = tp.D**n * fsum(om_prod * np.exp(ends @ (theta + tp.theta_array)))
     return lhs, rhs

@@ -4,6 +4,13 @@ The quenched law steps through a fixed realized environment; the annealed law
 averages the environment out. Everything here that is labelled exact is a full
 enumeration or a forward transfer evolution, intended as ground truth for the
 Monte Carlo machinery elsewhere in the package.
+
+Path functionals of the environment are evaluated here and nowhere else, over
+whole batches of paths at once: ``site_grouped_log_moment`` closes the
+annealed moment, ``realized_log_xi`` tabulates the quenched log xi of one
+environment, and ``forward_evolution`` evolves the quenched walk's weights.
+The per-path enumeration oracles (``quenched_path_weight`` and its callers,
+the field branch of ``annealed_path_weight``) stay independent of them.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box, direction_vectors
+from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
+                           direction_vectors)
 from .numutil import BudgetError, fsum
 
 PATH_BUDGET = 10**7
@@ -73,16 +81,67 @@ def step_matrix(n: int, d: int, budget: int = PATH_BUDGET) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1).reshape(count, n)
 
 
-def positions_of(steps: np.ndarray, d: int, start=None) -> np.ndarray:
-    """Positions for a batch of step sequences, shape (P, n+1, d)."""
-    steps = np.asarray(steps)
-    vecs = direction_vectors(d)
-    pos = np.zeros((steps.shape[0], steps.shape[1] + 1, d), dtype=np.int64)
-    if start is not None:
-        pos[:, 0, :] = np.asarray(start, dtype=np.int64)
-    np.cumsum(vecs[steps.astype(np.int64)], axis=1, out=pos[:, 1:, :])
-    pos[:, 1:, :] += pos[:, :1, :]
-    return pos
+def path_sites(steps: np.ndarray, d: int) -> tuple:
+    """Departure sites and endpoints of a (P, n) batch of step sequences from the origin.
+
+    Returns (flat_sites, ends). flat_sites[p, j] indexes the site that
+    steps[p, j] leaves, in C order on the centered box of radius n - 1 (the
+    layout of ``realized_log_xi``); ends has shape (P, d).
+    """
+    steps = np.asarray(steps, dtype=np.int64)
+    n = steps.shape[1]
+    pos = np.zeros((steps.shape[0], n + 1, d), dtype=np.int64)
+    np.cumsum(direction_vectors(d)[steps], axis=1, out=pos[:, 1:, :])
+    radius = max(n - 1, 0)
+    flat = np.ravel_multi_index(np.moveaxis(pos[:, :-1, :] + radius, 2, 0), (2 * radius + 1,) * d)
+    return flat, pos[:, -1, :]
+
+
+def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.ndarray) -> tuple:
+    """Sign and log-magnitude of E[prod_j values[atom(site_j), step_j]] per path.
+
+    ``values`` is a (K, 2d) table over the atoms of a product law, possibly
+    signed or zero, and ``weights`` their probabilities; ``flat_sites`` and
+    ``steps`` are (P, n). Each distinct site draws one atom, so the visits to
+    a site close jointly as one mixture over atoms, and distinct sites
+    multiply. As with ``np.linalg.slogdet``, a zero moment has sign 0 and
+    log-magnitude -inf, and long paths stay in range.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n_paths, n = steps.shape
+    if n == 0:
+        return np.ones(n_paths), np.zeros(n_paths)
+    two_d = values.shape[1]
+    n_sites = int(flat_sites.max()) + 1
+    path = np.arange(n_paths, dtype=np.int64)[:, None]
+    keys, counts = np.unique(((path * n_sites + flat_sites) * two_d + steps).ravel(),
+                             return_counts=True)
+    groups = keys // two_d  # one (path, site) pair per group
+    group_starts = np.r_[0, np.flatnonzero(np.diff(groups)) + 1]
+    dirs = keys % two_d
+    with np.errstate(divide="ignore"):
+        log_abs = np.add.reduceat(np.log(np.abs(values))[:, dirs] * counts, group_starts, axis=1)
+    odd = counts % 2 == 1
+    negative = np.logical_xor.reduceat((values < 0)[:, dirs] & odd, group_starts, axis=1)
+    peak = log_abs.max(axis=0)
+    peak[np.isneginf(peak)] = 0.0  # every atom vanishes at this site
+    mix = weights @ (np.where(negative, -1.0, 1.0) * np.exp(log_abs - peak))
+    path_starts = np.r_[0, np.flatnonzero(np.diff(groups[group_starts] // n_sites)) + 1]
+    with np.errstate(divide="ignore"):
+        site_log = peak + np.log(np.abs(mix))
+    return np.multiply.reduceat(np.sign(mix), path_starts), np.add.reduceat(site_log, path_starts)
+
+
+def realized_log_xi(env: Environment, means, n: int) -> np.ndarray:
+    """log(omega / means) in one realized environment, as a (sites, 2d) table.
+
+    Rows follow the layout of ``path_sites`` for paths of length n, so
+    ``table[flat_sites, steps].sum(axis=1)`` is the realized log xi-product
+    along every path of a batch.
+    """
+    d = env.law.dimension
+    dense, _ = env.dense(centered_box(d, max(n - 1, 0)))
+    return np.log(dense / means).reshape(-1, 2 * d)
 
 
 def simulate_quenched(env: Environment, start, n: int, rng_seed: int) -> Path:
@@ -117,16 +176,10 @@ def annealed_path_weight(law, path: Path) -> float:
     and each group is closed as one per-site moment.
     """
     if isinstance(law, IIDProductLaw):
-        groups: dict = {}
-        pos = path.positions
-        for j, k in enumerate(path.steps):
-            key = tuple(int(v) for v in pos[j])
-            counts = groups.setdefault(key, np.zeros(2 * law.dimension, dtype=np.int64))
-            counts[k] += 1
-        w = 1.0
-        for counts in groups.values():
-            w *= law.site_moment(counts)
-        return w
+        steps = np.asarray(path.steps, dtype=np.int64)[None, :]
+        flat, _ = path_sites(steps, law.dimension)
+        sign, log_abs = site_grouped_log_moment(law.atoms, law.weights, flat, steps)
+        return float(sign[0] * math.exp(log_abs[0]))
     if isinstance(law, MarkovFieldLaw):
         return _annealed_path_weight_field(law, path)
     raise TypeError(f"unsupported law type {type(law)!r}")
@@ -172,114 +225,45 @@ def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_
     return out
 
 
-def endpoint_distribution_dp(env: Environment, n: int, start=None) -> tuple:
-    """Quenched endpoint law by forward evolution; exact and cheap.
+def forward_evolution(env: Environment, n: int, start=None, tilt=None) -> tuple:
+    """The quenched walk's weights after n steps, by scaled forward evolution.
 
-    Returns (grid, lo): grid holds probabilities on the centered box of radius
-    n around the start, lo its lower corner. Independent of the enumeration
-    route above, which it is tested against.
+    Returns (grid, lo, log_scale): the weight of site x is
+    grid[x - lo] * exp(log_scale) on the box of radius n around ``start``
+    (default the origin), whose lower corner is lo. Optional per-direction
+    ``tilt`` weights multiply every step in that direction. Rescaling by the
+    peak after each step keeps horizons far beyond the enumeration budget in
+    floating-point range.
     """
     d = env.law.dimension
     start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
     box = Box(tuple(start - n), tuple(start + n))
-    dense, lo = env.dense(box)
+    lo = np.asarray(box.lo)
+    flows = np.moveaxis(env.dense(box)[0], -1, 0).copy()  # one contiguous slab per direction
+    if tilt is not None:
+        flows *= np.asarray(tilt, dtype=np.float64).reshape((2 * d,) + (1,) * d)
+    moves = []  # (source, destination) slices of the box for each direction
+    for vec in direction_vectors(d):
+        src = tuple(slice(max(-v, 0), n_ax - max(v, 0)) for v, n_ax in zip(vec, box.shape))
+        dst = tuple(slice(max(v, 0), n_ax - max(-v, 0)) for v, n_ax in zip(vec, box.shape))
+        moves.append((src, dst))
     grid = np.zeros(box.shape)
     grid[tuple(start - lo)] = 1.0
-    vecs = direction_vectors(d)
+    new = np.empty_like(grid)
+    log_scale = 0.0
     for _ in range(n):
-        new = np.zeros_like(grid)
-        for k in range(2 * d):
-            flow = grid * dense[..., k]
-            new += _shift(flow, vecs[k])
-        grid = new
-    return grid, lo
+        new.fill(0.0)
+        for flow, (src, dst) in zip(flows, moves):
+            new[dst] += grid[src] * flow[src]
+        peak = float(new.max())
+        log_scale += math.log(peak)
+        new /= peak
+        grid, new = new, grid
+    return grid, lo, log_scale
 
 
 def log_point_probability_dp(env: Environment, n: int, target, start=None) -> float:
-    """log P_{0,omega}(X_n = target) by scaled forward evolution.
-
-    Rescales each step so horizons far beyond the enumeration budget stay in
-    range; returns -inf for unreachable endpoints.
-    """
-    d = env.law.dimension
-    start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    box = Box(tuple(start - n), tuple(start + n))
-    dense, lo = env.dense(box)
-    grid = np.zeros(box.shape)
-    grid[tuple(start - lo)] = 1.0
-    vecs = direction_vectors(d)
-    logscale = 0.0
-    for _ in range(n):
-        new = np.zeros_like(grid)
-        for k in range(2 * d):
-            new += _shift(grid * dense[..., k], vecs[k])
-        peak = new.max()
-        if peak <= 0.0:
-            return float("-inf")
-        logscale += math.log(peak)
-        grid = new / peak
-    val = grid[tuple(target - lo)]
-    return float("-inf") if val <= 0.0 else logscale + math.log(float(val))
-
-
-def write_point_probabilities_csv(rows, path, header_comment: str = ""):
-    """Serialize point-probability results as CSV rows (n, target, probability, stderr).
-
-    ``rows`` holds (n, target, probability, stderr) tuples; stderr is empty for
-    exact values.
-    """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(header_comment + "\n")
-        w = csv.writer(fh)
-        w.writerow(["n", "target", "probability", "stderr"])
-        for n, target, prob, stderr in rows:
-            tgt = " ".join(str(int(v)) for v in np.atleast_1d(np.asarray(target)))
-            w.writerow([int(n), tgt, repr(float(prob)),
-                        "" if stderr is None else repr(float(stderr))])
-
-
-def log_mgf_dp(env: Environment, n: int, theta, start=None) -> float:
-    """log E_{0,omega}[exp(<theta, X_n>)] by scaled forward evolution.
-
-    Exact for the fixed environment; the per-step rescaling keeps strongly
-    tilted runs inside floating-point range.
-    """
-    d = env.law.dimension
-    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    box = Box(tuple(start - n), tuple(start + n))
-    dense, lo = env.dense(box)
-    vecs = direction_vectors(d)
-    tilt = np.exp(vecs @ theta)
-    grid = np.zeros(box.shape)
-    grid[tuple(start - lo)] = 1.0
-    logscale = 0.0
-    for _ in range(n):
-        new = np.zeros_like(grid)
-        for k in range(2 * d):
-            new += _shift(grid * dense[..., k] * tilt[k], vecs[k])
-        peak = new.max()
-        logscale += math.log(peak)
-        grid = new / peak
-    return logscale + math.log(float(grid.sum()))
-
-
-def _shift(arr: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Shift an array by an integer offset, zero-filling (mass leaves the box)."""
-    out = np.zeros_like(arr)
-    src = []
-    dst = []
-    for v, size in zip(vec, arr.shape):
-        v = int(v)
-        if v >= 0:
-            src.append(slice(0, size - v))
-            dst.append(slice(v, size))
-        else:
-            src.append(slice(-v, size))
-            dst.append(slice(0, size + v))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
+    """log P_{start,omega}(X_n = target) by ``forward_evolution``; -inf if unreachable."""
+    grid, lo, log_scale = forward_evolution(env, n, start)
+    val = float(grid[tuple(np.atleast_1d(np.asarray(target, dtype=np.int64)) - lo)])
+    return float("-inf") if val <= 0.0 else log_scale + math.log(val)

@@ -4,8 +4,8 @@ import os
 
 import pytest
 
-from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, canonical_json, config_hash,
-                          load_config, main, normalize_config)
+from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _write_json, canonical_json,
+                          config_hash, load_config, main, normalize_config)
 
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -117,6 +117,23 @@ class TestGap:
         report = json.loads((tmp_path / "gap_report.json").read_text())
         assert report["gap"] == 0.0
 
+    def test_single_replica_usage_error(self, tmp_path, capsys):
+        # one replica carries no spread, hence no standard error and no verdict
+        payload = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+                           "atoms": [[0.3, 0.7], [0.7, 0.3]], "weights": [0.5, 0.5]},
+                   "z": [0.5], "ell": [1], "L": 3, "gap": {"replicas": 1}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 64
+        assert "at least 2 replicas" in capsys.readouterr().err
+        assert not (out / "gap_report.json").exists()
+
+    def test_non_finite_json_refused(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _write_json(str(path), {"significance": -math.inf})
+        assert not path.exists()
+
     def test_replay_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, TWO_ATOM_GAP)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -186,6 +203,9 @@ class TestEnvSampleAndTau:
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "x1,p_plus_e1,p_minus_e1"
         assert len(lines) == 13
+        for row in lines[2:]:
+            _, p, q = row.split(",")
+            assert float(p) + float(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_tau_stats(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": {"draws": 30_000,

@@ -10,8 +10,7 @@ from rwre_lab.decomposition import (BlockSample, EpsilonLaw, StoppingConfig,
                                     expected_tau, make_epsilon_law, psi_factor,
                                     qz_endpoint_distribution, sample_ray_block,
                                     sample_symbols_to_tau, sample_tau, sample_tau_batch,
-                                    tau_survival, validate_stopping, verify_psi_identity,
-                                    write_blocks_csv)
+                                    tau_survival, validate_stopping, verify_psi_identity)
 from rwre_lab.environments import (IIDProductLaw, centered_box, constant_law,
                                    mean_environment, sample_environment)
 from rwre_lab.numutil import BudgetError
@@ -156,7 +155,8 @@ class TestPsiFactor:
     def test_formula_evaluation(self):
         # xi = 1.2, u = 3/4, kbar = 1/8 -> 1.2 + (1/8)/(5/8) * 0.2 = 1.24
         env = sample_environment(TWO_ATOM, 1, centered_box(1, 3))
-        sites = [s for s in range(-2, 3) if abs(env.xi((s,), 0) - 1.2) < 1e-12]
+        xi = {s: env.omega((s,))[0] / TWO_ATOM.marginal_mean(0) for s in range(-2, 3)}
+        sites = [s for s, x in xi.items() if abs(x - 1.2) < 1e-12]
         assert sites, "need a site carrying the high atom"
         val = psi_factor(TP, eps_eighth(), env, 2, (sites[0],), 0)
         assert val == pytest.approx(1.24, abs=1e-12)
@@ -353,13 +353,3 @@ class TestRayBlocks:
     def test_stopping_requires_positive_projection(self):
         with pytest.raises(ValueError, match="> 0"):
             validate_stopping(TP, StoppingConfig(2, 1))  # -e1 against drift +z
-
-    def test_block_csv(self, tmp_path):
-        rng = np.random.default_rng(1)
-        blocks = [sample_ray_block(TP, eps_eighth(), StoppingConfig(2, 0), TWO_ATOM,
-                                   "annealed", rng) for _ in range(5)]
-        path = tmp_path / "blocks.csv"
-        write_blocks_csv(blocks, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau1,on_ray,log_psi_product"
-        assert len(lines) == 6

@@ -132,11 +132,11 @@ class TestEnvironmentRealization:
         law = two_atom_law()
         env = sample_environment(law, seed=1, region=centered_box(1, 50))
         for s in range(-50, 51):
-            x = env.xi((s,), 0)
+            x = env.omega((s,))[0] / law.marginal_mean(0)
             assert x in (pytest.approx(0.8, abs=1e-12), pytest.approx(1.2, abs=1e-12))
         zero = constant_law(1, [0.5, 0.5], 0.1)
         env0 = sample_environment(zero, seed=1, region=centered_box(1, 5))
-        assert env0.xi((2,), 0) == pytest.approx(1.0, abs=0)
+        assert env0.omega((2,))[0] / zero.marginal_mean(0) == pytest.approx(1.0, abs=0)
 
     def test_lookup_outside_region_raises(self):
         env = sample_environment(two_atom_law(), seed=1, region=centered_box(1, 5))
@@ -146,16 +146,6 @@ class TestEnvironmentRealization:
     def test_region_overflow_rejected(self):
         with pytest.raises(BudgetError):
             Box((-(1 << 63),), (0,))
-
-    def test_csv_export(self, tmp_path):
-        env = sample_environment(two_atom_law(), seed=1, region=Box((-3,), (3,)))
-        path = tmp_path / "env.csv"
-        env.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,p_plus_e1,p_minus_e1"
-        assert len(lines) == 8
-        x, p, q = lines[1].split(",")
-        assert float(p) + float(q) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMarkovField:

@@ -14,7 +14,7 @@ from rwre_lab.estimators import (bound_Ia, bound_Iq, certify_gap, estimate_free_
                                  sample_ray_xi)
 from rwre_lab.numutil import BudgetError
 from rwre_lab.tilting import solve_tilt, verify_identity_annealed, zero_disorder_free_energy
-from rwre_lab.walks import log_mgf_dp
+from rwre_lab.walks import forward_evolution
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -268,7 +268,8 @@ class TestFreeEnergy:
         vals = np.empty(envs)
         for e in range(envs):
             env = sample_environment(TWO_ATOM, 9000 + e, centered_box(1, horizon))
-            vals[e] = log_mgf_dp(env, horizon, [shifted])
+            grid, _, log_scale = forward_evolution(env, horizon, tilt=np.exp([shifted, -shifted]))
+            vals[e] = log_scale + math.log(grid.sum())
         lam_a = (np.log(np.mean(np.exp(vals - vals.max()))) + vals.max()) / horizon
         diff = est.value - math.log(TP.D) - lam_a
         assert abs(diff) < 0.02

@@ -6,8 +6,8 @@ import pytest
 
 from rwre_lab.environments import (IIDProductLaw, centered_box, constant_law,
                                    mean_environment, sample_environment)
-from rwre_lab.tilting import (TiltParams, qwalk_step_distribution, scale_function,
-                              solve_tilt, tilt_invariant_residuals,
+from rwre_lab.tilting import (TiltParams, scale_function, solve_tilt,
+                              tilt_invariant_residuals,
                               verify_identity_annealed, verify_identity_quenched,
                               zero_disorder_free_energy)
 
@@ -103,7 +103,7 @@ class TestSolveTilt:
 class TestStepDistribution:
     def test_values(self):
         tp = solve_tilt(np.array([0.5, 0.5]), [0.5])
-        u = qwalk_step_distribution(tp)
+        u = tp.u_array
         assert u[0] == pytest.approx(0.75, abs=1e-12)
         assert u[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -112,7 +112,7 @@ class TestStepDistribution:
         law = random_law(rng, 2)
         z = random_velocity(rng, 2)
         tp = solve_tilt(law, z)
-        u = qwalk_step_distribution(tp)
+        u = tp.u_array
         assert u.sum() == pytest.approx(1.0, abs=1e-12)
         from rwre_lab.environments import direction_vectors
         assert np.allclose(u @ direction_vectors(2), z, atol=1e-12)

@@ -8,11 +8,9 @@ from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
                                    constant_law, sample_environment)
 from rwre_lab.numutil import BudgetError
 from rwre_lab.walks import (Path, annealed_path_weight, annealed_point_probability,
-                            endpoint_distribution_dp, enumerate_paths, log_mgf_dp,
-                            log_point_probability_dp, quenched_endpoint_distribution,
-                            quenched_path_weight, quenched_point_probability,
-                            simulate_quenched, step_matrix,
-                            write_point_probabilities_csv)
+                            enumerate_paths, forward_evolution, log_point_probability_dp,
+                            quenched_endpoint_distribution, quenched_path_weight,
+                            quenched_point_probability, simulate_quenched, step_matrix)
 
 
 def two_atom_law():
@@ -71,18 +69,20 @@ class TestQuenchedProbabilities:
     def test_dp_matches_enumeration(self):
         env = sample_environment(two_atom_law(), 13, centered_box(1, 7))
         dist = quenched_endpoint_distribution(env, 6)
-        grid, lo = endpoint_distribution_dp(env, 6)
+        grid, lo, log_scale = forward_evolution(env, 6)
         for target, prob in dist.items():
-            assert grid[tuple(np.asarray(target) - lo)] == pytest.approx(prob, rel=1e-12)
+            assert grid[tuple(np.asarray(target) - lo)] * math.exp(log_scale) == pytest.approx(
+                prob, rel=1e-12)
 
     def test_dp_matches_enumeration_2d(self):
         law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
                             [0.5, 0.5], 0.1)
         env = sample_environment(law, 5, centered_box(2, 5))
         dist = quenched_endpoint_distribution(env, 4)
-        grid, lo = endpoint_distribution_dp(env, 4)
+        grid, lo, log_scale = forward_evolution(env, 4)
         for target, prob in dist.items():
-            assert grid[tuple(np.asarray(target) - lo)] == pytest.approx(prob, rel=1e-12)
+            assert grid[tuple(np.asarray(target) - lo)] * math.exp(log_scale) == pytest.approx(
+                prob, rel=1e-12)
 
     def test_log_dp_matches_enumeration(self):
         env = sample_environment(two_atom_law(), 19, centered_box(1, 9))
@@ -194,22 +194,12 @@ class TestSimulation:
                 simulate_quenched(env, (3,), 8, seed)
 
 
-class TestSerializationAndMgf:
-    def test_point_probability_csv(self, tmp_path):
-        env = sample_environment(two_atom_law(), 3, centered_box(1, 4))
-        rows = [(2, (0,), quenched_point_probability(env, 2, (0,)), None),
-                (3, (1,), quenched_point_probability(env, 3, (1,)), 1e-4)]
-        path = tmp_path / "probs.csv"
-        write_point_probabilities_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,target,probability,stderr"
-        assert len(lines) == 3
-        assert lines[1].endswith(",")  # exact value carries no stderr
-
+class TestMgf:
     def test_log_mgf_matches_enumeration(self):
         env = sample_environment(two_atom_law(), 3, centered_box(1, 7))
         theta = 0.4
         n = 6
         direct = sum(math.exp(theta * t[0]) * p
                      for t, p in quenched_endpoint_distribution(env, n).items())
-        assert log_mgf_dp(env, n, [theta]) == pytest.approx(math.log(direct), rel=1e-12)
+        grid, _, log_scale = forward_evolution(env, n, tilt=np.exp([theta, -theta]))
+        assert log_scale + math.log(grid.sum()) == pytest.approx(math.log(direct), rel=1e-12)

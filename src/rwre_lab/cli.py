@@ -272,7 +272,8 @@ def cmd_verify(cfg: dict, out_dir: str, threads: int, corrupt_theta: bool = Fals
 def cmd_gap(cfg: dict, out_dir: str, threads: int) -> int:
     law, tp, eps, stop = build_problem(cfg)
     report = certify_gap(tp, eps, stop, law, int(cfg["gap"]["replicas"]),
-                         horizon=cfg["gap"]["horizon"], seed=cfg["seed"], threads=threads)
+                         horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
+                         seed=cfg["seed"], threads=threads)
     payload = report.to_dict()
     payload["config_hash"] = config_hash(cfg)
     payload["tilt"] = solve_tilt(law, np.asarray(cfg["z"])).to_dict()
@@ -389,8 +390,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results never depend on this, and no "
-                             "subcommand runs measurably faster with it today")
+                        help="worker threads; results never depend on this. gap samples "
+                             "the next replica chunks on them while the main thread runs "
+                             "the exact recursion")
     parser.add_argument("--out", default="", help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser("verify", help="run the exact identity suite")

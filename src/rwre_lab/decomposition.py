@@ -17,6 +17,7 @@ laws reproduces u(e) * xi(x, e).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,33 +146,38 @@ def expected_tau(eps, cfg: StoppingConfig) -> float:
     return (k**-cfg.L - 1.0) / (1.0 - k)
 
 
+def _survival_chain(k: float, L: int):
+    """Yield P(tau_1 > t) for t = 0, 1, 2, ... from the run-length chain.
+
+    The state is the law of the current run length restricted to unstopped
+    strings; one step sends its mass to run 0 with probability 1 - k and
+    shifts every run up by one with probability k. Sums run left to right.
+    """
+    v = [1.0] + [0.0] * (L - 1)
+    q = 1.0 - k
+    while True:
+        s = 0.0
+        for x in v:
+            s += x
+        yield s
+        v = [s * q] + [x * k for x in v[:-1]]
+
+
 def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
     """P(tau_1 > t) for t = 0..horizon, exact via the run-length chain."""
-    k = _kbar_of(eps)
-    L = cfg.L
-    v = np.zeros(L)
-    v[0] = 1.0
-    out = np.empty(horizon + 1)
-    out[0] = 1.0
-    for t in range(1, horizon + 1):
-        nv = np.zeros(L)
-        nv[0] = v.sum() * (1.0 - k)
-        nv[1:] = v[:-1] * k
-        v = nv
-        out[t] = v.sum()
-    return out
+    chain = _survival_chain(_kbar_of(eps), cfg.L)
+    return np.fromiter(itertools.islice(chain, horizon + 1), dtype=np.float64,
+                       count=horizon + 1)
 
 
 def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4,
                    cap: int = TAU_HORIZON) -> int:
-    """Smallest H with P(tau_1 > H) < tail, by doubling scans of the exact tail."""
-    h = max(cfg.L, 16)
-    while h <= cap:
-        surv = tau_survival(eps, cfg, h)
-        below = np.nonzero(surv < tail)[0]
-        if below.size:
-            return int(below[0])
-        h *= 2
+    """Smallest H with P(tau_1 > H) < tail, by one forward scan of the exact tail."""
+    for t, surv in enumerate(_survival_chain(_kbar_of(eps), cfg.L)):
+        if surv < tail:
+            return t
+        if t >= cap:
+            break
     raise BudgetError(f"tau tail stays above {tail} within the {cap}-symbol cap")
 
 

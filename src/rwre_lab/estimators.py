@@ -16,8 +16,10 @@ Monte Carlo block sampling is kept alongside as an independent cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,21 +36,36 @@ from .walks import (log_point_probability_dp, path_sites, realized_log_xi,
                     site_grouped_log_moment, step_matrix)
 
 CHUNK = 1024
+MEMORY_BUDGET = 2**30  # bytes of chunk buffers a streamed gap run may hold at once
 ESS_FLOOR = 10.0
 
 
-def _chunk_map(fn, n_items: int, threads: int = 1) -> list:
-    """Apply fn(chunk_index, start, size) over fixed-size chunks, in order.
+def _chunk_stream(fn, n_items: int, threads: int = 1):
+    """Yield fn(chunk_index, start, size) over fixed-size chunks, in chunk order.
 
-    The chunk layout never depends on the thread count, and results are
-    reduced in chunk order, so outputs are bit-identical for any ``threads``.
+    The chunk layout never depends on the thread count, and callers reduce in
+    chunk order, so outputs are bit-identical for any ``threads``. With
+    threads > 1, pool threads work on the next chunks while the caller holds
+    the current one; a chunk is submitted only once the caller is done with
+    the previous one, so at most threads + 1 results exist at a time.
     """
-    spans = [(c, c * CHUNK, min(CHUNK, n_items - c * CHUNK))
-             for c in range((n_items + CHUNK - 1) // CHUNK)]
+    spans = iter([(c, c * CHUNK, min(CHUNK, n_items - c * CHUNK))
+                  for c in range((n_items + CHUNK - 1) // CHUNK)])
     if threads <= 1:
-        return [fn(*s) for s in spans]
+        for span in spans:
+            yield fn(*span)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: fn(*s), spans))
+        ahead = deque(pool.submit(fn, *span) for span in itertools.islice(spans, threads))
+        try:
+            while ahead:
+                yield ahead.popleft().result()
+                span = next(spans, None)
+                if span is not None:
+                    ahead.append(pool.submit(fn, *span))
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +140,7 @@ def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mod
             log_xi = logmeanexp([t[flat, steps].sum(axis=1) for t in tables], axis=0)
         return ends @ theta + log_xi
 
-    logw = np.concatenate(_chunk_map(one_chunk, replicas, threads))
+    logw = np.concatenate(list(_chunk_stream(one_chunk, replicas, threads)))
     value = logmeanexp(logw) / horizon
     stderr = jackknife_stderr_logmean(logw) / horizon
     ess = effective_sample_size(logw)
@@ -238,6 +255,30 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
     return theta_dot + math.log(tp.D)
 
 
+_LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
+
+
+def _rescale_interval(cols: np.ndarray, kbar: float, L: int) -> int:
+    """Recursion steps between rescales, from the bounds of the free factors.
+
+    One step multiplies the largest state entry by at most max(L * max|f|, kbar)
+    and, when every factor has one sign, by at least min|f|. For mixed signs
+    the smallest nonzero |f| stands in for the lower bound.
+    """
+    if cols.size == 0:
+        return 1
+    lo, hi = float(cols.min()), float(cols.max())
+    if lo > 0.0:
+        small = lo
+    elif hi < 0.0:
+        small = -hi
+    else:
+        small = float(np.min(np.abs(cols), where=cols != 0.0, initial=np.inf))
+        small = kbar if math.isinf(small) else small
+    rate = max(math.log(max(L * max(hi, -lo), kbar)), -math.log(small))
+    return max(1, int(_LOG_RANGE / rate)) if rate > 0.0 else max(1, len(cols))
+
+
 def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarray:
     """Inner block expectations for rows of free-symbol factors.
 
@@ -249,28 +290,36 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
         prod(kbar per forced symbol) * prod(free factor per free symbol),
 
     evaluated by a run-length transfer recursion truncated at the row length.
+    The recursion runs time-major: a column-major (F-ordered) array, such as
+    the transpose of an (H, m) buffer, is read without a copy. The state v
+    (mass per current run length) lives in a ring of L rows, so the run shift
+    is an index rotation; every few steps each column is rescaled by a power
+    of two, which is exact, and the scale is kept as an exponent.
     """
-    rows = np.atleast_2d(np.asarray(free_factors, dtype=np.float64))
-    m, h = rows.shape
-    v = np.zeros((m, L))
-    v[:, 0] = 1.0
-    scale = np.zeros(m)
-    out = np.zeros(m)
-    for t in range(h):
-        out += v[:, L - 1] * kbar * np.exp(scale)
-        nv = np.empty_like(v)
-        nv[:, 0] = v.sum(axis=1) * rows[:, t]
-        if L > 1:
-            nv[:, 1:] = v[:, :-1] * kbar
-        v = nv
-        peak = np.abs(v).max(axis=1)
-        small = peak < 1e-200
-        big = (peak > 1e200)
-        for sel in (small & (peak > 0), big):
-            if sel.any():
-                scale[sel] += np.log(peak[sel])
-                v[sel] /= peak[sel, None]
-    return out
+    cols = np.ascontiguousarray(np.atleast_2d(np.asarray(free_factors, dtype=np.float64)).T)
+    h, m = cols.shape
+    ring = np.zeros((L, m))
+    ring[0] = 1.0
+    rows = list(ring)  # rows[t % L] holds v[0] at step t, rows[(t + 1) % L] holds v[L-1]
+    done = np.zeros(m)  # stopped mass, in units of 2**exponent, over the current interval
+    total = np.zeros(m)
+    exponent = np.zeros(m, dtype=np.int64)
+    runs = np.empty(m)
+    every = _rescale_interval(cols, kbar, L)
+    for t, f in enumerate(cols):
+        last = rows[(t + 1) % L]
+        done += last
+        np.add.reduce(ring, axis=0, out=runs)
+        ring *= kbar
+        np.multiply(runs, f, out=last)
+        if (t + 1) % every == 0:
+            total += np.ldexp(done, exponent)
+            done.fill(0.0)
+            shift = np.frexp(np.abs(ring).max(axis=0))[1]
+            np.ldexp(ring, -shift, out=ring)
+            exponent += shift
+    total += np.ldexp(done, exponent)
+    return total * kbar
 
 
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
@@ -281,48 +330,112 @@ def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingCon
     return math.log(val)
 
 
-def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int,
-                  threads: int = 1) -> np.ndarray:
-    """xi(site t*ell, ell) for independent environment replicas, shape (n, H)."""
-    d = law.dimension
-    vec = direction_vectors(d)[ell]
+def _ray_chunk_filler(law, ell: int, horizon: int, seed: int, u: float = 1.0,
+                      kbar: float = 0.0):
+    """fill(c, out): u * xi(site t*ell, ell) - kbar for chunk c's replicas.
+
+    ``out`` has shape (horizon, size), time-major. Chunk c draws from
+    derive_seed(seed, c) in row blocks, which continue one Generator stream
+    exactly as a single (size, horizon) draw would. With the defaults u = 1
+    and kbar = 0 the filled values are xi itself, bit for bit.
+    """
     if isinstance(law, IIDProductLaw):
-        xi_atoms = law.xi_values()[:, ell]
-        cum = np.cumsum(law.weights)
+        values = u * law.xi_values()[:, ell] - kbar
+        cuts = np.cumsum(law.weights)[:-1]
+        block = 16
 
-        def one_chunk(c, start, size):
+        def fill(c, out):
             rng = np.random.default_rng(derive_seed(seed, c))
-            idx = np.searchsorted(cum, rng.random((size, horizon)), side="right")
-            return xi_atoms[idx.clip(max=len(cum) - 1)]
+            rows = min(block, out.shape[1])
+            draws = np.empty((rows, horizon))
+            above = np.empty((rows, horizon), dtype=bool)
+            atom = np.empty((rows, horizon), dtype=np.intp)
+            picked = np.empty((rows, horizon))
+            for r0 in range(0, out.shape[1], block):
+                n = min(block, out.shape[1] - r0)
+                rng.random(out=draws[:n])
+                # atom index = number of cumulative weights, last one excluded, <= draw
+                atom[:n] = 0
+                for cut in cuts:
+                    np.greater_equal(draws[:n], cut, out=above[:n])
+                    atom[:n] += above[:n]
+                np.take(values, atom[:n], out=picked[:n])
+                out[:, r0:r0 + n] = picked[:n].T
 
-        return np.concatenate(_chunk_map(one_chunk, n_rows, threads))
+        return fill
     if isinstance(law, MarkovFieldLaw):
         means = law.marginal_means("auto")
-        sites = np.arange(horizon)[:, None] * vec[None, :]
+        sites = np.arange(horizon)[:, None] * direction_vectors(law.dimension)[ell][None, :]
         lo = np.minimum(sites.min(axis=0), 0)
         hi = np.maximum(sites.max(axis=0), 0)
         box = Box(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
 
-        def one_chunk(c, start, size):
-            rows = np.empty((size, horizon))
-            for i in range(size):
+        def fill(c, out):
+            for i in range(out.shape[1]):
                 env = sample_environment(law, derive_seed(seed, c, i), box)
-                rows[i] = env.omega_many(sites)[:, ell] / means[ell]
-            return rows
+                out[:, i] = u * (env.omega_many(sites)[:, ell] / means[ell]) - kbar
 
-        return np.concatenate(_chunk_map(one_chunk, n_rows, threads))
+        return fill
     raise TypeError(f"unsupported law type {type(law)!r}")
+
+
+def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int,
+                  threads: int = 1) -> np.ndarray:
+    """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
+
+    The dense form of the chunk sampler that ``certify_gap`` streams; the
+    result is the transpose of a time-major buffer.
+    """
+    fill = _ray_chunk_filler(law, ell, horizon, seed)
+    xi = np.empty((horizon, n_rows))
+    list(_chunk_stream(lambda c, start, size: fill(c, xi[:, start:start + size]),
+                       n_rows, threads))
+    return xi.T
+
+
+def _log_positive(vals: np.ndarray) -> np.ndarray:
+    if np.any(vals <= 0.0):
+        raise ValueError("inner block expectation is not positive; the disorder is too "
+                         "large for the signed free-symbol weights at this kbar")
+    return np.log(vals)
 
 
 def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
                            xi_rows: np.ndarray) -> np.ndarray:
     """log inner block expectation per environment row, exact given the row."""
     u_ell = float(tp.u_array[cfg.ell])
-    vals = ray_inner_values(u_ell * np.atleast_2d(xi_rows) - eps.kbar, eps.kbar, cfg.L)
-    if np.any(vals <= 0.0):
-        raise ValueError("inner block expectation is not positive; the disorder is too "
-                         "large for the signed free-symbol weights at this kbar")
-    return np.log(vals)
+    return _log_positive(ray_inner_values(u_ell * np.atleast_2d(xi_rows) - eps.kbar,
+                                          eps.kbar, cfg.L))
+
+
+def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
+                          n_rows: int, horizon: int, seed: int,
+                          threads: int = 1) -> np.ndarray:
+    """Exact inner block value per environment replica, one chunk at a time.
+
+    Pool threads fill the free factors of the next chunks while the calling
+    thread runs the recursion on the current one, in chunk order, so no
+    (n_rows, horizon) array is ever held and the result does not depend on
+    ``threads``. The environment rows are those of ``sample_ray_xi(law,
+    cfg.ell, n_rows, horizon, seed)``. Raises BudgetError, before anything is
+    sampled, when the chunk buffers in flight would exceed MEMORY_BUDGET.
+    """
+    rows = min(CHUNK, n_rows)
+    in_flight = min(threads, -(-n_rows // CHUNK)) + 1
+    need = in_flight * rows * horizon * 8
+    if need > MEMORY_BUDGET:
+        raise BudgetError(f"{in_flight} chunk buffers of {rows} x {horizon} factors need "
+                          f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB "
+                          "budget")
+    fill = _ray_chunk_filler(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar)
+
+    def factors(c, start, size):
+        buf = np.empty((horizon, size))
+        fill(c, buf)
+        return buf
+
+    return np.concatenate([ray_inner_values(buf.T, eps.kbar, cfg.L)
+                           for buf in _chunk_stream(factors, n_rows, threads)])
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +471,8 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         if isinstance(law, IIDProductLaw):
             li = ray_log_inner_annealed_iid(tp, eps, cfg, h)
             return BoundEstimate(w - li / et, 0.0, li, 0.0, h, 0, "exact")
-        xi = sample_ray_xi(law, cfg.ell, replicas, h, derive_seed(seed, 1), threads)
-        vals = ray_inner_values(float(tp.u_array[cfg.ell]) * xi - eps.kbar, eps.kbar, cfg.L)
+        vals = _stream_inner_values(tp, eps, cfg, law, replicas, h, derive_seed(seed, 1),
+                                     threads)
         li = float(np.log(vals.mean()))
         se = float(vals.std(ddof=1) / math.sqrt(len(vals)) / vals.mean())
         return BoundEstimate(w - li / et, se / et, li, se, h, replicas, "exact")
@@ -379,7 +492,7 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
             vals[i] = b.psi_product if (b.on_ray and b.tau1 <= h) else 0.0
         return vals
 
-    vals = np.concatenate(_chunk_map(one_chunk, replicas, threads))
+    vals = np.concatenate(list(_chunk_stream(one_chunk, replicas, threads)))
     mean = vals.mean()
     if mean <= 0.0:
         raise BudgetError("all sampled blocks were off-ray; increase replicas")
@@ -404,9 +517,9 @@ def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     h = horizon or choose_horizon(eps, cfg)
     et = expected_tau(eps, cfg)
     w = log_w_const(tp, cfg.ell)
-    xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1), threads)
     if method == "exact":
-        li = quenched_ray_log_inner(tp, eps, cfg, xi)
+        li = _log_positive(_stream_inner_values(tp, eps, cfg, law, env_replicas, h,
+                                                 derive_seed(seed, 1), threads))
         if np.ptp(li) == 0.0:
             mean, se = float(li[0]), 0.0
         else:
@@ -416,6 +529,7 @@ def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
 
+    xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1), threads)
     inner = max(block_replicas, 64)
     prev = None
     while True:
@@ -500,14 +614,15 @@ class GapReport:
 
 
 def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                budget: int, *, horizon: int | None = None, seed: int = 0,
-                threads: int = 1) -> GapReport:
+                budget: int, *, horizon: int | None = None, tail: float = 1e-4,
+                seed: int = 0, threads: int = 1) -> GapReport:
     """Estimate both sides of the block-level mean-log versus log-mean split.
 
     Common truncation horizon and, where the annealed side needs sampling,
     common environment draws keep the two sides comparable term by term. The
     strict inequality is declared certified at significance > 5, falsified
-    below -3, and inconclusive in between.
+    below -3, and inconclusive in between. Without a fixed ``horizon``, the
+    horizon is the smallest H with P(tau_1 > H) < ``tail``.
     """
     validate_stopping(tp, cfg)
     eps.validate_against(tp)
@@ -515,11 +630,11 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
         raise ValueError("the gap needs at least 2 replicas for a standard error")
-    h = horizon or choose_horizon(eps, cfg)
+    h = horizon or choose_horizon(eps, cfg, tail)
     et = expected_tau(eps, cfg)
     w = log_w_const(tp, cfg.ell)
-    xi = sample_ray_xi(law, cfg.ell, budget, h, derive_seed(seed, 1), threads)
-    log_inner = quenched_ray_log_inner(tp, eps, cfg, xi)
+    log_inner = _log_positive(_stream_inner_values(tp, eps, cfg, law, budget, h,
+                                                    derive_seed(seed, 1), threads))
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0

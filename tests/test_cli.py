@@ -6,6 +6,7 @@ import pytest
 
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
+from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
 
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -133,6 +134,25 @@ class TestGap:
         with pytest.raises(ValueError):
             _write_json(str(path), {"significance": -math.inf})
         assert not path.exists()
+
+    def test_tail_sets_the_horizon(self, tmp_path, capsys):
+        payload = {**TWO_ATOM_GAP, "gap": {"replicas": 4000, "tail": 1e-3}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), "gap"]) == 0
+        h = json.loads((tmp_path / "gap_report.json").read_text())["horizon"]
+        eps, stop = EpsilonLaw(0.125, 1), StoppingConfig(2, 1)
+        surv = tau_survival(eps, stop, h)
+        assert surv[h] < 1e-3 <= surv[h - 1]
+        assert h < choose_horizon(eps, stop, tail=1e-4)
+
+    def test_memory_budget_exits_2(self, tmp_path, capsys):
+        # one chunk of 1024 rows at this horizon would need about 800 GB
+        payload = {**TWO_ATOM_GAP, "gap": {"replicas": 4000, "horizon": 100_000_000}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not (out / "gap_report.json").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, TWO_ATOM_GAP)

@@ -10,10 +10,9 @@ estimators     free energies, rate points, and the quenched/annealed gap
 cli            command line front end (rwre-lab)
 """
 
-from .decomposition import (BlockSample, EpsilonLaw, StoppingConfig, conditional_step,
-                            conditional_step_probs, default_kbar, expected_tau,
-                            make_epsilon_law, psi_factor, sample_ray_block, sample_tau,
-                            sample_tau_batch, verify_psi_identity)
+from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
+                            default_kbar, expected_tau, make_epsilon_law, psi_factor,
+                            sample_ray_block_values, sample_tau_batch, verify_psi_identity)
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
                            constant_law, direction_index, direction_vectors, opposite,
                            sample_environment)

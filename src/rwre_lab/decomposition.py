@@ -12,7 +12,10 @@ deterministically, which the stopping machinery below exploits.
 ``psi_factor`` is the per-step reweighting that restores the environment
 dependence inside the decomposed mechanism; its defining property, checked by
 exact enumeration in the tests, is that summing it against the symbol and step
-laws reproduces u(e) * xi(x, e).
+laws reproduces u(e) * xi(x, e). ``sample_ray_block_values`` samples stopped
+blocks on a ray over synchronous streams, the same pattern as
+``sample_tau_batch``; it is the Monte Carlo cross-check of the exact run-length
+recursion in the estimators.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Environment, IIDProductLaw, direction_index
+from .environments import Environment, direction_index
 from .numutil import BudgetError, fsum
 from .tilting import TiltParams
-from .walks import Path, enumerate_paths, path_sites, site_grouped_log_moment
+from .walks import enumerate_paths
 
 TAU_HORIZON = 10**7
 
@@ -116,14 +119,6 @@ def conditional_step_probs(tp: TiltParams, eps: EpsilonLaw, symbol: int) -> np.n
     return (tp.u_array - eps.kbar) / eps.free_prob
 
 
-def conditional_step(tp: TiltParams, eps: EpsilonLaw, symbol: int, rng) -> int:
-    """One step of the conditional chain given the current symbol."""
-    if symbol < 2 * tp.dimension:
-        return int(symbol)
-    p = conditional_step_probs(tp, eps, symbol)
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(max=2 * tp.dimension - 1))
-
-
 def _kbar_of(eps) -> float:
     """The per-symbol success probability; accepts an EpsilonLaw or a bare float.
 
@@ -181,29 +176,6 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4,
     raise BudgetError(f"tau tail stays above {tail} within the {cap}-symbol cap")
 
 
-def sample_symbols_to_tau(eps: EpsilonLaw, cfg: StoppingConfig, rng,
-                          horizon: int = TAU_HORIZON) -> np.ndarray:
-    """Symbol draws up to and including the completion of the first L-run."""
-    probs = eps.symbol_probs()
-    cum = np.cumsum(probs)
-    n_sym = len(probs)
-    out = []
-    run = 0
-    for _ in range(horizon):
-        s = int(np.searchsorted(cum, rng.random(), side="right").clip(max=n_sym - 1))
-        out.append(s)
-        run = run + 1 if s == cfg.ell else 0
-        if run >= cfg.L:
-            return np.asarray(out, dtype=np.int64)
-    raise BudgetError(f"no run of {cfg.L} forced symbols within {horizon} draws; "
-                      "kbar^L is too small for this budget")
-
-
-def sample_tau(eps: EpsilonLaw, cfg: StoppingConfig, rng, horizon: int = TAU_HORIZON) -> int:
-    """First time the trailing L symbols are all the forced direction."""
-    return int(len(sample_symbols_to_tau(eps, cfg, rng, horizon)))
-
-
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
                      horizon: int = TAU_HORIZON) -> np.ndarray:
     """n independent run-completion times, vectorized over a synchronous stream."""
@@ -227,21 +199,54 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
     return tau
 
 
-def psi_factor(tp: TiltParams, eps: EpsilonLaw, env: Environment, symbol: int,
-               position, step: int) -> float:
-    """Per-step reweighting restoring the environment inside the decomposition.
+def sample_ray_block_values(factors, kbar: float, u_ell: float, L: int, n: int,
+                            rng) -> np.ndarray:
+    """n sampled block values prod(psi) * 1{block on the ray, tau_1 <= H}.
 
-    For a forced symbol it is the indicator that the step matches the symbol.
-    For the free symbol it is xi + kbar/(u(step) - kbar) * (xi - 1) with
-    xi = omega(position, step) / E[omega(0, step)].
+    ``factors`` broadcasts to (n, H) without a copy; factors[..., t] is the psi
+    factor a free symbol contributes at symbol time t+1, departing from site
+    t on the ray. At each symbol time every active stream draws one uniform x:
+    x < kbar is a forced ell symbol (the run grows by one), kbar <= x < u_ell a
+    free symbol stepping along ell (the run resets and the value takes the
+    factor), anything else leaves the ray (value 0, the stream is dropped). A
+    stream records its value when its run reaches L; streams still running at
+    H count as 0. The mean therefore estimates
+    ray_inner_values((u_ell - kbar) * factors, kbar, L), the truncated
+    functional ``certify_gap`` evaluates exactly.
     """
-    d = tp.dimension
-    if symbol < 2 * d:
-        return 1.0 if symbol == step else 0.0
+    if not 0.0 < kbar < u_ell <= 1.0:
+        raise ValueError(f"need 0 < kbar = {kbar} < u(ell) = {u_ell} <= 1")
+    factors = np.asarray(factors, dtype=np.float64)
+    rows = np.broadcast_to(factors, (n, factors.shape[-1]))
+    out = np.zeros(n)
+    active = np.arange(n)
+    run = np.zeros(n, dtype=np.int64)
+    value = np.ones(n)
+    for t in range(rows.shape[1]):
+        if not active.size:
+            break
+        x = rng.random(active.size)
+        free = x >= kbar
+        run = np.where(free, 0, run + 1)
+        value = np.where(free, value * rows[active, t], value)
+        done = run >= L
+        out[active[done]] = value[done]
+        keep = (x < u_ell) & ~done
+        active, run, value = active[keep], run[keep], value[keep]
+    return out
+
+
+def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
+    """Free-symbol reweighting xi + kbar/(u(step) - kbar) * (xi - 1).
+
+    xi = omega(x, step) / E[omega(0, step)] at the departure site x; a forced
+    symbol contributes the bare indicator that the step matches it, which the
+    conditional step law already carries. Works elementwise on arrays of xi and
+    steps.
+    """
     denom = tp.u_array[step] - eps.kbar
-    if denom <= 0.0:
-        raise ValueError(f"u(step) - kbar = {denom} must be positive")
-    xi = float(env.omega(position)[step] / tp.means_array[step])
+    if np.any(denom <= 0.0):
+        raise ValueError(f"u(step) - kbar = {np.min(denom)} must be positive")
     return xi + eps.kbar / denom * (xi - 1.0)
 
 
@@ -261,30 +266,25 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     theta = np.asarray(theta, dtype=np.float64)
     u = tp.u_array
     means = tp.means_array
-    sym_probs = eps.symbol_probs()
+    # symbol probability times conditional step probability, (2d, n_sym)
+    joint = (eps.symbol_probs()[:, None]
+             * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
     sym_matrix = _symbol_matrix(n_sym, n)
+    psi = np.ones((n, n_sym))
 
     lhs_terms = []
     rhs_terms = []
     for path in enumerate_paths(n, d):
         pos = path.positions
+        steps = np.asarray(path.steps)
         end = np.asarray(path.endpoint, dtype=np.float64)
         tiltw = math.exp(float(theta @ end))
-        xi = [float(env.omega(pos[j])[k] / means[k]) for j, k in enumerate(path.steps)]
+        xi = np.array([float(env.omega(pos[j])[k] / means[k]) for j, k in enumerate(steps)])
         # rhs: plain auxiliary-walk weight times realized xi-product
-        rhs_terms.append(float(np.prod(u[list(path.steps)])) * tiltw * float(np.prod(xi)))
+        rhs_terms.append(float(np.prod(u[steps])) * tiltw * float(np.prod(xi)))
         # lhs: sum over all symbol sequences of U * conditional chain * psi
-        per_step = np.zeros((n, n_sym))
-        for j, k in enumerate(path.steps):
-            for s in range(n_sym):
-                cond = conditional_step_probs(tp, eps, s)[k]
-                if cond == 0.0:
-                    continue
-                if s < 2 * d:
-                    psi = 1.0 if s == k else 0.0
-                else:
-                    psi = xi[j] + eps.kbar / (u[k] - eps.kbar) * (xi[j] - 1.0)
-                per_step[j, s] = sym_probs[s] * cond * psi
+        psi[:, -1] = psi_factor(tp, eps, xi, steps)
+        per_step = joint[steps] * psi
         seq_weights = np.prod(per_step[np.arange(n)[None, :], sym_matrix], axis=1)
         lhs_terms.append(fsum(seq_weights) * tiltw)
     return fsum(lhs_terms), fsum(rhs_terms)
@@ -326,72 +326,3 @@ def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
         seq_weights = np.prod(per_step[sym_matrix, np.arange(n)[None, :]], axis=1)
         out[path.endpoint] = out.get(path.endpoint, 0.0) + fsum(seq_weights)
     return out
-
-
-@dataclass
-class BlockSample:
-    """One stopped block of the decomposed walk.
-
-    ``psi_product`` is the realized product of psi factors up to tau_1 in
-    quenched mode, and its exact environment expectation in annealed mode;
-    ``on_ray`` records whether every step up to tau_1 went in the forced
-    direction.
-    """
-
-    epsilon: np.ndarray
-    steps: np.ndarray
-    tau1: int
-    psi_product: float
-    on_ray: bool
-
-
-def sample_ray_block(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
-                     env_or_law, mode: str, rng, horizon: int = TAU_HORIZON) -> BlockSample:
-    """Sample symbols and conditional steps up to tau_1 and weigh the block.
-
-    mode "quenched" reads xi from a fixed environment (which must cover the
-    visited sites); mode "annealed" closes the environment expectation of the
-    psi-product exactly by grouping visits per site (product laws only).
-    """
-    validate_stopping(tp, cfg)
-    eps.validate_against(tp)
-    symbols = sample_symbols_to_tau(eps, cfg, rng, horizon)
-    d = tp.dimension
-    steps = np.empty(len(symbols), dtype=np.int64)
-    for j, s in enumerate(symbols):
-        steps[j] = s if s < 2 * d else conditional_step(tp, eps, s, rng)
-    on_ray = bool(np.all(steps == cfg.ell))
-    path = Path(tuple(int(k) for k in steps), d)
-    if mode == "quenched":
-        env = env_or_law
-        pos = path.positions
-        w = 1.0
-        for j, k in enumerate(steps):
-            w *= psi_factor(tp, eps, env, int(symbols[j]), pos[j], int(k))
-        psi_prod = w
-    elif mode == "annealed":
-        psi_prod = annealed_psi_product(tp, eps, env_or_law, symbols, path)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return BlockSample(symbols, steps, int(len(symbols)), float(psi_prod), on_ray)
-
-
-def annealed_psi_product(tp: TiltParams, eps: EpsilonLaw, law: IIDProductLaw,
-                         symbols: np.ndarray, path: Path) -> float:
-    """E over environments of the psi-product along one (symbols, path) block.
-
-    psi at a free-symbol step is affine in xi at the visited site, so per site
-    the expectation closes as a finite mixture over atoms; distinct sites are
-    independent. Forced-symbol steps contribute the bare indicator.
-    """
-    d = tp.dimension
-    steps = np.asarray(path.steps, dtype=np.int64)[None, :]
-    flat, _ = path_sites(steps, d)
-    symbols = np.asarray(symbols)
-    free = symbols == 2 * d
-    if np.any(symbols[~free] != steps[0, ~free]):
-        return 0.0
-    xi = law.xi_values()
-    psi = xi + eps.kbar / (tp.u_array - eps.kbar) * (xi - 1.0)  # (K, 2d), may be signed
-    sign, log_abs = site_grouped_log_moment(psi, law.weights, flat[:, free], steps[:, free])
-    return float(sign[0] * math.exp(log_abs[0]))

@@ -11,7 +11,11 @@ The inner block expectation itself is computed without Monte Carlo error:
 conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
-Monte Carlo block sampling is kept alongside as an independent cross-check.
+The "mc" routes of ``bound_Ia`` and ``bound_Iq`` are the independent Monte
+Carlo cross-check of that recursion: they sample the same truncated functional
+with ``sample_ray_block_values``, whose free-symbol factors are the psi
+factors on the ray (their environment mean for the annealed bound, one
+environment row per inner mean for the quenched one).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
-                            sample_ray_block, validate_stopping)
+                            psi_factor, sample_ray_block_values, validate_stopping)
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                            centered_box, direction_vectors, sample_environment)
 from .numutil import (BudgetError, derive_seed, effective_sample_size, fsum,
@@ -393,6 +397,13 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int,
     return xi.T
 
 
+def _require_product_law(law, route: str):
+    """Routes that close the environment mean atom by atom need a product law."""
+    if not isinstance(law, IIDProductLaw):
+        raise ValueError(f"{route} needs an i.i.d. product law (law kind 'iid-product'), "
+                         f"not {type(law).__name__}")
+
+
 def _log_positive(vals: np.ndarray) -> np.ndarray:
     if np.any(vals <= 0.0):
         raise ValueError("inner block expectation is not positive; the disorder is too "
@@ -459,8 +470,11 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     """W - log(annealed inner block value) / E[tau_1].
 
     For product laws the annealed inner value is exact (method "exact",
-    replicas ignored); method "mc" estimates it by block sampling instead and
-    carries a delta-method standard error on the log.
+    replicas ignored); method "mc" (product laws only) estimates it by block
+    sampling instead and carries a delta-method standard error on the log. On
+    the ray each site is visited once, so the environment mean of the psi
+    product closes site by site: every free symbol contributes the mean psi
+    factor.
     """
     validate_stopping(tp, cfg)
     eps.validate_against(tp)
@@ -478,19 +492,14 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         return BoundEstimate(w - li / et, se / et, li, se, h, replicas, "exact")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
+    _require_product_law(law, "bound_Ia method 'mc'")
+    u_ell = float(tp.u_array[cfg.ell])
+    mean_psi = float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, cfg.ell], cfg.ell))
+    factors = np.full(h, mean_psi)
 
     def one_chunk(c, start, size):
         rng = np.random.default_rng(derive_seed(seed, 7, c))
-        vals = np.empty(size)
-        for i in range(size):
-            try:
-                b = sample_ray_block(tp, eps, cfg, law, "annealed", rng, horizon=max(4 * h, 1024))
-            except BudgetError:
-                vals[i] = 0.0
-                continue
-            # blocks finishing past the common truncation horizon are discarded
-            vals[i] = b.psi_product if (b.on_ray and b.tau1 <= h) else 0.0
-        return vals
+        return sample_ray_block_values(factors, eps.kbar, u_ell, cfg.L, size, rng)
 
     vals = np.concatenate(list(_chunk_stream(one_chunk, replicas, threads)))
     mean = vals.mean()
@@ -530,16 +539,15 @@ def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise ValueError(f"unknown method {method!r}")
 
     xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1), threads)
+    psi = psi_factor(tp, eps, xi, cfg.ell)
+    u_ell = float(tp.u_array[cfg.ell])
     inner = max(block_replicas, 64)
     prev = None
     while True:
         li = np.empty(env_replicas)
         for e in range(env_replicas):
             rng = np.random.default_rng(derive_seed(seed, 11, e, inner))
-            vals = np.empty(inner)
-            for i in range(inner):
-                vals[i] = _quenched_block_value(tp, eps, cfg, xi[e], rng, h)
-            m = vals.mean()
+            m = sample_ray_block_values(psi[e], eps.kbar, u_ell, cfg.L, inner, rng).mean()
             if m <= 0.0:
                 raise BudgetError("inner block mean underflowed to <= 0; increase inner replicas")
             li[e] = math.log(m)
@@ -552,34 +560,6 @@ def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         prev = mean
         inner *= 2
     return BoundEstimate(w - mean / et, se / et, mean, se, h, env_replicas, "mc")
-
-
-def _quenched_block_value(tp, eps, cfg, xi_row, rng, horizon) -> float:
-    """One sampled block value prod(psi) * 1{on ray}, given ray xi values."""
-    from .decomposition import sample_symbols_to_tau
-
-    d = tp.dimension
-    u = tp.u_array
-    try:
-        symbols = sample_symbols_to_tau(eps, cfg, rng, max(4 * horizon, 1024))
-    except BudgetError:
-        return 0.0
-    if len(symbols) > horizon:
-        return 0.0  # beyond the common truncation horizon: discarded
-    cond = (u - eps.kbar) / eps.free_prob
-    cum = np.cumsum(cond)
-    value = 1.0
-    for t, s in enumerate(symbols):
-        if s < 2 * d:
-            if s != cfg.ell:
-                return 0.0
-            continue
-        k = int(np.searchsorted(cum, rng.random(), side="right").clip(max=2 * d - 1))
-        if k != cfg.ell:
-            return 0.0
-        xi = xi_row[t]
-        value *= xi + eps.kbar / (u[cfg.ell] - eps.kbar) * (xi - 1.0)
-    return value
 
 
 @dataclass
@@ -719,7 +699,7 @@ def rate_point(law, x, method: str = "enumeration", *, seed: int = 0, horizon: i
     annealed rate is -log E[omega] (exact for product laws). Interior points
     use either point-probability decay with first-order Richardson
     extrapolation in 1/N ("enumeration") or the tilted free-energy route
-    followed by the Legendre transform ("tilted-mc").
+    followed by the Legendre transform ("tilted-mc", product laws only).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     d = law.dimension
@@ -731,6 +711,7 @@ def rate_point(law, x, method: str = "enumeration", *, seed: int = 0, horizon: i
     if method == "enumeration":
         return _rate_point_dp(law, x, seed=seed, horizon=horizon, env_replicas=env_replicas)
     if method == "tilted-mc":
+        _require_product_law(law, "rate method 'tilted-mc'")
         return _rate_point_tilted(law, x, seed=seed, horizon=mc_horizon, replicas=mc_replicas,
                                   theta_radius=theta_radius, theta_points=theta_points)
     raise ValueError(f"unknown method {method!r}")
@@ -830,8 +811,6 @@ def _tilted_grid_values(tp, law, env, grid, horizon, replicas, seed) -> np.ndarr
     steps = rng.choice(2 * d, size=(replicas, horizon), p=tp.u_array)
     flat, ends = path_sites(steps, d)
     if env is None:
-        if not isinstance(law, IIDProductLaw):
-            raise TypeError("tilted-mc annealed route needs a product law")
         base = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
     else:
         base = realized_log_xi(env, tp.means_array, horizon)[flat, steps].sum(axis=1)

@@ -209,6 +209,17 @@ class TestRate:
         assert (out_a / "rate_grid.csv").read_bytes() == (out_b / "rate_grid.csv").read_bytes()
         assert (out_a / "rate_report.json").read_bytes() == (out_b / "rate_report.json").read_bytes()
 
+    def test_tilted_mc_on_field_law_usage_error(self, tmp_path, capsys):
+        # the tilted route closes the annealed mean atom by atom: product laws only
+        payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+                           "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.2},
+                   "z": [0.5], "ell": [1],
+                   "rate": {"velocities": [[0.5]], "method": "tilted-mc"}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), "rate"]) == 64
+        assert "product law" in capsys.readouterr().err
+        assert not (tmp_path / "rate_grid.csv").exists()
+
     def test_velocity_outside_ball_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"rate": {"velocities": [[1.5]]}})
         assert main(["--config", cfg, "rate"]) == 64

@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from rwre_lab.decomposition import (BlockSample, EpsilonLaw, StoppingConfig,
-                                    annealed_psi_product, choose_horizon,
-                                    conditional_step, conditional_step_probs,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, choose_horizon,
+                                    conditional_step_probs,
                                     decomposed_endpoint_distribution, default_kbar,
                                     expected_tau, make_epsilon_law, psi_factor,
-                                    qz_endpoint_distribution, sample_ray_block,
-                                    sample_symbols_to_tau, sample_tau, sample_tau_batch,
-                                    tau_survival, validate_stopping, verify_psi_identity)
+                                    qz_endpoint_distribution, sample_ray_block_values,
+                                    sample_tau_batch, tau_survival, validate_stopping,
+                                    verify_psi_identity)
 from rwre_lab.environments import (IIDProductLaw, centered_box, constant_law,
                                    mean_environment, sample_environment)
-from rwre_lab.numutil import BudgetError
+from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
+from rwre_lab.numutil import BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
-from rwre_lab.walks import Path
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -56,9 +58,7 @@ class TestEpsilonLaw:
 
 class TestConditionalStep:
     def test_forced_symbol(self):
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            assert conditional_step(TP, eps_eighth(), 1, rng) == 1
+        assert np.array_equal(conditional_step_probs(TP, eps_eighth(), 1), [0.0, 1.0])
 
     def test_free_symbol_probabilities(self):
         probs = conditional_step_probs(TP, eps_eighth(), 2)
@@ -96,32 +96,11 @@ class TestExpectedTau:
 
 
 class TestSampleTau:
-    def test_postcondition_run_of_forced_symbols(self):
-        eps, cfg = EpsilonLaw(0.2, 1), StoppingConfig(3, 0)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            symbols = sample_symbols_to_tau(eps, cfg, rng)
-            assert len(symbols) >= cfg.L
-            assert np.all(symbols[-cfg.L:] == cfg.ell)
-            # no earlier completed run
-            run = 0
-            for s in symbols[:-1]:
-                run = run + 1 if s == cfg.ell else 0
-                assert run < cfg.L
-
-    def test_scalar_matches_batch_distribution(self):
-        eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
-        rng = np.random.default_rng(2)
-        scalar = np.array([sample_tau(eps, cfg, rng) for _ in range(20_000)])
-        batch = sample_tau_batch(eps, cfg, 20_000, np.random.default_rng(3))
-        se = math.hypot(scalar.std(ddof=1) / math.sqrt(len(scalar)),
-                        batch.std(ddof=1) / math.sqrt(len(batch)))
-        assert abs(scalar.mean() - batch.mean()) < 4 * se
-
     def test_horizon_cap_signals_budget(self):
+        # kbar^L = 1e-12: no stream completes a run within 10000 symbols
         eps, cfg = EpsilonLaw(1e-4, 1), StoppingConfig(3, 0)
-        with pytest.raises(BudgetError, match="budget"):
-            sample_tau(eps, cfg, np.random.default_rng(0), horizon=10_000)
+        with pytest.raises(BudgetError, match="10000 symbols"):
+            sample_tau_batch(eps, cfg, 8, np.random.default_rng(0), horizon=10_000)
 
     def test_survival_matches_empirical(self):
         eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
@@ -142,15 +121,21 @@ class TestSampleTau:
 
 class TestPsiFactor:
     def test_forced_symbol_is_indicator(self):
-        env = sample_environment(TWO_ATOM, 1, centered_box(1, 2))
-        assert psi_factor(TP, eps_eighth(), env, 0, (0,), 0) == 1.0
-        assert psi_factor(TP, eps_eighth(), env, 1, (0,), 0) == 0.0
+        # forced ell symbols contribute 1 and forced others leave the ray: with
+        # zero free factors only blocks of L leading forced symbols survive,
+        # each with value exactly 1, with probability kbar^L
+        kbar, L, reps = 0.25, 2, 30_000
+        vals = sample_ray_block_values(np.zeros(50), kbar, 0.75, L, reps,
+                                       np.random.default_rng(6))
+        assert set(np.unique(vals)) == {0.0, 1.0}
+        p = kbar**L
+        assert abs(vals.mean() - p) < 4 * math.sqrt(p * (1 - p) / reps)
 
     def test_zero_disorder_free_symbol_is_one(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
-        env = mean_environment(law, centered_box(1, 2))
-        assert psi_factor(tp, EpsilonLaw(0.125, 1), env, 2, (0,), 0) == pytest.approx(1.0, abs=1e-14)
+        xi = mean_environment(law, centered_box(1, 2)).omega((0,))[0] / law.marginal_mean(0)
+        assert psi_factor(tp, EpsilonLaw(0.125, 1), xi, 0) == pytest.approx(1.0, abs=1e-14)
 
     def test_formula_evaluation(self):
         # xi = 1.2, u = 3/4, kbar = 1/8 -> 1.2 + (1/8)/(5/8) * 0.2 = 1.24
@@ -158,17 +143,19 @@ class TestPsiFactor:
         xi = {s: env.omega((s,))[0] / TWO_ATOM.marginal_mean(0) for s in range(-2, 3)}
         sites = [s for s, x in xi.items() if abs(x - 1.2) < 1e-12]
         assert sites, "need a site carrying the high atom"
-        val = psi_factor(TP, eps_eighth(), env, 2, (sites[0],), 0)
-        assert val == pytest.approx(1.24, abs=1e-12)
+        assert psi_factor(TP, eps_eighth(), xi[sites[0]], 0) == pytest.approx(1.24, abs=1e-12)
+        # elementwise on arrays of xi and steps
+        got = psi_factor(TP, eps_eighth(), np.array([1.2, 0.8]), np.array([0, 1]))
+        assert np.allclose(got, [1.24, 0.8 + 0.125 / 0.125 * -0.2], atol=1e-12)
 
     def test_denominator_guard(self):
-        eps = EpsilonLaw(0.249, 1)
+        # u(-e1) = 1/4, so kbar just past it leaves a negative denominator on
+        # that step
+        bad = EpsilonLaw(0.2501, 1)
         with pytest.raises(ValueError, match="positive"):
-            env = sample_environment(TWO_ATOM, 1, centered_box(1, 2))
-            # u(-e1) = 1/4 so kbar just below it leaves a tiny but legal margin;
-            # push past it with a fake symbol/step pairing on the small side
-            bad = EpsilonLaw(0.2501, 1)
-            psi_factor(TP, bad, env, 2, (0,), 1)
+            psi_factor(TP, bad, 1.0, 1)
+        with pytest.raises(ValueError, match="positive"):
+            psi_factor(TP, bad, np.ones(2), np.array([0, 1]))
 
 
 class TestPsiIdentity:
@@ -266,90 +253,86 @@ class TestCoincidence:
         assert chi2 < crit
 
 
+def annealed_ray_factor(tp, eps, law, ell):
+    """Environment mean of the psi factor on the ell column."""
+    return float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, ell], ell))
+
+
 class TestRayBlocks:
     def test_zero_disorder_values_are_indicator(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
         eps = make_epsilon_law(tp)
         cfg = StoppingConfig(2, 0)
-        env = mean_environment(law, centered_box(1, 4000))
-        rng = np.random.default_rng(3)
-        seen = set()
-        for _ in range(40):
-            b = sample_ray_block(tp, eps, cfg, env, "quenched", rng)
-            val = b.psi_product * (1.0 if b.on_ray else 0.0)
-            assert val == pytest.approx(1.0, abs=1e-12) or val == 0.0
-            seen.add(bool(b.on_ray))
-            assert b.tau1 >= cfg.L
-            assert np.all(b.epsilon[-cfg.L:] == cfg.ell)
-        assert seen == {True, False}
+        h = 4000
+        env = mean_environment(law, centered_box(1, h))
+        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.marginal_mean(0)
+        vals = sample_ray_block_values(psi_factor(tp, eps, xi, 0), eps.kbar, tp.u[0], cfg.L,
+                                       4000, np.random.default_rng(3))
+        on = vals != 0.0
+        assert np.allclose(vals[on], 1.0, rtol=0, atol=1e-12)
+        assert 0 < on.sum() < len(vals)
 
     def test_on_ray_probability_matches_recursion(self):
         # annealed on-ray block mass equals the exact run-length recursion value
-        from rwre_lab.estimators import ray_log_inner_annealed_iid
-
         eps = eps_eighth()
         cfg = StoppingConfig(2, 0)
         h = 200
         exact = math.exp(ray_log_inner_annealed_iid(TP, eps, cfg, h))
-        rng = np.random.default_rng(8)
-        hits = 0
         reps = 30_000
-        for _ in range(reps):
-            try:
-                b = sample_ray_block(TP, eps, cfg, TWO_ATOM, "annealed", rng, horizon=4 * h)
-            except BudgetError:
-                continue  # a block past the sampling cap is certainly past h
-            if b.on_ray and b.tau1 <= h:
-                hits += b.psi_product  # equals 1 for product laws on the ray
-        frac = hits / reps
+        factors = np.full(h, annealed_ray_factor(TP, eps, TWO_ATOM, cfg.ell))
+        vals = sample_ray_block_values(factors, eps.kbar, TP.u[0], cfg.L, reps,
+                                       np.random.default_rng(8))
+        # every on-ray value is the product of mean psi factors, which is 1
+        assert np.allclose(vals[vals != 0.0], 1.0, rtol=1e-12)
+        frac = vals.mean()
         se = math.sqrt(exact * (1 - exact) / reps)
         assert abs(frac - exact) < 4 * se
 
     def test_quenched_annealed_agree_on_mean_environment(self):
+        # on the mean environment the realized psi row and the annealed mean
+        # factor coincide, so equal seeds give equal block values
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
         eps = make_epsilon_law(tp)
         cfg = StoppingConfig(2, 0)
-        env = mean_environment(law, centered_box(1, 4000))
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        for _ in range(20):
-            bq = sample_ray_block(tp, eps, cfg, env, "quenched", rng_a)
-            ba = sample_ray_block(tp, eps, cfg, law, "annealed", rng_b)
-            assert bq.tau1 == ba.tau1 and bq.on_ray == ba.on_ray
-            assert bq.psi_product == pytest.approx(ba.psi_product, rel=1e-12)
-
-    def test_annealed_psi_product_off_ray_multivisit(self):
-        # revisiting blocks must close the per-site mixture jointly; oracle by
-        # direct enumeration over atom assignments
-        import itertools
-
-        eps = eps_eighth()
-        symbols = np.array([2, 2, 2, 2])
-        path = Path((0, 1, 0, 0), 1)
-        got = annealed_psi_product(TP, eps, TWO_ATOM, symbols, path)
-        sites = sorted({tuple(p) for p in path.positions[:-1]})
-        total = 0.0
-        for combo in itertools.product(range(2), repeat=len(sites)):
-            assign = dict(zip(sites, combo))
-            w = 1.0
-            for j, k in enumerate(path.steps):
-                xi = TWO_ATOM.xi_values()[assign[tuple(path.positions[j])], k]
-                w *= xi + eps.kbar / (TP.u[k] - eps.kbar) * (xi - 1.0)
-            total += 0.5 ** len(sites) * w
-        assert got == pytest.approx(total, rel=1e-12)
+        h = 400
+        env = mean_environment(law, centered_box(1, h))
+        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.marginal_mean(0)
+        quenched = sample_ray_block_values(psi_factor(tp, eps, xi, 0), eps.kbar, tp.u[0],
+                                           cfg.L, 2000, np.random.default_rng(9))
+        annealed = sample_ray_block_values(np.full(h, annealed_ray_factor(tp, eps, law, 0)),
+                                           eps.kbar, tp.u[0], cfg.L, 2000,
+                                           np.random.default_rng(9))
+        assert np.array_equal(quenched != 0.0, annealed != 0.0)
+        assert np.allclose(quenched, annealed, rtol=1e-12, atol=0)
 
     def test_annealed_one_step_neutrality(self):
         # the environment mean of the free-symbol reweighting is exactly one,
         # because the mean of xi is one and the correction is linear in xi
         eps = eps_eighth()
         for k in range(2):
-            c = eps.kbar / (TP.u[k] - eps.kbar)
-            xi = TWO_ATOM.xi_values()[:, k]
-            mean_psi = float(TWO_ATOM.weights @ (xi + c * (xi - 1.0)))
-            assert mean_psi == pytest.approx(1.0, abs=1e-15)
+            assert annealed_ray_factor(TP, eps, TWO_ATOM, k) == pytest.approx(1.0, abs=1e-15)
 
     def test_stopping_requires_positive_projection(self):
         with pytest.raises(ValueError, match="> 0"):
             validate_stopping(TP, StoppingConfig(2, 1))  # -e1 against drift +z
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(kbar=st.floats(0.05, 0.45), gap=st.floats(0.05, 0.95), L=st.integers(1, 3),
+       h=st.integers(1, 40), data=st.data())
+def test_block_sampler_mean_matches_recursion(kbar, gap, L, h, data):
+    """The sampled mean sits within 5 SE of the exact truncated functional.
+
+    A block value is a product of factors along one stopped string, so its
+    second moment is the same recursion on the squared factors.
+    """
+    u_ell = kbar + gap * (1.0 - kbar)
+    row = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=h, max_size=h)))
+    reps = 20_000
+    vals = sample_ray_block_values(row, kbar, u_ell, L, reps,
+                                   np.random.default_rng(derive_seed(13, L, h)))
+    mean, second = ray_inner_values((u_ell - kbar) * np.stack([row, row**2]), kbar, L)
+    se = math.sqrt(max(second - mean**2, 0.0) / reps)
+    assert abs(vals.mean() - mean) <= 5 * se + 1e-15

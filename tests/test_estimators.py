@@ -125,6 +125,19 @@ class TestBounds:
         # same environments, so only the inner sampling separates the two
         assert abs(nested.value - exact.value) < 6 * max(nested.stderr, 1e-4)
 
+    def test_mc_routes_replay_across_threads(self):
+        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, method="mc", horizon=200,
+                         seed=5, threads=t) for t in (1, 1, 2)]
+        assert runs[0] == runs[1] == runs[2]
+        runs = [bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=1024,
+                         method="mc", horizon=100, seed=5, threads=t) for t in (1, 1, 2)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_bound_ia_mc_needs_product_law(self):
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
+        with pytest.raises(ValueError, match="product law"):
+            bound_Ia(TP, EPS, CFG, field, replicas=100, method="mc", horizon=50)
+
     def test_requires_positive_projection(self):
         with pytest.raises(ValueError):
             bound_Ia(TP, EPS, StoppingConfig(2, 1), TWO_ATOM, method="exact", horizon=50)

@@ -55,7 +55,7 @@ import sys
 import numpy as np
 
 from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
-                            expected_tau, make_epsilon_law, sample_tau_batch,
+                            expected_tau, make_epsilon_law, psi_factor, sample_tau_batch,
                             qz_endpoint_distribution, decomposed_endpoint_distribution,
                             verify_psi_identity)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
@@ -161,8 +161,13 @@ def _write_json(path: str, payload: dict):
         fh.write(text + "\n")
 
 
-def _meta_line(cfg: dict) -> str:
-    return f"# config_hash={config_hash(cfg)} seed={cfg['seed']}"
+def _write_csv(path: str, cfg: dict, header: list, rows):
+    """A CSV artifact: the config-hash meta line, then the header, then the rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +229,10 @@ def _run_verify(cfg: dict, corrupt_theta: bool = False):
 
     # one-step reweighting algebra for randomized xi, then small-n enumeration;
     # both checks live in one family
-    rng2 = np.random.default_rng(derive_seed(seed, 102))
-    worst_p = 0.0
-    for _ in range(64):
-        xi = rng2.uniform(0.5, 1.5)
-        for k in range(2 * d):
-            total = eps.kbar * 1.0 + (tp.u_array[k] - eps.kbar) * xi + eps.kbar * (xi - 1.0)
-            worst_p = max(worst_p, abs(total - tp.u_array[k] * xi))
+    xi = np.random.default_rng(derive_seed(seed, 102)).uniform(0.5, 1.5, size=(64, 1))
+    u = tp.u_array
+    total = eps.kbar + (u - eps.kbar) * psi_factor(tp, eps, xi, np.arange(2 * d))
+    worst_p = float(np.max(np.abs(total - u * xi)))
     worst_n = 0.0
     env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, int(cfg["verify"]["psi_n_max"]) + 1))
     for n in range(1, int(cfg["verify"]["psi_n_max"]) + 1):
@@ -281,12 +283,8 @@ def cmd_gap(cfg: dict, out_dir: str, threads: int) -> int:
           f"(significance {report.significance:.2f}, verdict {report.verdict})")
     if out_dir:
         _write_json(os.path.join(out_dir, "gap_report.json"), payload)
-        with open(os.path.join(out_dir, "gap_trace.csv"), "w", newline="") as fh:
-            fh.write(_meta_line(cfg) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["replica", "log_inner"])
-            for i, v in enumerate(report.trace):
-                w.writerow([i, repr(float(v))])
+        _write_csv(os.path.join(out_dir, "gap_trace.csv"), cfg, ["replica", "log_inner"],
+                   ([i, repr(float(v))] for i, v in enumerate(report.trace)))
     return {"certified": EXIT_OK, "falsified": EXIT_FALSIFIED,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 
@@ -315,16 +313,12 @@ def cmd_rate(cfg: dict, out_dir: str, threads: int) -> int:
         rows.append(est)
         print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:
-        with open(os.path.join(out_dir, "rate_grid.csv"), "w", newline="") as fh:
-            fh.write(_meta_line(cfg) + "\n")
-            w = csv.writer(fh)
-            d = law.dimension
-            w.writerow([f"x{a + 1}" for a in range(d)]
-                       + ["I_a", "I_q", "stderr_a", "stderr_q", "method", "horizon"])
-            for est in rows:
-                w.writerow([repr(float(v)) for v in est.x]
-                           + [repr(est.I_a), repr(est.I_q), repr(est.stderr_a),
-                              repr(est.stderr_q), est.method, est.horizon])
+        _write_csv(os.path.join(out_dir, "rate_grid.csv"), cfg,
+                   [f"x{a + 1}" for a in range(law.dimension)]
+                   + ["I_a", "I_q", "stderr_a", "stderr_q", "method", "horizon"],
+                   ([repr(float(v)) for v in est.x]
+                    + [repr(est.I_a), repr(est.I_q), repr(est.stderr_a),
+                       repr(est.stderr_q), est.method, est.horizon] for est in rows))
         _write_json(os.path.join(out_dir, "rate_report.json"),
                     {"config_hash": config_hash(cfg), "seed": cfg["seed"],
                      "points": [{"x": list(est.x), "I_a": est.I_a, "I_q": est.I_q,
@@ -343,17 +337,13 @@ def cmd_env_sample(cfg: dict, out_dir: str, threads: int) -> int:
     box = Box(tuple(cfg["env_sample"]["lo"]), tuple(cfg["env_sample"]["hi"]))
     env = sample_environment(law, cfg["seed"], box)
     path = os.path.join(out_dir or ".", "env.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(cfg) + "\n")
-    with open(path, "a", newline="") as fh:
-        w = csv.writer(fh)
-        d = law.dimension
-        w.writerow([f"x{a + 1}" for a in range(d)]
-                   + [lbl for a in range(d) for lbl in (f"p_plus_e{a + 1}", f"p_minus_e{a + 1}")])
-        sites = box.all_sites()
-        vals = env.omega_many(sites)
-        for s, v in zip(sites, vals):
-            w.writerow([int(c) for c in s] + [repr(float(p)) for p in v])
+    d = law.dimension
+    sites = box.all_sites()
+    _write_csv(path, cfg,
+               [f"x{a + 1}" for a in range(d)]
+               + [lbl for a in range(d) for lbl in (f"p_plus_e{a + 1}", f"p_minus_e{a + 1}")],
+               ([int(c) for c in s] + [repr(float(p)) for p in v]
+                for s, v in zip(sites, env.omega_many(sites))))
     print(f"wrote {box.n_sites} sites to {path}")
     return EXIT_OK
 
@@ -372,12 +362,9 @@ def cmd_tau_stats(cfg: dict, out_dir: str, threads: int) -> int:
                      float((taus.mean() - expect) / se)])
         print(f"kbar={kb} L={lval}: mean={taus.mean():.4f} expected={expect:.4f} z={rows[-1][-1]:+.2f}")
     if out_dir:
-        with open(os.path.join(out_dir, "tau_stats.csv"), "w", newline="") as fh:
-            fh.write(_meta_line(cfg) + "\n")
-            w = csv.writer(fh)
-            w.writerow(["kbar", "L", "draws", "mean", "stderr", "expected", "z"])
-            for row in rows:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        _write_csv(os.path.join(out_dir, "tau_stats.csv"), cfg,
+                   ["kbar", "L", "draws", "mean", "stderr", "expected", "z"],
+                   ([repr(v) if isinstance(v, float) else v for v in row] for row in rows))
     return EXIT_OK
 
 

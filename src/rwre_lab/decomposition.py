@@ -29,7 +29,7 @@ import numpy as np
 from .environments import Environment, direction_index
 from .numutil import BudgetError, fsum
 from .tilting import TiltParams
-from .walks import enumerate_paths
+from .walks import enumerate_paths, path_sites, realized_log_xi, step_matrix
 
 TAU_HORIZON = 10**7
 
@@ -271,15 +271,14 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
              * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
     sym_matrix = _symbol_matrix(n_sym, n)
     psi = np.ones((n, n_sym))
+    all_steps = step_matrix(n, d)
+    flat, ends = path_sites(all_steps, d)
+    all_xi = np.exp(realized_log_xi(env, means, n)[flat, all_steps])
 
     lhs_terms = []
     rhs_terms = []
-    for path in enumerate_paths(n, d):
-        pos = path.positions
-        steps = np.asarray(path.steps)
-        end = np.asarray(path.endpoint, dtype=np.float64)
+    for steps, end, xi in zip(all_steps, ends, all_xi):
         tiltw = math.exp(float(theta @ end))
-        xi = np.array([float(env.omega(pos[j])[k] / means[k]) for j, k in enumerate(steps)])
         # rhs: plain auxiliary-walk weight times realized xi-product
         rhs_terms.append(float(np.prod(u[steps])) * tiltw * float(np.prod(xi)))
         # lhs: sum over all symbol sequences of U * conditional chain * psi

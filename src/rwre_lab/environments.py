@@ -206,7 +206,7 @@ class MarkovFieldLaw:
             validate_prob_vector(row, self.kappa, self.dimension)
         self.state_probs = probs
         self.n_states = len(probs)
-        self._mean_cache: dict = {}
+        self._means: np.ndarray | None = None
 
     def _neighbor_offsets(self) -> np.ndarray:
         rng = range(-self.range_r, self.range_r + 1)
@@ -243,33 +243,21 @@ class MarkovFieldLaw:
         w /= w.sum()
         return configs, sites, w
 
-    def marginal_means(self, mode: str = "auto", box: Box | None = None,
-                       replicas: int = 2000, seed: int = 0) -> np.ndarray:
-        """E[omega(0, e)] per direction.
+    def marginal_means(self) -> np.ndarray:
+        """E[omega(0, e)] per direction, computed once.
 
-        mode "exact" enumerates the field on a small box and reads the center
-        site marginal; "mc" averages realizations; "auto" tries exact first.
+        Exact when the field enumeration admits the centered box of radius
+        ``range``: the center-site marginal on the largest such box. Otherwise
+        the Monte Carlo average of ``marginal_means_mc`` at its defaults.
         """
-        key = (mode, box, replicas, seed)
-        if key in self._mean_cache:
-            return self._mean_cache[key].copy()
-        if mode == "auto":
+        if self._means is None:
             try:
-                out = self.marginal_means("exact", box=box)
+                self._means = self._means_exact()
             except BudgetError:
-                out = self.marginal_means("mc", box=box, replicas=replicas, seed=seed)
-        elif mode == "exact":
-            out = self._means_exact(box)
-        elif mode == "mc":
-            out, _ = self.marginal_means_mc(box=box, replicas=replicas, seed=seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        self._mean_cache[key] = out
-        return out.copy()
+                self._means = self.marginal_means_mc()[0]
+        return self._means.copy()
 
-    def _exact_box(self, box: Box | None) -> Box:
-        if box is not None:
-            return box
+    def _means_exact(self) -> np.ndarray:
         # largest centered box with S^sites under budget, radius at least range_r
         radius = self.range_r
         while True:
@@ -277,11 +265,7 @@ class MarkovFieldLaw:
             if cand.n_sites > 16 or self.n_states**cand.n_sites > ENUM_CONFIG_CAP:
                 break
             radius += 1
-        return centered_box(self.dimension, radius)
-
-    def _means_exact(self, box: Box | None) -> np.ndarray:
-        box = self._exact_box(box)
-        configs, sites, w = self.gibbs_configurations(box)
+        configs, sites, w = self.gibbs_configurations(centered_box(self.dimension, radius))
         center = int(np.where((sites == 0).all(axis=1))[0][0])
         means = np.zeros(2 * self.dimension)
         for s in range(self.n_states):
@@ -301,7 +285,7 @@ class MarkovFieldLaw:
 
     def disorder(self) -> float:
         """sup over the state-map image of |omega/E[omega] - 1|; exact means required."""
-        means = self.marginal_means("exact")
+        means = self._means_exact()
         return float(np.max(np.abs(self.state_probs / means - 1.0)))
 
 
@@ -346,12 +330,6 @@ class Environment:
             raise BudgetError(f"dense region of {box.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
         vals = self.omega_many(box.all_sites())
         return vals.reshape(box.shape + (2 * self.law.dimension,)), np.asarray(box.lo)
-
-
-def _law_means(law) -> np.ndarray:
-    if isinstance(law, IIDProductLaw):
-        return law.marginal_means()
-    return law.marginal_means("auto")
 
 
 def sample_environment(law, seed: int, region: Box) -> Environment:
@@ -418,6 +396,6 @@ def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
 
 def mean_environment(law, region: Box) -> Environment:
     """Deterministic environment whose every site equals the marginal means."""
-    means = _law_means(law)
+    means = law.marginal_means()
     return sample_environment(constant_law(law.dimension, means, min(law.kappa, means.min())),
                               0, region)

@@ -11,11 +11,13 @@ The inner block expectation itself is computed without Monte Carlo error:
 conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
-The "mc" routes of ``bound_Ia`` and ``bound_Iq`` are the independent Monte
-Carlo cross-check of that recursion: they sample the same truncated functional
-with ``sample_ray_block_values``, whose free-symbol factors are the psi
-factors on the ray (their environment mean for the annealed bound, one
-environment row per inner mean for the quenched one).
+``certify_gap`` is the one exact evaluation of the two block bounds; its report
+carries them as ``GapReport.I_a`` and ``GapReport.I_q``. ``bound_Ia`` and
+``bound_Iq`` are the independent Monte Carlo cross-check of that recursion:
+they sample the same truncated functional with ``sample_ray_block_values``,
+whose free-symbol factors are the psi factors on the ray (their environment
+mean for the annealed bound, one environment row per inner mean for the
+quenched one).
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from .decomposition import (EpsilonLaw, StoppingConfig, choose_horizon, expected
                             psi_factor, sample_ray_block_values, validate_stopping)
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                            centered_box, direction_vectors, sample_environment)
-from .numutil import (BudgetError, derive_seed, effective_sample_size, fsum,
+from .numutil import (BudgetError, derive_seed, effective_sample_size,
                       jackknife_stderr_logmean, logmeanexp, logsumexp)
 from .tilting import TiltParams, solve_tilt
 from .walks import (log_point_probability_dp, path_sites, realized_log_xi,
-                    site_grouped_log_moment, step_matrix)
+                    site_grouped_log_moment)
 
 CHUNK = 1024
 MEMORY_BUDGET = 2**30  # bytes of chunk buffers a streamed gap run may hold at once
@@ -83,7 +85,6 @@ class FreeEnergyEstimate:
     stderr: float
     horizon: int
     mode: str
-    method: str
     replicas: int
     ess: float
 
@@ -94,15 +95,16 @@ class FreeEnergyEstimate:
 
 def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mode: str,
                          *, law=None, env: Environment | None = None, seed: int = 0,
-                         method: str = "mc", threads: int = 1,
-                         field_env_replicas: int = 16) -> FreeEnergyEstimate:
+                         threads: int = 1, field_env_replicas: int = 16) -> FreeEnergyEstimate:
     """(1/N) log of the tilted-walk functional with the xi-product weight.
 
     mode "annealed" closes the environment average of the xi-product exactly
     per sampled path (product laws) or by paired environment resampling
     (field laws); mode "quenched" evaluates the xi-product in one fixed
     realized environment. Weights are tracked in log space; the reported
-    standard error is a jackknife over replicas of the log-mean.
+    standard error is a jackknife over replicas of the log-mean. The exact
+    finite-n value, by enumeration, is the left side of
+    ``verify_identity_annealed`` or ``verify_identity_quenched``.
     """
     if mode not in ("annealed", "quenched"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -116,12 +118,6 @@ def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mod
         law = env.law
     if law is None:
         raise ValueError("annealed mode needs a law")
-
-    if method == "exact":
-        val = _free_energy_exact(tp, theta, horizon, mode, law=law, env=env)
-        return FreeEnergyEstimate(tuple(theta), val, 0.0, horizon, mode, "exact", 0, float("inf"))
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
 
     means = tp.means_array
     if mode == "quenched":
@@ -151,19 +147,7 @@ def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mod
     if ess < ESS_FLOOR:
         warnings.warn(f"importance weights are degenerate (ESS = {ess:.2f} < {ESS_FLOOR})")
     return FreeEnergyEstimate(tuple(theta), float(value), float(stderr), horizon, mode,
-                              "mc", replicas, float(ess))
-
-
-def _free_energy_exact(tp: TiltParams, theta, n: int, mode: str, *, law=None,
-                       env: Environment | None = None) -> float:
-    steps = step_matrix(n, tp.dimension)
-    flat, ends = path_sites(steps, tp.dimension)
-    if mode == "annealed":
-        log_xi = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
-    else:
-        log_xi = realized_log_xi(env, tp.means_array, n)[flat, steps].sum(axis=1)
-    terms = np.prod(tp.u_array[steps], axis=1) * np.exp(ends @ theta + log_xi)
-    return math.log(fsum(terms)) / n
+                              replicas, float(ess))
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +177,20 @@ def legendre_transform(thetas, values, x, *, refine: bool = True,
                        clip_tol: float = 1e-9) -> float:
     """sup over the sampled grid of <theta, x> - L(theta), refined off-grid.
 
-    ``thetas`` may be a dict {theta: L} or an array of grid nodes with a
-    parallel ``values`` array. The grid maximizer must be interior along every
-    axis, otherwise the grid was too small and an error is raised. Refinement
-    runs a golden-section search along each axis through the maximizer on a
-    local quadratic interpolant of L. The result is clipped at 0, warning if
-    the unclipped value falls below -clip_tol.
+    ``thetas`` holds the G grid nodes, shape (G, d), or (G,) in one dimension,
+    and ``values`` the G values of L there. The grid maximizer must be
+    interior along every axis, otherwise the grid was too small and an error
+    is raised. Refinement runs a golden-section search along each axis through
+    the maximizer on a local quadratic interpolant of L. The result is clipped
+    at 0, warning if the unclipped value falls below -clip_tol.
     """
-    if isinstance(thetas, dict):
-        nodes = np.asarray([np.atleast_1d(np.asarray(k, dtype=np.float64)) for k in thetas])
-        vals = np.asarray([thetas[k] for k in thetas], dtype=np.float64)
-    else:
-        nodes = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        vals = np.asarray(values, dtype=np.float64)
-        if nodes.shape[0] != vals.shape[0]:
-            nodes = nodes.T
+    nodes = np.asarray(thetas, dtype=np.float64)
     if nodes.ndim == 1:
         nodes = nodes[:, None]
+    vals = np.asarray(values, dtype=np.float64)
+    if nodes.ndim != 2 or vals.shape != (nodes.shape[0],):
+        raise ValueError(f"grid nodes of shape {nodes.shape} need values of shape "
+                         f"({nodes.shape[0]},), got {vals.shape}")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     obj = nodes @ x - vals
     best = int(np.argmax(obj))
@@ -368,7 +349,7 @@ def _ray_chunk_filler(law, ell: int, horizon: int, seed: int, u: float = 1.0,
 
         return fill
     if isinstance(law, MarkovFieldLaw):
-        means = law.marginal_means("auto")
+        means = law.marginal_means()
         sites = np.arange(horizon)[:, None] * direction_vectors(law.dimension)[ell][None, :]
         lo = np.minimum(sites.min(axis=0), 0)
         hi = np.maximum(sites.max(axis=0), 0)
@@ -388,8 +369,13 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int,
     """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
 
     The dense form of the chunk sampler that ``certify_gap`` streams; the
-    result is the transpose of a time-major buffer.
+    result is the transpose of a time-major buffer. Raises BudgetError, before
+    anything is allocated, when that buffer would exceed MEMORY_BUDGET.
     """
+    need = n_rows * horizon * 8
+    if need > MEMORY_BUDGET:
+        raise BudgetError(f"{n_rows} x {horizon} ray factors need {need / 2**20:.0f} MiB, "
+                          f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
     fill = _ray_chunk_filler(law, ell, horizon, seed)
     xi = np.empty((horizon, n_rows))
     list(_chunk_stream(lambda c, start, size: fill(c, xi[:, start:start + size]),
@@ -461,38 +447,27 @@ class BoundEstimate:
     log_inner_stderr: float
     horizon: int
     replicas: int
-    method: str
 
 
-def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-             replicas: int = 0, *, method: str = "exact", horizon: int | None = None,
-             seed: int = 0, threads: int = 1) -> BoundEstimate:
-    """W - log(annealed inner block value) / E[tau_1].
-
-    For product laws the annealed inner value is exact (method "exact",
-    replicas ignored); method "mc" (product laws only) estimates it by block
-    sampling instead and carries a delta-method standard error on the log. On
-    the ray each site is visited once, so the environment mean of the psi
-    product closes site by site: every free symbol contributes the mean psi
-    factor.
-    """
+def _block_constants(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig) -> tuple:
+    """Validate a block problem and return (E[tau_1], W), shared by both bounds and the gap."""
     validate_stopping(tp, cfg)
     eps.validate_against(tp)
+    return expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
+
+
+def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law, replicas: int,
+             *, horizon: int | None = None, seed: int = 0, threads: int = 1) -> BoundEstimate:
+    """W - log(annealed inner block value) / E[tau_1], by block sampling.
+
+    The Monte Carlo check of ``GapReport.I_a`` for product laws, with a
+    delta-method standard error on the log. On the ray each site is visited
+    once, so the environment mean of the psi product closes site by site:
+    every free symbol contributes the mean psi factor.
+    """
+    et, w = _block_constants(tp, eps, cfg)
     h = horizon or choose_horizon(eps, cfg)
-    et = expected_tau(eps, cfg)
-    w = log_w_const(tp, cfg.ell)
-    if method == "exact":
-        if isinstance(law, IIDProductLaw):
-            li = ray_log_inner_annealed_iid(tp, eps, cfg, h)
-            return BoundEstimate(w - li / et, 0.0, li, 0.0, h, 0, "exact")
-        vals = _stream_inner_values(tp, eps, cfg, law, replicas, h, derive_seed(seed, 1),
-                                     threads)
-        li = float(np.log(vals.mean()))
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals)) / vals.mean())
-        return BoundEstimate(w - li / et, se / et, li, se, h, replicas, "exact")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    _require_product_law(law, "bound_Ia method 'mc'")
+    _require_product_law(law, "bound_Ia")
     u_ell = float(tp.u_array[cfg.ell])
     mean_psi = float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, cfg.ell], cfg.ell))
     factors = np.full(h, mean_psi)
@@ -507,59 +482,44 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise BudgetError("all sampled blocks were off-ray; increase replicas")
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     li, li_se = float(np.log(mean)), float(se / mean)
-    return BoundEstimate(w - li / et, li_se / et, li, li_se, h, replicas, "mc")
+    return BoundEstimate(w - li / et, li_se / et, li, li_se, h, replicas)
 
 
 def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-             env_replicas: int, block_replicas: int = 0, *, method: str = "exact",
-             horizon: int | None = None, seed: int = 0, threads: int = 1) -> BoundEstimate:
-    """W - E_env[log inner block value] / E[tau_1].
+             env_replicas: int, block_replicas: int = 0, *, horizon: int | None = None,
+             seed: int = 0, threads: int = 1) -> BoundEstimate:
+    """W - E_env[log inner block value] / E[tau_1], by nested block sampling.
 
-    The inner expectation per environment is exact (run-length recursion) for
-    method "exact". Method "mc" replaces it with a nested block-sampling mean
-    whose inner replica count doubles until the estimate moves by less than
-    half an outer standard error, the classic control for the downward bias of
-    the log of an inner Monte Carlo mean.
+    The Monte Carlo check of ``GapReport.I_q`` on the same environment rows.
+    The inner replica count doubles until the estimate moves by less than half
+    an outer standard error, the classic control for the downward bias of the
+    log of an inner Monte Carlo mean. A round in which some environment
+    samples no on-ray block settles nothing and also doubles the count.
     """
-    validate_stopping(tp, cfg)
-    eps.validate_against(tp)
+    et, w = _block_constants(tp, eps, cfg)
     h = horizon or choose_horizon(eps, cfg)
-    et = expected_tau(eps, cfg)
-    w = log_w_const(tp, cfg.ell)
-    if method == "exact":
-        li = _log_positive(_stream_inner_values(tp, eps, cfg, law, env_replicas, h,
-                                                 derive_seed(seed, 1), threads))
-        if np.ptp(li) == 0.0:
-            mean, se = float(li[0]), 0.0
-        else:
-            mean = float(li.mean())
-            se = float(li.std(ddof=1) / math.sqrt(len(li))) if len(li) > 1 else 0.0
-        return BoundEstimate(w - mean / et, se / et, mean, se, h, env_replicas, "exact")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-
     xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1), threads)
     psi = psi_factor(tp, eps, xi, cfg.ell)
     u_ell = float(tp.u_array[cfg.ell])
     inner = max(block_replicas, 64)
     prev = None
     while True:
-        li = np.empty(env_replicas)
-        for e in range(env_replicas):
-            rng = np.random.default_rng(derive_seed(seed, 11, e, inner))
-            m = sample_ray_block_values(psi[e], eps.kbar, u_ell, cfg.L, inner, rng).mean()
-            if m <= 0.0:
-                raise BudgetError("inner block mean underflowed to <= 0; increase inner replicas")
-            li[e] = math.log(m)
-        mean = float(li.mean())
-        se = float(li.std(ddof=1) / math.sqrt(env_replicas)) if env_replicas > 1 else 0.0
-        if prev is not None and abs(mean - prev) < 0.5 * max(se, 1e-12):
-            break
+        means = [sample_ray_block_values(psi[e], eps.kbar, u_ell, cfg.L, inner,
+                                         np.random.default_rng(derive_seed(seed, 11, e, inner))
+                                         ).mean() for e in range(env_replicas)]
+        if min(means) > 0.0:
+            li = np.array([math.log(m) for m in means])
+            mean = float(li.mean())
+            se = float(li.std(ddof=1) / math.sqrt(env_replicas)) if env_replicas > 1 else 0.0
+            if prev is not None and abs(mean - prev) < 0.5 * max(se, 1e-12):
+                break
+            prev = mean
+        else:
+            prev = None
         if inner > 10**6:
             raise BudgetError("inner replica doubling exceeded its budget before settling")
-        prev = mean
         inner *= 2
-    return BoundEstimate(w - mean / et, se / et, mean, se, h, env_replicas, "mc")
+    return BoundEstimate(w - mean / et, se / et, mean, se, h, env_replicas)
 
 
 @dataclass
@@ -584,6 +544,16 @@ class GapReport:
     verdict: str
     trace: np.ndarray = field(default=None, repr=False, compare=False)
 
+    @property
+    def I_a(self) -> float:
+        """The annealed block bound W - annealed_side, exact at this horizon."""
+        return self.W - self.annealed_side
+
+    @property
+    def I_q(self) -> float:
+        """The quenched block bound W - quenched_side, exact given the replica rows."""
+        return self.W - self.quenched_side
+
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in (
             "ell", "L", "kbar", "horizon", "W", "expected_block", "quenched_side",
@@ -604,15 +574,12 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     below -3, and inconclusive in between. Without a fixed ``horizon``, the
     horizon is the smallest H with P(tau_1 > H) < ``tail``.
     """
-    validate_stopping(tp, cfg)
-    eps.validate_against(tp)
+    et, w = _block_constants(tp, eps, cfg)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
         raise ValueError("the gap needs at least 2 replicas for a standard error")
     h = horizon or choose_horizon(eps, cfg, tail)
-    et = expected_tau(eps, cfg)
-    w = log_w_const(tp, cfg.ell)
     log_inner = _log_positive(_stream_inner_values(tp, eps, cfg, law, budget, h,
                                                     derive_seed(seed, 1), threads))
     if np.ptp(log_inner) == 0.0:

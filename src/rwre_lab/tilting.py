@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Environment, IIDProductLaw, direction_vectors
+from .environments import Environment, direction_vectors
 from .numutil import fsum
 from .walks import path_sites, realized_log_xi, site_grouped_log_moment, step_matrix
 
@@ -117,10 +117,8 @@ def solve_tilt(law_or_means, z, tol: float = SOLVE_RESIDUAL_TOL) -> TiltParams:
         raise ValueError(f"|z|_1 = {z1} must be < 1")
     if isinstance(law_or_means, np.ndarray) or isinstance(law_or_means, (list, tuple)):
         means = np.asarray(law_or_means, dtype=np.float64)
-    elif isinstance(law_or_means, IIDProductLaw):
-        means = law_or_means.marginal_means()
     else:
-        means = law_or_means.marginal_means("auto")
+        means = law_or_means.marginal_means()
     if means.shape != (2 * d,):
         raise ValueError(f"means must have shape ({2 * d},)")
     if means.min() <= 0.0:

@@ -161,11 +161,11 @@ def simulate_quenched(env: Environment, start, n: int, rng_seed: int) -> Path:
 
 
 def quenched_path_weight(env: Environment, path: Path) -> float:
-    """prod_j omega(X_{j-1}, step_j) in the fixed environment."""
-    pos = path.positions
+    """prod_j omega(X_{j-1}, step_j) in the fixed environment, from one lookup per path."""
+    omegas = env.omega_many(path.positions[:-1])
     w = 1.0
     for j, k in enumerate(path.steps):
-        w *= float(env.omega(pos[j])[k])
+        w *= float(omegas[j, k])
     return w
 
 

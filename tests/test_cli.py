@@ -73,6 +73,17 @@ class TestVerify:
         assert "tilt-invariants" in out
         assert "factorization" in out
 
+    def test_wrong_psi_factor_fails_the_psi_family(self, tmp_path, monkeypatch, capsys):
+        # the one-step check must evaluate psi_factor itself: drop its correction term
+        monkeypatch.setattr("rwre_lab.cli.psi_factor", lambda tp, eps, xi, step: xi)
+        cfg = write_config(tmp_path, {"verify": {"n_max": 2, "psi_n_max": 2,
+                                                 "tau_draws": 20_000}})
+        code = main(["--config", cfg, "--out", str(tmp_path), "verify"])
+        assert code == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        failed = {f["family"] for f in report["families"] if not f["passed"]}
+        assert failed == {"psi-identity"}
+
     def test_budget_violation_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"verify": {"psi_n_max": 40}})
         code = main(["--config", cfg, "verify"])

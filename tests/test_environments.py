@@ -156,7 +156,7 @@ class TestMarkovField:
     def test_beta_zero_marginals_exact(self):
         # decoupled field: the marginal is the plain average over states
         law = self.law()
-        means = law.marginal_means("exact")
+        means = law.marginal_means()
         assert means[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_beta_zero_marginals_mc(self):

@@ -87,60 +87,73 @@ class TestBounds:
         assert log_w_const(TP, 0) == pytest.approx(math.log(1.5), abs=1e-12)
 
     def test_bound_ia_exact_vs_mc(self):
-        exact = bound_Ia(TP, EPS, CFG, TWO_ATOM, method="exact", horizon=300)
-        mc = bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=20_000, method="mc",
-                      horizon=300, seed=4)
-        assert exact.stderr == 0.0
-        assert abs(mc.value - exact.value) < 4 * mc.stderr
+        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
+        mc = bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=20_000, horizon=300, seed=4)
+        assert exact.annealed_stderr == 0.0
+        assert abs(mc.value - exact.I_a) < 4 * mc.stderr
 
     def test_bound_ia_zero_disorder_is_pure_combinatorics(self):
         # for product laws the annealed block value is the on-ray mass alone,
         # so the bound is the same for any disorder at fixed means
         law0 = constant_law(1, [0.5, 0.5], 0.1)
         tp0 = solve_tilt(law0, [0.5])
-        b0 = bound_Ia(tp0, EPS, CFG, law0, method="exact", horizon=300)
-        b2 = bound_Ia(TP, EPS, CFG, TWO_ATOM, method="exact", horizon=300)
-        assert b0.value == pytest.approx(b2.value, abs=1e-12)
+        b0 = certify_gap(tp0, EPS, CFG, law0, budget=2, horizon=300)
+        b2 = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
+        assert b0.I_a == pytest.approx(b2.I_a, abs=1e-12)
 
     def test_bound_iq_zero_disorder_equals_bound_ia(self):
         law0 = constant_law(1, [0.5, 0.5], 0.1)
         tp0 = solve_tilt(law0, [0.5])
-        bi = bound_Ia(tp0, EPS, CFG, law0, method="exact", horizon=300)
-        bq = bound_Iq(tp0, EPS, CFG, law0, env_replicas=16, method="exact",
-                      horizon=300, seed=1)
-        assert bq.value == pytest.approx(bi.value, abs=1e-12)
-        assert bq.stderr == 0.0
+        rep = certify_gap(tp0, EPS, CFG, law0, budget=16, horizon=300, seed=1)
+        assert rep.I_q == pytest.approx(rep.I_a, abs=1e-12)
+        assert rep.quenched_stderr == 0.0
 
     def test_bound_iq_exceeds_bound_ia_under_disorder(self):
-        bi = bound_Ia(TP, EPS, CFG, TWO_ATOM, method="exact", horizon=400)
-        bq = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=4000, method="exact",
-                      horizon=400, seed=2)
-        assert bq.value - bi.value > 5 * bq.stderr
+        rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=4000, horizon=400, seed=2)
+        assert rep.I_q - rep.I_a > 5 * rep.quenched_stderr
 
     def test_bound_iq_nested_mc_tracks_exact(self):
-        exact = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=60, method="exact",
-                         horizon=120, seed=3)
+        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=60, horizon=120, seed=3)
         nested = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=60, block_replicas=512,
-                          method="mc", horizon=120, seed=3)
+                          horizon=120, seed=3)
         # same environments, so only the inner sampling separates the two
-        assert abs(nested.value - exact.value) < 6 * max(nested.stderr, 1e-4)
+        assert abs(nested.value - exact.I_q) < 6 * max(nested.stderr, 1e-4)
+
+    @pytest.mark.parametrize("seed", [2, 5, 6])
+    def test_bound_iq_doubles_past_an_empty_inner_mean(self, seed):
+        # on-ray mass 0.053: at 64 inner blocks some environment of these
+        # seeds samples no on-ray block, which must double the count, not fail
+        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=8, horizon=120, seed=seed)
+        nested = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=64,
+                          horizon=120, seed=seed)
+        assert math.isfinite(nested.value)
+        assert abs(nested.value - exact.I_q) < 6 * max(nested.stderr, 1e-4)
 
     def test_mc_routes_replay_across_threads(self):
-        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, method="mc", horizon=200,
+        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, horizon=200,
                          seed=5, threads=t) for t in (1, 1, 2)]
         assert runs[0] == runs[1] == runs[2]
         runs = [bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=1024,
-                         method="mc", horizon=100, seed=5, threads=t) for t in (1, 1, 2)]
+                         horizon=100, seed=5, threads=t) for t in (1, 1, 2)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_bound_ia_mc_needs_product_law(self):
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
         with pytest.raises(ValueError, match="product law"):
-            bound_Ia(TP, EPS, CFG, field, replicas=100, method="mc", horizon=50)
+            bound_Ia(TP, EPS, CFG, field, replicas=100, horizon=50)
 
     def test_requires_positive_projection(self):
-        with pytest.raises(ValueError):
-            bound_Ia(TP, EPS, StoppingConfig(2, 1), TWO_ATOM, method="exact", horizon=50)
+        for estimate in (lambda c: bound_Ia(TP, EPS, c, TWO_ATOM, replicas=100, horizon=50),
+                         lambda c: bound_Iq(TP, EPS, c, TWO_ATOM, env_replicas=4, horizon=50),
+                         lambda c: certify_gap(TP, EPS, c, TWO_ATOM, budget=4, horizon=50)):
+            with pytest.raises(ValueError, match="must be > 0"):
+                estimate(StoppingConfig(2, 1))
+
+    def test_sample_ray_xi_respects_the_memory_budget(self, monkeypatch):
+        monkeypatch.setattr("rwre_lab.estimators.MEMORY_BUDGET", 100 * 50 * 8 - 1)
+        with pytest.raises(BudgetError, match="budget"):
+            sample_ray_xi(TWO_ATOM, 0, 100, 50, seed=1)
+        assert sample_ray_xi(TWO_ATOM, 0, 99, 50, seed=1).shape == (99, 50)
 
 
 class TestCertifyGap:
@@ -214,22 +227,6 @@ class TestCertifyGap:
 
 
 class TestFreeEnergy:
-    def test_exact_mode_matches_identity_rhs(self):
-        # independent oracle through the change of measure: the functional at
-        # theta equals D^n times the annealed tilted endpoint expectation
-        n, theta = 6, 0.3
-        est = estimate_free_energy(TP, [theta], n, 0, "annealed", law=TWO_ATOM,
-                                   method="exact")
-        _, rhs = verify_identity_annealed(TWO_ATOM, TP, [theta], n)
-        assert est.value == pytest.approx(math.log(rhs) / n, rel=1e-9)
-
-    def test_exact_mode_quenched(self):
-        env = sample_environment(TWO_ATOM, 13, centered_box(1, 7))
-        est = estimate_free_energy(TP, [0.2], 6, 0, "quenched", env=env, method="exact")
-        from rwre_lab.tilting import verify_identity_quenched
-        _, rhs = verify_identity_quenched(env, TP, [0.2], 6)
-        assert est.value == pytest.approx(math.log(rhs) / 6, rel=1e-9)
-
     def test_zero_disorder_theta_zero_is_exactly_zero(self):
         law0 = constant_law(1, [0.5, 0.5], 0.1)
         tp0 = solve_tilt(law0, [0.5])
@@ -303,9 +300,8 @@ class TestFreeEnergy:
         theta = [0.3]
         values = []
         for n in range(4, 11):
-            est = estimate_free_energy(TP, theta, n, 0, "annealed", law=TWO_ATOM,
-                                       method="exact")
-            values.append(est.value)
+            lhs, _ = verify_identity_annealed(TWO_ATOM, TP, theta, n)
+            values.append(math.log(lhs) / n)
         print("finite-horizon free energies:", np.round(values, 6))
         assert np.all(np.isfinite(values))
 
@@ -346,10 +342,17 @@ class TestLegendre:
         with pytest.raises(ValueError, match="boundary"):
             legendre_transform(grid[:, None], vals, [0.9])
 
-    def test_dict_input_and_clipping(self):
+    def test_flat_nodes_and_clipping(self):
         grid, vals = self.logcosh_grid()
-        samples = {(float(t),): float(v) for t, v in zip(grid, vals)}
-        assert legendre_transform(samples, None, [0.0]) >= 0.0
+        assert legendre_transform(grid, vals, [0.0]) >= 0.0
+
+    def test_length_mismatch_rejected(self):
+        grid, vals = self.logcosh_grid()
+        nodes = np.stack([grid, grid], axis=1)
+        with pytest.raises(ValueError, match="shape"):
+            legendre_transform(nodes.T, vals, [0.0, 0.0])
+        with pytest.raises(ValueError, match="shape"):
+            legendre_transform(grid, vals[:-1], [0.0])
 
     def test_output_convex_in_velocity(self):
         grid, vals = self.logcosh_grid()
@@ -399,8 +402,8 @@ class TestRatePoint:
     def test_bound_vs_rate_reported(self, capsys):
         # the block-normalized value is reported next to the boundary rate; no
         # ordering is asserted between them (see the decisions ledger)
-        b = bound_Ia(TP, EPS, CFG, TWO_ATOM, method="exact", horizon=300)
+        b = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
         est = rate_point(TWO_ATOM, [1.0], seed=5)
-        print(f"block bound value={b.value:.6f} boundary I_a={est.I_a:.6f} "
+        print(f"block bound value={b.I_a:.6f} boundary I_a={est.I_a:.6f} "
               f"I_q={est.I_q:.6f} W={log_w_const(TP, 0):.6f}")
-        assert math.isfinite(b.value)
+        assert math.isfinite(b.I_a)

@@ -100,8 +100,8 @@ class Shifted:
     def __init__(self, env, offset):
         self.env, self.law, self.offset = env, env.law, np.asarray(offset)
 
-    def omega(self, site):
-        return self.env.omega(np.asarray(site) + self.offset)
+    def omega_many(self, sites):
+        return self.env.omega_many(np.asarray(sites) + self.offset)
 
 
 @st.composite

@@ -58,7 +58,7 @@ class TestQuenchedProbabilities:
             expect *= float(env.omega((j,))[0])
         assert quenched_point_probability(env, n, (n,)) == pytest.approx(expect, rel=1e-14)
 
-    @pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 3), (1, 0), (2, 0)])
     def test_total_probability(self, d, n):
         law = IIDProductLaw(d, np.full((1, 2 * d), 1.0 / (2 * d)), [1.0], 0.1)
         law2 = two_atom_law() if d == 1 else law

@@ -14,7 +14,7 @@ from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
                             default_kbar, expected_tau, make_epsilon_law, psi_factor,
                             sample_ray_block_values, sample_tau_batch, verify_psi_identity)
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
-                           constant_law, direction_index, direction_vectors, opposite,
+                           constant_law, direction_index, direction_vectors,
                            sample_environment)
 from .estimators import (FreeEnergyEstimate, GapReport, RatePointEstimate, bound_Ia,
                          bound_Iq, certify_gap, estimate_free_energy, exact_gap_oracle,
@@ -24,7 +24,6 @@ from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched,
                       zero_disorder_free_energy)
 from .walks import (Path, annealed_path_weight, annealed_point_probability,
-                    enumerate_paths, quenched_path_weight, quenched_point_probability,
-                    simulate_quenched)
+                    enumerate_paths, quenched_path_weight, quenched_point_probability)
 
 __version__ = "0.1.0"

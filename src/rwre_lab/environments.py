@@ -41,11 +41,6 @@ def direction_vectors(d: int) -> np.ndarray:
     return out
 
 
-def opposite(k: int) -> int:
-    """Index of the negated direction; an involution pairing e with -e."""
-    return k ^ 1
-
-
 def direction_index(vec) -> int:
     """Map a signed unit vector to its direction index."""
     v = np.asarray(vec, dtype=np.int64)

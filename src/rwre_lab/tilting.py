@@ -19,7 +19,6 @@ enumeration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -80,14 +79,6 @@ class TiltParams:
             "theta": list(self.theta), "D": self.D, "c_z": self.c_z,
             "residual": self.residual, "means": list(self.means),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TiltParams":
-        return cls(tuple(d["z"]), float(d["C"]), tuple(d["u"]), tuple(d["theta"]),
-                   float(d["D"]), float(d["c_z"]), float(d["residual"]), tuple(d["means"]))
 
 
 def _zdots(z: np.ndarray, d: int) -> np.ndarray:

@@ -8,7 +8,9 @@ Monte Carlo machinery elsewhere in the package.
 Path functionals of the environment are evaluated here and nowhere else, over
 whole batches of paths at once: ``site_grouped_log_moment`` closes the
 annealed moment, ``realized_log_xi`` tabulates the quenched log xi of one
-environment, and ``forward_evolution`` evolves the quenched walk's weights.
+environment, and ``forward_evolution`` evolves the quenched walk's weights
+on the light cone of its start, or on the two-sided cone between a start and
+a target, with exact power-of-two rescaling.
 The per-path enumeration oracles (``quenched_path_weight`` and its callers,
 the field branch of ``annealed_path_weight``) stay independent of them.
 """
@@ -144,22 +146,6 @@ def realized_log_xi(env: Environment, means, n: int) -> np.ndarray:
     return np.log(dense / means).reshape(-1, 2 * d)
 
 
-def simulate_quenched(env: Environment, start, n: int, rng_seed: int) -> Path:
-    """Sample one quenched path of length n; reproducible for a fixed seed."""
-    rng = np.random.default_rng(rng_seed)
-    d = env.law.dimension
-    pos = np.asarray(start, dtype=np.int64)
-    vecs = direction_vectors(d)
-    steps = []
-    us = rng.random(n)
-    for j in range(n):
-        p = env.omega(pos)
-        k = int(np.searchsorted(np.cumsum(p), us[j], side="right").clip(max=2 * d - 1))
-        steps.append(k)
-        pos = pos + vecs[k]
-    return Path(tuple(steps), d, tuple(int(v) for v in np.asarray(start, dtype=np.int64)))
-
-
 def quenched_path_weight(env: Environment, path: Path) -> float:
     """prod_j omega(X_{j-1}, step_j) in the fixed environment, from one lookup per path."""
     omegas = env.omega_many(path.positions[:-1])
@@ -225,45 +211,83 @@ def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_
     return out
 
 
-def forward_evolution(env: Environment, n: int, start=None, tilt=None) -> tuple:
+def _reachable(start, target, n: int) -> bool:
+    """Whether a nearest-neighbor walk can go from ``start`` to ``target`` in exactly n steps."""
+    dist = int(np.abs(np.asarray(target) - np.asarray(start)).sum())
+    return dist <= n and (n - dist) % 2 == 0
+
+
+def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=None) -> tuple:
     """The quenched walk's weights after n steps, by scaled forward evolution.
 
     Returns (grid, lo, log_scale): the weight of site x is
-    grid[x - lo] * exp(log_scale) on the box of radius n around ``start``
-    (default the origin), whose lower corner is lo. Optional per-direction
-    ``tilt`` weights multiply every step in that direction. Rescaling by the
-    peak after each step keeps horizons far beyond the enumeration budget in
-    floating-point range.
+    grid[x - lo] * exp(log_scale) on a box whose lower corner is lo. Optional
+    per-direction ``tilt`` weights multiply every step in that direction.
+
+    Only the light cone is evolved. At step j axis a covers
+    [start_a - j, start_a + j] and, given a ``target``, only the part of
+    [target_a - (n - j), target_a + (n - j)] within it, whose sites can still
+    reach the target. Each step moves, per direction, only the sources in
+    the previous window that land in the new one, and clears only the new
+    window. Without a target the box is the radius-n box around ``start``
+    (default the origin) and the grid is the whole endpoint law. With one the
+    box bounds the two-sided cone, the grid holds the target's weight and
+    zeros elsewhere, and an unreachable target raises ValueError.
+
+    Each step rescales by the power of two of its peak. That is exact, so the
+    weights do not depend on which zero cells a window skips, and horizons far
+    beyond the enumeration budget stay in floating-point range.
     """
     d = env.law.dimension
     start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    box = Box(tuple(start - n), tuple(start + n))
+    j = np.arange(n + 1)[:, None]
+    win_lo, win_hi = start - j, start + j  # (n + 1, d) inclusive window of each step
+    if target is not None:
+        target = np.asarray(target, dtype=np.int64)
+        if not _reachable(start, target, n):
+            raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
+        win_lo = np.maximum(win_lo, target - (n - j))
+        win_hi = np.minimum(win_hi, target + (n - j))
+    box = Box(tuple(win_lo.min(axis=0)), tuple(win_hi.max(axis=0)))
     lo = np.asarray(box.lo)
+    win_lo, win_hi = win_lo - lo, win_hi - lo + 1  # half-open, in box coordinates
+    windows = [tuple(map(slice, a, b)) for a, b in zip(win_lo.tolist(), win_hi.tolist())]
+    # direction k moves the sources of window j - 1 whose destinations lie in window j
+    vecs = direction_vectors(d)
+    src_lo = np.maximum(win_lo[:-1, None], win_lo[1:, None] - vecs).tolist()
+    src_hi = np.minimum(win_hi[:-1, None], win_hi[1:, None] - vecs).tolist()
+    vecs = vecs.tolist()
     flows = np.moveaxis(env.dense(box)[0], -1, 0).copy()  # one contiguous slab per direction
     if tilt is not None:
         flows *= np.asarray(tilt, dtype=np.float64).reshape((2 * d,) + (1,) * d)
-    moves = []  # (source, destination) slices of the box for each direction
-    for vec in direction_vectors(d):
-        src = tuple(slice(max(-v, 0), n_ax - max(v, 0)) for v, n_ax in zip(vec, box.shape))
-        dst = tuple(slice(max(v, 0), n_ax - max(-v, 0)) for v, n_ax in zip(vec, box.shape))
-        moves.append((src, dst))
     grid = np.zeros(box.shape)
     grid[tuple(start - lo)] = 1.0
-    new = np.empty_like(grid)
-    log_scale = 0.0
-    for _ in range(n):
-        new.fill(0.0)
-        for flow, (src, dst) in zip(flows, moves):
+    new = np.zeros(box.shape)
+    exponent = 0
+    for step in range(n):
+        window = windows[step + 1]
+        new[window] = 0.0
+        for flow, vec, s_lo, s_hi in zip(flows, vecs, src_lo[step], src_hi[step]):
+            src = tuple(map(slice, s_lo, s_hi))
+            dst = tuple(slice(a + v, b + v) for a, b, v in zip(s_lo, s_hi, vec))
             new[dst] += grid[src] * flow[src]
-        peak = float(new.max())
-        log_scale += math.log(peak)
-        new /= peak
+        _, e = math.frexp(float(new[window].max()))
+        new[window] = np.ldexp(new[window], -e)
+        exponent += e
         grid, new = new, grid
-    return grid, lo, log_scale
+    out = np.zeros(box.shape)
+    out[windows[n]] = grid[windows[n]]
+    return out, lo, exponent * math.log(2.0)
 
 
 def log_point_probability_dp(env: Environment, n: int, target, start=None) -> float:
-    """log P_{start,omega}(X_n = target) by ``forward_evolution``; -inf if unreachable."""
-    grid, lo, log_scale = forward_evolution(env, n, start)
-    val = float(grid[tuple(np.atleast_1d(np.asarray(target, dtype=np.int64)) - lo)])
+    """log P_{start,omega}(X_n = target) by ``forward_evolution`` on the two-sided cone.
+
+    -inf, without evolving, when the target is out of reach in n steps.
+    """
+    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    if not _reachable(0 if start is None else start, target, n):
+        return float("-inf")
+    grid, lo, log_scale = forward_evolution(env, n, start, target=target)
+    val = float(grid[tuple(target - lo)])
     return float("-inf") if val <= 0.0 else log_scale + math.log(val)

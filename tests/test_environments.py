@@ -5,7 +5,7 @@ import pytest
 
 from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                                    centered_box, constant_law, direction_index,
-                                   direction_vectors, mean_environment, opposite,
+                                   direction_vectors, mean_environment,
                                    sample_environment, validate_prob_vector)
 from rwre_lab.numutil import BudgetError
 
@@ -30,8 +30,7 @@ class TestDirections:
         assert len({tuple(v) for v in vecs}) == 2 * d
         assert np.all(np.abs(vecs).sum(axis=1) == 1)
         for k in range(2 * d):
-            assert np.all(vecs[opposite(k)] == -vecs[k])
-            assert opposite(opposite(k)) == k
+            assert np.all(vecs[k ^ 1] == -vecs[k])  # negation is k ^ 1
 
     def test_direction_index_roundtrip(self):
         vecs = direction_vectors(3)

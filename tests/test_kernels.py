@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from rwre_lab.decomposition import EpsilonLaw
 from rwre_lab.environments import IIDProductLaw, centered_box, direction_vectors, sample_environment
 from rwre_lab.tilting import solve_tilt
-from rwre_lab.walks import (forward_evolution, path_sites, quenched_endpoint_distribution,
-                            site_grouped_log_moment)
+from rwre_lab.walks import (forward_evolution, log_point_probability_dp, path_sites,
+                            quenched_endpoint_distribution, site_grouped_log_moment)
 
 REL = 1e-12
 TINY = sys.float_info.min  # below it the linear-space oracle rounds in absolute terms
@@ -134,3 +134,52 @@ def test_forward_evolution_matches_enumeration(case):
         assert got == pytest.approx(want, rel=REL)
     # every other cell of the box is unreachable and carries no weight
     assert np.count_nonzero(grid) == len(dist)
+
+
+@settings(max_examples=25, deadline=None)
+@given(evolution_cases())
+def test_log_point_probability_dp_matches_enumeration(case):
+    # every target within n + 2 of start per axis: reachable, of wrong parity, or past the box
+    law, n, start, _, seed = case
+    d = law.dimension
+    env = sample_environment(law, seed, centered_box(d, n + 4))
+    dist = quenched_endpoint_distribution(Shifted(env, start), n)
+    for disp in itertools.product(range(-n - 2, n + 3), repeat=d):
+        prob = dist.get(disp, 0.0)
+        got = log_point_probability_dp(env, n, start + np.asarray(disp), start=start)
+        if prob == 0.0:
+            assert got == -math.inf
+        else:
+            assert got == pytest.approx(math.log(prob), rel=REL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(evolution_cases())
+def test_target_cone_matches_the_full_evolution(case):
+    law, n, start, theta, seed = case
+    d = law.dimension
+    env = sample_environment(law, seed, centered_box(d, n + 4))
+    tilt = np.exp(direction_vectors(d) @ theta)
+    full, lo, log_scale = forward_evolution(env, n, start=start, tilt=tilt)
+    for t in np.argwhere(full > 0) + lo:
+        grid, t_lo, t_scale = forward_evolution(env, n, start=start, tilt=tilt, target=t)
+        assert np.count_nonzero(grid) == 1
+        assert grid[tuple(t - t_lo)] * math.exp(t_scale) == pytest.approx(
+            full[tuple(t - lo)] * math.exp(log_scale), rel=REL)
+    with pytest.raises(ValueError, match="not reachable"):
+        forward_evolution(env, n, start=start, target=start + n + 1)
+
+
+RATE_DP_2D = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
+# kappa = 0.02: per-step weights spread over many binades, so every step rescales
+STRONG_2D = IIDProductLaw(2, [[0.02, 0.48, 0.25, 0.25], [0.48, 0.02, 0.25, 0.25]],
+                          [0.5, 0.5], 0.02)
+
+
+@pytest.mark.parametrize("law", [RATE_DP_2D, STRONG_2D], ids=["rate-dp-2d", "kappa-0.02"])
+def test_long_horizon_cone_matches_the_full_evolution(law):
+    n, target = 160, np.array([32, 16])
+    env = sample_environment(law, 5, centered_box(2, n))
+    full, lo, log_scale = forward_evolution(env, n)
+    want = log_scale + math.log(full[tuple(target - lo)])
+    assert log_point_probability_dp(env, n, target) == pytest.approx(want, rel=REL)

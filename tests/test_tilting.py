@@ -212,8 +212,9 @@ class TestZeroDisorderFreeEnergy:
 class TestSerialization:
     def test_json_roundtrip(self):
         tp = solve_tilt(TWO_ATOM, [0.5])
-        blob = tp.to_json()
-        back = TiltParams.from_dict(json.loads(blob))
+        # the tilt block of gap_report.json is to_dict() through json
+        blob = json.loads(json.dumps(tp.to_dict(), sort_keys=True))
+        back = TiltParams(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
         assert back == tp
         for key in ("z", "C", "u", "theta", "D", "residual"):
-            assert key in json.loads(blob)
+            assert key in blob

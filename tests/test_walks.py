@@ -5,16 +5,42 @@ import numpy as np
 import pytest
 
 from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
-                                   constant_law, sample_environment)
+                                   constant_law, direction_vectors, sample_environment)
 from rwre_lab.numutil import BudgetError
 from rwre_lab.walks import (Path, annealed_path_weight, annealed_point_probability,
                             enumerate_paths, forward_evolution, log_point_probability_dp,
                             quenched_endpoint_distribution, quenched_path_weight,
-                            quenched_point_probability, simulate_quenched, step_matrix)
+                            quenched_point_probability, step_matrix)
 
 
 def two_atom_law():
     return IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
+
+
+def simulate_quenched(env, start, n: int, rng_seed: int, walks: int = 1) -> np.ndarray:
+    """Sites visited by independent quenched walks, shape (walks, n + 1, d).
+
+    Reads omega once from ``env.dense`` and moves every walk one step per
+    pass. Reproducible for a fixed seed; a walk that steps off from a site
+    outside the realized region raises ValueError.
+    """
+    d = env.law.dimension
+    dense, lo = env.dense()
+    shape = dense.shape[:-1]
+    cum = np.cumsum(dense, axis=-1).reshape(-1, 2 * d)
+    vecs = direction_vectors(d)
+    us = np.random.default_rng(rng_seed).random((n, walks))
+    pos = np.empty((walks, n + 1, d), dtype=np.int64)
+    pos[:, 0] = start
+    for j in range(n):
+        idx = pos[:, j] - lo
+        outside = np.any((idx < 0) | (idx >= shape), axis=1)
+        if outside.any():
+            raise ValueError(f"site {tuple(pos[outside.argmax(), j])} outside realized region")
+        flat = np.ravel_multi_index(idx.T, shape)
+        k = np.minimum((us[j][:, None] >= cum[flat]).sum(axis=1), 2 * d - 1)
+        pos[:, j + 1] = pos[:, j] + vecs[k]
+    return pos
 
 
 class TestEnumeration:
@@ -93,6 +119,16 @@ class TestQuenchedProbabilities:
         env = sample_environment(two_atom_law(), 19, centered_box(1, 9))
         assert log_point_probability_dp(env, 8, (3,)) == -math.inf
 
+    @pytest.mark.parametrize("target", [(-5,), (5,), (-5, 0), (5, 0), (0, 5), (3, -2)])
+    def test_log_dp_target_outside_box(self, target):
+        # past the radius-n box a target must neither wrap to the far side nor index past it
+        d = len(target)
+        law = two_atom_law() if d == 1 else IIDProductLaw(
+            2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
+        env = sample_environment(law, 19, centered_box(d, 9))
+        assert quenched_point_probability(env, 4, target) == 0.0
+        assert log_point_probability_dp(env, 4, target) == -math.inf
+
 
 class TestAnnealedProbabilities:
     def test_single_atom_straight(self):
@@ -144,14 +180,15 @@ class TestAnnealedProbabilities:
 class TestSimulation:
     def test_zero_steps(self):
         env = sample_environment(two_atom_law(), 1, centered_box(1, 2))
-        p = simulate_quenched(env, (0,), 0, 5)
-        assert len(p) == 0 and p.endpoint == (0,)
+        pos = simulate_quenched(env, (0,), 0, 5)
+        assert pos.shape == (1, 1, 1) and pos[0, -1, 0] == 0
 
     def test_reproducible(self):
         env = sample_environment(two_atom_law(), 1, centered_box(1, 200))
         a = simulate_quenched(env, (0,), 150, 7)
         b = simulate_quenched(env, (0,), 150, 7)
-        assert a.steps == b.steps
+        assert np.array_equal(a, b)
+        assert np.all(np.abs(np.diff(a[0, :, 0])) == 1)
 
     def test_drift_lln_dominant_direction(self):
         kappa = 0.05
@@ -159,8 +196,7 @@ class TestSimulation:
         law = constant_law(1, [p_plus, kappa], kappa)
         env = sample_environment(law, 2, centered_box(1, 10_001))
         n = 10_000
-        path = simulate_quenched(env, (0,), n, 11)
-        drift = path.endpoint[0] / n
+        drift = simulate_quenched(env, (0,), n, 11)[0, -1, 0] / n
         expect = p_plus - kappa
         se = math.sqrt((1 - expect**2) / n)
         assert abs(drift - expect) < 4 * se
@@ -168,20 +204,20 @@ class TestSimulation:
     def test_symmetric_walk_centered(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         env = sample_environment(law, 2, centered_box(1, 10_001))
-        path = simulate_quenched(env, (0,), 10_000, 3)
-        assert abs(path.endpoint[0]) < 4 * math.sqrt(10_000)
+        end = simulate_quenched(env, (0,), 10_000, 3)[0, -1, 0]
+        assert abs(end) < 4 * math.sqrt(10_000)
 
     def test_endpoint_frequencies_match_enumeration(self):
         law = two_atom_law()
         env = sample_environment(law, 21, centered_box(1, 7))
         n, reps = 5, 20_000
         dist = quenched_endpoint_distribution(env, n)
-        counts: dict = {}
-        for r in range(reps):
-            p = simulate_quenched(env, (0,), n, 40_000 + r)
-            counts[p.endpoint] = counts.get(p.endpoint, 0) + 1
+        ends, counts = np.unique(simulate_quenched(env, (0,), n, 40_000, walks=reps)[:, -1, 0],
+                                 return_counts=True)
+        freqs = dict(zip(ends.tolist(), (counts / reps).tolist()))
+        assert set(freqs) <= {t[0] for t in dist}
         for target, prob in dist.items():
-            freq = counts.get(target, 0) / reps
+            freq = freqs.get(target[0], 0.0)
             se = math.sqrt(prob * (1 - prob) / reps)
             assert abs(freq - prob) < 4 * se + 1e-12
 
@@ -189,9 +225,8 @@ class TestSimulation:
         law = constant_law(1, [0.95, 0.05], 0.05)
         env = sample_environment(law, 1, centered_box(1, 3))
         with pytest.raises(ValueError, match="outside"):
-            # strongly drifted walk from the box corner must read past the edge
-            for seed in range(8):
-                simulate_quenched(env, (3,), 8, seed)
+            # strongly drifted walks from the box corner must read past the edge
+            simulate_quenched(env, (3,), 8, 0, walks=8)
 
 
 class TestMgf:

@@ -31,8 +31,8 @@ Config schema (JSON object; unknown keys rejected):
                 "horizon": int, "env_replicas": int, "boundary_sites": int,
                 "mc_replicas": int, "mc_horizon": int}
     verify     {"n_max": int, "theta_count": int, "theta_scale": float,
-                "psi_n_max": int, "tau_draws": int}
-    tau        {"draws": int, "configs": [[kbar, L], ...]}
+                "psi_n_max": int, "tau_draws": int >= 2}
+    tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}
     env_sample {"lo": [...], "hi": [...]}
     tolerances {"tilt_residual", "identity_rel", "onestep_abs",
                 "coincidence_abs", "tau_sigmas"}
@@ -115,6 +115,11 @@ def normalize_config(raw: dict) -> dict:
                 out[key][k2] = v2
         else:
             out[key] = copy.deepcopy(val)
+    # a standard error needs two draws; fewer would report nan
+    for key, field in (("verify", "tau_draws"), ("tau", "draws")):
+        draws = out[key][field]
+        if not isinstance(draws, int) or draws < 2:
+            raise ConfigError(f"{key}.{field} must be an integer >= 2, got {draws!r}")
     return out
 
 
@@ -173,6 +178,15 @@ def _write_csv(path: str, cfg: dict, header: list, rows):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+def _tau_z(taus: np.ndarray, expect: float) -> tuple:
+    """(mean, standard error, z) of sampled run-completion times against E[tau]."""
+    mean = float(taus.mean())
+    se = float(taus.std(ddof=1)) / math.sqrt(len(taus))
+    if se == 0.0:
+        raise ValueError(f"all {len(taus)} tau draws equal {mean:g}; no standard error")
+    return mean, se, (mean - expect) / se
+
 
 def _run_verify(cfg: dict, corrupt_theta: bool = False):
     """Run the six identity families; returns (rows, all_pass)."""
@@ -243,11 +257,9 @@ def _run_verify(cfg: dict, corrupt_theta: bool = False):
                  "passed": bool(worst_n <= tol["identity_rel"]
                                 and worst_p <= tol["onestep_abs"])})
 
-    draws = int(cfg["verify"]["tau_draws"])
-    taus = sample_tau_batch(eps, stop, draws, np.random.default_rng(derive_seed(seed, 104)))
-    expect = expected_tau(eps, stop)
-    z = abs(taus.mean() - expect) / (taus.std(ddof=1) / math.sqrt(draws))
-    add("tau-waiting-time", z, tol["tau_sigmas"])
+    taus = sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"],
+                            np.random.default_rng(derive_seed(seed, 104)))
+    add("tau-waiting-time", abs(_tau_z(taus, expected_tau(eps, stop))[2]), tol["tau_sigmas"])
 
     return rows, all(r["passed"] for r in rows)
 
@@ -350,17 +362,16 @@ def cmd_env_sample(cfg: dict, out_dir: str, threads: int) -> int:
 
 def cmd_tau_stats(cfg: dict, out_dir: str, threads: int) -> int:
     law, tp, eps, stop = build_problem(cfg)
-    draws = int(cfg["tau"]["draws"])
+    draws = cfg["tau"]["draws"]
     rows = []
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
         e = EpsilonLaw(float(kb), law.dimension)
         c = StoppingConfig(int(lval), stop.ell)
         taus = sample_tau_batch(e, c, draws, np.random.default_rng(derive_seed(cfg["seed"], 300 + i)))
         expect = expected_tau(e, c)
-        se = taus.std(ddof=1) / math.sqrt(draws)
-        rows.append([float(kb), int(lval), draws, float(taus.mean()), float(se), expect,
-                     float((taus.mean() - expect) / se)])
-        print(f"kbar={kb} L={lval}: mean={taus.mean():.4f} expected={expect:.4f} z={rows[-1][-1]:+.2f}")
+        mean, se, z = _tau_z(taus, expect)
+        rows.append([float(kb), int(lval), draws, mean, se, expect, z])
+        print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")
     if out_dir:
         _write_csv(os.path.join(out_dir, "tau_stats.csv"), cfg,
                    ["kbar", "L", "draws", "mean", "stderr", "expected", "z"],

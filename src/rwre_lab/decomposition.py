@@ -9,13 +9,20 @@ again, so the two mechanisms generate identical walk laws; the point of the
 rewrite is that runs of forced symbols create stretches where the walk moves
 deterministically, which the stopping machinery below exploits.
 
+Blocks end at tau, the first time a run of L forced-ell symbols completes.
+Its law has the closed-form mean ``expected_tau``, the exact survival
+``tau_survival`` from the run-length chain (the oracle the samplers answer
+to) and the horizon ``choose_horizon`` read off that survival.
+``sample_tau_batch`` draws tau in renewal form, from one geometric count of
+failed attempts and one multinomial split of their run lengths per stream.
+
 ``psi_factor`` is the per-step reweighting that restores the environment
 dependence inside the decomposed mechanism; its defining property, checked by
 exact enumeration in the tests, is that summing it against the symbol and step
 laws reproduces u(e) * xi(x, e). ``sample_ray_block_values`` samples stopped
-blocks on a ray over synchronous streams, the same pattern as
-``sample_tau_batch``; it is the Monte Carlo cross-check of the exact run-length
-recursion in the estimators.
+blocks on a ray, one uniform per active stream and symbol time, because a
+block's value depends on the sites it crosses; it is the Monte Carlo
+cross-check of the exact run-length recursion in the estimators.
 """
 
 from __future__ import annotations
@@ -178,24 +185,35 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4,
 
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
                      horizon: int = TAU_HORIZON) -> np.ndarray:
-    """n independent run-completion times, vectorized over a synchronous stream."""
+    """n independent run-completion times, drawn in renewal form.
+
+    Cut the Bernoulli(k) symbol string at its failures into attempts. An
+    attempt completes with L successes in a row (probability p = k^L, L
+    symbols) or fails after j < L successes (probability k^j (1 - k), j + 1
+    symbols). By the strong Markov property attempts are i.i.d., so the
+    number N of failed attempts before the completing one is Geometric(p) - 1,
+    and given N the counts of failed run lengths j = 0..L-1 are
+    Multinomial(N, q) with q_j = k^j (1 - k) / (1 - k^L). Then
+    tau = sum_j count_j (j + 1) + L has exactly the law of the first time a run
+    of L successes completes, at O(n L) work and no loop over symbol times.
+
+    Raises BudgetError iff some tau exceeds ``horizon``, naming how many. Every
+    failed attempt uses at least one symbol, so N is clipped to ``horizon``
+    before the multinomial: that keeps N finite where ``rng.geometric``
+    saturates at 2^63 - 1 and changes no tau within the horizon.
+    """
     k = _kbar_of(eps)
     L = cfg.L
-    tau = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    run = np.zeros(n, dtype=np.int32)
-    t = 0
-    while active.size:
-        t += 1
-        if t > horizon:
-            raise BudgetError(f"{active.size} streams unfinished within {horizon} symbols")
-        hit = rng.random(active.size) < k
-        r = np.where(hit, run[active] + 1, 0)
-        done = r >= L
-        tau[active[done]] = t
-        run[active] = r
-        if done.any():
-            active = active[~done]
+    p = k**L
+    if p == 0.0:  # k^L underflows: no stream completes within any horizon
+        raise BudgetError(f"{n} streams unfinished within {horizon} symbols")
+    failed = np.minimum(rng.geometric(p, n) - 1, horizon)
+    runs = np.arange(L)
+    counts = rng.multinomial(failed, k**runs * (1.0 - k) / (1.0 - p))
+    tau = counts @ (runs + 1) + L
+    unfinished = int(np.count_nonzero(tau > horizon))
+    if unfinished:
+        raise BudgetError(f"{unfinished} streams unfinished within {horizon} symbols")
     return tau
 
 

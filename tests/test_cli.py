@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _write_json, canonical_json,
+from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
 
@@ -259,6 +260,26 @@ class TestEnvSampleAndTau:
         kb, L, draws, mean, se, expect, z = lines[2].split(",")
         assert float(expect) == pytest.approx(72.0)
         assert abs(float(z)) < 5
+
+    @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
+                                                       ("tau-stats", "tau", "draws")])
+    @pytest.mark.parametrize("draws", [0, 1, 2.5])
+    def test_fewer_than_two_draws_rejected(self, tmp_path, capsys, command, section, field,
+                                           draws):
+        # a standard error needs two draws: refuse the config before any artifact
+        with pytest.raises(ConfigError, match=f"{section}.{field}"):
+            normalize_config({section: {field: draws}})
+        cfg = write_config(tmp_path, {section: {field: draws}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 64
+        assert "integer >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equal_draws_have_no_standard_error(self):
+        with pytest.raises(ValueError, match="no standard error"):
+            _tau_z(np.array([3, 3]), 2.0)
+        mean, se, z = _tau_z(np.array([1, 3]), 1.0)
+        assert (mean, se, z) == (2.0, 1.0, 1.0)
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, choose_horizon,
+from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_horizon,
                                     conditional_step_probs,
                                     decomposed_endpoint_distribution, default_kbar,
                                     expected_tau, make_epsilon_law, psi_factor,
@@ -110,6 +111,28 @@ class TestSampleTau:
             emp = float(np.mean(taus > t))
             se = math.sqrt(surv[t] * (1 - surv[t]) / len(taus))
             assert abs(emp - surv[t]) < 4 * se
+
+    def test_horizon_boundary_is_exact(self):
+        # the horizon only decides whether to raise; it never changes the draws
+        eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(3, 0)
+        taus = sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11))
+        top = int(taus.max())
+        again = sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11), horizon=top)
+        assert np.array_equal(again, taus)
+        over = int(np.count_nonzero(taus == top))
+        message = f"^{over} streams unfinished within {top - 1} symbols$"
+        with pytest.raises(BudgetError, match=message):
+            sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11), horizon=top - 1)
+
+    @pytest.mark.parametrize("L", [6, 100])
+    def test_unreachable_runs_fail_promptly(self, L):
+        # k^L = 1e-24 saturates rng.geometric at 2^63 - 1; k^L = 1e-400 underflows to 0
+        t0 = time.perf_counter()
+        message = f"^8 streams unfinished within {TAU_HORIZON} symbols$"
+        with pytest.raises(BudgetError, match=message):
+            sample_tau_batch(EpsilonLaw(1e-4, 1), StoppingConfig(L, 0), 8,
+                             np.random.default_rng(0))
+        assert time.perf_counter() - t0 < 5.0
 
     def test_choose_horizon_contract(self):
         eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(2, 0)
@@ -317,6 +340,29 @@ class TestRayBlocks:
     def test_stopping_requires_positive_projection(self):
         with pytest.raises(ValueError, match="> 0"):
             validate_stopping(TP, StoppingConfig(2, 1))  # -e1 against drift +z
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kbar=st.floats(0.05, 0.45), L=st.integers(1, 5))
+def test_tau_sampler_law_matches_survival_chain(kbar, L):
+    """Sampled tau against the exact run-length chain: no draw below L, P(tau > t)
+    within 5 exact SE at several t up to twice E[tau] (capped at 4000), and
+    P(tau = L) = kbar^L. Counts are compared, with one count of slack for
+    discreteness where kbar^L is tiny.
+    """
+    cfg = StoppingConfig(L, 0)
+    draws = 20_000
+    taus = sample_tau_batch(kbar, cfg, draws, np.random.default_rng(derive_seed(17, L)))
+    assert taus.min() >= L
+    mean = expected_tau(kbar, cfg)
+    ts = sorted({L, L + 1, *(min(math.ceil(f * mean), 4000) for f in (0.25, 0.5, 1.0, 2.0))})
+    surv = tau_survival(kbar, cfg, ts[-1])
+    for t in ts:
+        over = int(np.count_nonzero(taus > t))
+        assert abs(over - draws * surv[t]) <= 5 * math.sqrt(draws * surv[t] * (1 - surv[t])) + 1
+    p = kbar**L
+    hits = int(np.count_nonzero(taus == L))
+    assert abs(hits - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)) + 1
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -6,7 +6,7 @@ environments   environment laws on Z^d and deterministic realizations
 walks          quenched/annealed walk laws and exact enumeration oracles
 tilting        the drifted auxiliary walk and its change of measure
 decomposition  forced-symbol product decomposition and stopping machinery
-estimators     free energies, rate points, and the quenched/annealed gap
+estimators     rate points and the quenched/annealed gap
 cli            command line front end (rwre-lab)
 """
 
@@ -16,9 +16,8 @@ from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
                            constant_law, direction_index, direction_vectors,
                            sample_environment)
-from .estimators import (FreeEnergyEstimate, GapReport, RatePointEstimate, bound_Ia,
-                         bound_Iq, certify_gap, estimate_free_energy, exact_gap_oracle,
-                         legendre_transform, rate_point)
+from .estimators import (GapReport, RatePointEstimate, bound_Ia, bound_Iq, certify_gap,
+                         exact_gap_oracle, rate_point)
 from .numutil import BudgetError
 from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched,

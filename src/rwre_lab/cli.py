@@ -27,9 +27,10 @@ Config schema (JSON object; unknown keys rejected):
     kbar       optional forcing-symbol probability override
     seed       64-bit integer root seed
     gap        {"replicas": int, "horizon": int or null, "tail": float}
-    rate       {"velocities": [[...], ...], "method": "enumeration"|"tilted-mc",
-                "horizon": int, "env_replicas": int, "boundary_sites": int,
-                "mc_replicas": int, "mc_horizon": int}
+    rate       {"velocities": [[...], ...], "method": "enumeration",
+                "horizon": int, "env_replicas": int, "boundary_sites": int}
+               Interior points use the exact forward DP; "enumeration" is
+               the only method (the removed "tilted-mc" is rejected).
     verify     {"n_max": int, "theta_count": int, "theta_scale": float,
                 "psi_n_max": int, "tau_draws": int >= 2}
     tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}
@@ -86,8 +87,7 @@ DEFAULT_CONFIG = {
     "seed": 20260808,
     "gap": {"replicas": 20000, "horizon": None, "tail": 1e-4},
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
-             "env_replicas": 8, "boundary_sites": 10000, "mc_replicas": 4000,
-             "mc_horizon": 200},
+             "env_replicas": 8, "boundary_sites": 10000},
     "verify": {"n_max": 6, "theta_count": 5, "theta_scale": 0.5, "psi_n_max": 4,
                "tau_draws": 200000},
     "tau": {"draws": 1000000, "configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
@@ -120,6 +120,10 @@ def normalize_config(raw: dict) -> dict:
         draws = out[key][field]
         if not isinstance(draws, int) or draws < 2:
             raise ConfigError(f"{key}.{field} must be an integer >= 2, got {draws!r}")
+    if out["rate"]["method"] != "enumeration":
+        raise ConfigError(f"rate.method {out['rate']['method']!r} is not supported: the only "
+                          "method is 'enumeration' (the exact forward DP); 'tilted-mc' was "
+                          "removed")
     return out
 
 
@@ -318,10 +322,9 @@ def cmd_rate(cfg: dict, out_dir: str, threads: int) -> int:
     r = cfg["rate"]
     rows = []
     for x in velocities:
-        est = rate_point(law, np.asarray(x, dtype=np.float64), r["method"], seed=cfg["seed"],
+        est = rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
                          horizon=int(r["horizon"]), env_replicas=int(r["env_replicas"]),
-                         boundary_sites=int(r["boundary_sites"]),
-                         mc_replicas=int(r["mc_replicas"]), mc_horizon=int(r["mc_horizon"]))
+                         boundary_sites=int(r["boundary_sites"]))
         rows.append(est)
         print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:

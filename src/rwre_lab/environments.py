@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -315,9 +315,6 @@ class Environment:
         flat = np.ravel_multi_index((sites - lo).T, self._state_box.shape)
         return self.law.state_probs[self._states.ravel()[flat]]
 
-    def omega(self, site) -> np.ndarray:
-        return self.omega_many(site)[0]
-
     def dense(self, box: Box | None = None) -> tuple:
         """Materialize (values, lo) with values shaped box.shape + (2d,)."""
         box = box or self.box
@@ -388,9 +385,3 @@ def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
     """Single-atom law: the deterministic environment equal to ``prob`` everywhere."""
     return IIDProductLaw(dimension, [prob], [1.0], kappa)
 
-
-def mean_environment(law, region: Box) -> Environment:
-    """Deterministic environment whose every site equals the marginal means."""
-    means = law.marginal_means()
-    return sample_environment(constant_law(law.dimension, means, min(law.kappa, means.min())),
-                              0, region)

@@ -1,4 +1,4 @@
-"""Free-energy and rate-function estimation, and the quenched/annealed gap.
+"""Rate points and the quenched/annealed gap.
 
 The centerpiece is ``certify_gap``: on a stopped block of the decomposed
 auxiliary walk, the environment average of the log of the inner block
@@ -18,13 +18,16 @@ they sample the same truncated functional with ``sample_ray_block_values``,
 whose free-symbol factors are the psi factors on the ray (their environment
 mean for the annealed bound, one environment row per inner mean for the
 quenched one).
+
+``rate_point`` evaluates the two rate functions at one velocity: straight-path
+closed forms on the boundary of the unit l1 ball and, inside it, the decay of
+exact per-environment point probabilities from ``log_point_probability_dp``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,17 +36,14 @@ import numpy as np
 
 from .decomposition import (EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
                             psi_factor, sample_ray_block_values, validate_stopping)
-from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
-                           centered_box, direction_vectors, sample_environment)
-from .numutil import (BudgetError, derive_seed, effective_sample_size,
-                      jackknife_stderr_logmean, logmeanexp, logsumexp)
-from .tilting import TiltParams, solve_tilt
-from .walks import (log_point_probability_dp, path_sites, realized_log_xi,
-                    site_grouped_log_moment)
+from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
+                           direction_vectors, sample_environment)
+from .numutil import BudgetError, derive_seed, jackknife_stderr_logmean, logmeanexp, logsumexp
+from .tilting import TiltParams
+from .walks import light_cone, log_point_probability_dp
 
 CHUNK = 1024
 MEMORY_BUDGET = 2**30  # bytes of chunk buffers a streamed gap run may hold at once
-ESS_FLOOR = 10.0
 
 
 def _chunk_stream(fn, n_items: int, threads: int = 1):
@@ -72,162 +72,6 @@ def _chunk_stream(fn, n_items: int, threads: int = 1):
         finally:
             for future in ahead:
                 future.cancel()
-
-
-# ---------------------------------------------------------------------------
-# free energies
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FreeEnergyEstimate:
-    theta: tuple
-    value: float
-    stderr: float
-    horizon: int
-    mode: str
-    replicas: int
-    ess: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.ess < ESS_FLOOR
-
-
-def estimate_free_energy(tp: TiltParams, theta, horizon: int, replicas: int, mode: str,
-                         *, law=None, env: Environment | None = None, seed: int = 0,
-                         threads: int = 1, field_env_replicas: int = 16) -> FreeEnergyEstimate:
-    """(1/N) log of the tilted-walk functional with the xi-product weight.
-
-    mode "annealed" closes the environment average of the xi-product exactly
-    per sampled path (product laws) or by paired environment resampling
-    (field laws); mode "quenched" evaluates the xi-product in one fixed
-    realized environment. Weights are tracked in log space; the reported
-    standard error is a jackknife over replicas of the log-mean. The exact
-    finite-n value, by enumeration, is the left side of
-    ``verify_identity_annealed`` or ``verify_identity_quenched``.
-    """
-    if mode not in ("annealed", "quenched"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    theta = np.asarray(theta, dtype=np.float64)
-    d = tp.dimension
-    if mode == "quenched":
-        if env is None:
-            raise ValueError("quenched mode needs a realized environment")
-        law = env.law
-    if law is None:
-        raise ValueError("annealed mode needs a law")
-
-    means = tp.means_array
-    if mode == "quenched":
-        tables = [realized_log_xi(env, means, horizon)]
-    elif isinstance(law, IIDProductLaw):
-        tables = None  # the annealed moment closes exactly per path
-    else:
-        # paired environment resampling for field laws
-        tables = [realized_log_xi(sample_environment(law, derive_seed(seed, 9000 + e),
-                                                     centered_box(d, horizon)), means, horizon)
-                  for e in range(field_env_replicas)]
-
-    def one_chunk(c, start, size):
-        rng = np.random.default_rng(derive_seed(seed, c))
-        steps = rng.choice(2 * d, size=(size, horizon), p=tp.u_array)
-        flat, ends = path_sites(steps, d)
-        if tables is None:
-            log_xi = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
-        else:
-            log_xi = logmeanexp([t[flat, steps].sum(axis=1) for t in tables], axis=0)
-        return ends @ theta + log_xi
-
-    logw = np.concatenate(list(_chunk_stream(one_chunk, replicas, threads)))
-    value = logmeanexp(logw) / horizon
-    stderr = jackknife_stderr_logmean(logw) / horizon
-    ess = effective_sample_size(logw)
-    if ess < ESS_FLOOR:
-        warnings.warn(f"importance weights are degenerate (ESS = {ess:.2f} < {ESS_FLOOR})")
-    return FreeEnergyEstimate(tuple(theta), float(value), float(stderr), horizon, mode,
-                              replicas, float(ess))
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform
-# ---------------------------------------------------------------------------
-
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(g, a: float, b: float, iters: int = 80):
-    x1 = b - _INV_GOLD * (b - a)
-    x2 = a + _INV_GOLD * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLD * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLD * (b - a)
-            f1 = g(x1)
-    return g(0.5 * (a + b))
-
-
-def legendre_transform(thetas, values, x, *, refine: bool = True,
-                       clip_tol: float = 1e-9) -> float:
-    """sup over the sampled grid of <theta, x> - L(theta), refined off-grid.
-
-    ``thetas`` holds the G grid nodes, shape (G, d), or (G,) in one dimension,
-    and ``values`` the G values of L there. The grid maximizer must be
-    interior along every axis, otherwise the grid was too small and an error
-    is raised. Refinement runs a golden-section search along each axis through
-    the maximizer on a local quadratic interpolant of L. The result is clipped
-    at 0, warning if the unclipped value falls below -clip_tol.
-    """
-    nodes = np.asarray(thetas, dtype=np.float64)
-    if nodes.ndim == 1:
-        nodes = nodes[:, None]
-    vals = np.asarray(values, dtype=np.float64)
-    if nodes.ndim != 2 or vals.shape != (nodes.shape[0],):
-        raise ValueError(f"grid nodes of shape {nodes.shape} need values of shape "
-                         f"({nodes.shape[0]},), got {vals.shape}")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    obj = nodes @ x - vals
-    best = int(np.argmax(obj))
-    d = nodes.shape[1]
-    for axis in range(d):
-        col = nodes[:, axis]
-        if math.isclose(nodes[best, axis], col.min()) or math.isclose(nodes[best, axis], col.max()):
-            raise ValueError(
-                f"Legendre maximizer sits on the grid boundary along axis {axis}; enlarge the grid")
-    result = float(obj[best])
-    if refine:
-        for axis in range(d):
-            mask = np.ones(len(nodes), dtype=bool)
-            for other in range(d):
-                if other != axis:
-                    mask &= np.isclose(nodes[:, other], nodes[best, other])
-            line_t = nodes[mask, axis]
-            line_v = vals[mask]
-            order = np.argsort(line_t)
-            line_t, line_v = line_t[order], line_v[order]
-            i0 = int(np.searchsorted(line_t, nodes[best, axis]))
-            if i0 == 0 or i0 >= len(line_t) - 1:
-                continue
-            t3 = line_t[i0 - 1:i0 + 2]
-            v3 = line_v[i0 - 1:i0 + 2]
-            coef = np.polyfit(t3, v3, 2)
-            if coef[0] <= 0:
-                continue  # interpolant not convex here; keep the grid value
-            fixed = float(nodes[best] @ x - nodes[best, axis] * x[axis])
-
-            def g(t):
-                return fixed + t * x[axis] - float(np.polyval(coef, t))
-
-            result = max(result, _golden_max(g, float(t3[0]), float(t3[2])))
-    if result < -clip_tol:
-        warnings.warn(f"Legendre value {result} below -{clip_tol}; clipping to 0")
-    return max(result, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -655,38 +499,30 @@ def _rationalize(x: np.ndarray, max_den: int = 64) -> int:
     raise ValueError(f"velocity {x} has no small rational representation for lattice targets")
 
 
-def rate_point(law, x, method: str = "enumeration", *, seed: int = 0, horizon: int = 400,
-               env_replicas: int = 8, boundary_sites: int = 10**4,
-               theta_radius: float = 1.2, theta_points: int = 41,
-               mc_replicas: int = 4000, mc_horizon: int = 200) -> RatePointEstimate:
+def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int = 8,
+               boundary_sites: int = 10**4) -> RatePointEstimate:
     """Paired annealed/quenched rate estimates at one velocity.
 
     Boundary lattice directions use the straight-path forms: the quenched rate
     is the mean of -log omega along the ray (law of large numbers), the
     annealed rate is -log E[omega] (exact for product laws). Interior points
-    use either point-probability decay with first-order Richardson
-    extrapolation in 1/N ("enumeration") or the tilted free-energy route
-    followed by the Legendre transform ("tilted-mc", product laws only).
+    use the decay of the point probability P(X_N = N x), exact per
+    environment by forward evolution on the two-sided light cone, at N and
+    N/2 with first-order Richardson extrapolation in 1/N. The quenched rate
+    averages the per-environment decays over ``env_replicas`` environments,
+    the annealed rate takes the decay of their averaged probabilities with a
+    leave-one-out jackknife error; the method is reported as "enumeration".
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = law.dimension
     x1 = float(np.abs(x).sum())
     if x1 > 1.0 + 1e-12:
         raise ValueError(f"velocity {x} outside the unit l1 ball")
     if abs(x1 - 1.0) <= 1e-12:
         return _rate_point_boundary(law, x, seed=seed, n_sites=boundary_sites)
-    if method == "enumeration":
-        return _rate_point_dp(law, x, seed=seed, horizon=horizon, env_replicas=env_replicas)
-    if method == "tilted-mc":
-        _require_product_law(law, "rate method 'tilted-mc'")
-        return _rate_point_tilted(law, x, seed=seed, horizon=mc_horizon, replicas=mc_replicas,
-                                  theta_radius=theta_radius, theta_points=theta_points)
-    raise ValueError(f"unknown method {method!r}")
+    return _rate_point_dp(law, x, seed=seed, horizon=horizon, env_replicas=env_replicas)
 
 
 def _rate_point_boundary(law, x, *, seed: int, n_sites: int) -> RatePointEstimate:
-    from .environments import direction_index
-
     ell = direction_index(np.round(x).astype(np.int64))
     d = law.dimension
     vec = direction_vectors(d)[ell]
@@ -720,6 +556,8 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     n2 = max(2 * base, 2 * base * round(horizon / (2 * base)))
     n1 = n2 // 2
     zero_dis = law.disorder() == 0.0 if isinstance(law, IIDProductLaw) else False
+    # the n1 cone is the n2 cone scaled by 1/2 about the origin, so it lies inside
+    region = light_cone(n2, np.zeros(d, dtype=np.int64), np.round(n2 * x))[0]
 
     def decay(env, n):
         target = np.round(n * x).astype(np.int64)
@@ -730,7 +568,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):
-        env = sample_environment(law, derive_seed(seed, 31, r), centered_box(d, n2))
+        env = sample_environment(law, derive_seed(seed, 31, r), region)
         a1, a2 = decay(env, n1), decay(env, n2)
         i_r[r] = 2.0 * a2 - a1  # first-order extrapolation in 1/N
         logp1[r] = -a1 * n1
@@ -751,37 +589,3 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     se_a = float(math.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2)))
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,
                              "enumeration", n2)
-
-
-def _rate_point_tilted(law, x, *, seed: int, horizon: int, replicas: int,
-                       theta_radius: float, theta_points: int) -> RatePointEstimate:
-    d = law.dimension
-    tp = solve_tilt(law, x)
-    axes = [np.linspace(-theta_radius, theta_radius, theta_points)] * d
-    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    env = sample_environment(law, derive_seed(seed, 42), centered_box(d, horizon))
-    # one shared path sample per mode, reweighted across the whole grid
-    ests_a = _tilted_grid_values(tp, law, None, grid, horizon, replicas, derive_seed(seed, 43))
-    ests_q = _tilted_grid_values(tp, law, env, grid, horizon, replicas, derive_seed(seed, 44))
-    nodes = grid + tp.theta_array
-    i_a = legendre_transform(nodes, ests_a - math.log(tp.D), x)
-    i_q = legendre_transform(nodes, ests_q - math.log(tp.D), x)
-    # crude error proxy: the jackknife scale of a single free-energy node
-    se = 1.0 / math.sqrt(replicas) / horizon
-    return RatePointEstimate(tuple(float(v) for v in x), float(i_a), float(i_q),
-                             se, se, "tilted-mc", horizon)
-
-
-def _tilted_grid_values(tp, law, env, grid, horizon, replicas, seed) -> np.ndarray:
-    d = tp.dimension
-    rng = np.random.default_rng(seed)
-    steps = rng.choice(2 * d, size=(replicas, horizon), p=tp.u_array)
-    flat, ends = path_sites(steps, d)
-    if env is None:
-        base = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)[1]
-    else:
-        base = realized_log_xi(env, tp.means_array, horizon)[flat, steps].sum(axis=1)
-    out = np.empty(len(grid))
-    for g, theta in enumerate(grid):
-        out[g] = logmeanexp(base + ends @ theta) / horizon
-    return out

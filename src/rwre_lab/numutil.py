@@ -88,12 +88,6 @@ def jackknife_stderr_logmean(logw: np.ndarray) -> float:
     return float(math.sqrt(var))
 
 
-def effective_sample_size(logw: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2 for weights given in log space."""
-    logw = np.asarray(logw, dtype=np.float64)
-    return float(math.exp(2.0 * logsumexp(logw) - logsumexp(2.0 * logw)))
-
-
 def fsum(values) -> float:
     """Compensated summation; wraps math.fsum for iterables and arrays."""
     return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())

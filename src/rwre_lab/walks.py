@@ -217,6 +217,27 @@ def _reachable(start, target, n: int) -> bool:
     return dist <= n and (n - dist) % 2 == 0
 
 
+def light_cone(n: int, start, target=None) -> tuple:
+    """The sites a walk from ``start`` can occupy at steps 0..n, as per-step windows.
+
+    Returns (box, win_lo, win_hi): at step j axis a spans the inclusive window
+    [win_lo[j, a], win_hi[j, a]], which is [start_a - j, start_a + j] and,
+    given a ``target``, only the part of [target_a - (n - j), target_a + (n - j)]
+    within it, whose sites can still reach the target. ``box`` bounds every
+    window. An unreachable target raises ValueError.
+    """
+    start = np.asarray(start, dtype=np.int64)
+    j = np.arange(n + 1)[:, None]
+    win_lo, win_hi = start - j, start + j
+    if target is not None:
+        target = np.asarray(target, dtype=np.int64)
+        if not _reachable(start, target, n):
+            raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
+        win_lo = np.maximum(win_lo, target - (n - j))
+        win_hi = np.minimum(win_hi, target + (n - j))
+    return Box(tuple(win_lo.min(axis=0)), tuple(win_hi.max(axis=0))), win_lo, win_hi
+
+
 def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=None) -> tuple:
     """The quenched walk's weights after n steps, by scaled forward evolution.
 
@@ -224,15 +245,13 @@ def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=No
     grid[x - lo] * exp(log_scale) on a box whose lower corner is lo. Optional
     per-direction ``tilt`` weights multiply every step in that direction.
 
-    Only the light cone is evolved. At step j axis a covers
-    [start_a - j, start_a + j] and, given a ``target``, only the part of
-    [target_a - (n - j), target_a + (n - j)] within it, whose sites can still
-    reach the target. Each step moves, per direction, only the sources in
-    the previous window that land in the new one, and clears only the new
-    window. Without a target the box is the radius-n box around ``start``
-    (default the origin) and the grid is the whole endpoint law. With one the
-    box bounds the two-sided cone, the grid holds the target's weight and
-    zeros elsewhere, and an unreachable target raises ValueError.
+    Only the ``light_cone`` of ``start`` (default the origin), two-sided
+    given a ``target``, is evolved: each step moves, per direction, only the
+    sources in the previous window that land in the new one, and clears only
+    the new window. Without a target the box is the radius-n box around
+    ``start`` and the grid is the whole endpoint law. With one the box bounds
+    the two-sided cone, the grid holds the target's weight and zeros
+    elsewhere, and an unreachable target raises ValueError.
 
     Each step rescales by the power of two of its peak. That is exact, so the
     weights do not depend on which zero cells a window skips, and horizons far
@@ -240,15 +259,7 @@ def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=No
     """
     d = env.law.dimension
     start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    j = np.arange(n + 1)[:, None]
-    win_lo, win_hi = start - j, start + j  # (n + 1, d) inclusive window of each step
-    if target is not None:
-        target = np.asarray(target, dtype=np.int64)
-        if not _reachable(start, target, n):
-            raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
-        win_lo = np.maximum(win_lo, target - (n - j))
-        win_hi = np.minimum(win_hi, target + (n - j))
-    box = Box(tuple(win_lo.min(axis=0)), tuple(win_hi.max(axis=0)))
+    box, win_lo, win_hi = light_cone(n, start, target)
     lo = np.asarray(box.lo)
     win_lo, win_hi = win_lo - lo, win_hi - lo + 1  # half-open, in box coordinates
     windows = [tuple(map(slice, a, b)) for a, b in zip(win_lo.tolist(), win_hi.tolist())]

@@ -147,7 +147,7 @@ def test_criterion_5_zero_disorder_collapse():
                       budget=2000, seed=5)
     assert abs(rep.quenched_side - rep.annealed_side) <= 3 * rep.stderr
     assert rep.verdict == "inconclusive"
-    est = rate_point(law0, [0.5], "enumeration", seed=5, horizon=400)
+    est = rate_point(law0, [0.5], seed=5, horizon=400)
     cramer = 0.5 * (1.5 * math.log(1.5) + 0.5 * math.log(0.5))
     assert abs(est.I_q - cramer) < 0.01
     assert abs(est.I_a - cramer) < 0.01

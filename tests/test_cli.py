@@ -222,15 +222,23 @@ class TestRate:
         assert (out_a / "rate_report.json").read_bytes() == (out_b / "rate_report.json").read_bytes()
 
     def test_tilted_mc_on_field_law_usage_error(self, tmp_path, capsys):
-        # the tilted route closes the annealed mean atom by atom: product laws only
-        payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
-                           "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.2},
-                   "z": [0.5], "ell": [1],
-                   "rate": {"velocities": [[0.5]], "method": "tilted-mc"}}
-        cfg = write_config(tmp_path, payload)
-        assert main(["--config", cfg, "--out", str(tmp_path), "rate"]) == 64
-        assert "product law" in capsys.readouterr().err
-        assert not (tmp_path / "rate_grid.csv").exists()
+        # tilted-mc is removed: naming it, or setting one of its keys, is a
+        # config error on either law kind, raised before any output exists
+        field = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+                 "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.2}
+        iid = {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+               "atoms": [[0.4, 0.6], [0.6, 0.4]], "weights": [0.5, 0.5]}
+        cases = [(field, {"method": "tilted-mc"}, "tilted-mc"),
+                 (iid, {"method": "tilted-mc"}, "tilted-mc"),
+                 (iid, {"mc_replicas": 4000}, "rate.mc_replicas")]
+        for i, (law, rate, named) in enumerate(cases):
+            cfg = write_config(tmp_path, {"law": law, "z": [0.5], "ell": [1],
+                                          "rate": {"velocities": [[0.5]], **rate}},
+                               name=f"config{i}.json")
+            out = tmp_path / f"out{i}"
+            assert main(["--config", cfg, "--out", str(out), "rate"]) == 64
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
     def test_velocity_outside_ball_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"rate": {"velocities": [[1.5]]}})

@@ -14,11 +14,12 @@ from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, cho
                                     qz_endpoint_distribution, sample_ray_block_values,
                                     sample_tau_batch, tau_survival, validate_stopping,
                                     verify_psi_identity)
-from rwre_lab.environments import (IIDProductLaw, centered_box, constant_law,
-                                   mean_environment, sample_environment)
+from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
 from rwre_lab.numutil import BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
+
+from envhelpers import mean_environment, omega
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -157,13 +158,13 @@ class TestPsiFactor:
     def test_zero_disorder_free_symbol_is_one(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
-        xi = mean_environment(law, centered_box(1, 2)).omega((0,))[0] / law.marginal_mean(0)
+        xi = omega(mean_environment(law, centered_box(1, 2)), (0,))[0] / law.marginal_mean(0)
         assert psi_factor(tp, EpsilonLaw(0.125, 1), xi, 0) == pytest.approx(1.0, abs=1e-14)
 
     def test_formula_evaluation(self):
         # xi = 1.2, u = 3/4, kbar = 1/8 -> 1.2 + (1/8)/(5/8) * 0.2 = 1.24
         env = sample_environment(TWO_ATOM, 1, centered_box(1, 3))
-        xi = {s: env.omega((s,))[0] / TWO_ATOM.marginal_mean(0) for s in range(-2, 3)}
+        xi = {s: omega(env, (s,))[0] / TWO_ATOM.marginal_mean(0) for s in range(-2, 3)}
         sites = [s for s, x in xi.items() if abs(x - 1.2) < 1e-12]
         assert sites, "need a site carrying the high atom"
         assert psi_factor(TP, eps_eighth(), xi[sites[0]], 0) == pytest.approx(1.24, abs=1e-12)

@@ -5,9 +5,11 @@ import pytest
 
 from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                                    centered_box, constant_law, direction_index,
-                                   direction_vectors, mean_environment,
-                                   sample_environment, validate_prob_vector)
+                                   direction_vectors, sample_environment,
+                                   validate_prob_vector)
 from rwre_lab.numutil import BudgetError
+
+from envhelpers import mean_environment, omega
 
 
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
@@ -131,16 +133,16 @@ class TestEnvironmentRealization:
         law = two_atom_law()
         env = sample_environment(law, seed=1, region=centered_box(1, 50))
         for s in range(-50, 51):
-            x = env.omega((s,))[0] / law.marginal_mean(0)
+            x = omega(env, (s,))[0] / law.marginal_mean(0)
             assert x in (pytest.approx(0.8, abs=1e-12), pytest.approx(1.2, abs=1e-12))
         zero = constant_law(1, [0.5, 0.5], 0.1)
         env0 = sample_environment(zero, seed=1, region=centered_box(1, 5))
-        assert env0.omega((2,))[0] / zero.marginal_mean(0) == pytest.approx(1.0, abs=0)
+        assert omega(env0, (2,))[0] / zero.marginal_mean(0) == pytest.approx(1.0, abs=0)
 
     def test_lookup_outside_region_raises(self):
         env = sample_environment(two_atom_law(), seed=1, region=centered_box(1, 5))
         with pytest.raises(ValueError, match="outside"):
-            env.omega((6,))
+            omega(env, (6,))
 
     def test_region_overflow_rejected(self):
         with pytest.raises(BudgetError):

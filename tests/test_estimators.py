@@ -4,17 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, expected_tau, make_epsilon_law
-from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
-                                   constant_law, sample_environment)
-from rwre_lab.estimators import (bound_Ia, bound_Iq, certify_gap, estimate_free_energy,
-                                 exact_gap_oracle, legendre_transform, log_w_const,
+from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law
+from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, constant_law,
+                                   sample_environment)
+from rwre_lab.estimators import (bound_Ia, bound_Iq, certify_gap, exact_gap_oracle, log_w_const,
                                  quenched_ray_log_inner, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid,
                                  sample_ray_xi)
 from rwre_lab.numutil import BudgetError
-from rwre_lab.tilting import solve_tilt, verify_identity_annealed, zero_disorder_free_energy
-from rwre_lab.walks import forward_evolution
+from rwre_lab.tilting import solve_tilt, verify_identity_annealed
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -227,73 +225,6 @@ class TestCertifyGap:
 
 
 class TestFreeEnergy:
-    def test_zero_disorder_theta_zero_is_exactly_zero(self):
-        law0 = constant_law(1, [0.5, 0.5], 0.1)
-        tp0 = solve_tilt(law0, [0.5])
-        est = estimate_free_energy(tp0, [0.0], 64, 400, "annealed", law=law0, seed=1)
-        assert est.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_disorder_matches_closed_form(self):
-        # with no disorder the functional is the closed form at every horizon,
-        # so the only deviation is sampling noise (keep the weights healthy)
-        law0 = constant_law(1, [0.5, 0.5], 0.1)
-        tp0 = solve_tilt(law0, [0.5])
-        theta = [0.2]
-        est = estimate_free_energy(tp0, theta, 50, 4000, "annealed", law=law0, seed=2)
-        target = zero_disorder_free_energy(tp0, theta)
-        assert est.ess > 100
-        assert abs(est.value - target) < max(4 * est.stderr, 1e-3)
-
-    def test_annealed_at_least_quenched(self):
-        theta = [0.1]
-        n = 100
-        a = estimate_free_energy(TP, theta, n, 4000, "annealed", law=TWO_ATOM, seed=3)
-        env = sample_environment(TWO_ATOM, 77, centered_box(1, n))
-        q = estimate_free_energy(TP, theta, n, 4000, "quenched", env=env, seed=3)
-        assert a.ess > 100 and q.ess > 100
-        assert a.value - q.value > -3 * math.hypot(a.stderr, q.stderr)
-
-    def test_thread_determinism(self):
-        a = estimate_free_energy(TP, [0.1], 50, 2100, "annealed", law=TWO_ATOM, seed=5)
-        b = estimate_free_energy(TP, [0.1], 50, 2100, "annealed", law=TWO_ATOM, seed=5,
-                                 threads=8)
-        assert a.value == b.value and a.stderr == b.stderr
-
-    def test_degenerate_weights_flagged(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            est = estimate_free_energy(TP, [0.0], 400, 12, "quenched",
-                                       env=sample_environment(TWO_ATOM, 1, centered_box(1, 400)),
-                                       seed=6)
-        assert est.degenerate
-
-    def test_shift_relation(self):
-        # the tilted functional should sit at log D plus the annealed tilted
-        # endpoint free energy; both sides estimated by separate routes
-        horizon, reps = 2000, 1500
-        theta = 0.05
-        est = estimate_free_energy(TP, [theta], horizon, reps, "annealed",
-                                   law=TWO_ATOM, seed=7)
-        shifted = theta + TP.theta[0]
-        envs = 32
-        vals = np.empty(envs)
-        for e in range(envs):
-            env = sample_environment(TWO_ATOM, 9000 + e, centered_box(1, horizon))
-            grid, _, log_scale = forward_evolution(env, horizon, tilt=np.exp([shifted, -shifted]))
-            vals[e] = log_scale + math.log(grid.sum())
-        lam_a = (np.log(np.mean(np.exp(vals - vals.max()))) + vals.max()) / horizon
-        diff = est.value - math.log(TP.D) - lam_a
-        assert abs(diff) < 0.02
-
-    def test_field_law_paired_resampling(self):
-        # decoupled field at beta = 0 equals the uniform product mixture
-        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
-        iid = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
-        tp = solve_tilt(iid, [0.5])
-        a = estimate_free_energy(tp, [0.1], 40, 1500, "annealed", law=field, seed=8,
-                                 field_env_replicas=64)
-        b = estimate_free_energy(tp, [0.1], 40, 1500, "annealed", law=iid, seed=8)
-        assert abs(a.value - b.value) < 4 * math.hypot(a.stderr, b.stderr) + 5e-3
-
     def test_limit_consistency_reported(self, capsys):
         # finite-horizon trend toward the infinite-horizon level; reported,
         # not asserted, because the drift at these horizons is real
@@ -306,73 +237,10 @@ class TestFreeEnergy:
         assert np.all(np.isfinite(values))
 
 
-class TestLegendre:
-    @staticmethod
-    def logcosh_grid(width=3.0, num=601):
-        grid = np.linspace(-width, width, num)
-        return grid, np.log(np.cosh(grid))
-
-    def test_symmetric_walk_at_zero(self):
-        grid, vals = self.logcosh_grid()
-        assert legendre_transform(grid[:, None], vals, [0.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric_walk_at_half(self):
-        grid, vals = self.logcosh_grid()
-        expect = 0.5 * (1.5 * math.log(1.5) + 0.5 * math.log(0.5))
-        got = legendre_transform(grid[:, None], vals, [0.5])
-        assert got == pytest.approx(expect, abs=1e-6)
-        assert expect == pytest.approx(0.130812, abs=1e-6)
-        # fine-grid scan oracle
-        fine = np.linspace(-3, 3, 6_000_001)
-        scan = float(np.max(0.5 * fine - np.log(np.cosh(fine))))
-        assert got == pytest.approx(scan, abs=1e-6)
-
-    def test_shifted_free_energy_translates(self):
-        grid, vals = self.logcosh_grid()
-        c = 0.2
-        shifted = vals + c * grid
-        for x in (0.0, 0.3, 0.5):
-            a = legendre_transform(grid[:, None], shifted, [x + c])
-            b = legendre_transform(grid[:, None], vals, [x])
-            assert a == pytest.approx(b, abs=1e-9)
-
-    def test_boundary_maximizer_rejected(self):
-        grid = np.linspace(-0.2, 0.2, 21)
-        vals = np.log(np.cosh(grid))
-        with pytest.raises(ValueError, match="boundary"):
-            legendre_transform(grid[:, None], vals, [0.9])
-
-    def test_flat_nodes_and_clipping(self):
-        grid, vals = self.logcosh_grid()
-        assert legendre_transform(grid, vals, [0.0]) >= 0.0
-
-    def test_length_mismatch_rejected(self):
-        grid, vals = self.logcosh_grid()
-        nodes = np.stack([grid, grid], axis=1)
-        with pytest.raises(ValueError, match="shape"):
-            legendre_transform(nodes.T, vals, [0.0, 0.0])
-        with pytest.raises(ValueError, match="shape"):
-            legendre_transform(grid, vals[:-1], [0.0])
-
-    def test_output_convex_in_velocity(self):
-        grid, vals = self.logcosh_grid()
-        xs = np.linspace(-0.6, 0.6, 25)
-        out = [legendre_transform(grid[:, None], vals, [x]) for x in xs]
-        assert np.all(np.diff(out, 2) >= -1e-8)
-
-    def test_2d_grid(self):
-        axes = np.linspace(-2, 2, 41)
-        nodes = np.stack([g.ravel() for g in np.meshgrid(axes, axes, indexing="ij")], axis=1)
-        vals = np.log(np.cosh(nodes[:, 0])) + np.log(np.cosh(nodes[:, 1]))
-        got = legendre_transform(nodes, vals, [0.5, 0.0])
-        expect = 0.5 * (1.5 * math.log(1.5) + 0.5 * math.log(0.5))
-        assert got == pytest.approx(expect, abs=5e-4)
-
-
 class TestRatePoint:
     def test_cramer_value_zero_disorder(self):
         law0 = constant_law(1, [0.5, 0.5], 0.1)
-        est = rate_point(law0, [0.5], "enumeration", seed=1, horizon=400)
+        est = rate_point(law0, [0.5], seed=1, horizon=400)
         assert est.I_q == pytest.approx(0.130812, abs=0.01)
         assert est.I_a == pytest.approx(0.130812, abs=0.01)
 
@@ -385,15 +253,30 @@ class TestRatePoint:
         assert est.I_a < est.I_q
 
     def test_interior_ordering_with_disorder(self):
-        est = rate_point(TWO_ATOM, [0.5], "enumeration", seed=3, horizon=200,
-                         env_replicas=12)
+        est = rate_point(TWO_ATOM, [0.5], seed=3, horizon=200, env_replicas=12)
         assert est.I_a <= est.I_q + 3 * math.hypot(est.stderr_a, est.stderr_q)
 
-    def test_tilted_route_zero_disorder(self):
-        law0 = constant_law(1, [0.5, 0.5], 0.1)
-        est = rate_point(law0, [0.5], "tilted-mc", seed=4, mc_replicas=4000,
-                         mc_horizon=200)
-        assert est.I_a == pytest.approx(0.130812, abs=0.02)
+    @pytest.mark.parametrize("d, x, box", [
+        # n2 = 40; the cone from 0 to t = 40 x spans [(t - 40) / 2, (t + 40) / 2]
+        (1, [0.5], Box((-10,), (30,))),
+        (2, [0.2, 0.1], Box((-16, -18), (24, 22))),
+    ], ids=["1d", "2d"])
+    def test_field_environments_realized_on_the_cone_box(self, monkeypatch, d, x, box):
+        # a field realization pays the heat bath on its whole region, so each
+        # replica is realized only on the two-sided light cone of the n2 target
+        regions = []
+
+        def spy(law, seed, region):
+            regions.append(region)
+            return sample_environment(law, seed, region)
+
+        monkeypatch.setattr("rwre_lab.estimators.sample_environment", spy)
+        states = [[0.4, 0.6] + [0.25] * (2 * d - 2), [0.6, 0.4] + [0.25] * (2 * d - 2)]
+        states = [np.asarray(s) / sum(s) for s in states]
+        field = MarkovFieldLaw(d, states, kappa=0.1, beta=0.3, sweeps=4)
+        est = rate_point(field, x, seed=1, horizon=40, env_replicas=3)
+        assert est.horizon == 40 and math.isfinite(est.I_a) and math.isfinite(est.I_q)
+        assert regions == [box] * 3
 
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rwre_lab.environments import (IIDProductLaw, centered_box, constant_law,
-                                   mean_environment, sample_environment)
+from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
 from rwre_lab.tilting import (TiltParams, scale_function, solve_tilt,
                               tilt_invariant_residuals,
                               verify_identity_annealed, verify_identity_quenched,
                               zero_disorder_free_energy)
+
+from envhelpers import mean_environment, omega
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 
@@ -173,10 +174,10 @@ class TestIdentityQuenched:
         lhs, rhs = verify_identity_quenched(env, tp, [theta], 1)
         means = TWO_ATOM.marginal_means()
         by_hand_lhs = sum(
-            tp.u[k] * math.exp(theta * v) * float(env.omega((0,))[k]) / means[k]
+            tp.u[k] * math.exp(theta * v) * float(omega(env, (0,))[k]) / means[k]
             for k, v in ((0, 1.0), (1, -1.0)))
         by_hand_rhs = tp.D * sum(
-            float(env.omega((0,))[k]) * math.exp((theta + tp.theta[0]) * v)
+            float(omega(env, (0,))[k]) * math.exp((theta + tp.theta[0]) * v)
             for k, v in ((0, 1.0), (1, -1.0)))
         assert lhs == pytest.approx(by_hand_lhs, rel=1e-13)
         assert rhs == pytest.approx(by_hand_rhs, rel=1e-13)

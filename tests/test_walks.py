@@ -12,6 +12,8 @@ from rwre_lab.walks import (Path, annealed_path_weight, annealed_point_probabili
                             quenched_endpoint_distribution, quenched_path_weight,
                             quenched_point_probability, step_matrix)
 
+from envhelpers import omega
+
 
 def two_atom_law():
     return IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
@@ -68,12 +70,12 @@ class TestQuenchedProbabilities:
     def test_one_step(self):
         env = sample_environment(two_atom_law(), 3, centered_box(1, 3))
         assert quenched_point_probability(env, 1, (1,)) == pytest.approx(
-            float(env.omega((0,))[0]), abs=0)
+            float(omega(env, (0,))[0]), abs=0)
 
     def test_return_probability_hand_expansion(self):
         env = sample_environment(two_atom_law(), 5, centered_box(1, 3))
-        expect = (float(env.omega((0,))[0]) * float(env.omega((1,))[1])
-                  + float(env.omega((0,))[1]) * float(env.omega((-1,))[0]))
+        expect = (float(omega(env, (0,))[0]) * float(omega(env, (1,))[1])
+                  + float(omega(env, (0,))[1]) * float(omega(env, (-1,))[0]))
         assert quenched_point_probability(env, 2, (0,)) == pytest.approx(expect, rel=1e-14)
 
     def test_straight_path(self):
@@ -81,7 +83,7 @@ class TestQuenchedProbabilities:
         n = 6
         expect = 1.0
         for j in range(n):
-            expect *= float(env.omega((j,))[0])
+            expect *= float(omega(env, (j,))[0])
         assert quenched_point_probability(env, n, (n,)) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("d,n", [(1, 5), (2, 3), (1, 0), (2, 0)])

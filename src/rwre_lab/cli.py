@@ -18,9 +18,10 @@ Config schema (JSON object; unknown keys rejected):
                 "atoms": [[...2d probs...], ...], "weights": [...]}
                or {"kind": "markov-field", "dimension": d, "kappa": k,
                 "range": r, "beta": b, "states": [[...2d probs...], ...],
-                "sweeps": s, "smx": {...optional metadata...}}
-               Direction order within a probability vector is
-               [+e1, -e1, +e2, -e2, ...].
+                "sweeps": s}
+               range (default 1), beta (0.0) and sweeps (64) are optional;
+               any other key, or another kind, is rejected. Direction order
+               within a probability vector is [+e1, -e1, +e2, -e2, ...].
     z          target velocity, list of d floats, 0 < |z|_1 < 1
     ell        forced direction as a signed unit vector, <z, ell> > 0
     L          block length (int >= 2 for gap runs)
@@ -39,7 +40,7 @@ Config schema (JSON object; unknown keys rejected):
                 "coincidence_abs", "tau_sigmas"}
 
 Every output artifact embeds the config hash and root seed; fixed seeds give
-byte-identical outputs for any thread count.
+byte-identical outputs. Every subcommand runs on one thread.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ DEFAULT_CONFIG = {
                    "onestep_abs": 1e-12, "coincidence_abs": 1e-10,
                    "tau_sigmas": 4.0},
 }
+LAW_KEYS = {"iid-product": {"kind", "dimension", "kappa", "atoms", "weights"},
+            "markov-field": {"kind", "dimension", "kappa", "range", "beta", "states", "sweeps"}}
 
 
 def normalize_config(raw: dict) -> dict:
@@ -115,6 +118,12 @@ def normalize_config(raw: dict) -> dict:
                 out[key][k2] = v2
         else:
             out[key] = copy.deepcopy(val)
+    law = out["law"]
+    kind = law.get("kind") if isinstance(law, dict) else None
+    if kind not in LAW_KEYS:
+        raise ConfigError(f"unknown law kind {kind!r}")
+    if not set(law) <= LAW_KEYS[kind]:
+        raise ConfigError(f"law kind {kind!r} reads only {sorted(LAW_KEYS[kind])}, got {sorted(law)}")
     # a standard error needs two draws; fewer would report nan
     for key, field in (("verify", "tau_draws"), ("tau", "draws")):
         draws = out[key][field]
@@ -141,17 +150,14 @@ def load_config(path: str) -> dict:
 
 
 def build_law(cfg: dict):
+    """The environment law of a normalized config, whose law keys are checked."""
     law_cfg = cfg["law"]
-    kind = law_cfg.get("kind")
-    if kind == "iid-product":
+    if law_cfg["kind"] == "iid-product":
         return IIDProductLaw(law_cfg["dimension"], law_cfg["atoms"], law_cfg["weights"],
                              law_cfg["kappa"])
-    if kind == "markov-field":
-        return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"],
-                              range_r=law_cfg.get("range", 1), beta=law_cfg.get("beta", 0.0),
-                              sweeps=law_cfg.get("sweeps", 64),
-                              smx_constants=law_cfg.get("smx"))
-    raise ConfigError(f"unknown law kind {kind!r}")
+    return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"],
+                          range_r=law_cfg.get("range", 1), beta=law_cfg.get("beta", 0.0),
+                          sweeps=law_cfg.get("sweeps", 64))
 
 
 def build_problem(cfg: dict):
@@ -268,7 +274,7 @@ def _run_verify(cfg: dict, corrupt_theta: bool = False):
     return rows, all(r["passed"] for r in rows)
 
 
-def cmd_verify(cfg: dict, out_dir: str, threads: int, corrupt_theta: bool = False) -> int:
+def cmd_verify(cfg: dict, out_dir: str, corrupt_theta: bool = False) -> int:
     rows, ok = _run_verify(cfg, corrupt_theta)
     width = max(len(r["family"]) for r in rows)
     print(f"{'family':<{width}}  {'metric':>12}  {'tolerance':>10}  result")
@@ -287,11 +293,11 @@ def cmd_verify(cfg: dict, out_dir: str, threads: int, corrupt_theta: bool = Fals
 # gap
 # ---------------------------------------------------------------------------
 
-def cmd_gap(cfg: dict, out_dir: str, threads: int) -> int:
+def cmd_gap(cfg: dict, out_dir: str) -> int:
     law, tp, eps, stop = build_problem(cfg)
     report = certify_gap(tp, eps, stop, law, int(cfg["gap"]["replicas"]),
                          horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
-                         seed=cfg["seed"], threads=threads)
+                         seed=cfg["seed"])
     payload = report.to_dict()
     payload["config_hash"] = config_hash(cfg)
     payload["tilt"] = solve_tilt(law, np.asarray(cfg["z"])).to_dict()
@@ -309,7 +315,7 @@ def cmd_gap(cfg: dict, out_dir: str, threads: int) -> int:
 # rate
 # ---------------------------------------------------------------------------
 
-def cmd_rate(cfg: dict, out_dir: str, threads: int) -> int:
+def cmd_rate(cfg: dict, out_dir: str) -> int:
     velocities = cfg["rate"]["velocities"]
     if not velocities:
         print("error: empty velocity grid", file=sys.stderr)
@@ -347,7 +353,7 @@ def cmd_rate(cfg: dict, out_dir: str, threads: int) -> int:
 # env-sample / tau-stats
 # ---------------------------------------------------------------------------
 
-def cmd_env_sample(cfg: dict, out_dir: str, threads: int) -> int:
+def cmd_env_sample(cfg: dict, out_dir: str) -> int:
     law = build_law(cfg)
     box = Box(tuple(cfg["env_sample"]["lo"]), tuple(cfg["env_sample"]["hi"]))
     env = sample_environment(law, cfg["seed"], box)
@@ -363,7 +369,7 @@ def cmd_env_sample(cfg: dict, out_dir: str, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_tau_stats(cfg: dict, out_dir: str, threads: int) -> int:
+def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
     law, tp, eps, stop = build_problem(cfg)
     draws = cfg["tau"]["draws"]
     rows = []
@@ -391,9 +397,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results never depend on this. gap samples "
-                             "the next replica chunks on them while the main thread runs "
-                             "the exact recursion")
+                        help="accepted for compatibility and has no effect: every "
+                             "subcommand runs on one thread")
     parser.add_argument("--out", default="", help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser("verify", help="run the exact identity suite")
@@ -418,7 +423,7 @@ def main(argv=None) -> int:
             kwargs["corrupt_theta"] = args.corrupt_theta
         dispatch = {"verify": cmd_verify, "gap": cmd_gap, "rate": cmd_rate,
                     "env-sample": cmd_env_sample, "tau-stats": cmd_tau_stats}
-        return dispatch[args.command](cfg, args.out, max(1, args.threads), **kwargs)
+        return dispatch[args.command](cfg, args.out, **kwargs)
     except (ConfigError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

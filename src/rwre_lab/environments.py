@@ -175,19 +175,15 @@ class MarkovFieldLaw:
     the same state}); missing neighbors outside the sampling box are dropped
     (free boundary). Site x then carries the probability vector
     ``state_probs[sigma_x]``. beta = 0 makes sites i.i.d. uniform over states.
-
-    The mixing constants ``smx_constants`` are carried as declared metadata
-    only; nothing here certifies them.
     """
 
     def __init__(self, dimension: int, state_probs, kappa: float, range_r: int = 1,
-                 beta: float = 0.0, sweeps: int = 64, smx_constants: dict | None = None):
+                 beta: float = 0.0, sweeps: int = 64):
         self.dimension = int(dimension)
         self.kappa = float(kappa)
         self.range_r = int(range_r)
         self.beta = float(beta)
         self.sweeps = int(sweeps)
-        self.smx_constants = dict(smx_constants or {})
         if self.range_r < 1:
             raise ValueError("range must be >= 1")
         if self.beta < 0:

@@ -11,8 +11,10 @@ The inner block expectation itself is computed without Monte Carlo error:
 conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
-``certify_gap`` is the one exact evaluation of the two block bounds; its report
-carries them as ``GapReport.I_a`` and ``GapReport.I_q``. ``bound_Ia`` and
+``certify_gap`` is the one exact evaluation of the two block bounds. It feeds
+the recursion CHUNK replicas at a time and draws their free factors one time
+row per step, so its memory does not grow with the horizon. Its report
+carries the bounds as ``GapReport.I_a`` and ``GapReport.I_q``. ``bound_Ia`` and
 ``bound_Iq`` are the independent Monte Carlo cross-check of that recursion:
 they sample the same truncated functional with ``sample_ray_block_values``,
 whose free-symbol factors are the psi factors on the ray (their environment
@@ -26,15 +28,12 @@ exact per-environment point probabilities from ``log_point_probability_dp``.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import (EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
+from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
                             psi_factor, sample_ray_block_values, validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
@@ -42,36 +41,14 @@ from .numutil import BudgetError, derive_seed, jackknife_stderr_logmean, logmean
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
-CHUNK = 1024
-MEMORY_BUDGET = 2**30  # bytes of chunk buffers a streamed gap run may hold at once
+CHUNK = 4096  # replicas per block: gap blocks, sample_ray_xi blocks and bound_Ia streams
+MEMORY_BUDGET = 2**30  # bytes a dense buffer of ray factors may hold
 
 
-def _chunk_stream(fn, n_items: int, threads: int = 1):
-    """Yield fn(chunk_index, start, size) over fixed-size chunks, in chunk order.
-
-    The chunk layout never depends on the thread count, and callers reduce in
-    chunk order, so outputs are bit-identical for any ``threads``. With
-    threads > 1, pool threads work on the next chunks while the caller holds
-    the current one; a chunk is submitted only once the caller is done with
-    the previous one, so at most threads + 1 results exist at a time.
-    """
-    spans = iter([(c, c * CHUNK, min(CHUNK, n_items - c * CHUNK))
-                  for c in range((n_items + CHUNK - 1) // CHUNK)])
-    if threads <= 1:
-        for span in spans:
-            yield fn(*span)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ahead = deque(pool.submit(fn, *span) for span in itertools.islice(spans, threads))
-        try:
-            while ahead:
-                yield ahead.popleft().result()
-                span = next(spans, None)
-                if span is not None:
-                    ahead.append(pool.submit(fn, *span))
-        finally:
-            for future in ahead:
-                future.cancel()
+def _blocks(n_items: int) -> list:
+    """(c, start, size) of the CHUNK-wide blocks; block c draws from its own seed."""
+    return [(c, start, min(CHUNK, n_items - start))
+            for c, start in enumerate(range(0, n_items, CHUNK))]
 
 
 # ---------------------------------------------------------------------------
@@ -87,56 +64,47 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
 _LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
 
 
-def _rescale_interval(cols: np.ndarray, kbar: float, L: int) -> int:
+def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
     """Recursion steps between rescales, from the bounds of the free factors.
 
-    One step multiplies the largest state entry by at most max(L * max|f|, kbar)
-    and, when every factor has one sign, by at least min|f|. For mixed signs
-    the smallest nonzero |f| stands in for the lower bound.
+    ``factors`` holds every value a free factor takes, or can take. One step
+    multiplies the largest state entry by at most max(L * max|f|, kbar) and,
+    when every factor has one sign, by at least min|f|. For mixed signs the
+    smallest nonzero |f| stands in for the lower bound.
     """
-    if cols.size == 0:
+    if factors.size == 0:
         return 1
-    lo, hi = float(cols.min()), float(cols.max())
+    lo, hi = float(factors.min()), float(factors.max())
     if lo > 0.0:
         small = lo
     elif hi < 0.0:
         small = -hi
     else:
-        small = float(np.min(np.abs(cols), where=cols != 0.0, initial=np.inf))
+        small = float(np.min(np.abs(factors), where=factors != 0.0, initial=np.inf))
         small = kbar if math.isinf(small) else small
     rate = max(math.log(max(L * max(hi, -lo), kbar)), -math.log(small))
-    return max(1, int(_LOG_RANGE / rate)) if rate > 0.0 else max(1, len(cols))
+    return max(1, int(_LOG_RANGE / rate)) if rate > 0.0 else max(1, len(factors))
 
 
-def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarray:
-    """Inner block expectations for rows of free-symbol factors.
+def _inner_recursion(rows, m: int, kbar: float, L: int, every: int) -> np.ndarray:
+    """Inner block values of m replicas, fed their free factors one time row at a time.
 
-    ``free_factors[m, t]`` is the weight a free symbol contributes at symbol
-    time t+1 (site t on the ray); a forced symbol always contributes kbar.
-    Row m's return value is
-
-        sum over symbol strings stopped at their first L-run of
-        prod(kbar per forced symbol) * prod(free factor per free symbol),
-
-    evaluated by a run-length transfer recursion truncated at the row length.
-    The recursion runs time-major: a column-major (F-ordered) array, such as
-    the transpose of an (H, m) buffer, is read without a copy. The state v
-    (mass per current run length) lives in a ring of L rows, so the run shift
-    is an index rotation; every few steps each column is rescaled by a power
-    of two, which is exact, and the scale is kept as an exponent.
+    ``rows`` yields the (m,) factor rows of symbol times 1, 2, ...; a row is
+    read only during its own step, so a source may refill one buffer. The
+    state v (mass per current run length) lives in a ring of L rows, so the
+    run shift is an index rotation; every ``every`` steps each replica's state
+    is rescaled by a power of two, which is exact, and the scale is kept as an
+    exponent.
     """
-    cols = np.ascontiguousarray(np.atleast_2d(np.asarray(free_factors, dtype=np.float64)).T)
-    h, m = cols.shape
     ring = np.zeros((L, m))
     ring[0] = 1.0
-    rows = list(ring)  # rows[t % L] holds v[0] at step t, rows[(t + 1) % L] holds v[L-1]
+    slots = list(ring)  # slots[t % L] holds v[0] at step t, slots[(t + 1) % L] holds v[L-1]
     done = np.zeros(m)  # stopped mass, in units of 2**exponent, over the current interval
     total = np.zeros(m)
     exponent = np.zeros(m, dtype=np.int64)
     runs = np.empty(m)
-    every = _rescale_interval(cols, kbar, L)
-    for t, f in enumerate(cols):
-        last = rows[(t + 1) % L]
+    for t, f in enumerate(rows):
+        last = slots[(t + 1) % L]
         done += last
         np.add.reduce(ring, axis=0, out=runs)
         ring *= kbar
@@ -151,6 +119,24 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
     return total * kbar
 
 
+def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarray:
+    """Inner block expectations for rows of free-symbol factors.
+
+    ``free_factors[m, t]`` is the weight a free symbol contributes at symbol
+    time t+1 (site t on the ray); a forced symbol always contributes kbar.
+    Row m's return value is
+
+        sum over symbol strings stopped at their first L-run of
+        prod(kbar per forced symbol) * prod(free factor per free symbol),
+
+    evaluated by the run-length transfer recursion truncated at the row
+    length, fed the columns as its time rows. A column-major (F-ordered)
+    array, such as the transpose of an (H, m) buffer, is read without a copy.
+    """
+    cols = np.ascontiguousarray(np.atleast_2d(np.asarray(free_factors, dtype=np.float64)).T)
+    return _inner_recursion(cols, cols.shape[1], kbar, L, _rescale_interval(cols, kbar, L))
+
+
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
                                horizon: int) -> float:
     """Exact annealed inner value: free-symbol factor u(ell) - kbar at every site."""
@@ -159,71 +145,77 @@ def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingCon
     return math.log(val)
 
 
-def _ray_chunk_filler(law, ell: int, horizon: int, seed: int, u: float = 1.0,
-                      kbar: float = 0.0):
-    """fill(c, out): u * xi(site t*ell, ell) - kbar for chunk c's replicas.
-
-    ``out`` has shape (horizon, size), time-major. Chunk c draws from
-    derive_seed(seed, c) in row blocks, which continue one Generator stream
-    exactly as a single (size, horizon) draw would. With the defaults u = 1
-    and kbar = 0 the filled values are xi itself, bit for bit.
-    """
-    if isinstance(law, IIDProductLaw):
-        values = u * law.xi_values()[:, ell] - kbar
-        cuts = np.cumsum(law.weights)[:-1]
-        block = 16
-
-        def fill(c, out):
-            rng = np.random.default_rng(derive_seed(seed, c))
-            rows = min(block, out.shape[1])
-            draws = np.empty((rows, horizon))
-            above = np.empty((rows, horizon), dtype=bool)
-            atom = np.empty((rows, horizon), dtype=np.intp)
-            picked = np.empty((rows, horizon))
-            for r0 in range(0, out.shape[1], block):
-                n = min(block, out.shape[1] - r0)
-                rng.random(out=draws[:n])
-                # atom index = number of cumulative weights, last one excluded, <= draw
-                atom[:n] = 0
-                for cut in cuts:
-                    np.greater_equal(draws[:n], cut, out=above[:n])
-                    atom[:n] += above[:n]
-                np.take(values, atom[:n], out=picked[:n])
-                out[:, r0:r0 + n] = picked[:n].T
-
-        return fill
-    if isinstance(law, MarkovFieldLaw):
-        means = law.marginal_means()
-        sites = np.arange(horizon)[:, None] * direction_vectors(law.dimension)[ell][None, :]
-        lo = np.minimum(sites.min(axis=0), 0)
-        hi = np.maximum(sites.max(axis=0), 0)
-        box = Box(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-
-        def fill(c, out):
-            for i in range(out.shape[1]):
-                env = sample_environment(law, derive_seed(seed, c, i), box)
-                out[:, i] = u * (env.omega_many(sites)[:, ell] / means[ell]) - kbar
-
-        return fill
-    raise TypeError(f"unsupported law type {type(law)!r}")
+def _ray_box(d: int, ell: int, n: int) -> tuple:
+    """The ray sites t * ell for t < n, and the smallest box that holds them."""
+    sites = np.arange(n)[:, None] * direction_vectors(d)[ell][None, :]
+    return sites, Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
 
 
-def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int,
-                  threads: int = 1) -> np.ndarray:
-    """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
-
-    The dense form of the chunk sampler that ``certify_gap`` streams; the
-    result is the transpose of a time-major buffer. Raises BudgetError, before
-    anything is allocated, when that buffer would exceed MEMORY_BUDGET.
-    """
+def _check_budget(n_rows: int, horizon: int):
     need = n_rows * horizon * 8
     if need > MEMORY_BUDGET:
         raise BudgetError(f"{n_rows} x {horizon} ray factors need {need / 2**20:.0f} MiB, "
                           f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
-    fill = _ray_chunk_filler(law, ell, horizon, seed)
+
+
+def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0):
+    """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
+
+    rows(c, size) yields block c's (size,) factor rows for t = 0..horizon-1;
+    ``table`` holds every value a factor can take. With the defaults u = 1 and
+    kbar = 0 the rows are xi itself, bit for bit. A product-law block draws
+    one uniform per replica and step from derive_seed(seed, c), so it holds
+    O(size) numbers whatever the horizon. A field-law block realizes replica i
+    on the ray box from derive_seed(seed, c, i) into one time-major buffer,
+    and raises BudgetError before allocating one over MEMORY_BUDGET.
+    """
+    if isinstance(law, IIDProductLaw):
+        table = u * law.xi_values()[:, ell] - kbar
+        # atom index = number of cumulative weights, last one excluded, <= the draw
+        cuts = np.cumsum(law.weights)[:-1] if len(law.weights) > 1 else np.array([np.inf])
+
+        def rows(c, size):
+            rng = np.random.default_rng(derive_seed(seed, c))
+            draw, above, row = np.empty(size), np.empty(size, dtype=bool), np.empty(size)
+            atom = np.empty(size, dtype=np.intp)
+            for _ in range(horizon):
+                rng.random(out=draw)
+                np.greater_equal(draw, cuts[0], out=atom)
+                for cut in cuts[1:]:
+                    atom += np.greater_equal(draw, cut, out=above)
+                yield np.take(table, atom, out=row)
+
+        return rows, table
+    if isinstance(law, MarkovFieldLaw):
+        means = law.marginal_means()
+        table = u * (law.state_probs[:, ell] / means[ell]) - kbar
+        sites, box = _ray_box(law.dimension, ell, horizon)
+
+        def rows(c, size):
+            _check_budget(size, horizon)
+            buf = np.empty((horizon, size))
+            for i in range(size):
+                env = sample_environment(law, derive_seed(seed, c, i), box)
+                buf[:, i] = u * (env.omega_many(sites)[:, ell] / means[ell]) - kbar
+            return buf
+
+        return rows, table
+    raise TypeError(f"unsupported law type {type(law)!r}")
+
+
+def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.ndarray:
+    """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
+
+    The dense stack of the rows that ``certify_gap`` streams; the result is the
+    transpose of a time-major buffer. Raises BudgetError, before anything is
+    allocated, when that buffer would exceed MEMORY_BUDGET.
+    """
+    _check_budget(n_rows, horizon)
+    rows, _ = _ray_rows(law, ell, horizon, seed)
     xi = np.empty((horizon, n_rows))
-    list(_chunk_stream(lambda c, start, size: fill(c, xi[:, start:start + size]),
-                       n_rows, threads))
+    for c, start, size in _blocks(n_rows):
+        for t, row in enumerate(rows(c, size)):
+            xi[t, start:start + size] = row
     return xi.T
 
 
@@ -250,33 +242,20 @@ def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
 
 
 def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                          n_rows: int, horizon: int, seed: int,
-                          threads: int = 1) -> np.ndarray:
-    """Exact inner block value per environment replica, one chunk at a time.
+                          n_rows: int, horizon: int, seed: int) -> np.ndarray:
+    """Exact inner block value per environment replica, one block at a time.
 
-    Pool threads fill the free factors of the next chunks while the calling
-    thread runs the recursion on the current one, in chunk order, so no
-    (n_rows, horizon) array is ever held and the result does not depend on
-    ``threads``. The environment rows are those of ``sample_ray_xi(law,
-    cfg.ell, n_rows, horizon, seed)``. Raises BudgetError, before anything is
-    sampled, when the chunk buffers in flight would exceed MEMORY_BUDGET.
+    The recursion pulls each block's free factors one time row per step, so a
+    product-law run holds the ring of L rows and O(CHUNK) scratch whatever the
+    horizon; a field-law block holds its (horizon, CHUNK) buffer. The rescale
+    interval comes from the law's table of possible factors, and rescaling is
+    exact, so the values are those of ``quenched_ray_log_inner`` on the rows
+    of ``sample_ray_xi(law, cfg.ell, n_rows, horizon, seed)``, to rounding.
     """
-    rows = min(CHUNK, n_rows)
-    in_flight = min(threads, -(-n_rows // CHUNK)) + 1
-    need = in_flight * rows * horizon * 8
-    if need > MEMORY_BUDGET:
-        raise BudgetError(f"{in_flight} chunk buffers of {rows} x {horizon} factors need "
-                          f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB "
-                          "budget")
-    fill = _ray_chunk_filler(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar)
-
-    def factors(c, start, size):
-        buf = np.empty((horizon, size))
-        fill(c, buf)
-        return buf
-
-    return np.concatenate([ray_inner_values(buf.T, eps.kbar, cfg.L)
-                           for buf in _chunk_stream(factors, n_rows, threads)])
+    rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar)
+    every = _rescale_interval(table, eps.kbar, cfg.L)
+    return np.concatenate([_inner_recursion(rows(c, size), size, eps.kbar, cfg.L, every)
+                           for c, _, size in _blocks(n_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +280,7 @@ def _block_constants(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig) -> tu
 
 
 def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law, replicas: int,
-             *, horizon: int | None = None, seed: int = 0, threads: int = 1) -> BoundEstimate:
+             *, horizon: int | None = None, seed: int = 0) -> BoundEstimate:
     """W - log(annealed inner block value) / E[tau_1], by block sampling.
 
     The Monte Carlo check of ``GapReport.I_a`` for product laws, with a
@@ -315,12 +294,9 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law, replicas
     u_ell = float(tp.u_array[cfg.ell])
     mean_psi = float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, cfg.ell], cfg.ell))
     factors = np.full(h, mean_psi)
-
-    def one_chunk(c, start, size):
-        rng = np.random.default_rng(derive_seed(seed, 7, c))
-        return sample_ray_block_values(factors, eps.kbar, u_ell, cfg.L, size, rng)
-
-    vals = np.concatenate(list(_chunk_stream(one_chunk, replicas, threads)))
+    vals = np.concatenate([sample_ray_block_values(factors, eps.kbar, u_ell, cfg.L, size,
+                                                   np.random.default_rng(derive_seed(seed, 7, c)))
+                           for c, _, size in _blocks(replicas)])
     mean = vals.mean()
     if mean <= 0.0:
         raise BudgetError("all sampled blocks were off-ray; increase replicas")
@@ -331,7 +307,7 @@ def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law, replicas
 
 def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
              env_replicas: int, block_replicas: int = 0, *, horizon: int | None = None,
-             seed: int = 0, threads: int = 1) -> BoundEstimate:
+             seed: int = 0) -> BoundEstimate:
     """W - E_env[log inner block value] / E[tau_1], by nested block sampling.
 
     The Monte Carlo check of ``GapReport.I_q`` on the same environment rows.
@@ -342,7 +318,7 @@ def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     """
     et, w = _block_constants(tp, eps, cfg)
     h = horizon or choose_horizon(eps, cfg)
-    xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1), threads)
+    xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1))
     psi = psi_factor(tp, eps, xi, cfg.ell)
     u_ell = float(tp.u_array[cfg.ell])
     inner = max(block_replicas, 64)
@@ -409,23 +385,29 @@ class GapReport:
 
 def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
                 budget: int, *, horizon: int | None = None, tail: float = 1e-4,
-                seed: int = 0, threads: int = 1) -> GapReport:
+                seed: int = 0) -> GapReport:
     """Estimate both sides of the block-level mean-log versus log-mean split.
 
     Common truncation horizon and, where the annealed side needs sampling,
     common environment draws keep the two sides comparable term by term. The
     strict inequality is declared certified at significance > 5, falsified
     below -3, and inconclusive in between. Without a fixed ``horizon``, the
-    horizon is the smallest H with P(tau_1 > H) < ``tail``.
+    horizon is the smallest H with P(tau_1 > H) < ``tail``; a fixed one above
+    TAU_HORIZON, the cap of that search, raises BudgetError. Replicas are
+    evaluated CHUNK at a time with their factors drawn inside the recursion,
+    so memory does not grow with the horizon or, beyond the trace of one log
+    value per replica, with the replica count.
     """
     et, w = _block_constants(tp, eps, cfg)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
         raise ValueError("the gap needs at least 2 replicas for a standard error")
+    if horizon is not None and horizon > TAU_HORIZON:
+        raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
     h = horizon or choose_horizon(eps, cfg, tail)
     log_inner = _log_positive(_stream_inner_values(tp, eps, cfg, law, budget, h,
-                                                    derive_seed(seed, 1), threads))
+                                                    derive_seed(seed, 1)))
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0
@@ -524,12 +506,8 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
 
 def _rate_point_boundary(law, x, *, seed: int, n_sites: int) -> RatePointEstimate:
     ell = direction_index(np.round(x).astype(np.int64))
-    d = law.dimension
-    vec = direction_vectors(d)[ell]
-    sites = np.arange(n_sites)[:, None] * vec[None, :]
-    lo = np.minimum(sites.min(axis=0), 0)
-    hi = np.maximum(sites.max(axis=0), 0)
-    env = sample_environment(law, derive_seed(seed, 21), Box(tuple(lo), tuple(hi)))
+    sites, box = _ray_box(law.dimension, ell, n_sites)
+    env = sample_environment(law, derive_seed(seed, 21), box)
     logs = np.log(env.omega_many(sites)[:, ell])
     i_q = float(-logs.mean())
     se_q = float(logs.std(ddof=1) / math.sqrt(n_sites))
@@ -537,12 +515,14 @@ def _rate_point_boundary(law, x, *, seed: int, n_sites: int) -> RatePointEstimat
         i_a = float(-math.log(law.marginal_mean(ell)))
         se_a = 0.0
     else:
-        # correlated ray: short-product estimate, reported with its jackknife error
+        # correlated ray: short-product rows, each realized on the box of the n
+        # sites it reads; reported with the jackknife error
         n = min(n_sites, 64)
+        short, short_box = _ray_box(law.dimension, ell, n)
         rows = np.empty(max(32, n_sites // 256))
         for r in range(len(rows)):
-            e = sample_environment(law, derive_seed(seed, 22, r), Box(tuple(lo), tuple(hi)))
-            rows[r] = np.log(e.omega_many(sites[:n])[:, ell]).sum()
+            e = sample_environment(law, derive_seed(seed, 22, r), short_box)
+            rows[r] = np.log(e.omega_many(short)[:, ell]).sum()
         i_a = float(-logmeanexp(rows) / n)
         se_a = float(jackknife_stderr_logmean(rows) / n)
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,

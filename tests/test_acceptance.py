@@ -166,12 +166,13 @@ def test_criterion_6_strict_gap_at_desk_scale():
     assert rep.significance > 5.0
     assert rep.verdict == "certified"
     # small-horizon full enumeration over ray environments confirms the
-    # Monte Carlo gap at the same truncated functional, within its stderr
+    # Monte Carlo gap at the same truncated functional: 2e6 replicas make the
+    # stderr small, and 4 of them keep a false alarm below 1e-4
     h = 12
     q_o, a_o = exact_gap_oracle(tp, eps, cfg, TWO_ATOM, h)
-    rep_h = certify_gap(tp, eps, cfg, TWO_ATOM, budget=20_000, horizon=h, seed=9)
+    rep_h = certify_gap(tp, eps, cfg, TWO_ATOM, budget=2_000_000, horizon=h, seed=9)
     assert rep_h.annealed_side == pytest.approx(a_o, abs=1e-12)
-    assert abs(rep_h.gap - (a_o - q_o)) <= rep_h.stderr
+    assert abs(rep_h.gap - (a_o - q_o)) <= 4 * rep_h.stderr
     # boundary closed forms, reproduced by the estimator
     est = rate_point(TWO_ATOM, [1.0], seed=6)
     i_a_expect = -math.log(0.5)

@@ -158,12 +158,13 @@ class TestGap:
         assert h < choose_horizon(eps, stop, tail=1e-4)
 
     def test_memory_budget_exits_2(self, tmp_path, capsys):
-        # one chunk of 1024 rows at this horizon would need about 800 GB
+        # the horizon is above the 1e7-symbol cap that choose_horizon also keeps
         payload = {**TWO_ATOM_GAP, "gap": {"replicas": 4000, "horizon": 100_000_000}}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
-        assert "budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "budget" in err and "cap" in err
         assert not (out / "gap_report.json").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -237,6 +238,20 @@ class TestRate:
                                name=f"config{i}.json")
             out = tmp_path / f"out{i}"
             assert main(["--config", cfg, "--out", str(out), "rate"]) == 64
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_misspelled_law_key_usage_error(self, tmp_path, capsys):
+        # "betta" would leave the field at beta = 0; unknown law keys and kinds
+        # are config errors, raised before any output exists
+        field = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+                 "states": [[0.4, 0.6], [0.6, 0.4]], "betta": 0.5}
+        for i, (law, named) in enumerate([(field, "betta"),
+                                          ({**field, "kind": "potts"}, "potts")]):
+            cfg = write_config(tmp_path, {"law": law, "z": [0.5], "ell": [1], "L": 2},
+                               name=f"config{i}.json")
+            out = tmp_path / f"out{i}"
+            assert main(["--config", cfg, "--out", str(out), "gap"]) == 64
             assert named in capsys.readouterr().err
             assert not out.exists()
 

@@ -128,11 +128,12 @@ class TestBounds:
         assert abs(nested.value - exact.I_q) < 6 * max(nested.stderr, 1e-4)
 
     def test_mc_routes_replay_across_threads(self):
-        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, horizon=200,
-                         seed=5, threads=t) for t in (1, 1, 2)]
+        # every route runs on one thread; three runs at one seed replay exactly
+        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, horizon=200, seed=5)
+                for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
         runs = [bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=1024,
-                         horizon=100, seed=5, threads=t) for t in (1, 1, 2)]
+                         horizon=100, seed=5) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_bound_ia_mc_needs_product_law(self):
@@ -152,6 +153,14 @@ class TestBounds:
         with pytest.raises(BudgetError, match="budget"):
             sample_ray_xi(TWO_ATOM, 0, 100, 50, seed=1)
         assert sample_ray_xi(TWO_ATOM, 0, 99, 50, seed=1).shape == (99, 50)
+
+    def test_field_block_respects_the_memory_budget(self, monkeypatch):
+        # a field-law block is realized into one (horizon, replicas) buffer
+        monkeypatch.setattr("rwre_lab.estimators.MEMORY_BUDGET", 8 * 50 * 8 - 1)
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
+        with pytest.raises(BudgetError, match="budget"):
+            certify_gap(TP, EPS, CFG, field, budget=8, horizon=50)
+        assert certify_gap(TP, EPS, CFG, field, budget=7, horizon=50).replicas == 7
 
 
 class TestCertifyGap:
@@ -185,9 +194,10 @@ class TestCertifyGap:
     def test_oracle_confirms_small_horizon_gap(self):
         h = 12
         qo, ao = exact_gap_oracle(TP, EPS, CFG, TWO_ATOM, h)
-        rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=20_000, horizon=h, seed=9)
+        # 2e6 replicas make the stderr small; 4 of them keep a false alarm below 1e-4
+        rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2_000_000, horizon=h, seed=9)
         assert rep.annealed_side == pytest.approx(ao, abs=1e-12)
-        assert abs(rep.gap - (ao - qo)) <= rep.stderr
+        assert abs(rep.gap - (ao - qo)) <= 4 * rep.stderr
 
     def test_mirror_symmetry(self):
         mirrored = IIDProductLaw(1, [[0.6, 0.4], [0.4, 0.6]], [0.5, 0.5], 0.1)
@@ -204,7 +214,7 @@ class TestCertifyGap:
 
     def test_trace_shape_and_determinism(self):
         a = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=800, seed=11)
-        b = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=800, seed=11, threads=4)
+        b = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=800, seed=11)
         assert np.array_equal(a.trace, b.trace)
         assert a.to_dict() == b.to_dict()
 
@@ -277,6 +287,21 @@ class TestRatePoint:
         est = rate_point(field, x, seed=1, horizon=40, env_replicas=3)
         assert est.horizon == 40 and math.isfinite(est.I_a) and math.isfinite(est.I_q)
         assert regions == [box] * 3
+
+    def test_boundary_field_rows_realized_on_their_own_box(self, monkeypatch):
+        # the short-product rows read 64 ray sites, so each is realized on the
+        # 64-site box, not on the whole boundary_sites ray
+        regions = []
+
+        def spy(law, seed, region):
+            regions.append(region)
+            return sample_environment(law, seed, region)
+
+        monkeypatch.setattr("rwre_lab.estimators.sample_environment", spy)
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.3, sweeps=4)
+        est = rate_point(field, [-1.0], seed=1, boundary_sites=300)
+        assert math.isfinite(est.I_a) and math.isfinite(est.I_q)
+        assert regions == [Box((-299,), (0,))] + [Box((-63,), (0,))] * 32
 
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -16,8 +16,7 @@ from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
                            constant_law, direction_index, direction_vectors,
                            sample_environment)
-from .estimators import (GapReport, RatePointEstimate, bound_Ia, bound_Iq, certify_gap,
-                         exact_gap_oracle, rate_point)
+from .estimators import GapReport, RatePointEstimate, certify_gap, exact_gap_oracle, rate_point
 from .numutil import BudgetError
 from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched,

@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-verify      run the exact-oracle identity suite; exit 0 iff all families pass
+verify      run the exact-oracle identity suite on an i.i.d. product law;
+            exit 0 iff all families pass
 gap         certify the quenched/annealed block gap; writes JSON + CSV trace
 rate        evaluate rate-function points on a velocity grid; writes CSV
 env-sample  realize an environment and export it as CSV
@@ -64,7 +65,7 @@ from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
 from .numutil import BudgetError, derive_seed
-from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
+from .tilting import (solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched)
 
 EXIT_OK = 0
@@ -198,14 +199,10 @@ def _tau_z(taus: np.ndarray, expect: float) -> tuple:
     return mean, se, (mean - expect) / se
 
 
-def _run_verify(cfg: dict, corrupt_theta: bool = False):
+def _run_verify(cfg: dict):
     """Run the six identity families; returns (rows, all_pass)."""
     tol = cfg["tolerances"]
     law, tp, eps, stop = build_problem(cfg)
-    if corrupt_theta:
-        theta = np.asarray(tp.theta) + 0.05
-        tp = TiltParams(tp.z, tp.C, tp.u, tuple(float(v) for v in theta), tp.D,
-                        tp.c_z, tp.residual, tp.means)
     d = tp.dimension
     seed = cfg["seed"]
     rng = np.random.default_rng(derive_seed(seed, 100))
@@ -274,8 +271,8 @@ def _run_verify(cfg: dict, corrupt_theta: bool = False):
     return rows, all(r["passed"] for r in rows)
 
 
-def cmd_verify(cfg: dict, out_dir: str, corrupt_theta: bool = False) -> int:
-    rows, ok = _run_verify(cfg, corrupt_theta)
+def cmd_verify(cfg: dict, out_dir: str) -> int:
+    rows, ok = _run_verify(cfg)
     width = max(len(r["family"]) for r in rows)
     print(f"{'family':<{width}}  {'metric':>12}  {'tolerance':>10}  result")
     for r in rows:
@@ -300,7 +297,7 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
                          seed=cfg["seed"])
     payload = report.to_dict()
     payload["config_hash"] = config_hash(cfg)
-    payload["tilt"] = solve_tilt(law, np.asarray(cfg["z"])).to_dict()
+    payload["tilt"] = tp.to_dict()
     print(f"gap = {report.gap:.6e} +- {report.stderr:.2e} "
           f"(significance {report.significance:.2f}, verdict {report.verdict})")
     if out_dir:
@@ -401,8 +398,7 @@ def main(argv=None) -> int:
                              "subcommand runs on one thread")
     parser.add_argument("--out", default="", help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser("verify", help="run the exact identity suite")
-    p_verify.add_argument("--corrupt-theta", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("verify", help="run the exact identity suite")
     sub.add_parser("gap", help="certify the quenched/annealed block gap")
     sub.add_parser("rate", help="rate-function grid")
     sub.add_parser("env-sample", help="realize an environment as CSV")
@@ -418,12 +414,9 @@ def main(argv=None) -> int:
             cfg["seed"] = int(args.seed)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-        kwargs = {}
-        if args.command == "verify":
-            kwargs["corrupt_theta"] = args.corrupt_theta
         dispatch = {"verify": cmd_verify, "gap": cmd_gap, "rate": cmd_rate,
                     "env-sample": cmd_env_sample, "tau-stats": cmd_tau_stats}
-        return dispatch[args.command](cfg, args.out, **kwargs)
+        return dispatch[args.command](cfg, args.out)
     except (ConfigError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,6 @@ Direction convention used throughout the package: the 2d unit steps are indexed
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,7 +196,6 @@ class MarkovFieldLaw:
             validate_prob_vector(row, self.kappa, self.dimension)
         self.state_probs = probs
         self.n_states = len(probs)
-        self._means: np.ndarray | None = None
 
     def _neighbor_offsets(self) -> np.ndarray:
         rng = range(-self.range_r, self.range_r + 1)
@@ -235,49 +233,17 @@ class MarkovFieldLaw:
         return configs, sites, w
 
     def marginal_means(self) -> np.ndarray:
-        """E[omega(0, e)] per direction, computed once.
+        """E[omega(x, e)] per direction, exact: the average of the state map.
 
-        Exact when the field enumeration admits the centered box of radius
-        ``range``: the center-site marginal on the largest such box. Otherwise
-        the Monte Carlo average of ``marginal_means_mc`` at its defaults.
+        The Potts interaction, the uniform start and the heat-bath kernel are
+        all invariant under relabelling the states, so after any number of
+        sweeps every site of any box is uniform over the S states.
         """
-        if self._means is None:
-            try:
-                self._means = self._means_exact()
-            except BudgetError:
-                self._means = self.marginal_means_mc()[0]
-        return self._means.copy()
-
-    def _means_exact(self) -> np.ndarray:
-        # largest centered box with S^sites under budget, radius at least range_r
-        radius = self.range_r
-        while True:
-            cand = centered_box(self.dimension, radius + 1)
-            if cand.n_sites > 16 or self.n_states**cand.n_sites > ENUM_CONFIG_CAP:
-                break
-            radius += 1
-        configs, sites, w = self.gibbs_configurations(centered_box(self.dimension, radius))
-        center = int(np.where((sites == 0).all(axis=1))[0][0])
-        means = np.zeros(2 * self.dimension)
-        for s in range(self.n_states):
-            means += w[configs[:, center] == s].sum() * self.state_probs[s]
-        return means
-
-    def marginal_means_mc(self, box: Box | None = None, replicas: int = 2000,
-                          seed: int = 0) -> tuple:
-        """Monte Carlo marginal means with standard errors, shape (2d,) each."""
-        box = box or centered_box(self.dimension, max(self.range_r * 2, 3))
-        vals = np.empty((replicas, 2 * self.dimension))
-        origin = np.zeros((1, self.dimension), dtype=np.int64)
-        for r in range(replicas):
-            env = sample_environment(self, derive_seed(seed, r), box)
-            vals[r] = env.omega_many(origin)[0]
-        return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(replicas)
+        return self.state_probs.mean(axis=0)
 
     def disorder(self) -> float:
-        """sup over the state-map image of |omega/E[omega] - 1|; exact means required."""
-        means = self._means_exact()
-        return float(np.max(np.abs(self.state_probs / means - 1.0)))
+        """sup over the state-map image of |omega/E[omega] - 1|."""
+        return float(np.max(np.abs(self.state_probs / self.marginal_means() - 1.0)))
 
 
 class Environment:

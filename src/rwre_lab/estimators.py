@@ -14,12 +14,10 @@ factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
 ``certify_gap`` is the one exact evaluation of the two block bounds. It feeds
 the recursion CHUNK replicas at a time and draws their free factors one time
 row per step, so its memory does not grow with the horizon. Its report
-carries the bounds as ``GapReport.I_a`` and ``GapReport.I_q``. ``bound_Ia`` and
-``bound_Iq`` are the independent Monte Carlo cross-check of that recursion:
-they sample the same truncated functional with ``sample_ray_block_values``,
-whose free-symbol factors are the psi factors on the ray (their environment
-mean for the annealed bound, one environment row per inner mean for the
-quenched one).
+carries the bounds as ``GapReport.I_a`` and ``GapReport.I_q``. The
+independent Monte Carlo check of the recursion is
+``decomposition.sample_ray_block_values``, which samples the same truncated
+functional symbol by symbol; the tests hold the two against each other.
 
 ``rate_point`` evaluates the two rate functions at one velocity: straight-path
 closed forms on the boundary of the unit l1 ball and, inside it, the decay of
@@ -34,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
-                            psi_factor, sample_ray_block_values, validate_stopping)
+                            validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
 from .numutil import BudgetError, derive_seed, jackknife_stderr_logmean, logmeanexp, logsumexp
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
-CHUNK = 4096  # replicas per block: gap blocks, sample_ray_xi blocks and bound_Ia streams
+CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 MEMORY_BUDGET = 2**30  # bytes a dense buffer of ray factors may hold
 
 
@@ -52,7 +50,7 @@ def _blocks(n_items: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# ray blocks: exact inner recursion and its Monte Carlo cross-check
+# ray blocks: the exact inner recursion and its free-factor rows
 # ---------------------------------------------------------------------------
 
 def log_w_const(tp: TiltParams, ell: int) -> float:
@@ -219,13 +217,6 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     return xi.T
 
 
-def _require_product_law(law, route: str):
-    """Routes that close the environment mean atom by atom need a product law."""
-    if not isinstance(law, IIDProductLaw):
-        raise ValueError(f"{route} needs an i.i.d. product law (law kind 'iid-product'), "
-                         f"not {type(law).__name__}")
-
-
 def _log_positive(vals: np.ndarray) -> np.ndarray:
     if np.any(vals <= 0.0):
         raise ValueError("inner block expectation is not positive; the disorder is too "
@@ -261,86 +252,6 @@ def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, l
 # ---------------------------------------------------------------------------
 # the two bounds and the gap report
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BoundEstimate:
-    value: float
-    stderr: float
-    log_inner: float
-    log_inner_stderr: float
-    horizon: int
-    replicas: int
-
-
-def _block_constants(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig) -> tuple:
-    """Validate a block problem and return (E[tau_1], W), shared by both bounds and the gap."""
-    validate_stopping(tp, cfg)
-    eps.validate_against(tp)
-    return expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
-
-
-def bound_Ia(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law, replicas: int,
-             *, horizon: int | None = None, seed: int = 0) -> BoundEstimate:
-    """W - log(annealed inner block value) / E[tau_1], by block sampling.
-
-    The Monte Carlo check of ``GapReport.I_a`` for product laws, with a
-    delta-method standard error on the log. On the ray each site is visited
-    once, so the environment mean of the psi product closes site by site:
-    every free symbol contributes the mean psi factor.
-    """
-    et, w = _block_constants(tp, eps, cfg)
-    h = horizon or choose_horizon(eps, cfg)
-    _require_product_law(law, "bound_Ia")
-    u_ell = float(tp.u_array[cfg.ell])
-    mean_psi = float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, cfg.ell], cfg.ell))
-    factors = np.full(h, mean_psi)
-    vals = np.concatenate([sample_ray_block_values(factors, eps.kbar, u_ell, cfg.L, size,
-                                                   np.random.default_rng(derive_seed(seed, 7, c)))
-                           for c, _, size in _blocks(replicas)])
-    mean = vals.mean()
-    if mean <= 0.0:
-        raise BudgetError("all sampled blocks were off-ray; increase replicas")
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    li, li_se = float(np.log(mean)), float(se / mean)
-    return BoundEstimate(w - li / et, li_se / et, li, li_se, h, replicas)
-
-
-def bound_Iq(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-             env_replicas: int, block_replicas: int = 0, *, horizon: int | None = None,
-             seed: int = 0) -> BoundEstimate:
-    """W - E_env[log inner block value] / E[tau_1], by nested block sampling.
-
-    The Monte Carlo check of ``GapReport.I_q`` on the same environment rows.
-    The inner replica count doubles until the estimate moves by less than half
-    an outer standard error, the classic control for the downward bias of the
-    log of an inner Monte Carlo mean. A round in which some environment
-    samples no on-ray block settles nothing and also doubles the count.
-    """
-    et, w = _block_constants(tp, eps, cfg)
-    h = horizon or choose_horizon(eps, cfg)
-    xi = sample_ray_xi(law, cfg.ell, env_replicas, h, derive_seed(seed, 1))
-    psi = psi_factor(tp, eps, xi, cfg.ell)
-    u_ell = float(tp.u_array[cfg.ell])
-    inner = max(block_replicas, 64)
-    prev = None
-    while True:
-        means = [sample_ray_block_values(psi[e], eps.kbar, u_ell, cfg.L, inner,
-                                         np.random.default_rng(derive_seed(seed, 11, e, inner))
-                                         ).mean() for e in range(env_replicas)]
-        if min(means) > 0.0:
-            li = np.array([math.log(m) for m in means])
-            mean = float(li.mean())
-            se = float(li.std(ddof=1) / math.sqrt(env_replicas)) if env_replicas > 1 else 0.0
-            if prev is not None and abs(mean - prev) < 0.5 * max(se, 1e-12):
-                break
-            prev = mean
-        else:
-            prev = None
-        if inner > 10**6:
-            raise BudgetError("inner replica doubling exceeded its budget before settling")
-        inner *= 2
-    return BoundEstimate(w - mean / et, se / et, mean, se, h, env_replicas)
-
 
 @dataclass
 class GapReport:
@@ -398,7 +309,9 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     so memory does not grow with the horizon or, beyond the trace of one log
     value per replica, with the replica count.
     """
-    et, w = _block_constants(tp, eps, cfg)
+    validate_stopping(tp, cfg)
+    eps.validate_against(tp)
+    et, w = expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
@@ -535,7 +448,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     base = q if (int(round(q * np.abs(x).sum())) - q) % 2 == 0 else 2 * q
     n2 = max(2 * base, 2 * base * round(horizon / (2 * base)))
     n1 = n2 // 2
-    zero_dis = law.disorder() == 0.0 if isinstance(law, IIDProductLaw) else False
+    zero_dis = law.disorder() == 0.0
     # the n1 cone is the n2 cone scaled by 1/2 about the origin, so it lies inside
     region = light_cone(n2, np.zeros(d, dtype=np.int64), np.round(n2 * x))[0]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Environment, direction_vectors
+from .environments import Environment, IIDProductLaw, direction_vectors
 from .numutil import fsum
 from .walks import path_sites, realized_log_xi, site_grouped_log_moment, step_matrix
 
@@ -186,7 +186,11 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     annealed moment of the xi-product along the path.
     rhs: D^n times the annealed expectation of exp(<theta + theta_tilt, X_n>),
     computed from the original walk with exact annealed path weights.
+    Both moments close atom by atom, so the law must be an i.i.d. product law.
     """
+    if not isinstance(law, IIDProductLaw):
+        raise ValueError(f"the annealed identity needs an i.i.d. product law (law kind "
+                         f"'iid-product'), not {type(law).__name__}")
     theta = np.asarray(theta, dtype=np.float64)
     steps = step_matrix(n, tp.dimension)
     flat, ends = path_sites(steps, tp.dimension)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import pytest
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
+from rwre_lab.tilting import solve_tilt
 
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -66,8 +68,14 @@ class TestVerify:
             "tilt-invariants", "identity-annealed", "identity-quenched",
             "decomposition-coincidence", "psi-identity", "tau-waiting-time"}
 
-    def test_corrupted_tilt_fails_naming_invariant(self, capsys):
-        code = main(["verify", "--corrupt-theta"])
+    def test_corrupted_tilt_fails_naming_invariant(self, monkeypatch, capsys):
+        # shift theta off the solved tilt: the factorization u = D e^<theta,e> m breaks
+        def corrupted(law, z):
+            tp = solve_tilt(law, z)
+            return dataclasses.replace(tp, theta=tuple(float(v) + 0.05 for v in tp.theta))
+
+        monkeypatch.setattr("rwre_lab.cli.solve_tilt", corrupted)
+        code = main(["verify"])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
@@ -84,6 +92,17 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         failed = {f["family"] for f in report["families"] if not f["passed"]}
         assert failed == {"psi-identity"}
+
+    def test_field_law_usage_error(self, tmp_path, capsys):
+        # the annealed identity closes atom by atom; a field law is a usage error
+        payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+                           "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.5},
+                   "verify": {"n_max": 2, "psi_n_max": 2, "tau_draws": 1000}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "verify"]) == 64
+        assert "i.i.d. product law" in capsys.readouterr().err
+        assert not (out / "verify_report.json").exists()
 
     def test_budget_violation_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"verify": {"psi_n_max": 40}})

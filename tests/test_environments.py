@@ -160,10 +160,52 @@ class TestMarkovField:
         means = law.marginal_means()
         assert means[0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_beta_zero_marginals_mc(self):
-        law = self.law()
-        means, se = law.marginal_means_mc(replicas=400, seed=3)
-        assert abs(means[0] - 0.5) < 4 * se[0] + 1e-9
+    @pytest.mark.parametrize("d, n_states, range_r, radius", [
+        (1, 2, 1, 4), (1, 3, 2, 3), (2, 2, 1, 1), (2, 3, 1, 1), (2, 2, 2, 1),
+    ])
+    def test_closed_form_means_match_enumeration(self, d, n_states, range_r, radius):
+        # the enumerated Gibbs measure judges the state-map average at beta > 0
+        a = np.linspace(0.2, 0.8, n_states)[:, None]
+        states = np.hstack([a, 1 - a] + [np.full((n_states, 2), 0.5)] * (d - 1)) / d
+        for beta in (0.7, 2.0):
+            law = MarkovFieldLaw(d, states, kappa=0.05, range_r=range_r, beta=beta)
+            configs, sites, w = law.gibbs_configurations(centered_box(d, radius))
+            center = int(np.where((sites == 0).all(axis=1))[0][0])
+            marginal = np.bincount(configs[:, center], weights=w, minlength=n_states)
+            np.testing.assert_allclose(marginal @ law.state_probs, law.marginal_means(),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
+    def test_sampled_sites_uniform_over_states(self, d, sweeps):
+        # the closed form rests on this: after any number of sweeps, corner and
+        # center sites of the box are uniform over the states, however strong
+        # the coupling
+        n_states, replicas = 3, 500
+        states = [[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]] if d == 1 else \
+            [[0.1, 0.4, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.25, 0.25]]
+        law = MarkovFieldLaw(d, states, kappa=0.05, range_r=1, beta=2.0, sweeps=sweeps)
+        box = centered_box(d, 2)
+        probes = np.array([box.lo, box.hi, (0,) * d])
+        first = np.asarray(states)[:, 0]
+        counts = np.zeros((len(probes), n_states))
+        for r in range(replicas):
+            vals = sample_environment(law, 1000 * sweeps + r, box).omega_many(probes)[:, 0]
+            counts[np.arange(len(probes)), np.searchsorted(first, vals)] += 1
+        p = 1.0 / n_states
+        se = math.sqrt(p * (1 - p) / replicas)
+        assert np.all(np.abs(counts / replicas - p) < 4 * se)
+
+    def test_means_realize_no_environment(self, monkeypatch):
+        # a 2-D range-2 field's means come from the state map alone
+        def spy(*args, **kwargs):
+            raise AssertionError("marginal_means realized an environment")
+
+        monkeypatch.setattr("rwre_lab.environments.sample_environment", spy)
+        law = MarkovFieldLaw(2, [[0.1, 0.4, 0.25, 0.25], [0.4, 0.1, 0.25, 0.25]], kappa=0.05,
+                             range_r=2, beta=0.5)
+        np.testing.assert_array_equal(law.marginal_means(), [0.25, 0.25, 0.25, 0.25])
+        assert law.disorder() == pytest.approx(0.6, abs=1e-12)
 
     def test_beta_zero_pair_correlation(self):
         # at zero coupling, neighbor states decorrelate; compare against an

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law
+from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, make_epsilon_law, psi_factor,
+                                    sample_ray_block_values)
 from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, constant_law,
                                    sample_environment)
-from rwre_lab.estimators import (bound_Ia, bound_Iq, certify_gap, exact_gap_oracle, log_w_const,
+from rwre_lab.estimators import (certify_gap, exact_gap_oracle, log_w_const,
                                  quenched_ray_log_inner, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid,
                                  sample_ray_xi)
-from rwre_lab.numutil import BudgetError
+from rwre_lab.numutil import BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt, verify_identity_annealed
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
@@ -84,12 +85,6 @@ class TestBounds:
         assert log_w_const(TP, 0) == pytest.approx(math.log(TP.D) + TP.theta[0], abs=0)
         assert log_w_const(TP, 0) == pytest.approx(math.log(1.5), abs=1e-12)
 
-    def test_bound_ia_exact_vs_mc(self):
-        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
-        mc = bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=20_000, horizon=300, seed=4)
-        assert exact.annealed_stderr == 0.0
-        assert abs(mc.value - exact.I_a) < 4 * mc.stderr
-
     def test_bound_ia_zero_disorder_is_pure_combinatorics(self):
         # for product laws the annealed block value is the on-ray mass alone,
         # so the bound is the same for any disorder at fixed means
@@ -110,43 +105,26 @@ class TestBounds:
         rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=4000, horizon=400, seed=2)
         assert rep.I_q - rep.I_a > 5 * rep.quenched_stderr
 
-    def test_bound_iq_nested_mc_tracks_exact(self):
-        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=60, horizon=120, seed=3)
-        nested = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=60, block_replicas=512,
-                          horizon=120, seed=3)
-        # same environments, so only the inner sampling separates the two
-        assert abs(nested.value - exact.I_q) < 6 * max(nested.stderr, 1e-4)
-
-    @pytest.mark.parametrize("seed", [2, 5, 6])
-    def test_bound_iq_doubles_past_an_empty_inner_mean(self, seed):
-        # on-ray mass 0.053: at 64 inner blocks some environment of these
-        # seeds samples no on-ray block, which must double the count, not fail
-        exact = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=8, horizon=120, seed=seed)
-        nested = bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=64,
-                          horizon=120, seed=seed)
-        assert math.isfinite(nested.value)
-        assert abs(nested.value - exact.I_q) < 6 * max(nested.stderr, 1e-4)
-
-    def test_mc_routes_replay_across_threads(self):
-        # every route runs on one thread; three runs at one seed replay exactly
-        runs = [bound_Ia(TP, EPS, CFG, TWO_ATOM, replicas=3000, horizon=200, seed=5)
-                for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2]
-        runs = [bound_Iq(TP, EPS, CFG, TWO_ATOM, env_replicas=8, block_replicas=1024,
-                         horizon=100, seed=5) for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2]
-
-    def test_bound_ia_mc_needs_product_law(self):
-        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
-        with pytest.raises(ValueError, match="product law"):
-            bound_Ia(TP, EPS, CFG, field, replicas=100, horizon=50)
+    def test_block_sampler_tracks_the_gap_trace(self):
+        # the symbol-by-symbol sampler, fed the psi rows of the environments
+        # certify_gap realizes at its seed, must reproduce each exact inner
+        # value; its standard error comes from the squared-factor recursion
+        h, n_env, n_blocks, seed = 120, 8, 200_000, 3
+        rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=n_env, horizon=h, seed=seed)
+        xi = sample_ray_xi(TWO_ATOM, CFG.ell, n_env, h, derive_seed(seed, 1))
+        psi = psi_factor(TP, EPS, xi, CFG.ell)
+        u_ell = float(TP.u[CFG.ell])
+        second = ray_inner_values((u_ell - EPS.kbar) * psi**2, EPS.kbar, CFG.L)
+        exact = np.exp(rep.trace)
+        for r in range(n_env):
+            vals = sample_ray_block_values(psi[r], EPS.kbar, u_ell, CFG.L, n_blocks,
+                                           np.random.default_rng(derive_seed(seed, 11, r)))
+            se = math.sqrt((second[r] - exact[r] ** 2) / n_blocks)
+            assert abs(vals.mean() - exact[r]) < 5 * se
 
     def test_requires_positive_projection(self):
-        for estimate in (lambda c: bound_Ia(TP, EPS, c, TWO_ATOM, replicas=100, horizon=50),
-                         lambda c: bound_Iq(TP, EPS, c, TWO_ATOM, env_replicas=4, horizon=50),
-                         lambda c: certify_gap(TP, EPS, c, TWO_ATOM, budget=4, horizon=50)):
-            with pytest.raises(ValueError, match="must be > 0"):
-                estimate(StoppingConfig(2, 1))
+        with pytest.raises(ValueError, match="must be > 0"):
+            certify_gap(TP, EPS, StoppingConfig(2, 1), TWO_ATOM, budget=4, horizon=50)
 
     def test_sample_ray_xi_respects_the_memory_budget(self, monkeypatch):
         monkeypatch.setattr("rwre_lab.estimators.MEMORY_BUDGET", 100 * 50 * 8 - 1)

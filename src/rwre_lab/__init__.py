@@ -21,7 +21,7 @@ from .numutil import BudgetError
 from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched,
                       zero_disorder_free_energy)
-from .walks import (Path, annealed_path_weight, annealed_point_probability,
-                    enumerate_paths, quenched_path_weight, quenched_point_probability)
+from .walks import (annealed_path_weights, annealed_point_probability, quenched_path_weights,
+                    quenched_point_probability)
 
 __version__ = "0.1.0"

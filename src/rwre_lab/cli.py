@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
+from .decomposition import (StoppingConfig, conditional_step_probs,
                             expected_tau, make_epsilon_law, psi_factor, sample_tau_batch,
                             qz_endpoint_distribution, decomposed_endpoint_distribution,
                             verify_psi_identity)
@@ -367,14 +367,16 @@ def cmd_env_sample(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
-    law, tp, eps, stop = build_problem(cfg)
+    stop = build_problem(cfg)[3]
     draws = cfg["tau"]["draws"]
     rows = []
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
-        e = EpsilonLaw(float(kb), law.dimension)
+        # tau needs only the success probability k; an EpsilonLaw would also
+        # demand 2d * k < 1, which the default k = 0.25 breaks in 2-D
         c = StoppingConfig(int(lval), stop.ell)
-        taus = sample_tau_batch(e, c, draws, np.random.default_rng(derive_seed(cfg["seed"], 300 + i)))
-        expect = expected_tau(e, c)
+        taus = sample_tau_batch(float(kb), c, draws,
+                                np.random.default_rng(derive_seed(cfg["seed"], 300 + i)))
+        expect = expected_tau(float(kb), c)
         mean, se, z = _tau_z(taus, expect)
         rows.append([float(kb), int(lval), draws, mean, se, expect, z])
         print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")

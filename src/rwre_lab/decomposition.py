@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, direction_index
-from .numutil import BudgetError, fsum
+from .numutil import BudgetError, fsum, words
 from .tilting import TiltParams
-from .walks import enumerate_paths, path_sites, realized_log_xi, step_matrix
+from .walks import endpoint_law, path_positions, path_sites, realized_log_xi, step_matrix
 
 TAU_HORIZON = 10**7
 
@@ -172,15 +172,14 @@ def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
                        count=horizon + 1)
 
 
-def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4,
-                   cap: int = TAU_HORIZON) -> int:
-    """Smallest H with P(tau_1 > H) < tail, by one forward scan of the exact tail."""
+def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> int:
+    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by one forward scan of the exact tail."""
     for t, surv in enumerate(_survival_chain(_kbar_of(eps), cfg.L)):
         if surv < tail:
             return t
-        if t >= cap:
+        if t >= TAU_HORIZON:
             break
-    raise BudgetError(f"tau tail stays above {tail} within the {cap}-symbol cap")
+    raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
 
 
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
@@ -287,7 +286,7 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     # symbol probability times conditional step probability, (2d, n_sym)
     joint = (eps.symbol_probs()[:, None]
              * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
-    sym_matrix = _symbol_matrix(n_sym, n)
+    sym_matrix = words(n_sym, n)
     psi = np.ones((n, n_sym))
     all_steps = step_matrix(n, d)
     flat, ends = path_sites(all_steps, d)
@@ -309,16 +308,9 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
 
 def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
     """Endpoint law of the auxiliary walk by path enumeration."""
-    out: dict = {}
-    u = tp.u_array
-    for path in enumerate_paths(n, tp.dimension):
-        out[path.endpoint] = out.get(path.endpoint, 0.0) + float(np.prod(u[list(path.steps)]))
-    return out
-
-
-def _symbol_matrix(n_sym: int, n: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(n_sym)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    steps = step_matrix(n, tp.dimension)
+    return endpoint_law(path_positions(steps, tp.dimension)[:, -1],
+                        np.prod(tp.u_array[steps], axis=1))
 
 
 def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
@@ -335,11 +327,10 @@ def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
         raise BudgetError(f"joint enumeration exceeds budget {budget}")
     sym_probs = eps.symbol_probs()
     cond = np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])
-    sym_matrix = _symbol_matrix(n_sym, n)
-    out: dict = {}
-    for path in enumerate_paths(n, d):
-        steps = np.asarray(path.steps)
+    sym_matrix = words(n_sym, n)
+    all_steps = step_matrix(n, d)
+    path_weights = np.empty(len(all_steps))
+    for p, steps in enumerate(all_steps):
         per_step = sym_probs[:, None] * cond[:, steps]  # (n_sym, n)
-        seq_weights = np.prod(per_step[sym_matrix, np.arange(n)[None, :]], axis=1)
-        out[path.endpoint] = out.get(path.endpoint, 0.0) + fsum(seq_weights)
-    return out
+        path_weights[p] = fsum(np.prod(per_step[sym_matrix, np.arange(n)[None, :]], axis=1))
+    return endpoint_law(path_positions(all_steps, d)[:, -1], path_weights)

@@ -16,12 +16,11 @@ Direction convention used throughout the package: the 2d unit steps are indexed
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import BudgetError, derive_seed, site_uniforms
+from .numutil import BudgetError, derive_seed, site_uniforms, words
 
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
@@ -198,10 +197,9 @@ class MarkovFieldLaw:
         self.n_states = len(probs)
 
     def _neighbor_offsets(self) -> np.ndarray:
-        rng = range(-self.range_r, self.range_r + 1)
-        offs = [off for off in itertools.product(rng, repeat=self.dimension)
-                if 0 < sum(abs(o) for o in off) <= self.range_r]
-        return np.asarray(offs, dtype=np.int64)
+        offs = words(2 * self.range_r + 1, self.dimension) - self.range_r
+        dist = np.abs(offs).sum(axis=1)
+        return offs[(dist > 0) & (dist <= self.range_r)]
 
     def gibbs_configurations(self, box: Box):
         """Exact field measure on a small box: yields (states, probability).
@@ -222,7 +220,7 @@ class MarkovFieldLaw:
                 j = index.get(tuple(s + off))
                 if j is not None and j > i:
                     pairs.append((i, j))
-        configs = np.asarray(list(itertools.product(range(self.n_states), repeat=n)), dtype=np.int64)
+        configs = words(self.n_states, n)
         energy = np.zeros(len(configs))
         for i, j in pairs:
             energy += (configs[:, i] == configs[:, j]).astype(np.float64)
@@ -324,7 +322,7 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     core = tuple(slice(pad, pad + s) for s in shape)
     padded[core] = states
     step = law.range_r + 1
-    classes = list(itertools.product(range(step), repeat=d))
+    classes = words(step, d).tolist()
     class_axes = [[np.arange(c, s, step) + pad for c, s in zip(cls, shape)] for cls in classes]
     for _ in range(law.sweeps):
         for axes in class_axes:

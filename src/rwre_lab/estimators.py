@@ -35,12 +35,14 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
                             validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
-from .numutil import BudgetError, derive_seed, jackknife_stderr_logmean, logmeanexp, logsumexp
+from .numutil import (BudgetError, derive_seed, jackknife_stderr_logmean, logmeanexp, logsumexp,
+                      words)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 MEMORY_BUDGET = 2**30  # bytes a dense buffer of ray factors may hold
+ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 
 def _blocks(n_items: int) -> list:
@@ -350,7 +352,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
 
 
 def exact_gap_oracle(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
-                     law: IIDProductLaw, horizon: int, cap: int = 2**21) -> tuple:
+                     law: IIDProductLaw, horizon: int) -> tuple:
     """Both sides at a small horizon by full enumeration over ray environments.
 
     Enumerates every assignment of atoms to the ray sites (K^H of them), runs
@@ -359,10 +361,9 @@ def exact_gap_oracle(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
     truncated functional as ``certify_gap`` at this horizon.
     """
     k = len(law.weights)
-    if k**horizon > cap:
-        raise BudgetError(f"{k}^{horizon} ray environments exceed the oracle cap {cap}")
-    grids = np.meshgrid(*([np.arange(k)] * horizon), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)  # (K^H, H)
+    if k**horizon > ORACLE_CAP:
+        raise BudgetError(f"{k}^{horizon} ray environments exceed the oracle cap {ORACLE_CAP}")
+    idx = words(k, horizon)  # (K^H, H)
     probs = np.prod(law.weights[idx], axis=1)
     xi_rows = law.xi_values()[:, cfg.ell][idx]
     log_inner = quenched_ray_log_inner(tp, eps, cfg, xi_rows)

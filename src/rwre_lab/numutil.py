@@ -1,4 +1,4 @@
-"""Shared numerics: stable log-sums, counter-based hashing, seed derivation."""
+"""Shared numerics: stable log-sums, counter-based hashing, seed derivation, word lists."""
 
 from __future__ import annotations
 
@@ -54,18 +54,26 @@ def site_uniforms(seed: int, sites: np.ndarray, stream: int = 0) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
-def logsumexp(a, axis=None):
+def logsumexp(a) -> float:
     a = np.asarray(a, dtype=np.float64)
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis if axis is not None else None)
-    return float(out) if np.ndim(out) == 0 else out
+    amax = np.max(a)
+    amax = amax if np.isfinite(amax) else 0.0
+    return float(np.log(np.sum(np.exp(a - amax))) + amax)
 
 
-def logmeanexp(a, axis=None):
+def logmeanexp(a) -> float:
     a = np.asarray(a, dtype=np.float64)
-    n = a.size if axis is None else a.shape[axis]
-    return logsumexp(a, axis=axis) - math.log(n)
+    return logsumexp(a) - math.log(a.size)
+
+
+def words(k: int, n: int) -> np.ndarray:
+    """Every length-n word over the letters 0..k-1, in lexicographic order.
+
+    Row i of the (k^n, n) int64 array spells i in base k, most significant
+    letter first: the order of ``itertools.product(range(k), repeat=n)``.
+    Callers bound k^n themselves.
+    """
+    return np.ascontiguousarray(np.indices((k,) * n).reshape(n, k**n).T)
 
 
 def jackknife_stderr_logmean(logw: np.ndarray) -> float:

@@ -5,82 +5,51 @@ averages the environment out. Everything here that is labelled exact is a full
 enumeration or a forward transfer evolution, intended as ground truth for the
 Monte Carlo machinery elsewhere in the package.
 
-Path functionals of the environment are evaluated here and nowhere else, over
-whole batches of paths at once: ``site_grouped_log_moment`` closes the
-annealed moment, ``realized_log_xi`` tabulates the quenched log xi of one
-environment, and ``forward_evolution`` evolves the quenched walk's weights
-on the light cone of its start, or on the two-sided cone between a start and
-a target, with exact power-of-two rescaling.
-The per-path enumeration oracles (``quenched_path_weight`` and its callers,
-the field branch of ``annealed_path_weight``) stay independent of them.
+A batch of paths is one format throughout: a (P, n) array of direction
+indices, one row per path from the origin. ``step_matrix`` enumerates all of
+them, ``path_positions`` and ``path_sites`` turn a batch into the sites it
+visits. Path functionals of the environment are evaluated here and nowhere
+else: ``site_grouped_log_moment`` closes the annealed moment,
+``realized_log_xi`` tabulates the quenched log xi of one environment, and
+``forward_evolution`` evolves the quenched walk's weights on the light cone of
+its start, or on the two-sided cone between a start and a target, with exact
+power-of-two rescaling.
+
+The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
+and the point and endpoint laws built on them) sum over every path of the
+batch. They stay independent of ``forward_evolution`` and
+``realized_log_xi``: the quenched ones read omega at each departure site with
+one ``omega_many`` call, and the field branch of the annealed one enumerates
+the Gibbs measure of one box holding every departure site.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
                            direction_vectors)
-from .numutil import BudgetError, fsum
+from .numutil import BudgetError, fsum, words
 
 PATH_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class Path:
-    """A nearest-neighbor path from a start site, stored as direction indices."""
-
-    steps: tuple
-    dimension: int
-    start: tuple = None
-
-    def __post_init__(self):
-        if self.start is None:
-            object.__setattr__(self, "start", (0,) * self.dimension)
-
-    def __len__(self):
-        return len(self.steps)
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Sites visited, shape (n+1, d), positions[0] == start."""
-        vecs = direction_vectors(self.dimension)
-        out = np.zeros((len(self.steps) + 1, self.dimension), dtype=np.int64)
-        out[0] = self.start
-        if self.steps:
-            out[1:] = np.asarray(self.start) + np.cumsum(vecs[list(self.steps)], axis=0)
-        return out
-
-    @property
-    def endpoint(self) -> tuple:
-        return tuple(int(v) for v in self.positions[-1])
-
-
-def check_path_budget(n: int, d: int, budget: int = PATH_BUDGET) -> int:
+def step_matrix(n: int, d: int, budget: int = PATH_BUDGET) -> np.ndarray:
+    """All (2d)^n step sequences of length n, as a lexicographic ((2d)^n, n) int array."""
     count = (2 * d) ** n
     if count > budget:
         raise BudgetError(f"(2d)^n = {count} paths exceeds budget {budget}")
-    return count
+    return words(2 * d, n)
 
 
-def enumerate_paths(n: int, d: int, budget: int = PATH_BUDGET):
-    """All (2d)^n nearest-neighbor paths of length n from the origin, once each."""
-    check_path_budget(n, d, budget)
-    for steps in itertools.product(range(2 * d), repeat=n):
-        yield Path(steps, d)
-
-
-def step_matrix(n: int, d: int, budget: int = PATH_BUDGET) -> np.ndarray:
-    """All step sequences as an int array of shape ((2d)^n, n)."""
-    count = check_path_budget(n, d, budget)
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    grids = np.meshgrid(*([np.arange(2 * d, dtype=np.int8)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).reshape(count, n)
+def path_positions(steps: np.ndarray, d: int) -> np.ndarray:
+    """Sites visited by a (P, n) batch of step sequences from the origin, shape (P, n+1, d)."""
+    steps = np.asarray(steps, dtype=np.int64)
+    pos = np.zeros((steps.shape[0], steps.shape[1] + 1, d), dtype=np.int64)
+    np.cumsum(direction_vectors(d)[steps], axis=1, out=pos[:, 1:, :])
+    return pos
 
 
 def path_sites(steps: np.ndarray, d: int) -> tuple:
@@ -90,13 +59,20 @@ def path_sites(steps: np.ndarray, d: int) -> tuple:
     steps[p, j] leaves, in C order on the centered box of radius n - 1 (the
     layout of ``realized_log_xi``); ends has shape (P, d).
     """
-    steps = np.asarray(steps, dtype=np.int64)
-    n = steps.shape[1]
-    pos = np.zeros((steps.shape[0], n + 1, d), dtype=np.int64)
-    np.cumsum(direction_vectors(d)[steps], axis=1, out=pos[:, 1:, :])
-    radius = max(n - 1, 0)
+    pos = path_positions(steps, d)
+    radius = max(pos.shape[1] - 2, 0)  # n - 1
     flat = np.ravel_multi_index(np.moveaxis(pos[:, :-1, :] + radius, 2, 0), (2 * radius + 1,) * d)
     return flat, pos[:, -1, :]
+
+
+def endpoint_law(ends: np.ndarray, weights) -> dict:
+    """{site tuple: summed weight} over the (P, d) endpoints of a weighted batch.
+
+    Each endpoint sums its paths' weights in batch order.
+    """
+    sites, inverse = np.unique(ends, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights=weights, minlength=len(sites))
+    return {tuple(site): float(w) for site, w in zip(sites.tolist(), sums)}
 
 
 def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.ndarray) -> tuple:
@@ -111,7 +87,7 @@ def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.n
     """
     values = np.asarray(values, dtype=np.float64)
     n_paths, n = steps.shape
-    if n == 0:
+    if not steps.size:  # no steps, or no paths
         return np.ones(n_paths), np.zeros(n_paths)
     two_d = values.shape[1]
     n_sites = int(flat_sites.max()) + 1
@@ -146,69 +122,69 @@ def realized_log_xi(env: Environment, means, n: int) -> np.ndarray:
     return np.log(dense / means).reshape(-1, 2 * d)
 
 
-def quenched_path_weight(env: Environment, path: Path) -> float:
-    """prod_j omega(X_{j-1}, step_j) in the fixed environment, from one lookup per path."""
-    omegas = env.omega_many(path.positions[:-1])
-    w = 1.0
-    for j, k in enumerate(path.steps):
-        w *= float(omegas[j, k])
-    return w
+def quenched_path_weights(env: Environment, steps: np.ndarray) -> np.ndarray:
+    """prod_j omega(X_{j-1}, step_j) per path of a (P, n) batch in the fixed environment.
 
-
-def annealed_path_weight(law, path: Path) -> float:
-    """E[prod_j omega(X_{j-1}, step_j)], exact.
-
-    Repeated visits to a site do not factorize, so steps are grouped by site
-    and each group is closed as one per-site moment.
+    omega is read at every departure site of the batch with one ``omega_many`` call.
     """
+    steps = np.asarray(steps, dtype=np.int64)
+    d = env.law.dimension
+    departures = path_positions(steps, d)[:, :-1].reshape(-1, d)
+    omegas = env.omega_many(departures).reshape(steps.shape + (2 * d,))
+    return np.prod(np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0], axis=1)
+
+
+def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
+    """E[prod_j omega(X_{j-1}, step_j)] per path of a (P, n) batch, exact.
+
+    Repeated visits to a site do not factorize. For a product law the steps
+    are grouped by site and each group is closed as one per-site moment. For a
+    field the Gibbs measure of the smallest centered box holding every
+    departure site of the batch is enumerated once, and every path is summed
+    against it.
+    """
+    steps = np.asarray(steps, dtype=np.int64)
+    d = law.dimension
     if isinstance(law, IIDProductLaw):
-        steps = np.asarray(path.steps, dtype=np.int64)[None, :]
-        flat, _ = path_sites(steps, law.dimension)
+        flat, _ = path_sites(steps, d)
         sign, log_abs = site_grouped_log_moment(law.atoms, law.weights, flat, steps)
-        return float(sign[0] * math.exp(log_abs[0]))
-    if isinstance(law, MarkovFieldLaw):
-        return _annealed_path_weight_field(law, path)
-    raise TypeError(f"unsupported law type {type(law)!r}")
+        return sign * np.exp(log_abs)
+    if not isinstance(law, MarkovFieldLaw):
+        raise TypeError(f"unsupported law type {type(law)!r}")
+    departures = path_positions(steps, d)[:, :-1]
+    radius = int(np.abs(departures).max()) if departures.size else 0
+    box = centered_box(d, radius)
+    configs, _, probs = law.gibbs_configurations(box)
+    # box.all_sites() is in C order, so a site's column is its raveled offset
+    columns = np.ravel_multi_index(np.moveaxis(departures + radius, 2, 0), box.shape)
+    return np.array([probs @ np.prod(law.state_probs[configs[:, cols], path], axis=1)
+                     for cols, path in zip(columns, steps)])
 
 
-def _annealed_path_weight_field(law: MarkovFieldLaw, path: Path) -> float:
-    """Exact annealed weight under a small-box field enumeration."""
-    pos = path.positions
-    radius = int(np.abs(pos).max()) if len(path.steps) else 0
-    box = centered_box(law.dimension, radius)
-    configs, sites, probs = law.gibbs_configurations(box)
-    index = {tuple(s): i for i, s in enumerate(sites)}
-    total = 0.0
-    for config, p in zip(configs, probs):
-        w = 1.0
-        for j, k in enumerate(path.steps):
-            w *= float(law.state_probs[config[index[tuple(int(v) for v in pos[j])]]][k])
-        total += p * w
-    return total
+def _paths_to(n: int, d: int, target, budget: int) -> np.ndarray:
+    """The rows of ``step_matrix`` whose path ends at ``target``."""
+    target = np.asarray(target, dtype=np.int64).reshape(-1)
+    if target.shape != (d,):  # would broadcast against every axis
+        raise ValueError(f"target {target.tolist()} is not a site of Z^{d}")
+    steps = step_matrix(n, d, budget)
+    return steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
 
 
 def quenched_point_probability(env: Environment, n: int, target, budget: int = PATH_BUDGET) -> float:
     """P_{0,omega}(X_n = target), exact by full path enumeration."""
-    target = tuple(int(v) for v in np.atleast_1d(np.asarray(target, dtype=np.int64)))
-    terms = [quenched_path_weight(env, p) for p in enumerate_paths(n, env.law.dimension, budget)
-             if p.endpoint == target]
-    return fsum(terms) if terms else 0.0
+    return fsum(quenched_path_weights(env, _paths_to(n, env.law.dimension, target, budget)))
 
 
 def annealed_point_probability(law, n: int, target, budget: int = PATH_BUDGET) -> float:
     """P_0(X_n = target), exact: sum over paths of the exact annealed weight."""
-    target = tuple(int(v) for v in np.atleast_1d(np.asarray(target, dtype=np.int64)))
-    terms = [annealed_path_weight(law, p) for p in enumerate_paths(n, law.dimension, budget)
-             if p.endpoint == target]
-    return fsum(terms) if terms else 0.0
+    return fsum(annealed_path_weights(law, _paths_to(n, law.dimension, target, budget)))
 
 
 def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_BUDGET) -> dict:
     """Endpoint law at time n by enumeration: {site tuple: probability}."""
-    out: dict = {}
-    for p in enumerate_paths(n, env.law.dimension, budget):
-        out[p.endpoint] = out.get(p.endpoint, 0.0) + quenched_path_weight(env, p)
-    return out
+    steps = step_matrix(n, env.law.dimension, budget)
+    ends = path_positions(steps, env.law.dimension)[:, -1]
+    return endpoint_law(ends, quenched_path_weights(env, steps))
 
 
 def _reachable(start, target, n: int) -> bool:

@@ -303,6 +303,20 @@ class TestEnvSampleAndTau:
         assert float(expect) == pytest.approx(72.0)
         assert abs(float(z)) < 5
 
+    def test_tau_stats_default_configs_in_2d(self, tmp_path, capsys):
+        # the default k = 0.25 fills the whole 2-D alphabet (2d * k = 1); tau only needs k
+        cfg = write_config(tmp_path, {
+            "law": {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
+                    "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
+                    "weights": [0.5, 0.5]},
+            "z": [0.2, 0.1], "ell": [1, 0], "tau": {"draws": 30_000}})
+        code = main(["--config", cfg, "--out", str(tmp_path), "tau-stats"])
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "tau_stats.csv").read_text().splitlines()[2:]]
+        assert [(float(r[0]), int(r[1])) for r in rows] == [(0.125, 1), (0.125, 2), (0.25, 2)]
+        assert float(rows[2][5]) == pytest.approx(20.0)
+        assert all(abs(float(r[6])) < 5 for r in rows)
+
     @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
                                                        ("tau-stats", "tau", "draws")])
     @pytest.mark.parametrize("draws", [0, 1, 2.5])

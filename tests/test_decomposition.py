@@ -198,8 +198,8 @@ class TestPsiIdentity:
         env = mean_environment(law, centered_box(1, 4))
         lhs, rhs = verify_psi_identity(tp, make_epsilon_law(tp), env, [0.3], 3)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-        bare = sum(math.exp(0.3 * p.endpoint[0]) * float(np.prod(tp.u_array[list(p.steps)]))
-                   for p in __import__("rwre_lab.walks", fromlist=["enumerate_paths"]).enumerate_paths(3, 1))
+        u_plus, u_minus = tp.u_array
+        bare = (u_plus * math.exp(0.3) + u_minus * math.exp(-0.3)) ** 3  # i.i.d. steps
         assert lhs == pytest.approx(bare, rel=1e-12)
 
     def test_two_atom_environment(self):

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rwre_lab.numutil import jackknife_stderr_logmean, logsumexp
+from rwre_lab.numutil import jackknife_stderr_logmean, logsumexp, words
 
 
 def jackknife_oracle(logw):
@@ -31,3 +32,12 @@ class TestJackknife:
 
     def test_single_replica_has_no_error_bar(self):
         assert math.isnan(jackknife_stderr_logmean([1.0]))
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_words_follow_product_order(k, n):
+    # gibbs_configurations and exact_gap_oracle pair row i with the i-th product word
+    got = words(k, n)
+    assert got.shape == (k**n, n) and got.dtype == np.int64
+    assert got.tolist() == [list(w) for w in itertools.product(range(k), repeat=n)]

@@ -7,10 +7,10 @@ import pytest
 from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
                                    constant_law, direction_vectors, sample_environment)
 from rwre_lab.numutil import BudgetError
-from rwre_lab.walks import (Path, annealed_path_weight, annealed_point_probability,
-                            enumerate_paths, forward_evolution, log_point_probability_dp,
-                            quenched_endpoint_distribution, quenched_path_weight,
-                            quenched_point_probability, step_matrix)
+from rwre_lab.walks import (annealed_path_weights, annealed_point_probability,
+                            forward_evolution, log_point_probability_dp, path_positions,
+                            quenched_endpoint_distribution, quenched_point_probability,
+                            step_matrix)
 
 from envhelpers import omega
 
@@ -48,22 +48,22 @@ def simulate_quenched(env, start, n: int, rng_seed: int, walks: int = 1) -> np.n
 class TestEnumeration:
     @pytest.mark.parametrize("n,d,count", [(1, 1, 2), (3, 2, 64), (8, 1, 256)])
     def test_counts(self, n, d, count):
-        paths = list(enumerate_paths(n, d))
-        assert len(paths) == count
-        assert len({p.steps for p in paths}) == count
+        steps = step_matrix(n, d)
+        assert steps.shape == (count, n)
+        assert len({tuple(row) for row in steps.tolist()}) == count
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetError):
-            list(enumerate_paths(30, 2))
+            step_matrix(30, 2)
 
     def test_paths_are_nearest_neighbor(self):
-        for p in enumerate_paths(4, 2):
-            diffs = np.abs(np.diff(p.positions, axis=0)).sum(axis=1)
-            assert np.all(diffs == 1)
+        pos = path_positions(step_matrix(4, 2), 2)
+        assert pos.shape == (256, 5, 2) and not pos[:, 0].any()
+        assert np.all(np.abs(np.diff(pos, axis=1)).sum(axis=2) == 1)
 
     def test_step_matrix_matches_iterator(self):
         mat = step_matrix(3, 1)
-        assert [tuple(r) for r in mat] == [p.steps for p in enumerate_paths(3, 1)]
+        assert mat.tolist() == [list(s) for s in itertools.product(range(2), repeat=3)]
 
 
 class TestQuenchedProbabilities:
@@ -131,6 +131,14 @@ class TestQuenchedProbabilities:
         assert quenched_point_probability(env, 4, target) == 0.0
         assert log_point_probability_dp(env, 4, target) == -math.inf
 
+    def test_target_of_another_dimension_raises(self):
+        law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25]], [1.0], 0.1)
+        env = sample_environment(law, 1, centered_box(2, 3))
+        with pytest.raises(ValueError, match="not a site"):
+            quenched_point_probability(env, 2, (1,))  # (1, 1) must not match
+        with pytest.raises(ValueError, match="not a site"):
+            annealed_point_probability(law, 2, (1, 1, 0))
+
 
 class TestAnnealedProbabilities:
     def test_single_atom_straight(self):
@@ -147,17 +155,17 @@ class TestAnnealedProbabilities:
     def test_multivisit_moment_against_brute_force(self):
         # oracle: enumerate atom assignments over the visited sites directly
         law = two_atom_law()
-        path = Path((0, 1, 0, 0, 1, 0), 1)  # revisits sites around the origin
-        sites = sorted({tuple(s) for s in path.positions[:-1]})
+        steps = np.array([[0, 1, 0, 0, 1, 0]])  # revisits sites around the origin
+        pos = path_positions(steps, 1)[0].tolist()
+        sites = sorted({tuple(s) for s in pos[:-1]})
         total = 0.0
         for combo in itertools.product(range(2), repeat=len(sites)):
             assign = dict(zip(sites, combo))
             w = 1.0
-            for j, k in enumerate(path.steps):
-                site = tuple(path.positions[j])
-                w *= law.atoms[assign[site], k]
+            for j, k in enumerate(steps[0]):
+                w *= law.atoms[assign[tuple(pos[j])], k]
             total += w * 0.5 ** len(sites)
-        assert annealed_path_weight(law, path) == pytest.approx(total, rel=1e-13)
+        assert annealed_path_weights(law, steps)[0] == pytest.approx(total, rel=1e-13)
 
     def test_annealed_is_average_of_quenched(self):
         law = two_atom_law()
@@ -174,9 +182,9 @@ class TestAnnealedProbabilities:
     def test_markov_field_beta_zero_matches_uniform_mixture(self):
         field = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, beta=0.0)
         iid = IIDProductLaw(1, [[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5], 0.1)
-        for path in enumerate_paths(3, 1):
-            assert annealed_path_weight(field, path) == pytest.approx(
-                annealed_path_weight(iid, path), rel=1e-12)
+        steps = step_matrix(3, 1)
+        assert annealed_path_weights(field, steps) == pytest.approx(
+            annealed_path_weights(iid, steps), rel=1e-12)
 
 
 class TestSimulation:

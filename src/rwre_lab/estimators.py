@@ -451,7 +451,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     n1 = n2 // 2
     zero_dis = law.disorder() == 0.0
     # the n1 cone is the n2 cone scaled by 1/2 about the origin, so it lies inside
-    region = light_cone(n2, np.zeros(d, dtype=np.int64), np.round(n2 * x))[0]
+    region = light_cone(n2, np.zeros(d, dtype=np.int64), np.round(n2 * x))
 
     def decay(env, n):
         target = np.round(n * x).astype(np.int64)

@@ -13,24 +13,31 @@ else: ``site_grouped_log_moment`` closes the annealed moment,
 ``realized_log_xi`` tabulates the quenched log xi of one environment, and
 ``forward_evolution`` evolves the quenched walk's weights on the light cone of
 its start, or on the two-sided cone between a start and a target, with exact
-power-of-two rescaling.
+power-of-two rescaling. It evolves only the parity sublattice of each step,
+in rotated coordinates (``_rotate``) where every move is a constant shift and
+the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
+Its output is bit-identical to the box evolution's: each site sums the same
+products in the same order, and a power-of-two rescale is exact.
 
 The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
 and the point and endpoint laws built on them) sum over every path of the
 batch. They stay independent of ``forward_evolution`` and
 ``realized_log_xi``: the quenched ones read omega at each departure site with
 one ``omega_many`` call, and the field branch of the annealed one enumerates
-the Gibbs measure of one box holding every departure site.
+the Gibbs measure of one box holding every departure site, for the fields
+whose box measures are marginals of one another (beta = 0, or the
+nearest-neighbour chain in d = 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
-                           direction_vectors)
+from .environments import (MATERIALIZE_CAP, Box, Environment, IIDProductLaw, MarkovFieldLaw,
+                           centered_box, direction_vectors)
 from .numutil import BudgetError, fsum, words
 
 PATH_BUDGET = 10**7
@@ -142,6 +149,12 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
     field the Gibbs measure of the smallest centered box holding every
     departure site of the batch is enumerated once, and every path is summed
     against it.
+
+    That is exact only where the free-boundary measure of a box is the
+    marginal of every larger box's: at beta = 0 (independent uniform states)
+    and for the nearest-neighbour chain in d = 1, whose transfer matrix has
+    equal row sums. Any other field would weigh a path by the box its batch
+    happens to span, so it raises ValueError.
     """
     steps = np.asarray(steps, dtype=np.int64)
     d = law.dimension
@@ -151,6 +164,11 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
         return sign * np.exp(log_abs)
     if not isinstance(law, MarkovFieldLaw):
         raise TypeError(f"unsupported law type {type(law)!r}")
+    if law.beta > 0 and (d, law.range_r) != (1, 1):
+        raise ValueError(f"no box-free annealed weight for a field with beta = {law.beta} in "
+                         f"d = {d} at range {law.range_r}: its free-boundary Gibbs measures are "
+                         "not marginals of one another (exact only for beta = 0, or d = 1 at "
+                         "range 1)")
     departures = path_positions(steps, d)[:, :-1]
     radius = int(np.abs(departures).max()) if departures.size else 0
     box = centered_box(d, radius)
@@ -193,78 +211,171 @@ def _reachable(start, target, n: int) -> bool:
     return dist <= n and (n - dist) % 2 == 0
 
 
-def light_cone(n: int, start, target=None) -> tuple:
-    """The sites a walk from ``start`` can occupy at steps 0..n, as per-step windows.
+def light_cone(n: int, start, target=None) -> Box:
+    """The box of the sites a walk from ``start`` can occupy at steps 0..n.
 
-    Returns (box, win_lo, win_hi): at step j axis a spans the inclusive window
-    [win_lo[j, a], win_hi[j, a]], which is [start_a - j, start_a + j] and,
-    given a ``target``, only the part of [target_a - (n - j), target_a + (n - j)]
-    within it, whose sites can still reach the target. ``box`` bounds every
-    window. An unreachable target raises ValueError.
+    Without a ``target`` it is the radius-n box around ``start``; with one,
+    the bounding box of the sites that also reach the target by step n. An
+    unreachable target raises ValueError.
     """
     start = np.asarray(start, dtype=np.int64)
+    if target is None:
+        return Box(tuple(start - n), tuple(start + n))
+    target = np.asarray(target, dtype=np.int64)
+    if not _reachable(start, target, n):
+        raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
+    # axis a spans [max(s - j, t - (n - j)), min(s + j, t + (n - j))] at step j;
+    # over 0 <= j <= n that reaches down to ceil((s + t - n) / 2), up to floor((s + t + n) / 2)
+    return Box(tuple(-((n - start - target) // 2)), tuple((start + target + n) // 2))
+
+
+def _rotate(z: np.ndarray, j: int) -> np.ndarray:
+    """Sublattice coordinates y of displacements z (..., d) of parity j.
+
+    d = 1: y = (z + j) / 2. d >= 2: with S = z_3 + ... + z_d,
+    y_1 = (z_1 + z_2 + j - S) / 2, y_2 = (z_1 - z_2 + j - S) / 2 and y_a = z_a.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    y = z.copy()
+    s = j - z[..., 2:].sum(axis=-1)
+    if z.shape[-1] == 1:
+        y[..., 0] = (z[..., 0] + j) // 2
+    else:
+        y[..., 0] = (z[..., 0] + z[..., 1] + s) // 2
+        y[..., 1] = (z[..., 0] - z[..., 1] + s) // 2
+    return y
+
+
+def _unrotate(y: np.ndarray, j: int) -> np.ndarray:
+    """The displacements z whose ``_rotate(z, j)`` is y."""
+    z = y.copy()
+    if y.shape[-1] == 1:
+        z[..., 0] = 2 * y[..., 0] - j
+    else:
+        z[..., 0] = y[..., 0] + y[..., 1] - j + y[..., 2:].sum(axis=-1)
+        z[..., 1] = y[..., 0] - y[..., 1]
+    return z
+
+
+@functools.lru_cache(maxsize=8)
+def _sublattice_plan(d: int, n: int, disp) -> tuple:
+    """The slices of ``forward_evolution`` for one geometry; pure in (d, n, disp).
+
+    ``disp`` is target - start, or None for the one-sided cone. The grid is
+    held in w = y - floor(j/2) u, where y = ``_rotate(z, j)`` and u is the
+    shift of +e1, so a cell stands for the same site at every step of one
+    parity. Returns (shape, origin, steps, sources, final):
+    the grid's shape and the cell of w = 0; per step, (parity, window,
+    moves) with one (direction, source slices, destination slices) per
+    direction that moves any cell; per parity, the flat grid cells that some
+    window of that parity holds inside the light-cone box, and their
+    displacements; and the flat cells of the last window inside that box,
+    with their flat indices in it.
+    """
+    cone = light_cone(n, np.zeros(d, dtype=np.int64), disp)
+    sigma = _rotate(direction_vectors(d), 1)  # each move is a constant shift of y
+    u = sigma[0]
     j = np.arange(n + 1)[:, None]
-    win_lo, win_hi = start - j, start + j
-    if target is not None:
-        target = np.asarray(target, dtype=np.int64)
-        if not _reachable(start, target, n):
-            raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
-        win_lo = np.maximum(win_lo, target - (n - j))
-        win_hi = np.minimum(win_hi, target + (n - j))
-    return Box(tuple(win_lo.min(axis=0)), tuple(win_hi.max(axis=0))), win_lo, win_hi
+    lo, hi = j * sigma.min(axis=0), j * sigma.max(axis=0)
+    if disp is not None:  # and the sites that still reach the target
+        y_t = _rotate(np.asarray(disp), n)
+        lo = np.maximum(lo, y_t - (n - j) * sigma.max(axis=0))
+        hi = np.minimum(hi, y_t - (n - j) * sigma.min(axis=0))
+    lo, hi = lo - j // 2 * u, hi - j // 2 * u + 1  # half-open windows in w
+    w_lo = lo.min(axis=0)
+    lo, hi = lo - w_lo, hi - w_lo
+    shape = tuple(hi.max(axis=0).tolist())
+    if math.prod(shape) > MATERIALIZE_CAP:
+        raise BudgetError(f"forward evolution of {math.prod(shape)} cells exceeds cap "
+                          f"{MATERIALIZE_CAP}")
+    windows = [tuple(map(slice, a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    # from step j, direction k moves the sources of window j that land in window j + 1
+    shifts = sigma - j[:-1, :, None] % 2 * u
+    src_lo = np.maximum(lo[:-1, None], lo[1:, None] - shifts)
+    src_hi = np.minimum(hi[:-1, None], hi[1:, None] - shifts)
+    steps = []
+    held = np.zeros((2,) + shape, dtype=bool)
+    for step, (s_lo, s_hi, shift) in enumerate(zip(src_lo.tolist(), src_hi.tolist(),
+                                                   shifts.tolist())):
+        moves = tuple((k, tuple(map(slice, a, b)),
+                       tuple(slice(p + v, q + v) for p, q, v in zip(a, b, vec)))
+                      for k, (a, b, vec) in enumerate(zip(s_lo, s_hi, shift))
+                      if all(p < q for p, q in zip(a, b)))
+        steps.append((step % 2, windows[step + 1], moves))
+        held[(step % 2,) + windows[step]] = True
+
+    def inside(cells, parity):
+        z = _unrotate(np.stack(np.unravel_index(cells, shape), axis=-1) + w_lo, parity)
+        keep = np.all((z >= cone.lo) & (z <= cone.hi), axis=1)
+        return cells[keep], z[keep]
+
+    sources = tuple(inside(np.flatnonzero(held[p]), p) for p in range(min(n, 2)))
+    cells, z = inside(np.arange(math.prod(shape)).reshape(shape)[windows[n]].ravel(), n % 2)
+    final = (cells, np.ravel_multi_index((z - cone.lo).T, cone.shape))
+    for arr in (*final, *(a for pair in sources for a in pair)):
+        arr.setflags(write=False)
+    return shape, tuple((-w_lo).tolist()), tuple(steps), sources, final
 
 
 def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=None) -> tuple:
     """The quenched walk's weights after n steps, by scaled forward evolution.
 
     Returns (grid, lo, log_scale): the weight of site x is
-    grid[x - lo] * exp(log_scale) on a box whose lower corner is lo. Optional
-    per-direction ``tilt`` weights multiply every step in that direction.
+    grid[x - lo] * exp(log_scale) on the ``light_cone`` box of ``start``
+    (default the origin), two-sided given a ``target``, whose lower corner is
+    lo. Optional per-direction ``tilt`` weights multiply every step in that
+    direction. Without a target the grid is the whole endpoint law. With one
+    it holds the target's weight and zeros elsewhere, and an unreachable
+    target raises ValueError.
 
-    Only the ``light_cone`` of ``start`` (default the origin), two-sided
-    given a ``target``, is evolved: each step moves, per direction, only the
-    sources in the previous window that land in the new one, and clears only
-    the new window. Without a target the box is the radius-n box around
-    ``start`` and the grid is the whole endpoint law. With one the box bounds
-    the two-sided cone, the grid holds the target's weight and zeros
-    elsewhere, and an unreachable target raises ValueError.
+    Only the parity sublattice {x : sum(x - start) = j mod 2} is evolved, in
+    the coordinates of ``_rotate``, where every move is a constant shift and
+    the cone is a box: step j spans the forward box [j s_min, j s_max] of the
+    shifts s, and given a target only its part within the backward box from
+    the target. In d <= 2 that is exactly the set of sites on some path to
+    the target; in d >= 3 a box around it. Each step clears its window, adds
+    the products of source weight and omega per direction, in direction
+    order, and rescales by the power of two of the window's peak.
 
-    Each step rescales by the power of two of its peak. That is exact, so the
-    weights do not depend on which zero cells a window skips, and horizons far
-    beyond the enumeration budget stay in floating-point range.
+    The result is bit-identical to evolving the whole box. At every site that
+    can still reach the target the sum is the one the box evolution forms:
+    the same products in the same order, less terms that are exact zeros. A
+    rescale by a power of two is exact, so a window peak that differs from
+    the box's changes the weights only by a power of two: without a target
+    no peak differs, and with one the last step normalizes the target's
+    weight alone. Horizons far beyond the enumeration budget stay in
+    floating-point range.
     """
     d = env.law.dimension
     start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    box, win_lo, win_hi = light_cone(n, start, target)
-    lo = np.asarray(box.lo)
-    win_lo, win_hi = win_lo - lo, win_hi - lo + 1  # half-open, in box coordinates
-    windows = [tuple(map(slice, a, b)) for a, b in zip(win_lo.tolist(), win_hi.tolist())]
-    # direction k moves the sources of window j - 1 whose destinations lie in window j
-    vecs = direction_vectors(d)
-    src_lo = np.maximum(win_lo[:-1, None], win_lo[1:, None] - vecs).tolist()
-    src_hi = np.minimum(win_hi[:-1, None], win_hi[1:, None] - vecs).tolist()
-    vecs = vecs.tolist()
-    flows = np.moveaxis(env.dense(box)[0], -1, 0).copy()  # one contiguous slab per direction
-    if tilt is not None:
-        flows *= np.asarray(tilt, dtype=np.float64).reshape((2 * d,) + (1,) * d)
-    grid = np.zeros(box.shape)
-    grid[tuple(start - lo)] = 1.0
-    new = np.zeros(box.shape)
+    box = light_cone(n, start, target)
+    disp = None if target is None else tuple((np.asarray(target) - start).tolist())
+    shape, origin, steps, sources, (cells, out_cells) = _sublattice_plan(d, n, disp)
+    # omega depends only on the parity of the step: one (2d,) + shape slab per parity
+    flows = []
+    for flat, z in sources:
+        flow = np.zeros((2 * d, math.prod(shape)))
+        flow[:, flat] = env.omega_many(start + z).T
+        if tilt is not None:
+            flow *= np.asarray(tilt, dtype=np.float64)[:, None]
+        flows.append(flow.reshape((2 * d,) + shape))
+    grid = np.zeros(shape)
+    grid[origin] = 1.0
+    new = np.zeros(shape)
     exponent = 0
-    for step in range(n):
-        window = windows[step + 1]
-        new[window] = 0.0
-        for flow, vec, s_lo, s_hi in zip(flows, vecs, src_lo[step], src_hi[step]):
-            src = tuple(map(slice, s_lo, s_hi))
-            dst = tuple(slice(a + v, b + v) for a, b, v in zip(s_lo, s_hi, vec))
-            new[dst] += grid[src] * flow[src]
-        _, e = math.frexp(float(new[window].max()))
-        new[window] = np.ldexp(new[window], -e)
+    for parity, window, moves in steps:
+        flow = flows[parity]
+        live = new[window]
+        live.fill(0.0)
+        for k, src, dst in moves:
+            new[dst] += grid[src] * flow[k][src]
+        _, e = math.frexp(float(live.max()))
+        np.ldexp(live, -e, out=live)
         exponent += e
         grid, new = new, grid
     out = np.zeros(box.shape)
-    out[windows[n]] = grid[windows[n]]
-    return out, lo, exponent * math.log(2.0)
+    out.reshape(-1)[out_cells] = grid.reshape(-1)[cells]
+    return out, np.asarray(box.lo), exponent * math.log(2.0)
 
 
 def log_point_probability_dp(env: Environment, n: int, target, start=None) -> float:

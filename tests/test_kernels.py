@@ -106,9 +106,9 @@ class Shifted:
 
 @st.composite
 def evolution_cases(draw):
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from([1, 2, 3]))
     k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4 if d == 3 else 6))
     raw = draw(st.lists(st.lists(st.floats(0.1, 1.0), min_size=2 * d, max_size=2 * d),
                         min_size=k, max_size=k))
     atoms = np.asarray(raw) / np.sum(raw, axis=1, keepdims=True)

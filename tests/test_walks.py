@@ -186,6 +186,22 @@ class TestAnnealedProbabilities:
         assert annealed_path_weights(field, steps) == pytest.approx(
             annealed_path_weights(iid, steps), rel=1e-12)
 
+    def test_markov_field_chain_weight_is_box_free(self):
+        # the 1-D nearest-neighbour chain: a path's weight does not depend on the
+        # box its batch spans
+        field = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, beta=1.0)
+        steps = step_matrix(3, 1)
+        batch = annealed_path_weights(field, steps)
+        for row, weight in zip(steps, batch):
+            assert annealed_path_weights(field, row[None]) == pytest.approx([weight], abs=1e-15)
+
+    def test_markov_field_box_dependent_weight_raises(self):
+        # at range 2 the path (+, -, +) weighs 0.114384 inside the full batch's
+        # box and 0.120401 alone
+        field = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, range_r=2, beta=1.0)
+        with pytest.raises(ValueError, match="box-free"):
+            annealed_path_weights(field, np.array([[0, 1, 0]]))
+
 
 class TestSimulation:
     def test_zero_steps(self):

@@ -19,8 +19,7 @@ from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, cent
 from .estimators import GapReport, RatePointEstimate, certify_gap, exact_gap_oracle, rate_point
 from .numutil import BudgetError
 from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
-                      verify_identity_annealed, verify_identity_quenched,
-                      zero_disorder_free_energy)
+                      verify_identity_annealed, verify_identity_quenched)
 from .walks import (annealed_path_weights, annealed_point_probability, quenched_path_weights,
                     quenched_point_probability)
 

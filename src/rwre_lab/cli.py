@@ -30,7 +30,8 @@ Config schema (JSON object; unknown keys rejected):
     seed       64-bit integer root seed
     gap        {"replicas": int, "horizon": int or null, "tail": float}
     rate       {"velocities": [[...], ...], "method": "enumeration",
-                "horizon": int, "env_replicas": int, "boundary_sites": int}
+                "horizon": int, "env_replicas": int >= 2,
+                "boundary_sites": int >= 2}
                Interior points use the exact forward DP; "enumeration" is
                the only method (the removed "tilted-mc" is rejected).
     verify     {"n_max": int, "theta_count": int, "theta_scale": float,
@@ -40,6 +41,7 @@ Config schema (JSON object; unknown keys rejected):
     tolerances {"tilt_residual", "identity_rel", "onestep_abs",
                 "coincidence_abs", "tau_sigmas"}
 
+NaN, Infinity and numbers that overflow to infinity are rejected (exit 64).
 Every output artifact embeds the config hash and root seed; fixed seeds give
 byte-identical outputs. Every subcommand runs on one thread.
 """
@@ -126,7 +128,8 @@ def normalize_config(raw: dict) -> dict:
     if not set(law) <= LAW_KEYS[kind]:
         raise ConfigError(f"law kind {kind!r} reads only {sorted(LAW_KEYS[kind])}, got {sorted(law)}")
     # a standard error needs two draws; fewer would report nan
-    for key, field in (("verify", "tau_draws"), ("tau", "draws")):
+    for key, field in (("verify", "tau_draws"), ("tau", "draws"), ("rate", "env_replicas"),
+                       ("rate", "boundary_sites")):
         draws = out[key][field]
         if not isinstance(draws, int) or draws < 2:
             raise ConfigError(f"{key}.{field} must be an integer >= 2, got {draws!r}")
@@ -145,9 +148,17 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()[:16]
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing literals are refused."""
+    if not math.isfinite(value := float(text)):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
-        return normalize_config(json.load(fh))
+        return normalize_config(json.load(fh, parse_constant=_finite_number,
+                                          parse_float=_finite_number))
 
 
 def build_law(cfg: dict):
@@ -331,18 +342,19 @@ def cmd_rate(cfg: dict, out_dir: str) -> int:
         rows.append(est)
         print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:
-        _write_csv(os.path.join(out_dir, "rate_grid.csv"), cfg,
-                   [f"x{a + 1}" for a in range(law.dimension)]
-                   + ["I_a", "I_q", "stderr_a", "stderr_q", "method", "horizon"],
-                   ([repr(float(v)) for v in est.x]
-                    + [repr(est.I_a), repr(est.I_q), repr(est.stderr_a),
-                       repr(est.stderr_q), est.method, est.horizon] for est in rows))
+        # the JSON refuses non-finite values; write it first so a refusal leaves no CSV
         _write_json(os.path.join(out_dir, "rate_report.json"),
                     {"config_hash": config_hash(cfg), "seed": cfg["seed"],
                      "points": [{"x": list(est.x), "I_a": est.I_a, "I_q": est.I_q,
                                  "stderr_a": est.stderr_a, "stderr_q": est.stderr_q,
                                  "method": est.method, "horizon": est.horizon}
                                 for est in rows]})
+        _write_csv(os.path.join(out_dir, "rate_grid.csv"), cfg,
+                   [f"x{a + 1}" for a in range(law.dimension)]
+                   + ["I_a", "I_q", "stderr_a", "stderr_q", "method", "horizon"],
+                   ([repr(float(v)) for v in est.x]
+                    + [repr(est.I_a), repr(est.I_q), repr(est.stderr_a),
+                       repr(est.stderr_q), est.method, est.horizon] for est in rows))
     return EXIT_OK
 
 

@@ -267,6 +267,36 @@ def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
     return xi + eps.kbar / denom * (xi - 1.0)
 
 
+def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
+                        log_xi=None) -> tuple:
+    """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
+
+    weights[p] is the fsum over all symbol words of prod_j P(symbol_j) *
+    P(step_j | symbol_j), each free symbol further weighted by psi of the
+    realized xi when a ``realized_log_xi`` table is given (xi is then the
+    (P, n) array of xi along the paths, else None), or by 1.
+    """
+    d = tp.dimension
+    n_sym = 2 * d + 1
+    if (n_sym**n) * ((2 * d) ** n) > budget:
+        raise BudgetError(f"joint enumeration of (2d+1)^n * (2d)^n exceeds budget {budget}")
+    steps = step_matrix(n, d)
+    flat, ends = path_sites(steps, d)
+    xi = None if log_xi is None else np.exp(log_xi[flat, steps])
+    # symbol probability times conditional step probability, (2d, n_sym)
+    joint = (eps.symbol_probs()[:, None]
+             * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
+    sym_words = words(n_sym, n)
+    cols = np.arange(n)[None, :]
+    weights = np.empty(len(steps))
+    for p, path in enumerate(steps):
+        per_step = joint[path]  # (n, n_sym)
+        if xi is not None:
+            per_step[:, -1] *= psi_factor(tp, eps, xi[p], path)
+        weights[p] = fsum(np.prod(per_step[cols, sym_words], axis=1))
+    return steps, ends, xi, weights
+
+
 def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta,
                         n: int, budget: int = 10**7) -> tuple:
     """Both sides of the reweighting identity by exact joint enumeration.
@@ -276,34 +306,15 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     exp(<theta, Z_n>); rhs is the plain auxiliary-walk expectation of
     exp(<theta, Z_n>) times the realized xi-product.
     """
-    d = tp.dimension
-    n_sym = 2 * d + 1
-    if (n_sym**n) * ((2 * d) ** n) > budget:
-        raise BudgetError(f"(2d+1)^n * (2d)^n exceeds budget {budget}")
     theta = np.asarray(theta, dtype=np.float64)
     u = tp.u_array
-    means = tp.means_array
-    # symbol probability times conditional step probability, (2d, n_sym)
-    joint = (eps.symbol_probs()[:, None]
-             * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
-    sym_matrix = words(n_sym, n)
-    psi = np.ones((n, n_sym))
-    all_steps = step_matrix(n, d)
-    flat, ends = path_sites(all_steps, d)
-    all_xi = np.exp(realized_log_xi(env, means, n)[flat, all_steps])
-
-    lhs_terms = []
-    rhs_terms = []
-    for steps, end, xi in zip(all_steps, ends, all_xi):
-        tiltw = math.exp(float(theta @ end))
-        # rhs: plain auxiliary-walk weight times realized xi-product
-        rhs_terms.append(float(np.prod(u[steps])) * tiltw * float(np.prod(xi)))
-        # lhs: sum over all symbol sequences of U * conditional chain * psi
-        psi[:, -1] = psi_factor(tp, eps, xi, steps)
-        per_step = joint[steps] * psi
-        seq_weights = np.prod(per_step[np.arange(n)[None, :], sym_matrix], axis=1)
-        lhs_terms.append(fsum(seq_weights) * tiltw)
-    return fsum(lhs_terms), fsum(rhs_terms)
+    steps, ends, xi, weights = _joint_path_weights(
+        tp, eps, n, budget, realized_log_xi(env, tp.means_array, n))
+    tilt = [math.exp(float(theta @ end)) for end in ends]
+    lhs = fsum([w * t for w, t in zip(weights, tilt)])
+    rhs = fsum([float(np.prod(u[path])) * t * float(np.prod(x))
+                for path, t, x in zip(steps, tilt, xi)])
+    return lhs, rhs
 
 
 def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
@@ -321,16 +332,5 @@ def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
     kbar + free_prob * (u(e) - kbar)/free_prob = u(e), but this function does
     not use that simplification.
     """
-    d = tp.dimension
-    n_sym = 2 * d + 1
-    if (n_sym**n) * ((2 * d) ** n) > budget:
-        raise BudgetError(f"joint enumeration exceeds budget {budget}")
-    sym_probs = eps.symbol_probs()
-    cond = np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])
-    sym_matrix = words(n_sym, n)
-    all_steps = step_matrix(n, d)
-    path_weights = np.empty(len(all_steps))
-    for p, steps in enumerate(all_steps):
-        per_step = sym_probs[:, None] * cond[:, steps]  # (n_sym, n)
-        path_weights[p] = fsum(np.prod(per_step[sym_matrix, np.arange(n)[None, :]], axis=1))
-    return endpoint_law(path_positions(all_steps, d)[:, -1], path_weights)
+    _, ends, _, weights = _joint_path_weights(tp, eps, n, budget)
+    return endpoint_law(ends, weights)

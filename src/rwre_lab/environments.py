@@ -1,14 +1,17 @@
 """Environment laws on Z^d and their deterministic realizations.
 
 An environment assigns to every lattice site a probability vector over the 2d
-nearest-neighbor steps. Two families of laws are provided:
+nearest-neighbor steps. Both laws are finite-state: state k carries the vector
+``table[k]`` and has one-site probability ``weights[k]``, and the means, xi
+values and disorder come from that pair alone.
 
-* ``IIDProductLaw``: sites are i.i.d. draws from a finite set of atoms. A
-  realization is a pure function of (seed, site) through a counter-based hash,
-  so arbitrarily far sites can be looked up without materializing anything.
+* ``IIDProductLaw``: sites are i.i.d. draws from the weights, each a pure
+  function of (seed, site) through a counter-based hash.
 * ``MarkovFieldLaw``: a finite-range Potts-type field sampled by heat-bath
-  sweeps on a box (free boundary), pushed through a state map to probability
-  vectors. At interaction strength 0 the sites are i.i.d. uniform over states.
+  sweeps on a box (free boundary); its one-site weights are uniform.
+
+A realization (``Environment``) is one array of state indices shaped like its
+box, of at most MATERIALIZE_CAP sites whatever the law.
 
 Direction convention used throughout the package: the 2d unit steps are indexed
 ``[+e1, -e1, +e2, -e2, ...]`` and negation is ``k ^ 1``.
@@ -16,6 +19,7 @@ Direction convention used throughout the package: the 2d unit steps are indexed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,7 @@ from .numutil import BudgetError, derive_seed, site_uniforms, words
 
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
+HASH_BLOCK = 4096  # sites a product realization hashes at a time
 ENUM_CONFIG_CAP = 2 * 10**6
 COORD_CAP = 1 << 62
 
@@ -53,6 +58,8 @@ def validate_prob_vector(p, kappa: float, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (2 * d,):
         raise ValueError(f"probability vector must have length {2 * d}, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"probability vector {p.tolist()} has non-finite entries")
     if abs(p.sum() - 1.0) > PROB_ATOL:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within {PROB_ATOL}")
     if p.min() < kappa - PROB_ATOL:
@@ -110,54 +117,61 @@ def centered_box(d: int, radius: int) -> Box:
     return Box((-radius,) * d, (radius,) * d)
 
 
-class IIDProductLaw:
+class _FiniteLaw:
+    """K site states: state k carries the row ``table[k]`` and has weight ``weights[k]``."""
+
+    def __init__(self, dimension: int, table, weights, kappa: float):
+        self.dimension = int(dimension)
+        self.kappa = float(kappa)
+        if not (0.0 < self.kappa < 1.0 / (2 * self.dimension)):
+            raise ValueError("kappa must lie in (0, 1/(2d))")
+        table = np.atleast_2d(np.asarray(table, dtype=np.float64))
+        for row in table:
+            validate_prob_vector(row, self.kappa, self.dimension)
+        self.table = table
+        self.weights = np.asarray(weights, dtype=np.float64)
+
+    def marginal_means(self) -> np.ndarray:
+        """E[omega(x, e)] for every direction, exact."""
+        return self.weights @ self.table
+
+    def marginal_mean(self, e: int) -> float:
+        return float(self.marginal_means()[e])
+
+    def xi_values(self) -> np.ndarray:
+        """Per-state ratio omega/E[omega], shape (K, 2d)."""
+        return self.table / self.marginal_means()
+
+    def disorder(self) -> float:
+        """sup over the states of |omega(x,e)/E[omega(x,e)] - 1|."""
+        return float(np.max(np.abs(self.xi_values() - 1.0)))
+
+
+class IIDProductLaw(_FiniteLaw):
     """Finite-atom product law: each site independently draws one atom.
 
     Parameters
     ----------
     dimension : lattice dimension d >= 1.
-    atoms : array-like (K, 2d), each row a probability vector over directions.
+    atoms : array-like (K, 2d), each row a probability vector over directions;
+        held as ``table``.
     weights : array-like (K,), mixture weights summing to 1.
     kappa : declared ellipticity floor; every atom entry must be >= kappa.
     """
 
     def __init__(self, dimension: int, atoms, weights, kappa: float):
-        self.dimension = int(dimension)
-        self.kappa = float(kappa)
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or len(weights) != len(atoms):
+        if weights.ndim != 1 or len(weights) != len(np.atleast_2d(atoms)):
             raise ValueError("weights must align with atoms")
-        if abs(weights.sum() - 1.0) > PROB_ATOL or weights.min() < 0:
+        if (not np.all(np.isfinite(weights)) or abs(weights.sum() - 1.0) > PROB_ATOL
+                or weights.min() < 0):
             raise ValueError("weights must form a probability vector")
-        if not (0.0 < self.kappa < 1.0 / (2 * self.dimension)):
-            raise ValueError("kappa must lie in (0, 1/(2d))")
-        for row in atoms:
-            validate_prob_vector(row, self.kappa, self.dimension)
-        self.atoms = atoms
-        self.weights = weights
+        super().__init__(dimension, atoms, weights, kappa)
         self._cum = np.cumsum(weights)
-        means = weights @ atoms
+        means = self.marginal_means()
         hi = 1.0 - (2 * self.dimension - 1) * self.kappa
         if means.min() < self.kappa - PROB_ATOL or means.max() > hi + PROB_ATOL:
             raise ValueError("marginal means outside [kappa, 1-(2d-1)kappa]")
-        self._means = means
-
-    def marginal_means(self) -> np.ndarray:
-        """E[omega(0, e)] for every direction, exact."""
-        return self._means.copy()
-
-    def marginal_mean(self, e: int) -> float:
-        return float(self._means[e])
-
-    def disorder(self) -> float:
-        """sup over the support of |omega(x,e)/E[omega(x,e)] - 1|."""
-        ratios = self.atoms / self._means
-        return float(np.max(np.abs(ratios - 1.0)))
-
-    def xi_values(self) -> np.ndarray:
-        """Per-atom ratio omega/E[omega], shape (K, 2d)."""
-        return self.atoms / self._means
 
     def atom_indices(self, seed: int, sites) -> np.ndarray:
         """Deterministic atom choice per site via the counter-based hash."""
@@ -165,36 +179,37 @@ class IIDProductLaw:
         return np.searchsorted(self._cum, u, side="right").clip(max=len(self.weights) - 1)
 
 
-class MarkovFieldLaw:
+class MarkovFieldLaw(_FiniteLaw):
     """Finite-range Potts-type field pushed through a state map.
 
     The hidden field takes values in {0, ..., S-1} with conditional law at a
     site proportional to exp(beta * #{neighbors within l1-distance range_r in
     the same state}); missing neighbors outside the sampling box are dropped
     (free boundary). Site x then carries the probability vector
-    ``state_probs[sigma_x]``. beta = 0 makes sites i.i.d. uniform over states.
+    ``table[sigma_x]``, given as ``state_probs``. beta = 0 makes sites i.i.d.
+    uniform over states.
+
+    The one-site weights are 1/S at every beta: the Potts interaction, the
+    uniform start and the heat-bath kernel are all invariant under
+    relabelling the states, so after any number of sweeps every site of any
+    box is uniform over the S states. The means are therefore the
+    closed-form average of the state map.
     """
 
     def __init__(self, dimension: int, state_probs, kappa: float, range_r: int = 1,
                  beta: float = 0.0, sweeps: int = 64):
-        self.dimension = int(dimension)
-        self.kappa = float(kappa)
         self.range_r = int(range_r)
         self.beta = float(beta)
         self.sweeps = int(sweeps)
         if self.range_r < 1:
             raise ValueError("range must be >= 1")
-        if self.beta < 0:
-            raise ValueError("interaction strength must be >= 0")
+        if not self.beta >= 0 or math.isinf(self.beta):
+            raise ValueError("interaction strength must be finite and >= 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if not (0.0 < self.kappa < 1.0 / (2 * self.dimension)):
-            raise ValueError("kappa must lie in (0, 1/(2d))")
-        probs = np.atleast_2d(np.asarray(state_probs, dtype=np.float64))
-        for row in probs:
-            validate_prob_vector(row, self.kappa, self.dimension)
-        self.state_probs = probs
-        self.n_states = len(probs)
+        n_states = len(np.atleast_2d(state_probs))
+        super().__init__(dimension, state_probs, np.full(n_states, 1.0 / n_states), kappa)
+        self.n_states = n_states
 
     def _neighbor_offsets(self) -> np.ndarray:
         offs = words(2 * self.range_r + 1, self.dimension) - self.range_r
@@ -230,85 +245,66 @@ class MarkovFieldLaw:
         w /= w.sum()
         return configs, sites, w
 
-    def marginal_means(self) -> np.ndarray:
-        """E[omega(x, e)] per direction, exact: the average of the state map.
-
-        The Potts interaction, the uniform start and the heat-bath kernel are
-        all invariant under relabelling the states, so after any number of
-        sweeps every site of any box is uniform over the S states.
-        """
-        return self.state_probs.mean(axis=0)
-
-    def disorder(self) -> float:
-        """sup over the state-map image of |omega/E[omega] - 1|."""
-        return float(np.max(np.abs(self.state_probs / self.marginal_means() - 1.0)))
-
 
 class Environment:
-    """A realized environment: deterministic map site -> probability vector.
+    """A realized environment: the state index of every site of ``box``.
 
-    Lookups are read-only and shareable; identical (law, seed, site) always
-    produce identical values.
+    ``states`` is a read-only array of state indices shaped like the box, of
+    the smallest unsigned type that holds them, and site x carries the
+    probability vector ``law.table[states[x - box.lo]]``.
     """
 
-    def __init__(self, law, seed: int, box: Box, _states: np.ndarray | None = None,
-                 _state_box: Box | None = None):
+    def __init__(self, law, box: Box, states: np.ndarray):
+        if states.shape != box.shape:
+            raise ValueError(f"states of shape {states.shape} do not cover a box of {box.shape}")
         self.law = law
-        self.seed = int(seed)
         self.box = box
-        self._states = _states
-        self._state_box = _state_box
-
-    def _check(self, sites: np.ndarray):
-        if not self.box.contains(sites).all():
-            bad = np.atleast_2d(sites)[~self.box.contains(sites)][0]
-            raise ValueError(f"site {tuple(int(v) for v in bad)} outside realized region")
+        self.states = states
+        self.states.setflags(write=False)
 
     def omega_many(self, sites) -> np.ndarray:
         """Probability vectors at the given sites, shape (n, 2d)."""
         sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
-        self._check(sites)
-        if isinstance(self.law, IIDProductLaw):
-            idx = self.law.atom_indices(self.seed, sites)
-            return self.law.atoms[idx]
-        lo = np.asarray(self._state_box.lo)
-        flat = np.ravel_multi_index((sites - lo).T, self._state_box.shape)
-        return self.law.state_probs[self._states.ravel()[flat]]
-
-    def dense(self, box: Box | None = None) -> tuple:
-        """Materialize (values, lo) with values shaped box.shape + (2d,)."""
-        box = box or self.box
-        if box.n_sites > MATERIALIZE_CAP:
-            raise BudgetError(f"dense region of {box.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
-        vals = self.omega_many(box.all_sites())
-        return vals.reshape(box.shape + (2 * self.law.dimension,)), np.asarray(box.lo)
+        inside = self.box.contains(sites)
+        if not inside.all():
+            bad = sites[~inside][0]
+            raise ValueError(f"site {tuple(int(v) for v in bad)} outside realized region")
+        flat = np.ravel_multi_index((sites - self.box.lo).T, self.box.shape)
+        return self.law.table[self.states.reshape(-1)[flat]]
 
 
 def sample_environment(law, seed: int, region: Box) -> Environment:
     """Realize an environment on ``region`` from (law, seed).
 
-    IID product laws are realized lazily per site. Markov fields run
-    ``law.sweeps`` heat-bath sweeps on the region expanded by a buffer of
-    max(range, 5) sites, then map field states through the state map.
+    A product law hashes every site of the region with ``atom_indices``. A
+    Markov field runs ``law.sweeps`` heat-bath sweeps on the region expanded
+    by a buffer of max(range, 5) sites and keeps the states of the region.
+    The box either kind materializes is held to MATERIALIZE_CAP sites.
     """
     if region.dimension != law.dimension:
         raise ValueError("region dimension does not match law dimension")
-    if isinstance(law, IIDProductLaw):
-        return Environment(law, seed, region)
-    if not isinstance(law, MarkovFieldLaw):
+    if not isinstance(law, (IIDProductLaw, MarkovFieldLaw)):
         raise TypeError(f"unsupported law type {type(law)!r}")
-
-    work = region.expand(max(law.range_r, 5))
+    work = region if isinstance(law, IIDProductLaw) else region.expand(max(law.range_r, 5))
     if work.n_sites > MATERIALIZE_CAP:
-        raise BudgetError(f"field realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
-    shape = work.shape
-    sites = work.all_sites()
-    u0 = site_uniforms(seed, sites, stream=1)
-    states = np.minimum((u0 * law.n_states).astype(np.int64), law.n_states - 1).reshape(shape)
+        raise BudgetError(f"realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
+    dtype = np.min_scalar_type(len(law.table) - 1)
+    if isinstance(law, IIDProductLaw):
+        # a block of sites at a time, so the scratch stays small whatever the box
+        states = np.empty(work.n_sites, dtype=dtype)
+        for start in range(0, work.n_sites, HASH_BLOCK):
+            flat = np.arange(start, min(start + HASH_BLOCK, work.n_sites))
+            sites = np.stack(np.unravel_index(flat, work.shape), axis=1) + work.lo
+            states[start:start + len(flat)] = law.atom_indices(seed, sites)
+        return Environment(law, region, states.reshape(region.shape))
 
+    shape = work.shape
+    crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
+    u0 = site_uniforms(seed, work.all_sites(), stream=1)
+    states = np.minimum((u0 * law.n_states).astype(np.int64), law.n_states - 1).reshape(shape)
     if law.beta == 0.0:
         # no coupling: the uniform initialization is already the field law
-        return Environment(law, seed, region, _states=states, _state_box=work)
+        return Environment(law, region, states[crop].astype(dtype))
 
     # Heat-bath sweeps, vectorized over residue classes mod (range + 1): two
     # distinct sites in one class are at l1 distance > range, so updating a
@@ -338,7 +334,7 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
             u = rng.random(counts.shape[1:])
             new = (u[None, ...] >= cum).sum(axis=0).clip(max=law.n_states - 1)
             padded[np.ix_(*axes)] = new
-    return Environment(law, seed, region, _states=padded[core].copy(), _state_box=work)
+    return Environment(law, region, padded[core][crop].astype(dtype))
 
 
 def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:

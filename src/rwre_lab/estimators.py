@@ -169,8 +169,8 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
     on the ray box from derive_seed(seed, c, i) into one time-major buffer,
     and raises BudgetError before allocating one over MEMORY_BUDGET.
     """
+    table = u * law.xi_values()[:, ell] - kbar
     if isinstance(law, IIDProductLaw):
-        table = u * law.xi_values()[:, ell] - kbar
         # atom index = number of cumulative weights, last one excluded, <= the draw
         cuts = np.cumsum(law.weights)[:-1] if len(law.weights) > 1 else np.array([np.inf])
 
@@ -187,16 +187,15 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
 
         return rows, table
     if isinstance(law, MarkovFieldLaw):
-        means = law.marginal_means()
-        table = u * (law.state_probs[:, ell] / means[ell]) - kbar
         sites, box = _ray_box(law.dimension, ell, horizon)
+        ray = np.ravel_multi_index((sites - box.lo).T, box.shape)  # t = 0..horizon-1
 
         def rows(c, size):
             _check_budget(size, horizon)
             buf = np.empty((horizon, size))
             for i in range(size):
                 env = sample_environment(law, derive_seed(seed, c, i), box)
-                buf[:, i] = u * (env.omega_many(sites)[:, ell] / means[ell]) - kbar
+                buf[:, i] = table[env.states.reshape(-1)[ray]]
             return buf
 
         return rows, table
@@ -451,7 +450,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     n1 = n2 // 2
     zero_dis = law.disorder() == 0.0
     # the n1 cone is the n2 cone scaled by 1/2 about the origin, so it lies inside
-    region = light_cone(n2, np.zeros(d, dtype=np.int64), np.round(n2 * x))
+    region = light_cone(d, n2, np.round(n2 * x))
 
     def decay(env, n):
         target = np.round(n * x).astype(np.int64)

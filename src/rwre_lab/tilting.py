@@ -172,13 +172,6 @@ def tilt_invariant_residuals(tp: TiltParams) -> dict:
     }
 
 
-def zero_disorder_free_energy(tp: TiltParams, theta) -> float:
-    """log sum_e exp(<theta, e>) u(e): the limit free energy when xi == 1."""
-    theta = np.asarray(theta, dtype=np.float64)
-    vecs = direction_vectors(tp.dimension)
-    return float(np.log(np.sum(np.exp(vecs @ theta) * tp.u_array)))
-
-
 def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     """Both sides of the annealed change-of-measure identity, by enumeration.
 
@@ -196,7 +189,7 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     flat, ends = path_sites(steps, tp.dimension)
     uw = np.prod(tp.u_array[steps], axis=1)
     _, xi_log = site_grouped_log_moment(law.xi_values(), law.weights, flat, steps)
-    _, om_log = site_grouped_log_moment(law.atoms, law.weights, flat, steps)
+    _, om_log = site_grouped_log_moment(law.table, law.weights, flat, steps)
     lhs = fsum(uw * np.exp(xi_log + ends @ theta))
     rhs = tp.D**n * fsum(np.exp(om_log + ends @ (theta + tp.theta_array)))
     return lhs, rhs

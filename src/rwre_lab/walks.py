@@ -12,10 +12,10 @@ visits. Path functionals of the environment are evaluated here and nowhere
 else: ``site_grouped_log_moment`` closes the annealed moment,
 ``realized_log_xi`` tabulates the quenched log xi of one environment, and
 ``forward_evolution`` evolves the quenched walk's weights on the light cone of
-its start, or on the two-sided cone between a start and a target, with exact
-power-of-two rescaling. It evolves only the parity sublattice of each step,
-in rotated coordinates (``_rotate``) where every move is a constant shift and
-the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
+the origin, or on the two-sided cone between the origin and a target, with
+exact power-of-two rescaling. It evolves only the parity sublattice of each
+step, in rotated coordinates (``_rotate``) where every move is a constant shift
+and the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
 Its output is bit-identical to the box evolution's: each site sums the same
 products in the same order, and a power-of-two rescale is exact.
 
@@ -124,9 +124,8 @@ def realized_log_xi(env: Environment, means, n: int) -> np.ndarray:
     ``table[flat_sites, steps].sum(axis=1)`` is the realized log xi-product
     along every path of a batch.
     """
-    d = env.law.dimension
-    dense, _ = env.dense(centered_box(d, max(n - 1, 0)))
-    return np.log(dense / means).reshape(-1, 2 * d)
+    return np.log(env.omega_many(centered_box(env.law.dimension, max(n - 1, 0)).all_sites())
+                  / means)
 
 
 def quenched_path_weights(env: Environment, steps: np.ndarray) -> np.ndarray:
@@ -160,7 +159,7 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
     d = law.dimension
     if isinstance(law, IIDProductLaw):
         flat, _ = path_sites(steps, d)
-        sign, log_abs = site_grouped_log_moment(law.atoms, law.weights, flat, steps)
+        sign, log_abs = site_grouped_log_moment(law.table, law.weights, flat, steps)
         return sign * np.exp(log_abs)
     if not isinstance(law, MarkovFieldLaw):
         raise TypeError(f"unsupported law type {type(law)!r}")
@@ -175,7 +174,7 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
     configs, _, probs = law.gibbs_configurations(box)
     # box.all_sites() is in C order, so a site's column is its raveled offset
     columns = np.ravel_multi_index(np.moveaxis(departures + radius, 2, 0), box.shape)
-    return np.array([probs @ np.prod(law.state_probs[configs[:, cols], path], axis=1)
+    return np.array([probs @ np.prod(law.table[configs[:, cols], path], axis=1)
                      for cols, path in zip(columns, steps)])
 
 
@@ -205,28 +204,27 @@ def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_
     return endpoint_law(ends, quenched_path_weights(env, steps))
 
 
-def _reachable(start, target, n: int) -> bool:
-    """Whether a nearest-neighbor walk can go from ``start`` to ``target`` in exactly n steps."""
-    dist = int(np.abs(np.asarray(target) - np.asarray(start)).sum())
+def _reachable(target, n: int) -> bool:
+    """Whether a walk from the origin can be at ``target`` after exactly n steps."""
+    dist = int(np.abs(np.asarray(target)).sum())
     return dist <= n and (n - dist) % 2 == 0
 
 
-def light_cone(n: int, start, target=None) -> Box:
-    """The box of the sites a walk from ``start`` can occupy at steps 0..n.
+def light_cone(d: int, n: int, target=None) -> Box:
+    """The box of the sites a walk from the origin of Z^d can occupy at steps 0..n.
 
-    Without a ``target`` it is the radius-n box around ``start``; with one,
-    the bounding box of the sites that also reach the target by step n. An
-    unreachable target raises ValueError.
+    Without a ``target`` it is the radius-n box; with one, the bounding box
+    of the sites that also reach the target by step n. An unreachable target
+    raises ValueError.
     """
-    start = np.asarray(start, dtype=np.int64)
     if target is None:
-        return Box(tuple(start - n), tuple(start + n))
+        return centered_box(d, n)
     target = np.asarray(target, dtype=np.int64)
-    if not _reachable(start, target, n):
+    if not _reachable(target, n):
         raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
-    # axis a spans [max(s - j, t - (n - j)), min(s + j, t + (n - j))] at step j;
-    # over 0 <= j <= n that reaches down to ceil((s + t - n) / 2), up to floor((s + t + n) / 2)
-    return Box(tuple(-((n - start - target) // 2)), tuple((start + target + n) // 2))
+    # axis a spans [max(-j, t - (n - j)), min(j, t + (n - j))] at step j;
+    # over 0 <= j <= n that reaches down to ceil((t - n) / 2), up to floor((t + n) / 2)
+    return Box(tuple(-((n - target) // 2)), tuple((target + n) // 2))
 
 
 def _rotate(z: np.ndarray, j: int) -> np.ndarray:
@@ -261,7 +259,7 @@ def _unrotate(y: np.ndarray, j: int) -> np.ndarray:
 def _sublattice_plan(d: int, n: int, disp) -> tuple:
     """The slices of ``forward_evolution`` for one geometry; pure in (d, n, disp).
 
-    ``disp`` is target - start, or None for the one-sided cone. The grid is
+    ``disp`` is the target, or None for the one-sided cone. The grid is
     held in w = y - floor(j/2) u, where y = ``_rotate(z, j)`` and u is the
     shift of +e1, so a cell stands for the same site at every step of one
     parity. Returns (shape, origin, steps, sources, final):
@@ -272,7 +270,7 @@ def _sublattice_plan(d: int, n: int, disp) -> tuple:
     displacements; and the flat cells of the last window inside that box,
     with their flat indices in it.
     """
-    cone = light_cone(n, np.zeros(d, dtype=np.int64), disp)
+    cone = light_cone(d, n, disp)
     sigma = _rotate(direction_vectors(d), 1)  # each move is a constant shift of y
     u = sigma[0]
     j = np.arange(n + 1)[:, None]
@@ -317,18 +315,16 @@ def _sublattice_plan(d: int, n: int, disp) -> tuple:
     return shape, tuple((-w_lo).tolist()), tuple(steps), sources, final
 
 
-def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=None) -> tuple:
-    """The quenched walk's weights after n steps, by scaled forward evolution.
+def forward_evolution(env: Environment, n: int, target=None) -> tuple:
+    """The quenched walk's weights after n steps from the origin, by scaled forward evolution.
 
     Returns (grid, lo, log_scale): the weight of site x is
-    grid[x - lo] * exp(log_scale) on the ``light_cone`` box of ``start``
-    (default the origin), two-sided given a ``target``, whose lower corner is
-    lo. Optional per-direction ``tilt`` weights multiply every step in that
-    direction. Without a target the grid is the whole endpoint law. With one
-    it holds the target's weight and zeros elsewhere, and an unreachable
-    target raises ValueError.
+    grid[x - lo] * exp(log_scale) on the ``light_cone`` box, two-sided given
+    a ``target``, whose lower corner is lo. Without a target the grid is the
+    whole endpoint law. With one it holds the target's weight and zeros
+    elsewhere, and an unreachable target raises ValueError.
 
-    Only the parity sublattice {x : sum(x - start) = j mod 2} is evolved, in
+    Only the parity sublattice {x : sum(x) = j mod 2} is evolved, in
     the coordinates of ``_rotate``, where every move is a constant shift and
     the cone is a box: step j spans the forward box [j s_min, j s_max] of the
     shifts s, and given a target only its part within the backward box from
@@ -347,17 +343,14 @@ def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=No
     floating-point range.
     """
     d = env.law.dimension
-    start = np.zeros(d, dtype=np.int64) if start is None else np.asarray(start, dtype=np.int64)
-    box = light_cone(n, start, target)
-    disp = None if target is None else tuple((np.asarray(target) - start).tolist())
+    box = light_cone(d, n, target)
+    disp = None if target is None else tuple(np.asarray(target, dtype=np.int64).tolist())
     shape, origin, steps, sources, (cells, out_cells) = _sublattice_plan(d, n, disp)
     # omega depends only on the parity of the step: one (2d,) + shape slab per parity
     flows = []
     for flat, z in sources:
         flow = np.zeros((2 * d, math.prod(shape)))
-        flow[:, flat] = env.omega_many(start + z).T
-        if tilt is not None:
-            flow *= np.asarray(tilt, dtype=np.float64)[:, None]
+        flow[:, flat] = env.omega_many(z).T
         flows.append(flow.reshape((2 * d,) + shape))
     grid = np.zeros(shape)
     grid[origin] = 1.0
@@ -378,14 +371,14 @@ def forward_evolution(env: Environment, n: int, start=None, tilt=None, target=No
     return out, np.asarray(box.lo), exponent * math.log(2.0)
 
 
-def log_point_probability_dp(env: Environment, n: int, target, start=None) -> float:
-    """log P_{start,omega}(X_n = target) by ``forward_evolution`` on the two-sided cone.
+def log_point_probability_dp(env: Environment, n: int, target) -> float:
+    """log P_{0,omega}(X_n = target) by ``forward_evolution`` on the two-sided cone.
 
     -inf, without evolving, when the target is out of reach in n steps.
     """
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    if not _reachable(0 if start is None else start, target, n):
+    if not _reachable(target, n):
         return float("-inf")
-    grid, lo, log_scale = forward_evolution(env, n, start, target=target)
+    grid, lo, log_scale = forward_evolution(env, n, target=target)
     val = float(grid[tuple(target - lo)])
     return float("-inf") if val <= 0.0 else log_scale + math.log(val)

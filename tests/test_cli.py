@@ -9,6 +9,7 @@ import pytest
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
+from rwre_lab.estimators import RatePointEstimate
 from rwre_lab.tilting import solve_tilt
 
 TWO_ATOM_GAP = {
@@ -278,6 +279,17 @@ class TestRate:
         cfg = write_config(tmp_path, {"rate": {"velocities": [[1.5]]}})
         assert main(["--config", cfg, "rate"]) == 64
 
+    def test_refused_report_leaves_no_grid(self, tmp_path, monkeypatch, capsys):
+        # a nan error bar is refused by the JSON writer, before the CSV is written
+        def nan_point(law, x, **kwargs):
+            return RatePointEstimate(tuple(x), 0.1, 0.1, 0.0, math.nan, "enumeration", 40)
+
+        monkeypatch.setattr("rwre_lab.cli.rate_point", nan_point)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "rate"]) == 64
+        assert not (out / "rate_grid.csv").exists()
+        assert not (out / "rate_report.json").exists()
+
 
 class TestEnvSampleAndTau:
     def test_env_sample(self, tmp_path, capsys):
@@ -318,11 +330,14 @@ class TestEnvSampleAndTau:
         assert all(abs(float(r[6])) < 5 for r in rows)
 
     @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
-                                                       ("tau-stats", "tau", "draws")])
+                                                       ("tau-stats", "tau", "draws"),
+                                                       ("rate", "rate", "env_replicas"),
+                                                       ("rate", "rate", "boundary_sites")])
     @pytest.mark.parametrize("draws", [0, 1, 2.5])
     def test_fewer_than_two_draws_rejected(self, tmp_path, capsys, command, section, field,
                                            draws):
-        # a standard error needs two draws: refuse the config before any artifact
+        # a standard error needs two draws (or environment replicas, or ray
+        # sites): refuse the config before any artifact
         with pytest.raises(ConfigError, match=f"{section}.{field}"):
             normalize_config({section: {field: draws}})
         cfg = write_config(tmp_path, {section: {field: draws}})
@@ -330,6 +345,14 @@ class TestEnvSampleAndTau:
         assert main(["--config", cfg, "--out", str(out), command]) == 64
         assert "integer >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_box_exits_2(self, tmp_path, capsys):
+        # 10^8 sites: refused by the realization cap before anything is allocated
+        cfg = write_config(tmp_path, {"env_sample": {"lo": [-10], "hi": [100_000_000]}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "env-sample"]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not (out / "env.csv").exists()
 
     def test_equal_draws_have_no_standard_error(self):
         with pytest.raises(ValueError, match="no standard error"):
@@ -355,3 +378,34 @@ class TestUsage:
                                               "kappa": 0.1, "atoms": [[0.7, 0.2]],
                                               "weights": [1.0]}})
         assert main(["--config", cfg, "verify"]) == 64
+
+
+FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+             "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.5}
+NON_FINITE = {
+    "atom": {"law": {**TWO_ATOM_GAP["law"], "atoms": [[math.nan, 0.6], [0.6, 0.4]]}},
+    "weight": {"law": {**TWO_ATOM_GAP["law"], "weights": [math.nan, 0.5]}},
+    "state": {"law": {**FIELD_LAW, "states": [[0.4, 0.6], [math.nan, 0.4]]}},
+    "beta": {"law": {**FIELD_LAW, "beta": math.nan}},
+    "z": {"z": [math.nan]},
+    "infinite-z": {"z": [math.inf]},
+}
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("command", ["verify", "gap", "rate", "env-sample", "tau-stats"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_refused_before_any_artifact(self, tmp_path, capsys, case, command):
+        # json writes NaN and Infinity, and nan passes every comparison: the
+        # loader refuses them, so no subcommand runs on them
+        cfg = write_config(tmp_path, NON_FINITE[case])
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 64
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_literal_refused(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"z": [1e999]}')
+        with pytest.raises(ConfigError, match="1e999"):
+            load_config(str(path))

@@ -54,6 +54,12 @@ class TestProbVectors:
         with pytest.raises(ValueError, match="ellipticity"):
             validate_prob_vector([0.05, 0.95], kappa=0.1, d=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan passes the sum and floor comparisons; it is refused by name
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_prob_vector([bad, 0.7], kappa=0.1, d=1)
+
 
 class TestIIDProductLaw:
     def test_marginal_mean_single_atom(self):
@@ -80,6 +86,10 @@ class TestIIDProductLaw:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
             IIDProductLaw(1, [[0.4, 0.6]], [0.9], 0.1)
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValueError, match="probability vector"):
+            IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [math.nan, 0.5], 0.1)
 
     def test_atom_outside_kappa_rejected(self):
         with pytest.raises(ValueError):
@@ -144,6 +154,30 @@ class TestEnvironmentRealization:
         with pytest.raises(ValueError, match="outside"):
             omega(env, (6,))
 
+    def test_overlapping_realizations_agree(self):
+        # each site's atom is a pure function of (seed, site)
+        law = two_atom_law(d=2, kappa=0.05)
+        a = sample_environment(law, seed=8, region=Box((-6, -2), (3, 7)))
+        b = sample_environment(law, seed=8, region=Box((0, 0), (9, 9)))
+        overlap = Box((0, 0), (3, 7)).all_sites()
+        np.testing.assert_array_equal(a.omega_many(overlap), b.omega_many(overlap))
+
+    @pytest.mark.parametrize("law", [two_atom_law(d=2, kappa=0.05),
+                                     MarkovFieldLaw(2, [[0.1, 0.4, 0.25, 0.25],
+                                                        [0.4, 0.1, 0.25, 0.25]],
+                                                    kappa=0.05, beta=0.5, sweeps=4)],
+                             ids=["iid-product", "markov-field"])
+    def test_states_index_the_table_on_the_box(self, law):
+        box = Box((-2, 1), (3, 4))
+        env = sample_environment(law, seed=3, region=box)
+        assert env.states.shape == box.shape and not env.states.flags.writeable
+        np.testing.assert_array_equal(env.omega_many(box.all_sites()),
+                                      law.table[env.states.reshape(-1)])
+
+    def test_realization_over_cap_rejected(self):
+        with pytest.raises(BudgetError, match="exceeds cap"):
+            sample_environment(two_atom_law(), seed=1, region=Box((0,), (10**8,)))
+
     def test_region_overflow_rejected(self):
         with pytest.raises(BudgetError):
             Box((-(1 << 63),), (0,))
@@ -172,7 +206,7 @@ class TestMarkovField:
             configs, sites, w = law.gibbs_configurations(centered_box(d, radius))
             center = int(np.where((sites == 0).all(axis=1))[0][0])
             marginal = np.bincount(configs[:, center], weights=w, minlength=n_states)
-            np.testing.assert_allclose(marginal @ law.state_probs, law.marginal_means(),
+            np.testing.assert_allclose(marginal @ law.table, law.marginal_means(),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -257,6 +291,11 @@ class TestMarkovField:
         law = MarkovFieldLaw(1, [[0.3, 0.7]] * 3, kappa=0.1, range_r=1, beta=0.1)
         with pytest.raises(BudgetError):
             law.gibbs_configurations(centered_box(1, 40))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -0.5])
+    def test_beta_must_be_finite_and_non_negative(self, beta):
+        with pytest.raises(ValueError, match="interaction strength"):
+            MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, beta=beta)
 
     def test_state_below_kappa_rejected(self):
         with pytest.raises(ValueError):

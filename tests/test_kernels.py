@@ -90,18 +90,8 @@ def test_long_paths_stay_in_range():
     law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
     steps = np.random.default_rng(2).integers(0, 2, size=(3, 2000))
     flat, _ = path_sites(steps, 1)
-    sign, log_abs = site_grouped_log_moment(law.atoms * 1e-1, law.weights, flat, steps)
+    sign, log_abs = site_grouped_log_moment(law.table * 1e-1, law.weights, flat, steps)
     assert np.all(sign == 1.0) and np.all(np.isfinite(log_abs)) and np.all(log_abs < -4000)
-
-
-class Shifted:
-    """An environment seen from ``offset``: omega'(x) = omega(x + offset)."""
-
-    def __init__(self, env, offset):
-        self.env, self.law, self.offset = env, env.law, np.asarray(offset)
-
-    def omega_many(self, sites):
-        return self.env.omega_many(np.asarray(sites) + self.offset)
 
 
 @st.composite
@@ -113,25 +103,20 @@ def evolution_cases(draw):
                         min_size=k, max_size=k))
     atoms = np.asarray(raw) / np.sum(raw, axis=1, keepdims=True)
     law = IIDProductLaw(d, atoms, np.full(k, 1.0 / k), 0.99 * atoms.min())
-    start = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    theta = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
     seed = draw(st.integers(0, 2**32))
-    return law, n, np.asarray(start), np.asarray(theta), seed
+    return law, n, seed
 
 
 @settings(max_examples=40, deadline=None)
 @given(evolution_cases())
 def test_forward_evolution_matches_enumeration(case):
-    law, n, start, theta, seed = case
-    d = law.dimension
-    env = sample_environment(law, seed, centered_box(d, n + 4))
-    vecs = direction_vectors(d)
-    grid, lo, log_scale = forward_evolution(env, n, start=start, tilt=np.exp(vecs @ theta))
-    dist = quenched_endpoint_distribution(Shifted(env, start), n)
-    for disp, prob in dist.items():
-        want = prob * math.exp(float(np.asarray(disp) @ theta))
-        got = grid[tuple(start + np.asarray(disp) - lo)] * math.exp(log_scale)
-        assert got == pytest.approx(want, rel=REL)
+    law, n, seed = case
+    env = sample_environment(law, seed, centered_box(law.dimension, n + 4))
+    grid, lo, log_scale = forward_evolution(env, n)
+    dist = quenched_endpoint_distribution(env, n)
+    for site, prob in dist.items():
+        got = grid[tuple(np.asarray(site) - lo)] * math.exp(log_scale)
+        assert got == pytest.approx(prob, rel=REL)
     # every other cell of the box is unreachable and carries no weight
     assert np.count_nonzero(grid) == len(dist)
 
@@ -139,14 +124,14 @@ def test_forward_evolution_matches_enumeration(case):
 @settings(max_examples=25, deadline=None)
 @given(evolution_cases())
 def test_log_point_probability_dp_matches_enumeration(case):
-    # every target within n + 2 of start per axis: reachable, of wrong parity, or past the box
-    law, n, start, _, seed = case
+    # every target within n + 2 of the origin per axis: reachable, of wrong parity, or past the box
+    law, n, seed = case
     d = law.dimension
     env = sample_environment(law, seed, centered_box(d, n + 4))
-    dist = quenched_endpoint_distribution(Shifted(env, start), n)
-    for disp in itertools.product(range(-n - 2, n + 3), repeat=d):
-        prob = dist.get(disp, 0.0)
-        got = log_point_probability_dp(env, n, start + np.asarray(disp), start=start)
+    dist = quenched_endpoint_distribution(env, n)
+    for site in itertools.product(range(-n - 2, n + 3), repeat=d):
+        prob = dist.get(site, 0.0)
+        got = log_point_probability_dp(env, n, site)
         if prob == 0.0:
             assert got == -math.inf
         else:
@@ -156,18 +141,16 @@ def test_log_point_probability_dp_matches_enumeration(case):
 @settings(max_examples=25, deadline=None)
 @given(evolution_cases())
 def test_target_cone_matches_the_full_evolution(case):
-    law, n, start, theta, seed = case
-    d = law.dimension
-    env = sample_environment(law, seed, centered_box(d, n + 4))
-    tilt = np.exp(direction_vectors(d) @ theta)
-    full, lo, log_scale = forward_evolution(env, n, start=start, tilt=tilt)
+    law, n, seed = case
+    env = sample_environment(law, seed, centered_box(law.dimension, n + 4))
+    full, lo, log_scale = forward_evolution(env, n)
     for t in np.argwhere(full > 0) + lo:
-        grid, t_lo, t_scale = forward_evolution(env, n, start=start, tilt=tilt, target=t)
+        grid, t_lo, t_scale = forward_evolution(env, n, target=t)
         assert np.count_nonzero(grid) == 1
         assert grid[tuple(t - t_lo)] * math.exp(t_scale) == pytest.approx(
             full[tuple(t - lo)] * math.exp(log_scale), rel=REL)
     with pytest.raises(ValueError, match="not reachable"):
-        forward_evolution(env, n, start=start, target=start + n + 1)
+        forward_evolution(env, n, target=np.full(law.dimension, n + 1))
 
 
 RATE_DP_2D = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)

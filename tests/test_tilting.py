@@ -7,8 +7,7 @@ import pytest
 from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
 from rwre_lab.tilting import (TiltParams, scale_function, solve_tilt,
                               tilt_invariant_residuals,
-                              verify_identity_annealed, verify_identity_quenched,
-                              zero_disorder_free_energy)
+                              verify_identity_annealed, verify_identity_quenched)
 
 from envhelpers import mean_environment, omega
 
@@ -188,24 +187,6 @@ class TestIdentityQuenched:
         env = sample_environment(law, 5, centered_box(2, 5))
         lhs, rhs = verify_identity_quenched(env, tp, [0.2, -0.4], 4)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
-
-
-class TestZeroDisorderFreeEnergy:
-    def test_zero_at_zero_tilt(self):
-        tp = solve_tilt(TWO_ATOM, [0.5])
-        assert zero_disorder_free_energy(tp, [0.0]) == pytest.approx(0.0, abs=1e-14)
-
-    def test_closed_form_value(self):
-        tp = solve_tilt(np.array([0.5, 0.5]), [0.5])
-        expect = math.log(0.75 * math.e + 0.25 / math.e)
-        assert zero_disorder_free_energy(tp, [1.0]) == pytest.approx(expect, abs=1e-12)
-        assert expect == pytest.approx(math.log(2.1306), abs=1e-4)
-
-    def test_convex_on_grid(self):
-        tp = solve_tilt(TWO_ATOM, [0.3])
-        grid = np.linspace(-2, 2, 81)
-        vals = np.array([zero_disorder_free_energy(tp, [t]) for t in grid])
-        assert np.all(np.diff(vals, 2) >= -1e-10)
 
 
 class TestSerialization:

@@ -22,14 +22,13 @@ def two_atom_law():
 def simulate_quenched(env, start, n: int, rng_seed: int, walks: int = 1) -> np.ndarray:
     """Sites visited by independent quenched walks, shape (walks, n + 1, d).
 
-    Reads omega once from ``env.dense`` and moves every walk one step per
-    pass. Reproducible for a fixed seed; a walk that steps off from a site
+    Reads omega once at every site of ``env.box`` and moves every walk one
+    step per pass. Reproducible for a fixed seed; a walk that steps off from a site
     outside the realized region raises ValueError.
     """
     d = env.law.dimension
-    dense, lo = env.dense()
-    shape = dense.shape[:-1]
-    cum = np.cumsum(dense, axis=-1).reshape(-1, 2 * d)
+    shape, lo = env.box.shape, np.asarray(env.box.lo)
+    cum = np.cumsum(env.omega_many(env.box.all_sites()), axis=-1)
     vecs = direction_vectors(d)
     us = np.random.default_rng(rng_seed).random((n, walks))
     pos = np.empty((walks, n + 1, d), dtype=np.int64)
@@ -163,7 +162,7 @@ class TestAnnealedProbabilities:
             assign = dict(zip(sites, combo))
             w = 1.0
             for j, k in enumerate(steps[0]):
-                w *= law.atoms[assign[tuple(pos[j])], k]
+                w *= law.table[assign[tuple(pos[j])], k]
             total += w * 0.5 ** len(sites)
         assert annealed_path_weights(law, steps)[0] == pytest.approx(total, rel=1e-13)
 
@@ -253,14 +252,3 @@ class TestSimulation:
         with pytest.raises(ValueError, match="outside"):
             # strongly drifted walks from the box corner must read past the edge
             simulate_quenched(env, (3,), 8, 0, walks=8)
-
-
-class TestMgf:
-    def test_log_mgf_matches_enumeration(self):
-        env = sample_environment(two_atom_law(), 3, centered_box(1, 7))
-        theta = 0.4
-        n = 6
-        direct = sum(math.exp(theta * t[0]) * p
-                     for t, p in quenched_endpoint_distribution(env, n).items())
-        grid, _, log_scale = forward_evolution(env, n, tilt=np.exp([theta, -theta]))
-        assert log_scale + math.log(grid.sum()) == pytest.approx(math.log(direct), rel=1e-12)

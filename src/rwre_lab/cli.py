@@ -28,7 +28,7 @@ Config schema (JSON object; unknown keys rejected):
     L          block length (int >= 2 for gap runs)
     kbar       optional forcing-symbol probability override
     seed       64-bit integer root seed
-    gap        {"replicas": int, "horizon": int or null, "tail": float}
+    gap        {"replicas": int, "horizon": int >= 1 or null, "tail": float}
     rate       {"velocities": [[...], ...], "method": "enumeration",
                 "horizon": int, "env_replicas": int >= 2,
                 "boundary_sites": int >= 2}
@@ -41,7 +41,8 @@ Config schema (JSON object; unknown keys rejected):
     tolerances {"tilt_residual", "identity_rel", "onestep_abs",
                 "coincidence_abs", "tau_sigmas"}
 
-NaN, Infinity and numbers that overflow to infinity are rejected (exit 64).
+Integer keys refuse 2.0, 2.5 and true; every number refuses NaN, Infinity
+and literals that overflow to infinity (both exit 64).
 Every output artifact embeds the config hash and root seed; fixed seeds give
 byte-identical outputs. Every subcommand runs on one thread.
 """
@@ -104,11 +105,21 @@ LAW_KEYS = {"iid-product": {"kind", "dimension", "kappa", "atoms", "weights"},
             "markov-field": {"kind", "dimension", "kappa", "range", "beta", "states", "sweeps"}}
 
 
+def _integer(name: str, val, low=None):
+    """Refuse ``val`` unless it is a JSON integer (not true or false), and >= ``low`` if given."""
+    if isinstance(val, bool) or not isinstance(val, int) or (low is not None and val < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {val!r}")
+
+
 def normalize_config(raw: dict) -> dict:
     """Apply defaults and reject unknown keys; the result round-trips losslessly."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     out = copy.deepcopy(DEFAULT_CONFIG)
+    # a key whose default is an integer takes only integers, and a standard
+    # error needs two draws: fewer would report nan
+    draws = ("verify.tau_draws", "tau.draws", "rate.env_replicas", "rate.boundary_sites")
     for key, val in raw.items():
         if key not in out:
             raise ConfigError(f"unknown config key {key!r}")
@@ -118,8 +129,12 @@ def normalize_config(raw: dict) -> dict:
             for k2, v2 in val.items():
                 if k2 not in out[key]:
                     raise ConfigError(f"unknown config key {key}.{k2}")
+                if type(out[key][k2]) is int:
+                    _integer(f"{key}.{k2}", v2, 2 if f"{key}.{k2}" in draws else None)
                 out[key][k2] = v2
         else:
+            if type(out[key]) is int:
+                _integer(key, val)
             out[key] = copy.deepcopy(val)
     law = out["law"]
     kind = law.get("kind") if isinstance(law, dict) else None
@@ -127,12 +142,17 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError(f"unknown law kind {kind!r}")
     if not set(law) <= LAW_KEYS[kind]:
         raise ConfigError(f"law kind {kind!r} reads only {sorted(LAW_KEYS[kind])}, got {sorted(law)}")
-    # a standard error needs two draws; fewer would report nan
-    for key, field in (("verify", "tau_draws"), ("tau", "draws"), ("rate", "env_replicas"),
-                       ("rate", "boundary_sites")):
-        draws = out[key][field]
-        if not isinstance(draws, int) or draws < 2:
-            raise ConfigError(f"{key}.{field} must be an integer >= 2, got {draws!r}")
+    for field in ("dimension", "range", "sweeps"):
+        if field in law:
+            _integer(f"law.{field}", law[field])
+    if out["gap"]["horizon"] is not None:  # null chooses the horizon from the tail
+        _integer("gap.horizon", out["gap"]["horizon"], 1)
+    for corner in ("lo", "hi"):
+        sites = out["env_sample"][corner]
+        if not isinstance(sites, list):
+            raise ConfigError(f"env_sample.{corner} must be a list of integers, got {sites!r}")
+        for a, site in enumerate(sites):
+            _integer(f"env_sample.{corner}[{a}]", site)
     if out["rate"]["method"] != "enumeration":
         raise ConfigError(f"rate.method {out['rate']['method']!r} is not supported: the only "
                           "method is 'enumeration' (the exact forward DP); 'tilted-mc' was "
@@ -217,9 +237,9 @@ def _run_verify(cfg: dict):
     d = tp.dimension
     seed = cfg["seed"]
     rng = np.random.default_rng(derive_seed(seed, 100))
-    n_max = int(cfg["verify"]["n_max"]) if d == 1 else min(int(cfg["verify"]["n_max"]), 6)
+    n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
     thetas = rng.uniform(-cfg["verify"]["theta_scale"], cfg["verify"]["theta_scale"],
-                         size=(int(cfg["verify"]["theta_count"]), d))
+                         size=(cfg["verify"]["theta_count"], d))
     rows = []
 
     def add(family, metric, tolerance):
@@ -266,8 +286,9 @@ def _run_verify(cfg: dict):
     total = eps.kbar + (u - eps.kbar) * psi_factor(tp, eps, xi, np.arange(2 * d))
     worst_p = float(np.max(np.abs(total - u * xi)))
     worst_n = 0.0
-    env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, int(cfg["verify"]["psi_n_max"]) + 1))
-    for n in range(1, int(cfg["verify"]["psi_n_max"]) + 1):
+    psi_n_max = cfg["verify"]["psi_n_max"]
+    env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, psi_n_max + 1))
+    for n in range(1, psi_n_max + 1):
         lhs, rhs = verify_psi_identity(tp, eps, env2, thetas[0], n)
         worst_n = max(worst_n, abs(lhs - rhs) / abs(rhs))
     rows.append({"family": "psi-identity", "metric": float(max(worst_n, worst_p)),
@@ -303,7 +324,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 def cmd_gap(cfg: dict, out_dir: str) -> int:
     law, tp, eps, stop = build_problem(cfg)
-    report = certify_gap(tp, eps, stop, law, int(cfg["gap"]["replicas"]),
+    report = certify_gap(tp, eps, stop, law, cfg["gap"]["replicas"],
                          horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
                          seed=cfg["seed"])
     payload = report.to_dict()
@@ -337,8 +358,8 @@ def cmd_rate(cfg: dict, out_dir: str) -> int:
     rows = []
     for x in velocities:
         est = rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
-                         horizon=int(r["horizon"]), env_replicas=int(r["env_replicas"]),
-                         boundary_sites=int(r["boundary_sites"]))
+                         horizon=r["horizon"], env_replicas=r["env_replicas"],
+                         boundary_sites=r["boundary_sites"])
         rows.append(est)
         print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:

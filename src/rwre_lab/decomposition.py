@@ -36,7 +36,7 @@ import numpy as np
 from .environments import Environment, direction_index
 from .numutil import BudgetError, fsum, words
 from .tilting import TiltParams
-from .walks import endpoint_law, path_positions, path_sites, realized_log_xi, step_matrix
+from .walks import endpoint_law, path_omegas, path_positions, step_matrix
 
 TAU_HORIZON = 10**7
 
@@ -268,21 +268,21 @@ def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
 
 
 def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
-                        log_xi=None) -> tuple:
+                        env: Environment | None = None) -> tuple:
     """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
 
     weights[p] is the fsum over all symbol words of prod_j P(symbol_j) *
-    P(step_j | symbol_j), each free symbol further weighted by psi of the
-    realized xi when a ``realized_log_xi`` table is given (xi is then the
-    (P, n) array of xi along the paths, else None), or by 1.
+    P(step_j | symbol_j), each free symbol further weighted by psi of the xi
+    realized in ``env`` when one is given (xi is then the (P, n) array of xi
+    along the paths, else None), or by 1.
     """
     d = tp.dimension
     n_sym = 2 * d + 1
     if (n_sym**n) * ((2 * d) ** n) > budget:
         raise BudgetError(f"joint enumeration of (2d+1)^n * (2d)^n exceeds budget {budget}")
     steps = step_matrix(n, d)
-    flat, ends = path_sites(steps, d)
-    xi = None if log_xi is None else np.exp(log_xi[flat, steps])
+    ends = path_positions(steps, d)[:, -1]
+    xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
     # symbol probability times conditional step probability, (2d, n_sym)
     joint = (eps.symbol_probs()[:, None]
              * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
@@ -308,8 +308,7 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     """
     theta = np.asarray(theta, dtype=np.float64)
     u = tp.u_array
-    steps, ends, xi, weights = _joint_path_weights(
-        tp, eps, n, budget, realized_log_xi(env, tp.means_array, n))
+    steps, ends, xi, weights = _joint_path_weights(tp, eps, n, budget, env)
     tilt = [math.exp(float(theta @ end)) for end in ends]
     lhs = fsum([w * t for w, t in zip(weights, tilt)])
     rhs = fsum([float(np.prod(u[path])) * t * float(np.prod(x))

@@ -277,7 +277,8 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     """Realize an environment on ``region`` from (law, seed).
 
     A product law hashes every site of the region with ``atom_indices``. A
-    Markov field runs ``law.sweeps`` heat-bath sweeps on the region expanded
+    Markov field at beta = 0 draws one uniform state per site of the region;
+    at beta > 0 it runs ``law.sweeps`` heat-bath sweeps on the region expanded
     by a buffer of max(range, 5) sites and keeps the states of the region.
     The box either kind materializes is held to MATERIALIZE_CAP sites.
     """
@@ -285,7 +286,8 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         raise ValueError("region dimension does not match law dimension")
     if not isinstance(law, (IIDProductLaw, MarkovFieldLaw)):
         raise TypeError(f"unsupported law type {type(law)!r}")
-    work = region if isinstance(law, IIDProductLaw) else region.expand(max(law.range_r, 5))
+    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0  # only sweeps need a buffer
+    work = region.expand(max(law.range_r, 5)) if coupled else region
     if work.n_sites > MATERIALIZE_CAP:
         raise BudgetError(f"realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
     dtype = np.min_scalar_type(len(law.table) - 1)
@@ -299,12 +301,11 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         return Environment(law, region, states.reshape(region.shape))
 
     shape = work.shape
-    crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
     u0 = site_uniforms(seed, work.all_sites(), stream=1)
     states = np.minimum((u0 * law.n_states).astype(np.int64), law.n_states - 1).reshape(shape)
-    if law.beta == 0.0:
+    if not coupled:
         # no coupling: the uniform initialization is already the field law
-        return Environment(law, region, states[crop].astype(dtype))
+        return Environment(law, region, states.astype(dtype))
 
     # Heat-bath sweeps, vectorized over residue classes mod (range + 1): two
     # distinct sites in one class are at l1 distance > range, so updating a
@@ -334,6 +335,7 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
             u = rng.random(counts.shape[1:])
             new = (u[None, ...] >= cum).sum(axis=0).clip(max=law.n_states - 1)
             padded[np.ix_(*axes)] = new
+    crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
     return Environment(law, region, padded[core][crop].astype(dtype))
 
 

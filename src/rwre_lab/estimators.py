@@ -357,8 +357,11 @@ def exact_gap_oracle(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
     Enumerates every assignment of atoms to the ray sites (K^H of them), runs
     the exact inner recursion per assignment and closes the outer expectation
     in exact arithmetic. Returns (quenched_side, annealed_side) on the same
-    truncated functional as ``certify_gap`` at this horizon.
+    truncated functional as ``certify_gap`` at this horizon; i.i.d. product laws only.
     """
+    if not isinstance(law, IIDProductLaw):
+        raise ValueError(f"the exact gap oracle needs an i.i.d. product law (law kind "
+                         f"'iid-product'), not {type(law).__name__}")
     k = len(law.weights)
     if k**horizon > ORACLE_CAP:
         raise BudgetError(f"{k}^{horizon} ray environments exceed the oracle cap {ORACLE_CAP}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .environments import Environment, IIDProductLaw, direction_vectors
 from .numutil import fsum
-from .walks import path_sites, realized_log_xi, site_grouped_log_moment, step_matrix
+from .walks import path_omegas, path_positions, path_sites, site_grouped_log_moment, step_matrix
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -199,10 +199,11 @@ def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) ->
     """Quenched version: xi and omega read from one fixed realization."""
     theta = np.asarray(theta, dtype=np.float64)
     steps = step_matrix(n, tp.dimension)
-    flat, ends = path_sites(steps, tp.dimension)
+    ends = path_positions(steps, tp.dimension)[:, -1]
     uw = np.prod(tp.u_array[steps], axis=1)
-    xi_prod = np.exp(realized_log_xi(env, tp.means_array, n)[flat, steps].sum(axis=1))
-    om_prod = xi_prod * np.prod(tp.means_array[steps], axis=1)
+    omegas = path_omegas(env, steps)
+    xi_prod = np.prod(omegas / tp.means_array[steps], axis=1)
+    om_prod = np.prod(omegas, axis=1)
     lhs = fsum(uw * xi_prod * np.exp(ends @ theta))
     rhs = tp.D**n * fsum(om_prod * np.exp(ends @ (theta + tp.theta_array)))
     return lhs, rhs

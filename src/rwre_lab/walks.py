@@ -9,23 +9,23 @@ A batch of paths is one format throughout: a (P, n) array of direction
 indices, one row per path from the origin. ``step_matrix`` enumerates all of
 them, ``path_positions`` and ``path_sites`` turn a batch into the sites it
 visits. Path functionals of the environment are evaluated here and nowhere
-else: ``site_grouped_log_moment`` closes the annealed moment,
-``realized_log_xi`` tabulates the quenched log xi of one environment, and
-``forward_evolution`` evolves the quenched walk's weights on the light cone of
-the origin, or on the two-sided cone between the origin and a target, with
-exact power-of-two rescaling. It evolves only the parity sublattice of each
-step, in rotated coordinates (``_rotate``) where every move is a constant shift
-and the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
+else, each by one routine: ``site_grouped_log_moment`` closes the annealed
+moment, ``path_omegas`` is the one quenched reader (omega along every path of
+a batch in one realized environment), and ``log_point_probability_dp`` is the
+one forward evolution. It evolves the quenched walk's weights on the
+two-sided light cone between the origin and a target, with exact
+power-of-two rescaling, and only on the parity sublattice of each step, in
+rotated coordinates (``_rotate``) where every move is a constant shift and
+the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
 Its output is bit-identical to the box evolution's: each site sums the same
 products in the same order, and a power-of-two rescale is exact.
 
 The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
 and the point and endpoint laws built on them) sum over every path of the
-batch. They stay independent of ``forward_evolution`` and
-``realized_log_xi``: the quenched ones read omega at each departure site with
-one ``omega_many`` call, and the field branch of the annealed one enumerates
-the Gibbs measure of one box holding every departure site, for the fields
-whose box measures are marginals of one another (beta = 0, or the
+batch. They stay independent of ``log_point_probability_dp``: the quenched
+ones multiply ``path_omegas``, and the field branch of the annealed one
+enumerates the Gibbs measure of one box holding every departure site, for the
+fields whose box measures are marginals of one another (beta = 0, or the
 nearest-neighbour chain in d = 1).
 """
 
@@ -63,8 +63,8 @@ def path_sites(steps: np.ndarray, d: int) -> tuple:
     """Departure sites and endpoints of a (P, n) batch of step sequences from the origin.
 
     Returns (flat_sites, ends). flat_sites[p, j] indexes the site that
-    steps[p, j] leaves, in C order on the centered box of radius n - 1 (the
-    layout of ``realized_log_xi``); ends has shape (P, d).
+    steps[p, j] leaves, in C order on the centered box of radius n - 1, as
+    ``site_grouped_log_moment`` reads it; ends has shape (P, d).
     """
     pos = path_positions(steps, d)
     radius = max(pos.shape[1] - 2, 0)  # n - 1
@@ -117,27 +117,22 @@ def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.n
     return np.multiply.reduceat(np.sign(mix), path_starts), np.add.reduceat(site_log, path_starts)
 
 
-def realized_log_xi(env: Environment, means, n: int) -> np.ndarray:
-    """log(omega / means) in one realized environment, as a (sites, 2d) table.
+def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:
+    """omega(X_{j-1}, step_j) along every path of a (P, n) batch in the fixed environment.
 
-    Rows follow the layout of ``path_sites`` for paths of length n, so
-    ``table[flat_sites, steps].sum(axis=1)`` is the realized log xi-product
-    along every path of a batch.
-    """
-    return np.log(env.omega_many(centered_box(env.law.dimension, max(n - 1, 0)).all_sites())
-                  / means)
-
-
-def quenched_path_weights(env: Environment, steps: np.ndarray) -> np.ndarray:
-    """prod_j omega(X_{j-1}, step_j) per path of a (P, n) batch in the fixed environment.
-
-    omega is read at every departure site of the batch with one ``omega_many`` call.
+    Returns a (P, n) array; omega is read at every departure site of the batch
+    with one ``omega_many`` call.
     """
     steps = np.asarray(steps, dtype=np.int64)
     d = env.law.dimension
     departures = path_positions(steps, d)[:, :-1].reshape(-1, d)
     omegas = env.omega_many(departures).reshape(steps.shape + (2 * d,))
-    return np.prod(np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0], axis=1)
+    return np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0]
+
+
+def quenched_path_weights(env: Environment, steps: np.ndarray) -> np.ndarray:
+    """prod_j omega(X_{j-1}, step_j) per path of a (P, n) batch in the fixed environment."""
+    return np.prod(path_omegas(env, steps), axis=1)
 
 
 def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
@@ -178,11 +173,17 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
                      for cols, path in zip(columns, steps)])
 
 
-def _paths_to(n: int, d: int, target, budget: int) -> np.ndarray:
-    """The rows of ``step_matrix`` whose path ends at ``target``."""
+def _site(target, d: int) -> np.ndarray:
+    """``target`` as a (d,) int array; a target of another length raises ValueError."""
     target = np.asarray(target, dtype=np.int64).reshape(-1)
     if target.shape != (d,):  # would broadcast against every axis
         raise ValueError(f"target {target.tolist()} is not a site of Z^{d}")
+    return target
+
+
+def _paths_to(n: int, d: int, target, budget: int) -> np.ndarray:
+    """The rows of ``step_matrix`` whose path ends at ``target``."""
+    target = _site(target, d)
     steps = step_matrix(n, d, budget)
     return steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
 
@@ -204,22 +205,18 @@ def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_
     return endpoint_law(ends, quenched_path_weights(env, steps))
 
 
-def _reachable(target, n: int) -> bool:
+def _reachable(target: np.ndarray, n: int) -> bool:
     """Whether a walk from the origin can be at ``target`` after exactly n steps."""
-    dist = int(np.abs(np.asarray(target)).sum())
+    dist = int(np.abs(target).sum())
     return dist <= n and (n - dist) % 2 == 0
 
 
-def light_cone(d: int, n: int, target=None) -> Box:
-    """The box of the sites a walk from the origin of Z^d can occupy at steps 0..n.
+def light_cone(d: int, n: int, target) -> Box:
+    """The bounding box of the sites of Z^d on some n-step walk from the origin to ``target``.
 
-    Without a ``target`` it is the radius-n box; with one, the bounding box
-    of the sites that also reach the target by step n. An unreachable target
-    raises ValueError.
+    An unreachable target raises ValueError.
     """
-    if target is None:
-        return centered_box(d, n)
-    target = np.asarray(target, dtype=np.int64)
+    target = _site(target, d)
     if not _reachable(target, n):
         raise ValueError(f"target {target.tolist()} is not reachable in {n} steps")
     # axis a spans [max(-j, t - (n - j)), min(j, t + (n - j))] at step j;
@@ -256,29 +253,26 @@ def _unrotate(y: np.ndarray, j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sublattice_plan(d: int, n: int, disp) -> tuple:
-    """The slices of ``forward_evolution`` for one geometry; pure in (d, n, disp).
+def _sublattice_plan(d: int, n: int, target: tuple) -> tuple:
+    """The slices of ``log_point_probability_dp`` for one geometry; pure in (d, n, target).
 
-    ``disp`` is the target, or None for the one-sided cone. The grid is
-    held in w = y - floor(j/2) u, where y = ``_rotate(z, j)`` and u is the
-    shift of +e1, so a cell stands for the same site at every step of one
-    parity. Returns (shape, origin, steps, sources, final):
-    the grid's shape and the cell of w = 0; per step, (parity, window,
+    The grid is held in w = y - floor(j/2) u, where y = ``_rotate(z, j)`` and
+    u is the shift of +e1, so a cell stands for the same site at every step of
+    one parity. Returns (shape, origin, cell, steps, sources): the grid's
+    shape; the cells of w = 0 and of the target; per step, (parity, window,
     moves) with one (direction, source slices, destination slices) per
-    direction that moves any cell; per parity, the flat grid cells that some
-    window of that parity holds inside the light-cone box, and their
-    displacements; and the flat cells of the last window inside that box,
-    with their flat indices in it.
+    direction that moves any cell; and per parity, the flat grid cells that
+    some window of that parity holds inside the ``light_cone`` box, and their
+    displacements.
     """
-    cone = light_cone(d, n, disp)
+    cone = light_cone(d, n, target)
     sigma = _rotate(direction_vectors(d), 1)  # each move is a constant shift of y
     u = sigma[0]
     j = np.arange(n + 1)[:, None]
-    lo, hi = j * sigma.min(axis=0), j * sigma.max(axis=0)
-    if disp is not None:  # and the sites that still reach the target
-        y_t = _rotate(np.asarray(disp), n)
-        lo = np.maximum(lo, y_t - (n - j) * sigma.max(axis=0))
-        hi = np.minimum(hi, y_t - (n - j) * sigma.min(axis=0))
+    # the forward box from the origin, cut to the backward box from the target
+    y_t = _rotate(np.asarray(target), n)
+    lo = np.maximum(j * sigma.min(axis=0), y_t - (n - j) * sigma.max(axis=0))
+    hi = np.minimum(j * sigma.max(axis=0), y_t - (n - j) * sigma.min(axis=0))
     lo, hi = lo - j // 2 * u, hi - j // 2 * u + 1  # half-open windows in w
     w_lo = lo.min(axis=0)
     lo, hi = lo - w_lo, hi - w_lo
@@ -302,50 +296,41 @@ def _sublattice_plan(d: int, n: int, disp) -> tuple:
         steps.append((step % 2, windows[step + 1], moves))
         held[(step % 2,) + windows[step]] = True
 
-    def inside(cells, parity):
+    def inside(parity):
+        cells = np.flatnonzero(held[parity])
         z = _unrotate(np.stack(np.unravel_index(cells, shape), axis=-1) + w_lo, parity)
         keep = np.all((z >= cone.lo) & (z <= cone.hi), axis=1)
         return cells[keep], z[keep]
 
-    sources = tuple(inside(np.flatnonzero(held[p]), p) for p in range(min(n, 2)))
-    cells, z = inside(np.arange(math.prod(shape)).reshape(shape)[windows[n]].ravel(), n % 2)
-    final = (cells, np.ravel_multi_index((z - cone.lo).T, cone.shape))
-    for arr in (*final, *(a for pair in sources for a in pair)):
+    sources = tuple(inside(p) for p in range(min(n, 2)))
+    for arr in (a for pair in sources for a in pair):
         arr.setflags(write=False)
-    return shape, tuple((-w_lo).tolist()), tuple(steps), sources, final
+    return shape, tuple((-w_lo).tolist()), tuple(lo[n].tolist()), tuple(steps), sources
 
 
-def forward_evolution(env: Environment, n: int, target=None) -> tuple:
-    """The quenched walk's weights after n steps from the origin, by scaled forward evolution.
+def log_point_probability_dp(env: Environment, n: int, target) -> float:
+    """log P_{0,omega}(X_n = target) by scaled forward evolution on the two-sided light cone.
 
-    Returns (grid, lo, log_scale): the weight of site x is
-    grid[x - lo] * exp(log_scale) on the ``light_cone`` box, two-sided given
-    a ``target``, whose lower corner is lo. Without a target the grid is the
-    whole endpoint law. With one it holds the target's weight and zeros
-    elsewhere, and an unreachable target raises ValueError.
+    -inf, without evolving, when the target is out of reach in n steps.
 
-    Only the parity sublattice {x : sum(x) = j mod 2} is evolved, in
-    the coordinates of ``_rotate``, where every move is a constant shift and
-    the cone is a box: step j spans the forward box [j s_min, j s_max] of the
-    shifts s, and given a target only its part within the backward box from
-    the target. In d <= 2 that is exactly the set of sites on some path to
-    the target; in d >= 3 a box around it. Each step clears its window, adds
-    the products of source weight and omega per direction, in direction
-    order, and rescales by the power of two of the window's peak.
-
-    The result is bit-identical to evolving the whole box. At every site that
-    can still reach the target the sum is the one the box evolution forms:
-    the same products in the same order, less terms that are exact zeros. A
-    rescale by a power of two is exact, so a window peak that differs from
-    the box's changes the weights only by a power of two: without a target
-    no peak differs, and with one the last step normalizes the target's
-    weight alone. Horizons far beyond the enumeration budget stay in
-    floating-point range.
+    Only the parity sublattice {x : sum(x) = j mod 2} is evolved, in the
+    coordinates of ``_rotate``, where every move is a constant shift and the
+    cone is a box: step j spans the forward box [j s_min, j s_max] of the
+    shifts s, cut to the backward box from the target. In d <= 2 that is
+    exactly the set of sites on some path to the target; in d >= 3 a box
+    around it. At step n both boxes shrink to the target, so the last window
+    is its one cell. Each step clears its window, adds the products of source
+    weight and omega per direction, in direction order, and rescales by the
+    power of two of the window's peak, so horizons far beyond the enumeration
+    budget stay in floating-point range. Every site that can still reach the
+    target sums the products of the whole-box evolution, in the same order,
+    less exact zeros: the result is bit-identical to it.
     """
     d = env.law.dimension
-    box = light_cone(d, n, target)
-    disp = None if target is None else tuple(np.asarray(target, dtype=np.int64).tolist())
-    shape, origin, steps, sources, (cells, out_cells) = _sublattice_plan(d, n, disp)
+    target = _site(target, d)
+    if not _reachable(target, n):
+        return float("-inf")
+    shape, origin, cell, steps, sources = _sublattice_plan(d, n, tuple(target.tolist()))
     # omega depends only on the parity of the step: one (2d,) + shape slab per parity
     flows = []
     for flat, z in sources:
@@ -366,19 +351,5 @@ def forward_evolution(env: Environment, n: int, target=None) -> tuple:
         np.ldexp(live, -e, out=live)
         exponent += e
         grid, new = new, grid
-    out = np.zeros(box.shape)
-    out.reshape(-1)[out_cells] = grid.reshape(-1)[cells]
-    return out, np.asarray(box.lo), exponent * math.log(2.0)
-
-
-def log_point_probability_dp(env: Environment, n: int, target) -> float:
-    """log P_{0,omega}(X_n = target) by ``forward_evolution`` on the two-sided cone.
-
-    -inf, without evolving, when the target is out of reach in n steps.
-    """
-    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
-    if not _reachable(target, n):
-        return float("-inf")
-    grid, lo, log_scale = forward_evolution(env, n, target=target)
-    val = float(grid[tuple(target - lo)])
-    return float("-inf") if val <= 0.0 else log_scale + math.log(val)
+    val = float(grid[cell])
+    return float("-inf") if val <= 0.0 else exponent * math.log(2.0) + math.log(val)

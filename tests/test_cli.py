@@ -409,3 +409,33 @@ class TestNonFiniteConfig:
         path.write_text('{"z": [1e999]}')
         with pytest.raises(ConfigError, match="1e999"):
             load_config(str(path))
+
+
+
+NOT_INTEGER = [  # (key named in the error, subcommand, config)
+    ("seed", "gap", {"seed": 1.5}),
+    ("L", "gap", {"L": 2.5}),
+    ("gap.replicas", "gap", {"gap": {"replicas": 100.5}}),
+    ("gap.horizon", "gap", {"gap": {"horizon": 100.5}}),
+    ("gap.horizon", "gap", {"gap": {"horizon": 0}}),  # 0 does not mean "choose"
+    ("verify.n_max", "verify", {"verify": {"n_max": 2.5}}),
+    ("rate.horizon", "rate", {"rate": {"horizon": 100.5}}),
+    ("law.dimension", "gap", {"law": {**TWO_ATOM_GAP["law"], "dimension": 1.5}}),
+    ("law.range", "env-sample", {"law": {**FIELD_LAW, "range": 2.0}}),
+    ("law.sweeps", "env-sample", {"law": {**FIELD_LAW, "sweeps": True}}),
+    ("env_sample.lo[0]", "env-sample", {"env_sample": {"lo": [-1.5], "hi": [3]}}),
+    ("tau.draws", "tau-stats", {"tau": {"draws": True}}),
+]
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("key,command,payload", NOT_INTEGER,
+                             ids=[f"{i}-{key}" for i, (key, _, _) in enumerate(NOT_INTEGER)])
+    def test_refused_before_any_artifact(self, tmp_path, capsys, key, command, payload):
+        # a float is neither truncated nor left to fail deep in a run, and
+        # JSON true/false are not integers
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 64
+        assert f"error: {key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()

@@ -265,6 +265,14 @@ class TestMarkovField:
         frac = float(np.mean(vals == 0.3))
         assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(vals))
 
+    def test_beta_zero_realizes_only_its_region(self, monkeypatch):
+        # no sweep runs, so no heat-bath buffer is hashed or counted against the cap
+        monkeypatch.setattr("rwre_lab.environments.MATERIALIZE_CAP", 100)
+        env = sample_environment(self.law(), seed=6, region=Box((0,), (99,)))
+        monkeypatch.undo()
+        wide = sample_environment(self.law(), seed=6, region=Box((-30,), (130,)))
+        np.testing.assert_array_equal(env.states, wide.states[30:130])
+
     def test_determinism(self):
         law = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, range_r=1,
                              beta=0.7, sweeps=16)

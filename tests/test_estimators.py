@@ -177,6 +177,13 @@ class TestCertifyGap:
         assert rep.annealed_side == pytest.approx(ao, abs=1e-12)
         assert abs(rep.gap - (ao - qo)) <= 4 * rep.stderr
 
+    def test_oracle_refuses_a_field_law(self):
+        # correlated ray sites: the product enumeration would return the i.i.d. value
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=2.0)
+        tp = solve_tilt(field, [0.5])
+        with pytest.raises(ValueError, match="i.i.d. product law"):
+            exact_gap_oracle(tp, EPS, CFG, field, 6)
+
     def test_mirror_symmetry(self):
         mirrored = IIDProductLaw(1, [[0.6, 0.4], [0.4, 0.6]], [0.5, 0.5], 0.1)
         tp_m = solve_tilt(mirrored, [-0.5])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rwre_lab.decomposition import EpsilonLaw
 from rwre_lab.environments import IIDProductLaw, centered_box, direction_vectors, sample_environment
 from rwre_lab.tilting import solve_tilt
-from rwre_lab.walks import (forward_evolution, log_point_probability_dp, path_sites,
+from rwre_lab.walks import (light_cone, log_point_probability_dp, path_sites,
                             quenched_endpoint_distribution, site_grouped_log_moment)
 
 REL = 1e-12
@@ -107,20 +107,6 @@ def evolution_cases(draw):
     return law, n, seed
 
 
-@settings(max_examples=40, deadline=None)
-@given(evolution_cases())
-def test_forward_evolution_matches_enumeration(case):
-    law, n, seed = case
-    env = sample_environment(law, seed, centered_box(law.dimension, n + 4))
-    grid, lo, log_scale = forward_evolution(env, n)
-    dist = quenched_endpoint_distribution(env, n)
-    for site, prob in dist.items():
-        got = grid[tuple(np.asarray(site) - lo)] * math.exp(log_scale)
-        assert got == pytest.approx(prob, rel=REL)
-    # every other cell of the box is unreachable and carries no weight
-    assert np.count_nonzero(grid) == len(dist)
-
-
 @settings(max_examples=25, deadline=None)
 @given(evolution_cases())
 def test_log_point_probability_dp_matches_enumeration(case):
@@ -138,19 +124,32 @@ def test_log_point_probability_dp_matches_enumeration(case):
             assert got == pytest.approx(math.log(prob), rel=REL)
 
 
-@settings(max_examples=25, deadline=None)
-@given(evolution_cases())
-def test_target_cone_matches_the_full_evolution(case):
-    law, n, seed = case
-    env = sample_environment(law, seed, centered_box(law.dimension, n + 4))
-    full, lo, log_scale = forward_evolution(env, n)
-    for t in np.argwhere(full > 0) + lo:
-        grid, t_lo, t_scale = forward_evolution(env, n, target=t)
-        assert np.count_nonzero(grid) == 1
-        assert grid[tuple(t - t_lo)] * math.exp(t_scale) == pytest.approx(
-            full[tuple(t - lo)] * math.exp(log_scale), rel=REL)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_light_cone_refuses_an_unreachable_target(d):
     with pytest.raises(ValueError, match="not reachable"):
-        forward_evolution(env, n, target=np.full(law.dimension, n + 1))
+        light_cone(d, 4, np.full(d, 5))  # out of reach
+    with pytest.raises(ValueError, match="not reachable"):
+        light_cone(d, 4, np.r_[1, np.zeros(d - 1, dtype=int)])  # of the wrong parity
+
+
+def box_log_probability(env, n: int, target) -> float:
+    """log P_{0,omega}(X_n = target) by evolving the whole radius-n box, rescaled every step."""
+    d = env.law.dimension
+    box = centered_box(d, n)
+    omega = env.omega_many(box.all_sites()).reshape(box.shape + (2 * d,))
+    grid = np.zeros(box.shape)
+    grid[(n,) * d] = 1.0
+    log_scale = 0.0
+    for _ in range(n):
+        new = np.zeros(box.shape)
+        for k, vec in enumerate(direction_vectors(d)):
+            src = tuple(slice(max(-v, 0), m - max(v, 0)) for v, m in zip(vec, box.shape))
+            dst = tuple(slice(max(v, 0), m - max(-v, 0)) for v, m in zip(vec, box.shape))
+            new[dst] += grid[src] * omega[src + (k,)]
+        peak = new.max()
+        grid = new / peak
+        log_scale += math.log(peak)
+    return log_scale + math.log(grid[tuple(np.asarray(target) + n)])
 
 
 RATE_DP_2D = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
@@ -163,6 +162,5 @@ STRONG_2D = IIDProductLaw(2, [[0.02, 0.48, 0.25, 0.25], [0.48, 0.02, 0.25, 0.25]
 def test_long_horizon_cone_matches_the_full_evolution(law):
     n, target = 160, np.array([32, 16])
     env = sample_environment(law, 5, centered_box(2, n))
-    full, lo, log_scale = forward_evolution(env, n)
-    want = log_scale + math.log(full[tuple(target - lo)])
+    want = box_log_probability(env, n, target)
     assert log_point_probability_dp(env, n, target) == pytest.approx(want, rel=REL)

@@ -8,7 +8,7 @@ from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
                                    constant_law, direction_vectors, sample_environment)
 from rwre_lab.numutil import BudgetError
 from rwre_lab.walks import (annealed_path_weights, annealed_point_probability,
-                            forward_evolution, log_point_probability_dp, path_positions,
+                            log_point_probability_dp, path_positions,
                             quenched_endpoint_distribution, quenched_point_probability,
                             step_matrix)
 
@@ -96,20 +96,18 @@ class TestQuenchedProbabilities:
     def test_dp_matches_enumeration(self):
         env = sample_environment(two_atom_law(), 13, centered_box(1, 7))
         dist = quenched_endpoint_distribution(env, 6)
-        grid, lo, log_scale = forward_evolution(env, 6)
         for target, prob in dist.items():
-            assert grid[tuple(np.asarray(target) - lo)] * math.exp(log_scale) == pytest.approx(
-                prob, rel=1e-12)
+            assert log_point_probability_dp(env, 6, target) == pytest.approx(math.log(prob),
+                                                                             rel=1e-12)
 
     def test_dp_matches_enumeration_2d(self):
         law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
                             [0.5, 0.5], 0.1)
         env = sample_environment(law, 5, centered_box(2, 5))
         dist = quenched_endpoint_distribution(env, 4)
-        grid, lo, log_scale = forward_evolution(env, 4)
         for target, prob in dist.items():
-            assert grid[tuple(np.asarray(target) - lo)] * math.exp(log_scale) == pytest.approx(
-                prob, rel=1e-12)
+            assert log_point_probability_dp(env, 4, target) == pytest.approx(math.log(prob),
+                                                                             rel=1e-12)
 
     def test_log_dp_matches_enumeration(self):
         env = sample_environment(two_atom_law(), 19, centered_box(1, 9))
@@ -137,6 +135,9 @@ class TestQuenchedProbabilities:
             quenched_point_probability(env, 2, (1,))  # (1, 1) must not match
         with pytest.raises(ValueError, match="not a site"):
             annealed_point_probability(law, 2, (1, 1, 0))
+        for target in [(1,), (1, 1, 0)]:  # neither -inf nor an indexing error
+            with pytest.raises(ValueError, match="not a site"):
+                log_point_probability_dp(env, 3, target)
 
 
 class TestAnnealedProbabilities:

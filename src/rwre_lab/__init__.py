@@ -10,6 +10,12 @@ estimators     rate points and the quenched/annealed gap
 cli            command line front end (rwre-lab)
 """
 
+import os
+
+# Every computation here runs on one thread, and numpy's import would otherwise
+# start an OpenBLAS worker per core; a value the user sets still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
                             default_kbar, expected_tau, make_epsilon_law, psi_factor,
                             sample_ray_block_values, sample_tau_batch, verify_psi_identity)

@@ -36,7 +36,8 @@ Config schema (JSON object; unknown keys rejected):
                the only method (the removed "tilted-mc" is rejected).
     verify     {"n_max": int, "theta_count": int, "theta_scale": float,
                 "psi_n_max": int, "tau_draws": int >= 2}
-    tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}
+    tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}, 0 < kbar < 1,
+               integer L >= 1
     env_sample {"lo": [...], "hi": [...]}
     tolerances {"tilt_residual", "identity_rel", "onestep_abs",
                 "coincidence_abs", "tau_sigmas"}
@@ -112,6 +113,14 @@ def _integer(name: str, val, low=None):
         raise ConfigError(f"{name} must be an integer{bound}, got {val!r}")
 
 
+def _integer_list(name: str, vals):
+    """Refuse ``vals`` unless it is a list of JSON integers."""
+    if not isinstance(vals, list):
+        raise ConfigError(f"{name} must be a list of integers, got {vals!r}")
+    for a, val in enumerate(vals):
+        _integer(f"{name}[{a}]", val)
+
+
 def normalize_config(raw: dict) -> dict:
     """Apply defaults and reject unknown keys; the result round-trips losslessly."""
     if not isinstance(raw, dict):
@@ -147,12 +156,19 @@ def normalize_config(raw: dict) -> dict:
             _integer(f"law.{field}", law[field])
     if out["gap"]["horizon"] is not None:  # null chooses the horizon from the tail
         _integer("gap.horizon", out["gap"]["horizon"], 1)
+    _integer_list("ell", out["ell"])
     for corner in ("lo", "hi"):
-        sites = out["env_sample"][corner]
-        if not isinstance(sites, list):
-            raise ConfigError(f"env_sample.{corner} must be a list of integers, got {sites!r}")
-        for a, site in enumerate(sites):
-            _integer(f"env_sample.{corner}[{a}]", site)
+        _integer_list(f"env_sample.{corner}", out["env_sample"][corner])
+    configs = out["tau"]["configs"]
+    if not isinstance(configs, list):
+        raise ConfigError(f"tau.configs must be a list of [kbar, L] pairs, got {configs!r}")
+    for i, pair in enumerate(configs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"tau.configs[{i}] must be a [kbar, L] pair, got {pair!r}")
+        kb = pair[0]
+        if not isinstance(kb, float) or not 0.0 < kb < 1.0:
+            raise ConfigError(f"tau.configs[{i}][0] must be a kbar in (0, 1), got {kb!r}")
+        _integer(f"tau.configs[{i}][1]", pair[1], 1)
     if out["rate"]["method"] != "enumeration":
         raise ConfigError(f"rate.method {out['rate']['method']!r} is not supported: the only "
                           "method is 'enumeration' (the exact forward DP); 'tilted-mc' was "
@@ -406,12 +422,12 @@ def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
         # tau needs only the success probability k; an EpsilonLaw would also
         # demand 2d * k < 1, which the default k = 0.25 breaks in 2-D
-        c = StoppingConfig(int(lval), stop.ell)
-        taus = sample_tau_batch(float(kb), c, draws,
+        c = StoppingConfig(lval, stop.ell)
+        taus = sample_tau_batch(kb, c, draws,
                                 np.random.default_rng(derive_seed(cfg["seed"], 300 + i)))
-        expect = expected_tau(float(kb), c)
+        expect = expected_tau(kb, c)
         mean, se, z = _tau_z(taus, expect)
-        rows.append([float(kb), int(lval), draws, mean, se, expect, z])
+        rows.append([kb, lval, draws, mean, se, expect, z])
         print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")
     if out_dir:
         _write_csv(os.path.join(out_dir, "tau_stats.csv"), cfg,

@@ -11,11 +11,17 @@ The inner block expectation itself is computed without Monte Carlo error:
 conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
-``certify_gap`` is the one exact evaluation of the two block bounds. It feeds
-the recursion CHUNK replicas at a time and draws their free factors one time
-row per step, so its memory does not grow with the horizon. Its report
-carries the bounds as ``GapReport.I_a`` and ``GapReport.I_q``. The
-independent Monte Carlo check of the recursion is
+The recursion carries a_s, the mass that enters a free symbol at time s; each
+step is one dot product of the last L of them with the powers of kbar and one
+multiply by the time row of free factors. Every few steps the new a's are
+summed into the value, and the last L are rescaled by a power of two and moved
+to the top of their buffer. ``certify_gap`` is the one exact evaluation of the
+two block bounds. It feeds the recursion CHUNK replicas at a time and draws
+their free factors in short blocks of time rows, so its memory does not grow
+with the horizon. For a product law the annealed side is the same recursion
+on the mean row, free factor u(ell) - kbar, folded in as one more column of
+the first replica block. Its report carries the bounds as ``GapReport.I_a``
+and ``GapReport.I_q``. The independent Monte Carlo check of the recursion is
 ``decomposition.sample_ray_block_values``, which samples the same truncated
 functional symbol by symbol; the tests hold the two against each other.
 
@@ -26,6 +32,7 @@ exact per-environment point probabilities from ``log_point_probability_dp``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +69,8 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
 
 
 _LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
+_FLUSH_ROWS = 32  # recursion steps between flushes of the entry-mass buffer
+_ROW_BLOCK = 2**14  # uniforms per time block of a product-law row source
 
 
 def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
@@ -86,37 +95,47 @@ def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
     return max(1, int(_LOG_RANGE / rate)) if rate > 0.0 else max(1, len(factors))
 
 
-def _inner_recursion(rows, m: int, kbar: float, L: int, every: int) -> np.ndarray:
-    """Inner block values of m replicas, fed their free factors one time row at a time.
+def _inner_recursion(blocks, m: int, kbar: float, L: int, every: int,
+                     steps: int) -> np.ndarray:
+    """Inner block values of m replicas, fed their free factors in blocks of time rows.
 
-    ``rows`` yields the (m,) factor rows of symbol times 1, 2, ...; a row is
-    read only during its own step, so a source may refill one buffer. The
-    state v (mass per current run length) lives in a ring of L rows, so the
-    run shift is an index rotation; every ``every`` steps each replica's state
-    is rescaled by a power of two, which is exact, and the scale is kept as an
-    exponent.
+    ``blocks`` yields (n, m) arrays of the factor rows f_1, f_2, ... of symbol
+    times 1, 2, ...; only the first ``steps`` = H - L rows are read, and a row
+    only during its own step, so a source may refill one buffer per block.
+    The state is a_s, the mass that enters a free symbol at time s: a_0 = 1 and
+
+        a_{t+1} = f_{t+1} * sum_{j<L} kbar^j a_{t-j},
+
+    one ``dot`` and one in-place multiply per step. A string stops at its
+    first L-run of forced symbols, so the value at horizon H is
+    kbar^L * sum_{s=0..H-L} a_s; for H < L it is 0. The a's fill a buffer of
+    min(every, _FLUSH_ROWS) rows below the L rows the next step reads. Each
+    time it is full, the new rows are summed into the total, and the last L
+    rows are rescaled by the power of two of the largest entry
+    max_j kbar^j |a_{t-j}| of the run-length state, which is exact, and moved
+    to the top; the scale is kept as an exponent.
     """
-    ring = np.zeros((L, m))
-    ring[0] = 1.0
-    slots = list(ring)  # slots[t % L] holds v[0] at step t, slots[(t + 1) % L] holds v[L-1]
-    done = np.zeros(m)  # stopped mass, in units of 2**exponent, over the current interval
-    total = np.zeros(m)
+    if steps < 0:
+        return np.zeros(m)
+    flush = min(every, _FLUSH_ROWS)
+    kw = kbar ** np.arange(L - 1, -1, -1.0)  # weights of a_{t-L+1}, ..., a_t
+    buf = np.zeros((L + flush, m))
+    buf[L - 1] = 1.0
+    slots = [(buf[i - L:i], buf[i]) for i in range(L, L + flush)]
+    rows = itertools.islice(itertools.chain.from_iterable(blocks), steps)
+    total = np.ones(m)  # a_0
     exponent = np.zeros(m, dtype=np.int64)
-    runs = np.empty(m)
-    for t, f in enumerate(rows):
-        last = slots[(t + 1) % L]
-        done += last
-        np.add.reduce(ring, axis=0, out=runs)
-        ring *= kbar
-        np.multiply(runs, f, out=last)
-        if (t + 1) % every == 0:
-            total += np.ldexp(done, exponent)
-            done.fill(0.0)
-            shift = np.frexp(np.abs(ring).max(axis=0))[1]
-            np.ldexp(ring, -shift, out=ring)
-            exponent += shift
-    total += np.ldexp(done, exponent)
-    return total * kbar
+    while True:
+        n = 0
+        for n, ((window, a), f) in enumerate(zip(slots, rows), 1):
+            np.dot(kw, window, out=a)
+            np.multiply(a, f, out=a)
+        total += np.ldexp(np.add.reduce(buf[L:L + n], axis=0), exponent)
+        if n < flush:
+            return total * kbar**L
+        shift = np.frexp((np.abs(buf[flush:]) * kw[:, None]).max(axis=0))[1]
+        np.ldexp(buf[flush:], -shift, out=buf[:L])
+        exponent += shift
 
 
 def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarray:
@@ -134,7 +153,8 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
     array, such as the transpose of an (H, m) buffer, is read without a copy.
     """
     cols = np.ascontiguousarray(np.atleast_2d(np.asarray(free_factors, dtype=np.float64)).T)
-    return _inner_recursion(cols, cols.shape[1], kbar, L, _rescale_interval(cols, kbar, L))
+    return _inner_recursion([cols], cols.shape[1], kbar, L, _rescale_interval(cols, kbar, L),
+                            len(cols) - L)
 
 
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
@@ -158,32 +178,45 @@ def _check_budget(n_rows: int, horizon: int):
                           f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
 
 
-def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0):
+def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0,
+              lead=()):
     """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
 
-    rows(c, size) yields block c's (size,) factor rows for t = 0..horizon-1;
-    ``table`` holds every value a factor can take. With the defaults u = 1 and
-    kbar = 0 the rows are xi itself, bit for bit. A product-law block draws
-    one uniform per replica and step from derive_seed(seed, c), so it holds
-    O(size) numbers whatever the horizon. A field-law block realizes replica i
-    on the ray box from derive_seed(seed, c, i) into one time-major buffer,
-    and raises BudgetError before allocating one over MEMORY_BUDGET.
+    rows(c, size) yields block c's factor rows for t = 0..horizon-1 as (n, size)
+    arrays of n consecutive time rows; ``table`` holds every value a factor
+    can take. With the defaults u = 1 and kbar = 0 the rows are xi itself,
+    bit for bit. A product-law block draws one uniform per replica and step
+    from derive_seed(seed, c), in time blocks of about _ROW_BLOCK uniforms, so
+    it holds O(size) numbers whatever the horizon; the draws are those of one
+    row at a time, because the generator fills a block in C order. Its block
+    0 has a leading column per entry of ``lead``, which holds that constant
+    at every time. A field-law block realizes replica i on the ray box from
+    derive_seed(seed, c, i) into one time-major buffer, and raises BudgetError
+    before allocating one over MEMORY_BUDGET; ``lead`` must be empty for it.
     """
     table = u * law.xi_values()[:, ell] - kbar
     if isinstance(law, IIDProductLaw):
-        # atom index = number of cumulative weights, last one excluded, <= the draw
+        # atom index = number of cumulative weights, last one excluded, <= the draw;
+        # index len(table) picks a lead constant
         cuts = np.cumsum(law.weights)[:-1] if len(law.weights) > 1 else np.array([np.inf])
+        values = np.concatenate([table, lead])
 
         def rows(c, size):
             rng = np.random.default_rng(derive_seed(seed, c))
-            draw, above, row = np.empty(size), np.empty(size, dtype=bool), np.empty(size)
-            atom = np.empty(size, dtype=np.intp)
-            for _ in range(horizon):
-                rng.random(out=draw)
-                np.greater_equal(draw, cuts[0], out=atom)
+            n_lead = len(lead) if c == 0 else 0
+            k = max(1, _ROW_BLOCK // size)
+            draw, above = np.empty((k, size)), np.empty((k, size), dtype=bool)
+            atom = np.empty((k, n_lead + size), dtype=np.intp)
+            atom[:, :n_lead] = np.arange(len(table), len(table) + n_lead)
+            out = np.empty(atom.shape)
+            for t in range(0, horizon, k):
+                n = min(k, horizon - t)
+                rng.random(out=draw[:n])
+                drawn = atom[:n, n_lead:]
+                np.greater_equal(draw[:n], cuts[0], out=drawn)
                 for cut in cuts[1:]:
-                    atom += np.greater_equal(draw, cut, out=above)
-                yield np.take(table, atom, out=row)
+                    drawn += np.greater_equal(draw[:n], cut, out=above[:n])
+                yield np.take(values, atom[:n], out=out[:n], mode="clip")
 
         return rows, table
     if isinstance(law, MarkovFieldLaw):
@@ -196,7 +229,7 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
             for i in range(size):
                 env = sample_environment(law, derive_seed(seed, c, i), box)
                 buf[:, i] = table[env.states.reshape(-1)[ray]]
-            return buf
+            return [buf]
 
         return rows, table
     raise TypeError(f"unsupported law type {type(law)!r}")
@@ -213,8 +246,10 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     rows, _ = _ray_rows(law, ell, horizon, seed)
     xi = np.empty((horizon, n_rows))
     for c, start, size in _blocks(n_rows):
-        for t, row in enumerate(rows(c, size)):
-            xi[t, start:start + size] = row
+        t = 0
+        for block in rows(c, size):
+            xi[t:t + len(block), start:start + size] = block
+            t += len(block)
     return xi.T
 
 
@@ -234,20 +269,26 @@ def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
 
 
 def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                          n_rows: int, horizon: int, seed: int) -> np.ndarray:
+                          n_rows: int, horizon: int, seed: int, lead=()) -> np.ndarray:
     """Exact inner block value per environment replica, one block at a time.
 
-    The recursion pulls each block's free factors one time row per step, so a
-    product-law run holds the ring of L rows and O(CHUNK) scratch whatever the
-    horizon; a field-law block holds its (horizon, CHUNK) buffer. The rescale
-    interval comes from the law's table of possible factors, and rescaling is
-    exact, so the values are those of ``quenched_ray_log_inner`` on the rows
-    of ``sample_ray_xi(law, cfg.ell, n_rows, horizon, seed)``, to rounding.
+    The recursion pulls each block's free factors in time blocks of rows, so
+    a product-law run holds its buffers of O(CHUNK) rows whatever the horizon;
+    a field-law block holds its (horizon, CHUNK) buffer. Each entry of
+    ``lead`` (product laws only) is a constant free factor carried as a
+    leading column of block 0, and its value leads the result. The rescale
+    interval comes from the law's table of possible factors and ``lead``, and
+    rescaling is exact, so the replica values are those of
+    ``quenched_ray_log_inner`` on the rows of ``sample_ray_xi(law, cfg.ell,
+    n_rows, horizon, seed)``, to rounding.
     """
-    rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar)
-    every = _rescale_interval(table, eps.kbar, cfg.L)
-    return np.concatenate([_inner_recursion(rows(c, size), size, eps.kbar, cfg.L, every)
-                           for c, _, size in _blocks(n_rows)])
+    rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar,
+                            lead)
+    every = _rescale_interval(np.append(table, lead), eps.kbar, cfg.L)
+    return np.concatenate([
+        _inner_recursion(rows(c, size), size + (len(lead) if c == 0 else 0), eps.kbar, cfg.L,
+                         every, horizon - cfg.L)
+        for c, _, size in _blocks(n_rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +361,20 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if horizon is not None and horizon > TAU_HORIZON:
         raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
     h = horizon or choose_horizon(eps, cfg, tail)
-    log_inner = _log_positive(_stream_inner_values(tp, eps, cfg, law, budget, h,
-                                                    derive_seed(seed, 1)))
+    product = isinstance(law, IIDProductLaw)
+    # a product law's annealed side is the exact mean row, free factor u(ell) - kbar,
+    # evaluated as one leading column of the first replica block
+    lead = [float(tp.u_array[cfg.ell]) - eps.kbar] if product else []
+    values = _stream_inner_values(tp, eps, cfg, law, budget, h, derive_seed(seed, 1), lead)
+    log_inner = _log_positive(values[len(lead):])
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0
     else:
         q_side = float(log_inner.mean()) / et
         q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et
-    if isinstance(law, IIDProductLaw):
-        a_side = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et
+    if product:
+        a_side = math.log(values[0]) / et
         a_se = 0.0
     else:
         # same environment rows on both sides (common random numbers)

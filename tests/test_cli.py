@@ -346,6 +346,14 @@ class TestEnvSampleAndTau:
         assert "integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kbar", [0.0, 1.0, 1.5, True, "0.125"])
+    def test_tau_kbar_outside_the_unit_interval_rejected(self, tmp_path, capsys, kbar):
+        cfg = write_config(tmp_path, {"tau": {"draws": 1000, "configs": [[kbar, 2]]}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "tau-stats"]) == 64
+        assert "error: tau.configs[0][0] must be a kbar in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         # 10^8 sites: refused by the realization cap before anything is allocated
         cfg = write_config(tmp_path, {"env_sample": {"lo": [-10], "hi": [100_000_000]}})
@@ -425,6 +433,8 @@ NOT_INTEGER = [  # (key named in the error, subcommand, config)
     ("law.sweeps", "env-sample", {"law": {**FIELD_LAW, "sweeps": True}}),
     ("env_sample.lo[0]", "env-sample", {"env_sample": {"lo": [-1.5], "hi": [3]}}),
     ("tau.draws", "tau-stats", {"tau": {"draws": True}}),
+    ("tau.configs[0][1]", "tau-stats", {"tau": {"draws": 1000, "configs": [[0.125, 2.7]]}}),
+    ("ell[0]", "gap", {"ell": [True]}),
 ]
 
 

@@ -1,6 +1,7 @@
 """Property tests: the streamed gap kernel against its dense and extended-range references."""
 
 import decimal
+import itertools
 import math
 import tracemalloc
 
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwre_lab import estimators
 from rwre_lab.decomposition import StoppingConfig, make_epsilon_law
 from rwre_lab.environments import IIDProductLaw
-from rwre_lab.estimators import (certify_gap, quenched_ray_log_inner, ray_inner_values,
-                                 sample_ray_xi)
+from rwre_lab.estimators import (_inner_recursion, certify_gap, quenched_ray_log_inner,
+                                 ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import derive_seed
 from rwre_lab.tilting import solve_tilt
 
@@ -110,3 +112,134 @@ def test_near_zero_factors_leave_the_forced_strings():
     got = ray_inner_values(factors, kbar, L)
     assert rel_error(got[0], extended_inner(factors[0], kbar, L)) <= REL
     assert got[0] == pytest.approx(kbar**L, rel=1e-12)
+
+
+LAWS = {
+    "two-atom": IIDProductLaw(1, [[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5], 0.1),
+    "three-atom": IIDProductLaw(1, [[0.3, 0.7], [0.55, 0.45], [0.7, 0.3]], [0.2, 0.5, 0.3], 0.1),
+}
+
+
+def reference_rows(law, table, seed, c, size, horizon):
+    """Block c's rows drawn in one call, one uniform per replica and step, mapped by inversion."""
+    cuts = np.cumsum(law.weights)[:-1]
+    draws = np.random.default_rng(derive_seed(seed, c)).random((horizon, size))
+    return table[np.searchsorted(cuts, draws, side="right")]
+
+
+@pytest.mark.parametrize("law_name", sorted(LAWS))
+@pytest.mark.parametrize("replicas", EDGE_REPLICAS)
+def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
+    # the product-law source draws its rows in time blocks; the uniforms, and so
+    # every row, must be those of one call per block of replicas, for horizons
+    # the time block does not divide
+    law, horizon, seed, L = LAWS[law_name], 46, 5, 3
+    blocks = [(c, min(4096, replicas - start)) for c, start in enumerate(range(0, replicas, 4096))]
+    xi = law.xi_values()[:, 0]
+    want = np.concatenate([reference_rows(law, xi, derive_seed(seed, 1), c, size, horizon)
+                           for c, size in blocks], axis=1)
+    assert sample_ray_xi(law, 0, replicas, horizon, derive_seed(seed, 1)).T.tobytes() == \
+        want.tobytes()
+
+    consumed = []
+    real = estimators._inner_recursion
+
+    def spy(rows, m, kbar, L, every, steps):
+        read = np.array([row.copy() for row in itertools.islice(
+            itertools.chain.from_iterable(rows), steps)])
+        consumed.append(read)
+        return real([read], m, kbar, L, every, steps)
+
+    monkeypatch.setattr(estimators, "_inner_recursion", spy)
+    tp = solve_tilt(law, [0.5])
+    eps = make_epsilon_law(tp)
+    certify_gap(tp, eps, StoppingConfig(L, 0), law, replicas, horizon=horizon, seed=seed)
+    factors = float(tp.u_array[0]) * xi - eps.kbar
+    assert len(consumed) == len(blocks)
+    for (c, size), read in zip(blocks, consumed):
+        want = reference_rows(law, factors, derive_seed(seed, 1), c, size, horizon - L)
+        assert read[:, read.shape[1] - size:].tobytes() == want.tobytes()
+
+
+@st.composite
+def factor_rows(draw):
+    L = draw(st.integers(2, 5))
+    horizon = draw(st.one_of(st.integers(1, L + 3), st.integers(L + 4, 300)))
+    kbar = draw(st.floats(0.05, 0.3))
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    factors = rng.uniform(0.02, 0.8, size=(2, horizon))
+    if signed:
+        flip = rng.random((2, horizon)) < 0.2
+        factors[flip] = -rng.uniform(0.01, 0.3, size=int(flip.sum()))
+    return factors, kbar, L
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_rows())
+def test_recursion_matches_extended_reference(case):
+    # a signed row may cancel, so its error is held against the same sum with |f|,
+    # which is the value itself for one-signed rows
+    factors, kbar, L = case
+    got = ray_inner_values(factors, kbar, L)
+    for row, val in zip(factors, got):
+        want = extended_inner(row, kbar, L)
+        scale = extended_inner(np.abs(row), kbar, L)
+        if len(row) < L:
+            assert val == 0.0 and want == 0
+        else:
+            assert abs(decimal.Decimal(float(val)) - want) <= decimal.Decimal(REL) * scale
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_gap_below_the_block_length_is_refused(L):
+    # no string completes an L-run before time L: every inner value is 0
+    law = LAWS["two-atom"]
+    tp = solve_tilt(law, [0.5])
+    with pytest.raises(ValueError, match="not positive"):
+        certify_gap(tp, make_epsilon_law(tp), StoppingConfig(L, 0), law, 8, horizon=L - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.integers(2, 5), extra=st.integers(0, 80), seed=st.integers(0, 2**32))
+def test_rows_past_h_minus_l_are_never_read(L, extra, seed):
+    # the value at horizon H reads f_1 .. f_{H-L}: rows H-L+1 .. H may hold
+    # anything, and are not pulled from the source
+    horizon, m, kbar = L + extra, 3, 0.125
+    rows = np.random.default_rng(seed).uniform(0.02, 0.8, size=(horizon, m))
+    want = ray_inner_values(rows.T, kbar, L)
+    changed = rows.copy()
+    changed[horizon - L:] = np.nan
+    pulled = []
+
+    def one_row_at_a_time():
+        for t, row in enumerate(changed):
+            pulled.append(t)
+            yield row[None, :]
+
+    got = _inner_recursion(one_row_at_a_time(), m, kbar, L,
+                           estimators._rescale_interval(rows, kbar, L), horizon - L)
+    assert np.array_equal(got, want)
+    assert len(pulled) == horizon - L
+
+
+@pytest.mark.parametrize("replicas", EDGE_REPLICAS)
+def test_annealed_side_is_the_folded_mean_row(replicas):
+    law = LAWS["three-atom"]
+    tp = solve_tilt(law, [0.4])
+    eps, cfg = make_epsilon_law(tp), StoppingConfig(3, 0)
+    rep = certify_gap(tp, eps, cfg, law, replicas, horizon=400, seed=8)
+    want = ray_log_inner_annealed_iid(tp, eps, cfg, 400)
+    assert rep.trace.shape == (replicas,)
+    assert abs(rep.annealed_side * rep.expected_block - want) <= REL * abs(want)
+
+
+def test_product_law_gap_runs_no_separate_annealed_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_gap evaluated a row outside its replica blocks")
+
+    monkeypatch.setattr(estimators, "ray_inner_values", refuse)
+    law = LAWS["two-atom"]
+    tp = solve_tilt(law, [0.5])
+    rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), law, 100, seed=2)
+    assert rep.trace.shape == (100,) and np.isfinite(rep.annealed_side)

@@ -24,11 +24,11 @@ Config schema (JSON object; unknown keys rejected):
                any other key, or another kind, is rejected. Direction order
                within a probability vector is [+e1, -e1, +e2, -e2, ...].
     z          target velocity, list of d floats, 0 < |z|_1 < 1
-    ell        forced direction as a signed unit vector, <z, ell> > 0
+    ell        forced direction as a signed unit vector of d entries, <z, ell> > 0
     L          block length (int >= 2 for gap runs)
     kbar       optional forcing-symbol probability override
     seed       64-bit integer root seed
-    gap        {"replicas": int, "horizon": int >= 1 or null, "tail": float}
+    gap        {"replicas": int, "horizon": int >= 1 or null, "tail": float in (0, 1)}
     rate       {"velocities": [[...], ...], "method": "enumeration",
                 "horizon": int, "env_replicas": int >= 2,
                 "boundary_sites": int >= 2}
@@ -156,7 +156,13 @@ def normalize_config(raw: dict) -> dict:
             _integer(f"law.{field}", law[field])
     if out["gap"]["horizon"] is not None:  # null chooses the horizon from the tail
         _integer("gap.horizon", out["gap"]["horizon"], 1)
+    tail = out["gap"]["tail"]
+    if isinstance(tail, bool) or not isinstance(tail, (int, float)) or not 0.0 < tail < 1.0:
+        raise ConfigError(f"gap.tail must be a probability in (0, 1), got {tail!r}")
     _integer_list("ell", out["ell"])
+    if "dimension" in law and len(out["ell"]) != law["dimension"]:
+        raise ConfigError(f"ell must have law.dimension = {law['dimension']} entries, "
+                          f"got {out['ell']!r}")
     for corner in ("lo", "hi"):
         _integer_list(f"env_sample.{corner}", out["env_sample"][corner])
     configs = out["tau"]["configs"]

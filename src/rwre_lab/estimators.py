@@ -451,10 +451,12 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
     annealed rate is -log E[omega] (exact for product laws). Interior points
     use the decay of the point probability P(X_N = N x), exact per
     environment by forward evolution on the two-sided light cone, at N and
-    N/2 with first-order Richardson extrapolation in 1/N. The quenched rate
-    averages the per-environment decays over ``env_replicas`` environments,
-    the annealed rate takes the decay of their averaged probabilities with a
-    leave-one-out jackknife error; the method is reported as "enumeration".
+    N/2 with first-order Richardson extrapolation in 1/N; one evolution to N
+    per environment reads both, P(X_{N/2} = N x / 2) on the way. The
+    quenched rate averages the per-environment decays over ``env_replicas``
+    environments, the annealed rate takes the decay of their averaged
+    probabilities with a leave-one-out jackknife error; the method is
+    reported as "enumeration".
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     x1 = float(np.abs(x).sum())
@@ -497,20 +499,17 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     n2 = max(2 * base, 2 * base * round(horizon / (2 * base)))
     n1 = n2 // 2
     zero_dis = law.disorder() == 0.0
-    # the n1 cone is the n2 cone scaled by 1/2 about the origin, so it lies inside
-    region = light_cone(d, n2, np.round(n2 * x))
-
-    def decay(env, n):
-        target = np.round(n * x).astype(np.int64)
-        return -log_point_probability_dp(env, n, target) / n
-
+    # n1 x lies on a path to n2 x: one evolution on the n2 cone reads both
+    target1, target2 = (np.round(n * x).astype(np.int64) for n in (n1, n2))
+    region = light_cone(d, n2, target2)
     reps = 1 if zero_dis else env_replicas
     i_r = np.empty(reps)
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):
         env = sample_environment(law, derive_seed(seed, 31, r), region)
-        a1, a2 = decay(env, n1), decay(env, n2)
+        log2, log1 = log_point_probability_dp(env, n2, target2, at=(n1, target1))
+        a1, a2 = -log1 / n1, -log2 / n2
         i_r[r] = 2.0 * a2 - a1  # first-order extrapolation in 1/N
         logp1[r] = -a1 * n1
         logp2[r] = -a2 * n2

@@ -17,8 +17,19 @@ two-sided light cone between the origin and a target, with exact
 power-of-two rescaling, and only on the parity sublattice of each step, in
 rotated coordinates (``_rotate``) where every move is a constant shift and
 the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
-Its output is bit-identical to the box evolution's: each site sums the same
-products in the same order, and a power-of-two rescale is exact.
+The grid is stored flat, its axes in the order that needs the least flat
+work and each trailing axis padded by one guard slot, so every move is one
+multiply and one add over two contiguous ranges a fixed offset apart. Each
+step zeroes what those ranges wrote outside its window, so every cell read
+outside a window is exactly 0 and the peak that sets the rescale is the
+window's own. The output is bit-identical to the box evolution's: each
+site on a path to the target sums the same products in the same order,
+plus exact zeros, and a power-of-two rescale is exact. The log is returned
+in a canonical form, (exponent + e) log 2 + log m with (m, e) the frexp of
+the rescaled value, which depends only on the exact value; so
+``at=(m, target_m)`` reads log P(X_m = target_m) at step m of the same
+evolution, as ``rate_point`` does for the half horizon of its Richardson
+pair, and gets the value that an evolution ending there returns.
 
 The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
 and the point and endpoint laws built on them) sum over every path of the
@@ -32,6 +43,7 @@ nearest-neighbour chain in d = 1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -254,16 +266,24 @@ def _unrotate(y: np.ndarray, j: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _sublattice_plan(d: int, n: int, target: tuple) -> tuple:
-    """The slices of ``log_point_probability_dp`` for one geometry; pure in (d, n, target).
+    """The flat layout of ``log_point_probability_dp`` for one geometry; pure in (d, n, target).
 
     The grid is held in w = y - floor(j/2) u, where y = ``_rotate(z, j)`` and
     u is the shift of +e1, so a cell stands for the same site at every step of
-    one parity. Returns (shape, origin, cell, steps, sources): the grid's
-    shape; the cells of w = 0 and of the target; per step, (parity, window,
-    moves) with one (direction, source slices, destination slices) per
-    direction that moves any cell; and per parity, the flat grid cells that
-    some window of that parity holds inside the ``light_cone`` box, and their
-    displacements.
+    one parity. Its axes are laid out in the order that minimises the flat
+    work, the sum over steps of window rows times padded row length: the
+    leading axis holds the rows, and each trailing axis gets one guard slot,
+    so a move off the edge of a row lands in a guard slot, never in the next
+    row. Cell w is flat index w @ stride + base.
+
+    Returns (padded, stride, base, u, steps, sources): the padded shape in
+    layout order; the flat stride of each rotated axis and the flat offset of
+    w = 0; u; per step, (parity, write, moves, strips) with the flat write
+    range of the next window, one (direction, source, destination) range
+    per direction that moves any cell, and the layout-order slices of
+    the write rows that lie outside the window; and per parity, the flat
+    cells that some window of that parity holds inside the ``light_cone``
+    box, and their displacements.
     """
     cone = light_cone(d, n, target)
     sigma = _rotate(direction_vectors(d), 1)  # each move is a constant shift of y
@@ -276,42 +296,79 @@ def _sublattice_plan(d: int, n: int, target: tuple) -> tuple:
     lo, hi = lo - j // 2 * u, hi - j // 2 * u + 1  # half-open windows in w
     w_lo = lo.min(axis=0)
     lo, hi = lo - w_lo, hi - w_lo
-    shape = tuple(hi.max(axis=0).tolist())
-    if math.prod(shape) > MATERIALIZE_CAP:
-        raise BudgetError(f"forward evolution of {math.prod(shape)} cells exceeds cap "
+    shape = hi.max(axis=0)
+    rows = (hi - lo).sum(axis=0)
+    order = list(min(itertools.permutations(range(d)),
+                     key=lambda p: rows[p[0]] * math.prod(shape[list(p[1:])] + 1)))
+    padded = (int(shape[order[0]]),) + tuple((shape[order[1:]] + 1).tolist())
+    if math.prod(padded) > MATERIALIZE_CAP:
+        raise BudgetError(f"forward evolution of {math.prod(padded)} cells exceeds cap "
                           f"{MATERIALIZE_CAP}")
-    windows = [tuple(map(slice, a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    stride = np.empty(d, dtype=np.int64)
+    stride[order] = np.cumprod((padded[1:] + (1,))[::-1])[::-1]
+    flat_lo = (lo @ stride).tolist()  # first and past-last window cell per step
+    flat_hi = ((hi - 1) @ stride + 1).tolist()
     # from step j, direction k moves the sources of window j that land in window j + 1
     shifts = sigma - j[:-1, :, None] % 2 * u
     src_lo = np.maximum(lo[:-1, None], lo[1:, None] - shifts)
     src_hi = np.minimum(hi[:-1, None], hi[1:, None] - shifts)
+    nonempty = np.all(src_lo < src_hi, axis=2).tolist()
+    a, b = (src_lo @ stride).tolist(), ((src_hi - 1) @ stride + 1).tolist()
+    offset = (shifts @ stride).tolist()
     steps = []
-    held = np.zeros((2,) + shape, dtype=bool)
-    for step, (s_lo, s_hi, shift) in enumerate(zip(src_lo.tolist(), src_hi.tolist(),
-                                                   shifts.tolist())):
-        moves = tuple((k, tuple(map(slice, a, b)),
-                       tuple(slice(p + v, q + v) for p, q, v in zip(a, b, vec)))
-                      for k, (a, b, vec) in enumerate(zip(s_lo, s_hi, shift))
-                      if all(p < q for p, q in zip(a, b)))
-        steps.append((step % 2, windows[step + 1], moves))
-        held[(step % 2,) + windows[step]] = True
+    held = np.zeros((2,) + tuple(shape.tolist()), dtype=bool)
+    for step in range(n):
+        moves = tuple((k, slice(p, q), slice(p + v, q + v))
+                      for k, (p, q, v, on) in enumerate(zip(a[step], b[step], offset[step],
+                                                            nonempty[step])) if on)
+        w_lo_next, w_hi_next = lo[step + 1, order].tolist(), hi[step + 1, order].tolist()
+        rows_next = tuple(map(slice, w_lo_next, w_hi_next))
+        strips = tuple(rows_next[:axis] + (side,) for axis in range(1, d)
+                       for side in (slice(0, w_lo_next[axis]), slice(w_hi_next[axis], None))
+                       if side.stop != 0)  # the high side always holds the guard slot
+        steps.append((step % 2, slice(flat_lo[step + 1], flat_hi[step + 1]), moves, strips))
+        held[(step % 2,) + tuple(map(slice, lo[step], hi[step]))] = True
 
     def inside(parity):
-        cells = np.flatnonzero(held[parity])
-        z = _unrotate(np.stack(np.unravel_index(cells, shape), axis=-1) + w_lo, parity)
+        w = np.argwhere(held[parity])
+        z = _unrotate(w + w_lo, parity)
         keep = np.all((z >= cone.lo) & (z <= cone.hi), axis=1)
-        return cells[keep], z[keep]
+        return w[keep] @ stride, z[keep]
 
     sources = tuple(inside(p) for p in range(min(n, 2)))
-    for arr in (a for pair in sources for a in pair):
+    for arr in (stride, u) + tuple(a for pair in sources for a in pair):
         arr.setflags(write=False)
-    return shape, tuple((-w_lo).tolist()), tuple(lo[n].tolist()), tuple(steps), sources
+    return padded, stride, int(-w_lo @ stride), u, tuple(steps), sources
 
 
-def log_point_probability_dp(env: Environment, n: int, target) -> float:
+def _cell(plan: tuple, z, j: int) -> int:
+    """The flat cell of site z at step j in the layout of ``plan``."""
+    _, stride, base, u, _, _ = plan
+    return int((_rotate(z, j) - j // 2 * u) @ stride) + base
+
+
+def _log_scaled(value: float, exponent: int) -> float:
+    """log(value * 2^exponent) as (exponent + e) log 2 + log m, with (m, e) = frexp(value)."""
+    if value <= 0.0:
+        return float("-inf")
+    m, e = math.frexp(float(value))
+    return (exponent + e) * math.log(2.0) + math.log(m)
+
+
+def log_point_probability_dp(env: Environment, n: int, target, at=None):
     """log P_{0,omega}(X_n = target) by scaled forward evolution on the two-sided light cone.
 
     -inf, without evolving, when the target is out of reach in n steps.
+
+    With ``at=(m, target_m)`` it returns the pair (log P(X_n = target),
+    log P(X_m = target_m)), the second read at step m of the same evolution;
+    it raises ValueError unless target_m lies on some n-step path from the
+    origin to the target. Every cell on a path to target_m sums the same
+    products, in the same order, as in the evolution that ends at target_m,
+    and the rescales differ by powers of two only, so the readout equals
+    ``log_point_probability_dp(env, m, target_m)`` unless one of those cells
+    falls below the smallest normal double in one evolution and not the
+    other.
 
     Only the parity sublattice {x : sum(x) = j mod 2} is evolved, in the
     coordinates of ``_rotate``, where every move is a constant shift and the
@@ -319,37 +376,64 @@ def log_point_probability_dp(env: Environment, n: int, target) -> float:
     shifts s, cut to the backward box from the target. In d <= 2 that is
     exactly the set of sites on some path to the target; in d >= 3 a box
     around it. At step n both boxes shrink to the target, so the last window
-    is its one cell. Each step clears its window, adds the products of source
-    weight and omega per direction, in direction order, and rescales by the
-    power of two of the window's peak, so horizons far beyond the enumeration
-    budget stay in floating-point range. Every site that can still reach the
-    target sums the products of the whole-box evolution, in the same order,
-    less exact zeros: the result is bit-identical to it.
+    is its one cell.
+
+    The grid is one flat array, padded by a guard slot on each trailing axis
+    (``_sublattice_plan``), so a move is two contiguous ranges a fixed
+    offset apart. Each step clears the flat range of its window, runs one
+    multiply and one add per direction, in direction order, over those
+    ranges, zeroes the strips of its rows that lie outside the window, and
+    rescales by the power of two of the window's peak, so horizons far beyond
+    the enumeration budget stay in floating-point range. Every cell that a
+    step reads outside its window thus holds exactly 0, and a window cell
+    sums the products of the whole-box evolution in the same order, plus
+    exact zeros; the peak is the window's. Unzeroed, the mass that left the cone,
+    or wrapped into a guard slot, would set the peak: against a strong drift
+    it outgrows the window by hundreds of binades and pushes the window into
+    subnormals, where the target loses digits. The log is returned in
+    canonical form, (exponent + e) log 2 + log m with (m, e) = frexp of the
+    rescaled value, so it depends only on the exact value, not on how the
+    rescales split it.
     """
     d = env.law.dimension
     target = _site(target, d)
+    m = -1  # no readout
+    if at is not None:
+        m, target_m = int(at[0]), _site(at[1], d)
+        if not (0 <= m <= n and _reachable(target_m, m) and _reachable(target - target_m, n - m)):
+            raise ValueError(f"site {target_m.tolist()} at step {m} lies on no {n}-step path "
+                             f"to {target.tolist()}")
     if not _reachable(target, n):
         return float("-inf")
-    shape, origin, cell, steps, sources = _sublattice_plan(d, n, tuple(target.tolist()))
-    # omega depends only on the parity of the step: one (2d,) + shape slab per parity
+    plan = _sublattice_plan(d, n, tuple(target.tolist()))
+    padded, _, _, _, steps, sources = plan
+    size = math.prod(padded)
+    # omega depends only on the parity of the step: one (2d, size) slab per parity
     flows = []
     for flat, z in sources:
-        flow = np.zeros((2 * d, math.prod(shape)))
+        flow = np.zeros((2 * d, size))
         flow[:, flat] = env.omega_many(z).T
-        flows.append(flow.reshape((2 * d,) + shape))
-    grid = np.zeros(shape)
-    grid[origin] = 1.0
-    new = np.zeros(shape)
+        flows.append(list(flow))  # one contiguous row per direction
+    grid, new, scratch = np.zeros(size), np.zeros(size), np.empty(size)
+    grid[_cell(plan, np.zeros(d, dtype=np.int64), 0)] = 1.0
     exponent = 0
-    for parity, window, moves in steps:
+    if at is not None:
+        cell_m = _cell(plan, target_m, m)
+        log_m = _log_scaled(grid[cell_m], 0)  # read again at step m > 0
+    for step, (parity, write, moves, strips) in enumerate(steps, 1):
         flow = flows[parity]
-        live = new[window]
-        live.fill(0.0)
+        new[write] = 0.0
         for k, src, dst in moves:
-            new[dst] += grid[src] * flow[k][src]
-        _, e = math.frexp(float(live.max()))
+            np.add(new[dst], np.multiply(grid[src], flow[k][src], out=scratch[dst]), out=new[dst])
+        rows = new.reshape(padded)
+        for strip in strips:
+            rows[strip] = 0.0
+        live = new[write]
+        _, e = math.frexp(np.maximum.reduce(live))
         np.ldexp(live, -e, out=live)
         exponent += e
         grid, new = new, grid
-    val = float(grid[cell])
-    return float("-inf") if val <= 0.0 else exponent * math.log(2.0) + math.log(val)
+        if step == m:
+            log_m = _log_scaled(grid[cell_m], exponent)
+    log_n = _log_scaled(grid[_cell(plan, target, n)], exponent)
+    return log_n if at is None else (log_n, log_m)

@@ -177,6 +177,27 @@ class TestGap:
         assert surv[h] < 1e-3 <= surv[h - 1]
         assert h < choose_horizon(eps, stop, tail=1e-4)
 
+    def test_tail_outside_the_unit_interval_refused(self, tmp_path, capsys):
+        # -1 and 0 scanned up to the 1e7-symbol cap before exit 2, and 1.5
+        # exited 64 blaming the disorder: each is refused as a config error
+        for tail in (-1, 0, 1.5):
+            cfg = write_config(tmp_path, {"gap": {"tail": tail}})
+            out = tmp_path / "out"
+            assert main(["--config", cfg, "--out", str(out), "gap"]) == 64
+            assert f"error: gap.tail must be a probability in (0, 1), got {tail}" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("ell", [[0, -1], [1, 0]], ids=["past-the-table", "read-as-[1]"])
+    def test_ell_of_another_dimension_refused(self, tmp_path, capsys, ell):
+        # on the 1-D default law [0, -1] indexed past the direction table, and
+        # [1, 0] ran silently as [1]
+        cfg = write_config(tmp_path, {"ell": ell})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 64
+        assert "error: ell must have law.dimension = 1 entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_budget_exits_2(self, tmp_path, capsys):
         # the horizon is above the 1e7-symbol cap that choose_horizon also keeps
         payload = {**TWO_ATOM_GAP, "gap": {"replicas": 4000, "horizon": 100_000_000}}

@@ -1,5 +1,6 @@
 """Property tests: the path kernels of ``walks`` against brute-force oracles."""
 
+import functools
 import itertools
 import math
 import sys
@@ -124,6 +125,39 @@ def test_log_point_probability_dp_matches_enumeration(case):
             assert got == pytest.approx(math.log(prob), rel=REL)
 
 
+@settings(max_examples=25, deadline=None)
+@given(evolution_cases())
+def test_readout_equals_the_evolution_that_ends_there(case):
+    # every site on an n-step path to every reachable target, at every step m
+    law, n, seed = case
+    d = law.dimension
+    env = sample_environment(law, seed, centered_box(d, n + 4))
+    ball = np.array(list(itertools.product(range(-n, n + 1), repeat=d)))
+    from_origin = np.abs(ball).sum(axis=1)
+    ending = functools.cache(lambda m, site: log_point_probability_dp(env, m, site))
+    for target in ball[(from_origin <= n) & ((n - from_origin) % 2 == 0)]:
+        whole = log_point_probability_dp(env, n, target)
+        to_target = np.abs(ball - target).sum(axis=1)
+        for m in range(n + 1):
+            on_path = (from_origin <= m) & (to_target <= n - m) & ((m - from_origin) % 2 == 0)
+            for site in ball[on_path]:
+                want = ending(m, tuple(site.tolist()))
+                assert log_point_probability_dp(env, n, target, at=(m, site)) == (whole, want)
+
+
+@pytest.mark.parametrize("target,m,site", [((2, 2), 2, (1, 0)),     # of the wrong parity
+                                           ((2, 2), 2, (2, 2)),     # out of reach in m steps
+                                           ((2, 2), 2, (-2, 0)),    # too far from the target
+                                           ((2, 2), -1, (1, 0)),    # before the start
+                                           ((2, 2), 5, (1, 2)),     # past the horizon
+                                           ((2, 2), 2, (1, 1, 0)),  # not a site of Z^2
+                                           ((3, 2), 2, (1, 1))])    # the target is unreachable
+def test_readout_off_every_path_raises(target, m, site):
+    env = sample_environment(RATE_DP_2D, 3, centered_box(2, 5))
+    with pytest.raises(ValueError):
+        log_point_probability_dp(env, 4, target, at=(m, site))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_light_cone_refuses_an_unreachable_target(d):
     with pytest.raises(ValueError, match="not reachable"):
@@ -158,9 +192,47 @@ STRONG_2D = IIDProductLaw(2, [[0.02, 0.48, 0.25, 0.25], [0.48, 0.02, 0.25, 0.25]
                           [0.5, 0.5], 0.02)
 
 
-@pytest.mark.parametrize("law", [RATE_DP_2D, STRONG_2D], ids=["rate-dp-2d", "kappa-0.02"])
-def test_long_horizon_cone_matches_the_full_evolution(law):
-    n, target = 160, np.array([32, 16])
+@pytest.mark.parametrize("law,target", [(RATE_DP_2D, (32, 16)), (STRONG_2D, (32, 16)),
+                                         (RATE_DP_2D, (-32, 96))],
+                         ids=["rate-dp-2d", "kappa-0.02", "skewed"])
+def test_long_horizon_cone_matches_the_full_evolution(law, target):
+    # the skewed target lays the flat grid out in the other axis order
+    n, target = 160, np.array(target)
     env = sample_environment(law, 5, centered_box(2, n))
     want = box_log_probability(env, n, target)
     assert log_point_probability_dp(env, n, target) == pytest.approx(want, rel=REL)
+
+
+def homogeneous_log_probability(p, n: int, target) -> float:
+    """log P(X_n = target) of the 2-D walk with one step law p, in closed form.
+
+    The multinomial sum over the count of +e1 steps, which fixes the other
+    three counts, closed by log-sum-exp.
+    """
+    a, b = (int(v) for v in target)
+    terms = []
+    for east in range(max(a, 0), n + 1):
+        rest = n - 2 * east + a  # steps along e2
+        if rest < abs(b) or (rest - b) % 2:
+            continue
+        counts = (east, east - a, (rest + b) // 2, (rest - b) // 2)
+        terms.append(math.lgamma(n + 1) + sum(c * math.log(q) - math.lgamma(c + 1)
+                                              for c, q in zip(counts, p)))
+    peak = max(terms)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+
+
+@pytest.mark.parametrize("drift", range(4))
+def test_homogeneous_large_deviations_match_the_closed_form(drift):
+    # against a strong drift the mass that leaves the cone outgrows the
+    # window's by up to 2^550 at n = 1000; were it kept, its peak would set
+    # the rescale and push the window into subnormals, off by up to 1.5e-6
+    # at 3 of the 16 targets
+    n = 1000
+    p = np.roll([0.85, 0.05, 0.05, 0.05], drift)
+    law = IIDProductLaw(2, [p], [1.0], 0.05)
+    for x in [(-0.2, 0.6), (0.6, 0.2), (-0.5, -0.3), (0.1, -0.7)]:
+        target = np.round(n * np.asarray(x)).astype(np.int64)
+        env = sample_environment(law, 0, light_cone(2, n, target))
+        want = homogeneous_log_probability(p, n, target)
+        assert log_point_probability_dp(env, n, target) == pytest.approx(want, rel=REL)

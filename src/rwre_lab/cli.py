@@ -34,10 +34,13 @@ Config schema (JSON object; unknown keys rejected):
                 "boundary_sites": int >= 2}
                Interior points use the exact forward DP; "enumeration" is
                the only method (the removed "tilted-mc" is rejected).
-    verify     {"n_max": int, "theta_count": int, "theta_scale": float,
+    verify     {"n_max": int, "theta_count": int >= 1, "theta_scale": number >= 0,
                 "psi_n_max": int, "tau_draws": int >= 2}
+               n_max is capped at 6 for d > 1; the (2d)^n_max paths at n_max
+               must fit the 10^7-path budget and, with the tau draws, the
+               1 GiB memory budget, or verify exits 2 before any family runs
     tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}, 0 < kbar < 1,
-               integer L >= 1
+               integer L >= 1; draws over the memory budget exit 2
     env_sample {"lo": [...], "hi": [...]}
     tolerances {"tilt_residual", "identity_rel", "onestep_abs",
                 "coincidence_abs", "tau_sigmas"}
@@ -61,16 +64,17 @@ import sys
 
 import numpy as np
 
-from .decomposition import (StoppingConfig, conditional_step_probs,
+from .decomposition import (StoppingConfig, check_tau_memory, conditional_step_probs,
                             expected_tau, make_epsilon_law, psi_factor, sample_tau_batch,
                             qz_endpoint_distribution, decomposed_endpoint_distribution,
                             verify_psi_identity)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
-from .numutil import BudgetError, derive_seed
-from .tilting import (solve_tilt, tilt_invariant_residuals,
+from .numutil import MEMORY_BUDGET, BudgetError, derive_seed
+from .tilting import (identity_bytes, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched)
+from .walks import PATH_BUDGET
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -126,9 +130,10 @@ def normalize_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     out = copy.deepcopy(DEFAULT_CONFIG)
-    # a key whose default is an integer takes only integers, and a standard
-    # error needs two draws: fewer would report nan
-    draws = ("verify.tau_draws", "tau.draws", "rate.env_replicas", "rate.boundary_sites")
+    # a key whose default is an integer takes only integers; a standard error
+    # needs two draws (fewer would report nan), and the psi family one theta
+    lows = {"verify.tau_draws": 2, "tau.draws": 2, "rate.env_replicas": 2,
+            "rate.boundary_sites": 2, "verify.theta_count": 1}
     for key, val in raw.items():
         if key not in out:
             raise ConfigError(f"unknown config key {key!r}")
@@ -139,7 +144,7 @@ def normalize_config(raw: dict) -> dict:
                 if k2 not in out[key]:
                     raise ConfigError(f"unknown config key {key}.{k2}")
                 if type(out[key][k2]) is int:
-                    _integer(f"{key}.{k2}", v2, 2 if f"{key}.{k2}" in draws else None)
+                    _integer(f"{key}.{k2}", v2, lows.get(f"{key}.{k2}"))
                 out[key][k2] = v2
         else:
             if type(out[key]) is int:
@@ -156,6 +161,9 @@ def normalize_config(raw: dict) -> dict:
             _integer(f"law.{field}", law[field])
     if out["gap"]["horizon"] is not None:  # null chooses the horizon from the tail
         _integer("gap.horizon", out["gap"]["horizon"], 1)
+    scale = out["verify"]["theta_scale"]
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale < 0:
+        raise ConfigError(f"verify.theta_scale must be a number >= 0, got {scale!r}")
     tail = out["gap"]["tail"]
     if isinstance(tail, bool) or not isinstance(tail, (int, float)) or not 0.0 < tail < 1.0:
         raise ConfigError(f"gap.tail must be a probability in (0, 1), got {tail!r}")
@@ -260,6 +268,17 @@ def _run_verify(cfg: dict):
     seed = cfg["seed"]
     rng = np.random.default_rng(derive_seed(seed, 100))
     n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
+    # the identity families enumerate every path up to n_max: refuse the run
+    # before any family when the longest would break the path or memory budget
+    paths = (2 * d) ** n_max
+    if paths > PATH_BUDGET:
+        raise BudgetError(f"verify.n_max = {n_max} enumerates (2d)^n_max = {paths} paths, "
+                          f"over the {PATH_BUDGET}-path budget")
+    if (need := identity_bytes(law, n_max)) > MEMORY_BUDGET:
+        raise BudgetError(f"verify.n_max = {n_max} enumerates {paths} paths of {n_max} steps, "
+                          f"about {need / 2**20:.0f} MiB, over the "
+                          f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     thetas = rng.uniform(-cfg["verify"]["theta_scale"], cfg["verify"]["theta_scale"],
                          size=(cfg["verify"]["theta_count"], d))
     rows = []
@@ -275,18 +294,17 @@ def _run_verify(cfg: dict):
                  "passed": bool(worst[1] <= tol["tilt_residual"]),
                  "detail": worst[0]})
 
+    # one call per n enumerates the paths once for every theta
     worst_a = 0.0
     for n in range(1, n_max + 1):
-        for th in thetas:
-            lhs, rhs = verify_identity_annealed(law, tp, th, n)
+        for lhs, rhs in zip(*verify_identity_annealed(law, tp, thetas, n)):
             worst_a = max(worst_a, abs(lhs - rhs) / abs(rhs))
     add("identity-annealed", worst_a, tol["identity_rel"])
 
     env = sample_environment(law, derive_seed(seed, 101), centered_box(d, n_max + 1))
     worst_q = 0.0
     for n in range(1, n_max + 1):
-        for th in thetas:
-            lhs, rhs = verify_identity_quenched(env, tp, th, n)
+        for lhs, rhs in zip(*verify_identity_quenched(env, tp, thetas, n)):
             worst_q = max(worst_q, abs(lhs - rhs) / abs(rhs))
     add("identity-quenched", worst_q, tol["identity_rel"])
 
@@ -424,6 +442,8 @@ def cmd_env_sample(cfg: dict, out_dir: str) -> int:
 def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
     stop = build_problem(cfg)[3]
     draws = cfg["tau"]["draws"]
+    for _, lval in cfg["tau"]["configs"]:
+        check_tau_memory(draws, lval, "tau.draws")
     rows = []
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
         # tau needs only the success probability k; an EpsilonLaw would also

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, direction_index
-from .numutil import BudgetError, fsum, words
+from .numutil import MEMORY_BUDGET, BudgetError, fsum, words
 from .tilting import TiltParams
 from .walks import endpoint_law, path_omegas, path_positions, step_matrix
 
@@ -182,6 +182,19 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
     raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
 
 
+def check_tau_memory(draws: int, L: int, name: str = "n"):
+    """Raise BudgetError, naming ``name``, if ``sample_tau_batch`` of ``draws`` would pass MEMORY_BUDGET.
+
+    The sampler holds about 8 (L + 2) bytes per draw at its peak (the
+    geometric counts, their clipped copy, the (draws, L) multinomial split
+    and tau); 8 (L + 3) bounds it.
+    """
+    need = 8 * draws * (L + 3)
+    if need > MEMORY_BUDGET:
+        raise BudgetError(f"{name} = {draws} draws at L = {L} need {need / 2**20:.0f} MiB, "
+                          f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
+
+
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
                      horizon: int = TAU_HORIZON) -> np.ndarray:
     """n independent run-completion times, drawn in renewal form.
@@ -196,13 +209,16 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
     tau = sum_j count_j (j + 1) + L has exactly the law of the first time a run
     of L successes completes, at O(n L) work and no loop over symbol times.
 
-    Raises BudgetError iff some tau exceeds ``horizon``, naming how many. Every
-    failed attempt uses at least one symbol, so N is clipped to ``horizon``
-    before the multinomial: that keeps N finite where ``rng.geometric``
-    saturates at 2^63 - 1 and changes no tau within the horizon.
+    Raises BudgetError before drawing when n draws would pass MEMORY_BUDGET
+    (``check_tau_memory``), and otherwise iff some tau exceeds ``horizon``,
+    naming how many. Every failed attempt uses at least one symbol, so N is
+    clipped to ``horizon`` before the multinomial: that keeps N finite where
+    ``rng.geometric`` saturates at 2^63 - 1 and changes no tau within the
+    horizon.
     """
     k = _kbar_of(eps)
     L = cfg.L
+    check_tau_memory(n, L)
     p = k**L
     if p == 0.0:  # k^L underflows: no stream completes within any horizon
         raise BudgetError(f"{n} streams unfinished within {horizon} symbols")
@@ -271,29 +287,41 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
                         env: Environment | None = None) -> tuple:
     """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
 
-    weights[p] is the fsum over all symbol words of prod_j P(symbol_j) *
+    weights[p] is the fsum over the symbol words of prod_j P(symbol_j) *
     P(step_j | symbol_j), each free symbol further weighted by psi of the xi
     realized in ``env`` when one is given (xi is then the (P, n) array of xi
-    along the paths, else None), or by 1.
+    along the paths, else None), or by 1. Each step enumerates only the symbols
+    whose joint weight with it is nonzero, read off the joint table, so every
+    word left out has product exactly 0 and the exact sum is unchanged; the
+    budget counts the (path, word) pairs enumerated. All paths are enumerated
+    together, and each word's product is taken left to right over its steps.
     """
     d = tp.dimension
     n_sym = 2 * d + 1
-    if (n_sym**n) * ((2 * d) ** n) > budget:
-        raise BudgetError(f"joint enumeration of (2d+1)^n * (2d)^n exceeds budget {budget}")
-    steps = step_matrix(n, d)
-    ends = path_positions(steps, d)[:, -1]
-    xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
     # symbol probability times conditional step probability, (2d, n_sym)
     joint = (eps.symbol_probs()[:, None]
              * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
-    sym_words = words(n_sym, n)
-    cols = np.arange(n)[None, :]
-    weights = np.empty(len(steps))
-    for p, path in enumerate(steps):
-        per_step = joint[path]  # (n, n_sym)
-        if xi is not None:
-            per_step[:, -1] *= psi_factor(tp, eps, xi[p], path)
-        weights[p] = fsum(np.prod(per_step[cols, sym_words], axis=1))
+    # the symbols each step can carry; a step with fewer (kbar = u(step)
+    # leaves it no free symbol) is padded with symbols of weight 0 there
+    support = [np.flatnonzero(row) for row in joint]
+    width = max(len(sup) for sup in support)
+    support = np.array([np.r_[sup, np.flatnonzero(row == 0)[:width - len(sup)]]
+                        for sup, row in zip(support, joint)])
+    if (2 * d) ** n * width**n > budget:
+        raise BudgetError(f"joint enumeration of (2d)^n = {(2 * d) ** n} paths times "
+                          f"{width}^n = {width**n} symbol words exceeds budget {budget}")
+    steps = step_matrix(n, d)
+    ends = path_positions(steps, d)[:, -1]
+    xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
+    per_step = joint[steps]  # (P, n, n_sym)
+    if xi is not None:
+        per_step[..., -1] *= psi_factor(tp, eps, xi, steps)
+    choice = words(width, n)  # (W, n): the position of each step's symbol in its support
+    prod = np.ones((len(steps), len(choice)))
+    for j in range(n):
+        symbols = support[steps[:, j]][:, choice[:, j]]  # (P, W)
+        prod *= np.take_along_axis(per_step[:, j, :], symbols, axis=1)
+    weights = np.array([math.fsum(row) for row in prod.tolist()])
     return steps, ends, xi, weights
 
 
@@ -307,12 +335,10 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     exp(<theta, Z_n>) times the realized xi-product.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    u = tp.u_array
     steps, ends, xi, weights = _joint_path_weights(tp, eps, n, budget, env)
-    tilt = [math.exp(float(theta @ end)) for end in ends]
-    lhs = fsum([w * t for w, t in zip(weights, tilt)])
-    rhs = fsum([float(np.prod(u[path])) * t * float(np.prod(x))
-                for path, t, x in zip(steps, tilt, xi)])
+    tilt = np.array([math.exp(float(theta @ end)) for end in ends])
+    lhs = fsum(weights * tilt)
+    rhs = fsum(np.prod(tp.u_array[steps], axis=1) * tilt * np.prod(xi, axis=1))
     return lhs, rhs
 
 

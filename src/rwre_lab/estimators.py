@@ -42,13 +42,12 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
                             validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
-from .numutil import (BudgetError, derive_seed, jackknife_stderr_logmean, logmeanexp, logsumexp,
-                      words)
+from .numutil import (MEMORY_BUDGET, BudgetError, derive_seed, jackknife_stderr_logmean,
+                      logmeanexp, logsumexp, words)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
-MEMORY_BUDGET = 2**30  # bytes a dense buffer of ray factors may hold
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 

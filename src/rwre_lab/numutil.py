@@ -12,6 +12,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+MEMORY_BUDGET = 2**30  # bytes one dense buffer (ray factors, tau draws) may hold
+
+
 class BudgetError(RuntimeError):
     """Raised when an exact computation would exceed its configured budget."""
 

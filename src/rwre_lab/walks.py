@@ -10,7 +10,8 @@ indices, one row per path from the origin. ``step_matrix`` enumerates all of
 them, ``path_positions`` and ``path_sites`` turn a batch into the sites it
 visits. Path functionals of the environment are evaluated here and nowhere
 else, each by one routine: ``site_grouped_log_moment`` closes the annealed
-moment, ``path_omegas`` is the one quenched reader (omega along every path of
+moment of one table or of a stack of tables over one grouping of the
+visits, ``path_omegas`` is the one quenched reader (omega along every path of
 a batch in one realized environment), and ``log_point_probability_dp`` is the
 one forward evolution. It evolves the quenched walk's weights on the
 two-sided light cone between the origin and a target, with exact
@@ -98,35 +99,52 @@ def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.n
     """Sign and log-magnitude of E[prod_j values[atom(site_j), step_j]] per path.
 
     ``values`` is a (K, 2d) table over the atoms of a product law, possibly
-    signed or zero, and ``weights`` their probabilities; ``flat_sites`` and
-    ``steps`` are (P, n). Each distinct site draws one atom, so the visits to
-    a site close jointly as one mixture over atoms, and distinct sites
-    multiply. As with ``np.linalg.slogdet``, a zero moment has sign 0 and
-    log-magnitude -inf, and long paths stay in range.
+    signed or zero, or a (T, K, 2d) stack of such tables; ``weights`` are the
+    atoms' probabilities, and ``flat_sites`` and ``steps`` are (P, n). Each
+    distinct site draws one atom, so the visits to a site close jointly as one
+    mixture over atoms, and distinct sites multiply. The visits are grouped by
+    (path, site, step) once and every table of a stack reads that grouping;
+    both outputs have shape (P,) for one table and (T, P) for a stack, and
+    each row equals the call on its table alone. As with
+    ``np.linalg.slogdet``, a zero moment has sign 0 and log-magnitude -inf,
+    and long paths stay in range.
     """
     values = np.asarray(values, dtype=np.float64)
     n_paths, n = steps.shape
     if not steps.size:  # no steps, or no paths
-        return np.ones(n_paths), np.zeros(n_paths)
-    two_d = values.shape[1]
+        return np.ones(values.shape[:-2] + (n_paths,)), np.zeros(values.shape[:-2] + (n_paths,))
+    two_d = values.shape[-1]
     n_sites = int(flat_sites.max()) + 1
     path = np.arange(n_paths, dtype=np.int64)[:, None]
     keys, counts = np.unique(((path * n_sites + flat_sites) * two_d + steps).ravel(),
                              return_counts=True)
-    groups = keys // two_d  # one (path, site) pair per group
-    group_starts = np.r_[0, np.flatnonzero(np.diff(groups)) + 1]
+    # keys // two_d is one (path, site) pair per group and keys % two_d its
+    # step; arrays are dropped once read, since a stack holds T tables of each
+    group_starts = np.r_[0, np.flatnonzero(np.diff(keys // two_d)) + 1]
+    path_starts = np.r_[0, np.flatnonzero(np.diff(keys[group_starts] // (two_d * n_sites))) + 1]
     dirs = keys % two_d
+    del keys
     with np.errstate(divide="ignore"):
-        log_abs = np.add.reduceat(np.log(np.abs(values))[:, dirs] * counts, group_starts, axis=1)
-    odd = counts % 2 == 1
-    negative = np.logical_xor.reduceat((values < 0)[:, dirs] & odd, group_starts, axis=1)
-    peak = log_abs.max(axis=0)
+        log_abs = np.log(np.abs(values)).take(dirs, axis=-1)
+    log_abs *= counts
+    log_abs = np.add.reduceat(log_abs, group_starts, axis=-1)
+    negative = None
+    if (values < 0).any():  # an odd power of a negative entry flips its term
+        negative = np.logical_xor.reduceat((values < 0).take(dirs, axis=-1) & (counts % 2 == 1),
+                                           group_starts, axis=-1)
+    del dirs, counts
+    peak = log_abs.max(axis=-2, keepdims=True)
     peak[np.isneginf(peak)] = 0.0  # every atom vanishes at this site
-    mix = weights @ (np.where(negative, -1.0, 1.0) * np.exp(log_abs - peak))
-    path_starts = np.r_[0, np.flatnonzero(np.diff(groups[group_starts] // n_sites)) + 1]
+    log_abs -= peak
+    terms = np.exp(log_abs, out=log_abs)
+    if negative is not None:
+        terms[negative] *= -1.0
+    mix = weights @ terms
+    del log_abs, terms
     with np.errstate(divide="ignore"):
-        site_log = peak + np.log(np.abs(mix))
-    return np.multiply.reduceat(np.sign(mix), path_starts), np.add.reduceat(site_log, path_starts)
+        site_log = peak[..., 0, :] + np.log(np.abs(mix))
+    return (np.multiply.reduceat(np.sign(mix), path_starts, axis=-1),
+            np.add.reduceat(site_log, path_starts, axis=-1))
 
 
 def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:

@@ -110,6 +110,40 @@ class TestVerify:
         code = main(["--config", cfg, "verify"])
         assert code == 2
 
+    @pytest.mark.parametrize("payload,key", [
+        ({"verify": {"n_max": 40}}, "verify.n_max = 40 enumerates"),  # 2^40 paths
+        ({"verify": {"n_max": 19}}, "verify.n_max = 19 enumerates"),  # ~1.3 GiB of arrays
+        ({"verify": {"tau_draws": 10**10}}, "verify.tau_draws = 10000000000"),
+    ])
+    def test_budgets_refused_before_any_family(self, tmp_path, capsys, monkeypatch, payload,
+                                               key):
+        # refused before the first family runs: no oracle is called, exit 2
+        monkeypatch.setattr("rwre_lab.cli.tilt_invariant_residuals",
+                            lambda tp: pytest.fail("a family ran"))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: ") and key in err and "Traceback" not in err
+        assert not (out / "verify_report.json").exists()
+
+    def test_tau_stats_draws_over_the_memory_budget_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"tau": {"draws": 10**10}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "tau-stats"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: tau.draws = 10000000000 draws")
+        assert not (out / "tau_stats.csv").exists()
+
+    @pytest.mark.parametrize("scale", ["a", -0.5, True, None, [0.5]])
+    def test_theta_scale_must_be_a_number(self, tmp_path, capsys, scale):
+        cfg = write_config(tmp_path, {"verify": {"theta_scale": scale}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "verify"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify.theta_scale must be a number >= 0")
+        assert not out.exists()
+
     def test_two_dimensional_suite_within_a_minute(self, tmp_path, capsys):
         import time
 
@@ -456,6 +490,7 @@ NOT_INTEGER = [  # (key named in the error, subcommand, config)
     ("tau.draws", "tau-stats", {"tau": {"draws": True}}),
     ("tau.configs[0][1]", "tau-stats", {"tau": {"draws": 1000, "configs": [[0.125, 2.7]]}}),
     ("ell[0]", "gap", {"ell": [True]}),
+    ("verify.theta_count", "verify", {"verify": {"theta_count": 0}}),  # psi reads one theta
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_horizon,
+from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, _joint_path_weights,
+                                    check_tau_memory, choose_horizon,
                                     conditional_step_probs,
                                     decomposed_endpoint_distribution, default_kbar,
                                     expected_tau, make_epsilon_law, psi_factor,
@@ -98,6 +100,16 @@ class TestExpectedTau:
 
 
 class TestSampleTau:
+    def test_memory_budget_refuses_before_drawing(self):
+        # 8 (L + 3) bytes a draw: 10^10 draws at L = 2 ask for about 373 GiB
+        rng = np.random.default_rng(1)
+        with pytest.raises(BudgetError, match="n = 10000000000 draws at L = 2"):
+            sample_tau_batch(0.25, StoppingConfig(2, 0), 10**10, rng)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        check_tau_memory(2**30 // 40, 2)
+        with pytest.raises(BudgetError, match="tau.draws"):
+            check_tau_memory(2**30 // 40 + 1, 2, "tau.draws")
+
     def test_horizon_cap_signals_budget(self):
         # kbar^L = 1e-12: no stream completes a run within 10000 symbols
         eps, cfg = EpsilonLaw(1e-4, 1), StoppingConfig(3, 0)
@@ -225,6 +237,64 @@ class TestPsiIdentity:
         env = sample_environment(TWO_ATOM, 9, centered_box(1, 20))
         with pytest.raises(BudgetError):
             verify_psi_identity(TP, eps_eighth(), env, [0.0], 12)
+
+
+def every_word_weights(tp, eps, steps, xi):
+    """Joint path weights by brute force over all (2d+1)^n symbol words, zero-weight ones included."""
+    n_sym = 2 * tp.dimension + 1
+    sym_probs = eps.symbol_probs()
+    cond = [conditional_step_probs(tp, eps, s) for s in range(n_sym)]
+    weights = []
+    for p, path in enumerate(steps):
+        terms = []
+        for word in itertools.product(range(n_sym), repeat=len(path)):
+            term = 1.0
+            for j, (s, k) in enumerate(zip(word, path)):
+                factor = sym_probs[s] * cond[s][k]
+                if xi is not None and s == eps.free_symbol:
+                    factor *= psi_factor(tp, eps, xi[p, j], k)
+                term *= factor
+            terms.append(term)
+        weights.append(math.fsum(terms))
+    return weights
+
+
+LAW_2D = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
+
+
+class TestJointPathWeights:
+    @pytest.mark.parametrize("with_env", [False, True])
+    @pytest.mark.parametrize("d,z", [(1, [0.5]), (2, [0.2, 0.1])])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_sum_over_every_symbol_word(self, n, d, z, with_env):
+        # fsum is exactly rounded, so the words left out (product exactly 0)
+        # cannot change a weight: the two agree bit for bit
+        law = TWO_ATOM if d == 1 else LAW_2D
+        tp = solve_tilt(law, z)
+        eps = make_epsilon_law(tp, tp.c_z / 3)
+        env = sample_environment(law, 7, centered_box(d, n + 1)) if with_env else None
+        steps, ends, xi, weights = _joint_path_weights(tp, eps, n, 10**7, env)
+        assert (xi is None) == (env is None)
+        assert weights.tolist() == every_word_weights(tp, eps, steps, xi)
+
+    @pytest.mark.parametrize("d,z", [(1, [0.5]), (2, [0.2, 0.1])])
+    def test_a_step_without_a_free_symbol(self, d, z):
+        # kbar = min u leaves that step only its forced symbol, fewer than the
+        # others carry; its padded words weigh 0
+        tp = solve_tilt(TWO_ATOM if d == 1 else LAW_2D, z)
+        eps = EpsilonLaw(tp.c_z, d)
+        assert np.count_nonzero(conditional_step_probs(tp, eps, eps.free_symbol)) == 2 * d - 1
+        steps, _, _, weights = _joint_path_weights(tp, eps, 3, 10**7)
+        assert weights.tolist() == every_word_weights(tp, eps, steps, None)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
+
+    def test_budget_counts_the_enumerated_words(self):
+        # two symbols can carry each step (its forced one and the free one):
+        # (2d)^n paths times 2^n words, 4^11 = 4194304 within 10^7, 4^12 over
+        eps = eps_eighth()
+        _joint_path_weights(TP, eps, 2, 16)
+        with pytest.raises(BudgetError, match="2\\^n = 4 symbol words"):
+            _joint_path_weights(TP, eps, 2, 15)
 
 
 class TestCoincidence:

@@ -85,6 +85,46 @@ def test_signed_psi_table_multivisit():
         assert abs(sign[p] * math.exp(log_abs[p]) - exact) <= REL * scale
 
 
+@settings(max_examples=100, deadline=None)
+@given(moment_cases(), st.integers(0, 2**32 - 1))
+def test_stacked_tables_equal_per_table_calls(case, seed):
+    # one (path, site, step) grouping read by every table of a stack: each
+    # row equals the call on its table alone, bit for bit, zeros included
+    d, values, weights, steps = case
+    rng = np.random.default_rng(seed)
+    signed = rng.uniform(-1.0, 2.0, size=values.shape) * (rng.random(values.shape) < 0.7)
+    stack = np.stack([values, signed, np.abs(values)])
+    flat, _ = path_sites(steps, d)
+    signs, logs = site_grouped_log_moment(stack, weights, flat, steps)
+    assert signs.shape == logs.shape == (3, len(steps))
+    for t, table in enumerate(stack):
+        sign, log_abs = site_grouped_log_moment(table, weights, flat, steps)
+        assert sign.shape == (len(steps),)
+        assert np.array_equal(signs[t], sign) and np.array_equal(logs[t], log_abs)
+
+
+def test_stacked_psi_xi_and_omega_tables():
+    # the signed psi table (one entry -1.4e-14) beside xi and omega, and a
+    # table with zero entries, over every path of length 6
+    law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
+    tp = solve_tilt(law, [0.5])
+    eps = EpsilonLaw(0.2, 1)
+    xi = law.xi_values()
+    psi = xi + eps.kbar / (tp.u_array - eps.kbar) * (xi - 1.0)
+    zeros = np.array([[0.0, 0.6], [0.6, 0.0]])
+    stack = np.stack([psi, xi, law.table, zeros])
+    steps = np.asarray(list(itertools.product(range(2), repeat=6)), dtype=np.int64)
+    flat, _ = path_sites(steps, 1)
+    signs, logs = site_grouped_log_moment(stack, law.weights, flat, steps)
+    assert psi.min() < 0.0 and np.any(signs[3] == 0)
+    for t, table in enumerate(stack):
+        sign, log_abs = site_grouped_log_moment(table, law.weights, flat, steps)
+        assert np.array_equal(signs[t], sign) and np.array_equal(logs[t], log_abs)
+    empty = np.zeros((3, 0), dtype=np.int64)  # paths without steps: every moment is 1
+    signs, logs = site_grouped_log_moment(stack, law.weights, empty, empty)
+    assert np.array_equal(signs, np.ones((4, 3))) and np.array_equal(logs, np.zeros((4, 3)))
+
+
 def test_long_paths_stay_in_range():
     # 2000 steps with factors near 0.05 take a plain product to about e-6000,
     # far below the smallest double; the log-magnitude stays finite

@@ -189,6 +189,28 @@ class TestIdentityQuenched:
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
 
+class TestStackedTheta:
+    @pytest.mark.parametrize("d,z,n_max", [(1, [0.5], 6), (2, [0.2, 0.1], 4),
+                                           (3, [0.2, 0.1, 0.1], 3)])
+    def test_rows_equal_single_calls_bit_for_bit(self, d, z, n_max):
+        # one enumeration per call serves every theta: a (T, d) theta gives
+        # (T,) sides equal to the T single calls, ==, not approx
+        rng = np.random.default_rng(d)
+        law = random_law(rng, d)
+        tp = solve_tilt(law, z)
+        env = sample_environment(law, 4, centered_box(d, n_max + 1))
+        thetas = rng.uniform(-0.5, 0.5, size=(4, d))
+        for n in range(1, n_max + 1):
+            for oracle, first in ((verify_identity_annealed, law),
+                                  (verify_identity_quenched, env)):
+                lhs, rhs = oracle(first, tp, thetas, n)
+                assert lhs.shape == rhs.shape == (4,)
+                singles = [oracle(first, tp, th, n) for th in thetas]
+                assert all(isinstance(v, float) for pair in singles for v in pair)
+                assert lhs.tolist() == [s[0] for s in singles]
+                assert rhs.tolist() == [s[1] for s in singles]
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         tp = solve_tilt(TWO_ATOM, [0.5])

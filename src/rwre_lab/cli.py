@@ -29,16 +29,21 @@ Config schema (JSON object; unknown keys rejected):
     kbar       optional forcing-symbol probability override
     seed       64-bit integer root seed
     gap        {"replicas": int, "horizon": int >= 1 or null, "tail": float in (0, 1)}
+               replicas whose per-replica floats exceed the 1 GiB memory
+               budget exit 2 before any row is drawn
     rate       {"velocities": [[...], ...], "method": "enumeration",
-                "horizon": int, "env_replicas": int >= 2,
+                "horizon": int >= 1, "env_replicas": int >= 2,
                 "boundary_sites": int >= 2}
                Interior points use the exact forward DP; "enumeration" is
                the only method (the removed "tilted-mc" is rejected).
-    verify     {"n_max": int, "theta_count": int >= 1, "theta_scale": number >= 0,
-                "psi_n_max": int, "tau_draws": int >= 2}
-               n_max is capped at 6 for d > 1; the (2d)^n_max paths at n_max
-               must fit the 10^7-path budget and, with the tau draws, the
-               1 GiB memory budget, or verify exits 2 before any family runs
+    verify     {"n_max": int >= 1, "theta_count": int >= 1, "theta_scale": number >= 0,
+                "psi_n_max": int >= 1, "tau_draws": int >= 2}
+               n_max is capped at 6 for d > 1, and the n_max run is printed
+               and written to verify_report.json; the (2d)^n_max paths at
+               n_max must fit the 10^7-path budget and, with the tau draws,
+               the 1 GiB memory budget, and the psi family's (path, symbol
+               word) pairs at psi_n_max the 10^7-pair budget, or verify
+               exits 2 before any family runs
     tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}, 0 < kbar < 1,
                integer L >= 1; draws over the memory budget exit 2
     env_sample {"lo": [...], "hi": [...]}
@@ -64,10 +69,10 @@ import sys
 
 import numpy as np
 
-from .decomposition import (StoppingConfig, check_tau_memory, conditional_step_probs,
-                            expected_tau, make_epsilon_law, psi_factor, sample_tau_batch,
-                            qz_endpoint_distribution, decomposed_endpoint_distribution,
-                            verify_psi_identity)
+from .decomposition import (JOINT_BUDGET, StoppingConfig, check_tau_memory,
+                            conditional_step_probs, expected_tau, joint_pairs, make_epsilon_law,
+                            psi_factor, sample_tau_batch, qz_endpoint_distribution,
+                            decomposed_endpoint_distribution, verify_psi_identity)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
@@ -131,9 +136,11 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     out = copy.deepcopy(DEFAULT_CONFIG)
     # a key whose default is an integer takes only integers; a standard error
-    # needs two draws (fewer would report nan), and the psi family one theta
+    # needs two draws (fewer would report nan), the psi family one theta, and
+    # a path length or horizon of 0 would check or estimate nothing
     lows = {"verify.tau_draws": 2, "tau.draws": 2, "rate.env_replicas": 2,
-            "rate.boundary_sites": 2, "verify.theta_count": 1}
+            "rate.boundary_sites": 2, "verify.theta_count": 1, "verify.n_max": 1,
+            "verify.psi_n_max": 1, "rate.horizon": 1}
     for key, val in raw.items():
         if key not in out:
             raise ConfigError(f"unknown config key {key!r}")
@@ -261,7 +268,11 @@ def _tau_z(taus: np.ndarray, expect: float) -> tuple:
 
 
 def _run_verify(cfg: dict):
-    """Run the six identity families; returns (rows, all_pass)."""
+    """Run the six identity families; returns (n_max, rows, all_pass).
+
+    n_max is the longest path length the identity families enumerated:
+    verify.n_max, capped at 6 for d > 1.
+    """
     tol = cfg["tolerances"]
     law, tp, eps, stop = build_problem(cfg)
     d = tp.dimension
@@ -278,6 +289,10 @@ def _run_verify(cfg: dict):
         raise BudgetError(f"verify.n_max = {n_max} enumerates {paths} paths of {n_max} steps, "
                           f"about {need / 2**20:.0f} MiB, over the "
                           f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    psi_n_max = cfg["verify"]["psi_n_max"]
+    if (pairs := joint_pairs(tp, eps, psi_n_max)) > JOINT_BUDGET:
+        raise BudgetError(f"verify.psi_n_max = {psi_n_max} enumerates {pairs} (path, symbol "
+                          f"word) pairs, over the {JOINT_BUDGET}-pair budget")
     check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     thetas = rng.uniform(-cfg["verify"]["theta_scale"], cfg["verify"]["theta_scale"],
                          size=(cfg["verify"]["theta_count"], d))
@@ -326,7 +341,6 @@ def _run_verify(cfg: dict):
     total = eps.kbar + (u - eps.kbar) * psi_factor(tp, eps, xi, np.arange(2 * d))
     worst_p = float(np.max(np.abs(total - u * xi)))
     worst_n = 0.0
-    psi_n_max = cfg["verify"]["psi_n_max"]
     env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, psi_n_max + 1))
     for n in range(1, psi_n_max + 1):
         lhs, rhs = verify_psi_identity(tp, eps, env2, thetas[0], n)
@@ -340,12 +354,15 @@ def _run_verify(cfg: dict):
                             np.random.default_rng(derive_seed(seed, 104)))
     add("tau-waiting-time", abs(_tau_z(taus, expected_tau(eps, stop))[2]), tol["tau_sigmas"])
 
-    return rows, all(r["passed"] for r in rows)
+    return n_max, rows, all(r["passed"] for r in rows)
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
-    rows, ok = _run_verify(cfg)
+    n_max, rows, ok = _run_verify(cfg)
     width = max(len(r["family"]) for r in rows)
+    asked = cfg["verify"]["n_max"]
+    capped = "" if n_max == asked else f" (verify.n_max = {asked}, capped for d > 1)"
+    print(f"identity families enumerated paths up to n_max = {n_max}{capped}")
     print(f"{'family':<{width}}  {'metric':>12}  {'tolerance':>10}  result")
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
@@ -353,8 +370,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         print(f"{r['family']:<{width}}  {r['metric']:>12.3e}  {r['tolerance']:>10.1e}  {status}{detail}")
     if out_dir:
         _write_json(os.path.join(out_dir, "verify_report.json"),
-                    {"config_hash": config_hash(cfg), "seed": cfg["seed"], "families": rows,
-                     "passed": ok})
+                    {"config_hash": config_hash(cfg), "seed": cfg["seed"], "n_max": n_max,
+                     "families": rows, "passed": ok})
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 

@@ -39,6 +39,7 @@ from .tilting import TiltParams
 from .walks import endpoint_law, path_omegas, path_positions, step_matrix
 
 TAU_HORIZON = 10**7
+JOINT_BUDGET = 10**7  # (path, symbol word) pairs one joint enumeration may hold
 
 
 @dataclass(frozen=True)
@@ -283,6 +284,29 @@ def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
     return xi + eps.kbar / denom * (xi - 1.0)
 
 
+def _joint_support(tp: TiltParams, eps: EpsilonLaw) -> tuple:
+    """(joint, support): the (2d, 2d+1) symbol-step weights and each step's symbols.
+
+    joint[step, symbol] is the symbol probability times the conditional step
+    probability; support[step] lists the symbols whose joint weight with the
+    step is nonzero, padded with symbols of weight 0 there to one common
+    width (kbar = u(step) leaves a step no free symbol).
+    """
+    d = tp.dimension
+    joint = (eps.symbol_probs()[:, None]
+             * np.stack([conditional_step_probs(tp, eps, s) for s in range(2 * d + 1)])).T
+    support = [np.flatnonzero(row) for row in joint]
+    width = max(len(sup) for sup in support)
+    support = np.array([np.r_[sup, np.flatnonzero(row == 0)[:width - len(sup)]]
+                        for sup, row in zip(support, joint)])
+    return joint, support
+
+
+def joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int) -> int:
+    """(path, symbol word) pairs a joint enumeration at path length n holds."""
+    return (2 * tp.dimension) ** n * _joint_support(tp, eps)[1].shape[1] ** n
+
+
 def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
                         env: Environment | None = None) -> tuple:
     """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
@@ -297,16 +321,8 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
     together, and each word's product is taken left to right over its steps.
     """
     d = tp.dimension
-    n_sym = 2 * d + 1
-    # symbol probability times conditional step probability, (2d, n_sym)
-    joint = (eps.symbol_probs()[:, None]
-             * np.stack([conditional_step_probs(tp, eps, s) for s in range(n_sym)])).T
-    # the symbols each step can carry; a step with fewer (kbar = u(step)
-    # leaves it no free symbol) is padded with symbols of weight 0 there
-    support = [np.flatnonzero(row) for row in joint]
-    width = max(len(sup) for sup in support)
-    support = np.array([np.r_[sup, np.flatnonzero(row == 0)[:width - len(sup)]]
-                        for sup, row in zip(support, joint)])
+    joint, support = _joint_support(tp, eps)
+    width = support.shape[1]
     if (2 * d) ** n * width**n > budget:
         raise BudgetError(f"joint enumeration of (2d)^n = {(2 * d) ** n} paths times "
                           f"{width}^n = {width**n} symbol words exceeds budget {budget}")
@@ -326,7 +342,7 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
 
 
 def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta,
-                        n: int, budget: int = 10**7) -> tuple:
+                        n: int, budget: int = JOINT_BUDGET) -> tuple:
     """Both sides of the reweighting identity by exact joint enumeration.
 
     lhs sums over all (symbol sequence, path) pairs the product of symbol
@@ -350,7 +366,7 @@ def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
 
 
 def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
-                                     budget: int = 10**7) -> dict:
+                                     budget: int = JOINT_BUDGET) -> dict:
     """Endpoint law of the decomposed mechanism by joint enumeration.
 
     Must coincide with ``qz_endpoint_distribution``; the marginal per step is

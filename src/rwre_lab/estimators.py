@@ -48,6 +48,10 @@ from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
+# peak floats certify_gap holds per replica: a product law's block values,
+# their concatenation and their logs (the trace) make 3; a field law keeps
+# the values and the logs through the jackknife, which adds 4 temporaries
+_REPLICA_FLOATS = 6
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 
@@ -69,7 +73,7 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
 
 _LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
 _FLUSH_ROWS = 32  # recursion steps between flushes of the entry-mass buffer
-_ROW_BLOCK = 2**14  # uniforms per time block of a product-law row source
+_ROW_BLOCK = 2**14  # draws per time block of a product-law row source
 
 
 def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
@@ -184,38 +188,56 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
     rows(c, size) yields block c's factor rows for t = 0..horizon-1 as (n, size)
     arrays of n consecutive time rows; ``table`` holds every value a factor
     can take. With the defaults u = 1 and kbar = 0 the rows are xi itself,
-    bit for bit. A product-law block draws one uniform per replica and step
-    from derive_seed(seed, c), in time blocks of about _ROW_BLOCK uniforms, so
-    it holds O(size) numbers whatever the horizon; the draws are those of one
-    row at a time, because the generator fills a block in C order. Its block
-    0 has a leading column per entry of ``lead``, which holds that constant
-    at every time. A field-law block realizes replica i on the ray box from
-    derive_seed(seed, c, i) into one time-major buffer, and raises BudgetError
-    before allocating one over MEMORY_BUDGET; ``lead`` must be empty for it.
+    bit for bit. A product-law block draws from derive_seed(seed, c) in time
+    blocks of n = max(1, _ROW_BLOCK // size) rows, so it holds O(size) numbers
+    whatever the horizon. Each time block takes ceil(n * size / 8) raw PCG64
+    words, read as little-endian bytes, one byte b per (step, replica) in C
+    order; b stands for a uniform draw in [b/256, (b+1)/256) and is mapped
+    through a 256-entry factor table to the atom whose cumulative-weight
+    interval holds that whole range. A byte whose range holds a cut then
+    takes one double u' from the same generator, in C order after the
+    block's words, and its atom is that of the draw (b + u') / 256. Weights
+    that are multiples of 1/256 leave no such byte; otherwise at most K - 1
+    of the 256 values are, and every atom keeps its weight to 2**-53. Its
+    block 0 has a leading column per entry of ``lead``, which holds that
+    constant at every time. A field-law block realizes replica i on the ray
+    box from derive_seed(seed, c, i) into one time-major buffer, and raises
+    BudgetError before allocating one over MEMORY_BUDGET; ``lead`` must be
+    empty for it.
     """
     table = u * law.xi_values()[:, ell] - kbar
     if isinstance(law, IIDProductLaw):
-        # atom index = number of cumulative weights, last one excluded, <= the draw;
-        # index len(table) picks a lead constant
-        cuts = np.cumsum(law.weights)[:-1] if len(law.weights) > 1 else np.array([np.inf])
-        values = np.concatenate([table, lead])
+        # a draw's atom is the number of cumulative weights, last one excluded, <= it;
+        # byte b's range [b/256, (b+1)/256) straddles a cut when its two ends differ
+        cuts = np.cumsum(law.weights)[:-1]
+        edges = np.arange(257) / 256
+        first = np.searchsorted(cuts, edges[:-1], side="right")
+        straddle = np.flatnonzero(first != np.searchsorted(cuts, edges[1:], side="left"))
+        byte_table = table[first]
 
         def rows(c, size):
             rng = np.random.default_rng(derive_seed(seed, c))
             n_lead = len(lead) if c == 0 else 0
             k = max(1, _ROW_BLOCK // size)
-            draw, above = np.empty((k, size)), np.empty((k, size), dtype=bool)
-            atom = np.empty((k, n_lead + size), dtype=np.intp)
-            atom[:, :n_lead] = np.arange(len(table), len(table) + n_lead)
-            out = np.empty(atom.shape)
+            out = np.empty((k, n_lead + size))
+            out[:, :n_lead] = lead
             for t in range(0, horizon, k):
                 n = min(k, horizon - t)
-                rng.random(out=draw[:n])
-                drawn = atom[:n, n_lead:]
-                np.greater_equal(draw[:n], cuts[0], out=drawn)
-                for cut in cuts[1:]:
-                    drawn += np.greater_equal(draw[:n], cut, out=above[:n])
-                yield np.take(values, atom[:n], out=out[:n], mode="clip")
+                raw = rng.bit_generator.random_raw(-(-n * size // 8))
+                drawn = raw.astype("<u8", copy=False).view(np.uint8)[:n * size]
+                factors = out[:n, n_lead:]
+                np.take(byte_table, drawn.reshape(n, size), out=factors, mode="clip")
+                if straddle.size:
+                    hit = drawn == straddle[0]
+                    for b in straddle[1:]:
+                        hit |= drawn == b
+                    hit = np.flatnonzero(hit)
+                    # (b + u') / 256 >= cut iff u' >= 256 * cut - b, which rounds
+                    # nothing: the draw is compared with the cuts exactly
+                    edge = 256 * cuts - drawn[hit, None]
+                    atom = np.count_nonzero(rng.random(hit.size)[:, None] >= edge, axis=1)
+                    factors[np.divmod(hit, size)] = table[atom]
+                yield out[:n]
 
         return rows, table
     if isinstance(law, MarkovFieldLaw):
@@ -238,8 +260,10 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
 
     The dense stack of the rows that ``certify_gap`` streams; the result is the
-    transpose of a time-major buffer. Raises BudgetError, before anything is
-    allocated, when that buffer would exceed MEMORY_BUDGET.
+    transpose of a time-major buffer. For a product law each entry comes from
+    one random byte, plus one double where the byte's range straddles a cut
+    of the cumulative weights (``_ray_rows``). Raises BudgetError, before
+    anything is allocated, when that buffer would exceed MEMORY_BUDGET.
     """
     _check_budget(n_rows, horizon)
     rows, _ = _ray_rows(law, ell, horizon, seed)
@@ -272,14 +296,15 @@ def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, l
     """Exact inner block value per environment replica, one block at a time.
 
     The recursion pulls each block's free factors in time blocks of rows, so
-    a product-law run holds its buffers of O(CHUNK) rows whatever the horizon;
-    a field-law block holds its (horizon, CHUNK) buffer. Each entry of
-    ``lead`` (product laws only) is a constant free factor carried as a
-    leading column of block 0, and its value leads the result. The rescale
-    interval comes from the law's table of possible factors and ``lead``, and
-    rescaling is exact, so the replica values are those of
-    ``quenched_ray_log_inner`` on the rows of ``sample_ray_xi(law, cfg.ell,
-    n_rows, horizon, seed)``, to rounding.
+    a product-law run, which draws one random byte per replica and step (and
+    one double per byte that straddles a cut), holds its buffers of O(CHUNK)
+    rows whatever the horizon; a field-law block holds its (horizon, CHUNK)
+    buffer. Each entry of ``lead`` (product laws only) is a constant free
+    factor carried as a leading column of block 0, and its value leads the
+    result. The rescale interval comes from the law's table of possible
+    factors and ``lead``, and rescaling is exact, so the replica values are
+    those of ``quenched_ray_log_inner`` on the rows of ``sample_ray_xi(law,
+    cfg.ell, n_rows, horizon, seed)``, to rounding.
     """
     rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar,
                             lead)
@@ -347,8 +372,10 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     horizon is the smallest H with P(tau_1 > H) < ``tail``; a fixed one above
     TAU_HORIZON, the cap of that search, raises BudgetError. Replicas are
     evaluated CHUNK at a time with their factors drawn inside the recursion,
-    so memory does not grow with the horizon or, beyond the trace of one log
-    value per replica, with the replica count.
+    for a product law one random byte per replica and step, so memory does
+    not grow with the horizon. It grows with the replica count only by the
+    _REPLICA_FLOATS floats kept per replica, the trace among them; a count
+    whose floats pass MEMORY_BUDGET raises BudgetError before any row is drawn.
     """
     validate_stopping(tp, cfg)
     eps.validate_against(tp)
@@ -357,6 +384,10 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
         raise ValueError("the gap needs at least 2 replicas for a standard error")
+    if (need := 8 * _REPLICA_FLOATS * budget) > MEMORY_BUDGET:
+        raise BudgetError(f"gap.replicas = {budget} needs {_REPLICA_FLOATS} floats per replica, "
+                          f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB "
+                          f"budget")
     if horizon is not None and horizon > TAU_HORIZON:
         raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
     h = horizon or choose_horizon(eps, cfg, tail)

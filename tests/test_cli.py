@@ -114,6 +114,7 @@ class TestVerify:
         ({"verify": {"n_max": 40}}, "verify.n_max = 40 enumerates"),  # 2^40 paths
         ({"verify": {"n_max": 19}}, "verify.n_max = 19 enumerates"),  # ~1.3 GiB of arrays
         ({"verify": {"tau_draws": 10**10}}, "verify.tau_draws = 10000000000"),
+        ({"verify": {"psi_n_max": 40}}, "verify.psi_n_max = 40 enumerates"),
     ])
     def test_budgets_refused_before_any_family(self, tmp_path, capsys, monkeypatch, payload,
                                                key):
@@ -123,9 +124,27 @@ class TestVerify:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 2
-        err = capsys.readouterr().err
+        printed = capsys.readouterr()
+        err = printed.err
         assert err.startswith("budget error: ") and key in err and "Traceback" not in err
+        assert "PASS" not in printed.out and "FAIL" not in printed.out
         assert not (out / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("dimension,n_max,ran", [(1, 3, 3), (2, 40, 6)])
+    def test_report_records_the_n_max_it_ran(self, tmp_path, capsys, dimension, n_max, ran):
+        # in d > 1 n_max is capped at 6: stdout and the report say so
+        law = {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
+               "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], "weights": [0.5, 0.5]}
+        payload = {"verify": {"n_max": n_max, "theta_count": 2, "tau_draws": 30000}}
+        if dimension == 2:
+            payload.update(law=law, z=[0.2, 0.1], ell=[1, 0])
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), "verify"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["n_max"] == ran and report["passed"] is True
+        assert f"n_max = {ran}" in out.splitlines()[0]
+        assert ("capped" in out) == (ran != n_max)
 
     def test_tau_stats_draws_over_the_memory_budget_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": {"draws": 10**10}})
@@ -240,6 +259,17 @@ class TestGap:
         assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
         err = capsys.readouterr().err
         assert "budget" in err and "cap" in err
+        assert not (out / "gap_report.json").exists()
+
+    def test_replicas_over_the_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 10^10 replicas would hold 480 GB of floats: refused before any row is drawn
+        monkeypatch.setattr("rwre_lab.estimators._ray_rows",
+                            lambda *args, **kwargs: pytest.fail("a row was drawn"))
+        cfg = write_config(tmp_path, {"gap": {"replicas": 10**10}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: gap.replicas = 10000000000")
         assert not (out / "gap_report.json").exists()
 
     def test_replay_is_byte_identical(self, tmp_path):
@@ -491,6 +521,11 @@ NOT_INTEGER = [  # (key named in the error, subcommand, config)
     ("tau.configs[0][1]", "tau-stats", {"tau": {"draws": 1000, "configs": [[0.125, 2.7]]}}),
     ("ell[0]", "gap", {"ell": [True]}),
     ("verify.theta_count", "verify", {"verify": {"theta_count": 0}}),  # psi reads one theta
+    ("verify.n_max", "verify", {"verify": {"n_max": 0}}),  # would pass having checked nothing
+    ("verify.n_max", "verify", {"verify": {"n_max": -3}}),
+    ("verify.psi_n_max", "verify", {"verify": {"psi_n_max": -1}}),
+    ("rate.horizon", "rate", {"rate": {"horizon": 0}}),
+    ("rate.horizon", "rate", {"rate": {"horizon": -4}}),
 ]
 
 

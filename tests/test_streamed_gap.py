@@ -121,18 +121,36 @@ LAWS = {
 
 
 def reference_rows(law, table, seed, c, size, horizon):
-    """Block c's rows drawn in one call, one uniform per replica and step, mapped by inversion."""
+    """Block c's rows from the byte sampler, written out plainly.
+
+    Each time block of k rows takes one raw-word call; the words are read as
+    little-endian bytes, one byte b per (step, replica). A byte whose range
+    [b/256, (b+1)/256) holds a cut then takes one double u', in C order, and
+    stands for the draw (b + u') / 256; any other byte stands for b / 256.
+    """
     cuts = np.cumsum(law.weights)[:-1]
-    draws = np.random.default_rng(derive_seed(seed, c)).random((horizon, size))
-    return table[np.searchsorted(cuts, draws, side="right")]
+    rng = np.random.default_rng(derive_seed(seed, c))
+    k = max(1, estimators._ROW_BLOCK // size)
+    out = []
+    for t in range(0, horizon, k):
+        n = min(k, horizon - t)
+        raw = rng.bit_generator.random_raw(-(-n * size // 8))
+        data = b"".join(int(word).to_bytes(8, "little") for word in raw)
+        drawn = np.frombuffer(data, dtype=np.uint8)[:n * size].astype(np.float64)
+        low = np.searchsorted(cuts, drawn / 256, side="right")
+        straddles = low != np.searchsorted(cuts, (drawn + 1) / 256, side="left")
+        draw = drawn / 256
+        draw[straddles] = (drawn[straddles] + rng.random(int(straddles.sum()))) / 256
+        out.append(table[np.searchsorted(cuts, draw, side="right")].reshape(n, size))
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("law_name", sorted(LAWS))
 @pytest.mark.parametrize("replicas", EDGE_REPLICAS)
 def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
-    # the product-law source draws its rows in time blocks; the uniforms, and so
-    # every row, must be those of one call per block of replicas, for horizons
-    # the time block does not divide
+    # the product-law source draws its rows in time blocks of bytes; every row
+    # must be that of the plain byte sampler, for horizons the time block does
+    # not divide; the three-atom law's cuts 0.2 and 0.7 straddle bytes
     law, horizon, seed, L = LAWS[law_name], 46, 5, 3
     blocks = [(c, min(4096, replicas - start)) for c, start in enumerate(range(0, replicas, 4096))]
     xi = law.xi_values()[:, 0]
@@ -157,8 +175,70 @@ def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
     factors = float(tp.u_array[0]) * xi - eps.kbar
     assert len(consumed) == len(blocks)
     for (c, size), read in zip(blocks, consumed):
-        want = reference_rows(law, factors, derive_seed(seed, 1), c, size, horizon - L)
+        want = reference_rows(law, factors, derive_seed(seed, 1), c, size, horizon)[:horizon - L]
         assert read[:, read.shape[1] - size:].tobytes() == want.tobytes()
+
+
+def atom_counts(law, draws, seed=11):
+    """How often each atom is drawn in one replica block of ``draws`` product-law draws."""
+    size = 4096
+    rows, _ = estimators._ray_rows(law, 0, -(-draws // size), seed)
+    xi = law.xi_values()[:, 0]
+    counts = np.zeros(len(xi), dtype=np.int64)
+    for block in rows(0, size):
+        counts += [np.count_nonzero(block == v) for v in xi]
+    return counts
+
+
+SAMPLER_LAWS = {
+    "light-atom": IIDProductLaw(1, [[0.3, 0.7], [0.7, 0.3]], [0.001, 0.999], 0.1),
+    "three-atom": LAWS["three-atom"],
+    "zero-weight": IIDProductLaw(1, [[0.3, 0.7], [0.5, 0.5], [0.7, 0.3]], [0.3, 0.0, 0.7], 0.1),
+}
+
+
+@pytest.mark.parametrize("law_name", sorted(SAMPLER_LAWS))
+def test_byte_sampler_draws_each_atom_at_its_weight(law_name):
+    # the light atom's weight lies inside byte 0's range, so it is drawn only
+    # through that byte's straddle double; the three-atom and zero-weight laws
+    # have cuts inside bytes 51, 179 and 76
+    law = SAMPLER_LAWS[law_name]
+    counts = atom_counts(law, 10**7)
+    n = counts.sum()
+    p = law.weights
+    se = np.sqrt(n * p * (1.0 - p))
+    assert n >= 10**7
+    assert np.all(np.abs(counts - n * p) <= 5.0 * se), (counts, n * p, se)
+
+
+@pytest.mark.parametrize("weights", [[0.3, 0.0, 0.7], [0.0, 0.3, 0.7], [0.3, 0.7, 0.0]])
+def test_byte_sampler_never_draws_a_zero_weight_atom(weights):
+    law = IIDProductLaw(1, [[0.3, 0.7], [0.5, 0.5], [0.7, 0.3]], weights, 0.1)
+    counts = atom_counts(law, 2 * 10**6, seed=12)
+    assert np.all(counts[law.weights == 0.0] == 0) and counts.sum() >= 2 * 10**6
+
+
+@pytest.mark.parametrize("law_name, doubles", [("two-atom", False), ("three-atom", True)])
+def test_byte_edge_weights_draw_no_double(monkeypatch, law_name, doubles):
+    # weights 0.5, 0.5 put the one cut on a byte edge: every draw is a byte;
+    # the three-atom law's cuts 0.2 and 0.7 straddle bytes 51 and 179
+    real = np.random.default_rng
+    drawn = []
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = real(seed)
+            self.bit_generator = self._rng.bit_generator
+
+        def random(self, n):
+            drawn.append(n)
+            return self._rng.random(n)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    rows, _ = estimators._ray_rows(LAWS[law_name], 0, 5000, 13)
+    for _ in rows(0, 4096):
+        pass
+    assert (sum(drawn) > 0) == doubles
 
 
 @st.composite

@@ -13,45 +13,10 @@ Exit codes: 0 pass/certified, 1 falsification (an identity or ordering failed),
 2 budget exceeded, 3 inconclusive (statistics too weak to certify), 64 usage or
 config error.
 
-Config schema (JSON object; unknown keys rejected):
-
-    law        {"kind": "iid-product", "dimension": d, "kappa": k,
-                "atoms": [[...2d probs...], ...], "weights": [...]}
-               or {"kind": "markov-field", "dimension": d, "kappa": k,
-                "range": r, "beta": b, "states": [[...2d probs...], ...],
-                "sweeps": s}
-               range (default 1), beta (0.0) and sweeps (64) are optional;
-               any other key, or another kind, is rejected. Direction order
-               within a probability vector is [+e1, -e1, +e2, -e2, ...].
-    z          target velocity, list of d floats, 0 < |z|_1 < 1
-    ell        forced direction as a signed unit vector of d entries, <z, ell> > 0
-    L          block length (int >= 2 for gap runs)
-    kbar       optional forcing-symbol probability override
-    seed       64-bit integer root seed
-    gap        {"replicas": int, "horizon": int >= 1 or null, "tail": float in (0, 1)}
-               replicas whose per-replica floats exceed the 1 GiB memory
-               budget exit 2 before any row is drawn
-    rate       {"velocities": [[...], ...], "method": "enumeration",
-                "horizon": int >= 1, "env_replicas": int >= 2,
-                "boundary_sites": int >= 2}
-               Interior points use the exact forward DP; "enumeration" is
-               the only method (the removed "tilted-mc" is rejected).
-    verify     {"n_max": int >= 1, "theta_count": int >= 1, "theta_scale": number >= 0,
-                "psi_n_max": int >= 1, "tau_draws": int >= 2}
-               n_max is capped at 6 for d > 1, and the n_max run is printed
-               and written to verify_report.json; the (2d)^n_max paths at
-               n_max must fit the 10^7-path budget and, with the tau draws,
-               the 1 GiB memory budget, and the psi family's (path, symbol
-               word) pairs at psi_n_max the 10^7-pair budget, or verify
-               exits 2 before any family runs
-    tau        {"draws": int >= 2, "configs": [[kbar, L], ...]}, 0 < kbar < 1,
-               integer L >= 1; draws over the memory budget exit 2
-    env_sample {"lo": [...], "hi": [...]}
-    tolerances {"tilt_residual", "identity_rel", "onestep_abs",
-                "coincidence_abs", "tau_sigmas"}
-
-Integer keys refuse 2.0, 2.5 and true; every number refuses NaN, Infinity
-and literals that overflow to infinity (both exit 64).
+Config: one JSON object. ``SCHEMA`` below holds the rule of every key, and
+README ("Config schema") shows each key with its default. Omitted keys take
+``DEFAULT_CONFIG``; an unknown key, or a value against its rule, exits 64
+and the refusal names the key.
 Every output artifact embeds the config hash and root seed; fixed seeds give
 byte-identical outputs. Every subcommand runs on one thread.
 """
@@ -113,87 +78,118 @@ DEFAULT_CONFIG = {
 }
 LAW_KEYS = {"iid-product": {"kind", "dimension", "kappa", "atoms", "weights"},
             "markov-field": {"kind", "dimension", "kappa", "range", "beta", "states", "sweeps"}}
+LAW_OPTIONAL = {"range", "beta", "sweeps"}  # MarkovFieldLaw defaults them
 
 
-def _integer(name: str, val, low=None):
-    """Refuse ``val`` unless it is a JSON integer (not true or false), and >= ``low`` if given."""
-    if isinstance(val, bool) or not isinstance(val, int) or (low is not None and val < low):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {val!r}")
+def _at_least(rule, low):
+    phrase, ok = rule
+    return f"{phrase} >= {low}", lambda v: ok(v) and v >= low
 
 
-def _integer_list(name: str, vals):
-    """Refuse ``vals`` unless it is a list of JSON integers."""
-    if not isinstance(vals, list):
-        raise ConfigError(f"{name} must be a list of integers, got {vals!r}")
-    for a, val in enumerate(vals):
-        _integer(f"{name}[{a}]", val)
+def _one_of(*choices):
+    return f"one of {list(choices)}", lambda v: v in choices
+
+
+# A rule is (the phrase a refusal prints, its test of one value). JSON true
+# and false load as bools, which are neither integers nor numbers here.
+INTEGER = ("an integer", lambda v: type(v) is int)
+NUMBER = ("a number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
+PROBABILITY = ("a probability in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1)
+KBAR = ("a kbar in (0, 1)", PROBABILITY[1])
+SEED = ("an integer in [0, 2**64)", lambda v: INTEGER[1](v) and 0 <= v < 2**64)
+POSITIVE, COUNT, NON_NEGATIVE = _at_least(INTEGER, 1), _at_least(INTEGER, 2), _at_least(NUMBER, 0)
+D, D2, ANY = "law.dimension", "2 * law.dimension", None
+
+# One entry per leaf key: (rule, shape). The shape gives the entry count of
+# each level of list nesting, outermost first: () is a single value, D and
+# D2 count d and 2d entries, ANY one or more. A list of rules gives the rule
+# of each column. NULLABLE keys also take null.
+SCHEMA = {
+    "law.kind": (_one_of(*LAW_KEYS), ()),
+    "law.dimension": (POSITIVE, ()),
+    "law.kappa": (PROBABILITY, ()),
+    "law.atoms": (PROBABILITY, (ANY, D2)),
+    "law.weights": (NON_NEGATIVE, (ANY,)),
+    "law.states": (PROBABILITY, (ANY, D2)),
+    "law.range": (POSITIVE, ()),
+    "law.beta": (NON_NEGATIVE, ()),
+    "law.sweeps": (POSITIVE, ()),
+    "z": (NUMBER, (D,)),
+    "ell": (INTEGER, (D,)),
+    "L": (POSITIVE, ()),
+    "kbar": (PROBABILITY, ()),
+    "seed": (SEED, ()),
+    "gap.replicas": (INTEGER, ()),  # certify_gap refuses < 2 and counts over the memory budget
+    "gap.horizon": (POSITIVE, ()),
+    "gap.tail": (PROBABILITY, ()),
+    "rate.velocities": (NUMBER, (ANY, D)),
+    "rate.method": (_one_of("enumeration"), ()),  # the exact forward DP
+    "rate.horizon": (POSITIVE, ()),
+    "rate.env_replicas": (COUNT, ()),  # a standard error needs two draws
+    "rate.boundary_sites": (COUNT, ()),
+    "verify.n_max": (POSITIVE, ()),
+    "verify.theta_count": (POSITIVE, ()),
+    "verify.theta_scale": (NON_NEGATIVE, ()),
+    "verify.psi_n_max": (POSITIVE, ()),
+    "verify.tau_draws": (COUNT, ()),
+    "tau.draws": (COUNT, ()),
+    "tau.configs": ([KBAR, POSITIVE], (ANY, 2)),  # [kbar, L] pairs
+    "env_sample.lo": (INTEGER, (D,)),
+    "env_sample.hi": (INTEGER, (D,)),
+    "tolerances.tilt_residual": (NON_NEGATIVE, ()),
+    "tolerances.identity_rel": (NON_NEGATIVE, ()),
+    "tolerances.onestep_abs": (NON_NEGATIVE, ()),
+    "tolerances.coincidence_abs": (NON_NEGATIVE, ()),
+    "tolerances.tau_sigmas": (NON_NEGATIVE, ()),
+}
+NULLABLE = {"kbar", "gap.horizon"}  # null: the default kbar, the horizon from gap.tail
+
+
+def _check(key: str, val, rule, shape: tuple, d: int):
+    """Refuse ``val`` unless its lists nest as ``shape`` and each entry obeys ``rule``."""
+    if not shape:
+        if not rule[1](val):
+            raise ConfigError(f"{key} must be {rule[0]}, got {val!r}")
+        return
+    count = {D: d, D2: 2 * d}.get(shape[0], shape[0])
+    if not isinstance(val, list) or not val or count not in (ANY, len(val)):
+        size = f"{shape[0]} = {count}" if shape[0] in (D, D2) else count or "one or more"
+        raise ConfigError(f"{key} must have {size} entries, got {val!r}")
+    for i, entry in enumerate(val):
+        column = rule[i] if isinstance(rule, list) and len(shape) == 1 else rule
+        _check(f"{key}[{i}]", entry, column, shape[1:], d)
 
 
 def normalize_config(raw: dict) -> dict:
-    """Apply defaults and reject unknown keys; the result round-trips losslessly."""
+    """Apply defaults and check every key ``raw`` sets against SCHEMA, in one walk."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     out = copy.deepcopy(DEFAULT_CONFIG)
-    # a key whose default is an integer takes only integers; a standard error
-    # needs two draws (fewer would report nan), the psi family one theta, and
-    # a path length or horizon of 0 would check or estimate nothing
-    lows = {"verify.tau_draws": 2, "tau.draws": 2, "rate.env_replicas": 2,
-            "rate.boundary_sites": 2, "verify.theta_count": 1, "verify.n_max": 1,
-            "verify.psi_n_max": 1, "rate.horizon": 1}
+    given = {}  # dotted key -> value of each leaf the config sets
     for key, val in raw.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(out[key], dict) and key != "law":
+        if isinstance(out.get(key), dict):
             if not isinstance(val, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            for k2, v2 in val.items():
-                if k2 not in out[key]:
-                    raise ConfigError(f"unknown config key {key}.{k2}")
-                if type(out[key][k2]) is int:
-                    _integer(f"{key}.{k2}", v2, lows.get(f"{key}.{k2}"))
-                out[key][k2] = v2
+                raise ConfigError(f"{key} must be an object, got {val!r}")
+            if key == "law":  # a config's law replaces the default one whole
+                out["law"] = {}
+            out[key].update(copy.deepcopy(val))
+            given.update((f"{key}.{k}", v) for k, v in val.items())
         else:
-            if type(out[key]) is int:
-                _integer(key, val)
             out[key] = copy.deepcopy(val)
-    law = out["law"]
-    kind = law.get("kind") if isinstance(law, dict) else None
-    if kind not in LAW_KEYS:
-        raise ConfigError(f"unknown law kind {kind!r}")
-    if not set(law) <= LAW_KEYS[kind]:
-        raise ConfigError(f"law kind {kind!r} reads only {sorted(LAW_KEYS[kind])}, got {sorted(law)}")
-    for field in ("dimension", "range", "sweeps"):
-        if field in law:
-            _integer(f"law.{field}", law[field])
-    if out["gap"]["horizon"] is not None:  # null chooses the horizon from the tail
-        _integer("gap.horizon", out["gap"]["horizon"], 1)
-    scale = out["verify"]["theta_scale"]
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or scale < 0:
-        raise ConfigError(f"verify.theta_scale must be a number >= 0, got {scale!r}")
-    tail = out["gap"]["tail"]
-    if isinstance(tail, bool) or not isinstance(tail, (int, float)) or not 0.0 < tail < 1.0:
-        raise ConfigError(f"gap.tail must be a probability in (0, 1), got {tail!r}")
-    _integer_list("ell", out["ell"])
-    if "dimension" in law and len(out["ell"]) != law["dimension"]:
-        raise ConfigError(f"ell must have law.dimension = {law['dimension']} entries, "
-                          f"got {out['ell']!r}")
-    for corner in ("lo", "hi"):
-        _integer_list(f"env_sample.{corner}", out["env_sample"][corner])
-    configs = out["tau"]["configs"]
-    if not isinstance(configs, list):
-        raise ConfigError(f"tau.configs must be a list of [kbar, L] pairs, got {configs!r}")
-    for i, pair in enumerate(configs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"tau.configs[{i}] must be a [kbar, L] pair, got {pair!r}")
-        kb = pair[0]
-        if not isinstance(kb, float) or not 0.0 < kb < 1.0:
-            raise ConfigError(f"tau.configs[{i}][0] must be a kbar in (0, 1), got {kb!r}")
-        _integer(f"tau.configs[{i}][1]", pair[1], 1)
-    if out["rate"]["method"] != "enumeration":
-        raise ConfigError(f"rate.method {out['rate']['method']!r} is not supported: the only "
-                          "method is 'enumeration' (the exact forward DP); 'tilted-mc' was "
-                          "removed")
+            given[key] = val
+    kind = out["law"].get("kind")
+    _check("law.kind", kind, *SCHEMA["law.kind"], 0)
+    law_keys = {f"law.{k}" for k in LAW_KEYS[kind]}
+    for key in given:
+        if key not in SCHEMA or key.startswith("law.") and key not in law_keys:
+            raise ConfigError(f"unknown config key {key}"
+                              + (f" for law kind {kind!r}" if key in SCHEMA else ""))
+    if "law" in raw and (missing := sorted(law_keys - {f"law.{k}" for k in LAW_OPTIONAL}
+                                           - set(given))):
+        raise ConfigError(f"{missing[0]} is required by law kind {kind!r}")
+    for key, (rule, shape) in SCHEMA.items():  # law.dimension is checked before any D shape
+        if key in given and not (key in NULLABLE and given[key] is None):
+            _check(key, given[key], rule, shape, out["law"]["dimension"])
     return out
 
 
@@ -241,12 +237,14 @@ def build_problem(cfg: dict):
 def _write_json(path: str, payload: dict):
     # NaN and infinities are not JSON; refuse them before the file is opened
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
 def _write_csv(path: str, cfg: dict, header: list, rows):
     """A CSV artifact: the config-hash meta line, then the header, then the rows."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
         w = csv.writer(fh)
@@ -402,18 +400,10 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(cfg: dict, out_dir: str) -> int:
-    velocities = cfg["rate"]["velocities"]
-    if not velocities:
-        print("error: empty velocity grid", file=sys.stderr)
-        return EXIT_USAGE
     law = build_law(cfg)
-    for x in velocities:
-        if len(x) != law.dimension or sum(abs(float(v)) for v in x) > 1.0 + 1e-12:
-            print(f"error: velocity {x} outside the unit l1 ball", file=sys.stderr)
-            return EXIT_USAGE
     r = cfg["rate"]
     rows = []
-    for x in velocities:
+    for x in r["velocities"]:
         est = rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
                          horizon=r["horizon"], env_replicas=r["env_replicas"],
                          boundary_sites=r["boundary_sites"])
@@ -505,9 +495,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else normalize_config({})
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
+            _check("seed", args.seed, *SCHEMA["seed"], 0)
+            cfg["seed"] = args.seed
         dispatch = {"verify": cmd_verify, "gap": cmd_gap, "rate": cmd_rate,
                     "env-sample": cmd_env_sample, "tau-stats": cmd_tau_stats}
         return dispatch[args.command](cfg, args.out)

@@ -383,13 +383,17 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
-        raise ValueError("the gap needs at least 2 replicas for a standard error")
+        raise ValueError(f"gap.replicas = {budget}: the gap needs at least 2 replicas for a "
+                         "standard error")
     if (need := 8 * _REPLICA_FLOATS * budget) > MEMORY_BUDGET:
         raise BudgetError(f"gap.replicas = {budget} needs {_REPLICA_FLOATS} floats per replica, "
                           f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB "
                           f"budget")
     if horizon is not None and horizon > TAU_HORIZON:
         raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
+    if horizon is not None and horizon < cfg.L:
+        raise ValueError(f"gap.horizon = {horizon} is below L = {cfg.L}: no block completes "
+                         "within it, so the inner block expectation is not positive")
     h = horizon or choose_horizon(eps, cfg, tail)
     product = isinstance(law, IIDProductLaw)
     # a product law's annealed side is the exact mean row, free factor u(ell) - kbar,
@@ -490,6 +494,9 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     x1 = float(np.abs(x).sum())
+    if len(x) != law.dimension:
+        raise ValueError(f"velocity {x} has {len(x)} entries, not law.dimension = "
+                         f"{law.dimension}")
     if x1 > 1.0 + 1e-12:
         raise ValueError(f"velocity {x} outside the unit l1 ball")
     if abs(x1 - 1.0) <= 1e-12:

@@ -93,7 +93,7 @@ def _one_of(*choices):
 # A rule is (the phrase a refusal prints, its test of one value). JSON true
 # and false load as bools, which are neither integers nor numbers here.
 INTEGER = ("an integer", lambda v: type(v) is int)
-NUMBER = ("a number", lambda v: type(v) is int or type(v) is float and math.isfinite(v))
+NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 PROBABILITY = ("a probability in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1)
 KBAR = ("a kbar in (0, 1)", PROBABILITY[1])
 SEED = ("an integer in [0, 2**64)", lambda v: INTEGER[1](v) and 0 <= v < 2**64)
@@ -167,7 +167,9 @@ def normalize_config(raw: dict) -> dict:
     out = copy.deepcopy(DEFAULT_CONFIG)
     given = {}  # dotted key -> value of each leaf the config sets
     for key, val in raw.items():
-        if isinstance(out.get(key), dict):
+        if key not in out:
+            raise ConfigError(f"unknown config key {key}")
+        if isinstance(out[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{key} must be an object, got {val!r}")
             if key == "law":  # a config's law replaces the default one whole
@@ -187,9 +189,14 @@ def normalize_config(raw: dict) -> dict:
     if "law" in raw and (missing := sorted(law_keys - {f"law.{k}" for k in LAW_OPTIONAL}
                                            - set(given))):
         raise ConfigError(f"{missing[0]} is required by law kind {kind!r}")
+    for key in ("z", "ell"):  # every problem reads them, so their 1-D defaults are checked
+        given.setdefault(key, out[key])  # too; the subcommands that read the others check them
     for key, (rule, shape) in SCHEMA.items():  # law.dimension is checked before any D shape
         if key in given and not (key in NULLABLE and given[key] is None):
             _check(key, given[key], rule, shape, out["law"]["dimension"])
+    for i, x in enumerate(out["rate"]["velocities"]):  # the whole grid, before any point
+        if sum(map(abs, x)) > 1.0 + 1e-12:
+            raise ConfigError(f"rate.velocities[{i}] = {x} lies outside the unit l1 ball")
     return out
 
 
@@ -220,9 +227,8 @@ def build_law(cfg: dict):
     if law_cfg["kind"] == "iid-product":
         return IIDProductLaw(law_cfg["dimension"], law_cfg["atoms"], law_cfg["weights"],
                              law_cfg["kappa"])
-    return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"],
-                          range_r=law_cfg.get("range", 1), beta=law_cfg.get("beta", 0.0),
-                          sweeps=law_cfg.get("sweeps", 64))
+    options = {("range_r" if k == "range" else k): law_cfg[k] for k in LAW_OPTIONAL & set(law_cfg)}
+    return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"], **options)
 
 
 def build_problem(cfg: dict):

@@ -59,6 +59,9 @@ def mutations(key: str):
     whole = wrong if key in NULLABLE else st.one_of(wrong, st.none())
     below = st.integers(-10**6, -1)
     options = [whole]
+    if (rule[0] if isinstance(rule, list) else rule)[1](0.5):  # a number: one that overflows
+        options.append(st.sampled_from([10**400, -10**400]).map(
+            lambda v: with_first_entry(default_of(key), v)))
     if shape:
         default = default_of(key)
         options += [wrong.map(lambda v: with_first_entry(default, v)),
@@ -97,6 +100,7 @@ PINNED = [  # (key named in the error, subcommand, config)
     ("law.kappa", "gap", {"law": {**DEFAULT_CONFIG["law"], "kappa": "0.1"}}),
     ("seed", "gap", {"seed": 2**70}),  # ran as seed 0
     ("seed", "gap", {"seed": -1}),  # ran as seed 2^64 - 1
+    ("z[0]", "gap", {"z": [10**400]}),  # an OverflowError traceback in float()
 ]
 
 
@@ -118,6 +122,35 @@ def test_seed_flag_outside_64_bits_refused(tmp_path, capsys, seed):
     assert main(["--seed", seed, "--out", str(out), "gap"]) == 64
     assert capsys.readouterr().err.startswith("error: seed must be an integer in [0, 2**64)")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [{"gap.replicas": 5}, {"law.kind": "markov-field"},
+                                     {"verify.n_max": 3}])
+def test_dotted_top_level_key_is_unknown(payload):
+    # a dotted spelling at the top level would otherwise be stored and never read
+    with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(next(iter(payload)))}$"):
+        normalize_config(payload)
+
+
+@pytest.mark.parametrize("key,payload", [
+    ("ell", {"z": [0.2, 0.1]}),  # the default ell [1] ran as +e1
+    ("z", {"ell": [1, 0]}),  # the default z [0.5] failed in solve_tilt, unnamed
+])
+def test_defaulted_z_and_ell_are_checked_against_the_dimension(tmp_path, capsys, key, payload):
+    law = {**DEFAULT_CONFIG["law"], "dimension": 2, "atoms": [[0.3, 0.2, 0.25, 0.25]] * 2}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"law": law, **payload}))
+    assert main(["--config", str(cfg), "tau-stats"]) == 64
+    assert capsys.readouterr().err.startswith(f"error: {key} must have law.dimension = 2 entries")
+
+
+def test_velocity_grid_is_refused_before_any_point(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rate": {"velocities": [[0.5], [1.5]]}}))
+    assert main(["--config", str(cfg), "rate"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the point at 0.5 is not computed first
+    assert captured.err.startswith("error: rate.velocities[1] = [1.5] lies outside the unit l1")
 
 
 def test_seed_bounds_are_inclusive_below():

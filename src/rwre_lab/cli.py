@@ -34,17 +34,16 @@ import sys
 
 import numpy as np
 
-from .decomposition import (JOINT_BUDGET, StoppingConfig, check_tau_memory,
-                            conditional_step_probs, expected_tau, joint_pairs, make_epsilon_law,
-                            psi_factor, sample_tau_batch, qz_endpoint_distribution,
+from .decomposition import (StoppingConfig, check_joint_pairs, check_tau_memory,
+                            conditional_step_probs, expected_tau, make_epsilon_law, psi_factor,
+                            sample_tau_batch, qz_endpoint_distribution,
                             decomposed_endpoint_distribution, verify_psi_identity)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
-from .numutil import MEMORY_BUDGET, BudgetError, derive_seed
-from .tilting import (identity_bytes, solve_tilt, tilt_invariant_residuals,
+from .numutil import BudgetError, derive_seed
+from .tilting import (check_identity_memory, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched)
-from .walks import PATH_BUDGET
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -283,20 +282,10 @@ def _run_verify(cfg: dict):
     seed = cfg["seed"]
     rng = np.random.default_rng(derive_seed(seed, 100))
     n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
-    # the identity families enumerate every path up to n_max: refuse the run
-    # before any family when the longest would break the path or memory budget
-    paths = (2 * d) ** n_max
-    if paths > PATH_BUDGET:
-        raise BudgetError(f"verify.n_max = {n_max} enumerates (2d)^n_max = {paths} paths, "
-                          f"over the {PATH_BUDGET}-path budget")
-    if (need := identity_bytes(law, n_max)) > MEMORY_BUDGET:
-        raise BudgetError(f"verify.n_max = {n_max} enumerates {paths} paths of {n_max} steps, "
-                          f"about {need / 2**20:.0f} MiB, over the "
-                          f"{MEMORY_BUDGET / 2**20:.0f} MiB budget")
     psi_n_max = cfg["verify"]["psi_n_max"]
-    if (pairs := joint_pairs(tp, eps, psi_n_max)) > JOINT_BUDGET:
-        raise BudgetError(f"verify.psi_n_max = {psi_n_max} enumerates {pairs} (path, symbol "
-                          f"word) pairs, over the {JOINT_BUDGET}-pair budget")
+    # the oracles' own checks at the longest runs, before any family runs
+    check_identity_memory(law, n_max, "verify.n_max")
+    check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     thetas = rng.uniform(-cfg["verify"]["theta_scale"], cfg["verify"]["theta_scale"],
                          size=(cfg["verify"]["theta_count"], d))

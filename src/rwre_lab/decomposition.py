@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, direction_index
-from .numutil import MEMORY_BUDGET, BudgetError, fsum, words
+from .numutil import BudgetError, check_memory, fsum, words
 from .tilting import TiltParams
 from .walks import endpoint_law, path_omegas, path_positions, step_matrix
 
@@ -183,17 +183,14 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
     raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
 
 
-def check_tau_memory(draws: int, L: int, name: str = "n"):
-    """Raise BudgetError, naming ``name``, if ``sample_tau_batch`` of ``draws`` would pass MEMORY_BUDGET.
+def check_tau_memory(draws: int, L: int, key: str = "n"):
+    """Raise BudgetError, naming ``key``, if ``sample_tau_batch`` of ``draws`` passes MEMORY_BUDGET.
 
     The sampler holds about 8 (L + 2) bytes per draw at its peak (the
     geometric counts, their clipped copy, the (draws, L) multinomial split
     and tau); 8 (L + 3) bounds it.
     """
-    need = 8 * draws * (L + 3)
-    if need > MEMORY_BUDGET:
-        raise BudgetError(f"{name} = {draws} draws at L = {L} need {need / 2**20:.0f} MiB, "
-                          f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
+    check_memory(8 * draws * (L + 3), f"{key} = {draws} draws at L = {L}")
 
 
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
@@ -302,12 +299,20 @@ def _joint_support(tp: TiltParams, eps: EpsilonLaw) -> tuple:
     return joint, support
 
 
-def joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int) -> int:
-    """(path, symbol word) pairs a joint enumeration at path length n holds."""
-    return (2 * tp.dimension) ** n * _joint_support(tp, eps)[1].shape[1] ** n
+def check_joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int, key: str = "n"):
+    """Raise BudgetError, naming ``key``, if the (path, word) pairs at length n pass JOINT_BUDGET.
+
+    2d >= 2, so an n of JOINT_BUDGET.bit_length() or more is refused before any power is taken.
+    """
+    d, width = tp.dimension, _joint_support(tp, eps)[1].shape[1]
+    small = n < JOINT_BUDGET.bit_length()
+    if not small or (2 * d * width) ** n > JOINT_BUDGET:
+        paths, words_n = ((2 * d) ** n, width**n) if small else (f"{2 * d}^{n}", f"{width}^{n}")
+        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {paths} paths times {width}^n = "
+                          f"{words_n} symbol words, over the {JOINT_BUDGET}-pair budget")
 
 
-def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
+def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int,
                         env: Environment | None = None) -> tuple:
     """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
 
@@ -321,11 +326,9 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
     together, and each word's product is taken left to right over its steps.
     """
     d = tp.dimension
+    check_joint_pairs(tp, eps, n)
     joint, support = _joint_support(tp, eps)
     width = support.shape[1]
-    if (2 * d) ** n * width**n > budget:
-        raise BudgetError(f"joint enumeration of (2d)^n = {(2 * d) ** n} paths times "
-                          f"{width}^n = {width**n} symbol words exceeds budget {budget}")
     steps = step_matrix(n, d)
     ends = path_positions(steps, d)[:, -1]
     xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
@@ -341,8 +344,7 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int, budget: int,
     return steps, ends, xi, weights
 
 
-def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta,
-                        n: int, budget: int = JOINT_BUDGET) -> tuple:
+def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta, n: int) -> tuple:
     """Both sides of the reweighting identity by exact joint enumeration.
 
     lhs sums over all (symbol sequence, path) pairs the product of symbol
@@ -351,7 +353,7 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     exp(<theta, Z_n>) times the realized xi-product.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    steps, ends, xi, weights = _joint_path_weights(tp, eps, n, budget, env)
+    steps, ends, xi, weights = _joint_path_weights(tp, eps, n, env)
     tilt = np.array([math.exp(float(theta @ end)) for end in ends])
     lhs = fsum(weights * tilt)
     rhs = fsum(np.prod(tp.u_array[steps], axis=1) * tilt * np.prod(xi, axis=1))
@@ -365,13 +367,12 @@ def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
                         np.prod(tp.u_array[steps], axis=1))
 
 
-def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int,
-                                     budget: int = JOINT_BUDGET) -> dict:
+def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int) -> dict:
     """Endpoint law of the decomposed mechanism by joint enumeration.
 
     Must coincide with ``qz_endpoint_distribution``; the marginal per step is
     kbar + free_prob * (u(e) - kbar)/free_prob = u(e), but this function does
     not use that simplification.
     """
-    _, ends, _, weights = _joint_path_weights(tp, eps, n, budget)
+    _, ends, _, weights = _joint_path_weights(tp, eps, n)
     return endpoint_law(ends, weights)

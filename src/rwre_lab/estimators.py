@@ -42,7 +42,7 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
                             validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
-from .numutil import (MEMORY_BUDGET, BudgetError, derive_seed, jackknife_stderr_logmean,
+from .numutil import (BudgetError, check_memory, derive_seed, jackknife_stderr_logmean,
                       logmeanexp, logsumexp, words)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
@@ -174,13 +174,6 @@ def _ray_box(d: int, ell: int, n: int) -> tuple:
     return sites, Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
 
 
-def _check_budget(n_rows: int, horizon: int):
-    need = n_rows * horizon * 8
-    if need > MEMORY_BUDGET:
-        raise BudgetError(f"{n_rows} x {horizon} ray factors need {need / 2**20:.0f} MiB, "
-                          f"over the {MEMORY_BUDGET / 2**20:.0f} MiB budget")
-
-
 def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0,
               lead=()):
     """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
@@ -245,7 +238,7 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
         ray = np.ravel_multi_index((sites - box.lo).T, box.shape)  # t = 0..horizon-1
 
         def rows(c, size):
-            _check_budget(size, horizon)
+            check_memory(8 * size * horizon, f"{size} x {horizon} ray factors")
             buf = np.empty((horizon, size))
             for i in range(size):
                 env = sample_environment(law, derive_seed(seed, c, i), box)
@@ -265,7 +258,7 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     of the cumulative weights (``_ray_rows``). Raises BudgetError, before
     anything is allocated, when that buffer would exceed MEMORY_BUDGET.
     """
-    _check_budget(n_rows, horizon)
+    check_memory(8 * n_rows * horizon, f"{n_rows} x {horizon} ray factors")
     rows, _ = _ray_rows(law, ell, horizon, seed)
     xi = np.empty((horizon, n_rows))
     for c, start, size in _blocks(n_rows):
@@ -385,10 +378,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if budget < 2:
         raise ValueError(f"gap.replicas = {budget}: the gap needs at least 2 replicas for a "
                          "standard error")
-    if (need := 8 * _REPLICA_FLOATS * budget) > MEMORY_BUDGET:
-        raise BudgetError(f"gap.replicas = {budget} needs {_REPLICA_FLOATS} floats per replica, "
-                          f"{need / 2**20:.0f} MiB, over the {MEMORY_BUDGET / 2**20:.0f} MiB "
-                          f"budget")
+    check_memory(8 * _REPLICA_FLOATS * budget, f"gap.replicas = {budget} of {_REPLICA_FLOATS} floats")
     if horizon is not None and horizon > TAU_HORIZON:
         raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
     if horizon is not None and horizon < cfg.L:

@@ -19,6 +19,12 @@ class BudgetError(RuntimeError):
     """Raised when an exact computation would exceed its configured budget."""
 
 
+def check_memory(need: int, what: str):
+    """Raise BudgetError, led by ``what`` (it names the key), if ``need`` bytes pass the budget."""
+    if need > MEMORY_BUDGET:
+        raise BudgetError(f"{what}: {need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
+
+
 def mix64(x):
     """SplitMix64 finalizer. Accepts uint64 scalars or arrays, returns same."""
     with np.errstate(over="ignore"):

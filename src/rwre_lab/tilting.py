@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, IIDProductLaw, direction_vectors
-from .numutil import fsum
-from .walks import path_omegas, path_positions, path_sites, site_grouped_log_moment, step_matrix
+from .numutil import check_memory, fsum
+from .walks import (check_paths, path_omegas, path_positions, path_sites, site_grouped_log_moment,
+                    step_matrix)
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -172,17 +173,19 @@ def tilt_invariant_residuals(tp: TiltParams) -> dict:
     }
 
 
-def identity_bytes(law, n: int) -> int:
-    """About the peak bytes of one identity-oracle call at path length n.
+def check_identity_memory(law, n: int, key: str = "n"):
+    """Raise BudgetError, naming ``key``, if an identity oracle at length n passes a budget.
 
-    Both oracles hold int64 arrays of one entry per path-step, and the
-    annealed one site-grouped tables of one entry per atom and path-step.
-    8 (10 d + 4 K) bytes per path-step for K atoms bounds the tracemalloc peak
-    of ``verify_identity_annealed``: 82-277 bytes in 1-D at n = 14 and 16 for
-    K = 1 to 8, 186-190 bytes in 2-D at n = 7 and 8 for K = 2.
+    The paths come first (``check_paths``). Both oracles hold int64 arrays of
+    one entry per path-step, and the annealed one site-grouped tables of one
+    entry per atom and path-step. 8 (10 d + 4 K) bytes per path-step for K
+    atoms bounds the tracemalloc peak of ``verify_identity_annealed``: 82-277
+    bytes in 1-D at n = 14 and 16 for K = 1 to 8, 186-190 in 2-D at n = 7, 8.
     """
     d = law.dimension
-    return (2 * d) ** n * n * 8 * (10 * d + 4 * len(law.table))
+    check_paths(n, d, key)
+    check_memory((2 * d) ** n * n * 8 * (10 * d + 4 * len(law.table)),
+                 f"{key} = {n} enumerates {(2 * d) ** n} paths of {n} steps")
 
 
 def _per_theta(theta, side) -> tuple:
@@ -209,6 +212,7 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     if not isinstance(law, IIDProductLaw):
         raise ValueError(f"the annealed identity needs an i.i.d. product law (law kind "
                          f"'iid-product'), not {type(law).__name__}")
+    check_identity_memory(law, n)
     steps = step_matrix(n, tp.dimension)
     flat, ends = path_sites(steps, tp.dimension)
     uw = np.prod(tp.u_array[steps], axis=1)
@@ -225,6 +229,7 @@ def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) ->
     ``theta`` is (d,) or (T, d) as in ``verify_identity_annealed``; omega is
     read along the paths once per call.
     """
+    check_identity_memory(env.law, n)
     steps = step_matrix(n, tp.dimension)
     ends = path_positions(steps, tp.dimension)[:, -1]
     uw = np.prod(tp.u_array[steps], axis=1)

@@ -53,14 +53,22 @@ from .environments import (MATERIALIZE_CAP, Box, Environment, IIDProductLaw, Mar
                            centered_box, direction_vectors)
 from .numutil import BudgetError, fsum, words
 
-PATH_BUDGET = 10**7
+PATH_BUDGET = 10**7  # paths one enumeration may hold
 
 
-def step_matrix(n: int, d: int, budget: int = PATH_BUDGET) -> np.ndarray:
+def check_paths(n: int, d: int, key: str = "n"):
+    """Raise BudgetError, naming ``key``, if the (2d)^n paths of length n pass PATH_BUDGET.
+
+    2d >= 2, so an n of PATH_BUDGET.bit_length() or more is refused before any power is taken.
+    """
+    if n >= PATH_BUDGET.bit_length() or (2 * d) ** n > PATH_BUDGET:
+        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {2 * d}^{n} paths, over the "
+                          f"{PATH_BUDGET}-path budget")
+
+
+def step_matrix(n: int, d: int) -> np.ndarray:
     """All (2d)^n step sequences of length n, as a lexicographic ((2d)^n, n) int array."""
-    count = (2 * d) ** n
-    if count > budget:
-        raise BudgetError(f"(2d)^n = {count} paths exceeds budget {budget}")
+    check_paths(n, d)
     return words(2 * d, n)
 
 
@@ -211,26 +219,26 @@ def _site(target, d: int) -> np.ndarray:
     return target
 
 
-def _paths_to(n: int, d: int, target, budget: int) -> np.ndarray:
+def _paths_to(n: int, d: int, target) -> np.ndarray:
     """The rows of ``step_matrix`` whose path ends at ``target``."""
     target = _site(target, d)
-    steps = step_matrix(n, d, budget)
+    steps = step_matrix(n, d)
     return steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
 
 
-def quenched_point_probability(env: Environment, n: int, target, budget: int = PATH_BUDGET) -> float:
+def quenched_point_probability(env: Environment, n: int, target) -> float:
     """P_{0,omega}(X_n = target), exact by full path enumeration."""
-    return fsum(quenched_path_weights(env, _paths_to(n, env.law.dimension, target, budget)))
+    return fsum(quenched_path_weights(env, _paths_to(n, env.law.dimension, target)))
 
 
-def annealed_point_probability(law, n: int, target, budget: int = PATH_BUDGET) -> float:
+def annealed_point_probability(law, n: int, target) -> float:
     """P_0(X_n = target), exact: sum over paths of the exact annealed weight."""
-    return fsum(annealed_path_weights(law, _paths_to(n, law.dimension, target, budget)))
+    return fsum(annealed_path_weights(law, _paths_to(n, law.dimension, target)))
 
 
-def quenched_endpoint_distribution(env: Environment, n: int, budget: int = PATH_BUDGET) -> dict:
+def quenched_endpoint_distribution(env: Environment, n: int) -> dict:
     """Endpoint law at time n by enumeration: {site tuple: probability}."""
-    steps = step_matrix(n, env.law.dimension, budget)
+    steps = step_matrix(n, env.law.dimension)
     ends = path_positions(steps, env.law.dimension)[:, -1]
     return endpoint_law(ends, quenched_path_weights(env, steps))
 

@@ -273,7 +273,7 @@ class TestJointPathWeights:
         tp = solve_tilt(law, z)
         eps = make_epsilon_law(tp, tp.c_z / 3)
         env = sample_environment(law, 7, centered_box(d, n + 1)) if with_env else None
-        steps, ends, xi, weights = _joint_path_weights(tp, eps, n, 10**7, env)
+        steps, ends, xi, weights = _joint_path_weights(tp, eps, n, env)
         assert (xi is None) == (env is None)
         assert weights.tolist() == every_word_weights(tp, eps, steps, xi)
 
@@ -284,17 +284,19 @@ class TestJointPathWeights:
         tp = solve_tilt(TWO_ATOM if d == 1 else LAW_2D, z)
         eps = EpsilonLaw(tp.c_z, d)
         assert np.count_nonzero(conditional_step_probs(tp, eps, eps.free_symbol)) == 2 * d - 1
-        steps, _, _, weights = _joint_path_weights(tp, eps, 3, 10**7)
+        steps, _, _, weights = _joint_path_weights(tp, eps, 3)
         assert weights.tolist() == every_word_weights(tp, eps, steps, None)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
 
-    def test_budget_counts_the_enumerated_words(self):
+    def test_budget_counts_the_enumerated_words(self, monkeypatch):
         # two symbols can carry each step (its forced one and the free one):
         # (2d)^n paths times 2^n words, 4^11 = 4194304 within 10^7, 4^12 over
         eps = eps_eighth()
-        _joint_path_weights(TP, eps, 2, 16)
+        monkeypatch.setattr("rwre_lab.decomposition.JOINT_BUDGET", 16)
+        _joint_path_weights(TP, eps, 2)
+        monkeypatch.setattr("rwre_lab.decomposition.JOINT_BUDGET", 15)
         with pytest.raises(BudgetError, match="2\\^n = 4 symbol words"):
-            _joint_path_weights(TP, eps, 2, 15)
+            _joint_path_weights(TP, eps, 2)
 
 
 class TestCoincidence:

@@ -127,14 +127,14 @@ class TestBounds:
             certify_gap(TP, EPS, StoppingConfig(2, 1), TWO_ATOM, budget=4, horizon=50)
 
     def test_sample_ray_xi_respects_the_memory_budget(self, monkeypatch):
-        monkeypatch.setattr("rwre_lab.estimators.MEMORY_BUDGET", 100 * 50 * 8 - 1)
+        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 100 * 50 * 8 - 1)
         with pytest.raises(BudgetError, match="budget"):
             sample_ray_xi(TWO_ATOM, 0, 100, 50, seed=1)
         assert sample_ray_xi(TWO_ATOM, 0, 99, 50, seed=1).shape == (99, 50)
 
     def test_field_block_respects_the_memory_budget(self, monkeypatch):
         # a field-law block is realized into one (horizon, replicas) buffer
-        monkeypatch.setattr("rwre_lab.estimators.MEMORY_BUDGET", 8 * 50 * 8 - 1)
+        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 8 * 50 * 8 - 1)
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
         with pytest.raises(BudgetError, match="budget"):
             certify_gap(TP, EPS, CFG, field, budget=8, horizon=50)

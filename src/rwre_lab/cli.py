@@ -89,14 +89,19 @@ def _one_of(*choices):
     return f"one of {list(choices)}", lambda v: v in choices
 
 
+def _integer_from(low):
+    return f"an integer >= {low} and < 2**63", lambda v: INTEGER[1](v) and v >= low
+
+
 # A rule is (the phrase a refusal prints, its test of one value). JSON true
-# and false load as bools, which are neither integers nor numbers here.
-INTEGER = ("an integer", lambda v: type(v) is int)
+# and false load as bools, which are neither integers nor numbers here. An
+# integer stays within int64, where numpy and float() take it.
+INTEGER = ("an integer in (-2**63, 2**63)", lambda v: type(v) is int and abs(v) < 2**63)
 NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 PROBABILITY = ("a probability in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1)
 KBAR = ("a kbar in (0, 1)", PROBABILITY[1])
-SEED = ("an integer in [0, 2**64)", lambda v: INTEGER[1](v) and 0 <= v < 2**64)
-POSITIVE, COUNT, NON_NEGATIVE = _at_least(INTEGER, 1), _at_least(INTEGER, 2), _at_least(NUMBER, 0)
+SEED = ("an integer in [0, 2**64)", lambda v: type(v) is int and 0 <= v < 2**64)
+POSITIVE, COUNT, NON_NEGATIVE = _integer_from(1), _integer_from(2), _at_least(NUMBER, 0)
 D, D2, ANY = "law.dimension", "2 * law.dimension", None
 
 # One entry per leaf key: (rule, shape). The shape gives the entry count of

@@ -174,8 +174,18 @@ def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
 
 
 def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> int:
-    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by one forward scan of the exact tail."""
-    for t, surv in enumerate(_survival_chain(_kbar_of(eps), cfg.L)):
+    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by one forward scan of the exact tail.
+
+    A hopeless search is refused before the scan. The events "no run of L
+    ends at s" are decreasing in the symbols, so by Harris's inequality
+    P(tau_1 > T) >= (1 - k^L)^T; where that bound is 2 tail or more at
+    T = TAU_HORIZON, the scan could only fail.
+    """
+    k = _kbar_of(eps)
+    if (bound := math.exp(TAU_HORIZON * math.log1p(-k**cfg.L))) >= 2 * tail:
+        raise BudgetError(f"at L = {cfg.L}, P(tau_1 > {TAU_HORIZON}) >= {bound:.2g}: the tau tail "
+                          f"stays above {tail} within the {TAU_HORIZON}-symbol cap")
+    for t, surv in enumerate(_survival_chain(k, cfg.L)):
         if surv < tail:
             return t
         if t >= TAU_HORIZON:

@@ -26,8 +26,9 @@ and ``GapReport.I_q``. The independent Monte Carlo check of the recursion is
 functional symbol by symbol; the tests hold the two against each other.
 
 ``rate_point`` evaluates the two rate functions at one velocity: straight-path
-closed forms on the boundary of the unit l1 ball and, inside it, the decay of
-exact per-environment point probabilities from ``log_point_probability_dp``.
+closed forms at the lattice directions +-e_i and, everywhere else in the unit
+l1 ball, the decay of exact per-environment point probabilities from
+``log_point_probability_dp``.
 """
 
 from __future__ import annotations
@@ -470,12 +471,13 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
                boundary_sites: int = 10**4) -> RatePointEstimate:
     """Paired annealed/quenched rate estimates at one velocity.
 
-    Boundary lattice directions use the straight-path forms: the quenched rate
-    is the mean of -log omega along the ray (law of large numbers), the
-    annealed rate is -log E[omega] (exact for product laws). Interior points
-    use the decay of the point probability P(X_N = N x), exact per
-    environment by forward evolution on the two-sided light cone, at N and
-    N/2 with first-order Richardson extrapolation in 1/N; one evolution to N
+    The lattice directions +-e_i use the straight-path forms: the quenched
+    rate is the mean of -log omega along the ray (law of large numbers), the
+    annealed rate is -log E[omega] (exact for product laws). Every other
+    point of the closed ball, the rest of the boundary included, uses the
+    decay of the point probability P(X_N = N x), exact per environment by
+    forward evolution on the two-sided light cone, at N and N/2 with
+    first-order Richardson extrapolation in 1/N; one evolution to N
     per environment reads both, P(X_{N/2} = N x / 2) on the way. The
     quenched rate averages the per-environment decays over ``env_replicas``
     environments, the annealed rate takes the decay of their averaged
@@ -489,7 +491,7 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
                          f"{law.dimension}")
     if x1 > 1.0 + 1e-12:
         raise ValueError(f"velocity {x} outside the unit l1 ball")
-    if abs(x1 - 1.0) <= 1e-12:
+    if abs(np.abs(x).max() - 1.0) <= 1e-12:  # +-e_i: the only straight paths
         return _rate_point_boundary(law, x, seed=seed, n_sites=boundary_sites)
     return _rate_point_dp(law, x, seed=seed, horizon=horizon, env_replicas=env_replicas)
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,16 @@ class TestGap:
         assert surv[h] < 1e-3 <= surv[h - 1]
         assert h < choose_horizon(eps, stop, tail=1e-4)
 
+    def test_hopeless_horizon_exits_2_at_once(self, tmp_path, capsys):
+        # L = 7 at the default kbar 1/8 scanned for 14 s before exit 2
+        cfg = write_config(tmp_path, {"L": 7})
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("budget error: at L = 7, P(tau_1 > 10000000)")
+        assert not out.exists()
+
     def test_tail_outside_the_unit_interval_refused(self, tmp_path, capsys):
         # -1 and 0 scanned up to the 1e7-symbol cap before exit 2, and 1.5
         # exited 64 blaming the disorder: each is refused as a config error
@@ -295,6 +306,19 @@ class TestRate:
         i_a, i_q = float(row[1]), float(row[2])
         assert i_a == pytest.approx(-math.log(0.5), abs=0.01)
         assert i_q == pytest.approx(-(0.5 * math.log(0.4) + 0.5 * math.log(0.6)), abs=0.01)
+
+    def test_boundary_midpoint_exits_0(self, tmp_path, capsys):
+        # (0.5, 0.5) was rounded to a unit vector and exited 64 ("not a signed
+        # unit vector: [0 0]"); the DP takes every boundary point but +-e_i
+        payload = {"law": {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
+                           "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
+                           "weights": [0.5, 0.5]},
+                   "z": [0.2, 0.1], "ell": [1, 0],
+                   "rate": {"velocities": [[0.5, 0.5]], "horizon": 100, "env_replicas": 2}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), "rate"]) == 0
+        point = json.loads((tmp_path / "rate_report.json").read_text())["points"][0]
+        assert point["method"] == "enumeration" and point["x"] == [0.5, 0.5]
 
     def test_symmetric_grid(self, tmp_path, capsys):
         payload = {

@@ -59,7 +59,8 @@ def mutations(key: str):
     whole = wrong if key in NULLABLE else st.one_of(wrong, st.none())
     below = st.integers(-10**6, -1)
     options = [whole]
-    if (rule[0] if isinstance(rule, list) else rule)[1](0.5):  # a number: one that overflows
+    first = rule[0] if isinstance(rule, list) else rule
+    if first[1](0.5) or first[1](1):  # a number or an integer: one past float and int64
         options.append(st.sampled_from([10**400, -10**400]).map(
             lambda v: with_first_entry(default_of(key), v)))
     if shape:
@@ -101,6 +102,8 @@ PINNED = [  # (key named in the error, subcommand, config)
     ("seed", "gap", {"seed": 2**70}),  # ran as seed 0
     ("seed", "gap", {"seed": -1}),  # ran as seed 2^64 - 1
     ("z[0]", "gap", {"z": [10**400]}),  # an OverflowError traceback in float()
+    ("ell[0]", "gap", {"ell": [10**400]}),  # an OverflowError traceback in numpy
+    ("tau.configs[0][1]", "tau-stats", {"tau": {"configs": [[0.125, 10**400]]}}),  # the same
 ]
 
 

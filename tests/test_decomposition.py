@@ -147,6 +147,16 @@ class TestSampleTau:
                              np.random.default_rng(0))
         assert time.perf_counter() - t0 < 5.0
 
+    def test_hopeless_horizon_search_refused_before_the_scan(self, monkeypatch):
+        # by Harris's inequality P(tau_1 > 1e7) >= (1 - k^L)^1e7 = 0.0085 at
+        # k = 1/8 and L = 7, over 2 tail; the scan took 14 s to fail
+        monkeypatch.setattr("rwre_lab.decomposition._survival_chain",
+                            lambda *args: pytest.fail("the tail was scanned"))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetError, match="at L = 7, P\\(tau_1 > 10000000\\) >= 0.0085"):
+            choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(7, 0), tail=1e-4)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_choose_horizon_contract(self):
         eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(2, 0)
         h = choose_horizon(eps, cfg, tail=1e-4)

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, make_epsilon_law, psi_factor,
                                     sample_ray_block_values)
 from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, constant_law,
                                    sample_environment)
-from rwre_lab.estimators import (certify_gap, exact_gap_oracle, log_w_const,
+from rwre_lab.estimators import (ORACLE_CAP, certify_gap, exact_gap_oracle, log_w_const,
                                  quenched_ray_log_inner, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid,
                                  sample_ray_xi)
@@ -177,6 +179,28 @@ class TestCertifyGap:
         assert rep.annealed_side == pytest.approx(ao, abs=1e-12)
         assert abs(rep.gap - (ao - qo)) <= 4 * rep.stderr
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(right=st.lists(st.floats(0.15, 0.85), min_size=2, max_size=3),
+           raw_weights=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+           z=st.floats(0.05, 0.6), kbar_share=st.floats(0.05, 0.9), L=st.sampled_from([2, 3]),
+           data=st.data())
+    def test_recursion_equals_the_oracle_on_random_laws(self, right, raw_weights, z, kbar_share,
+                                                        L, data):
+        # random 1-D product laws of 2-3 atoms with every free factor positive:
+        # the annealed side of certify_gap is the oracle's to 1e-12, and the
+        # oracle's quenched side lies below its annealed side (Jensen)
+        weights = np.array(raw_weights[:len(right)]) / sum(raw_weights[:len(right)])
+        law = IIDProductLaw(1, [[p, 1.0 - p] for p in right], weights, 0.1)
+        tp = solve_tilt(law, [z])
+        eps, cfg = EpsilonLaw(kbar_share * min(tp.c_z, 0.5), 1), StoppingConfig(L, 0)
+        assume(np.all(tp.u_array[0] * law.xi_values()[:, 0] - eps.kbar > 0.0))
+        h = data.draw(st.integers(L, 10), label="horizon")
+        assert len(right) ** h <= ORACLE_CAP
+        quenched, annealed = exact_gap_oracle(tp, eps, cfg, law, h)
+        rep = certify_gap(tp, eps, cfg, law, budget=2, horizon=h)
+        assert rep.annealed_side == pytest.approx(annealed, rel=1e-12, abs=1e-12)
+        assert quenched <= annealed + 1e-12
+
     def test_oracle_refuses_a_field_law(self):
         # correlated ray sites: the product enumeration would return the i.i.d. value
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=2.0)
@@ -246,6 +270,24 @@ class TestRatePoint:
         assert est.I_a == pytest.approx(expect_a, abs=1e-12)
         assert est.I_q == pytest.approx(expect_q, abs=0.01)
         assert est.I_a < est.I_q
+
+    def test_boundary_point_off_the_lattice_directions_goes_through_the_dp(self):
+        # (0.7, 0.3) has |x|_1 = 1 but is no +-e_i; it reported the +e1 forms
+        # (1.2040 here). Only +e1 and +e2 steps reach N x, so the rate is the
+        # multinomial form sum_i x_i log(x_i / omega(e_i))
+        law0 = constant_law(2, [0.3, 0.2, 0.25, 0.25], 0.1)
+        est = rate_point(law0, [0.7, 0.3], seed=1)
+        expect = 0.7 * math.log(0.7 / 0.3) + 0.3 * math.log(0.3 / 0.25)
+        assert est.method == "enumeration"
+        assert est.I_q == pytest.approx(expect, abs=0.005)
+        assert est.I_a == pytest.approx(expect, abs=0.005)
+
+    def test_lattice_direction_keeps_its_closed_forms_in_2d(self):
+        law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
+        est = rate_point(law, [1.0, 0.0], seed=2, boundary_sites=2000)
+        assert est.method == "boundary"
+        assert est.I_a == pytest.approx(-math.log(0.25), abs=1e-12)
+        assert est.I_q == pytest.approx(-0.5 * (math.log(0.3) + math.log(0.2)), abs=0.02)
 
     def test_interior_ordering_with_disorder(self):
         est = rate_point(TWO_ATOM, [0.5], seed=3, horizon=200, env_replicas=12)

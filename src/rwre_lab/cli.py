@@ -387,6 +387,9 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
     payload["tilt"] = tp.to_dict()
     print(f"gap = {report.gap:.6e} +- {report.stderr:.2e} "
           f"(significance {report.significance:.2f}, verdict {report.verdict})")
+    print(f"recursion read {report.steps_read} of H - L = {report.horizon - report.L} steps: "
+          "a block stops once the rest of each replica's sum is below 2^-56 of it",
+          file=sys.stderr)
     if out_dir:
         _write_json(os.path.join(out_dir, "gap_report.json"), payload)
         _write_csv(os.path.join(out_dir, "gap_trace.csv"), cfg, ["replica", "log_inner"],

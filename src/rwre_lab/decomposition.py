@@ -143,10 +143,18 @@ def expected_tau(eps, cfg: StoppingConfig) -> float:
     """Expected symbols until the first run of L forced-ell symbols completes.
 
     Closed form (kbar^-L - 1) / (1 - kbar) for a run of L successes of
-    probability kbar each.
+    probability kbar each. Raises BudgetError, naming L and kbar, where it
+    is not a finite float.
     """
     k = _kbar_of(eps)
-    return (k**-cfg.L - 1.0) / (1.0 - k)
+    try:
+        et = (k**-cfg.L - 1.0) / (1.0 - k)
+    except OverflowError:  # float ** raises where / rounds to inf
+        et = math.inf
+    if math.isinf(et):
+        raise BudgetError(f"at L = {cfg.L} and kbar = {k}, E[tau_1] = (kbar^-L - 1) / (1 - kbar) "
+                          "is not a finite float")
+    return et
 
 
 def _survival_chain(k: float, L: int):

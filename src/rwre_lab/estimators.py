@@ -15,13 +15,20 @@ The recursion carries a_s, the mass that enters a free symbol at time s; each
 step is one dot product of the last L of them with the powers of kbar and one
 multiply by the time row of free factors. Every few steps the new a's are
 summed into the value, and the last L are rescaled by a power of two and moved
-to the top of their buffer. ``certify_gap`` is the one exact evaluation of the
-two block bounds. It feeds the recursion CHUNK replicas at a time and draws
-their free factors in short blocks of time rows, so its memory does not grow
-with the horizon. For a product law the annealed side is the same recursion
-on the mean row, free factor u(ell) - kbar, folded in as one more column of
-the first replica block. Its report carries the bounds as ``GapReport.I_a``
-and ``GapReport.I_q``. The independent Monte Carlo check of the recursion is
+to the top of their buffer. The recursion stops before the horizon once the
+rest cannot change the value: with fhat the largest |free factor| a row can
+take, any rho with rho^L >= fhat * sum_{j<L} kbar^j rho^(L-1-j) gives
+|a_{t+n}| <= rho^n * max_{j<L} rho^j |a_{t-j}|. A block stops at the first
+flush where this bound, summed over the steps left, is below 2^-56 of every
+replica's value; each later flush would add less than half an ulp, so the
+values are those of the full horizon bit for bit, and no later row is drawn
+or read. ``certify_gap`` is the one exact evaluation of the two block bounds.
+It feeds the recursion CHUNK replicas at a time and draws their free factors
+in short blocks of time rows, so its memory does not grow with the horizon.
+For a product law the annealed side is the same recursion on the mean row,
+free factor u(ell) - kbar, folded in as one more column of the first replica
+block. Its report carries the bounds as ``GapReport.I_a`` and
+``GapReport.I_q``. The independent Monte Carlo check of the recursion is
 ``decomposition.sample_ray_block_values``, which samples the same truncated
 functional symbol by symbol; the tests hold the two against each other.
 
@@ -75,6 +82,7 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
 _LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
 _FLUSH_ROWS = 32  # recursion steps between flushes of the entry-mass buffer
 _ROW_BLOCK = 2**14  # draws per time block of a product-law row source
+_STOP_BITS = 56  # a block stops once the rest of every sum is below 2**-56 of it
 
 
 def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
@@ -99,29 +107,76 @@ def _rescale_interval(factors: np.ndarray, kbar: float, L: int) -> int:
     return max(1, int(_LOG_RANGE / rate)) if rate > 0.0 else max(1, len(factors))
 
 
-def _inner_recursion(blocks, m: int, kbar: float, L: int, every: int,
-                     steps: int) -> np.ndarray:
-    """Inner block values of m replicas, fed their free factors in blocks of time rows.
+def _growth_rate(fhat: float, kbar: float, L: int) -> float:
+    """A rate rho > 0 with g(rho) = rho**L - fhat * sum_{j<L} kbar**j rho**(L-1-j) >= 0.
+
+    g(rho) / rho**(L-1) = rho - fhat * sum_j (kbar / rho)**j increases in rho,
+    is <= 0 at rho = fhat and >= 0 at max(kbar, L * fhat). Geometric bisection
+    keeps an upper end where it is >= 0, and that end is inflated by 2**-20:
+    far more than the rounding of g, or of one recursion step, can take back.
+    """
+    def g(rho):
+        return rho - fhat * sum((kbar / rho) ** j for j in range(L))
+
+    lo, hi = fhat, max(kbar, L * fhat)
+    while lo > 0.0 and hi > lo * (1.0 + 2**-30):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (lo, mid) if g(mid) >= 0.0 else (mid, hi)
+    return hi * (1.0 + 2**-20)
+
+
+def _log2_geometric(rho: float, m: int) -> float:
+    """log2 of sum_{n=1..m} rho**n, without forming rho**m."""
+    if m <= 0:
+        return -math.inf
+    lr = math.log(rho)
+    if lr == 0.0:
+        return math.log2(m)
+    # the sum is rho * (rho**m - 1) / (rho - 1); take log(|rho**m - 1|) in the
+    # form that cannot overflow
+    x = m * lr
+    log_num = x + math.log(-math.expm1(-x)) if lr > 0.0 else math.log(-math.expm1(x))
+    return (lr + log_num - math.log(abs(rho - 1.0))) / math.log(2.0)
+
+
+def _inner_recursion(blocks, m: int, kbar: float, L: int, table: np.ndarray,
+                     steps: int) -> tuple:
+    """(values, rows read): inner block values of m replicas, fed their factors in time blocks.
 
     ``blocks`` yields (n, m) arrays of the factor rows f_1, f_2, ... of symbol
-    times 1, 2, ...; only the first ``steps`` = H - L rows are read, and a row
-    only during its own step, so a source may refill one buffer per block.
-    The state is a_s, the mass that enters a free symbol at time s: a_0 = 1 and
+    times 1, 2, ...; ``table`` holds every value a factor can take. At most
+    the first ``steps`` = H - L rows are read, and a row only during its own
+    step, so a source may refill one buffer per block. The state is a_s, the
+    mass that enters a free symbol at time s: a_0 = 1 and
 
         a_{t+1} = f_{t+1} * sum_{j<L} kbar^j a_{t-j},
 
     one ``dot`` and one in-place multiply per step. A string stops at its
     first L-run of forced symbols, so the value at horizon H is
     kbar^L * sum_{s=0..H-L} a_s; for H < L it is 0. The a's fill a buffer of
-    min(every, _FLUSH_ROWS) rows below the L rows the next step reads. Each
-    time it is full, the new rows are summed into the total, and the last L
-    rows are rescaled by the power of two of the largest entry
-    max_j kbar^j |a_{t-j}| of the run-length state, which is exact, and moved
-    to the top; the scale is kept as an exponent.
+    min(every, _FLUSH_ROWS) rows below the L rows the next step reads, with
+    ``every`` the rescale interval of ``table``. Each time it is full, the
+    new rows are summed into the total, and the last L rows are rescaled by
+    the power of two of the largest entry max_j kbar^j |a_{t-j}| of the
+    run-length state, which is exact, and moved to the top; the scale is
+    kept as an exponent.
+
+    The recursion then stops, reading no further row, once the rest of every
+    sum is provably below rounding. With fhat = max |table| and rho from
+    ``_growth_rate``, v = (rho^-j) satisfies M v <= rho v for the transfer M
+    of the all-fhat row, which bounds every row's state entrywise, so
+    |a_{t+n}| <= W_r rho^n with W_r = max_{j<L} rho^j |a_{t-j}|. With m rows
+    left the rest of row r's sum is at most W_r G(m), G(m) = sum_{n=1..m} rho^n.
+    Once log2 W_r + log2 G(m) < log2 |total_r| - _STOP_BITS for every r,
+    taken in log2 with the kept exponents, each later flush would add less
+    than half an ulp to its total, so the values are those of the full
+    horizon, bit for bit.
     """
     if steps < 0:
-        return np.zeros(m)
-    flush = min(every, _FLUSH_ROWS)
+        return np.zeros(m), 0
+    flush = min(_rescale_interval(table, kbar, L), _FLUSH_ROWS)
+    rho = _growth_rate(float(np.max(np.abs(table), initial=0.0)), kbar, L)
+    log_rw = math.log2(rho) * np.arange(L - 1, -1, -1.0)[:, None]  # of a_{t-L+1}, ..., a_t
     kw = kbar ** np.arange(L - 1, -1, -1.0)  # weights of a_{t-L+1}, ..., a_t
     buf = np.zeros((L + flush, m))
     buf[L - 1] = 1.0
@@ -129,17 +184,24 @@ def _inner_recursion(blocks, m: int, kbar: float, L: int, every: int,
     rows = itertools.islice(itertools.chain.from_iterable(blocks), steps)
     total = np.ones(m)  # a_0
     exponent = np.zeros(m, dtype=np.int64)
+    read = 0
     while True:
         n = 0
         for n, ((window, a), f) in enumerate(zip(slots, rows), 1):
             np.dot(kw, window, out=a)
             np.multiply(a, f, out=a)
         total += np.ldexp(np.add.reduce(buf[L:L + n], axis=0), exponent)
+        read += n
         if n < flush:
-            return total * kbar**L
+            return total * kbar**L, read
         shift = np.frexp((np.abs(buf[flush:]) * kw[:, None]).max(axis=0))[1]
         np.ldexp(buf[flush:], -shift, out=buf[:L])
         exponent += shift
+        with np.errstate(divide="ignore", invalid="ignore"):  # log2(0) = -inf; nan never stops
+            log_w = (np.log2(np.abs(buf[:L])) + log_rw).max(axis=0) + exponent
+            room = np.log2(np.abs(total)) - _STOP_BITS - _log2_geometric(rho, steps - read)
+        if np.all(log_w < room) and np.all(np.isfinite(total)):
+            return total * kbar**L, read
 
 
 def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarray:
@@ -157,8 +219,7 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
     array, such as the transpose of an (H, m) buffer, is read without a copy.
     """
     cols = np.ascontiguousarray(np.atleast_2d(np.asarray(free_factors, dtype=np.float64)).T)
-    return _inner_recursion([cols], cols.shape[1], kbar, L, _rescale_interval(cols, kbar, L),
-                            len(cols) - L)
+    return _inner_recursion([cols], cols.shape[1], kbar, L, cols, len(cols) - L)[0]
 
 
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
@@ -207,20 +268,23 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
         edges = np.arange(257) / 256
         first = np.searchsorted(cuts, edges[:-1], side="right")
         straddle = np.flatnonzero(first != np.searchsorted(cuts, edges[1:], side="left"))
-        byte_table = table[first]
+        # entries 256, 257, ... are the lead values, so one take into a contiguous
+        # buffer writes a whole time block, lead columns included
+        byte_table = np.append(table[first], lead)
 
         def rows(c, size):
             rng = np.random.default_rng(derive_seed(seed, c))
             n_lead = len(lead) if c == 0 else 0
             k = max(1, _ROW_BLOCK // size)
+            index = np.empty((k, n_lead + size), dtype=np.uint16)
+            index[:, :n_lead] = 256 + np.arange(n_lead)
             out = np.empty((k, n_lead + size))
-            out[:, :n_lead] = lead
             for t in range(0, horizon, k):
                 n = min(k, horizon - t)
                 raw = rng.bit_generator.random_raw(-(-n * size // 8))
                 drawn = raw.astype("<u8", copy=False).view(np.uint8)[:n * size]
-                factors = out[:n, n_lead:]
-                np.take(byte_table, drawn.reshape(n, size), out=factors, mode="clip")
+                index[:n, n_lead:] = drawn.reshape(n, size)
+                np.take(byte_table, index[:n], out=out[:n], mode="clip")
                 if straddle.size:
                     hit = drawn == straddle[0]
                     for b in straddle[1:]:
@@ -230,7 +294,7 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
                     # nothing: the draw is compared with the cuts exactly
                     edge = 256 * cuts - drawn[hit, None]
                     atom = np.count_nonzero(rng.random(hit.size)[:, None] >= edge, axis=1)
-                    factors[np.divmod(hit, size)] = table[atom]
+                    out[:n, n_lead:][np.divmod(hit, size)] = table[atom]
                 yield out[:n]
 
         return rows, table
@@ -286,27 +350,31 @@ def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
 
 
 def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                          n_rows: int, horizon: int, seed: int, lead=()) -> np.ndarray:
-    """Exact inner block value per environment replica, one block at a time.
+                          n_rows: int, horizon: int, seed: int, lead=()) -> tuple:
+    """(values, rows read): the exact inner block value per environment replica.
 
-    The recursion pulls each block's free factors in time blocks of rows, so
-    a product-law run, which draws one random byte per replica and step (and
-    one double per byte that straddles a cut), holds its buffers of O(CHUNK)
-    rows whatever the horizon; a field-law block holds its (horizon, CHUNK)
-    buffer. Each entry of ``lead`` (product laws only) is a constant free
+    The replicas go one block at a time. The recursion pulls each block's
+    free factors in time blocks of rows, so a product-law run, which draws
+    one random byte per replica and step (and one double per byte that
+    straddles a cut), holds its buffers of O(CHUNK) rows whatever the
+    horizon; a field-law block holds its (horizon, CHUNK) buffer. A block
+    stops once the rest of its sums is below rounding, and a product-law
+    block then draws no further row; ``rows read`` is the most any block
+    read. Each entry of ``lead`` (product laws only) is a constant free
     factor carried as a leading column of block 0, and its value leads the
-    result. The rescale interval comes from the law's table of possible
+    result. The recursion's bounds come from the law's table of possible
     factors and ``lead``, and rescaling is exact, so the replica values are
     those of ``quenched_ray_log_inner`` on the rows of ``sample_ray_xi(law,
     cfg.ell, n_rows, horizon, seed)``, to rounding.
     """
     rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar,
                             lead)
-    every = _rescale_interval(np.append(table, lead), eps.kbar, cfg.L)
-    return np.concatenate([
+    table = np.append(table, lead)
+    values, read = zip(*(
         _inner_recursion(rows(c, size), size + (len(lead) if c == 0 else 0), eps.kbar, cfg.L,
-                         every, horizon - cfg.L)
-        for c, _, size in _blocks(n_rows)])
+                         table, horizon - cfg.L)
+        for c, _, size in _blocks(n_rows)))
+    return np.concatenate(values), max(read)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +401,7 @@ class GapReport:
     replicas: int
     seed: int
     verdict: str
+    steps_read: int  # the most recursion steps any replica block ran before its stop
     trace: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -370,10 +439,12 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     not grow with the horizon. It grows with the replica count only by the
     _REPLICA_FLOATS floats kept per replica, the trace among them; a count
     whose floats pass MEMORY_BUDGET raises BudgetError before any row is drawn.
+    Each block's recursion stops once the rest of its sums is below rounding,
+    with the values of the full horizon; ``steps_read`` is the most steps a
+    block ran. The horizon is chosen, and refused, before E[tau_1] is taken.
     """
     validate_stopping(tp, cfg)
     eps.validate_against(tp)
-    et, w = expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
     if budget < 2:
@@ -386,11 +457,13 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise ValueError(f"gap.horizon = {horizon} is below L = {cfg.L}: no block completes "
                          "within it, so the inner block expectation is not positive")
     h = horizon or choose_horizon(eps, cfg, tail)
+    et, w = expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     product = isinstance(law, IIDProductLaw)
     # a product law's annealed side is the exact mean row, free factor u(ell) - kbar,
     # evaluated as one leading column of the first replica block
     lead = [float(tp.u_array[cfg.ell]) - eps.kbar] if product else []
-    values = _stream_inner_values(tp, eps, cfg, law, budget, h, derive_seed(seed, 1), lead)
+    values, steps_read = _stream_inner_values(tp, eps, cfg, law, budget, h, derive_seed(seed, 1),
+                                              lead)
     log_inner = _log_positive(values[len(lead):])
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
@@ -417,7 +490,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         L=cfg.L, kbar=eps.kbar, horizon=h, W=w, expected_block=et,
         quenched_side=q_side, quenched_stderr=q_se, annealed_side=a_side,
         annealed_stderr=a_se, gap=gap, stderr=se, significance=sig,
-        replicas=budget, seed=seed, verdict=verdict, trace=log_inner)
+        replicas=budget, seed=seed, verdict=verdict, steps_read=steps_read, trace=log_inner)
 
 
 def exact_gap_oracle(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,

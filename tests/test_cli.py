@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -196,6 +197,11 @@ class TestGap:
         trace = (tmp_path / "gap_trace.csv").read_text().splitlines()
         assert trace[0].startswith("# config_hash=")
         assert len(trace) == 2 + TWO_ATOM_GAP["gap"]["replicas"]
+        # the stop step goes to stderr, not to the artifact
+        assert "steps_read" not in report
+        read, steps = map(int, re.match(r"recursion read (\d+) of H - L = (\d+) steps: ",
+                                        capsys.readouterr().err).groups())
+        assert steps == report["horizon"] - 2 and 0 < read < steps
 
     def test_zero_disorder_inconclusive(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ZERO_DIS_GAP)
@@ -239,6 +245,21 @@ class TestGap:
         assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err.startswith("budget error: at L = 7, P(tau_1 > 10000000)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, err", [
+        ({"L": 400}, "budget error: at L = 400, P(tau_1 > 10000000) >= 1"),
+        ({"kbar": 1e-300}, "budget error: at L = 3, P(tau_1 > 10000000) >= 1"),
+        ({"L": 400, "gap": {"horizon": 1000}}, "budget error: at L = 400 and kbar = 0.1249"),
+        ({"kbar": 1e-300, "gap": {"horizon": 1000}}, "budget error: at L = 3 and kbar = 1e-300"),
+    ], ids=["L-400", "kbar-1e-300", "L-400-fixed-horizon", "kbar-1e-300-fixed-horizon"])
+    def test_expected_tau_out_of_range_exits_2(self, tmp_path, capsys, payload, err):
+        # each ended in an OverflowError traceback from E[tau_1], exit 1; the
+        # horizon search now refuses first, and E[tau_1] itself refuses a fixed horizon
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
+        assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
 
     def test_tail_outside_the_unit_interval_refused(self, tmp_path, capsys):

@@ -92,6 +92,14 @@ class TestExpectedTau:
         closed = expected_tau(EpsilonLaw(kbar, 1), StoppingConfig(L, 0))
         assert closed == pytest.approx(expected_tau_linear_solve(kbar, L), rel=1e-12)
 
+    @pytest.mark.parametrize("kbar,L", [(0.125, 342), (0.125, 400), (1e-300, 2), (0.4999, 1023)])
+    def test_out_of_range_is_a_budget_error(self, kbar, L):
+        # kbar^-L overflows (the first three) or the division by 1 - kbar does;
+        # L = 341 at kbar 1/8 is the last finite one
+        assert math.isfinite(expected_tau(0.125, StoppingConfig(341, 0)))
+        with pytest.raises(BudgetError, match=f"at L = {L} and kbar = {kbar}, E\\[tau_1\\]"):
+            expected_tau(kbar, StoppingConfig(L, 0))
+
     def test_against_monte_carlo(self):
         eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
         taus = sample_tau_batch(eps, cfg, 100_000, np.random.default_rng(5))

@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,10 +298,9 @@ def test_rows_past_h_minus_l_are_never_read(L, extra, seed):
             pulled.append(t)
             yield row[None, :]
 
-    got = _inner_recursion(one_row_at_a_time(), m, kbar, L,
-                           estimators._rescale_interval(rows, kbar, L), horizon - L)
+    got, read = _inner_recursion(one_row_at_a_time(), m, kbar, L, rows, horizon - L)
     assert np.array_equal(got, want)
-    assert len(pulled) == horizon - L
+    assert len(pulled) == read <= horizon - L
 
 
 @pytest.mark.parametrize("replicas", EDGE_REPLICAS)
@@ -323,3 +323,83 @@ def test_product_law_gap_runs_no_separate_annealed_pass(monkeypatch):
     tp = solve_tilt(law, [0.5])
     rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), law, 100, seed=2)
     assert rep.trace.shape == (100,) and np.isfinite(rep.annealed_side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fhat=st.floats(1e-6, 50.0), kbar=st.floats(0.01, 0.5), L=st.integers(2, 8))
+def test_growth_rate_bounds_the_all_fhat_transfer(fhat, kbar, L):
+    # checked in exact arithmetic: g(rho) = rho^L - fhat sum_j kbar^j rho^(L-1-j) >= 0,
+    # and rho is within the 2^-20 inflation (and the bisection's 2^-30) of the root
+    def g(rho):
+        r, f, k = Fraction(rho), Fraction(fhat), Fraction(kbar)
+        return r**L - f * sum(k**j * r ** (L - 1 - j) for j in range(L))
+
+    rho = estimators._growth_rate(fhat, kbar, L)
+    assert g(rho) >= 0
+    assert g(rho / (1.0 + 2**-19)) < 0
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0 - 2**-40, 1.0, 1.0 + 2**-40, 1.05, 7.0])
+def test_log2_geometric_sum(rho):
+    for m in (1, 2, 31, 500):
+        exact = sum(Fraction(rho) ** n for n in range(1, m + 1))
+        want = math.log2(exact.numerator) - math.log2(exact.denominator)
+        assert estimators._log2_geometric(rho, m) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert estimators._log2_geometric(rho, 0) == -math.inf
+    assert math.isfinite(estimators._log2_geometric(rho, 10**7))
+
+
+@st.composite
+def stopping_rows(draw):
+    # three replica rows, each one-signed, signed or constant at fhat; with
+    # fhat and kbar they decay, or grow where the all-fhat rate exceeds 1
+    L = draw(st.integers(2, 5))
+    kbar = draw(st.floats(0.05, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    steps = 32 * draw(st.integers(1, 4))
+    fhat = draw(st.floats(0.5, 1.5))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["one-signed", "signed", "fhat"]),
+                              min_size=3, max_size=3)):
+        row = rng.uniform(0.02, fhat, size=L + steps)
+        if kind == "signed":
+            row *= np.where(rng.random(L + steps) < 0.3, -1.0, 1.0)
+        elif kind == "fhat":
+            row[:] = fhat
+        rows.append(row)
+    return np.array(rows).T.copy(), kbar, L, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(stopping_rows())
+def test_stopped_values_are_the_full_horizon_values(case):
+    # the reference table adds a factor 2^27 / L: the rescale interval, and with
+    # it the flush, stays the same, while rho >= 2^24 puts every flush that
+    # leaves m >= 32 rows out of reach of the stop (the horizon is a multiple
+    # of 32 steps), so the reference reads every row
+    cols, kbar, L, steps = case
+    got, read = _inner_recursion([cols], cols.shape[1], kbar, L, cols, steps)
+    want, ref_read = _inner_recursion([cols], cols.shape[1], kbar, L,
+                                      np.append(cols, 2.0**27 / L), steps)
+    assert ref_read == steps and read <= steps
+    assert got.tobytes() == want.tobytes()
+
+
+def test_growing_fhat_rows_read_every_row():
+    # gap-iid's largest free factor 0.925 at kbar 1/8, L = 3: rho > 1, so the
+    # bound on the rest of an all-fhat row never falls below its total
+    horizon, kbar, L = 5359, 0.125, 3
+    assert estimators._growth_rate(0.925, kbar, L) > 1.0
+    cols = np.full((horizon, 64), 0.925)
+    _, read = _inner_recursion([cols], 64, kbar, L, cols, horizon - L)
+    assert read == horizon - L
+
+
+def test_gap_iid_stops_before_a_quarter_of_the_horizon():
+    # the typical replica decays by about 0.55 bits a step; the all-fhat bound
+    # grows by about 0.07 bits a step over a remaining horizon that shrinks
+    law = LAWS["two-atom"]
+    tp = solve_tilt(law, [0.5])
+    rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), law, 2000, seed=1)
+    assert rep.horizon == 5359
+    assert 0 < rep.steps_read < rep.horizon / 4

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import hashlib
 import json
 import math
 import os
@@ -209,7 +208,14 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()[:16]
+    """16 hex digits of a 64-bit hash of the canonical JSON, which only tells configs apart.
+
+    The byte length is the key, and ``derive_seed`` absorbs the bytes with
+    mix64 as little-endian 64-bit words, the last one zero-padded.
+    """
+    data = canonical_json(cfg).encode()
+    chunks = np.frombuffer(data + bytes(-len(data) % 8), dtype="<u8")
+    return f"{derive_seed(len(data), *chunks.tolist()):016x}"
 
 
 def _finite_number(text: str) -> float:

@@ -182,23 +182,40 @@ def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
 
 
 def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> int:
-    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by one forward scan of the exact tail.
+    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by binary lifting over the exact tail.
 
-    A hopeless search is refused before the scan. The events "no run of L
-    ends at s" are decreasing in the symbols, so by Harris's inequality
-    P(tau_1 > T) >= (1 - k^L)^T; where that bound is 2 tail or more at
-    T = TAU_HORIZON, the scan could only fail.
+    A hopeless search is refused first. The events "no run of L ends at s"
+    are decreasing in the symbols, so by Harris's inequality P(tau_1 > T) >=
+    (1 - k^L)^T; where that bound is 2 tail or more at T = TAU_HORIZON, the
+    search could only fail.
+
+    P(tau_1 > t) is the mass of v_t = M^t e_0, with M the L x L transfer of
+    the run-length chain (``_survival_chain``), and it never increases in t.
+    From the squares M^(2^j), j high to low, the search jumps 2^j ahead
+    wherever the mass after the jump is still >= tail; it ends at the last
+    such t, and H = t + 1. That is O(L^3 log TAU_HORIZON) work, where a scan
+    of the tail takes H steps.
     """
     k = _kbar_of(eps)
     if (bound := math.exp(TAU_HORIZON * math.log1p(-k**cfg.L))) >= 2 * tail:
         raise BudgetError(f"at L = {cfg.L}, P(tau_1 > {TAU_HORIZON}) >= {bound:.2g}: the tau tail "
                           f"stays above {tail} within the {TAU_HORIZON}-symbol cap")
-    for t, surv in enumerate(_survival_chain(k, cfg.L)):
-        if surv < tail:
-            return t
-        if t >= TAU_HORIZON:
-            break
-    raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
+    if tail > 1.0:
+        return 0  # P(tau_1 > 0) = 1
+    transfer = np.diag(np.full(cfg.L - 1, k), -1)  # a success moves run r to r + 1
+    transfer[0] = 1.0 - k  # a failure sends every run to 0
+    squares = [transfer]
+    for _ in range(TAU_HORIZON.bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1])
+    v = np.zeros(cfg.L)
+    v[0] = 1.0
+    t = 0
+    for j in reversed(range(len(squares))):
+        if (ahead := squares[j] @ v).sum() >= tail:
+            v, t = ahead, t + 2**j
+    if t >= TAU_HORIZON:
+        raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
+    return t + 1
 
 
 def check_tau_memory(draws: int, L: int, key: str = "n"):

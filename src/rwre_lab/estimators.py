@@ -12,10 +12,10 @@ conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
 The recursion carries a_s, the mass that enters a free symbol at time s; each
-step is one dot product of the last L of them with the powers of kbar and one
-multiply by the time row of free factors. Every few steps the new a's are
-summed into the value, and the last L are rescaled by a power of two and moved
-to the top of their buffer. The recursion stops before the horizon once the
+step sums the last L of them, weighted by the powers of kbar, in a fixed
+order, and multiplies by the time row of free factors. Every few steps the
+new a's are summed into the value, and the last L are rescaled by a power of
+two and moved to the top of their buffer. The recursion stops before the horizon once the
 rest cannot change the value: with fhat the largest |free factor| a row can
 take, any rho with rho^L >= fhat * sum_{j<L} kbar^j rho^(L-1-j) gives
 |a_{t+n}| <= rho^n * max_{j<L} rho^j |a_{t-j}|. A block stops at the first
@@ -24,7 +24,9 @@ replica's value; each later flush would add less than half an ulp, so the
 values are those of the full horizon bit for bit, and no later row is drawn
 or read. ``certify_gap`` is the one exact evaluation of the two block bounds.
 It feeds the recursion CHUNK replicas at a time and draws their free factors
-in short blocks of time rows, so its memory does not grow with the horizon.
+in short blocks of time rows, so its memory does not grow with the horizon;
+each factor is a function of (seed, replica, step) alone, and neither block
+size changes a value.
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, folded in as one more column of the first replica
 block. Its report carries the bounds as ``GapReport.I_a`` and
@@ -51,7 +53,7 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
 from .numutil import (BudgetError, check_memory, derive_seed, jackknife_stderr_logmean,
-                      logmeanexp, logsumexp, words)
+                      logmeanexp, logsumexp, mix64, site_uniforms, site_words, words)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
@@ -64,9 +66,8 @@ ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 
 def _blocks(n_items: int) -> list:
-    """(c, start, size) of the CHUNK-wide blocks; block c draws from its own seed."""
-    return [(c, start, min(CHUNK, n_items - start))
-            for c, start in enumerate(range(0, n_items, CHUNK))]
+    """(start, size) of the CHUNK-wide replica blocks."""
+    return [(start, min(CHUNK, n_items - start)) for start in range(0, n_items, CHUNK)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,10 @@ def _inner_recursion(blocks, m: int, kbar: float, L: int, table: np.ndarray,
 
         a_{t+1} = f_{t+1} * sum_{j<L} kbar^j a_{t-j},
 
-    one ``dot`` and one in-place multiply per step. A string stops at its
+    with the sum taken oldest term first. Every sum here is a chain of
+    elementwise numpy operations, where a ``dot`` or a reduction would pick
+    its summation order by the block's width, so a replica's value does not
+    depend on which block it rides in. A string stops at its
     first L-run of forced symbols, so the value at horizon H is
     kbar^L * sum_{s=0..H-L} a_s; for H < L it is 0. The a's fill a buffer of
     min(every, _FLUSH_ROWS) rows below the L rows the next step reads, with
@@ -178,19 +182,27 @@ def _inner_recursion(blocks, m: int, kbar: float, L: int, table: np.ndarray,
     rho = _growth_rate(float(np.max(np.abs(table), initial=0.0)), kbar, L)
     log_rw = math.log2(rho) * np.arange(L - 1, -1, -1.0)[:, None]  # of a_{t-L+1}, ..., a_t
     kw = kbar ** np.arange(L - 1, -1, -1.0)  # weights of a_{t-L+1}, ..., a_t
+    weights = kw.tolist()
     buf = np.zeros((L + flush, m))
     buf[L - 1] = 1.0
-    slots = [(buf[i - L:i], buf[i]) for i in range(L, L + flush)]
+    slots = [(list(buf[i - L:i]), buf[i]) for i in range(L, L + flush)]
     rows = itertools.islice(itertools.chain.from_iterable(blocks), steps)
     total = np.ones(m)  # a_0
     exponent = np.zeros(m, dtype=np.int64)
+    part, scratch = np.empty(m), np.empty(m)
     read = 0
     while True:
         n = 0
         for n, ((window, a), f) in enumerate(zip(slots, rows), 1):
-            np.dot(kw, window, out=a)
-            np.multiply(a, f, out=a)
-        total += np.ldexp(np.add.reduce(buf[L:L + n], axis=0), exponent)
+            np.multiply(window[0], weights[0], a)
+            for w, k in zip(window[1:], weights[1:]):
+                np.add(a, np.multiply(w, k, scratch), a)
+            np.multiply(a, f, a)
+        if n:
+            np.copyto(part, buf[L])
+            for new in buf[L + 1:L + n]:
+                np.add(part, new, part)
+            total += np.ldexp(part, exponent)
         read += n
         if n < flush:
             return total * kbar**L, read
@@ -240,25 +252,29 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
               lead=()):
     """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
 
-    rows(c, size) yields block c's factor rows for t = 0..horizon-1 as (n, size)
-    arrays of n consecutive time rows; ``table`` holds every value a factor
-    can take. With the defaults u = 1 and kbar = 0 the rows are xi itself,
-    bit for bit. A product-law block draws from derive_seed(seed, c) in time
-    blocks of n = max(1, _ROW_BLOCK // size) rows, so it holds O(size) numbers
-    whatever the horizon. Each time block takes ceil(n * size / 8) raw PCG64
-    words, read as little-endian bytes, one byte b per (step, replica) in C
-    order; b stands for a uniform draw in [b/256, (b+1)/256) and is mapped
-    through a 256-entry factor table to the atom whose cumulative-weight
-    interval holds that whole range. A byte whose range holds a cut then
-    takes one double u' from the same generator, in C order after the
-    block's words, and its atom is that of the draw (b + u') / 256. Weights
-    that are multiples of 1/256 leave no such byte; otherwise at most K - 1
-    of the 256 values are, and every atom keeps its weight to 2**-53. Its
-    block 0 has a leading column per entry of ``lead``, which holds that
-    constant at every time. A field-law block realizes replica i on the ray
-    box from derive_seed(seed, c, i) into one time-major buffer, and raises
-    BudgetError before allocating one over MEMORY_BUDGET; ``lead`` must be
-    empty for it.
+    rows(start, size) yields the factor rows of replicas start..start+size-1
+    for t = 0..horizon-1 as (n, size) arrays of n consecutive time rows;
+    ``table`` holds every value a factor can take. With the defaults u = 1
+    and kbar = 0 the rows are xi itself, bit for bit. Every row is a pure
+    function of (seed, replica, step), so no block size changes a value.
+
+    A product-law replica i at step t reads one byte: byte t % 8, little-
+    endian, of the word site_words(seed, (i, t // 8)). Byte b stands for a
+    uniform draw in [b/256, (b+1)/256) and is mapped through a 256-entry
+    factor table to the atom whose cumulative-weight interval holds that
+    whole range. A byte whose range holds a cut takes the double u' =
+    site_uniforms(seed, (i, t), stream=1), and its atom is that of the draw
+    (b + u') / 256. Weights that are multiples of 1/256 leave no such byte;
+    otherwise at most K - 1 of the 256 values are, and every atom keeps its
+    weight to 2**-53. Rows come in time blocks of a multiple of 8 rows and
+    about _ROW_BLOCK draws, so a block holds O(size) numbers whatever the
+    horizon; each replica's key is hashed once per block, then each word
+    takes one mix64. The block at start 0 has a leading column per entry of
+    ``lead``, which holds that constant at every time.
+
+    A field-law replica i is realized on the ray box from derive_seed(seed,
+    i) into one time-major buffer, which raises BudgetError before it is
+    allocated over MEMORY_BUDGET; ``lead`` must be empty for it.
     """
     table = u * law.xi_values()[:, ell] - kbar
     if isinstance(law, IIDProductLaw):
@@ -272,29 +288,33 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
         # buffer writes a whole time block, lead columns included
         byte_table = np.append(table[first], lead)
 
-        def rows(c, size):
-            rng = np.random.default_rng(derive_seed(seed, c))
-            n_lead = len(lead) if c == 0 else 0
-            k = max(1, _ROW_BLOCK // size)
+        def rows(start, size):
+            n_lead = len(lead) if start == 0 else 0
+            keys = site_words(seed, np.arange(start, start + size)[:, None])
+            k = 8 * max(1, _ROW_BLOCK // (8 * size))
             index = np.empty((k, n_lead + size), dtype=np.uint16)
             index[:, :n_lead] = 256 + np.arange(n_lead)
             out = np.empty((k, n_lead + size))
             for t in range(0, horizon, k):
                 n = min(k, horizon - t)
-                raw = rng.bit_generator.random_raw(-(-n * size // 8))
-                drawn = raw.astype("<u8", copy=False).view(np.uint8)[:n * size]
-                index[:n, n_lead:] = drawn.reshape(n, size)
+                # word (i, t // 8) is mix64(key_i ^ (t // 8)), and its bytes are 8 steps
+                at = np.arange(t // 8, (t + n + 7) // 8, dtype=np.uint64)
+                word = mix64(keys[:, None] ^ at)
+                index[:n, n_lead:] = word.astype("<u8", copy=False).view(np.uint8)[:, :n].T
                 np.take(byte_table, index[:n], out=out[:n], mode="clip")
                 if straddle.size:
+                    drawn = index[:n, n_lead:]
                     hit = drawn == straddle[0]
                     for b in straddle[1:]:
                         hit |= drawn == b
-                    hit = np.flatnonzero(hit)
+                    step, col = np.nonzero(hit)
+                    pairs = np.stack([start + col, t + step], axis=1)  # (replica, step)
+                    u_hit = site_uniforms(seed, pairs, stream=1)
                     # (b + u') / 256 >= cut iff u' >= 256 * cut - b, which rounds
                     # nothing: the draw is compared with the cuts exactly
-                    edge = 256 * cuts - drawn[hit, None]
-                    atom = np.count_nonzero(rng.random(hit.size)[:, None] >= edge, axis=1)
-                    out[:n, n_lead:][np.divmod(hit, size)] = table[atom]
+                    edge = 256 * cuts - drawn[step, col, None]
+                    atom = np.count_nonzero(u_hit[:, None] >= edge, axis=1)
+                    out[step, n_lead + col] = table[atom]
                 yield out[:n]
 
         return rows, table
@@ -302,11 +322,11 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
         sites, box = _ray_box(law.dimension, ell, horizon)
         ray = np.ravel_multi_index((sites - box.lo).T, box.shape)  # t = 0..horizon-1
 
-        def rows(c, size):
+        def rows(start, size):
             check_memory(8 * size * horizon, f"{size} x {horizon} ray factors")
             buf = np.empty((horizon, size))
             for i in range(size):
-                env = sample_environment(law, derive_seed(seed, c, i), box)
+                env = sample_environment(law, derive_seed(seed, start + i), box)
                 buf[:, i] = table[env.states.reshape(-1)[ray]]
             return [buf]
 
@@ -326,9 +346,9 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     check_memory(8 * n_rows * horizon, f"{n_rows} x {horizon} ray factors")
     rows, _ = _ray_rows(law, ell, horizon, seed)
     xi = np.empty((horizon, n_rows))
-    for c, start, size in _blocks(n_rows):
+    for start, size in _blocks(n_rows):
         t = 0
-        for block in rows(c, size):
+        for block in rows(start, size):
             xi[t:t + len(block), start:start + size] = block
             t += len(block)
     return xi.T
@@ -371,9 +391,9 @@ def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, l
                             lead)
     table = np.append(table, lead)
     values, read = zip(*(
-        _inner_recursion(rows(c, size), size + (len(lead) if c == 0 else 0), eps.kbar, cfg.L,
-                         table, horizon - cfg.L)
-        for c, _, size in _blocks(n_rows)))
+        _inner_recursion(rows(start, size), size + (len(lead) if start == 0 else 0), eps.kbar,
+                         cfg.L, table, horizon - cfg.L)
+        for start, size in _blocks(n_rows)))
     return np.concatenate(values), max(read)
 
 

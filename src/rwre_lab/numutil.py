@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 MEMORY_BUDGET = 2**30  # bytes one dense buffer (ray factors, tau draws) may hold
@@ -27,11 +27,14 @@ def check_memory(need: int, what: str):
 
 def mix64(x):
     """SplitMix64 finalizer. Accepts uint64 scalars or arrays, returns same."""
-    with np.errstate(over="ignore"):
-        x = (x + _GOLDEN) & _MASK64
-        x = ((x ^ (x >> np.uint64(30))) * _MIX1) & _MASK64
-        x = ((x ^ (x >> np.uint64(27))) * _MIX2) & _MASK64
-        return x ^ (x >> np.uint64(31))
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps modulo 2^64
+        x = x + _GOLDEN  # a new array (or scalar), so the steps below may work in place
+        x ^= x >> _S30
+        x *= _MIX1
+        x ^= x >> _S27
+        x *= _MIX2
+        x ^= x >> _S31
+        return x
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -46,21 +49,28 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(h)
 
 
-def site_uniforms(seed: int, sites: np.ndarray, stream: int = 0) -> np.ndarray:
-    """Uniform(0,1) value per lattice site, a pure function of (seed, site).
+def site_words(seed: int, sites: np.ndarray, stream: int = 0) -> np.ndarray:
+    """Raw 64-bit hash word per lattice site, a pure function of (seed, stream, site).
 
     ``sites`` is an integer array of shape (n, d); negative coordinates are
     folded through two's complement so the hash is defined on all of Z^d.
+    The key derive_seed(seed, stream) absorbs the coordinates one axis at a
+    time, h <- mix64(h ^ x_axis), so the word of (x_1, ..., x_d) is
+    mix64(site_words(seed, (x_1, ..., x_{d-1}), stream) ^ x_d): a caller
+    may hash a shared prefix once.
     """
     sites = np.asarray(sites, dtype=np.int64)
     if sites.ndim == 1:
         sites = sites[None, :]
     h = np.full(sites.shape[0], np.uint64(derive_seed(seed, stream)), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for axis in range(sites.shape[1]):
-            h = mix64(h ^ sites[:, axis].astype(np.uint64))
-    # top 53 bits -> double in [0, 1)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    for axis in range(sites.shape[1]):
+        h = mix64(h ^ sites[:, axis].astype(np.uint64))
+    return h
+
+
+def site_uniforms(seed: int, sites: np.ndarray, stream: int = 0) -> np.ndarray:
+    """Uniform [0, 1) value per lattice site: the top 53 bits of its ``site_words`` word."""
+    return (site_words(seed, sites, stream) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
 def logsumexp(a) -> float:

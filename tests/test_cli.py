@@ -3,11 +3,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import rwre_lab
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
@@ -585,3 +588,42 @@ class TestIntegerKeys:
         assert main(["--config", cfg, "--out", str(out), command]) == 64
         assert f"error: {key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Runs one subcommand in a fresh interpreter, then prints its exit code and
+# whether numpy.random and OpenSSL's hashlib module were ever imported.
+IMPORT_PROBE = """
+import sys
+from rwre_lab.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules, "_hashlib" in sys.modules)
+"""
+
+
+def run_probe(tmp_path, command, payload):
+    cfg = write_config(tmp_path, payload)
+    src = os.path.dirname(os.path.dirname(rwre_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, "--config", cfg, "--out",
+                           str(tmp_path / "out"), command],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.stdout.split()[-3:]
+
+
+class TestImports:
+    @pytest.mark.parametrize("command", ["gap", "rate"])
+    def test_product_law_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, command):
+        # product-law rows, rate environments and the config hash all come from the
+        # SplitMix64 site hash: numpy.random (which loads OpenSSL through secrets and
+        # hmac) and hashlib stay out of the process
+        assert run_probe(tmp_path, command, {}) == ["0", "False", "False"]
+
+    @pytest.mark.parametrize("command,payload", [
+        ("gap", {"law": {**FIELD_LAW, "states": [[0.15, 0.85], [0.85, 0.15]], "sweeps": 1},
+                 "L": 2, "gap": {"replicas": 1000, "horizon": 60}}),
+        ("verify", {"verify": {"n_max": 3, "psi_n_max": 2, "tau_draws": 20_000}}),
+    ])
+    def test_field_gap_and_verify_still_run(self, tmp_path, command, payload):
+        # the heat bath and the verify families still draw from numpy.random
+        assert run_probe(tmp_path, command, payload)[0] == "0"

@@ -172,6 +172,25 @@ class TestSampleTau:
         assert surv[h] < 1e-4
         assert surv[h - 1] >= 1e-4
 
+    @settings(max_examples=40, deadline=None)
+    @given(kbar=st.floats(0.15, 0.5), L=st.integers(1, 5), tail_log10=st.floats(-6.0, -0.01))
+    def test_lifted_horizon_is_the_scanned_one(self, kbar, L, tail_log10):
+        # the binary lifting over squares of the transfer lands on the first t
+        # where the scanned exact tail falls below the cut
+        tail, cfg = 10.0**tail_log10, StoppingConfig(L, 0)
+        h = choose_horizon(kbar, cfg, tail)
+        surv = tau_survival(kbar, cfg, h)
+        assert surv[h] < tail <= surv[h - 1]
+
+    def test_long_horizon_search_takes_no_scan(self, monkeypatch):
+        # L = 6 at k = 1/8 ends at H = 2 759 300, which the scan took about 3 s to reach
+        monkeypatch.setattr("rwre_lab.decomposition._survival_chain",
+                            lambda *args: pytest.fail("the tail was scanned"))
+        t0 = time.perf_counter()
+        assert [choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(L, 0))
+                for L in (3, 4, 5, 6)] == [5359, 43077, 344873, 2759300]
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestPsiFactor:
     def test_forced_symbol_is_indicator(self):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from rwre_lab import estimators
 from rwre_lab.decomposition import StoppingConfig, make_epsilon_law
-from rwre_lab.environments import IIDProductLaw
+from rwre_lab.environments import IIDProductLaw, MarkovFieldLaw
 from rwre_lab.estimators import (_inner_recursion, certify_gap, quenched_ray_log_inner,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
-from rwre_lab.numutil import derive_seed
+from rwre_lab.numutil import derive_seed, site_uniforms, site_words
 from rwre_lab.tilting import solve_tilt
 
 REL = 1e-12
@@ -121,42 +121,34 @@ LAWS = {
 }
 
 
-def reference_rows(law, table, seed, c, size, horizon):
-    """Block c's rows from the byte sampler, written out plainly.
+def reference_rows(law, table, seed, replicas, horizon):
+    """The (horizon, replicas) factor rows, each (replica i, step t) built on its own.
 
-    Each time block of k rows takes one raw-word call; the words are read as
-    little-endian bytes, one byte b per (step, replica). A byte whose range
-    [b/256, (b+1)/256) holds a cut then takes one double u', in C order, and
-    stands for the draw (b + u') / 256; any other byte stands for b / 256.
+    Its byte is byte t % 8, little-endian, of the word of (i, t // 8); a byte
+    whose range [b/256, (b+1)/256) holds a cut stands for the draw
+    (b + u') / 256 with u' the stream-1 uniform of (i, t), any other for b / 256.
     """
+    i, t = (a.ravel() for a in np.meshgrid(np.arange(replicas), np.arange(horizon)))
     cuts = np.cumsum(law.weights)[:-1]
-    rng = np.random.default_rng(derive_seed(seed, c))
-    k = max(1, estimators._ROW_BLOCK // size)
-    out = []
-    for t in range(0, horizon, k):
-        n = min(k, horizon - t)
-        raw = rng.bit_generator.random_raw(-(-n * size // 8))
-        data = b"".join(int(word).to_bytes(8, "little") for word in raw)
-        drawn = np.frombuffer(data, dtype=np.uint8)[:n * size].astype(np.float64)
-        low = np.searchsorted(cuts, drawn / 256, side="right")
-        straddles = low != np.searchsorted(cuts, (drawn + 1) / 256, side="left")
-        draw = drawn / 256
-        draw[straddles] = (drawn[straddles] + rng.random(int(straddles.sum()))) / 256
-        out.append(table[np.searchsorted(cuts, draw, side="right")].reshape(n, size))
-    return np.concatenate(out)
+    words = site_words(seed, np.stack([i, t // 8], axis=1))
+    drawn = ((words >> (8 * (t % 8)).astype(np.uint64)) & np.uint64(255)).astype(np.float64)
+    low = np.searchsorted(cuts, drawn / 256, side="right")
+    straddles = low != np.searchsorted(cuts, (drawn + 1) / 256, side="left")
+    draw = drawn / 256
+    u = site_uniforms(seed, np.stack([i, t], axis=1)[straddles], stream=1)
+    draw[straddles] = (drawn[straddles] + u) / 256
+    return table[np.searchsorted(cuts, draw, side="right")].reshape(horizon, replicas)
 
 
 @pytest.mark.parametrize("law_name", sorted(LAWS))
 @pytest.mark.parametrize("replicas", EDGE_REPLICAS)
 def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
-    # the product-law source draws its rows in time blocks of bytes; every row
-    # must be that of the plain byte sampler, for horizons the time block does
-    # not divide; the three-atom law's cuts 0.2 and 0.7 straddle bytes
+    # every row is that of the plain per-(replica, step) reference, for horizons
+    # the time block does not divide; the three-atom law's cuts 0.2 and 0.7
+    # straddle bytes
     law, horizon, seed, L = LAWS[law_name], 46, 5, 3
-    blocks = [(c, min(4096, replicas - start)) for c, start in enumerate(range(0, replicas, 4096))]
     xi = law.xi_values()[:, 0]
-    want = np.concatenate([reference_rows(law, xi, derive_seed(seed, 1), c, size, horizon)
-                           for c, size in blocks], axis=1)
+    want = reference_rows(law, xi, derive_seed(seed, 1), replicas, horizon)
     assert sample_ray_xi(law, 0, replicas, horizon, derive_seed(seed, 1)).T.tobytes() == \
         want.tobytes()
 
@@ -174,10 +166,39 @@ def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
     eps = make_epsilon_law(tp)
     certify_gap(tp, eps, StoppingConfig(L, 0), law, replicas, horizon=horizon, seed=seed)
     factors = float(tp.u_array[0]) * xi - eps.kbar
-    assert len(consumed) == len(blocks)
-    for (c, size), read in zip(blocks, consumed):
-        want = reference_rows(law, factors, derive_seed(seed, 1), c, size, horizon)[:horizon - L]
-        assert read[:, read.shape[1] - size:].tobytes() == want.tobytes()
+    want = reference_rows(law, factors, derive_seed(seed, 1), replicas, horizon)[:horizon - L]
+    starts = range(0, replicas, 4096)
+    assert len(consumed) == len(starts)
+    for start, read in zip(starts, consumed):
+        size = min(4096, replicas - start)
+        assert read[:, read.shape[1] - size:].tobytes() == \
+            np.ascontiguousarray(want[:, start:start + size]).tobytes()
+
+
+FIELD = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], 0.1, beta=0.5, sweeps=2)
+
+
+@pytest.mark.parametrize("chunk", [4096, 1000, 7])
+@pytest.mark.parametrize("row_block", [2**14, 64])
+def test_batching_changes_no_value(monkeypatch, chunk, row_block):
+    # every row is a pure function of (seed, replica, step): neither the replica
+    # blocks nor the time blocks change a byte of the rows or of the report
+    def run():
+        law = LAWS["three-atom"]
+        tp = solve_tilt(law, [0.5])
+        eps = make_epsilon_law(tp)
+        xi = sample_ray_xi(law, 0, 1200, 70, 9)
+        rep = certify_gap(tp, eps, StoppingConfig(3, 0), law, 1200, horizon=300, seed=9)
+        tp = solve_tilt(FIELD, [0.5])
+        field = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(2, 0), FIELD, 9,
+                            horizon=40, seed=9)
+        return [xi.tobytes(), rep.trace.tobytes(), field.trace.tobytes(),
+                repr((rep.to_dict(), rep.steps_read, field.to_dict(), field.steps_read))]
+
+    want = run()
+    monkeypatch.setattr(estimators, "CHUNK", chunk)
+    monkeypatch.setattr(estimators, "_ROW_BLOCK", row_block)
+    assert run() == want
 
 
 def atom_counts(law, draws, seed=11):
@@ -223,19 +244,14 @@ def test_byte_sampler_never_draws_a_zero_weight_atom(weights):
 def test_byte_edge_weights_draw_no_double(monkeypatch, law_name, doubles):
     # weights 0.5, 0.5 put the one cut on a byte edge: every draw is a byte;
     # the three-atom law's cuts 0.2 and 0.7 straddle bytes 51 and 179
-    real = np.random.default_rng
+    real = estimators.site_uniforms
     drawn = []
 
-    class Counting:
-        def __init__(self, seed):
-            self._rng = real(seed)
-            self.bit_generator = self._rng.bit_generator
+    def counting(seed, sites, stream=0):
+        drawn.append(len(sites))
+        return real(seed, sites, stream)
 
-        def random(self, n):
-            drawn.append(n)
-            return self._rng.random(n)
-
-    monkeypatch.setattr(np.random, "default_rng", Counting)
+    monkeypatch.setattr(estimators, "site_uniforms", counting)
     rows, _ = estimators._ray_rows(LAWS[law_name], 0, 5000, 13)
     for _ in rows(0, 4096):
         pass

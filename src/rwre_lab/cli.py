@@ -40,7 +40,7 @@ from .decomposition import (StoppingConfig, check_joint_pairs, check_tau_memory,
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
-from .numutil import BudgetError, derive_seed
+from .numutil import BudgetError, derive_seed, site_uniforms
 from .tilting import (check_identity_memory, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched)
 
@@ -291,15 +291,16 @@ def _run_verify(cfg: dict):
     law, tp, eps, stop = build_problem(cfg)
     d = tp.dimension
     seed = cfg["seed"]
-    rng = np.random.default_rng(derive_seed(seed, 100))
     n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
     check_identity_memory(law, n_max, "verify.n_max")
     check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
-    thetas = rng.uniform(-cfg["verify"]["theta_scale"], cfg["verify"]["theta_scale"],
-                         size=(cfg["verify"]["theta_count"], d))
+    # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-scale, scale)
+    shape = (cfg["verify"]["theta_count"], d)
+    u = site_uniforms(derive_seed(seed, 100), np.indices(shape).reshape(2, -1).T)
+    thetas = cfg["verify"]["theta_scale"] * (2.0 * u.reshape(shape) - 1.0)
     rows = []
 
     def add(family, metric, tolerance):
@@ -340,7 +341,7 @@ def _run_verify(cfg: dict):
 
     # one-step reweighting algebra for randomized xi, then small-n enumeration;
     # both checks live in one family
-    xi = np.random.default_rng(derive_seed(seed, 102)).uniform(0.5, 1.5, size=(64, 1))
+    xi = 0.5 + site_uniforms(derive_seed(seed, 102), np.arange(64)[:, None])[:, None]
     u = tp.u_array
     total = eps.kbar + (u - eps.kbar) * psi_factor(tp, eps, xi, np.arange(2 * d))
     worst_p = float(np.max(np.abs(total - u * xi)))
@@ -354,8 +355,7 @@ def _run_verify(cfg: dict):
                  "passed": bool(worst_n <= tol["identity_rel"]
                                 and worst_p <= tol["onestep_abs"])})
 
-    taus = sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"],
-                            np.random.default_rng(derive_seed(seed, 104)))
+    taus = sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"], derive_seed(seed, 104))
     add("tau-waiting-time", abs(_tau_z(taus, expected_tau(eps, stop))[2]), tol["tau_sigmas"])
 
     return n_max, rows, all(r["passed"] for r in rows)
@@ -465,8 +465,7 @@ def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
         # tau needs only the success probability k; an EpsilonLaw would also
         # demand 2d * k < 1, which the default k = 0.25 breaks in 2-D
         c = StoppingConfig(lval, stop.ell)
-        taus = sample_tau_batch(kb, c, draws,
-                                np.random.default_rng(derive_seed(cfg["seed"], 300 + i)))
+        taus = sample_tau_batch(kb, c, draws, derive_seed(cfg["seed"], 300 + i))
         expect = expected_tau(kb, c)
         mean, se, z = _tau_z(taus, expect)
         rows.append([kb, lval, draws, mean, se, expect, z])

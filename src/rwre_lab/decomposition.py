@@ -13,8 +13,8 @@ Blocks end at tau, the first time a run of L forced-ell symbols completes.
 Its law has the closed-form mean ``expected_tau``, the exact survival
 ``tau_survival`` from the run-length chain (the oracle the samplers answer
 to) and the horizon ``choose_horizon`` read off that survival.
-``sample_tau_batch`` draws tau in renewal form, from one geometric count of
-failed attempts and one multinomial split of their run lengths per stream.
+``sample_tau_batch`` draws tau by inverting that exact tail at one uniform of
+the counter-based site hash per draw, so draw i is a function of (seed, i).
 
 ``psi_factor`` is the per-step reweighting that restores the environment
 dependence inside the decomposed mechanism; its defining property, checked by
@@ -34,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, direction_index
-from .numutil import BudgetError, check_memory, fsum, words
+from .numutil import BudgetError, check_memory, fsum, site_uniforms, words
 from .tilting import TiltParams
 from .walks import endpoint_law, path_omegas, path_positions, step_matrix
 
 TAU_HORIZON = 10**7
+TAU_BLOCK = 2**16  # tau draws located by one searchsorted
+TAIL_STEPS = 2**12  # tail entries from one product with the block transfer
 JOINT_BUDGET = 10**7  # (path, symbol word) pairs one joint enumeration may hold
 
 
@@ -181,6 +183,17 @@ def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
                        count=horizon + 1)
 
 
+def _run_length_transfer(k: float, L: int) -> np.ndarray:
+    """The L x L transfer M of the run-length chain: P(tau_1 > t) is the mass of M^t e_0.
+
+    Entry (r', r) is the chance that one symbol moves run length r to r'; a
+    success at r = L - 1 completes the run, so its mass leaves the chain.
+    """
+    transfer = np.diag(np.full(L - 1, k), -1)  # a success moves run r to r + 1
+    transfer[0] = 1.0 - k  # a failure sends every run to 0
+    return transfer
+
+
 def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> int:
     """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by binary lifting over the exact tail.
 
@@ -190,7 +203,7 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
     search could only fail.
 
     P(tau_1 > t) is the mass of v_t = M^t e_0, with M the L x L transfer of
-    the run-length chain (``_survival_chain``), and it never increases in t.
+    the run-length chain (``_run_length_transfer``), and it never increases in t.
     From the squares M^(2^j), j high to low, the search jumps 2^j ahead
     wherever the mass after the jump is still >= tail; it ends at the last
     such t, and H = t + 1. That is O(L^3 log TAU_HORIZON) work, where a scan
@@ -202,9 +215,7 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
                           f"stays above {tail} within the {TAU_HORIZON}-symbol cap")
     if tail > 1.0:
         return 0  # P(tau_1 > 0) = 1
-    transfer = np.diag(np.full(cfg.L - 1, k), -1)  # a success moves run r to r + 1
-    transfer[0] = 1.0 - k  # a failure sends every run to 0
-    squares = [transfer]
+    squares = [_run_length_transfer(k, cfg.L)]
     for _ in range(TAU_HORIZON.bit_length() - 1):
         squares.append(squares[-1] @ squares[-1])
     v = np.zeros(cfg.L)
@@ -218,47 +229,89 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
     return t + 1
 
 
-def check_tau_memory(draws: int, L: int, key: str = "n"):
+def check_tau_memory(draws: int, L: int, key: str = "n", horizon: int = TAU_HORIZON):
     """Raise BudgetError, naming ``key``, if ``sample_tau_batch`` of ``draws`` passes MEMORY_BUDGET.
 
-    The sampler holds about 8 (L + 2) bytes per draw at its peak (the
-    geometric counts, their clipped copy, the (draws, L) multinomial split
-    and tau); 8 (L + 3) bounds it.
+    The sampler holds the (draws,) int64 result; the tail table, up to
+    ``horizon`` + 1 doubles, and its copy while the table grows; the
+    (TAIL_STEPS, L) rows of the block transfer; and one block of TAU_BLOCK
+    draws, whose uniforms, hash words, site keys and positions take at most
+    six 8-byte arrays.
     """
-    check_memory(8 * draws * (L + 3), f"{key} = {draws} draws at L = {L}")
+    need = 8 * (draws + 2 * (horizon + 1) + TAIL_STEPS * L + 6 * TAU_BLOCK)
+    check_memory(need, f"{key} = {draws} draws at L = {L}")
 
 
-def sample_tau_batch(eps, cfg: StoppingConfig, n: int, rng,
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, summed over the inner axis left to right whatever the BLAS."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out
+
+
+def _tail_blocks(k: float, L: int):
+    """Yield P(tau_1 > t), t = 0, 1, 2, ..., in blocks of TAIL_STEPS, made nonincreasing.
+
+    Row s of ``rows`` is 1^T M^s for s < TAIL_STEPS (built by doubling: rows
+    [m, 2m) are rows [0, m) times M^m), so block b is rows @ M^(b TAIL_STEPS)
+    e_0. Every entry is a pure function of t: where the table stops does not
+    change it. A running minimum removes rounding's upward steps, so the
+    table can be searched.
+    """
+    rows, power = np.ones((1, L)), _run_length_transfer(k, L)
+    while len(rows) < TAIL_STEPS:
+        rows = np.concatenate([rows, _dot(rows, power)])
+        power = _dot(power, power)
+    state = np.zeros((L, 1))
+    state[0] = 1.0
+    low = 1.0
+    while True:
+        block = np.minimum.accumulate(np.minimum(_dot(rows, state)[:, 0], low))
+        low = block[-1]
+        yield block
+        state = _dot(power, state)
+
+
+def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
                      horizon: int = TAU_HORIZON) -> np.ndarray:
-    """n independent run-completion times, drawn in renewal form.
+    """n independent run-completion times, by inversion of the exact tail.
 
-    Cut the Bernoulli(k) symbol string at its failures into attempts. An
-    attempt completes with L successes in a row (probability p = k^L, L
-    symbols) or fails after j < L successes (probability k^j (1 - k), j + 1
-    symbols). By the strong Markov property attempts are i.i.d., so the
-    number N of failed attempts before the completing one is Geometric(p) - 1,
-    and given N the counts of failed run lengths j = 0..L-1 are
-    Multinomial(N, q) with q_j = k^j (1 - k) / (1 - k^L). Then
-    tau = sum_j count_j (j + 1) + L has exactly the law of the first time a run
-    of L successes completes, at O(n L) work and no loop over symbol times.
+    Draw i reads the uniform u_i = ``site_uniforms(seed, (i,))`` and returns
+    tau_i = #{t >= 0 : S(t) > u_i}, with S(t) = P(tau_1 > t) the tail of the
+    run-length chain (``_tail_blocks``). S is nonincreasing, so tau_i > t
+    exactly when u_i < S(t), and P(tau_i > t) = P(u < S(t)) = S(t): tau_i
+    has the law of tau_1, up to the 2^-53 grid of u and the rounding of S.
+    In exact arithmetic S(t) = 1 for t < L, so no draw is below L. Each draw
+    is a pure function of (seed, i): the first m draws of any call are the
+    m-draw call.
+
+    S is built only as far as the smallest u needs: to the first t with
+    S(t) <= u, about E[tau_1] ln n steps. Draws are located in blocks of
+    TAU_BLOCK, each with one searchsorted on the table.
 
     Raises BudgetError before drawing when n draws would pass MEMORY_BUDGET
     (``check_tau_memory``), and otherwise iff some tau exceeds ``horizon``,
-    naming how many. Every failed attempt uses at least one symbol, so N is
-    clipped to ``horizon`` before the multinomial: that keeps N finite where
-    ``rng.geometric`` saturates at 2^63 - 1 and changes no tau within the
-    horizon.
+    naming how many; the horizon never changes a draw. Where horizon k^L <
+    2^-54, S(horizon) >= (1 - k^L)^horizon (Harris) exceeds every u < 1, so
+    all n are refused before any is drawn.
     """
     k = _kbar_of(eps)
     L = cfg.L
-    check_tau_memory(n, L)
-    p = k**L
-    if p == 0.0:  # k^L underflows: no stream completes within any horizon
+    check_tau_memory(n, L, horizon=horizon)
+    if horizon * k**L < 2.0**-54:
         raise BudgetError(f"{n} streams unfinished within {horizon} symbols")
-    failed = np.minimum(rng.geometric(p, n) - 1, horizon)
-    runs = np.arange(L)
-    counts = rng.multinomial(failed, k**runs * (1.0 - k) / (1.0 - p))
-    tau = counts @ (runs + 1) + L
+    tau = np.empty(n, dtype=np.int64)
+    blocks, table = _tail_blocks(k, L), np.empty(0)  # -S(t) for t < len(table), nondecreasing
+    for start in range(0, n, TAU_BLOCK):
+        u = site_uniforms(seed, np.arange(start, min(start + TAU_BLOCK, n))[:, None])
+        low, parts, size = u.min(), [table], len(table)
+        while size <= horizon and (size == 0 or -parts[-1][-1] > low):
+            parts.append(-next(blocks)[:horizon + 1 - size])
+            size += len(parts[-1])
+        if size > len(table):
+            table = np.concatenate(parts)
+        tau[start:start + len(u)] = np.searchsorted(table, -u)
     unfinished = int(np.count_nonzero(tau > horizon))
     if unfinished:
         raise BudgetError(f"{unfinished} streams unfinished within {horizon} symbols")

@@ -128,8 +128,7 @@ def test_criterion_4_waiting_time_statistics():
         for L in (1, 2, 3):
             eps = EpsilonLaw(kbar, 1)
             cfg = StoppingConfig(L, 0)
-            taus = sample_tau_batch(eps, cfg, draws,
-                                    np.random.default_rng(derive_seed(4, i, L)))
+            taus = sample_tau_batch(eps, cfg, draws, derive_seed(4, i, L))
             expect = expected_tau(eps, cfg)
             se = taus.std(ddof=1) / math.sqrt(draws)
             z = (taus.mean() - expect) / se

@@ -462,6 +462,21 @@ class TestEnvSampleAndTau:
         assert float(rows[2][5]) == pytest.approx(20.0)
         assert all(abs(float(r[6])) < 5 for r in rows)
 
+    @pytest.mark.parametrize("command,artifact,payload", [
+        ("verify", "verify_report.json", {"verify": {"n_max": 3, "tau_draws": 20_000}}),
+        ("tau-stats", "tau_stats.csv", {"tau": {"draws": 20_000}}),
+    ])
+    def test_replay_is_byte_identical(self, tmp_path, capsys, command, artifact, payload):
+        # thetas, xi and taus are pure functions of the seed; a new seed moves them
+        cfg = write_config(tmp_path, payload)
+        runs = []
+        for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+            assert main(["--config", cfg, "--seed", seed, "--out", str(tmp_path / name),
+                         command]) == 0
+            runs.append((tmp_path / name / artifact).read_text())
+        assert runs[0] == runs[1]
+        assert runs[2] != runs[0].replace("seed=5", "seed=6").replace('"seed": 5', '"seed": 6')
+
     @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
                                                        ("tau-stats", "tau", "draws"),
                                                        ("rate", "rate", "env_replicas"),
@@ -612,18 +627,16 @@ def run_probe(tmp_path, command, payload):
 
 
 class TestImports:
-    @pytest.mark.parametrize("command", ["gap", "rate"])
+    @pytest.mark.parametrize("command", ["gap", "rate", "verify", "tau-stats"])
     def test_product_law_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, command):
-        # product-law rows, rate environments and the config hash all come from the
-        # SplitMix64 site hash: numpy.random (which loads OpenSSL through secrets and
-        # hmac) and hashlib stay out of the process
+        # product-law rows, rate environments, verify's thetas, xi and taus, the
+        # tau-stats draws and the config hash all come from the SplitMix64 site
+        # hash: numpy.random (which loads OpenSSL through secrets and hmac) and
+        # hashlib stay out of the process
         assert run_probe(tmp_path, command, {}) == ["0", "False", "False"]
 
-    @pytest.mark.parametrize("command,payload", [
-        ("gap", {"law": {**FIELD_LAW, "states": [[0.15, 0.85], [0.85, 0.15]], "sweeps": 1},
-                 "L": 2, "gap": {"replicas": 1000, "horizon": 60}}),
-        ("verify", {"verify": {"n_max": 3, "psi_n_max": 2, "tau_draws": 20_000}}),
-    ])
-    def test_field_gap_and_verify_still_run(self, tmp_path, command, payload):
-        # the heat bath and the verify families still draw from numpy.random
-        assert run_probe(tmp_path, command, payload)[0] == "0"
+    def test_field_gap_still_runs(self, tmp_path):
+        # the field-law heat bath still draws from numpy.random
+        payload = {"law": {**FIELD_LAW, "states": [[0.15, 0.85], [0.85, 0.15]], "sweeps": 1},
+                   "L": 2, "gap": {"replicas": 1000, "horizon": 60}}
+        assert run_probe(tmp_path, "gap", payload)[0] == "0"

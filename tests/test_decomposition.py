@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, _joint_path_weights,
+from rwre_lab.decomposition import (TAIL_STEPS, TAU_BLOCK, TAU_HORIZON, EpsilonLaw,
+                                    StoppingConfig, _joint_path_weights, _tail_blocks,
                                     check_tau_memory, choose_horizon,
                                     conditional_step_probs,
                                     decomposed_endpoint_distribution, default_kbar,
@@ -18,7 +19,7 @@ from rwre_lab.decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, _jo
                                     verify_psi_identity)
 from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
-from rwre_lab.numutil import BudgetError, derive_seed
+from rwre_lab.numutil import MEMORY_BUDGET, BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
 
 from envhelpers import mean_environment, omega
@@ -102,32 +103,85 @@ class TestExpectedTau:
 
     def test_against_monte_carlo(self):
         eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
-        taus = sample_tau_batch(eps, cfg, 100_000, np.random.default_rng(5))
+        taus = sample_tau_batch(eps, cfg, 100_000, 5)
         se = taus.std(ddof=1) / math.sqrt(len(taus))
         assert abs(taus.mean() - expected_tau(eps, cfg)) < 4 * se
 
 
+def renewal_tau(k: float, L: int, n: int, rng) -> np.ndarray:
+    """n run-completion times in renewal form: an independent judge of the sampler.
+
+    Cut the Bernoulli(k) symbol string at its failures into attempts. An
+    attempt completes with L successes in a row (probability p = k^L) or
+    fails after j < L successes (probability k^j (1 - k), j + 1 symbols).
+    Attempts are i.i.d., so the number N of failed attempts is Geometric(p)
+    - 1, and given N the counts of failed run lengths are Multinomial(N, q)
+    with q_j = k^j (1 - k) / (1 - p). Then tau = sum_j count_j (j + 1) + L.
+    """
+    runs = np.arange(L)
+    counts = rng.multinomial(rng.geometric(k**L, n) - 1, k**runs * (1.0 - k) / (1.0 - k**L))
+    return counts @ (runs + 1) + L
+
+
 class TestSampleTau:
-    def test_memory_budget_refuses_before_drawing(self):
-        # 8 (L + 3) bytes a draw: 10^10 draws at L = 2 ask for about 373 GiB
-        rng = np.random.default_rng(1)
+    def test_memory_budget_refuses_before_drawing(self, monkeypatch):
+        # 10^10 draws hold an 80 GB result
+        monkeypatch.setattr("rwre_lab.decomposition.site_uniforms",
+                            lambda *args: pytest.fail("a draw was made"))
         with pytest.raises(BudgetError, match="n = 10000000000 draws at L = 2"):
-            sample_tau_batch(0.25, StoppingConfig(2, 0), 10**10, rng)
-        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
-        check_tau_memory(2**30 // 40, 2)
+            sample_tau_batch(0.25, StoppingConfig(2, 0), 10**10, 1)
+        # the result, the tail table and its copy, the transfer rows and one block
+        most = MEMORY_BUDGET // 8 - 2 * (TAU_HORIZON + 1) - TAIL_STEPS * 2 - 6 * TAU_BLOCK
+        check_tau_memory(most, 2)
         with pytest.raises(BudgetError, match="tau.draws"):
-            check_tau_memory(2**30 // 40 + 1, 2, "tau.draws")
+            check_tau_memory(most + 1, 2, "tau.draws")
 
     def test_horizon_cap_signals_budget(self):
         # kbar^L = 1e-12: no stream completes a run within 10000 symbols
         eps, cfg = EpsilonLaw(1e-4, 1), StoppingConfig(3, 0)
         with pytest.raises(BudgetError, match="10000 symbols"):
-            sample_tau_batch(eps, cfg, 8, np.random.default_rng(0), horizon=10_000)
+            sample_tau_batch(eps, cfg, 8, 0, horizon=10_000)
+
+    def test_draws_are_addressable(self, monkeypatch):
+        # draw i is a function of (seed, i) alone: neither n nor the block of
+        # draws located together changes a byte
+        eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(3, 0)
+        n = TAU_BLOCK + 4000
+        full = sample_tau_batch(eps, cfg, n, 21)
+        for m in (1, 777, TAU_BLOCK + 1):
+            assert sample_tau_batch(eps, cfg, m, 21).tobytes() == full[:m].tobytes()
+        for block in (7, 1000, TAU_BLOCK):
+            monkeypatch.setattr("rwre_lab.decomposition.TAU_BLOCK", block)
+            assert sample_tau_batch(eps, cfg, n, 21).tobytes() == full.tobytes()
+        assert not np.array_equal(sample_tau_batch(eps, cfg, 777, 22), full[:777])
+
+    @pytest.mark.parametrize("kbar,L", [(0.125, 1), (0.125, 3), (0.4, 5), (0.05, 2)])
+    def test_tail_table_is_the_scanned_tail(self, kbar, L):
+        # the blocked transfer products against the scan of the chain over two
+        # blocks, where the tail is a normal double; each side rounds about 10^4
+        # products, which drifts about 1e-12 apart
+        blocks = _tail_blocks(kbar, L)
+        table = np.concatenate([next(blocks), next(blocks)])
+        surv = tau_survival(kbar, StoppingConfig(L, 0), len(table) - 1)
+        assert np.all(np.diff(table) <= 0)
+        live = surv > 1e-290
+        assert np.allclose(table[live], surv[live], rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("kbar,L", [(0.125, 1), (0.125, 3), (0.25, 2), (0.4, 4), (0.05, 2)])
+    def test_law_matches_the_renewal_judge(self, kbar, L):
+        # two-sample Kolmogorov-Smirnov: P(D > c sqrt(2 / n)) <= 2 exp(-2 c^2) = 1e-6
+        n, cfg = 50_000, StoppingConfig(L, 0)
+        ours = np.sort(sample_tau_batch(kbar, cfg, n, derive_seed(23, L)))
+        judge = np.sort(renewal_tau(kbar, L, n, np.random.default_rng(derive_seed(29, L))))
+        grid = np.union1d(ours, judge)
+        gap = np.abs(np.searchsorted(ours, grid, side="right")
+                     - np.searchsorted(judge, grid, side="right")) / n
+        assert gap.max() <= math.sqrt(math.log(2e6) / 2) * math.sqrt(2 / n)
 
     def test_survival_matches_empirical(self):
         eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
         surv = tau_survival(eps, cfg, 64)
-        taus = sample_tau_batch(eps, cfg, 50_000, np.random.default_rng(7))
+        taus = sample_tau_batch(eps, cfg, 50_000, 7)
         for t in (4, 8, 16, 32):
             emp = float(np.mean(taus > t))
             se = math.sqrt(surv[t] * (1 - surv[t]) / len(taus))
@@ -136,23 +190,23 @@ class TestSampleTau:
     def test_horizon_boundary_is_exact(self):
         # the horizon only decides whether to raise; it never changes the draws
         eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(3, 0)
-        taus = sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11))
+        taus = sample_tau_batch(eps, cfg, 5000, 11)
         top = int(taus.max())
-        again = sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11), horizon=top)
+        again = sample_tau_batch(eps, cfg, 5000, 11, horizon=top)
         assert np.array_equal(again, taus)
         over = int(np.count_nonzero(taus == top))
         message = f"^{over} streams unfinished within {top - 1} symbols$"
         with pytest.raises(BudgetError, match=message):
-            sample_tau_batch(eps, cfg, 5000, np.random.default_rng(11), horizon=top - 1)
+            sample_tau_batch(eps, cfg, 5000, 11, horizon=top - 1)
 
-    @pytest.mark.parametrize("L", [6, 100])
+    @pytest.mark.parametrize("L", [4, 6, 100])
     def test_unreachable_runs_fail_promptly(self, L):
-        # k^L = 1e-24 saturates rng.geometric at 2^63 - 1; k^L = 1e-400 underflows to 0
+        # k^L = 1e-16 builds the whole tail table; k^L = 1e-24 and 1e-400 (which
+        # underflows to 0) put horizon k^L below 2^-54 and are refused undrawn
         t0 = time.perf_counter()
         message = f"^8 streams unfinished within {TAU_HORIZON} symbols$"
         with pytest.raises(BudgetError, match=message):
-            sample_tau_batch(EpsilonLaw(1e-4, 1), StoppingConfig(L, 0), 8,
-                             np.random.default_rng(0))
+            sample_tau_batch(EpsilonLaw(1e-4, 1), StoppingConfig(L, 0), 8, 0)
         assert time.perf_counter() - t0 < 5.0
 
     def test_hopeless_horizon_search_refused_before_the_scan(self, monkeypatch):
@@ -462,7 +516,7 @@ def test_tau_sampler_law_matches_survival_chain(kbar, L):
     """
     cfg = StoppingConfig(L, 0)
     draws = 20_000
-    taus = sample_tau_batch(kbar, cfg, draws, np.random.default_rng(derive_seed(17, L)))
+    taus = sample_tau_batch(kbar, cfg, draws, derive_seed(17, L))
     assert taus.min() >= L
     mean = expected_tau(kbar, cfg)
     ts = sorted({L, L + 1, *(min(math.ceil(f * mean), 4000) for f in (0.25, 0.5, 1.0, 2.0))})

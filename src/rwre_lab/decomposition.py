@@ -292,21 +292,28 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
 
     Raises BudgetError before drawing when n draws would pass MEMORY_BUDGET
     (``check_tau_memory``), and otherwise iff some tau exceeds ``horizon``,
-    naming how many; the horizon never changes a draw. Where horizon k^L <
-    2^-54, S(horizon) >= (1 - k^L)^horizon (Harris) exceeds every u < 1, so
-    all n are refused before any is drawn.
+    naming how many; the horizon never changes a draw. A hopeless block is
+    refused before the table grows: by Harris's inequality S(horizon) >=
+    (1 - k^L)^horizon, so where that bound exceeds the block's smallest u by
+    a relative 2^-30, far more than the table's rounding, that draw's tau
+    exceeds the horizon. The refusal then names the draws of the block the
+    bound alone settles, as "at least" that many unless they are all n.
     """
     k = _kbar_of(eps)
     L = cfg.L
     check_tau_memory(n, L, horizon=horizon)
-    if horizon * k**L < 2.0**-54:
-        raise BudgetError(f"{n} streams unfinished within {horizon} symbols")
+    harris = math.exp(horizon * math.log1p(-k**L)) / (1.0 + 2.0**-30)
     tau = np.empty(n, dtype=np.int64)
     blocks, table = _tail_blocks(k, L), np.empty(0)  # -S(t) for t < len(table), nondecreasing
     for start in range(0, n, TAU_BLOCK):
         u = site_uniforms(seed, np.arange(start, min(start + TAU_BLOCK, n))[:, None])
         low, parts, size = u.min(), [table], len(table)
         while size <= horizon and (size == 0 or -parts[-1][-1] > low):
+            if low < harris:
+                # every earlier draw was located inside a table shorter than the horizon
+                over = int(np.count_nonzero(u < harris))
+                raise BudgetError(f"{'at least ' * (over < n)}{over} streams unfinished within "
+                                  f"{horizon} symbols")
             parts.append(-next(blocks)[:horizon + 1 - size])
             size += len(parts[-1])
         if size > len(table):

@@ -6,7 +6,10 @@ nearest-neighbor steps. Both laws are finite-state: state k carries the vector
 values and disorder come from that pair alone.
 
 * ``IIDProductLaw``: sites are i.i.d. draws from the weights, each a pure
-  function of (seed, site) through a counter-based hash.
+  function of (seed, site) through a counter-based hash: one byte per site,
+  and one double where the byte's range straddles a cut of the weights.
+  ``atom_blocks`` is the one product-law sampler; it realizes environments
+  here, and the estimators' gap rows are its sites (replica, step).
 * ``MarkovFieldLaw``: a finite-range Potts-type field sampled by heat-bath
   sweeps on a box (free boundary); its one-site weights are uniform.
 
@@ -24,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import BudgetError, derive_seed, site_uniforms, words
+from .numutil import BudgetError, derive_seed, mix64, site_uniforms, site_words, words
 
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
-HASH_BLOCK = 4096  # sites a product realization hashes at a time
+HASH_BLOCK = 4096  # lines a product realization hashes per call, and about its sites per block
 ENUM_CONFIG_CAP = 2 * 10**6
 COORD_CAP = 1 << 62
 
@@ -167,16 +170,53 @@ class IIDProductLaw(_FiniteLaw):
                 or weights.min() < 0):
             raise ValueError("weights must form a probability vector")
         super().__init__(dimension, atoms, weights, kappa)
-        self._cum = np.cumsum(weights)
         means = self.marginal_means()
         hi = 1.0 - (2 * self.dimension - 1) * self.kappa
         if means.min() < self.kappa - PROB_ATOL or means.max() > hi + PROB_ATOL:
             raise ValueError("marginal means outside [kappa, 1-(2d-1)kappa]")
+        # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
+        # straddles a cut when its two ends differ, and such a byte has the code K
+        self._cuts = np.cumsum(weights)[:-1]
+        edges = np.arange(257) / 256
+        first = np.searchsorted(self._cuts, edges[:-1], side="right")
+        straddles = first != np.searchsorted(self._cuts, edges[1:], side="left")
+        self._byte_codes = np.where(straddles, len(weights), first).astype(
+            np.min_scalar_type(len(weights)))
 
-    def atom_indices(self, seed: int, sites) -> np.ndarray:
-        """Deterministic atom choice per site via the counter-based hash."""
-        u = site_uniforms(seed, np.atleast_2d(np.asarray(sites, dtype=np.int64)))
-        return np.searchsorted(self._cum, u, side="right").clip(max=len(self.weights) - 1)
+    def atom_blocks(self, seed: int, prefix, lo: int, n: int, rows: int):
+        """Yield the atoms of the sites (prefix[p], x), x = lo .. lo + n - 1, in (rows, P) blocks.
+
+        ``prefix`` is a (P, d - 1) integer array, (1, 0) for d = 1. Site (y, x)
+        reads one byte: byte x mod 8, little-endian, of the word
+        ``site_words(seed, (y, x div 8))``. Byte b stands for a uniform draw
+        in [b/256, (b+1)/256) and is mapped to the atom whose cumulative-weight
+        interval holds that whole range. A byte whose range holds a cut takes
+        the double u' = ``site_uniforms(seed, (y, x), stream=1)``, and its atom
+        is that of the draw (b + u') / 256, compared with the cuts exactly.
+        Weights that are multiples of 1/256 leave no such byte; otherwise at
+        most K - 1 of the 256 values are, and every atom keeps its weight to
+        2**-53. Each prefix is hashed once per call, then each word takes one
+        mix64, so a block holds O(rows * P) numbers and every atom is a pure
+        function of (seed, site).
+        """
+        prefix = np.asarray(prefix, dtype=np.int64)
+        keys = site_words(seed, prefix)
+        for t in range(lo, lo + n, rows):
+            m = min(rows, lo + n - t)
+            # the word of (y, x div 8) is mix64(key_y ^ (x div 8)), and its bytes are 8 sites
+            at = np.arange(t // 8, (t + m - 1) // 8 + 1).astype(np.uint64)
+            word = mix64(keys[:, None] ^ at).astype("<u8", copy=False)
+            drawn = word.view(np.uint8)[:, t % 8:t % 8 + m].T
+            atoms = np.take(self._byte_codes, drawn)
+            # a flat nonzero is far cheaper than a 2-D one
+            step, col = np.divmod(np.flatnonzero(atoms == len(self.weights)), len(prefix))
+            if step.size:
+                sites = np.column_stack([prefix[col], t + step])
+                u = site_uniforms(seed, sites, stream=1)
+                # (b + u') / 256 >= cut iff u' >= 256 * cut - b, which rounds nothing
+                edge = 256 * self._cuts - drawn[step, col, None]
+                atoms[step, col] = np.count_nonzero(u[:, None] >= edge, axis=1)
+            yield atoms
 
 
 class MarkovFieldLaw(_FiniteLaw):
@@ -276,7 +316,8 @@ class Environment:
 def sample_environment(law, seed: int, region: Box) -> Environment:
     """Realize an environment on ``region`` from (law, seed).
 
-    A product law hashes every site of the region with ``atom_indices``. A
+    A product law draws every site of the region with ``atom_blocks``, one
+    line along the last axis per prefix of the other coordinates. A
     Markov field at beta = 0 draws one uniform state per site of the region;
     at beta > 0 it runs ``law.sweeps`` heat-bath sweeps on the region expanded
     by a buffer of max(range, 5) sites and keeps the states of the region.
@@ -292,12 +333,18 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         raise BudgetError(f"realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
     dtype = np.min_scalar_type(len(law.table) - 1)
     if isinstance(law, IIDProductLaw):
-        # a block of sites at a time, so the scratch stays small whatever the box
-        states = np.empty(work.n_sites, dtype=dtype)
-        for start in range(0, work.n_sites, HASH_BLOCK):
-            flat = np.arange(start, min(start + HASH_BLOCK, work.n_sites))
-            sites = np.stack(np.unravel_index(flat, work.shape), axis=1) + work.lo
-            states[start:start + len(flat)] = law.atom_indices(seed, sites)
+        # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
+        # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
+        *head, n = region.shape
+        prefix = np.indices(head).reshape(len(head), math.prod(head)).T + region.lo[:-1]
+        states = np.empty((len(prefix), n), dtype=dtype)
+        for p in range(0, len(prefix), HASH_BLOCK):
+            lines = prefix[p:p + HASH_BLOCK]
+            rows = 8 * max(1, HASH_BLOCK // (8 * len(lines)))
+            t = 0
+            for atoms in law.atom_blocks(seed, lines, region.lo[-1], n, rows):
+                states[p:p + len(lines), t:t + len(atoms)] = atoms.T
+                t += len(atoms)
         return Environment(law, region, states.reshape(region.shape))
 
     shape = work.shape

@@ -27,9 +27,11 @@ It feeds the recursion CHUNK replicas at a time and draws their free factors
 in short blocks of time rows, so its memory does not grow with the horizon;
 each factor is a function of (seed, replica, step) alone, and neither block
 size changes a value.
+A product-law row is the line of sites (replica, step) of
+``IIDProductLaw.atom_blocks``, read through the law's table of free factors.
 For a product law the annealed side is the same recursion on the mean row,
-free factor u(ell) - kbar, folded in as one more column of the first replica
-block. Its report carries the bounds as ``GapReport.I_a`` and
+free factor u(ell) - kbar, in a pass of its own that reads one constant
+block over and over. Its report carries the bounds as ``GapReport.I_a`` and
 ``GapReport.I_q``. The independent Monte Carlo check of the recursion is
 ``decomposition.sample_ray_block_values``, which samples the same truncated
 functional symbol by symbol; the tests hold the two against each other.
@@ -53,14 +55,14 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
 from .numutil import (BudgetError, check_memory, derive_seed, jackknife_stderr_logmean,
-                      logmeanexp, logsumexp, mix64, site_uniforms, site_words, words)
+                      logmeanexp, logsumexp, words)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
-# peak floats certify_gap holds per replica: a product law's block values,
-# their concatenation and their logs (the trace) make 3; a field law keeps
-# the values and the logs through the jackknife, which adds 4 temporaries
+# peak floats certify_gap holds per replica: the block values, their
+# concatenation and their logs (the trace) make 3; a field law's jackknife
+# over the logs adds 4 temporaries, and the concatenation is freed by then
 _REPLICA_FLOATS = 6
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
@@ -236,10 +238,14 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
 
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
                                horizon: int) -> float:
-    """Exact annealed inner value: free-symbol factor u(ell) - kbar at every site."""
-    w = float(tp.u_array[cfg.ell]) - eps.kbar
-    val = ray_inner_values(np.full((1, horizon), w), eps.kbar, cfg.L)[0]
-    return math.log(val)
+    """Exact annealed inner value: free-symbol factor u(ell) - kbar at every site.
+
+    The recursion reads one constant block over and over, so nothing of the
+    horizon's length is held, and it stops once the rest is below rounding.
+    """
+    w = np.full((_FLUSH_ROWS, 1), float(tp.u_array[cfg.ell]) - eps.kbar)
+    val, _ = _inner_recursion(itertools.repeat(w), 1, eps.kbar, cfg.L, w[0], horizon - cfg.L)
+    return math.log(val[0])
 
 
 def _ray_box(d: int, ell: int, n: int) -> tuple:
@@ -248,8 +254,7 @@ def _ray_box(d: int, ell: int, n: int) -> tuple:
     return sites, Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
 
 
-def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0,
-              lead=()):
+def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0):
     """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
 
     rows(start, size) yields the factor rows of replicas start..start+size-1
@@ -258,64 +263,24 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: floa
     and kbar = 0 the rows are xi itself, bit for bit. Every row is a pure
     function of (seed, replica, step), so no block size changes a value.
 
-    A product-law replica i at step t reads one byte: byte t % 8, little-
-    endian, of the word site_words(seed, (i, t // 8)). Byte b stands for a
-    uniform draw in [b/256, (b+1)/256) and is mapped through a 256-entry
-    factor table to the atom whose cumulative-weight interval holds that
-    whole range. A byte whose range holds a cut takes the double u' =
-    site_uniforms(seed, (i, t), stream=1), and its atom is that of the draw
-    (b + u') / 256. Weights that are multiples of 1/256 leave no such byte;
-    otherwise at most K - 1 of the 256 values are, and every atom keeps its
-    weight to 2**-53. Rows come in time blocks of a multiple of 8 rows and
-    about _ROW_BLOCK draws, so a block holds O(size) numbers whatever the
-    horizon; each replica's key is hashed once per block, then each word
-    takes one mix64. The block at start 0 has a leading column per entry of
-    ``lead``, which holds that constant at every time.
+    A product-law replica i at step t is the site (i, t) of
+    ``IIDProductLaw.atom_blocks``: one random byte, and one double where the
+    byte's range straddles a cut of the cumulative weights. Rows come in time
+    blocks of a multiple of 8 rows and about _ROW_BLOCK draws, so a block
+    holds O(size) numbers whatever the horizon.
 
     A field-law replica i is realized on the ray box from derive_seed(seed,
     i) into one time-major buffer, which raises BudgetError before it is
-    allocated over MEMORY_BUDGET; ``lead`` must be empty for it.
+    allocated over MEMORY_BUDGET.
     """
     table = u * law.xi_values()[:, ell] - kbar
     if isinstance(law, IIDProductLaw):
-        # a draw's atom is the number of cumulative weights, last one excluded, <= it;
-        # byte b's range [b/256, (b+1)/256) straddles a cut when its two ends differ
-        cuts = np.cumsum(law.weights)[:-1]
-        edges = np.arange(257) / 256
-        first = np.searchsorted(cuts, edges[:-1], side="right")
-        straddle = np.flatnonzero(first != np.searchsorted(cuts, edges[1:], side="left"))
-        # entries 256, 257, ... are the lead values, so one take into a contiguous
-        # buffer writes a whole time block, lead columns included
-        byte_table = np.append(table[first], lead)
-
         def rows(start, size):
-            n_lead = len(lead) if start == 0 else 0
-            keys = site_words(seed, np.arange(start, start + size)[:, None])
             k = 8 * max(1, _ROW_BLOCK // (8 * size))
-            index = np.empty((k, n_lead + size), dtype=np.uint16)
-            index[:, :n_lead] = 256 + np.arange(n_lead)
-            out = np.empty((k, n_lead + size))
-            for t in range(0, horizon, k):
-                n = min(k, horizon - t)
-                # word (i, t // 8) is mix64(key_i ^ (t // 8)), and its bytes are 8 steps
-                at = np.arange(t // 8, (t + n + 7) // 8, dtype=np.uint64)
-                word = mix64(keys[:, None] ^ at)
-                index[:n, n_lead:] = word.astype("<u8", copy=False).view(np.uint8)[:, :n].T
-                np.take(byte_table, index[:n], out=out[:n], mode="clip")
-                if straddle.size:
-                    drawn = index[:n, n_lead:]
-                    hit = drawn == straddle[0]
-                    for b in straddle[1:]:
-                        hit |= drawn == b
-                    step, col = np.nonzero(hit)
-                    pairs = np.stack([start + col, t + step], axis=1)  # (replica, step)
-                    u_hit = site_uniforms(seed, pairs, stream=1)
-                    # (b + u') / 256 >= cut iff u' >= 256 * cut - b, which rounds
-                    # nothing: the draw is compared with the cuts exactly
-                    edge = 256 * cuts - drawn[step, col, None]
-                    atom = np.count_nonzero(u_hit[:, None] >= edge, axis=1)
-                    out[step, n_lead + col] = table[atom]
-                yield out[:n]
+            out = np.empty((k, size))
+            replicas = np.arange(start, start + size)[:, None]
+            for atoms in law.atom_blocks(seed, replicas, 0, horizon, k):
+                yield np.take(table, atoms, out=out[:len(atoms)], mode="clip")
 
         return rows, table
     if isinstance(law, MarkovFieldLaw):
@@ -367,34 +332,6 @@ def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
     u_ell = float(tp.u_array[cfg.ell])
     return _log_positive(ray_inner_values(u_ell * np.atleast_2d(xi_rows) - eps.kbar,
                                           eps.kbar, cfg.L))
-
-
-def _stream_inner_values(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                          n_rows: int, horizon: int, seed: int, lead=()) -> tuple:
-    """(values, rows read): the exact inner block value per environment replica.
-
-    The replicas go one block at a time. The recursion pulls each block's
-    free factors in time blocks of rows, so a product-law run, which draws
-    one random byte per replica and step (and one double per byte that
-    straddles a cut), holds its buffers of O(CHUNK) rows whatever the
-    horizon; a field-law block holds its (horizon, CHUNK) buffer. A block
-    stops once the rest of its sums is below rounding, and a product-law
-    block then draws no further row; ``rows read`` is the most any block
-    read. Each entry of ``lead`` (product laws only) is a constant free
-    factor carried as a leading column of block 0, and its value leads the
-    result. The recursion's bounds come from the law's table of possible
-    factors and ``lead``, and rescaling is exact, so the replica values are
-    those of ``quenched_ray_log_inner`` on the rows of ``sample_ray_xi(law,
-    cfg.ell, n_rows, horizon, seed)``, to rounding.
-    """
-    rows, table = _ray_rows(law, cfg.ell, horizon, seed, float(tp.u_array[cfg.ell]), eps.kbar,
-                            lead)
-    table = np.append(table, lead)
-    values, read = zip(*(
-        _inner_recursion(rows(start, size), size + (len(lead) if start == 0 else 0), eps.kbar,
-                         cfg.L, table, horizon - cfg.L)
-        for start, size in _blocks(n_rows)))
-    return np.concatenate(values), max(read)
 
 
 # ---------------------------------------------------------------------------
@@ -478,21 +415,20 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
                          "within it, so the inner block expectation is not positive")
     h = horizon or choose_horizon(eps, cfg, tail)
     et, w = expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
-    product = isinstance(law, IIDProductLaw)
-    # a product law's annealed side is the exact mean row, free factor u(ell) - kbar,
-    # evaluated as one leading column of the first replica block
-    lead = [float(tp.u_array[cfg.ell]) - eps.kbar] if product else []
-    values, steps_read = _stream_inner_values(tp, eps, cfg, law, budget, h, derive_seed(seed, 1),
-                                              lead)
-    log_inner = _log_positive(values[len(lead):])
+    rows, table = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), float(tp.u_array[cfg.ell]),
+                            eps.kbar)
+    values, read = zip(*(_inner_recursion(rows(start, size), size, eps.kbar, cfg.L, table,
+                                          h - cfg.L) for start, size in _blocks(budget)))
+    steps_read = max(read)
+    log_inner = _log_positive(np.concatenate(values))
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0
     else:
         q_side = float(log_inner.mean()) / et
         q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et
-    if product:
-        a_side = math.log(values[0]) / et
+    if isinstance(law, IIDProductLaw):
+        a_side = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et
         a_se = 0.0
     else:
         # same environment rows on both sides (common random numbers)

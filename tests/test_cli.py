@@ -627,9 +627,9 @@ def run_probe(tmp_path, command, payload):
 
 
 class TestImports:
-    @pytest.mark.parametrize("command", ["gap", "rate", "verify", "tau-stats"])
+    @pytest.mark.parametrize("command", ["gap", "rate", "env-sample", "verify", "tau-stats"])
     def test_product_law_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, command):
-        # product-law rows, rate environments, verify's thetas, xi and taus, the
+        # product-law rows, environments, verify's thetas, xi and taus, the
         # tau-stats draws and the config hash all come from the SplitMix64 site
         # hash: numpy.random (which loads OpenSSL through secrets and hmac) and
         # hashlib stay out of the process

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,13 +202,49 @@ class TestSampleTau:
 
     @pytest.mark.parametrize("L", [4, 6, 100])
     def test_unreachable_runs_fail_promptly(self, L):
-        # k^L = 1e-16 builds the whole tail table; k^L = 1e-24 and 1e-400 (which
-        # underflows to 0) put horizon k^L below 2^-54 and are refused undrawn
+        # k^L = 1e-16, 1e-24 and 1e-400 (which underflows to 0): Harris's bound
+        # exceeds every draw, so the tail table is never built
         t0 = time.perf_counter()
         message = f"^8 streams unfinished within {TAU_HORIZON} symbols$"
         with pytest.raises(BudgetError, match=message):
             sample_tau_batch(EpsilonLaw(1e-4, 1), StoppingConfig(L, 0), 8, 0)
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("kbar, L", [(1e-4, 4), (0.5, 30)])
+    def test_hopeless_laws_refused_before_the_table(self, kbar, L):
+        # E[tau_1] = 1e16 and 2.1e9: the tail table to the horizon, 10^7 doubles and
+        # its copy, took 153 MiB and up to 2 s to refuse
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(BudgetError, match=f"^8 streams unfinished within {TAU_HORIZON}"):
+                sample_tau_batch(kbar, StoppingConfig(L, 0), 8, 0)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 8 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(kbar=st.floats(0.2, 0.9), L=st.integers(1, 8), n=st.integers(1, 300),
+           frac=st.floats(0.0, 1.2), seed=st.integers(0, 2**32))
+    def test_early_refusal_agrees_with_the_full_table(self, kbar, L, n, frac, seed):
+        # Harris's bound refuses only where the full table refuses too, and the
+        # draws it counts are among those the table leaves unfinished
+        cfg = StoppingConfig(L, 0)
+        full = sample_tau_batch(kbar, cfg, n, seed)
+        horizon = int(frac * full.max())
+        over = int(np.count_nonzero(full > horizon))
+        if over == 0:
+            assert np.array_equal(sample_tau_batch(kbar, cfg, n, seed, horizon=horizon), full)
+            return
+        with pytest.raises(BudgetError) as info:
+            sample_tau_batch(kbar, cfg, n, seed, horizon=horizon)
+        count = str(info.value).split(" streams")[0]
+        if count.startswith("at least "):
+            assert 1 <= int(count[len("at least "):]) <= over
+        else:
+            assert int(count) == over
 
     def test_hopeless_horizon_search_refused_before_the_scan(self, monkeypatch):
         # by Harris's inequality P(tau_1 > 1e7) >= (1 - k^L)^1e7 = 0.0085 at

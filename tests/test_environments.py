@@ -1,15 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rwre_lab import environments
 from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
                                    centered_box, constant_law, direction_index,
                                    direction_vectors, sample_environment,
                                    validate_prob_vector)
 from rwre_lab.numutil import BudgetError
 
-from envhelpers import mean_environment, omega
+from envhelpers import mean_environment, omega, reference_states
 
 
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
@@ -123,13 +127,18 @@ class TestEnvironmentRealization:
         assert vals.min() >= law.kappa
 
     def test_atom_frequencies_match_weights(self):
-        law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.25, 0.75], 0.1)
-        n = 200_000
-        idx = law.atom_indices(3, np.arange(n)[:, None])
-        freq = np.bincount(idx, minlength=2) / n
-        for w, f in zip([0.25, 0.75], freq):
-            se = math.sqrt(w * (1 - w) / n)
-            assert abs(f - w) < 4 * se
+        # 0.25 is a byte edge; the cuts 0.2 and 0.7 straddle bytes 51 and 179
+        for weights in ([0.25, 0.75], [0.2, 0.5, 0.3]):
+            law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]][:len(weights)], weights,
+                                0.1)
+            n = 200_000
+            blocks = law.atom_blocks(3, np.arange(4)[:, None], -9, n // 4, 4096)
+            idx = np.concatenate([b.ravel() for b in blocks])
+            assert len(idx) == n
+            freq = np.bincount(idx, minlength=len(weights)) / n
+            for w, f in zip(weights, freq):
+                se = math.sqrt(w * (1 - w) / n)
+                assert abs(f - w) < 4 * se
 
     def test_xi_mean_one(self):
         law = two_atom_law()
@@ -181,6 +190,44 @@ class TestEnvironmentRealization:
     def test_region_overflow_rejected(self):
         with pytest.raises(BudgetError):
             Box((-(1 << 63),), (0,))
+
+
+@st.composite
+def product_boxes(draw):
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.37, 0.5, 1.0]),
+                        min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kappa = 0.05
+    atoms = kappa + (1.0 - 2 * d * kappa) * rng.dirichlet(np.ones(2 * d), size=k)
+    law = IIDProductLaw(d, atoms, [w / sum(raw) for w in raw], kappa)
+    side = {1: 300, 2: 40, 3: 12}[d]
+    corner = st.lists(st.integers(-30, 30), min_size=d, max_size=d)
+    extent = st.lists(st.integers(1, side), min_size=d, max_size=d)
+    boxes = [Box(tuple(lo), tuple(l + n - 1 for l, n in zip(lo, size)))
+             for lo, size in [(draw(corner), draw(extent)) for _ in range(2)]]
+    return law, boxes, draw(st.integers(0, 2**32)), draw(st.sampled_from([8, 64, 4096]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_boxes())
+def test_product_realization_matches_the_per_site_reference(case):
+    # every site is its own (seed, site) draw whatever the box, its corners
+    # and the block sizes, so two boxes agree where they overlap; cuts such
+    # as 0.2 / 1.1 straddle bytes, and a zero-weight atom is never drawn
+    law, boxes, seed, hash_block = case
+    with mock.patch.object(environments, "HASH_BLOCK", hash_block):
+        envs = [sample_environment(law, seed, box) for box in boxes]
+    for env, box in zip(envs, boxes):
+        assert env.states.tobytes() == \
+            reference_states(law, seed, box).astype(env.states.dtype).tobytes()
+        assert np.all(law.weights[env.states] > 0.0)
+    lo = np.maximum(boxes[0].lo, boxes[1].lo)
+    hi = np.minimum(boxes[0].hi, boxes[1].hi)
+    if np.all(lo <= hi):
+        overlap = Box(tuple(lo), tuple(hi)).all_sites()
+        np.testing.assert_array_equal(envs[0].omega_many(overlap), envs[1].omega_many(overlap))
 
 
 class TestMarkovField:

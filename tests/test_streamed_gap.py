@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre_lab import estimators
-from rwre_lab.decomposition import StoppingConfig, make_epsilon_law
-from rwre_lab.environments import IIDProductLaw, MarkovFieldLaw
+from rwre_lab import environments, estimators
+from rwre_lab.decomposition import StoppingConfig, choose_horizon, make_epsilon_law
+from rwre_lab.environments import Box, IIDProductLaw, MarkovFieldLaw
 from rwre_lab.estimators import (_inner_recursion, certify_gap, quenched_ray_log_inner,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
-from rwre_lab.numutil import derive_seed, site_uniforms, site_words
+from rwre_lab.numutil import derive_seed
 from rwre_lab.tilting import solve_tilt
+
+from envhelpers import reference_states
 
 REL = 1e-12
 EDGE_REPLICAS = [2, 4095, 4096, 4097, 8193]  # around the 4096-replica block edges
@@ -122,22 +124,9 @@ LAWS = {
 
 
 def reference_rows(law, table, seed, replicas, horizon):
-    """The (horizon, replicas) factor rows, each (replica i, step t) built on its own.
-
-    Its byte is byte t % 8, little-endian, of the word of (i, t // 8); a byte
-    whose range [b/256, (b+1)/256) holds a cut stands for the draw
-    (b + u') / 256 with u' the stream-1 uniform of (i, t), any other for b / 256.
-    """
-    i, t = (a.ravel() for a in np.meshgrid(np.arange(replicas), np.arange(horizon)))
-    cuts = np.cumsum(law.weights)[:-1]
-    words = site_words(seed, np.stack([i, t // 8], axis=1))
-    drawn = ((words >> (8 * (t % 8)).astype(np.uint64)) & np.uint64(255)).astype(np.float64)
-    low = np.searchsorted(cuts, drawn / 256, side="right")
-    straddles = low != np.searchsorted(cuts, (drawn + 1) / 256, side="left")
-    draw = drawn / 256
-    u = site_uniforms(seed, np.stack([i, t], axis=1)[straddles], stream=1)
-    draw[straddles] = (drawn[straddles] + u) / 256
-    return table[np.searchsorted(cuts, draw, side="right")].reshape(horizon, replicas)
+    """The (horizon, replicas) factor rows: replica i at step t is site (i, t) of the
+    per-site environment reference."""
+    return table[reference_states(law, seed, Box((0, 0), (replicas - 1, horizon - 1)))].T
 
 
 @pytest.mark.parametrize("law_name", sorted(LAWS))
@@ -168,11 +157,14 @@ def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
     factors = float(tp.u_array[0]) * xi - eps.kbar
     want = reference_rows(law, factors, derive_seed(seed, 1), replicas, horizon)[:horizon - L]
     starts = range(0, replicas, 4096)
-    assert len(consumed) == len(starts)
+    # one call per replica block, then one for the mean row
+    assert len(consumed) == len(starts) + 1
     for start, read in zip(starts, consumed):
         size = min(4096, replicas - start)
-        assert read[:, read.shape[1] - size:].tobytes() == \
-            np.ascontiguousarray(want[:, start:start + size]).tobytes()
+        assert read.tobytes() == np.ascontiguousarray(want[:, start:start + size]).tobytes()
+    mean_row = consumed[-1]
+    assert mean_row.shape == (horizon - L, 1)
+    assert np.all(mean_row == float(tp.u_array[0]) - eps.kbar)
 
 
 FIELD = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], 0.1, beta=0.5, sweeps=2)
@@ -244,14 +236,14 @@ def test_byte_sampler_never_draws_a_zero_weight_atom(weights):
 def test_byte_edge_weights_draw_no_double(monkeypatch, law_name, doubles):
     # weights 0.5, 0.5 put the one cut on a byte edge: every draw is a byte;
     # the three-atom law's cuts 0.2 and 0.7 straddle bytes 51 and 179
-    real = estimators.site_uniforms
+    real = environments.site_uniforms
     drawn = []
 
     def counting(seed, sites, stream=0):
         drawn.append(len(sites))
         return real(seed, sites, stream)
 
-    monkeypatch.setattr(estimators, "site_uniforms", counting)
+    monkeypatch.setattr(environments, "site_uniforms", counting)
     rows, _ = estimators._ray_rows(LAWS[law_name], 0, 5000, 13)
     for _ in rows(0, 4096):
         pass
@@ -330,15 +322,28 @@ def test_annealed_side_is_the_folded_mean_row(replicas):
     assert abs(rep.annealed_side * rep.expected_block - want) <= REL * abs(want)
 
 
-def test_product_law_gap_runs_no_separate_annealed_pass(monkeypatch):
+def test_mean_row_pass_holds_no_horizon_row(monkeypatch):
+    # a product law's annealed side is one pass over a repeated constant block:
+    # at L = 6 the horizon is 2 759 300, and a dense (1, H) row would take 22 MB
     def refuse(*args, **kwargs):
-        raise AssertionError("certify_gap evaluated a row outside its replica blocks")
+        raise AssertionError("certify_gap evaluated a dense row")
 
     monkeypatch.setattr(estimators, "ray_inner_values", refuse)
     law = LAWS["two-atom"]
     tp = solve_tilt(law, [0.5])
-    rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), law, 100, seed=2)
+    eps = make_epsilon_law(tp)
+    rep = certify_gap(tp, eps, StoppingConfig(3, 0), law, 100, seed=2)
     assert rep.trace.shape == (100,) and np.isfinite(rep.annealed_side)
+    cfg = StoppingConfig(6, 0)
+    horizon = choose_horizon(eps, cfg)
+    tracemalloc.start()
+    try:
+        value = ray_log_inner_annealed_iid(tp, eps, cfg, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert horizon > 2 * 10**6 and math.isfinite(value)
+    assert peak < 2**20
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,8 +41,9 @@ from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
 from .numutil import BudgetError, derive_seed, site_uniforms
-from .tilting import (check_identity_memory, solve_tilt, tilt_invariant_residuals,
-                      verify_identity_annealed, verify_identity_quenched)
+from .tilting import (solve_tilt, tilt_invariant_residuals, verify_identity_annealed,
+                      verify_identity_quenched)
+from .walks import check_paths
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -294,7 +295,7 @@ def _run_verify(cfg: dict):
     n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
-    check_identity_memory(law, n_max, "verify.n_max")
+    check_paths(n_max, d, "verify.n_max")
     check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-scale, scale)

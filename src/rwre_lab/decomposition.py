@@ -34,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, direction_index
-from .numutil import BudgetError, check_memory, fsum, site_uniforms, words
+from .numutil import BudgetError, check_memory, fsum, fsum_parts, ordered_dot, site_uniforms, words
 from .tilting import TiltParams
-from .walks import endpoint_law, path_omegas, path_positions, step_matrix
+from .walks import endpoint_law, path_omegas, path_positions, step_blocks
 
 TAU_HORIZON = 10**7
-TAU_BLOCK = 2**16  # tau draws located by one searchsorted
+TAU_BLOCK = 2**12  # tau draws located by one searchsorted
 TAIL_STEPS = 2**12  # tail entries from one product with the block transfer
 JOINT_BUDGET = 10**7  # (path, symbol word) pairs one joint enumeration may hold
 
@@ -236,18 +236,12 @@ def check_tau_memory(draws: int, L: int, key: str = "n", horizon: int = TAU_HORI
     ``horizon`` + 1 doubles, and its copy while the table grows; the
     (TAIL_STEPS, L) rows of the block transfer; and one block of TAU_BLOCK
     draws, whose uniforms, hash words, site keys and positions take at most
-    six 8-byte arrays.
+    six 8-byte arrays, 192 KiB at 4096 draws. A draw is a pure function of
+    (seed, i), so the block size moves no draw, only the memory and the
+    count of ``searchsorted`` calls.
     """
     need = 8 * (draws + 2 * (horizon + 1) + TAIL_STEPS * L + 6 * TAU_BLOCK)
     check_memory(need, f"{key} = {draws} draws at L = {L}")
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a and b, summed over the inner axis left to right whatever the BLAS."""
-    out = a[:, :1] * b[:1]
-    for j in range(1, a.shape[1]):
-        out += a[:, j:j + 1] * b[j:j + 1]
-    return out
 
 
 def _tail_blocks(k: float, L: int):
@@ -261,16 +255,16 @@ def _tail_blocks(k: float, L: int):
     """
     rows, power = np.ones((1, L)), _run_length_transfer(k, L)
     while len(rows) < TAIL_STEPS:
-        rows = np.concatenate([rows, _dot(rows, power)])
-        power = _dot(power, power)
+        rows = np.concatenate([rows, ordered_dot(rows, power)])
+        power = ordered_dot(power, power)
     state = np.zeros((L, 1))
     state[0] = 1.0
     low = 1.0
     while True:
-        block = np.minimum.accumulate(np.minimum(_dot(rows, state)[:, 0], low))
+        block = np.minimum.accumulate(np.minimum(ordered_dot(rows, state)[:, 0], low))
         low = block[-1]
         yield block
-        state = _dot(power, state)
+        state = ordered_dot(power, state)
 
 
 def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
@@ -408,35 +402,39 @@ def check_joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int, key: str = "n"):
 
 
 def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int,
-                        env: Environment | None = None) -> tuple:
-    """(steps, ends, xi, weights) of every path of length n, by joint enumeration.
+                        env: Environment | None = None):
+    """(steps, ends, xi, weights) of the paths of length n, block by block, by joint enumeration.
 
-    weights[p] is the fsum over the symbol words of prod_j P(symbol_j) *
-    P(step_j | symbol_j), each free symbol further weighted by psi of the xi
-    realized in ``env`` when one is given (xi is then the (P, n) array of xi
-    along the paths, else None), or by 1. Each step enumerates only the symbols
-    whose joint weight with it is nonzero, read off the joint table, so every
-    word left out has product exactly 0 and the exact sum is unchanged; the
-    budget counts the (path, word) pairs enumerated. All paths are enumerated
-    together, and each word's product is taken left to right over its steps.
+    An iterator over the ``step_blocks`` batches; the budget is checked on
+    the call. weights[p] is the fsum over the symbol words of prod_j
+    P(symbol_j) * P(step_j | symbol_j), each free symbol further weighted by
+    psi of the xi realized in ``env`` when one is given (xi is then the
+    (P, n) array of xi along the batch, else None), or by 1. Each step
+    enumerates only the symbols whose joint weight with it is nonzero, read
+    off the joint table, so every word left out has product exactly 0 and the
+    exact sum is unchanged; the budget counts the (path, word) pairs
+    enumerated. Each word's product is taken left to right over its steps,
+    so a path's weight does not depend on its batch.
     """
     d = tp.dimension
     check_joint_pairs(tp, eps, n)
     joint, support = _joint_support(tp, eps)
-    width = support.shape[1]
-    steps = step_matrix(n, d)
-    ends = path_positions(steps, d)[:, -1]
-    xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
-    per_step = joint[steps]  # (P, n, n_sym)
-    if xi is not None:
-        per_step[..., -1] *= psi_factor(tp, eps, xi, steps)
-    choice = words(width, n)  # (W, n): the position of each step's symbol in its support
-    prod = np.ones((len(steps), len(choice)))
-    for j in range(n):
-        symbols = support[steps[:, j]][:, choice[:, j]]  # (P, W)
-        prod *= np.take_along_axis(per_step[:, j, :], symbols, axis=1)
-    weights = np.array([math.fsum(row) for row in prod.tolist()])
-    return steps, ends, xi, weights
+    choice = words(support.shape[1], n)  # (W, n): each step's symbol, by its place in the support
+
+    def weigh(steps):
+        ends = path_positions(steps, d)[:, -1]
+        xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
+        per_step = joint[steps]  # (P, n, n_sym)
+        if xi is not None:
+            per_step[..., -1] *= psi_factor(tp, eps, xi, steps)
+        prod = np.ones((len(steps), len(choice)))
+        for j in range(n):
+            symbols = support[steps[:, j]][:, choice[:, j]]  # (P, W)
+            prod *= np.take_along_axis(per_step[:, j, :], symbols, axis=1)
+        weights = np.array([math.fsum(row) for row in prod.tolist()])
+        return steps, ends, xi, weights
+
+    return map(weigh, step_blocks(n, d))
 
 
 def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta, n: int) -> tuple:
@@ -445,21 +443,23 @@ def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta
     lhs sums over all (symbol sequence, path) pairs the product of symbol
     probabilities, conditional step probabilities, psi factors and the tilt
     exp(<theta, Z_n>); rhs is the plain auxiliary-walk expectation of
-    exp(<theta, Z_n>) times the realized xi-product.
+    exp(<theta, Z_n>) times the realized xi-product. Each side carries its
+    exact expansion from block to block (``fsum_parts``).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    steps, ends, xi, weights = _joint_path_weights(tp, eps, n, env)
-    tilt = np.array([math.exp(float(theta @ end)) for end in ends])
-    lhs = fsum(weights * tilt)
-    rhs = fsum(np.prod(tp.u_array[steps], axis=1) * tilt * np.prod(xi, axis=1))
-    return lhs, rhs
+    lhs, rhs = [], []
+    for steps, ends, xi, weights in _joint_path_weights(tp, eps, n, env):
+        tilt = np.array([math.exp(float(theta @ end)) for end in ends])
+        lhs = fsum_parts(weights * tilt, lhs)
+        rhs = fsum_parts(np.prod(tp.u_array[steps], axis=1) * tilt * np.prod(xi, axis=1), rhs)
+    return fsum(lhs), fsum(rhs)
 
 
 def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
     """Endpoint law of the auxiliary walk by path enumeration."""
-    steps = step_matrix(n, tp.dimension)
-    return endpoint_law(path_positions(steps, tp.dimension)[:, -1],
-                        np.prod(tp.u_array[steps], axis=1))
+    d = tp.dimension
+    return endpoint_law(((path_positions(steps, d)[:, -1], np.prod(tp.u_array[steps], axis=1))
+                         for steps in step_blocks(n, d)), n, d)
 
 
 def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int) -> dict:
@@ -469,5 +469,5 @@ def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int) ->
     kbar + free_prob * (u(e) - kbar)/free_prob = u(e), but this function does
     not use that simplification.
     """
-    _, ends, _, weights = _joint_path_weights(tp, eps, n)
-    return endpoint_law(ends, weights)
+    return endpoint_law(((ends, weights) for _, ends, _, weights
+                         in _joint_path_weights(tp, eps, n)), n, tp.dimension)

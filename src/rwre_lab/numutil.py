@@ -1,4 +1,4 @@
-"""Shared numerics: stable log-sums, counter-based hashing, seed derivation, word lists."""
+"""Shared numerics: stable and exact sums, counter-based hashing, seed derivation, word lists."""
 
 from __future__ import annotations
 
@@ -95,6 +95,37 @@ def words(k: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.indices((k,) * n).reshape(n, k**n).T)
 
 
+def word_blocks(k: int, n: int, rows: int):
+    """Yield the rows of ``words(k, n)`` in order, ``rows`` of them at a time.
+
+    Each block is an (m, n) int64 array, m <= rows, whose row i spells its
+    index in the whole list in base k; no block depends on the others.
+    """
+    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, k**n, rows):
+        index = np.arange(start, min(start + rows, k**n), dtype=np.int64)
+        yield index[:, None] // powers % k
+
+
+def ordered_dot(a, b) -> np.ndarray:
+    """a @ b, each inner sum taken left to right whatever the BLAS.
+
+    Shapes follow ``np.matmul``, batch axes broadcast included. A BLAS
+    orders and fuses an inner sum by the width of the call, so its bits
+    would depend on how many rows ride along; here every output entry is
+    a[0] b[0] + a[1] b[1] + ..., rounded after each step.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    lhs = a[None] if a.ndim == 1 else a
+    rhs = b[:, None] if b.ndim == 1 else b
+    out = lhs[..., :, :1] * rhs[..., :1, :]
+    for j in range(1, lhs.shape[-1]):
+        out += lhs[..., :, j:j + 1] * rhs[..., j:j + 1, :]
+    if a.ndim == 1:
+        out = out[..., 0, :]
+    return out[..., 0] if b.ndim == 1 else out
+
+
 def jackknife_stderr_logmean(logw: np.ndarray) -> float:
     """Jackknife standard error of log-mean-exp over one replica axis."""
     logw = np.asarray(logw, dtype=np.float64)
@@ -118,3 +149,23 @@ def jackknife_stderr_logmean(logw: np.ndarray) -> float:
 def fsum(values) -> float:
     """Compensated summation; wraps math.fsum for iterables and arrays."""
     return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())
+
+
+def fsum_parts(values, parts: list) -> list:
+    """A few floats whose exact sum is the exact sum of ``parts`` and ``values``.
+
+    ``math.fsum`` rounds an exact sum correctly, so each new part is the
+    rounded remainder the parts before it leave, and the loop ends when that
+    remainder is 0, which a sum of doubles only rounds to when it is exactly
+    0, or is not finite. A sum over blocks can thus carry these parts alone
+    (an expansion in Shewchuk's sense, DCG 18, 1997), and ``fsum`` of the
+    parts is bit for bit ``fsum`` of every value folded in.
+    """
+    terms = parts + np.asarray(values, dtype=np.float64).ravel().tolist()
+    out = []
+    while (rest := math.fsum(terms)) != 0.0:
+        out.append(rest)
+        if not math.isfinite(rest):
+            break
+        terms.append(-rest)
+    return out

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environments import Environment, IIDProductLaw, direction_vectors
-from .numutil import check_memory, fsum
-from .walks import (check_paths, path_omegas, path_positions, path_sites, site_grouped_log_moment,
-                    step_matrix)
+from .numutil import fsum, fsum_parts, ordered_dot
+from .walks import path_omegas, path_positions, path_sites, site_grouped_log_moment, step_blocks
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -173,27 +172,28 @@ def tilt_invariant_residuals(tp: TiltParams) -> dict:
     }
 
 
-def check_identity_memory(law, n: int, key: str = "n"):
-    """Raise BudgetError, naming ``key``, if an identity oracle at length n passes a budget.
+def _identity_sides(tp: TiltParams, theta, n: int, block_terms) -> tuple:
+    """Both sides of a change-of-measure identity, summed over the paths of length n in blocks.
 
-    The paths come first (``check_paths``). Both oracles hold int64 arrays of
-    one entry per path-step, and the annealed one site-grouped tables of one
-    entry per atom and path-step. 8 (10 d + 4 K) bytes per path-step for K
-    atoms bounds the tracemalloc peak of ``verify_identity_annealed``: 82-277
-    bytes in 1-D at n = 14 and 16 for K = 1 to 8, 186-190 in 2-D at n = 7, 8.
+    ``block_terms(steps)`` reads one batch of paths (``step_blocks``) and
+    returns a function of one (d,) theta giving the batch's lhs and rhs terms.
+    Each side carries its exact expansion (``fsum_parts``) from block to block,
+    so it is the ``fsum`` of all its terms at once, whatever the block size;
+    rhs is then scaled by D^n. ``theta`` is one (d,) vector, which gives two
+    floats, or a (T, d) stack, which gives two (T,) arrays whose entries
+    equal the T single calls bit for bit: every batch is read once per call.
     """
-    d = law.dimension
-    check_paths(n, d, key)
-    check_memory((2 * d) ** n * n * 8 * (10 * d + 4 * len(law.table)),
-                 f"{key} = {n} enumerates {(2 * d) ** n} paths of {n} steps")
-
-
-def _per_theta(theta, side) -> tuple:
-    """``side(theta)`` at a (d,) theta; at a (T, d) one, its two sides as (T,) arrays over the rows."""
     theta = np.asarray(theta, dtype=np.float64)
+    stack = np.atleast_2d(theta)
+    sums = [[[], []] for _ in stack]  # the lhs and rhs expansions of each theta
+    for steps in step_blocks(n, tp.dimension):
+        terms = block_terms(steps)
+        for th, sides in zip(stack, sums):
+            for side, values in enumerate(terms(th)):
+                sides[side] = fsum_parts(values, sides[side])
+    pairs = np.array([(fsum(lhs), tp.D**n * fsum(rhs)) for lhs, rhs in sums])
     if theta.ndim == 1:
-        return side(theta)
-    pairs = np.array([side(th) for th in theta], dtype=np.float64).reshape(len(theta), 2)
+        return float(pairs[0, 0]), float(pairs[0, 1])
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -205,37 +205,37 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     rhs: D^n times the annealed expectation of exp(<theta + theta_tilt, X_n>),
     computed from the original walk with exact annealed path weights.
     Both moments close atom by atom, so the law must be an i.i.d. product law.
-    ``theta`` is one (d,) vector, which gives two floats, or a (T, d) stack,
-    which gives two (T,) arrays whose entries equal the T single calls bit for
-    bit: the paths are enumerated and both moments grouped once per call.
+    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; both moments are
+    grouped once per block of paths.
     """
     if not isinstance(law, IIDProductLaw):
         raise ValueError(f"the annealed identity needs an i.i.d. product law (law kind "
                          f"'iid-product'), not {type(law).__name__}")
-    check_identity_memory(law, n)
-    steps = step_matrix(n, tp.dimension)
-    flat, ends = path_sites(steps, tp.dimension)
-    uw = np.prod(tp.u_array[steps], axis=1)
-    _, (xi_log, om_log) = site_grouped_log_moment(np.stack([law.xi_values(), law.table]),
-                                                  law.weights, flat, steps)
-    return _per_theta(theta, lambda th: (
-        fsum(uw * np.exp(xi_log + ends @ th)),
-        tp.D**n * fsum(np.exp(om_log + ends @ (th + tp.theta_array)))))
+    tables = np.stack([law.xi_values(), law.table])
+
+    def block_terms(steps):
+        flat, ends = path_sites(steps, tp.dimension)
+        uw = np.prod(tp.u_array[steps], axis=1)
+        _, (xi_log, om_log) = site_grouped_log_moment(tables, law.weights, flat, steps)
+        return lambda th: (uw * np.exp(xi_log + ordered_dot(ends, th)),
+                           np.exp(om_log + ordered_dot(ends, th + tp.theta_array)))
+
+    return _identity_sides(tp, theta, n, block_terms)
 
 
 def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) -> tuple:
     """Quenched version: xi and omega read from one fixed realization.
 
-    ``theta`` is (d,) or (T, d) as in ``verify_identity_annealed``; omega is
-    read along the paths once per call.
+    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; omega is read along
+    each block of paths once per call.
     """
-    check_identity_memory(env.law, n)
-    steps = step_matrix(n, tp.dimension)
-    ends = path_positions(steps, tp.dimension)[:, -1]
-    uw = np.prod(tp.u_array[steps], axis=1)
-    omegas = path_omegas(env, steps)
-    xi_prod = np.prod(omegas / tp.means_array[steps], axis=1)
-    om_prod = np.prod(omegas, axis=1)
-    return _per_theta(theta, lambda th: (
-        fsum(uw * xi_prod * np.exp(ends @ th)),
-        tp.D**n * fsum(om_prod * np.exp(ends @ (th + tp.theta_array)))))
+    def block_terms(steps):
+        ends = path_positions(steps, tp.dimension)[:, -1]
+        uw = np.prod(tp.u_array[steps], axis=1)
+        omegas = path_omegas(env, steps)
+        xi_prod = np.prod(omegas / tp.means_array[steps], axis=1)
+        om_prod = np.prod(omegas, axis=1)
+        return lambda th: (uw * xi_prod * np.exp(ordered_dot(ends, th)),
+                           om_prod * np.exp(ordered_dot(ends, th + tp.theta_array)))
+
+    return _identity_sides(tp, theta, n, block_terms)

@@ -33,12 +33,21 @@ evolution, as ``rate_point`` does for the half horizon of its Richardson
 pair, and gets the value that an evolution ending there returns.
 
 The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
-and the point and endpoint laws built on them) sum over every path of the
-batch. They stay independent of ``log_point_probability_dp``: the quenched
-ones multiply ``path_omegas``, and the field branch of the annealed one
-enumerates the Gibbs measure of one box holding every departure site, for the
-fields whose box measures are marginals of one another (beta = 0, or the
-nearest-neighbour chain in d = 1).
+and the point and endpoint laws built on them) stay independent of
+``log_point_probability_dp``: the quenched ones multiply ``path_omegas``, and
+the field branch of the annealed one enumerates the Gibbs measure of one box
+holding every departure site of its batch, for the fields whose box measures
+are marginals of one another (beta = 0, or the nearest-neighbour chain in
+d = 1). The point and endpoint laws, like the identity oracles of ``tilting``
+and ``decomposition``, walk ``step_blocks``: the rows of ``step_matrix`` in
+order, PATH_BLOCK at a time, as the words of ``numutil.word_blocks``. So they
+hold O(PATH_BLOCK n) numbers however many the (2d)^n paths, and no result
+depends on the block size: a path's value is computed in a fixed order of
+operations, with no BLAS call that rounds by the width of its batch; a sum
+over the paths carries its exact float expansion from block to block
+(``numutil.fsum_parts``), so its final ``fsum`` is that of every term at once;
+and an endpoint law adds each path's weight to a running total in path order
+(``endpoint_law``), as one ``np.bincount`` would.
 """
 
 from __future__ import annotations
@@ -51,9 +60,10 @@ import numpy as np
 
 from .environments import (MATERIALIZE_CAP, Box, Environment, IIDProductLaw, MarkovFieldLaw,
                            centered_box, direction_vectors)
-from .numutil import BudgetError, fsum, words
+from .numutil import BudgetError, fsum, fsum_parts, ordered_dot, word_blocks, words
 
 PATH_BUDGET = 10**7  # paths one enumeration may hold
+PATH_BLOCK = 2**10  # paths an oracle holds at once
 
 
 def check_paths(n: int, d: int, key: str = "n"):
@@ -70,6 +80,15 @@ def step_matrix(n: int, d: int) -> np.ndarray:
     """All (2d)^n step sequences of length n, as a lexicographic ((2d)^n, n) int array."""
     check_paths(n, d)
     return words(2 * d, n)
+
+
+def step_blocks(n: int, d: int):
+    """The rows of ``step_matrix(n, d)`` in order, as (m, n) batches of m <= PATH_BLOCK paths.
+
+    The path count is checked on the call, before any block is made.
+    """
+    check_paths(n, d)
+    return word_blocks(2 * d, n, PATH_BLOCK)
 
 
 def path_positions(steps: np.ndarray, d: int) -> np.ndarray:
@@ -93,14 +112,23 @@ def path_sites(steps: np.ndarray, d: int) -> tuple:
     return flat, pos[:, -1, :]
 
 
-def endpoint_law(ends: np.ndarray, weights) -> dict:
-    """{site tuple: summed weight} over the (P, d) endpoints of a weighted batch.
+def endpoint_law(blocks, n: int, d: int) -> dict:
+    """{site tuple: summed weight} over the endpoints of weighted n-step paths in Z^d.
 
-    Each endpoint sums its paths' weights in batch order.
+    ``blocks`` yields (ends, weights) pairs, (P, d) endpoints and their (P,)
+    weights. Each endpoint adds its paths' weights to a running total in
+    block order, as one ``np.bincount`` over the whole batch would; the keys
+    are the endpoints met, in lexicographic order.
     """
-    sites, inverse = np.unique(ends, axis=0, return_inverse=True)
-    sums = np.bincount(inverse.ravel(), weights=weights, minlength=len(sites))
-    return {tuple(site): float(w) for site, w in zip(sites.tolist(), sums)}
+    shape = (2 * n + 1,) * d
+    totals, met = np.zeros(math.prod(shape)), np.zeros(math.prod(shape), dtype=bool)
+    for ends, weights in blocks:
+        cells = np.ravel_multi_index(tuple((ends + n).T), shape)
+        np.add.at(totals, cells, weights)
+        met[cells] = True
+    cells = np.flatnonzero(met)
+    sites = np.stack(np.unravel_index(cells, shape), axis=-1) - n
+    return {tuple(site): float(w) for site, w in zip(sites.tolist(), totals[cells])}
 
 
 def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.ndarray) -> tuple:
@@ -113,7 +141,9 @@ def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.n
     mixture over atoms, and distinct sites multiply. The visits are grouped by
     (path, site, step) once and every table of a stack reads that grouping;
     both outputs have shape (P,) for one table and (T, P) for a stack, and
-    each row equals the call on its table alone. As with
+    each row equals the call on its table alone. A path's entries depend on
+    that path alone, not on the batch it rides in: every sum runs in a fixed
+    order, the mixture over atoms in atom order. As with
     ``np.linalg.slogdet``, a zero moment has sign 0 and log-magnitude -inf,
     and long paths stay in range.
     """
@@ -147,7 +177,7 @@ def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.n
     terms = np.exp(log_abs, out=log_abs)
     if negative is not None:
         terms[negative] *= -1.0
-    mix = weights @ terms
+    mix = ordered_dot(weights, terms)  # a BLAS would round by the width of the batch
     del log_abs, terms
     with np.errstate(divide="ignore"):
         site_log = peak[..., 0, :] + np.log(np.abs(mix))
@@ -219,28 +249,34 @@ def _site(target, d: int) -> np.ndarray:
     return target
 
 
-def _paths_to(n: int, d: int, target) -> np.ndarray:
-    """The rows of ``step_matrix`` whose path ends at ``target``."""
+def _point_probability(path_weights, n: int, d: int, target) -> float:
+    """fsum of ``path_weights`` over the n-step paths that end at ``target``, block by block."""
     target = _site(target, d)
-    steps = step_matrix(n, d)
-    return steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
+    parts = []
+    for steps in step_blocks(n, d):
+        hits = steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
+        if len(hits):
+            parts = fsum_parts(path_weights(hits), parts)
+    return fsum(parts)
 
 
 def quenched_point_probability(env: Environment, n: int, target) -> float:
     """P_{0,omega}(X_n = target), exact by full path enumeration."""
-    return fsum(quenched_path_weights(env, _paths_to(n, env.law.dimension, target)))
+    return _point_probability(functools.partial(quenched_path_weights, env), n,
+                              env.law.dimension, target)
 
 
 def annealed_point_probability(law, n: int, target) -> float:
     """P_0(X_n = target), exact: sum over paths of the exact annealed weight."""
-    return fsum(annealed_path_weights(law, _paths_to(n, law.dimension, target)))
+    return _point_probability(functools.partial(annealed_path_weights, law), n, law.dimension,
+                              target)
 
 
 def quenched_endpoint_distribution(env: Environment, n: int) -> dict:
     """Endpoint law at time n by enumeration: {site tuple: probability}."""
-    steps = step_matrix(n, env.law.dimension)
-    ends = path_positions(steps, env.law.dimension)[:, -1]
-    return endpoint_law(ends, quenched_path_weights(env, steps))
+    d = env.law.dimension
+    return endpoint_law(((path_positions(steps, d)[:, -1], quenched_path_weights(env, steps))
+                         for steps in step_blocks(n, d)), n, d)
 
 
 def _reachable(target: np.ndarray, n: int) -> bool:

@@ -117,7 +117,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("payload,key", [
         ({"verify": {"n_max": 40}}, "verify.n_max = 40 enumerates"),  # 2^40 paths
-        ({"verify": {"n_max": 19}}, "verify.n_max = 19 enumerates"),  # ~1.3 GiB of arrays
+        ({"verify": {"n_max": 24}}, "verify.n_max = 24 enumerates"),  # 2^24 paths
         ({"verify": {"tau_draws": 10**10}}, "verify.tau_draws = 10000000000"),
         ({"verify": {"psi_n_max": 40}}, "verify.psi_n_max = 40 enumerates"),
     ])

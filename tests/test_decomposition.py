@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwre_lab.decomposition import (TAIL_STEPS, TAU_BLOCK, TAU_HORIZON, EpsilonLaw,
@@ -367,6 +367,12 @@ class TestPsiIdentity:
             verify_psi_identity(TP, eps_eighth(), env, [0.0], 12)
 
 
+def joint_weights(tp, eps, n, env=None):
+    """(steps, ends, xi, weights) of ``_joint_path_weights``, its blocks joined into one batch."""
+    blocks = list(_joint_path_weights(tp, eps, n, env))
+    return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+
+
 def every_word_weights(tp, eps, steps, xi):
     """Joint path weights by brute force over all (2d+1)^n symbol words, zero-weight ones included."""
     n_sym = 2 * tp.dimension + 1
@@ -401,7 +407,7 @@ class TestJointPathWeights:
         tp = solve_tilt(law, z)
         eps = make_epsilon_law(tp, tp.c_z / 3)
         env = sample_environment(law, 7, centered_box(d, n + 1)) if with_env else None
-        steps, ends, xi, weights = _joint_path_weights(tp, eps, n, env)
+        steps, ends, xi, weights = joint_weights(tp, eps, n, env)
         assert (xi is None) == (env is None)
         assert weights.tolist() == every_word_weights(tp, eps, steps, xi)
 
@@ -412,7 +418,7 @@ class TestJointPathWeights:
         tp = solve_tilt(TWO_ATOM if d == 1 else LAW_2D, z)
         eps = EpsilonLaw(tp.c_z, d)
         assert np.count_nonzero(conditional_step_probs(tp, eps, eps.free_symbol)) == 2 * d - 1
-        steps, _, _, weights = _joint_path_weights(tp, eps, 3)
+        steps, _, _, weights = joint_weights(tp, eps, 3)
         assert weights.tolist() == every_word_weights(tp, eps, steps, None)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
 
@@ -549,9 +555,12 @@ def test_tau_sampler_law_matches_survival_chain(kbar, L):
     """Sampled tau against the exact run-length chain: no draw below L, P(tau > t)
     within 5 exact SE at several t up to twice E[tau] (capped at 4000), and
     P(tau = L) = kbar^L. Counts are compared, with one count of slack for
-    discreteness where kbar^L is tiny.
+    discreteness where kbar^L is tiny. Only laws whose draws all finish
+    within the 10^7-symbol cap are drawn (E[tau] <= 10^5); one law past it
+    is pinned in ``test_tau_sampler_refuses_a_law_past_the_cap``.
     """
     cfg = StoppingConfig(L, 0)
+    assume(expected_tau(kbar, cfg) <= 10**5)
     draws = 20_000
     taus = sample_tau_batch(kbar, cfg, draws, derive_seed(17, L))
     assert taus.min() >= L
@@ -564,6 +573,15 @@ def test_tau_sampler_law_matches_survival_chain(kbar, L):
     p = kbar**L
     hits = int(np.count_nonzero(taus == L))
     assert abs(hits - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)) + 1
+
+
+def test_tau_sampler_refuses_a_law_past_the_cap():
+    # kbar 1/16 at L = 5: E[tau_1] = 1.1e6 and P(tau_1 > 10^7) is about 1.4e-4, so
+    # some of 20 000 draws cannot finish within the cap, and Harris's bound says so
+    # before the tail table is built
+    with pytest.raises(BudgetError, match=f"^at least 1 streams unfinished within {TAU_HORIZON} "
+                                          "symbols$"):
+        sample_tau_batch(0.0625, StoppingConfig(5, 0), 20_000, derive_seed(17, 5))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

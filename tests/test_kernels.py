@@ -125,6 +125,23 @@ def test_stacked_psi_xi_and_omega_tables():
     assert np.array_equal(signs, np.ones((4, 3))) and np.array_equal(logs, np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 4)])
+def test_path_values_do_not_depend_on_the_batch(d, n):
+    # the exact oracles read the paths in blocks, so a path's moment must be
+    # the same bits whatever rides along: blocks of 1 and 7 against the whole
+    # batch, three random atoms with weights off the dyadic grid
+    rng = np.random.default_rng(d)
+    stack = rng.uniform(0.1, 2.0, size=(2, 3, 2 * d))
+    weights = np.array([0.2, 0.5, 0.3])
+    steps = np.asarray(list(itertools.product(range(2 * d), repeat=n)), dtype=np.int64)
+    whole = site_grouped_log_moment(stack, weights, path_sites(steps, d)[0], steps)
+    for size in (1, 7):
+        parts = [site_grouped_log_moment(stack, weights, path_sites(block, d)[0], block)
+                 for block in np.split(steps, range(size, len(steps), size))]
+        for out, joined in zip(whole, zip(*parts)):
+            assert np.array_equal(out, np.concatenate(joined, axis=-1))
+
+
 def test_long_paths_stay_in_range():
     # 2000 steps with factors near 0.05 take a plain product to about e-6000,
     # far below the smallest double; the log-magnitude stays finite

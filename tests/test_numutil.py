@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rwre_lab.numutil import jackknife_stderr_logmean, logsumexp, words
+from rwre_lab.numutil import (fsum_parts, jackknife_stderr_logmean, logsumexp, ordered_dot,
+                              word_blocks, words)
 
 
 def jackknife_oracle(logw):
@@ -41,3 +42,37 @@ def test_words_follow_product_order(k, n):
     got = words(k, n)
     assert got.shape == (k**n, n) and got.dtype == np.int64
     assert got.tolist() == [list(w) for w in itertools.product(range(k), repeat=n)]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024])
+@pytest.mark.parametrize("k,n", [(2, 5), (4, 3), (3, 0), (5, 1)])
+def test_word_blocks_are_the_words_in_order(k, n, rows):
+    blocks = list(word_blocks(k, n, rows))
+    assert all(len(b) <= rows and b.dtype == np.int64 for b in blocks)
+    assert np.concatenate(blocks).tolist() == words(k, n).tolist()
+
+
+@pytest.mark.parametrize("block", [1, 7, 777])
+def test_fsum_parts_carry_the_exact_sum(block):
+    # signed terms over some 600 binades, where a rounded running sum drifts:
+    # the parts carried over blocks give the fsum of all terms at once
+    rng = np.random.default_rng(block)
+    values = rng.lognormal(0.0, 60.0, size=5000) * rng.choice([-1.0, 1.0], size=5000)
+    parts = []
+    for start in range(0, len(values), block):
+        parts = fsum_parts(values[start:start + block], parts)
+        assert len(parts) <= 40
+    assert math.fsum(parts) == math.fsum(values.tolist())
+    assert fsum_parts([math.inf, 1.0], [2.0]) == [math.inf]  # carried, not looped on
+    assert fsum_parts([0.5, -0.5], []) == []
+
+
+def test_ordered_dot_sums_left_to_right():
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(-1, 1, size=(4, 3)), rng.uniform(-1, 1, size=(2, 3, 5))
+    want = (a[:, :1] * b[:, :1] + a[:, 1:2] * b[:, 1:2]) + a[:, 2:] * b[:, 2:]
+    assert np.array_equal(ordered_dot(a, b), want)
+    assert np.array_equal(ordered_dot(a[0], b), want[:, 0])
+    assert np.array_equal(ordered_dot(a, b[0, :, 0]), want[0, :, 0])
+    # the bits of a row do not depend on the rows riding along
+    assert np.array_equal(ordered_dot(a[1:2], b), want[:, 1:2])

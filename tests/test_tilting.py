@@ -1,13 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rwre_lab.decomposition import (decomposed_endpoint_distribution, make_epsilon_law,
+                                    qz_endpoint_distribution, verify_psi_identity)
 from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
 from rwre_lab.tilting import (TiltParams, scale_function, solve_tilt,
                               tilt_invariant_residuals,
                               verify_identity_annealed, verify_identity_quenched)
+from rwre_lab.walks import PATH_BLOCK
 
 from envhelpers import mean_environment, omega
 
@@ -209,6 +213,49 @@ class TestStackedTheta:
                 assert all(isinstance(v, float) for pair in singles for v in pair)
                 assert lhs.tolist() == [s[0] for s in singles]
                 assert rhs.tolist() == [s[1] for s in singles]
+
+
+class TestPathBlocks:
+    @pytest.mark.parametrize("d,z,n,n_joint", [(1, [0.5], 11, 9), (2, [0.2, 0.1], 6, 5)])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, d, z, n, n_joint):
+        # 2048 and 4096 paths: blocks of one path, of 7, of the default (two and
+        # four blocks) and one block of them all give the same bits; the joint
+        # enumerations run on 2^18 and 2^15 (path, word) pairs. Weights off the
+        # dyadic grid make the atom mixture round, as a BLAS would by batch width
+        atoms = [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]] if d == 1 else [
+            [0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25], [0.25, 0.25, 0.3, 0.2]]
+        law = IIDProductLaw(d, atoms, [0.2, 0.5, 0.3], 0.1)
+        tp = solve_tilt(law, z)
+        eps = make_epsilon_law(tp)
+        env = sample_environment(law, 3, centered_box(d, n + 1))
+        thetas = np.random.default_rng(d).uniform(-0.5, 0.5, size=(3, d))
+        runs = []
+        for block in (1, 7, PATH_BLOCK, (2 * d) ** n):
+            monkeypatch.setattr("rwre_lab.walks.PATH_BLOCK", block)
+            annealed = verify_identity_annealed(law, tp, thetas, n)
+            quenched = verify_identity_quenched(env, tp, thetas, n)
+            runs.append(([side.tolist() for side in annealed + quenched],
+                         verify_psi_identity(tp, eps, env, thetas[0], n_joint),
+                         qz_endpoint_distribution(tp, n),
+                         decomposed_endpoint_distribution(tp, eps, n_joint)))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_annealed_memory_does_not_grow_with_the_paths(self):
+        # n = 12 to 16 is 61 440 more paths: one float per path and theta would
+        # add 8 * 5 * 61 440 = 2.4 MB, the whole batch 20 MB more; each side
+        # keeps a few floats of exact expansion, and only a block's arrays grow
+        # with n, by about 90 bytes per path-step (128 allowed)
+        tp = solve_tilt(TWO_ATOM, [0.5])
+        thetas = np.linspace(-0.5, 0.5, 5)[:, None]
+        peaks = []
+        for n in (12, 16):
+            tracemalloc.start()
+            try:
+                verify_identity_annealed(TWO_ATOM, tp, thetas, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 128 * PATH_BLOCK * (16 - 12)
 
 
 class TestSerialization:

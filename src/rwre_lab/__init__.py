@@ -3,7 +3,7 @@
 Modules
 -------
 environments   environment laws on Z^d and deterministic realizations
-walks          quenched/annealed walk laws and exact enumeration oracles
+walks          path batches, the annealed path moment and the forward evolution
 tilting        the drifted auxiliary walk and its change of measure
 decomposition  forced-symbol product decomposition and stopping machinery
 estimators     rate points and the quenched/annealed gap
@@ -18,15 +18,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .decomposition import (EpsilonLaw, StoppingConfig, conditional_step_probs,
                             default_kbar, expected_tau, make_epsilon_law, psi_factor,
-                            sample_ray_block_values, sample_tau_batch, verify_psi_identity)
+                            sample_tau_batch, verify_psi_identity)
 from .environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw, centered_box,
-                           constant_law, direction_index, direction_vectors,
-                           sample_environment)
-from .estimators import GapReport, RatePointEstimate, certify_gap, exact_gap_oracle, rate_point
+                           direction_index, direction_vectors, sample_environment)
+from .estimators import GapReport, RatePointEstimate, certify_gap, rate_point
 from .numutil import BudgetError
 from .tilting import (TiltParams, solve_tilt, tilt_invariant_residuals,
                       verify_identity_annealed, verify_identity_quenched)
-from .walks import (annealed_path_weights, annealed_point_probability, quenched_path_weights,
-                    quenched_point_probability)
 
 __version__ = "0.1.0"

@@ -40,9 +40,9 @@ from .decomposition import (StoppingConfig, check_joint_pairs, check_tau_memory,
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
 from .estimators import certify_gap, rate_point
-from .numutil import BudgetError, derive_seed, site_uniforms
-from .tilting import (solve_tilt, tilt_invariant_residuals, verify_identity_annealed,
-                      verify_identity_quenched)
+from .numutil import BudgetError, check_memory, derive_seed, site_uniforms
+from .tilting import (annealed_identity_bytes, solve_tilt, tilt_invariant_residuals,
+                      verify_identity_annealed, verify_identity_quenched)
 from .walks import check_paths
 
 EXIT_OK = 0
@@ -296,6 +296,9 @@ def _run_verify(cfg: dict):
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
     check_paths(n_max, d, "verify.n_max")
+    if isinstance(law, IIDProductLaw):  # the one law kind the annealed identity takes
+        check_memory(annealed_identity_bytes(len(law.table), n_max, d),
+                     f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
     check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-scale, scale)

@@ -10,24 +10,20 @@ rewrite is that runs of forced symbols create stretches where the walk moves
 deterministically, which the stopping machinery below exploits.
 
 Blocks end at tau, the first time a run of L forced-ell symbols completes.
-Its law has the closed-form mean ``expected_tau``, the exact survival
-``tau_survival`` from the run-length chain (the oracle the samplers answer
-to) and the horizon ``choose_horizon`` read off that survival.
-``sample_tau_batch`` draws tau by inverting that exact tail at one uniform of
-the counter-based site hash per draw, so draw i is a function of (seed, i).
+Its law has the closed-form mean ``expected_tau`` and an exact tail from the
+L x L transfer of the run-length chain (``_run_length_transfer``):
+``choose_horizon`` lifts through powers of that transfer to the horizon, and
+``sample_tau_batch`` draws tau by inverting the tail at one uniform of the
+counter-based site hash per draw, so draw i is a function of (seed, i).
 
 ``psi_factor`` is the per-step reweighting that restores the environment
 dependence inside the decomposed mechanism; its defining property, checked by
-exact enumeration in the tests, is that summing it against the symbol and step
-laws reproduces u(e) * xi(x, e). ``sample_ray_block_values`` samples stopped
-blocks on a ray, one uniform per active stream and symbol time, because a
-block's value depends on the sites it crosses; it is the Monte Carlo
-cross-check of the exact run-length recursion in the estimators.
+exact enumeration in ``verify_psi_identity``, is that summing it against the
+symbol and step laws reproduces u(e) * xi(x, e).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,30 +153,6 @@ def expected_tau(eps, cfg: StoppingConfig) -> float:
         raise BudgetError(f"at L = {cfg.L} and kbar = {k}, E[tau_1] = (kbar^-L - 1) / (1 - kbar) "
                           "is not a finite float")
     return et
-
-
-def _survival_chain(k: float, L: int):
-    """Yield P(tau_1 > t) for t = 0, 1, 2, ... from the run-length chain.
-
-    The state is the law of the current run length restricted to unstopped
-    strings; one step sends its mass to run 0 with probability 1 - k and
-    shifts every run up by one with probability k. Sums run left to right.
-    """
-    v = [1.0] + [0.0] * (L - 1)
-    q = 1.0 - k
-    while True:
-        s = 0.0
-        for x in v:
-            s += x
-        yield s
-        v = [s * q] + [x * k for x in v[:-1]]
-
-
-def tau_survival(eps, cfg: StoppingConfig, horizon: int) -> np.ndarray:
-    """P(tau_1 > t) for t = 0..horizon, exact via the run-length chain."""
-    chain = _survival_chain(_kbar_of(eps), cfg.L)
-    return np.fromiter(itertools.islice(chain, horizon + 1), dtype=np.float64,
-                       count=horizon + 1)
 
 
 def _run_length_transfer(k: float, L: int) -> np.ndarray:
@@ -317,43 +289,6 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
     if unfinished:
         raise BudgetError(f"{unfinished} streams unfinished within {horizon} symbols")
     return tau
-
-
-def sample_ray_block_values(factors, kbar: float, u_ell: float, L: int, n: int,
-                            rng) -> np.ndarray:
-    """n sampled block values prod(psi) * 1{block on the ray, tau_1 <= H}.
-
-    ``factors`` broadcasts to (n, H) without a copy; factors[..., t] is the psi
-    factor a free symbol contributes at symbol time t+1, departing from site
-    t on the ray. At each symbol time every active stream draws one uniform x:
-    x < kbar is a forced ell symbol (the run grows by one), kbar <= x < u_ell a
-    free symbol stepping along ell (the run resets and the value takes the
-    factor), anything else leaves the ray (value 0, the stream is dropped). A
-    stream records its value when its run reaches L; streams still running at
-    H count as 0. The mean therefore estimates
-    ray_inner_values((u_ell - kbar) * factors, kbar, L), the truncated
-    functional ``certify_gap`` evaluates exactly.
-    """
-    if not 0.0 < kbar < u_ell <= 1.0:
-        raise ValueError(f"need 0 < kbar = {kbar} < u(ell) = {u_ell} <= 1")
-    factors = np.asarray(factors, dtype=np.float64)
-    rows = np.broadcast_to(factors, (n, factors.shape[-1]))
-    out = np.zeros(n)
-    active = np.arange(n)
-    run = np.zeros(n, dtype=np.int64)
-    value = np.ones(n)
-    for t in range(rows.shape[1]):
-        if not active.size:
-            break
-        x = rng.random(active.size)
-        free = x >= kbar
-        run = np.where(free, 0, run + 1)
-        value = np.where(free, value * rows[active, t], value)
-        done = run >= L
-        out[active[done]] = value[done]
-        keep = (x < u_ell) & ~done
-        active, run, value = active[keep], run[keep], value[keep]
-    return out
 
 
 def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):

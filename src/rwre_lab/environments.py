@@ -32,7 +32,6 @@ from .numutil import BudgetError, derive_seed, mix64, site_uniforms, site_words,
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
 HASH_BLOCK = 4096  # lines a product realization hashes per call, and about its sites per block
-ENUM_CONFIG_CAP = 2 * 10**6
 COORD_CAP = 1 << 62
 
 
@@ -256,35 +255,6 @@ class MarkovFieldLaw(_FiniteLaw):
         dist = np.abs(offs).sum(axis=1)
         return offs[(dist > 0) & (dist <= self.range_r)]
 
-    def gibbs_configurations(self, box: Box):
-        """Exact field measure on a small box: yields (states, probability).
-
-        Enumerates all S^n configurations; guarded by a joint budget because
-        the count explodes quickly.
-        """
-        n = box.n_sites
-        if self.n_states > 8 or n > 16 or self.n_states**n > ENUM_CONFIG_CAP:
-            raise BudgetError(
-                f"exact field enumeration needs S<=8, sites<=16 and S^sites<={ENUM_CONFIG_CAP}")
-        sites = box.all_sites()
-        index = {tuple(s): i for i, s in enumerate(sites)}
-        offsets = self._neighbor_offsets()
-        pairs = []
-        for i, s in enumerate(sites):
-            for off in offsets:
-                j = index.get(tuple(s + off))
-                if j is not None and j > i:
-                    pairs.append((i, j))
-        configs = words(self.n_states, n)
-        energy = np.zeros(len(configs))
-        for i, j in pairs:
-            energy += (configs[:, i] == configs[:, j]).astype(np.float64)
-        logw = self.beta * energy
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-        return configs, sites, w
-
 
 class Environment:
     """A realized environment: the state index of every site of ``box``.
@@ -384,9 +354,4 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
             padded[np.ix_(*axes)] = new
     crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
     return Environment(law, region, padded[core][crop].astype(dtype))
-
-
-def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
-    """Single-atom law: the deterministic environment equal to ``prob`` everywhere."""
-    return IIDProductLaw(dimension, [prob], [1.0], kappa)
 

@@ -32,9 +32,9 @@ A product-law row is the line of sites (replica, step) of
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, in a pass of its own that reads one constant
 block over and over. Its report carries the bounds as ``GapReport.I_a`` and
-``GapReport.I_q``. The independent Monte Carlo check of the recursion is
-``decomposition.sample_ray_block_values``, which samples the same truncated
-functional symbol by symbol; the tests hold the two against each other.
+``GapReport.I_q``. The tests judge the recursion against a symbol-by-symbol
+Monte Carlo of the same truncated functional and against an enumeration of
+every ray environment at small horizons.
 
 ``rate_point`` evaluates the two rate functions at one velocity: straight-path
 closed forms at the lattice directions +-e_i and, everywhere else in the unit
@@ -55,7 +55,7 @@ from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_hori
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
 from .numutil import (BudgetError, check_memory, derive_seed, jackknife_stderr_logmean,
-                      logmeanexp, logsumexp, words)
+                      logmeanexp)
 from .tilting import TiltParams
 from .walks import light_cone, log_point_probability_dp
 
@@ -64,7 +64,6 @@ CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 # concatenation and their logs (the trace) make 3; a field law's jackknife
 # over the logs adds 4 temporaries, and the concatenation is freed by then
 _REPLICA_FLOATS = 6
-ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 
 def _blocks(n_items: int) -> list:
@@ -326,14 +325,6 @@ def _log_positive(vals: np.ndarray) -> np.ndarray:
     return np.log(vals)
 
 
-def quenched_ray_log_inner(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
-                           xi_rows: np.ndarray) -> np.ndarray:
-    """log inner block expectation per environment row, exact given the row."""
-    u_ell = float(tp.u_array[cfg.ell])
-    return _log_positive(ray_inner_values(u_ell * np.atleast_2d(xi_rows) - eps.kbar,
-                                          eps.kbar, cfg.L))
-
-
 # ---------------------------------------------------------------------------
 # the two bounds and the gap report
 # ---------------------------------------------------------------------------
@@ -447,31 +438,6 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         quenched_side=q_side, quenched_stderr=q_se, annealed_side=a_side,
         annealed_stderr=a_se, gap=gap, stderr=se, significance=sig,
         replicas=budget, seed=seed, verdict=verdict, steps_read=steps_read, trace=log_inner)
-
-
-def exact_gap_oracle(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
-                     law: IIDProductLaw, horizon: int) -> tuple:
-    """Both sides at a small horizon by full enumeration over ray environments.
-
-    Enumerates every assignment of atoms to the ray sites (K^H of them), runs
-    the exact inner recursion per assignment and closes the outer expectation
-    in exact arithmetic. Returns (quenched_side, annealed_side) on the same
-    truncated functional as ``certify_gap`` at this horizon; i.i.d. product laws only.
-    """
-    if not isinstance(law, IIDProductLaw):
-        raise ValueError(f"the exact gap oracle needs an i.i.d. product law (law kind "
-                         f"'iid-product'), not {type(law).__name__}")
-    k = len(law.weights)
-    if k**horizon > ORACLE_CAP:
-        raise BudgetError(f"{k}^{horizon} ray environments exceed the oracle cap {ORACLE_CAP}")
-    idx = words(k, horizon)  # (K^H, H)
-    probs = np.prod(law.weights[idx], axis=1)
-    xi_rows = law.xi_values()[:, cfg.ell][idx]
-    log_inner = quenched_ray_log_inner(tp, eps, cfg, xi_rows)
-    et = expected_tau(eps, cfg)
-    quenched = float(probs @ log_inner) / et
-    annealed = float(logsumexp(np.log(probs) + log_inner)) / et
-    return quenched, annealed
 
 
 # ---------------------------------------------------------------------------

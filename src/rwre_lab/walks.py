@@ -1,53 +1,39 @@
-"""Quenched and annealed walk laws, plus exact small-horizon oracles.
-
-The quenched law steps through a fixed realized environment; the annealed law
-averages the environment out. Everything here that is labelled exact is a full
-enumeration or a forward transfer evolution, intended as ground truth for the
-Monte Carlo machinery elsewhere in the package.
+"""Path batches and the walk kernels: the annealed moment, the quenched reader, the evolution.
 
 A batch of paths is one format throughout: a (P, n) array of direction
-indices, one row per path from the origin. ``step_matrix`` enumerates all of
-them, ``path_positions`` and ``path_sites`` turn a batch into the sites it
-visits. Path functionals of the environment are evaluated here and nowhere
-else, each by one routine: ``site_grouped_log_moment`` closes the annealed
-moment of one table or of a stack of tables over one grouping of the
-visits, ``path_omegas`` is the one quenched reader (omega along every path of
-a batch in one realized environment), and ``log_point_probability_dp`` is the
-one forward evolution. It evolves the quenched walk's weights on the
-two-sided light cone between the origin and a target, with exact
-power-of-two rescaling, and only on the parity sublattice of each step, in
-rotated coordinates (``_rotate``) where every move is a constant shift and
-the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
-The grid is stored flat, its axes in the order that needs the least flat
-work and each trailing axis padded by one guard slot, so every move is one
-multiply and one add over two contiguous ranges a fixed offset apart. Each
-step zeroes what those ranges wrote outside its window, so every cell read
-outside a window is exactly 0 and the peak that sets the rescale is the
-window's own. The output is bit-identical to the box evolution's: each
-site on a path to the target sums the same products in the same order,
-plus exact zeros, and a power-of-two rescale is exact. The log is returned
-in a canonical form, (exponent + e) log 2 + log m with (m, e) the frexp of
-the rescaled value, which depends only on the exact value; so
-``at=(m, target_m)`` reads log P(X_m = target_m) at step m of the same
-evolution, as ``rate_point`` does for the half horizon of its Richardson
-pair, and gets the value that an evolution ending there returns.
+indices, one row per path from the origin. ``step_blocks`` enumerates all
+(2d)^n of them in lexicographic order, PATH_BLOCK at a time, as the words of
+``numutil.word_blocks``, so an enumeration holds O(PATH_BLOCK n) numbers
+however many the paths; ``path_positions`` and ``path_sites`` turn a batch
+into the sites it visits, and ``endpoint_law`` adds weighted endpoints into
+running totals in path order, as one ``np.bincount`` would. Path functionals
+of the environment are evaluated here and nowhere else, each by one routine:
+``site_grouped_log_moment`` closes the annealed moment of one table or of a
+stack of tables over one grouping of the visits, ``path_omegas`` is the one
+quenched reader (omega along every path of a batch in one realized
+environment), and ``log_point_probability_dp`` is the one forward evolution.
+A path's value is computed in a fixed order of operations, with no BLAS call
+that rounds by the width of its batch, so no result of the identity oracles
+of ``tilting`` and ``decomposition`` depends on the block size.
 
-The enumeration oracles (``quenched_path_weights``, ``annealed_path_weights``
-and the point and endpoint laws built on them) stay independent of
-``log_point_probability_dp``: the quenched ones multiply ``path_omegas``, and
-the field branch of the annealed one enumerates the Gibbs measure of one box
-holding every departure site of its batch, for the fields whose box measures
-are marginals of one another (beta = 0, or the nearest-neighbour chain in
-d = 1). The point and endpoint laws, like the identity oracles of ``tilting``
-and ``decomposition``, walk ``step_blocks``: the rows of ``step_matrix`` in
-order, PATH_BLOCK at a time, as the words of ``numutil.word_blocks``. So they
-hold O(PATH_BLOCK n) numbers however many the (2d)^n paths, and no result
-depends on the block size: a path's value is computed in a fixed order of
-operations, with no BLAS call that rounds by the width of its batch; a sum
-over the paths carries its exact float expansion from block to block
-(``numutil.fsum_parts``), so its final ``fsum`` is that of every term at once;
-and an endpoint law adds each path's weight to a running total in path order
-(``endpoint_law``), as one ``np.bincount`` would.
+The evolution carries the quenched walk's weights on the two-sided light
+cone between the origin and a target, with exact power-of-two rescaling, and
+only on the parity sublattice of each step, in rotated coordinates
+(``_rotate``) where every move is a constant shift and the cone is a box, a
+quarter of the cells of the axis-aligned box in d = 2. The grid is stored
+flat, its axes in the order that needs the least flat work and each trailing
+axis padded by one guard slot, so every move is one multiply and one add over
+two contiguous ranges a fixed offset apart. Each step zeroes what those
+ranges wrote outside its window, so every cell read outside a window is
+exactly 0 and the peak that sets the rescale is the window's own. The output
+is bit-identical to the box evolution's: each site on a path to the target
+sums the same products in the same order, plus exact zeros, and a
+power-of-two rescale is exact. The log is returned in a canonical form,
+(exponent + e) log 2 + log m with (m, e) the frexp of the rescaled value,
+which depends only on the exact value; so ``at=(m, target_m)`` reads
+log P(X_m = target_m) at step m of the same evolution, as ``rate_point`` does
+for the half horizon of its Richardson pair, and gets the value that an
+evolution ending there returns.
 """
 
 from __future__ import annotations
@@ -58,9 +44,8 @@ import math
 
 import numpy as np
 
-from .environments import (MATERIALIZE_CAP, Box, Environment, IIDProductLaw, MarkovFieldLaw,
-                           centered_box, direction_vectors)
-from .numutil import BudgetError, fsum, fsum_parts, ordered_dot, word_blocks, words
+from .environments import MATERIALIZE_CAP, Box, Environment, direction_vectors
+from .numutil import BudgetError, ordered_dot, word_blocks
 
 PATH_BUDGET = 10**7  # paths one enumeration may hold
 PATH_BLOCK = 2**10  # paths an oracle holds at once
@@ -76,14 +61,8 @@ def check_paths(n: int, d: int, key: str = "n"):
                           f"{PATH_BUDGET}-path budget")
 
 
-def step_matrix(n: int, d: int) -> np.ndarray:
-    """All (2d)^n step sequences of length n, as a lexicographic ((2d)^n, n) int array."""
-    check_paths(n, d)
-    return words(2 * d, n)
-
-
 def step_blocks(n: int, d: int):
-    """The rows of ``step_matrix(n, d)`` in order, as (m, n) batches of m <= PATH_BLOCK paths.
+    """The (2d)^n paths of length n in lexicographic order, as (m, n) batches of m <= PATH_BLOCK.
 
     The path count is checked on the call, before any block is made.
     """
@@ -198,85 +177,12 @@ def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:
     return np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0]
 
 
-def quenched_path_weights(env: Environment, steps: np.ndarray) -> np.ndarray:
-    """prod_j omega(X_{j-1}, step_j) per path of a (P, n) batch in the fixed environment."""
-    return np.prod(path_omegas(env, steps), axis=1)
-
-
-def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
-    """E[prod_j omega(X_{j-1}, step_j)] per path of a (P, n) batch, exact.
-
-    Repeated visits to a site do not factorize. For a product law the steps
-    are grouped by site and each group is closed as one per-site moment. For a
-    field the Gibbs measure of the smallest centered box holding every
-    departure site of the batch is enumerated once, and every path is summed
-    against it.
-
-    That is exact only where the free-boundary measure of a box is the
-    marginal of every larger box's: at beta = 0 (independent uniform states)
-    and for the nearest-neighbour chain in d = 1, whose transfer matrix has
-    equal row sums. Any other field would weigh a path by the box its batch
-    happens to span, so it raises ValueError.
-    """
-    steps = np.asarray(steps, dtype=np.int64)
-    d = law.dimension
-    if isinstance(law, IIDProductLaw):
-        flat, _ = path_sites(steps, d)
-        sign, log_abs = site_grouped_log_moment(law.table, law.weights, flat, steps)
-        return sign * np.exp(log_abs)
-    if not isinstance(law, MarkovFieldLaw):
-        raise TypeError(f"unsupported law type {type(law)!r}")
-    if law.beta > 0 and (d, law.range_r) != (1, 1):
-        raise ValueError(f"no box-free annealed weight for a field with beta = {law.beta} in "
-                         f"d = {d} at range {law.range_r}: its free-boundary Gibbs measures are "
-                         "not marginals of one another (exact only for beta = 0, or d = 1 at "
-                         "range 1)")
-    departures = path_positions(steps, d)[:, :-1]
-    radius = int(np.abs(departures).max()) if departures.size else 0
-    box = centered_box(d, radius)
-    configs, _, probs = law.gibbs_configurations(box)
-    # box.all_sites() is in C order, so a site's column is its raveled offset
-    columns = np.ravel_multi_index(np.moveaxis(departures + radius, 2, 0), box.shape)
-    return np.array([probs @ np.prod(law.table[configs[:, cols], path], axis=1)
-                     for cols, path in zip(columns, steps)])
-
-
 def _site(target, d: int) -> np.ndarray:
     """``target`` as a (d,) int array; a target of another length raises ValueError."""
     target = np.asarray(target, dtype=np.int64).reshape(-1)
     if target.shape != (d,):  # would broadcast against every axis
         raise ValueError(f"target {target.tolist()} is not a site of Z^{d}")
     return target
-
-
-def _point_probability(path_weights, n: int, d: int, target) -> float:
-    """fsum of ``path_weights`` over the n-step paths that end at ``target``, block by block."""
-    target = _site(target, d)
-    parts = []
-    for steps in step_blocks(n, d):
-        hits = steps[np.all(path_positions(steps, d)[:, -1] == target, axis=1)]
-        if len(hits):
-            parts = fsum_parts(path_weights(hits), parts)
-    return fsum(parts)
-
-
-def quenched_point_probability(env: Environment, n: int, target) -> float:
-    """P_{0,omega}(X_n = target), exact by full path enumeration."""
-    return _point_probability(functools.partial(quenched_path_weights, env), n,
-                              env.law.dimension, target)
-
-
-def annealed_point_probability(law, n: int, target) -> float:
-    """P_0(X_n = target), exact: sum over paths of the exact annealed weight."""
-    return _point_probability(functools.partial(annealed_path_weights, law), n, law.dimension,
-                              target)
-
-
-def quenched_endpoint_distribution(env: Environment, n: int) -> dict:
-    """Endpoint law at time n by enumeration: {site tuple: probability}."""
-    d = env.law.dimension
-    return endpoint_law(((path_positions(steps, d)[:, -1], quenched_path_weights(env, steps))
-                         for steps in step_blocks(n, d)), n, d)
 
 
 def _reachable(target: np.ndarray, n: int) -> bool:

@@ -2,8 +2,13 @@
 
 import numpy as np
 
-from rwre_lab.environments import Box, Environment, constant_law, sample_environment
+from rwre_lab.environments import Box, Environment, IIDProductLaw, sample_environment
 from rwre_lab.numutil import site_uniforms, site_words
+
+
+def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
+    """Single-atom law: the deterministic environment equal to ``prob`` everywhere."""
+    return IIDProductLaw(dimension, [prob], [1.0], kappa)
 
 
 def mean_environment(law, region: Box) -> Environment:

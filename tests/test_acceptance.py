@@ -14,14 +14,17 @@ import pytest
 from rwre_lab.cli import main, normalize_config
 from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, expected_tau,
                                     make_epsilon_law, sample_tau_batch)
-from rwre_lab.environments import IIDProductLaw, constant_law
-from rwre_lab.estimators import certify_gap, exact_gap_oracle, rate_point
+from rwre_lab.environments import IIDProductLaw
+from rwre_lab.estimators import certify_gap, rate_point
 from rwre_lab.numutil import derive_seed
 from rwre_lab.tilting import (solve_tilt, tilt_invariant_residuals,
                               verify_identity_annealed, verify_identity_quenched)
 from rwre_lab.decomposition import (decomposed_endpoint_distribution,
                                     qz_endpoint_distribution, verify_psi_identity)
 from rwre_lab.environments import centered_box, sample_environment
+
+from envhelpers import constant_law
+from oracles import exact_gap_oracle
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 LAW_2D = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],

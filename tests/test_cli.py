@@ -13,9 +13,11 @@ import pytest
 import rwre_lab
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
-from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon, tau_survival
+from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon
 from rwre_lab.estimators import RatePointEstimate
-from rwre_lab.tilting import solve_tilt
+from rwre_lab.tilting import annealed_identity_bytes, solve_tilt
+
+from oracles import tau_survival
 
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -134,6 +136,25 @@ class TestVerify:
         assert err.startswith("budget error: ") and key in err and "Traceback" not in err
         assert "PASS" not in printed.out and "FAIL" not in printed.out
         assert not (out / "verify_report.json").exists()
+
+    def test_many_atoms_refused_before_any_family(self, tmp_path, capsys, monkeypatch):
+        # 64 atoms at n_max 6: the annealed identity's site-grouped tables need
+        # the estimate, and one byte less of budget refuses the law itself
+        monkeypatch.setattr("rwre_lab.cli.tilt_invariant_residuals",
+                            lambda tp: pytest.fail("a family ran"))
+        right = np.linspace(0.3, 0.7, 64)
+        law = {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+               "atoms": [[p, 1.0 - p] for p in right.tolist()], "weights": [1 / 64] * 64}
+        cfg = write_config(tmp_path, {"law": law})
+        need = annealed_identity_bytes(64, 6, 1)
+        out = tmp_path / "out"
+        for budget, key in ((need - 1, "law.atoms = 64 atoms at verify.n_max = 6"),
+                            (need, "verify.tau_draws")):
+            monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", budget)
+            assert main(["--config", cfg, "--out", str(out), "verify"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"budget error: {key}") and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("dimension,n_max,ran", [(1, 3, 3), (2, 40, 6)])
     def test_report_records_the_n_max_it_ran(self, tmp_path, capsys, dimension, n_max, ran):

@@ -15,15 +15,15 @@ from rwre_lab.decomposition import (TAIL_STEPS, TAU_BLOCK, TAU_HORIZON, EpsilonL
                                     conditional_step_probs,
                                     decomposed_endpoint_distribution, default_kbar,
                                     expected_tau, make_epsilon_law, psi_factor,
-                                    qz_endpoint_distribution, sample_ray_block_values,
-                                    sample_tau_batch, tau_survival, validate_stopping,
-                                    verify_psi_identity)
-from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
+                                    qz_endpoint_distribution, sample_tau_batch,
+                                    validate_stopping, verify_psi_identity)
+from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
 from rwre_lab.numutil import MEMORY_BUDGET, BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
 
-from envhelpers import mean_environment, omega
+from envhelpers import constant_law, mean_environment, omega
+from oracles import sample_ray_block_values, tau_survival
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -246,11 +246,9 @@ class TestSampleTau:
         else:
             assert int(count) == over
 
-    def test_hopeless_horizon_search_refused_before_the_scan(self, monkeypatch):
+    def test_hopeless_horizon_search_refused_before_the_scan(self):
         # by Harris's inequality P(tau_1 > 1e7) >= (1 - k^L)^1e7 = 0.0085 at
         # k = 1/8 and L = 7, over 2 tail; the scan took 14 s to fail
-        monkeypatch.setattr("rwre_lab.decomposition._survival_chain",
-                            lambda *args: pytest.fail("the tail was scanned"))
         t0 = time.perf_counter()
         with pytest.raises(BudgetError, match="at L = 7, P\\(tau_1 > 10000000\\) >= 0.0085"):
             choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(7, 0), tail=1e-4)
@@ -273,10 +271,8 @@ class TestSampleTau:
         surv = tau_survival(kbar, cfg, h)
         assert surv[h] < tail <= surv[h - 1]
 
-    def test_long_horizon_search_takes_no_scan(self, monkeypatch):
+    def test_long_horizon_search_takes_no_scan(self):
         # L = 6 at k = 1/8 ends at H = 2 759 300, which the scan took about 3 s to reach
-        monkeypatch.setattr("rwre_lab.decomposition._survival_chain",
-                            lambda *args: pytest.fail("the tail was scanned"))
         t0 = time.perf_counter()
         assert [choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(L, 0))
                 for L in (3, 4, 5, 6)] == [5359, 43077, 344873, 2759300]

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from rwre_lab import environments
 from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldLaw,
-                                   centered_box, constant_law, direction_index,
+                                   centered_box, direction_index,
                                    direction_vectors, sample_environment,
                                    validate_prob_vector)
 from rwre_lab.numutil import BudgetError
 
-from envhelpers import mean_environment, omega, reference_states
+from envhelpers import constant_law, mean_environment, omega, reference_states
+from oracles import gibbs_configurations
 
 
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
@@ -250,7 +251,7 @@ class TestMarkovField:
         states = np.hstack([a, 1 - a] + [np.full((n_states, 2), 0.5)] * (d - 1)) / d
         for beta in (0.7, 2.0):
             law = MarkovFieldLaw(d, states, kappa=0.05, range_r=range_r, beta=beta)
-            configs, sites, w = law.gibbs_configurations(centered_box(d, radius))
+            configs, sites, w = gibbs_configurations(law, centered_box(d, radius))
             center = int(np.where((sites == 0).all(axis=1))[0][0])
             marginal = np.bincount(configs[:, center], weights=w, minlength=n_states)
             np.testing.assert_allclose(marginal @ law.table, law.marginal_means(),
@@ -345,7 +346,7 @@ class TestMarkovField:
     def test_exact_enumeration_budget(self):
         law = MarkovFieldLaw(1, [[0.3, 0.7]] * 3, kappa=0.1, range_r=1, beta=0.1)
         with pytest.raises(BudgetError):
-            law.gibbs_configurations(centered_box(1, 40))
+            gibbs_configurations(law, centered_box(1, 40))
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -0.5])
     def test_beta_must_be_finite_and_non_negative(self, beta):

@@ -6,21 +6,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, make_epsilon_law, psi_factor,
-                                    sample_ray_block_values)
-from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, constant_law,
-                                   sample_environment)
-from rwre_lab.estimators import (ORACLE_CAP, certify_gap, exact_gap_oracle, log_w_const,
-                                 quenched_ray_log_inner, rate_point,
-                                 ray_inner_values, ray_log_inner_annealed_iid,
-                                 sample_ray_xi)
+from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law, psi_factor
+from rwre_lab.environments import Box, IIDProductLaw, MarkovFieldLaw, sample_environment
+from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
+                                 ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt, verify_identity_annealed
+
+from envhelpers import constant_law
+from oracles import ORACLE_CAP, exact_gap_oracle, sample_ray_block_values
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
 EPS = EpsilonLaw(0.125, 1)
 CFG = StoppingConfig(2, 0)
+
+
+def quenched_log_inner(cfg, xi_rows):
+    """log inner block value per xi row: the recursion, then certify_gap's positivity guard."""
+    u_ell = float(TP.u_array[cfg.ell])
+    return _log_positive(ray_inner_values(u_ell * np.atleast_2d(xi_rows) - EPS.kbar, EPS.kbar,
+                                          cfg.L))
 
 
 def brute_force_block_value(free_factors, kbar, L):
@@ -57,7 +63,7 @@ class TestRayRecursion:
     def test_annealed_equals_unit_xi_quenched(self):
         h = 120
         a = ray_log_inner_annealed_iid(TP, EPS, CFG, h)
-        q = quenched_ray_log_inner(TP, EPS, CFG, np.ones((1, h)))[0]
+        q = quenched_log_inner(CFG, np.ones((1, h)))[0]
         assert a == pytest.approx(q, abs=1e-14)
 
     def test_rescaling_long_horizon(self):
@@ -72,13 +78,13 @@ class TestRayRecursion:
         w0 = -1.5
         xi = np.full((1, 2), (w0 + EPS.kbar) / TP.u[0])
         with pytest.raises(ValueError, match="not positive"):
-            quenched_ray_log_inner(TP, EPS, StoppingConfig(1, 0), xi)
+            quenched_log_inner(StoppingConfig(1, 0), xi)
 
     def test_mildly_negative_weights_still_positive(self):
         # signed weights are legal as long as the stopped sum stays positive
         w0 = -0.05
         xi = np.full((1, 50), (w0 + EPS.kbar) / TP.u[0])
-        out = quenched_ray_log_inner(TP, EPS, CFG, xi)
+        out = quenched_log_inner(CFG, xi)
         assert math.isfinite(out[0])
 
 

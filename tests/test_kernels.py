@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from rwre_lab.decomposition import EpsilonLaw
 from rwre_lab.environments import IIDProductLaw, centered_box, direction_vectors, sample_environment
 from rwre_lab.tilting import solve_tilt
-from rwre_lab.walks import (light_cone, log_point_probability_dp, path_sites,
-                            quenched_endpoint_distribution, site_grouped_log_moment)
+from rwre_lab.walks import light_cone, log_point_probability_dp, path_sites, site_grouped_log_moment
+
+from oracles import quenched_endpoint_distribution
 
 REL = 1e-12
 TINY = sys.float_info.min  # below it the linear-space oracle rounds in absolute terms

@@ -38,7 +38,8 @@ class TestJackknife:
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_words_follow_product_order(k, n):
-    # gibbs_configurations and exact_gap_oracle pair row i with the i-th product word
+    # the oracles' gibbs_configurations and exact_gap_oracle pair row i with the i-th
+    # product word, and the enumeration tests take words(2 * d, n) as every path
     got = words(k, n)
     assert got.shape == (k**n, n) and got.dtype == np.int64
     assert got.tolist() == [list(w) for w in itertools.product(range(k), repeat=n)]

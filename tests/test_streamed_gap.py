@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from rwre_lab import environments, estimators
 from rwre_lab.decomposition import StoppingConfig, choose_horizon, make_epsilon_law
 from rwre_lab.environments import Box, IIDProductLaw, MarkovFieldLaw
-from rwre_lab.estimators import (_inner_recursion, certify_gap, quenched_ray_log_inner,
-                                 ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
+from rwre_lab.estimators import (_inner_recursion, certify_gap, ray_inner_values,
+                                 ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import derive_seed
 from rwre_lab.tilting import solve_tilt
 
@@ -47,7 +47,7 @@ def test_streamed_trace_matches_dense_reference(case):
     eps, cfg = make_epsilon_law(tp), StoppingConfig(L, 0)
     rep = certify_gap(tp, eps, cfg, law, replicas, horizon=horizon, seed=seed)
     xi = sample_ray_xi(law, cfg.ell, replicas, horizon, derive_seed(seed, 1))
-    dense = quenched_ray_log_inner(tp, eps, cfg, xi)
+    dense = np.log(ray_inner_values(float(tp.u_array[cfg.ell]) * xi - eps.kbar, eps.kbar, cfg.L))
     assert rep.trace.shape == (replicas,)
     assert np.all(np.abs(rep.trace - dense) <= REL * np.abs(dense))
 

@@ -7,13 +7,13 @@ import pytest
 
 from rwre_lab.decomposition import (decomposed_endpoint_distribution, make_epsilon_law,
                                     qz_endpoint_distribution, verify_psi_identity)
-from rwre_lab.environments import IIDProductLaw, centered_box, constant_law, sample_environment
-from rwre_lab.tilting import (TiltParams, scale_function, solve_tilt,
+from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
+from rwre_lab.tilting import (TiltParams, annealed_identity_bytes, scale_function, solve_tilt,
                               tilt_invariant_residuals,
                               verify_identity_annealed, verify_identity_quenched)
 from rwre_lab.walks import PATH_BLOCK
 
-from envhelpers import mean_environment, omega
+from envhelpers import constant_law, mean_environment, omega
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 
@@ -256,6 +256,26 @@ class TestPathBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 128 * PATH_BLOCK * (16 - 12)
+
+    @pytest.mark.parametrize("d,n", [(1, 12), (2, 6)])
+    def test_annealed_memory_is_within_its_estimate(self, d, n):
+        # 256 atoms: the site-grouped tables of one block dominate, and the
+        # traced peak (55 MiB and 43 MiB) stays below verify's pre-flight
+        # estimate (98 MiB and 49 MiB), yet above a third of it
+        rng = np.random.default_rng(d)
+        atoms = np.full((256, 2 * d), 0.25)
+        atoms[:, 0] = rng.uniform(0.3, 0.7, size=256) / d
+        atoms[:, 1] = 1.0 / d - atoms[:, 0]
+        law = IIDProductLaw(d, atoms, np.full(256, 1 / 256), 0.05)
+        tp = solve_tilt(law, [0.3, 0.1][:d])
+        tracemalloc.start()
+        try:
+            verify_identity_annealed(law, tp, np.full((5, d), 0.2), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = annealed_identity_bytes(256, n, d)
+        assert estimate / 3 < peak < estimate
 
 
 class TestSerialization:

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
-                                   constant_law, direction_vectors, sample_environment)
-from rwre_lab.numutil import BudgetError
-from rwre_lab.walks import (annealed_path_weights, annealed_point_probability,
-                            log_point_probability_dp, path_positions,
-                            quenched_endpoint_distribution, quenched_point_probability,
-                            step_matrix)
+                                   direction_vectors, sample_environment)
+from rwre_lab.numutil import BudgetError, words
+from rwre_lab.walks import log_point_probability_dp, path_positions, step_blocks
 
-from envhelpers import omega
+from envhelpers import constant_law, omega
+from oracles import (annealed_path_weights, annealed_point_probability,
+                     quenched_endpoint_distribution, quenched_point_probability)
 
 
 def two_atom_law():
@@ -47,22 +46,18 @@ def simulate_quenched(env, start, n: int, rng_seed: int, walks: int = 1) -> np.n
 class TestEnumeration:
     @pytest.mark.parametrize("n,d,count", [(1, 1, 2), (3, 2, 64), (8, 1, 256)])
     def test_counts(self, n, d, count):
-        steps = step_matrix(n, d)
+        steps = words(2 * d, n)
         assert steps.shape == (count, n)
         assert len({tuple(row) for row in steps.tolist()}) == count
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetError):
-            step_matrix(30, 2)
+            step_blocks(30, 2)
 
     def test_paths_are_nearest_neighbor(self):
-        pos = path_positions(step_matrix(4, 2), 2)
+        pos = path_positions(words(4, 4), 2)
         assert pos.shape == (256, 5, 2) and not pos[:, 0].any()
         assert np.all(np.abs(np.diff(pos, axis=1)).sum(axis=2) == 1)
-
-    def test_step_matrix_matches_iterator(self):
-        mat = step_matrix(3, 1)
-        assert mat.tolist() == [list(s) for s in itertools.product(range(2), repeat=3)]
 
 
 class TestQuenchedProbabilities:
@@ -182,7 +177,7 @@ class TestAnnealedProbabilities:
     def test_markov_field_beta_zero_matches_uniform_mixture(self):
         field = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, beta=0.0)
         iid = IIDProductLaw(1, [[0.3, 0.7], [0.7, 0.3]], [0.5, 0.5], 0.1)
-        steps = step_matrix(3, 1)
+        steps = words(2, 3)
         assert annealed_path_weights(field, steps) == pytest.approx(
             annealed_path_weights(iid, steps), rel=1e-12)
 
@@ -190,7 +185,7 @@ class TestAnnealedProbabilities:
         # the 1-D nearest-neighbour chain: a path's weight does not depend on the
         # box its batch spans
         field = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, beta=1.0)
-        steps = step_matrix(3, 1)
+        steps = words(2, 3)
         batch = annealed_path_weights(field, steps)
         for row, weight in zip(steps, batch):
             assert annealed_path_weights(field, row[None]) == pytest.approx([weight], abs=1e-15)

@@ -33,17 +33,23 @@ import sys
 
 import numpy as np
 
-from .decomposition import (StoppingConfig, check_joint_pairs, check_tau_memory,
-                            conditional_step_probs, expected_tau, make_epsilon_law, psi_factor,
-                            sample_tau_batch, qz_endpoint_distribution,
-                            decomposed_endpoint_distribution, verify_psi_identity)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
-from .estimators import certify_gap, rate_point
-from .numutil import BudgetError, check_memory, derive_seed, site_uniforms
-from .tilting import (annealed_identity_bytes, solve_tilt, tilt_invariant_residuals,
-                      verify_identity_annealed, verify_identity_quenched)
-from .walks import check_paths
+from .numutil import BudgetError, check_memory, deferred_names, derive_seed, site_uniforms
+
+# A subcommand loads only the modules it runs (README, "Start-up"). Each name
+# below loads its module on first use, and is read as an attribute of this
+# module, where perfbench/spans.py and the tests rebind it.
+__getattr__ = deferred_names(globals(), {
+    "tilting": ("solve_tilt", "tilt_invariant_residuals"),
+    "decomposition": ("StoppingConfig", "check_tau_memory", "conditional_step_probs",
+                      "expected_tau", "make_epsilon_law", "sample_tau_batch"),
+    "estimators": ("certify_gap", "rate_point"),
+    "identities": ("annealed_identity_bytes", "check_joint_pairs", "check_paths",
+                   "decomposed_endpoint_distribution", "psi_factor", "qz_endpoint_distribution",
+                   "verify_identity_annealed", "verify_identity_quenched", "verify_psi_identity"),
+})
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -245,9 +251,9 @@ def build_law(cfg: dict):
 def build_problem(cfg: dict):
     """law, tilt parameters, symbol law and stopping config from one config."""
     law = build_law(cfg)
-    tp = solve_tilt(law, np.asarray(cfg["z"], dtype=np.float64))
-    eps = make_epsilon_law(tp, cfg["kbar"])
-    stop = StoppingConfig.from_vector(cfg["L"], cfg["ell"])
+    tp = _cli.solve_tilt(law, np.asarray(cfg["z"], dtype=np.float64))
+    eps = _cli.make_epsilon_law(tp, cfg["kbar"])
+    stop = _cli.StoppingConfig.from_vector(cfg["L"], cfg["ell"])
     return law, tp, eps, stop
 
 
@@ -295,12 +301,12 @@ def _run_verify(cfg: dict):
     n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
-    check_paths(n_max, d, "verify.n_max")
+    _cli.check_paths(n_max, d, "verify.n_max")
     if isinstance(law, IIDProductLaw):  # the one law kind the annealed identity takes
-        check_memory(annealed_identity_bytes(len(law.table), n_max, d),
+        check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
                      f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
-    check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
-    check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
+    _cli.check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
+    _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-scale, scale)
     shape = (cfg["verify"]["theta_count"], d)
     u = site_uniforms(derive_seed(seed, 100), np.indices(shape).reshape(2, -1).T)
@@ -311,7 +317,7 @@ def _run_verify(cfg: dict):
         rows.append({"family": family, "metric": float(metric),
                      "tolerance": float(tolerance), "passed": bool(metric <= tolerance)})
 
-    res = tilt_invariant_residuals(tp)
+    res = _cli.tilt_invariant_residuals(tp)
     worst = max(res.items(), key=lambda kv: kv[1])
     rows.append({"family": "tilt-invariants", "metric": float(worst[1]),
                  "tolerance": float(tol["tilt_residual"]),
@@ -321,25 +327,25 @@ def _run_verify(cfg: dict):
     # one call per n enumerates the paths once for every theta
     worst_a = 0.0
     for n in range(1, n_max + 1):
-        for lhs, rhs in zip(*verify_identity_annealed(law, tp, thetas, n)):
+        for lhs, rhs in zip(*_cli.verify_identity_annealed(law, tp, thetas, n)):
             worst_a = max(worst_a, abs(lhs - rhs) / abs(rhs))
     add("identity-annealed", worst_a, tol["identity_rel"])
 
     env = sample_environment(law, derive_seed(seed, 101), centered_box(d, n_max + 1))
     worst_q = 0.0
     for n in range(1, n_max + 1):
-        for lhs, rhs in zip(*verify_identity_quenched(env, tp, thetas, n)):
+        for lhs, rhs in zip(*_cli.verify_identity_quenched(env, tp, thetas, n)):
             worst_q = max(worst_q, abs(lhs - rhs) / abs(rhs))
     add("identity-quenched", worst_q, tol["identity_rel"])
 
     worst_c = 0.0
     for n in range(1, min(n_max, 5 if d == 1 else 3) + 1):
-        ref = qz_endpoint_distribution(tp, n)
-        dec = decomposed_endpoint_distribution(tp, eps, n)
+        ref = _cli.qz_endpoint_distribution(tp, n)
+        dec = _cli.decomposed_endpoint_distribution(tp, eps, n)
         keys = set(ref) | set(dec)
         worst_c = max(worst_c, max(abs(ref.get(k, 0.0) - dec.get(k, 0.0)) for k in keys))
     # one-step marginal identity kbar + (1 - 2d kbar) * leftover = u
-    marg = eps.kbar + eps.free_prob * conditional_step_probs(tp, eps, eps.free_symbol)
+    marg = eps.kbar + eps.free_prob * _cli.conditional_step_probs(tp, eps, eps.free_symbol)
     worst_c = max(worst_c, float(np.max(np.abs(marg - tp.u_array))))
     add("decomposition-coincidence", worst_c, tol["coincidence_abs"])
 
@@ -347,20 +353,20 @@ def _run_verify(cfg: dict):
     # both checks live in one family
     xi = 0.5 + site_uniforms(derive_seed(seed, 102), np.arange(64)[:, None])[:, None]
     u = tp.u_array
-    total = eps.kbar + (u - eps.kbar) * psi_factor(tp, eps, xi, np.arange(2 * d))
+    total = eps.kbar + (u - eps.kbar) * _cli.psi_factor(tp, eps, xi, np.arange(2 * d))
     worst_p = float(np.max(np.abs(total - u * xi)))
     worst_n = 0.0
     env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, psi_n_max + 1))
     for n in range(1, psi_n_max + 1):
-        lhs, rhs = verify_psi_identity(tp, eps, env2, thetas[0], n)
+        lhs, rhs = _cli.verify_psi_identity(tp, eps, env2, thetas[0], n)
         worst_n = max(worst_n, abs(lhs - rhs) / abs(rhs))
     rows.append({"family": "psi-identity", "metric": float(max(worst_n, worst_p)),
                  "tolerance": float(tol["identity_rel"]),
                  "passed": bool(worst_n <= tol["identity_rel"]
                                 and worst_p <= tol["onestep_abs"])})
 
-    taus = sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"], derive_seed(seed, 104))
-    add("tau-waiting-time", abs(_tau_z(taus, expected_tau(eps, stop))[2]), tol["tau_sigmas"])
+    taus = _cli.sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"], derive_seed(seed, 104))
+    add("tau-waiting-time", abs(_tau_z(taus, _cli.expected_tau(eps, stop))[2]), tol["tau_sigmas"])
 
     return n_max, rows, all(r["passed"] for r in rows)
 
@@ -389,9 +395,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 def cmd_gap(cfg: dict, out_dir: str) -> int:
     law, tp, eps, stop = build_problem(cfg)
-    report = certify_gap(tp, eps, stop, law, cfg["gap"]["replicas"],
-                         horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
-                         seed=cfg["seed"])
+    report = _cli.certify_gap(tp, eps, stop, law, cfg["gap"]["replicas"],
+                              horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
+                              seed=cfg["seed"])
     payload = report.to_dict()
     payload["config_hash"] = config_hash(cfg)
     payload["tilt"] = tp.to_dict()
@@ -417,9 +423,9 @@ def cmd_rate(cfg: dict, out_dir: str) -> int:
     r = cfg["rate"]
     rows = []
     for x in r["velocities"]:
-        est = rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
-                         horizon=r["horizon"], env_replicas=r["env_replicas"],
-                         boundary_sites=r["boundary_sites"])
+        est = _cli.rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
+                              horizon=r["horizon"], env_replicas=r["env_replicas"],
+                              boundary_sites=r["boundary_sites"])
         rows.append(est)
         print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:
@@ -463,14 +469,14 @@ def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
     stop = build_problem(cfg)[3]
     draws = cfg["tau"]["draws"]
     for _, lval in cfg["tau"]["configs"]:
-        check_tau_memory(draws, lval, "tau.draws")
+        _cli.check_tau_memory(draws, lval, "tau.draws")
     rows = []
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
         # tau needs only the success probability k; an EpsilonLaw would also
         # demand 2d * k < 1, which the default k = 0.25 breaks in 2-D
-        c = StoppingConfig(lval, stop.ell)
-        taus = sample_tau_batch(kb, c, draws, derive_seed(cfg["seed"], 300 + i))
-        expect = expected_tau(kb, c)
+        c = _cli.StoppingConfig(lval, stop.ell)
+        taus = _cli.sample_tau_batch(kb, c, draws, derive_seed(cfg["seed"], 300 + i))
+        expect = _cli.expected_tau(kb, c)
         mean, se, z = _tau_z(taus, expect)
         rows.append([kb, lval, draws, mean, se, expect, z])
         print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")

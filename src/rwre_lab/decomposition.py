@@ -16,28 +16,28 @@ L x L transfer of the run-length chain (``_run_length_transfer``):
 ``sample_tau_batch`` draws tau by inverting the tail at one uniform of the
 counter-based site hash per draw, so draw i is a function of (seed, i).
 
-``psi_factor`` is the per-step reweighting that restores the environment
-dependence inside the decomposed mechanism; its defining property, checked by
-exact enumeration in ``verify_psi_identity``, is that summing it against the
-symbol and step laws reproduces u(e) * xi(x, e).
+The reweighting ``psi_factor`` that restores the environment dependence
+inside the decomposed mechanism, and the enumerations that check the
+decomposition, live with the other exact oracles in ``identities``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .environments import Environment, direction_index
-from .numutil import BudgetError, check_memory, fsum, fsum_parts, ordered_dot, site_uniforms, words
-from .tilting import TiltParams
-from .walks import endpoint_law, path_omegas, path_positions, step_blocks
+from .environments import direction_index, direction_vectors
+from .numutil import BudgetError, check_memory, ordered_dot, site_uniforms
+
+if TYPE_CHECKING:  # TiltParams appears in annotations only
+    from .tilting import TiltParams
 
 TAU_HORIZON = 10**7
 TAU_BLOCK = 2**12  # tau draws located by one searchsorted
 TAIL_STEPS = 2**12  # tail entries from one product with the block transfer
-JOINT_BUDGET = 10**7  # (path, symbol word) pairs one joint enumeration may hold
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,6 @@ class StoppingConfig:
 
 def validate_stopping(tp: TiltParams, cfg: StoppingConfig):
     """The forced direction must have positive projection on the drift."""
-    from .environments import direction_vectors
-
     zdot = float(direction_vectors(tp.dimension)[cfg.ell] @ np.asarray(tp.z))
     if zdot <= 0.0:
         raise ValueError(f"<z, ell> = {zdot} must be > 0")
@@ -289,120 +287,3 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
     if unfinished:
         raise BudgetError(f"{unfinished} streams unfinished within {horizon} symbols")
     return tau
-
-
-def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
-    """Free-symbol reweighting xi + kbar/(u(step) - kbar) * (xi - 1).
-
-    xi = omega(x, step) / E[omega(0, step)] at the departure site x; a forced
-    symbol contributes the bare indicator that the step matches it, which the
-    conditional step law already carries. Works elementwise on arrays of xi and
-    steps.
-    """
-    denom = tp.u_array[step] - eps.kbar
-    if np.any(denom <= 0.0):
-        raise ValueError(f"u(step) - kbar = {np.min(denom)} must be positive")
-    return xi + eps.kbar / denom * (xi - 1.0)
-
-
-def _joint_support(tp: TiltParams, eps: EpsilonLaw) -> tuple:
-    """(joint, support): the (2d, 2d+1) symbol-step weights and each step's symbols.
-
-    joint[step, symbol] is the symbol probability times the conditional step
-    probability; support[step] lists the symbols whose joint weight with the
-    step is nonzero, padded with symbols of weight 0 there to one common
-    width (kbar = u(step) leaves a step no free symbol).
-    """
-    d = tp.dimension
-    joint = (eps.symbol_probs()[:, None]
-             * np.stack([conditional_step_probs(tp, eps, s) for s in range(2 * d + 1)])).T
-    support = [np.flatnonzero(row) for row in joint]
-    width = max(len(sup) for sup in support)
-    support = np.array([np.r_[sup, np.flatnonzero(row == 0)[:width - len(sup)]]
-                        for sup, row in zip(support, joint)])
-    return joint, support
-
-
-def check_joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int, key: str = "n"):
-    """Raise BudgetError, naming ``key``, if the (path, word) pairs at length n pass JOINT_BUDGET.
-
-    2d >= 2, so an n of JOINT_BUDGET.bit_length() or more is refused before any power is taken.
-    """
-    d, width = tp.dimension, _joint_support(tp, eps)[1].shape[1]
-    small = n < JOINT_BUDGET.bit_length()
-    if not small or (2 * d * width) ** n > JOINT_BUDGET:
-        paths, words_n = ((2 * d) ** n, width**n) if small else (f"{2 * d}^{n}", f"{width}^{n}")
-        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {paths} paths times {width}^n = "
-                          f"{words_n} symbol words, over the {JOINT_BUDGET}-pair budget")
-
-
-def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int,
-                        env: Environment | None = None):
-    """(steps, ends, xi, weights) of the paths of length n, block by block, by joint enumeration.
-
-    An iterator over the ``step_blocks`` batches; the budget is checked on
-    the call. weights[p] is the fsum over the symbol words of prod_j
-    P(symbol_j) * P(step_j | symbol_j), each free symbol further weighted by
-    psi of the xi realized in ``env`` when one is given (xi is then the
-    (P, n) array of xi along the batch, else None), or by 1. Each step
-    enumerates only the symbols whose joint weight with it is nonzero, read
-    off the joint table, so every word left out has product exactly 0 and the
-    exact sum is unchanged; the budget counts the (path, word) pairs
-    enumerated. Each word's product is taken left to right over its steps,
-    so a path's weight does not depend on its batch.
-    """
-    d = tp.dimension
-    check_joint_pairs(tp, eps, n)
-    joint, support = _joint_support(tp, eps)
-    choice = words(support.shape[1], n)  # (W, n): each step's symbol, by its place in the support
-
-    def weigh(steps):
-        ends = path_positions(steps, d)[:, -1]
-        xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
-        per_step = joint[steps]  # (P, n, n_sym)
-        if xi is not None:
-            per_step[..., -1] *= psi_factor(tp, eps, xi, steps)
-        prod = np.ones((len(steps), len(choice)))
-        for j in range(n):
-            symbols = support[steps[:, j]][:, choice[:, j]]  # (P, W)
-            prod *= np.take_along_axis(per_step[:, j, :], symbols, axis=1)
-        weights = np.array([math.fsum(row) for row in prod.tolist()])
-        return steps, ends, xi, weights
-
-    return map(weigh, step_blocks(n, d))
-
-
-def verify_psi_identity(tp: TiltParams, eps: EpsilonLaw, env: Environment, theta, n: int) -> tuple:
-    """Both sides of the reweighting identity by exact joint enumeration.
-
-    lhs sums over all (symbol sequence, path) pairs the product of symbol
-    probabilities, conditional step probabilities, psi factors and the tilt
-    exp(<theta, Z_n>); rhs is the plain auxiliary-walk expectation of
-    exp(<theta, Z_n>) times the realized xi-product. Each side carries its
-    exact expansion from block to block (``fsum_parts``).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    lhs, rhs = [], []
-    for steps, ends, xi, weights in _joint_path_weights(tp, eps, n, env):
-        tilt = np.array([math.exp(float(theta @ end)) for end in ends])
-        lhs = fsum_parts(weights * tilt, lhs)
-        rhs = fsum_parts(np.prod(tp.u_array[steps], axis=1) * tilt * np.prod(xi, axis=1), rhs)
-    return fsum(lhs), fsum(rhs)
-
-
-def qz_endpoint_distribution(tp: TiltParams, n: int) -> dict:
-    """Endpoint law of the auxiliary walk by path enumeration."""
-    d = tp.dimension
-    return endpoint_law(((path_positions(steps, d)[:, -1], np.prod(tp.u_array[steps], axis=1))
-                         for steps in step_blocks(n, d)), n, d)
-
-
-def decomposed_endpoint_distribution(tp: TiltParams, eps: EpsilonLaw, n: int) -> dict:
-    """Endpoint law of the decomposed mechanism by joint enumeration.
-
-    Must coincide with ``qz_endpoint_distribution``; the marginal per step is
-    kbar + free_prob * (u(e) - kbar)/free_prob = u(e), but this function does
-    not use that simplification.
-    """
-    return endpoint_law(((ends, weights) for _, ends, _, weights
-                         in _joint_path_weights(tp, eps, n)), n, tp.dimension)

@@ -31,10 +31,10 @@ A product-law row is the line of sites (replica, step) of
 ``IIDProductLaw.atom_blocks``, read through the law's table of free factors.
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, in a pass of its own that reads one constant
-block over and over. Its report carries the bounds as ``GapReport.I_a`` and
-``GapReport.I_q``. The tests judge the recursion against a symbol-by-symbol
-Monte Carlo of the same truncated functional and against an enumeration of
-every ray environment at small horizons.
+block over and over. The block bounds are W minus each side. The tests
+judge the recursion against a symbol-by-symbol Monte Carlo of the same
+truncated functional and against an enumeration of every ray environment
+at small horizons.
 
 ``rate_point`` evaluates the two rate functions at one velocity: straight-path
 closed forms at the lattice directions +-e_i and, everywhere else in the unit
@@ -46,18 +46,29 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decomposition import (TAU_HORIZON, EpsilonLaw, StoppingConfig, choose_horizon, expected_tau,
-                            validate_stopping)
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
                            direction_vectors, sample_environment)
-from .numutil import (BudgetError, check_memory, derive_seed, jackknife_stderr_logmean,
-                      logmeanexp)
-from .tilting import TiltParams
-from .walks import light_cone, log_point_probability_dp
+from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
+                      jackknife_stderr_logmean, logmeanexp)
+
+if TYPE_CHECKING:  # these appear in annotations only
+    from .decomposition import EpsilonLaw, StoppingConfig
+    from .tilting import TiltParams
+
+# The gap needs the stopping machinery and a rate point the forward evolution;
+# each loads on first use. These names are read as attributes of this module,
+# where a caller may rebind them.
+__getattr__ = deferred_names(globals(), {
+    "decomposition": ("TAU_HORIZON", "choose_horizon", "expected_tau", "validate_stopping"),
+    "evolution": ("light_cone", "log_point_probability_dp"),
+})
+_estimators = sys.modules[__name__]
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 # peak floats certify_gap holds per replica: the block values, their
@@ -352,16 +363,6 @@ class GapReport:
     steps_read: int  # the most recursion steps any replica block ran before its stop
     trace: np.ndarray = field(default=None, repr=False, compare=False)
 
-    @property
-    def I_a(self) -> float:
-        """The annealed block bound W - annealed_side, exact at this horizon."""
-        return self.W - self.annealed_side
-
-    @property
-    def I_q(self) -> float:
-        """The quenched block bound W - quenched_side, exact given the replica rows."""
-        return self.W - self.quenched_side
-
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in (
             "ell", "L", "kbar", "horizon", "W", "expected_block", "quenched_side",
@@ -391,7 +392,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     with the values of the full horizon; ``steps_read`` is the most steps a
     block ran. The horizon is chosen, and refused, before E[tau_1] is taken.
     """
-    validate_stopping(tp, cfg)
+    _estimators.validate_stopping(tp, cfg)
     eps.validate_against(tp)
     if cfg.L < 2:
         raise ValueError("block estimators need L >= 2")
@@ -399,13 +400,14 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         raise ValueError(f"gap.replicas = {budget}: the gap needs at least 2 replicas for a "
                          "standard error")
     check_memory(8 * _REPLICA_FLOATS * budget, f"gap.replicas = {budget} of {_REPLICA_FLOATS} floats")
-    if horizon is not None and horizon > TAU_HORIZON:
-        raise BudgetError(f"horizon {horizon} exceeds the {TAU_HORIZON}-symbol cap")
+    cap = _estimators.TAU_HORIZON
+    if horizon is not None and horizon > cap:
+        raise BudgetError(f"horizon {horizon} exceeds the {cap}-symbol cap")
     if horizon is not None and horizon < cfg.L:
         raise ValueError(f"gap.horizon = {horizon} is below L = {cfg.L}: no block completes "
                          "within it, so the inner block expectation is not positive")
-    h = horizon or choose_horizon(eps, cfg, tail)
-    et, w = expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
+    h = horizon or _estimators.choose_horizon(eps, cfg, tail)
+    et, w = _estimators.expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     rows, table = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), float(tp.u_array[cfg.ell]),
                             eps.kbar)
     values, read = zip(*(_inner_recursion(rows(start, size), size, eps.kbar, cfg.L, table,
@@ -525,14 +527,14 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     zero_dis = law.disorder() == 0.0
     # n1 x lies on a path to n2 x: one evolution on the n2 cone reads both
     target1, target2 = (np.round(n * x).astype(np.int64) for n in (n1, n2))
-    region = light_cone(d, n2, target2)
+    region = _estimators.light_cone(d, n2, target2)
     reps = 1 if zero_dis else env_replicas
     i_r = np.empty(reps)
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):
         env = sample_environment(law, derive_seed(seed, 31, r), region)
-        log2, log1 = log_point_probability_dp(env, n2, target2, at=(n1, target1))
+        log2, log1 = _estimators.log_point_probability_dp(env, n2, target2, at=(n1, target1))
         a1, a2 = -log1 / n1, -log2 / n2
         i_r[r] = 2.0 * a2 - a1  # first-order extrapolation in 1/N
         logp1[r] = -a1 * n1

@@ -1,39 +1,23 @@
-"""Path batches and the walk kernels: the annealed moment, the quenched reader, the evolution.
+"""The forward evolution: exact point probabilities of the quenched walk in one environment.
 
-A batch of paths is one format throughout: a (P, n) array of direction
-indices, one row per path from the origin. ``step_blocks`` enumerates all
-(2d)^n of them in lexicographic order, PATH_BLOCK at a time, as the words of
-``numutil.word_blocks``, so an enumeration holds O(PATH_BLOCK n) numbers
-however many the paths; ``path_positions`` and ``path_sites`` turn a batch
-into the sites it visits, and ``endpoint_law`` adds weighted endpoints into
-running totals in path order, as one ``np.bincount`` would. Path functionals
-of the environment are evaluated here and nowhere else, each by one routine:
-``site_grouped_log_moment`` closes the annealed moment of one table or of a
-stack of tables over one grouping of the visits, ``path_omegas`` is the one
-quenched reader (omega along every path of a batch in one realized
-environment), and ``log_point_probability_dp`` is the one forward evolution.
-A path's value is computed in a fixed order of operations, with no BLAS call
-that rounds by the width of its batch, so no result of the identity oracles
-of ``tilting`` and ``decomposition`` depends on the block size.
-
-The evolution carries the quenched walk's weights on the two-sided light
-cone between the origin and a target, with exact power-of-two rescaling, and
-only on the parity sublattice of each step, in rotated coordinates
-(``_rotate``) where every move is a constant shift and the cone is a box, a
-quarter of the cells of the axis-aligned box in d = 2. The grid is stored
-flat, its axes in the order that needs the least flat work and each trailing
-axis padded by one guard slot, so every move is one multiply and one add over
-two contiguous ranges a fixed offset apart. Each step zeroes what those
-ranges wrote outside its window, so every cell read outside a window is
-exactly 0 and the peak that sets the rescale is the window's own. The output
-is bit-identical to the box evolution's: each site on a path to the target
-sums the same products in the same order, plus exact zeros, and a
-power-of-two rescale is exact. The log is returned in a canonical form,
-(exponent + e) log 2 + log m with (m, e) the frexp of the rescaled value,
-which depends only on the exact value; so ``at=(m, target_m)`` reads
-log P(X_m = target_m) at step m of the same evolution, as ``rate_point`` does
-for the half horizon of its Richardson pair, and gets the value that an
-evolution ending there returns.
+``log_point_probability_dp`` carries the quenched walk's weights on the
+two-sided light cone between the origin and a target, with exact
+power-of-two rescaling, and only on the parity sublattice of each step, in
+rotated coordinates (``_rotate``) where every move is a constant shift and
+the cone is a box, a quarter of the cells of the axis-aligned box in d = 2.
+The grid is stored flat, its axes in the order that needs the least flat
+work and each trailing axis padded by one guard slot, so every move is one
+multiply and one add over two contiguous ranges a fixed offset apart. Each
+step zeroes what those ranges wrote outside its window, so every cell read
+outside a window is exactly 0 and the peak that sets the rescale is the
+window's own. The output is bit-identical to the box evolution's: each site
+on a path to the target sums the same products in the same order, plus exact
+zeros, and a power-of-two rescale is exact. The log is returned in a
+canonical form, (exponent + e) log 2 + log m with (m, e) the frexp of the
+rescaled value, which depends only on the exact value; so ``at=(m,
+target_m)`` reads log P(X_m = target_m) at step m of the same evolution, as
+``rate_point`` does for the half horizon of its Richardson pair, and gets the
+value that an evolution ending there returns.
 """
 
 from __future__ import annotations
@@ -45,136 +29,7 @@ import math
 import numpy as np
 
 from .environments import MATERIALIZE_CAP, Box, Environment, direction_vectors
-from .numutil import BudgetError, ordered_dot, word_blocks
-
-PATH_BUDGET = 10**7  # paths one enumeration may hold
-PATH_BLOCK = 2**10  # paths an oracle holds at once
-
-
-def check_paths(n: int, d: int, key: str = "n"):
-    """Raise BudgetError, naming ``key``, if the (2d)^n paths of length n pass PATH_BUDGET.
-
-    2d >= 2, so an n of PATH_BUDGET.bit_length() or more is refused before any power is taken.
-    """
-    if n >= PATH_BUDGET.bit_length() or (2 * d) ** n > PATH_BUDGET:
-        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {2 * d}^{n} paths, over the "
-                          f"{PATH_BUDGET}-path budget")
-
-
-def step_blocks(n: int, d: int):
-    """The (2d)^n paths of length n in lexicographic order, as (m, n) batches of m <= PATH_BLOCK.
-
-    The path count is checked on the call, before any block is made.
-    """
-    check_paths(n, d)
-    return word_blocks(2 * d, n, PATH_BLOCK)
-
-
-def path_positions(steps: np.ndarray, d: int) -> np.ndarray:
-    """Sites visited by a (P, n) batch of step sequences from the origin, shape (P, n+1, d)."""
-    steps = np.asarray(steps, dtype=np.int64)
-    pos = np.zeros((steps.shape[0], steps.shape[1] + 1, d), dtype=np.int64)
-    np.cumsum(direction_vectors(d)[steps], axis=1, out=pos[:, 1:, :])
-    return pos
-
-
-def path_sites(steps: np.ndarray, d: int) -> tuple:
-    """Departure sites and endpoints of a (P, n) batch of step sequences from the origin.
-
-    Returns (flat_sites, ends). flat_sites[p, j] indexes the site that
-    steps[p, j] leaves, in C order on the centered box of radius n - 1, as
-    ``site_grouped_log_moment`` reads it; ends has shape (P, d).
-    """
-    pos = path_positions(steps, d)
-    radius = max(pos.shape[1] - 2, 0)  # n - 1
-    flat = np.ravel_multi_index(np.moveaxis(pos[:, :-1, :] + radius, 2, 0), (2 * radius + 1,) * d)
-    return flat, pos[:, -1, :]
-
-
-def endpoint_law(blocks, n: int, d: int) -> dict:
-    """{site tuple: summed weight} over the endpoints of weighted n-step paths in Z^d.
-
-    ``blocks`` yields (ends, weights) pairs, (P, d) endpoints and their (P,)
-    weights. Each endpoint adds its paths' weights to a running total in
-    block order, as one ``np.bincount`` over the whole batch would; the keys
-    are the endpoints met, in lexicographic order.
-    """
-    shape = (2 * n + 1,) * d
-    totals, met = np.zeros(math.prod(shape)), np.zeros(math.prod(shape), dtype=bool)
-    for ends, weights in blocks:
-        cells = np.ravel_multi_index(tuple((ends + n).T), shape)
-        np.add.at(totals, cells, weights)
-        met[cells] = True
-    cells = np.flatnonzero(met)
-    sites = np.stack(np.unravel_index(cells, shape), axis=-1) - n
-    return {tuple(site): float(w) for site, w in zip(sites.tolist(), totals[cells])}
-
-
-def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.ndarray) -> tuple:
-    """Sign and log-magnitude of E[prod_j values[atom(site_j), step_j]] per path.
-
-    ``values`` is a (K, 2d) table over the atoms of a product law, possibly
-    signed or zero, or a (T, K, 2d) stack of such tables; ``weights`` are the
-    atoms' probabilities, and ``flat_sites`` and ``steps`` are (P, n). Each
-    distinct site draws one atom, so the visits to a site close jointly as one
-    mixture over atoms, and distinct sites multiply. The visits are grouped by
-    (path, site, step) once and every table of a stack reads that grouping;
-    both outputs have shape (P,) for one table and (T, P) for a stack, and
-    each row equals the call on its table alone. A path's entries depend on
-    that path alone, not on the batch it rides in: every sum runs in a fixed
-    order, the mixture over atoms in atom order. As with
-    ``np.linalg.slogdet``, a zero moment has sign 0 and log-magnitude -inf,
-    and long paths stay in range.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n_paths, n = steps.shape
-    if not steps.size:  # no steps, or no paths
-        return np.ones(values.shape[:-2] + (n_paths,)), np.zeros(values.shape[:-2] + (n_paths,))
-    two_d = values.shape[-1]
-    n_sites = int(flat_sites.max()) + 1
-    path = np.arange(n_paths, dtype=np.int64)[:, None]
-    keys, counts = np.unique(((path * n_sites + flat_sites) * two_d + steps).ravel(),
-                             return_counts=True)
-    # keys // two_d is one (path, site) pair per group and keys % two_d its
-    # step; arrays are dropped once read, since a stack holds T tables of each
-    group_starts = np.r_[0, np.flatnonzero(np.diff(keys // two_d)) + 1]
-    path_starts = np.r_[0, np.flatnonzero(np.diff(keys[group_starts] // (two_d * n_sites))) + 1]
-    dirs = keys % two_d
-    del keys
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(values)).take(dirs, axis=-1)
-    log_abs *= counts
-    log_abs = np.add.reduceat(log_abs, group_starts, axis=-1)
-    negative = None
-    if (values < 0).any():  # an odd power of a negative entry flips its term
-        negative = np.logical_xor.reduceat((values < 0).take(dirs, axis=-1) & (counts % 2 == 1),
-                                           group_starts, axis=-1)
-    del dirs, counts
-    peak = log_abs.max(axis=-2, keepdims=True)
-    peak[np.isneginf(peak)] = 0.0  # every atom vanishes at this site
-    log_abs -= peak
-    terms = np.exp(log_abs, out=log_abs)
-    if negative is not None:
-        terms[negative] *= -1.0
-    mix = ordered_dot(weights, terms)  # a BLAS would round by the width of the batch
-    del log_abs, terms
-    with np.errstate(divide="ignore"):
-        site_log = peak[..., 0, :] + np.log(np.abs(mix))
-    return (np.multiply.reduceat(np.sign(mix), path_starts, axis=-1),
-            np.add.reduceat(site_log, path_starts, axis=-1))
-
-
-def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:
-    """omega(X_{j-1}, step_j) along every path of a (P, n) batch in the fixed environment.
-
-    Returns a (P, n) array; omega is read at every departure site of the batch
-    with one ``omega_many`` call.
-    """
-    steps = np.asarray(steps, dtype=np.int64)
-    d = env.law.dimension
-    departures = path_positions(steps, d)[:, :-1].reshape(-1, d)
-    omegas = env.omega_many(departures).reshape(steps.shape + (2 * d,))
-    return np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0]
+from .numutil import BudgetError
 
 
 def _site(target, d: int) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Shared numerics: stable and exact sums, counter-based hashing, seed derivation, word lists."""
+"""Shared numerics: stable and exact sums, counter-based hashing, seed derivation, word lists.
+
+Also ``deferred_names``, with which a module imports a sibling only when a
+name of it is first used.
+"""
 
 from __future__ import annotations
 
@@ -169,3 +173,27 @@ def fsum_parts(values, parts: list) -> list:
             break
         terms.append(-rest)
     return out
+
+
+def deferred_names(namespace: dict, owners: dict):
+    """A module ``__getattr__`` (PEP 562) that imports each owner module on first use.
+
+    ``owners`` maps a sibling module of ``namespace``'s package to the names
+    it lends. The first lookup of such a name as an attribute of the module
+    imports its owner and binds the name in ``namespace``, the module's
+    globals, so later lookups, and a rebinding by ``setattr``, see it there
+    like any other name. Callers read these names as attributes of their own
+    module, ``sys.modules[__name__]``, never as bare globals, which skip
+    ``__getattr__``.
+    """
+    owner_of = {name: module for module, names in owners.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in owner_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # as ``from .owner import name`` does, so ``-X importtime`` reports the import
+        module = __import__(owner_of[name], namespace, None, (name,), 1)
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    return __getattr__

@@ -13,7 +13,7 @@ f(0) = |z| < 1 and f(inf) = inf. The step law of the auxiliary walk is
 a probability vector with mean drift exactly z, and it factorizes as
 u(e) = D * exp(<theta, e>) * m(e) with D = sqrt(C). That factorization is what
 turns exponentially tilted expectations of the original walk into plain
-expectations of the auxiliary walk, and it is verified here by exact
+expectations of the auxiliary walk; ``identities`` checks it by exact
 enumeration.
 """
 
@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import Environment, IIDProductLaw, direction_vectors
-from .numutil import fsum, fsum_parts, ordered_dot
-from .walks import (PATH_BLOCK, path_omegas, path_positions, path_sites, site_grouped_log_moment,
-                    step_blocks)
+from .environments import direction_vectors
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -171,85 +168,3 @@ def tilt_invariant_residuals(tp: TiltParams) -> dict:
         "floor_positive": 0.0 if (tp.c_z > 0.0 and abs(tp.c_z - float(u.min())) == 0.0) else float("inf"),
         "scale_residual": tp.residual,
     }
-
-
-def _identity_sides(tp: TiltParams, theta, n: int, block_terms) -> tuple:
-    """Both sides of a change-of-measure identity, summed over the paths of length n in blocks.
-
-    ``block_terms(steps)`` reads one batch of paths (``step_blocks``) and
-    returns a function of one (d,) theta giving the batch's lhs and rhs terms.
-    Each side carries its exact expansion (``fsum_parts``) from block to block,
-    so it is the ``fsum`` of all its terms at once, whatever the block size;
-    rhs is then scaled by D^n. ``theta`` is one (d,) vector, which gives two
-    floats, or a (T, d) stack, which gives two (T,) arrays whose entries
-    equal the T single calls bit for bit: every batch is read once per call.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    stack = np.atleast_2d(theta)
-    sums = [[[], []] for _ in stack]  # the lhs and rhs expansions of each theta
-    for steps in step_blocks(n, tp.dimension):
-        terms = block_terms(steps)
-        for th, sides in zip(stack, sums):
-            for side, values in enumerate(terms(th)):
-                sides[side] = fsum_parts(values, sides[side])
-    pairs = np.array([(fsum(lhs), tp.D**n * fsum(rhs)) for lhs, rhs in sums])
-    if theta.ndim == 1:
-        return float(pairs[0, 0]), float(pairs[0, 1])
-    return pairs[:, 0], pairs[:, 1]
-
-
-def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
-    """Both sides of the annealed change-of-measure identity, by enumeration.
-
-    lhs: auxiliary-walk expectation of exp(<theta, Z_n>) times the exact
-    annealed moment of the xi-product along the path.
-    rhs: D^n times the annealed expectation of exp(<theta + theta_tilt, X_n>),
-    computed from the original walk with exact annealed path weights.
-    Both moments close atom by atom, so the law must be an i.i.d. product law.
-    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; both moments are
-    grouped once per block of paths.
-    """
-    if not isinstance(law, IIDProductLaw):
-        raise ValueError(f"the annealed identity needs an i.i.d. product law (law kind "
-                         f"'iid-product'), not {type(law).__name__}")
-    tables = np.stack([law.xi_values(), law.table])
-
-    def block_terms(steps):
-        flat, ends = path_sites(steps, tp.dimension)
-        uw = np.prod(tp.u_array[steps], axis=1)
-        _, (xi_log, om_log) = site_grouped_log_moment(tables, law.weights, flat, steps)
-        return lambda th: (uw * np.exp(xi_log + ordered_dot(ends, th)),
-                           np.exp(om_log + ordered_dot(ends, th + tp.theta_array)))
-
-    return _identity_sides(tp, theta, n, block_terms)
-
-
-def annealed_identity_bytes(n_atoms: int, n: int, d: int) -> int:
-    """Bytes ``verify_identity_annealed`` may hold at path length n for a law of n_atoms atoms.
-
-    It groups one ``step_blocks`` batch of P = min(PATH_BLOCK, (2d)^n) paths
-    at a time. The xi and omega tables each take n_atoms doubles per visit
-    group, then reduce them per site, and the taken and reduced stacks live at
-    once: 4 n_atoms doubles per path-step. The grouping keys, counts, sites
-    and positions add at most 16 + 4d words per path-step. Traced peaks in d = 1 to 8 and for 1
-    to 512 atoms sit at 0.39-0.98 of this.
-    """
-    return 8 * min(PATH_BLOCK, (2 * d) ** n) * n * (4 * n_atoms + 16 + 4 * d)
-
-
-def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) -> tuple:
-    """Quenched version: xi and omega read from one fixed realization.
-
-    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; omega is read along
-    each block of paths once per call.
-    """
-    def block_terms(steps):
-        ends = path_positions(steps, tp.dimension)[:, -1]
-        uw = np.prod(tp.u_array[steps], axis=1)
-        omegas = path_omegas(env, steps)
-        xi_prod = np.prod(omegas / tp.means_array[steps], axis=1)
-        om_prod = np.prod(omegas, axis=1)
-        return lambda th: (uw * xi_prod * np.exp(ordered_dot(ends, th)),
-                           om_prod * np.exp(ordered_dot(ends, th + tp.theta_array)))
-
-    return _identity_sides(tp, theta, n, block_terms)

@@ -26,9 +26,10 @@ import numpy as np
 
 from rwre_lab.decomposition import _kbar_of, expected_tau
 from rwre_lab.environments import IIDProductLaw, MarkovFieldLaw, centered_box
+from rwre_lab.evolution import _site
+from rwre_lab.identities import (endpoint_law, path_omegas, path_positions, path_sites,
+                                 site_grouped_log_moment, step_blocks)
 from rwre_lab.numutil import BudgetError, fsum, fsum_parts, logsumexp, words
-from rwre_lab.walks import (_site, endpoint_law, path_omegas, path_positions, path_sites,
-                            site_grouped_log_moment, step_blocks)
 
 ENUM_CONFIG_CAP = 2 * 10**6  # field configurations one Gibbs enumeration may hold
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate

@@ -17,10 +17,10 @@ from rwre_lab.decomposition import (EpsilonLaw, StoppingConfig, expected_tau,
 from rwre_lab.environments import IIDProductLaw
 from rwre_lab.estimators import certify_gap, rate_point
 from rwre_lab.numutil import derive_seed
-from rwre_lab.tilting import (solve_tilt, tilt_invariant_residuals,
-                              verify_identity_annealed, verify_identity_quenched)
-from rwre_lab.decomposition import (decomposed_endpoint_distribution,
-                                    qz_endpoint_distribution, verify_psi_identity)
+from rwre_lab.tilting import solve_tilt, tilt_invariant_residuals
+from rwre_lab.identities import (decomposed_endpoint_distribution, qz_endpoint_distribution,
+                                 verify_identity_annealed, verify_identity_quenched,
+                                 verify_psi_identity)
 from rwre_lab.environments import centered_box, sample_environment
 
 from envhelpers import constant_law

@@ -15,7 +15,8 @@ from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, cano
                           config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon
 from rwre_lab.estimators import RatePointEstimate
-from rwre_lab.tilting import annealed_identity_bytes, solve_tilt
+from rwre_lab.identities import annealed_identity_bytes
+from rwre_lab.tilting import solve_tilt
 
 from oracles import tau_survival
 

@@ -10,15 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwre_lab.decomposition import (TAIL_STEPS, TAU_BLOCK, TAU_HORIZON, EpsilonLaw,
-                                    StoppingConfig, _joint_path_weights, _tail_blocks,
-                                    check_tau_memory, choose_horizon,
-                                    conditional_step_probs,
-                                    decomposed_endpoint_distribution, default_kbar,
-                                    expected_tau, make_epsilon_law, psi_factor,
-                                    qz_endpoint_distribution, sample_tau_batch,
-                                    validate_stopping, verify_psi_identity)
+                                    StoppingConfig, _tail_blocks, check_tau_memory,
+                                    choose_horizon, conditional_step_probs, default_kbar,
+                                    expected_tau, make_epsilon_law, sample_tau_batch,
+                                    validate_stopping)
 from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
+from rwre_lab.identities import (_joint_path_weights, decomposed_endpoint_distribution,
+                                 psi_factor, qz_endpoint_distribution, verify_psi_identity)
 from rwre_lab.numutil import MEMORY_BUDGET, BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
 
@@ -422,9 +421,9 @@ class TestJointPathWeights:
         # two symbols can carry each step (its forced one and the free one):
         # (2d)^n paths times 2^n words, 4^11 = 4194304 within 10^7, 4^12 over
         eps = eps_eighth()
-        monkeypatch.setattr("rwre_lab.decomposition.JOINT_BUDGET", 16)
+        monkeypatch.setattr("rwre_lab.identities.JOINT_BUDGET", 16)
         _joint_path_weights(TP, eps, 2)
-        monkeypatch.setattr("rwre_lab.decomposition.JOINT_BUDGET", 15)
+        monkeypatch.setattr("rwre_lab.identities.JOINT_BUDGET", 15)
         with pytest.raises(BudgetError, match="2\\^n = 4 symbol words"):
             _joint_path_weights(TP, eps, 2)
 

@@ -164,6 +164,15 @@ class TestEnvironmentRealization:
         with pytest.raises(ValueError, match="outside"):
             omega(env, (6,))
 
+    def test_batch_outside_region_names_its_first_site(self):
+        # each axis's extremes settle the batch; the message names the first site outside
+        env = sample_environment(two_atom_law(d=2, kappa=0.05), seed=1, region=Box((-2, 0), (2, 4)))
+        sites = np.array([[0, 0], [2, 4], [1, 5], [-3, 0]])
+        with pytest.raises(ValueError, match=r"^site \(1, 5\) outside realized region$"):
+            env.omega_many(sites)
+        assert env.omega_many(sites[:2]).shape == (2, 4)
+        assert env.omega_many(np.empty((0, 2), dtype=np.int64)).shape == (0, 4)
+
     def test_overlapping_realizations_agree(self):
         # each site's atom is a pure function of (seed, site)
         law = two_atom_law(d=2, kappa=0.05)

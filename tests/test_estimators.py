@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law, psi_factor
+from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law
 from rwre_lab.environments import Box, IIDProductLaw, MarkovFieldLaw, sample_environment
 from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
-from rwre_lab.tilting import solve_tilt, verify_identity_annealed
+from rwre_lab.identities import psi_factor, verify_identity_annealed
+from rwre_lab.tilting import solve_tilt
 
 from envhelpers import constant_law
 from oracles import ORACLE_CAP, exact_gap_oracle, sample_ray_block_values
@@ -100,18 +101,19 @@ class TestBounds:
         tp0 = solve_tilt(law0, [0.5])
         b0 = certify_gap(tp0, EPS, CFG, law0, budget=2, horizon=300)
         b2 = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
-        assert b0.I_a == pytest.approx(b2.I_a, abs=1e-12)
+        assert b0.W - b0.annealed_side == pytest.approx(b2.W - b2.annealed_side, abs=1e-12)
 
     def test_bound_iq_zero_disorder_equals_bound_ia(self):
         law0 = constant_law(1, [0.5, 0.5], 0.1)
         tp0 = solve_tilt(law0, [0.5])
         rep = certify_gap(tp0, EPS, CFG, law0, budget=16, horizon=300, seed=1)
-        assert rep.I_q == pytest.approx(rep.I_a, abs=1e-12)
+        assert rep.W - rep.quenched_side == pytest.approx(rep.W - rep.annealed_side, abs=1e-12)
         assert rep.quenched_stderr == 0.0
 
     def test_bound_iq_exceeds_bound_ia_under_disorder(self):
         rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=4000, horizon=400, seed=2)
-        assert rep.I_q - rep.I_a > 5 * rep.quenched_stderr
+        i_a, i_q = rep.W - rep.annealed_side, rep.W - rep.quenched_side
+        assert i_q - i_a > 5 * rep.quenched_stderr
 
     def test_block_sampler_tracks_the_gap_trace(self):
         # the symbol-by-symbol sampler, fed the psi rows of the environments
@@ -345,6 +347,7 @@ class TestRatePoint:
         # ordering is asserted between them (see the decisions ledger)
         b = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=2, horizon=300)
         est = rate_point(TWO_ATOM, [1.0], seed=5)
-        print(f"block bound value={b.I_a:.6f} boundary I_a={est.I_a:.6f} "
+        bound = b.W - b.annealed_side
+        print(f"block bound value={bound:.6f} boundary I_a={est.I_a:.6f} "
               f"I_q={est.I_q:.6f} W={log_w_const(TP, 0):.6f}")
-        assert math.isfinite(b.I_a)
+        assert math.isfinite(bound)

@@ -1,4 +1,4 @@
-"""Property tests: the path kernels of ``walks`` against brute-force oracles."""
+"""Property tests: the kernels of ``identities`` and ``evolution`` against brute-force oracles."""
 
 import functools
 import itertools
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from rwre_lab.decomposition import EpsilonLaw
 from rwre_lab.environments import IIDProductLaw, centered_box, direction_vectors, sample_environment
 from rwre_lab.tilting import solve_tilt
-from rwre_lab.walks import light_cone, log_point_probability_dp, path_sites, site_grouped_log_moment
+from rwre_lab.evolution import light_cone, log_point_probability_dp
+from rwre_lab.identities import path_sites, site_grouped_log_moment
 
 from oracles import quenched_endpoint_distribution
 

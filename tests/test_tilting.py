@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rwre_lab.decomposition import (decomposed_endpoint_distribution, make_epsilon_law,
-                                    qz_endpoint_distribution, verify_psi_identity)
+from rwre_lab.decomposition import make_epsilon_law
 from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
-from rwre_lab.tilting import (TiltParams, annealed_identity_bytes, scale_function, solve_tilt,
-                              tilt_invariant_residuals,
-                              verify_identity_annealed, verify_identity_quenched)
-from rwre_lab.walks import PATH_BLOCK
+from rwre_lab.identities import (PATH_BLOCK, annealed_identity_bytes,
+                                 decomposed_endpoint_distribution, qz_endpoint_distribution,
+                                 verify_identity_annealed, verify_identity_quenched,
+                                 verify_psi_identity)
+from rwre_lab.tilting import TiltParams, scale_function, solve_tilt, tilt_invariant_residuals
 
 from envhelpers import constant_law, mean_environment, omega
 
@@ -231,7 +231,7 @@ class TestPathBlocks:
         thetas = np.random.default_rng(d).uniform(-0.5, 0.5, size=(3, d))
         runs = []
         for block in (1, 7, PATH_BLOCK, (2 * d) ** n):
-            monkeypatch.setattr("rwre_lab.walks.PATH_BLOCK", block)
+            monkeypatch.setattr("rwre_lab.identities.PATH_BLOCK", block)
             annealed = verify_identity_annealed(law, tp, thetas, n)
             quenched = verify_identity_quenched(env, tp, thetas, n)
             runs.append(([side.tolist() for side in annealed + quenched],

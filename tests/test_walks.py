@@ -6,8 +6,9 @@ import pytest
 
 from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
                                    direction_vectors, sample_environment)
+from rwre_lab.evolution import log_point_probability_dp
+from rwre_lab.identities import path_positions, step_blocks
 from rwre_lab.numutil import BudgetError, words
-from rwre_lab.walks import log_point_probability_dp, path_positions, step_blocks
 
 from envhelpers import constant_law, omega
 from oracles import (annealed_path_weights, annealed_point_probability,

@@ -5,13 +5,16 @@ nearest-neighbor steps. Both laws are finite-state: state k carries the vector
 ``table[k]`` and has one-site probability ``weights[k]``, and the means, xi
 values and disorder come from that pair alone.
 
-* ``IIDProductLaw``: sites are i.i.d. draws from the weights, each a pure
-  function of (seed, site) through a counter-based hash: one byte per site,
-  and one double where the byte's range straddles a cut of the weights.
-  ``atom_blocks`` is the one product-law sampler; it realizes environments
-  here, and the estimators' gap rows are its sites (replica, step).
+* ``IIDProductLaw``: sites are i.i.d. draws from the weights.
 * ``MarkovFieldLaw``: a finite-range Potts-type field sampled by heat-bath
   sweeps on a box (free boundary); its one-site weights are uniform.
+
+``atom_blocks``, on both laws, is the one i.i.d. site sampler: each site is a
+pure function of (seed, site) through a counter-based hash, one byte per
+site and one double where the byte's range straddles a cut of the weights.
+Every realization starts from it; a product law's, and a field's at beta =
+0, is nothing more. ``ray_states`` yields a law's states along a ray for a
+block of replicas, and the estimators read every ray through it.
 
 A realization (``Environment``) is one array of state indices shaped like its
 box, of at most MATERIALIZE_CAP sites whatever the law.
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numutil import BudgetError, derive_seed, mix64, site_uniforms, site_words, words
+from .numutil import (BudgetError, check_memory, derive_seed, mix64, site_uniforms, site_words,
+                      words)
 
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
@@ -132,6 +136,14 @@ class _FiniteLaw:
             validate_prob_vector(row, self.kappa, self.dimension)
         self.table = table
         self.weights = np.asarray(weights, dtype=np.float64)
+        # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
+        # straddles a cut when its two ends differ, and such a byte has the code K
+        self._cuts = np.cumsum(self.weights)[:-1]
+        edges = np.arange(257) / 256
+        first = np.searchsorted(self._cuts, edges[:-1], side="right")
+        straddles = first != np.searchsorted(self._cuts, edges[1:], side="left")
+        self._byte_codes = np.where(straddles, len(self.weights), first).astype(
+            np.min_scalar_type(len(self.weights)))
 
     def marginal_means(self) -> np.ndarray:
         """E[omega(x, e)] for every direction, exact."""
@@ -147,40 +159,6 @@ class _FiniteLaw:
     def disorder(self) -> float:
         """sup over the states of |omega(x,e)/E[omega(x,e)] - 1|."""
         return float(np.max(np.abs(self.xi_values() - 1.0)))
-
-
-class IIDProductLaw(_FiniteLaw):
-    """Finite-atom product law: each site independently draws one atom.
-
-    Parameters
-    ----------
-    dimension : lattice dimension d >= 1.
-    atoms : array-like (K, 2d), each row a probability vector over directions;
-        held as ``table``.
-    weights : array-like (K,), mixture weights summing to 1.
-    kappa : declared ellipticity floor; every atom entry must be >= kappa.
-    """
-
-    def __init__(self, dimension: int, atoms, weights, kappa: float):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 1 or len(weights) != len(np.atleast_2d(atoms)):
-            raise ValueError("weights must align with atoms")
-        if (not np.all(np.isfinite(weights)) or abs(weights.sum() - 1.0) > PROB_ATOL
-                or weights.min() < 0):
-            raise ValueError("weights must form a probability vector")
-        super().__init__(dimension, atoms, weights, kappa)
-        means = self.marginal_means()
-        hi = 1.0 - (2 * self.dimension - 1) * self.kappa
-        if means.min() < self.kappa - PROB_ATOL or means.max() > hi + PROB_ATOL:
-            raise ValueError("marginal means outside [kappa, 1-(2d-1)kappa]")
-        # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
-        # straddles a cut when its two ends differ, and such a byte has the code K
-        self._cuts = np.cumsum(weights)[:-1]
-        edges = np.arange(257) / 256
-        first = np.searchsorted(self._cuts, edges[:-1], side="right")
-        straddles = first != np.searchsorted(self._cuts, edges[1:], side="left")
-        self._byte_codes = np.where(straddles, len(weights), first).astype(
-            np.min_scalar_type(len(weights)))
 
     def atom_blocks(self, seed: int, prefix, lo: int, n: int, rows: int):
         """Yield the atoms of the sites (prefix[p], x), x = lo .. lo + n - 1, in (rows, P) blocks.
@@ -218,6 +196,40 @@ class IIDProductLaw(_FiniteLaw):
             yield atoms
 
 
+class IIDProductLaw(_FiniteLaw):
+    """Finite-atom product law: each site independently draws one atom.
+
+    Parameters
+    ----------
+    dimension : lattice dimension d >= 1.
+    atoms : array-like (K, 2d), each row a probability vector over directions;
+        held as ``table``.
+    weights : array-like (K,), mixture weights summing to 1.
+    kappa : declared ellipticity floor; every atom entry must be >= kappa.
+    """
+
+    def __init__(self, dimension: int, atoms, weights, kappa: float):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 1 or len(weights) != len(np.atleast_2d(atoms)):
+            raise ValueError("weights must align with atoms")
+        if (not np.all(np.isfinite(weights)) or abs(weights.sum() - 1.0) > PROB_ATOL
+                or weights.min() < 0):
+            raise ValueError("weights must form a probability vector")
+        super().__init__(dimension, atoms, weights, kappa)
+        means = self.marginal_means()
+        hi = 1.0 - (2 * self.dimension - 1) * self.kappa
+        if means.min() < self.kappa - PROB_ATOL or means.max() > hi + PROB_ATOL:
+            raise ValueError("marginal means outside [kappa, 1-(2d-1)kappa]")
+
+    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
+        """Yield the states of replicas x steps t < n in (rows, R) time blocks.
+
+        Replica i at step t is the site (i, t) of ``atom_blocks``, whatever
+        the direction ``ell``, so a block holds O(rows * R) numbers.
+        """
+        return self.atom_blocks(seed, np.asarray(replicas)[:, None], 0, n, rows)
+
+
 class MarkovFieldLaw(_FiniteLaw):
     """Finite-range Potts-type field pushed through a state map.
 
@@ -250,6 +262,25 @@ class MarkovFieldLaw(_FiniteLaw):
         super().__init__(dimension, state_probs, np.full(n_states, 1.0 / n_states), kappa)
         self.n_states = n_states
 
+    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
+        """Yield the states of replicas x ray sites t * ell, t < n, in (rows, R) time blocks.
+
+        Replica i is realized on the ray box from derive_seed(seed, i) by
+        ``sample_environment``. The (n, R) states are held at one byte each
+        for at most 256 states; BudgetError is raised before the first
+        realization when they would exceed MEMORY_BUDGET.
+        """
+        dtype = np.min_scalar_type(len(self.table) - 1)
+        check_memory(dtype.itemsize * len(replicas) * n, f"{len(replicas)} x {n} ray states")
+        end = (n - 1) * direction_vectors(self.dimension)[ell]
+        box = Box(tuple(np.minimum(end, 0)), tuple(np.maximum(end, 0)))
+        states = np.empty((n, len(replicas)), dtype=dtype)
+        for j, i in enumerate(replicas):
+            line = sample_environment(self, derive_seed(seed, int(i)), box).states.reshape(-1)
+            states[:, j] = line if ell % 2 == 0 else line[::-1]  # -e_i runs from hi down
+        for t in range(0, n, rows):
+            yield states[t:t + rows]
+
     def _neighbor_offsets(self) -> np.ndarray:
         offs = words(2 * self.range_r + 1, self.dimension) - self.range_r
         dist = np.abs(offs).sum(axis=1)
@@ -277,15 +308,19 @@ class Environment:
 
         The sites lie in the box iff each axis's extremes do, which one pass
         down each column finds: a reduction across the short rows of an (n, d)
-        batch costs ten times as much. Only a batch that leaves the box is
-        checked site by site, to name the first site outside.
+        batch costs ten times as much, and so is the flat index built. Only a
+        batch that leaves the box is checked site by site, to name the first.
         """
         sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
+        cols = sites.T
         if len(sites) and any(col.min() < lo or col.max() > hi
-                              for col, lo, hi in zip(sites.T, self.box.lo, self.box.hi)):
+                              for col, lo, hi in zip(cols, self.box.lo, self.box.hi)):
             bad = sites[~self.box.contains(sites)][0]
             raise ValueError(f"site {tuple(int(v) for v in bad)} outside realized region")
-        flat = np.ravel_multi_index((sites - self.box.lo).T, self.box.shape)
+        flat = cols[0] - self.box.lo[0]
+        for col, lo, size in zip(cols[1:], self.box.lo[1:], self.box.shape[1:]):
+            flat *= size
+            flat += col - lo
         # np.take gathers whole rows, where fancy indexing costs eight times as much
         return np.take(self.law.table, self.states.reshape(-1)[flat], axis=0)
 
@@ -293,12 +328,13 @@ class Environment:
 def sample_environment(law, seed: int, region: Box) -> Environment:
     """Realize an environment on ``region`` from (law, seed).
 
-    A product law draws every site of the region with ``atom_blocks``, one
-    line along the last axis per prefix of the other coordinates. A
-    Markov field at beta = 0 draws one uniform state per site of the region;
-    at beta > 0 it runs ``law.sweeps`` heat-bath sweeps on the region expanded
-    by a buffer of max(range, 5) sites and keeps the states of the region.
-    The box either kind materializes is held to MATERIALIZE_CAP sites.
+    Every law starts from the product realization of its one-site weights
+    by ``atom_blocks``, one line along the last axis per prefix of the
+    other coordinates; for a product law, or a Markov field at beta = 0,
+    that is the realization. A field at beta > 0 starts so on the region
+    expanded by a buffer of max(range, 5) sites, runs ``law.sweeps``
+    heat-bath sweeps there and keeps the states of the region. The box
+    either kind materializes is held to MATERIALIZE_CAP sites.
     """
     if region.dimension != law.dimension:
         raise ValueError("region dimension does not match law dimension")
@@ -308,28 +344,20 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     work = region.expand(max(law.range_r, 5)) if coupled else region
     if work.n_sites > MATERIALIZE_CAP:
         raise BudgetError(f"realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
-    dtype = np.min_scalar_type(len(law.table) - 1)
-    if isinstance(law, IIDProductLaw):
-        # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
-        # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
-        *head, n = region.shape
-        prefix = np.indices(head).reshape(len(head), math.prod(head)).T + region.lo[:-1]
-        states = np.empty((len(prefix), n), dtype=dtype)
-        for p in range(0, len(prefix), HASH_BLOCK):
-            lines = prefix[p:p + HASH_BLOCK]
-            rows = 8 * max(1, HASH_BLOCK // (8 * len(lines)))
-            t = 0
-            for atoms in law.atom_blocks(seed, lines, region.lo[-1], n, rows):
-                states[p:p + len(lines), t:t + len(atoms)] = atoms.T
-                t += len(atoms)
-        return Environment(law, region, states.reshape(region.shape))
-
-    shape = work.shape
-    u0 = site_uniforms(seed, work.all_sites(), stream=1)
-    states = np.minimum((u0 * law.n_states).astype(np.int64), law.n_states - 1).reshape(shape)
+    # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
+    # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
+    *head, n = shape = work.shape
+    prefix = np.indices(head).reshape(len(head), math.prod(head)).T + work.lo[:-1]
+    states = np.empty((len(prefix), n), dtype=np.min_scalar_type(len(law.table) - 1))
+    for p in range(0, len(prefix), HASH_BLOCK):
+        lines = prefix[p:p + HASH_BLOCK]
+        rows = 8 * max(1, HASH_BLOCK // (8 * len(lines)))
+        t = 0
+        for atoms in law.atom_blocks(seed, lines, work.lo[-1], n, rows):
+            states[p:p + len(lines), t:t + len(atoms)] = atoms.T
+            t += len(atoms)
     if not coupled:
-        # no coupling: the uniform initialization is already the field law
-        return Environment(law, region, states.astype(dtype))
+        return Environment(law, region, states.reshape(shape))
 
     # Heat-bath sweeps, vectorized over residue classes mod (range + 1): two
     # distinct sites in one class are at l1 distance > range, so updating a
@@ -341,7 +369,7 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     pad = law.range_r
     padded = np.full(tuple(s + 2 * pad for s in shape), -1, dtype=np.int64)
     core = tuple(slice(pad, pad + s) for s in shape)
-    padded[core] = states
+    padded[core] = states.reshape(shape)
     step = law.range_r + 1
     classes = words(step, d).tolist()
     class_axes = [[np.arange(c, s, step) + pad for c, s in zip(cls, shape)] for cls in classes]
@@ -360,5 +388,5 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
             new = (u[None, ...] >= cum).sum(axis=0).clip(max=law.n_states - 1)
             padded[np.ix_(*axes)] = new
     crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
-    return Environment(law, region, padded[core][crop].astype(dtype))
+    return Environment(law, region, padded[core][crop].astype(states.dtype))
 

@@ -23,12 +23,12 @@ flush where this bound, summed over the steps left, is below 2^-56 of every
 replica's value; each later flush would add less than half an ulp, so the
 values are those of the full horizon bit for bit, and no later row is drawn
 or read. ``certify_gap`` is the one exact evaluation of the two block bounds.
-It feeds the recursion CHUNK replicas at a time and draws their free factors
-in short blocks of time rows, so its memory does not grow with the horizon;
-each factor is a function of (seed, replica, step) alone, and neither block
-size changes a value.
-A product-law row is the line of sites (replica, step) of
-``IIDProductLaw.atom_blocks``, read through the law's table of free factors.
+It feeds the recursion CHUNK replicas at a time, their rows in short time
+blocks: the law's ``ray_states`` read through a table (``_ray_rows``), the
+free factors here, xi in ``sample_ray_xi`` and log omega for the boundary
+rate. Each factor is a function of (seed, replica, step) alone, no block
+size changes a value, and a product law's memory does not grow with the
+horizon (a field's holds one byte per ray site of a block).
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, in a pass of its own that reads one constant
 block over and over. The block bounds are W minus each side. The tests
@@ -52,8 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
-                           direction_vectors, sample_environment)
+from .environments import IIDProductLaw, direction_index, direction_vectors, sample_environment
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
                       jackknife_stderr_logmean, logmeanexp)
 
@@ -258,75 +257,46 @@ def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingCon
     return math.log(val[0])
 
 
-def _ray_box(d: int, ell: int, n: int) -> tuple:
-    """The ray sites t * ell for t < n, and the smallest box that holds them."""
-    sites = np.arange(n)[:, None] * direction_vectors(d)[ell][None, :]
-    return sites, Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
+def _ray_rows(law, ell: int, horizon: int, seed: int, table: np.ndarray):
+    """rows(start, size), which yields ``table[state]`` at the ray sites t * ell, t < horizon.
 
-
-def _ray_rows(law, ell: int, horizon: int, seed: int, u: float = 1.0, kbar: float = 0.0):
-    """(rows, table) for the free factors u * xi(site t*ell, ell) - kbar.
-
-    rows(start, size) yields the factor rows of replicas start..start+size-1
-    for t = 0..horizon-1 as (n, size) arrays of n consecutive time rows;
-    ``table`` holds every value a factor can take. With the defaults u = 1
-    and kbar = 0 the rows are xi itself, bit for bit. Every row is a pure
-    function of (seed, replica, step), so no block size changes a value.
-
-    A product-law replica i at step t is the site (i, t) of
-    ``IIDProductLaw.atom_blocks``: one random byte, and one double where the
-    byte's range straddles a cut of the cumulative weights. Rows come in time
-    blocks of a multiple of 8 rows and about _ROW_BLOCK draws, so a block
-    holds O(size) numbers whatever the horizon.
-
-    A field-law replica i is realized on the ray box from derive_seed(seed,
-    i) into one time-major buffer, which raises BudgetError before it is
-    allocated over MEMORY_BUDGET.
+    The rows of replicas start..start+size-1 come as (n, size) arrays of n
+    consecutive time rows, read from ``law.ray_states`` in blocks of a
+    multiple of 8 rows and about _ROW_BLOCK entries, into one buffer that
+    each block refills. Every row is a pure function of (seed, replica,
+    step), so no block size changes a value.
     """
-    table = u * law.xi_values()[:, ell] - kbar
-    if isinstance(law, IIDProductLaw):
-        def rows(start, size):
-            k = 8 * max(1, _ROW_BLOCK // (8 * size))
-            out = np.empty((k, size))
-            replicas = np.arange(start, start + size)[:, None]
-            for atoms in law.atom_blocks(seed, replicas, 0, horizon, k):
-                yield np.take(table, atoms, out=out[:len(atoms)], mode="clip")
+    def rows(start, size):
+        k = 8 * max(1, _ROW_BLOCK // (8 * size))
+        out = np.empty((k, size))
+        for states in law.ray_states(seed, ell, np.arange(start, start + size), horizon, k):
+            yield np.take(table, states, out=out[:len(states)], mode="clip")
 
-        return rows, table
-    if isinstance(law, MarkovFieldLaw):
-        sites, box = _ray_box(law.dimension, ell, horizon)
-        ray = np.ravel_multi_index((sites - box.lo).T, box.shape)  # t = 0..horizon-1
+    return rows
 
-        def rows(start, size):
-            check_memory(8 * size * horizon, f"{size} x {horizon} ray factors")
-            buf = np.empty((horizon, size))
-            for i in range(size):
-                env = sample_environment(law, derive_seed(seed, start + i), box)
-                buf[:, i] = table[env.states.reshape(-1)[ray]]
-            return [buf]
 
-        return rows, table
-    raise TypeError(f"unsupported law type {type(law)!r}")
+def _ray_stack(law, ell: int, n_rows: int, horizon: int, seed: int,
+               table: np.ndarray) -> np.ndarray:
+    """The (horizon, n_rows) time-major stack of the rows of ``_ray_rows``."""
+    rows = _ray_rows(law, ell, horizon, seed, table)
+    out = np.empty((horizon, n_rows))
+    for start, size in _blocks(n_rows):
+        t = 0
+        for block in rows(start, size):
+            out[t:t + len(block), start:start + size] = block
+            t += len(block)
+    return out
 
 
 def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.ndarray:
     """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
 
     The dense stack of the rows that ``certify_gap`` streams; the result is the
-    transpose of a time-major buffer. For a product law each entry comes from
-    one random byte, plus one double where the byte's range straddles a cut
-    of the cumulative weights (``_ray_rows``). Raises BudgetError, before
-    anything is allocated, when that buffer would exceed MEMORY_BUDGET.
+    transpose of a time-major buffer. Raises BudgetError, before anything is
+    allocated, when that buffer would exceed MEMORY_BUDGET.
     """
     check_memory(8 * n_rows * horizon, f"{n_rows} x {horizon} ray factors")
-    rows, _ = _ray_rows(law, ell, horizon, seed)
-    xi = np.empty((horizon, n_rows))
-    for start, size in _blocks(n_rows):
-        t = 0
-        for block in rows(start, size):
-            xi[t:t + len(block), start:start + size] = block
-            t += len(block)
-    return xi.T
+    return _ray_stack(law, ell, n_rows, horizon, seed, law.xi_values()[:, ell]).T
 
 
 def _log_positive(vals: np.ndarray) -> np.ndarray:
@@ -408,8 +378,8 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
                          "within it, so the inner block expectation is not positive")
     h = horizon or _estimators.choose_horizon(eps, cfg, tail)
     et, w = _estimators.expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
-    rows, table = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), float(tp.u_array[cfg.ell]),
-                            eps.kbar)
+    table = float(tp.u_array[cfg.ell]) * law.xi_values()[:, cfg.ell] - eps.kbar
+    rows = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), table)
     values, read = zip(*(_inner_recursion(rows(start, size), size, eps.kbar, cfg.L, table,
                                           h - cfg.L) for start, size in _blocks(budget)))
     steps_read = max(read)
@@ -469,8 +439,9 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
     """Paired annealed/quenched rate estimates at one velocity.
 
     The lattice directions +-e_i use the straight-path forms: the quenched
-    rate is the mean of -log omega along the ray (law of large numbers), the
-    annealed rate is -log E[omega] (exact for product laws). Every other
+    rate is the mean of -log omega along replica 0 of the law's ray source
+    (law of large numbers), the annealed rate is -log E[omega] (exact for
+    product laws). Every other
     point of the closed ball, the rest of the boundary included, uses the
     decay of the point probability P(X_N = N x), exact per environment by
     forward evolution on the two-sided light cone, at N and N/2 with
@@ -495,23 +466,21 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
 
 def _rate_point_boundary(law, x, *, seed: int, n_sites: int) -> RatePointEstimate:
     ell = direction_index(np.round(x).astype(np.int64))
-    sites, box = _ray_box(law.dimension, ell, n_sites)
-    env = sample_environment(law, derive_seed(seed, 21), box)
-    logs = np.log(env.omega_many(sites)[:, ell])
+    # the row of log omega, and the deviations its standard deviation takes
+    check_memory(16 * n_sites, f"rate.boundary_sites = {n_sites}")
+    log_omega = np.log(law.table[:, ell])
+    logs = _ray_stack(law, ell, 1, n_sites, derive_seed(seed, 21), log_omega)[:, 0]
     i_q = float(-logs.mean())
     se_q = float(logs.std(ddof=1) / math.sqrt(n_sites))
     if isinstance(law, IIDProductLaw):
         i_a = float(-math.log(law.marginal_mean(ell)))
         se_a = 0.0
     else:
-        # correlated ray: short-product rows, each realized on the box of the n
-        # sites it reads; reported with the jackknife error
+        # correlated ray: short-product rows of n sites each, every one its own
+        # replica of the ray source; reported with the jackknife error
         n = min(n_sites, 64)
-        short, short_box = _ray_box(law.dimension, ell, n)
-        rows = np.empty(max(32, n_sites // 256))
-        for r in range(len(rows)):
-            e = sample_environment(law, derive_seed(seed, 22, r), short_box)
-            rows[r] = np.log(e.omega_many(short)[:, ell]).sum()
+        short = _ray_stack(law, ell, max(32, n_sites // 256), n, derive_seed(seed, 22), log_omega)
+        rows = np.ascontiguousarray(short.T).sum(axis=1)  # each row in its own pairwise order
         i_a = float(-logmeanexp(rows) / n)
         se_a = float(jackknife_stderr_logmean(rows) / n)
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,

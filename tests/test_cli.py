@@ -366,6 +366,24 @@ class TestRate:
         point = json.loads((tmp_path / "rate_report.json").read_text())["points"][0]
         assert point["method"] == "enumeration" and point["x"] == [0.5, 0.5]
 
+    @pytest.mark.parametrize("law", [
+        DEFAULT_CONFIG["law"],
+        {"kind": "markov-field", "dimension": 1, "kappa": 0.1, "beta": 0.5,
+         "states": [[0.4, 0.6], [0.6, 0.4]]},
+    ], ids=["iid-product", "markov-field"])
+    def test_boundary_sites_over_the_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                          law):
+        # 10^9 ray sites would hold 16 GB of log omega and deviations: refused before any
+        # site is drawn
+        monkeypatch.setattr("rwre_lab.environments._FiniteLaw.atom_blocks",
+                            lambda *args, **kwargs: pytest.fail("a site was drawn"))
+        cfg = write_config(tmp_path, {"law": law,
+                                      "rate": {"velocities": [[1.0]], "boundary_sites": 10**9}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "rate"]) == 2
+        assert capsys.readouterr().err.startswith("budget error: rate.boundary_sites = 1000000000")
+        assert not out.exists()
+
     def test_symmetric_grid(self, tmp_path, capsys):
         payload = {
             "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,

@@ -11,7 +11,7 @@ from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldL
                                    centered_box, direction_index,
                                    direction_vectors, sample_environment,
                                    validate_prob_vector)
-from rwre_lab.numutil import BudgetError
+from rwre_lab.numutil import BudgetError, derive_seed
 
 from envhelpers import constant_law, mean_environment, omega, reference_states
 from oracles import gibbs_configurations
@@ -321,6 +321,36 @@ class TestMarkovField:
         vals = env.omega_many(env.box.all_sites())[:, 0]
         frac = float(np.mean(vals == 0.3))
         assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(vals))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_beta_zero_realization_is_the_uniform_product_law(self, d):
+        # every realization starts from the product draw of its one-site
+        # weights, and at beta = 0 no sweep follows; three states put cuts
+        # inside bytes 85 and 170, so the straddle doubles are compared too
+        states = [[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]] if d == 1 else \
+            [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25], [0.25] * 4]
+        field = MarkovFieldLaw(d, states, kappa=0.05, beta=0.0)
+        iid = IIDProductLaw(d, states, [1 / 3] * 3, 0.05)
+        box = Box((-37,) * d, (300,) if d == 1 else (20, 25))
+        want = sample_environment(iid, 9, box).states
+        assert sample_environment(field, 9, box).states.tobytes() == want.tobytes()
+        assert set(np.unique(want)) == {0, 1, 2}
+
+    @pytest.mark.parametrize("d, ell, beta", [(1, 1, 0.0), (1, 0, 0.5), (2, 2, 0.5), (2, 1, 0.5)])
+    def test_ray_states_are_the_ray_of_each_replicas_realization(self, d, ell, beta):
+        # replica i is realized on the ray box from derive_seed(seed, i)
+        states = [[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]] if d == 1 else \
+            [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25], [0.25] * 4]
+        law = MarkovFieldLaw(d, states, kappa=0.05, beta=beta, sweeps=4)
+        n, replicas = 30, [5, 0, 2]
+        blocks = list(law.ray_states(17, ell, replicas, n, 8))
+        assert [len(b) for b in blocks] == [8, 8, 8, 6]
+        got = np.concatenate(blocks)
+        sites = np.arange(n)[:, None] * direction_vectors(d)[ell]
+        box = Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
+        for j, i in enumerate(replicas):
+            env = sample_environment(law, derive_seed(17, i), box)
+            np.testing.assert_array_equal(got[:, j], env.states[tuple((sites - box.lo).T)])
 
     def test_beta_zero_realizes_only_its_region(self, monkeypatch):
         # no sweep runs, so no heat-bath buffer is hashed or counted against the cap

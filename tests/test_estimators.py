@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law
-from rwre_lab.environments import Box, IIDProductLaw, MarkovFieldLaw, sample_environment
+from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
+                                   sample_environment)
 from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
@@ -143,8 +144,9 @@ class TestBounds:
         assert sample_ray_xi(TWO_ATOM, 0, 99, 50, seed=1).shape == (99, 50)
 
     def test_field_block_respects_the_memory_budget(self, monkeypatch):
-        # a field-law block is realized into one (horizon, replicas) buffer
-        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 8 * 50 * 8 - 1)
+        # a field-law block is realized into one (horizon, replicas) buffer of
+        # one-byte states
+        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 8 * 50 - 1)
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
         with pytest.raises(BudgetError, match="budget"):
             certify_gap(TP, EPS, CFG, field, budget=8, horizon=50)
@@ -332,11 +334,28 @@ class TestRatePoint:
             regions.append(region)
             return sample_environment(law, seed, region)
 
-        monkeypatch.setattr("rwre_lab.estimators.sample_environment", spy)
+        monkeypatch.setattr("rwre_lab.environments.sample_environment", spy)
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.3, sweeps=4)
         est = rate_point(field, [-1.0], seed=1, boundary_sites=300)
         assert math.isfinite(est.I_a) and math.isfinite(est.I_q)
         assert regions == [Box((-299,), (0,))] + [Box((-63,), (0,))] * 32
+
+    @pytest.mark.parametrize("law, x", [
+        (IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1),
+         [0.0, -1.0]),
+        (MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]], kappa=0.1, beta=0.3, sweeps=4),
+         [-1.0]),
+    ], ids=["product-2d", "field-1d"])
+    def test_boundary_iq_reads_replica_0_of_the_ray_source(self, law, x):
+        # the quenched boundary rate is the mean of -log omega over the ray
+        # states the gap rows would read as replica 0 at seed derive_seed(seed, 21)
+        n, ell = 500, direction_index(x)
+        est = rate_point(law, x, seed=4, boundary_sites=n)
+        states = np.concatenate(list(law.ray_states(derive_seed(4, 21), ell, [0], n, 64)))
+        logs = np.log(law.table[states[:, 0], ell])
+        assert len(logs) == n
+        assert est.I_q == float(-logs.mean())
+        assert est.stderr_q == float(logs.std(ddof=1) / math.sqrt(n))
 
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -196,8 +196,8 @@ def test_batching_changes_no_value(monkeypatch, chunk, row_block):
 def atom_counts(law, draws, seed=11):
     """How often each atom is drawn in one replica block of ``draws`` product-law draws."""
     size = 4096
-    rows, _ = estimators._ray_rows(law, 0, -(-draws // size), seed)
     xi = law.xi_values()[:, 0]
+    rows = estimators._ray_rows(law, 0, -(-draws // size), seed, xi)
     counts = np.zeros(len(xi), dtype=np.int64)
     for block in rows(0, size):
         counts += [np.count_nonzero(block == v) for v in xi]
@@ -244,7 +244,8 @@ def test_byte_edge_weights_draw_no_double(monkeypatch, law_name, doubles):
         return real(seed, sites, stream)
 
     monkeypatch.setattr(environments, "site_uniforms", counting)
-    rows, _ = estimators._ray_rows(LAWS[law_name], 0, 5000, 13)
+    law = LAWS[law_name]
+    rows = estimators._ray_rows(law, 0, 5000, 13, law.xi_values()[:, 0])
     for _ in rows(0, 4096):
         pass
     assert (sum(drawn) > 0) == doubles

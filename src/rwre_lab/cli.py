@@ -72,7 +72,7 @@ DEFAULT_CONFIG = {
     "seed": 20260808,
     "gap": {"replicas": 20000, "horizon": None, "tail": 1e-4},
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
-             "env_replicas": 8, "boundary_sites": 10000},
+             "env_replicas": 8},
     "verify": {"n_max": 6, "theta_count": 5, "theta_scale": 0.5, "psi_n_max": 4,
                "tau_draws": 200000},
     "tau": {"draws": 1000000, "configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
@@ -136,7 +136,6 @@ SCHEMA = {
     "rate.method": (_one_of("enumeration"), ()),  # the exact forward DP
     "rate.horizon": (POSITIVE, ()),
     "rate.env_replicas": (COUNT, ()),  # a standard error needs two draws
-    "rate.boundary_sites": (COUNT, ()),
     "verify.n_max": (POSITIVE, ()),
     "verify.theta_count": (POSITIVE, ()),
     "verify.theta_scale": (NON_NEGATIVE, ()),
@@ -266,13 +265,17 @@ def _write_json(path: str, payload: dict):
 
 
 def _write_csv(path: str, cfg: dict, header: list, rows):
-    """A CSV artifact: the config-hash meta line, then the header, then the rows."""
+    """A CSV artifact: the config-hash meta line, then the header, then the rows.
+
+    A float cell is its repr, which reads back to the same float, and None
+    an empty cell.
+    """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -421,27 +424,21 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
 def cmd_rate(cfg: dict, out_dir: str) -> int:
     law = build_law(cfg)
     r = cfg["rate"]
-    rows = []
+    points = []
     for x in r["velocities"]:
         est = _cli.rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
-                              horizon=r["horizon"], env_replicas=r["env_replicas"],
-                              boundary_sites=r["boundary_sites"])
-        rows.append(est)
-        print(f"x={x} I_a={est.I_a:.6f}+-{est.stderr_a:.1e} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
+                              horizon=r["horizon"], env_replicas=r["env_replicas"])
+        points.append(est.to_dict())
+        i_a = "n/a" if est.I_a is None else f"{est.I_a:.6f}+-{est.stderr_a:.1e}"
+        print(f"x={x} I_a={i_a} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:
-        # the JSON refuses non-finite values; write it first so a refusal leaves no CSV
+        # the JSON refuses non-finite values; write it first so a refusal leaves no CSV.
+        # Both artifacts list the fields of the points in one order, x spread over columns
         _write_json(os.path.join(out_dir, "rate_report.json"),
-                    {"config_hash": config_hash(cfg), "seed": cfg["seed"],
-                     "points": [{"x": list(est.x), "I_a": est.I_a, "I_q": est.I_q,
-                                 "stderr_a": est.stderr_a, "stderr_q": est.stderr_q,
-                                 "method": est.method, "horizon": est.horizon}
-                                for est in rows]})
+                    {"config_hash": config_hash(cfg), "seed": cfg["seed"], "points": points})
         _write_csv(os.path.join(out_dir, "rate_grid.csv"), cfg,
-                   [f"x{a + 1}" for a in range(law.dimension)]
-                   + ["I_a", "I_q", "stderr_a", "stderr_q", "method", "horizon"],
-                   ([repr(float(v)) for v in est.x]
-                    + [repr(est.I_a), repr(est.I_q), repr(est.stderr_a),
-                       repr(est.stderr_q), est.method, est.horizon] for est in rows))
+                   [f"x{a + 1}" for a in range(law.dimension)] + list(points[0])[1:],
+                   (point["x"] + list(point.values())[1:] for point in points))
     return EXIT_OK
 
 
@@ -482,8 +479,7 @@ def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
         print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")
     if out_dir:
         _write_csv(os.path.join(out_dir, "tau_stats.csv"), cfg,
-                   ["kbar", "L", "draws", "mean", "stderr", "expected", "z"],
-                   ([repr(v) if isinstance(v, float) else v for v in row] for row in rows))
+                   ["kbar", "L", "draws", "mean", "stderr", "expected", "z"], rows)
     return EXIT_OK
 
 

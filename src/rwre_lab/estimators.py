@@ -25,10 +25,10 @@ values are those of the full horizon bit for bit, and no later row is drawn
 or read. ``certify_gap`` is the one exact evaluation of the two block bounds.
 It feeds the recursion CHUNK replicas at a time, their rows in short time
 blocks: the law's ``ray_states`` read through a table (``_ray_rows``), the
-free factors here, xi in ``sample_ray_xi`` and log omega for the boundary
-rate. Each factor is a function of (seed, replica, step) alone, no block
-size changes a value, and a product law's memory does not grow with the
-horizon (a field's holds one byte per ray site of a block).
+free factors here and xi in ``sample_ray_xi``. Each factor is a function of
+(seed, replica, step) alone, no block size changes a value, and a product
+law's memory does not grow with the horizon (a field's holds one byte per
+ray site of a block).
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, in a pass of its own that reads one constant
 block over and over. The block bounds are W minus each side. The tests
@@ -36,9 +36,9 @@ judge the recursion against a symbol-by-symbol Monte Carlo of the same
 truncated functional and against an enumeration of every ray environment
 at small horizons.
 
-``rate_point`` evaluates the two rate functions at one velocity: straight-path
-closed forms at the lattice directions +-e_i and, everywhere else in the unit
-l1 ball, the decay of exact per-environment point probabilities from
+``rate_point`` evaluates the two rate functions at one velocity: closed forms
+in the one-site law at the lattice directions +-e_i and, everywhere else in
+the unit l1 ball, the decay of exact per-environment point probabilities from
 ``log_point_probability_dp``.
 """
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -275,19 +275,6 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, table: np.ndarray):
     return rows
 
 
-def _ray_stack(law, ell: int, n_rows: int, horizon: int, seed: int,
-               table: np.ndarray) -> np.ndarray:
-    """The (horizon, n_rows) time-major stack of the rows of ``_ray_rows``."""
-    rows = _ray_rows(law, ell, horizon, seed, table)
-    out = np.empty((horizon, n_rows))
-    for start, size in _blocks(n_rows):
-        t = 0
-        for block in rows(start, size):
-            out[t:t + len(block), start:start + size] = block
-            t += len(block)
-    return out
-
-
 def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.ndarray:
     """xi(site t*ell, ell) for independent environment replicas, shape (n, H).
 
@@ -296,7 +283,14 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     allocated, when that buffer would exceed MEMORY_BUDGET.
     """
     check_memory(8 * n_rows * horizon, f"{n_rows} x {horizon} ray factors")
-    return _ray_stack(law, ell, n_rows, horizon, seed, law.xi_values()[:, ell]).T
+    rows = _ray_rows(law, ell, horizon, seed, law.xi_values()[:, ell])
+    out = np.empty((horizon, n_rows))
+    for start, size in _blocks(n_rows):
+        t = 0
+        for block in rows(start, size):
+            out[t:t + len(block), start:start + size] = block
+            t += len(block)
+    return out.T
 
 
 def _log_positive(vals: np.ndarray) -> np.ndarray:
@@ -309,6 +303,19 @@ def _log_positive(vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the two bounds and the gap report
 # ---------------------------------------------------------------------------
+
+_UNREPORTED = {"reported": False}  # field metadata: kept off the artifacts
+
+
+def _reported(report) -> dict:
+    """{name: value} of the fields of ``report`` its artifacts carry, in field order.
+
+    A tuple becomes a list, as JSON writes it.
+    """
+    values = ((f.name, getattr(report, f.name)) for f in fields(report)
+              if f.metadata.get("reported", True))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
 
 @dataclass
 class GapReport:
@@ -330,16 +337,13 @@ class GapReport:
     replicas: int
     seed: int
     verdict: str
-    steps_read: int  # the most recursion steps any replica block ran before its stop
-    trace: np.ndarray = field(default=None, repr=False, compare=False)
+    # the most recursion steps any replica block ran before its stop
+    steps_read: int = field(metadata=_UNREPORTED)
+    trace: np.ndarray = field(default=None, repr=False, compare=False, metadata=_UNREPORTED)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "ell", "L", "kbar", "horizon", "W", "expected_block", "quenched_side",
-            "quenched_stderr", "annealed_side", "annealed_stderr", "gap", "stderr",
-            "significance", "replicas", "seed", "verdict")}
-        out["ell"] = list(self.ell)
-        return out
+        """The fields the gap artifacts carry, in field order."""
+        return _reported(self)
 
 
 def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
@@ -418,13 +422,19 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
 
 @dataclass
 class RatePointEstimate:
+    """One rate point; None marks a value that no exact form gives here."""
+
     x: tuple
-    I_a: float
+    I_a: float | None
     I_q: float
-    stderr_a: float
+    stderr_a: float | None
     stderr_q: float
     method: str
-    horizon: int
+    horizon: int | None
+
+    def to_dict(self) -> dict:
+        """The fields the rate artifacts carry, in field order."""
+        return _reported(self)
 
 
 def _rationalize(x: np.ndarray, max_den: int = 64) -> int:
@@ -434,14 +444,13 @@ def _rationalize(x: np.ndarray, max_den: int = 64) -> int:
     raise ValueError(f"velocity {x} has no small rational representation for lattice targets")
 
 
-def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int = 8,
-               boundary_sites: int = 10**4) -> RatePointEstimate:
+def rate_point(law, x, *, seed: int = 0, horizon: int = 400,
+               env_replicas: int = 8) -> RatePointEstimate:
     """Paired annealed/quenched rate estimates at one velocity.
 
-    The lattice directions +-e_i use the straight-path forms: the quenched
-    rate is the mean of -log omega along replica 0 of the law's ray source
-    (law of large numbers), the annealed rate is -log E[omega] (exact for
-    product laws). Every other
+    The lattice directions +-e_i, the only points a single straight path
+    reaches, take closed forms in the one-site law (``_rate_point_boundary``)
+    and draw no site. Every other
     point of the closed ball, the rest of the boundary included, uses the
     decay of the point probability P(X_N = N x), exact per environment by
     forward evolution on the two-sided light cone, at N and N/2 with
@@ -460,31 +469,24 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400, env_replicas: int =
     if x1 > 1.0 + 1e-12:
         raise ValueError(f"velocity {x} outside the unit l1 ball")
     if abs(np.abs(x).max() - 1.0) <= 1e-12:  # +-e_i: the only straight paths
-        return _rate_point_boundary(law, x, seed=seed, n_sites=boundary_sites)
+        return _rate_point_boundary(law, x)
     return _rate_point_dp(law, x, seed=seed, horizon=horizon, env_replicas=env_replicas)
 
 
-def _rate_point_boundary(law, x, *, seed: int, n_sites: int) -> RatePointEstimate:
+def _rate_point_boundary(law, x) -> RatePointEstimate:
+    """The straight-path rates at x = e, exact in the one-site weights w_k and rows omega_k.
+
+    I_q(e) = -E log omega(0, e) = -sum_k w_k log omega_k(e) for every law; a
+    field's w_k are 1/S, as ``MarkovFieldLaw`` shows. I_a(e) = -log E omega(0, e)
+    needs independent sites, so only a product law has it; a field's stays
+    None. Neither has a horizon or a standard error, and no seed enters.
+    """
     ell = direction_index(np.round(x).astype(np.int64))
-    # the row of log omega, and the deviations its standard deviation takes
-    check_memory(16 * n_sites, f"rate.boundary_sites = {n_sites}")
-    log_omega = np.log(law.table[:, ell])
-    logs = _ray_stack(law, ell, 1, n_sites, derive_seed(seed, 21), log_omega)[:, 0]
-    i_q = float(-logs.mean())
-    se_q = float(logs.std(ddof=1) / math.sqrt(n_sites))
+    i_q = -math.fsum(law.weights * np.log(law.table[:, ell]))
+    i_a = se_a = None
     if isinstance(law, IIDProductLaw):
-        i_a = float(-math.log(law.marginal_mean(ell)))
-        se_a = 0.0
-    else:
-        # correlated ray: short-product rows of n sites each, every one its own
-        # replica of the ray source; reported with the jackknife error
-        n = min(n_sites, 64)
-        short = _ray_stack(law, ell, max(32, n_sites // 256), n, derive_seed(seed, 22), log_omega)
-        rows = np.ascontiguousarray(short.T).sum(axis=1)  # each row in its own pairwise order
-        i_a = float(-logmeanexp(rows) / n)
-        se_a = float(jackknife_stderr_logmean(rows) / n)
-    return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,
-                             "boundary", n_sites)
+        i_a, se_a = float(-math.log(law.marginal_mean(ell))), 0.0
+    return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, 0.0, "boundary", None)
 
 
 def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> RatePointEstimate:

@@ -8,8 +8,8 @@ however many the paths; ``path_positions`` and ``path_sites`` turn a batch
 into the sites it visits, and ``endpoint_law`` adds weighted endpoints into
 running totals in path order, as one ``np.bincount`` would. Path functionals
 of the environment are evaluated by one routine each:
-``site_grouped_log_moment`` closes the annealed moment of one table or of a
-stack of tables over one grouping of the visits, and ``path_omegas`` is the
+``site_grouped_log_moment`` closes the annealed moments of a stack of
+positive tables over one grouping of the visits, and ``path_omegas`` is the
 one quenched reader (omega along every path of a batch in one realized
 environment). A path's value is computed in a fixed order of operations,
 with no BLAS call that rounds by the width of its batch, so no result here
@@ -106,58 +106,45 @@ def endpoint_law(blocks, n: int, d: int) -> dict:
     return {tuple(site): float(w) for site, w in zip(sites.tolist(), totals[cells])}
 
 
-def site_grouped_log_moment(values, weights, flat_sites: np.ndarray, steps: np.ndarray) -> tuple:
-    """Sign and log-magnitude of E[prod_j values[atom(site_j), step_j]] per path.
+def site_grouped_log_moment(tables, weights, flat_sites: np.ndarray,
+                            steps: np.ndarray) -> np.ndarray:
+    """log E[prod_j tables[t, atom(site_j), step_j]] per table t and path, shape (T, P).
 
-    ``values`` is a (K, 2d) table over the atoms of a product law, possibly
-    signed or zero, or a (T, K, 2d) stack of such tables; ``weights`` are the
-    atoms' probabilities, and ``flat_sites`` and ``steps`` are (P, n). Each
-    distinct site draws one atom, so the visits to a site close jointly as one
-    mixture over atoms, and distinct sites multiply. The visits are grouped by
-    (path, site, step) once and every table of a stack reads that grouping;
-    both outputs have shape (P,) for one table and (T, P) for a stack, and
-    each row equals the call on its table alone. A path's entries depend on
-    that path alone, not on the batch it rides in: every sum runs in a fixed
-    order, the mixture over atoms in atom order. As with
-    ``np.linalg.slogdet``, a zero moment has sign 0 and log-magnitude -inf,
-    and long paths stay in range.
+    ``tables`` is a (T, K, 2d) stack of positive tables over the atoms of a
+    product law; ``weights`` are the atoms' probabilities, and ``flat_sites``
+    and ``steps`` are (P, n). Each distinct site draws one atom, so the
+    visits to a site close jointly as one mixture over atoms, and distinct
+    sites multiply. The visits are grouped by (path, site, step) once and
+    every table reads that grouping, so each row is the one its table would
+    give alone. A path's entries depend on that path alone, not on the batch
+    it rides in: every sum runs in a fixed order, the mixture over atoms in
+    atom order. The mixture is taken in logs about each site's largest term,
+    so long paths stay in range.
     """
-    values = np.asarray(values, dtype=np.float64)
+    tables = np.asarray(tables, dtype=np.float64)
     n_paths, n = steps.shape
     if not steps.size:  # no steps, or no paths
-        return np.ones(values.shape[:-2] + (n_paths,)), np.zeros(values.shape[:-2] + (n_paths,))
-    two_d = values.shape[-1]
+        return np.zeros((len(tables), n_paths))
+    two_d = tables.shape[-1]
     n_sites = int(flat_sites.max()) + 1
     path = np.arange(n_paths, dtype=np.int64)[:, None]
     keys, counts = np.unique(((path * n_sites + flat_sites) * two_d + steps).ravel(),
                              return_counts=True)
     # keys // two_d is one (path, site) pair per group and keys % two_d its
-    # step; arrays are dropped once read, since a stack holds T tables of each
+    # step; arrays are dropped once read, since the stack holds T tables of each
     group_starts = np.r_[0, np.flatnonzero(np.diff(keys // two_d)) + 1]
     path_starts = np.r_[0, np.flatnonzero(np.diff(keys[group_starts] // (two_d * n_sites))) + 1]
-    dirs = keys % two_d
+    log_terms = np.log(tables).take(keys % two_d, axis=-1)
     del keys
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(values)).take(dirs, axis=-1)
-    log_abs *= counts
-    log_abs = np.add.reduceat(log_abs, group_starts, axis=-1)
-    negative = None
-    if (values < 0).any():  # an odd power of a negative entry flips its term
-        negative = np.logical_xor.reduceat((values < 0).take(dirs, axis=-1) & (counts % 2 == 1),
-                                           group_starts, axis=-1)
-    del dirs, counts
-    peak = log_abs.max(axis=-2, keepdims=True)
-    peak[np.isneginf(peak)] = 0.0  # every atom vanishes at this site
-    log_abs -= peak
-    terms = np.exp(log_abs, out=log_abs)
-    if negative is not None:
-        terms[negative] *= -1.0
+    log_terms *= counts
+    del counts
+    log_terms = np.add.reduceat(log_terms, group_starts, axis=-1)
+    peak = log_terms.max(axis=-2, keepdims=True)
+    log_terms -= peak
+    terms = np.exp(log_terms, out=log_terms)
     mix = ordered_dot(weights, terms)  # a BLAS would round by the width of the batch
-    del log_abs, terms
-    with np.errstate(divide="ignore"):
-        site_log = peak[..., 0, :] + np.log(np.abs(mix))
-    return (np.multiply.reduceat(np.sign(mix), path_starts, axis=-1),
-            np.add.reduceat(site_log, path_starts, axis=-1))
+    del log_terms, terms
+    return np.add.reduceat(peak[..., 0, :] + np.log(mix), path_starts, axis=-1)
 
 
 def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:
@@ -217,7 +204,7 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     def block_terms(steps):
         flat, ends = path_sites(steps, tp.dimension)
         uw = np.prod(tp.u_array[steps], axis=1)
-        _, (xi_log, om_log) = site_grouped_log_moment(tables, law.weights, flat, steps)
+        xi_log, om_log = site_grouped_log_moment(tables, law.weights, flat, steps)
         return lambda th: (uw * np.exp(xi_log + ordered_dot(ends, th)),
                            np.exp(om_log + ordered_dot(ends, th + tp.theta_array)))
 

@@ -91,27 +91,22 @@ def scale_function(C: float, z: np.ndarray, means: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.sqrt(zd**2 + 4.0 * C * means * opp)))
 
 
-def solve_tilt(law_or_means, z, tol: float = SOLVE_RESIDUAL_TOL) -> TiltParams:
-    """Solve the scale equation by bisection and assemble the tilt parameters.
+def solve_tilt(law, z) -> TiltParams:
+    """Solve the scale equation for the marginal means of ``law`` and assemble the tilt.
 
-    ``law_or_means`` is an environment law or a raw array of marginal means.
-    Rejects z = 0 and |z|_1 >= 1, where the construction degenerates.
+    z has ``law.dimension`` entries. Rejects z = 0 and |z|_1 >= 1, where the
+    construction degenerates.
     """
     z = np.asarray(z, dtype=np.float64)
-    d = z.size
+    d = law.dimension
+    if z.shape != (d,):
+        raise ValueError(f"z = {z.tolist()} must have law.dimension = {d} entries")
     z1 = float(np.abs(z).sum())
     if z1 == 0.0:
         raise ValueError("z = 0 is rejected; the construction needs a nonzero velocity")
     if z1 >= 1.0:
         raise ValueError(f"|z|_1 = {z1} must be < 1")
-    if isinstance(law_or_means, np.ndarray) or isinstance(law_or_means, (list, tuple)):
-        means = np.asarray(law_or_means, dtype=np.float64)
-    else:
-        means = law_or_means.marginal_means()
-    if means.shape != (2 * d,):
-        raise ValueError(f"means must have shape ({2 * d},)")
-    if means.min() <= 0.0:
-        raise ValueError("marginal means must be strictly positive")
+    means = law.marginal_means()
 
     # bracket the root, then bisect; f is monotone so this cannot fail
     lo, hi = 0.0, 1.0
@@ -129,7 +124,7 @@ def solve_tilt(law_or_means, z, tol: float = SOLVE_RESIDUAL_TOL) -> TiltParams:
             break
     C = 0.5 * (lo + hi)
     residual = abs(scale_function(C, z, means) - 1.0)
-    if residual > max(tol, 1e-12):
+    if residual > SOLVE_RESIDUAL_TOL:
         raise RuntimeError(f"scale root residual {residual} above tolerance")
 
     zd = _zdots(z, d)

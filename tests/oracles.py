@@ -97,8 +97,7 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
     d = law.dimension
     if isinstance(law, IIDProductLaw):
         flat, _ = path_sites(steps, d)
-        sign, log_abs = site_grouped_log_moment(law.table, law.weights, flat, steps)
-        return sign * np.exp(log_abs)
+        return np.exp(site_grouped_log_moment(law.table[None], law.weights, flat, steps)[0])
     if not isinstance(law, MarkovFieldLaw):
         raise TypeError(f"unsupported law type {type(law)!r}")
     if law.beta > 0 and (d, law.range_r) != (1, 1):

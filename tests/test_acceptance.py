@@ -61,7 +61,7 @@ def test_criterion_1_tilt_construction():
             assert max(res.values()) <= 1e-10, (d, res)
             count += 1
     assert count == 50
-    tp = solve_tilt(np.array([0.5, 0.5]), [0.5])
+    tp = solve_tilt(constant_law(1, [0.5, 0.5], 0.1), [0.5])
     assert abs(tp.C - 0.75) <= 1e-12
     assert abs(tp.u[0] - 0.75) <= 1e-12 and abs(tp.u[1] - 0.25) <= 1e-12
     assert abs(tp.D - math.sqrt(3) / 2) <= 1e-12

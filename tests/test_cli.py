@@ -371,18 +371,32 @@ class TestRate:
         {"kind": "markov-field", "dimension": 1, "kappa": 0.1, "beta": 0.5,
          "states": [[0.4, 0.6], [0.6, 0.4]]},
     ], ids=["iid-product", "markov-field"])
-    def test_boundary_sites_over_the_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch,
-                                                          law):
-        # 10^9 ray sites would hold 16 GB of log omega and deviations: refused before any
-        # site is drawn
-        monkeypatch.setattr("rwre_lab.environments._FiniteLaw.atom_blocks",
-                            lambda *args, **kwargs: pytest.fail("a site was drawn"))
+    def test_boundary_sites_is_an_unknown_key(self, tmp_path, capsys, law):
+        # the boundary rates are closed forms, so no ray length is left to set
         cfg = write_config(tmp_path, {"law": law,
-                                      "rate": {"velocities": [[1.0]], "boundary_sites": 10**9}})
+                                      "rate": {"velocities": [[1.0]], "boundary_sites": 2000}})
         out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "rate"]) == 2
-        assert capsys.readouterr().err.startswith("budget error: rate.boundary_sites = 1000000000")
+        assert main(["--config", cfg, "--out", str(out), "rate"]) == 64
+        assert capsys.readouterr().err.startswith("error: unknown config key rate.boundary_sites")
         assert not out.exists()
+
+    def test_field_boundary_annealed_rate_is_null(self, tmp_path, capsys):
+        # a field's sites are correlated, so -log E omega(0, e) is no annealed
+        # rate: null in the JSON, an empty cell in the CSV, n/a on stdout
+        payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1, "beta": 0.5,
+                           "states": [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]]},
+                   "rate": {"velocities": [[1.0], [-1.0]]}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--out", str(tmp_path), "rate"]) == 0
+        assert capsys.readouterr().out.count("I_a=n/a I_q=") == 2
+        points = json.loads((tmp_path / "rate_report.json").read_text())["points"]
+        i_q = -math.fsum(np.full(3, 1 / 3) * np.log([0.4, 0.6, 0.5]))  # uniform one-site law
+        for point in points:
+            assert point["I_a"] is point["stderr_a"] is point["horizon"] is None
+            assert (point["I_q"], point["stderr_q"], point["method"]) == (i_q, 0.0, "boundary")
+        lines = (tmp_path / "rate_grid.csv").read_text().splitlines()
+        assert lines[1] == "x1,I_a,I_q,stderr_a,stderr_q,method,horizon"
+        assert lines[2:] == [f"{x},,{i_q!r},,0.0,boundary," for x in (1.0, -1.0)]
 
     def test_symmetric_grid(self, tmp_path, capsys):
         payload = {
@@ -407,7 +421,7 @@ class TestRate:
         payload = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                            "atoms": [[0.4, 0.6], [0.6, 0.4]], "weights": [0.5, 0.5]},
                    "z": [0.5], "ell": [1], "seed": 12,
-                   "rate": {"velocities": [[1.0]], "boundary_sites": 2000}}
+                   "rate": {"velocities": [[0.5]], "horizon": 100, "env_replicas": 4}}
         cfg = write_config(tmp_path, payload)
         out_a, out_b = tmp_path / "ra", tmp_path / "rb"
         assert main(["--config", cfg, "--out", str(out_a), "rate"]) == 0
@@ -519,13 +533,12 @@ class TestEnvSampleAndTau:
 
     @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
                                                        ("tau-stats", "tau", "draws"),
-                                                       ("rate", "rate", "env_replicas"),
-                                                       ("rate", "rate", "boundary_sites")])
+                                                       ("rate", "rate", "env_replicas")])
     @pytest.mark.parametrize("draws", [0, 1, 2.5])
     def test_fewer_than_two_draws_rejected(self, tmp_path, capsys, command, section, field,
                                            draws):
-        # a standard error needs two draws (or environment replicas, or ray
-        # sites): refuse the config before any artifact
+        # a standard error needs two draws (or environment replicas): refuse
+        # the config before any artifact
         with pytest.raises(ConfigError, match=f"{section}.{field}"):
             normalize_config({section: {field: draws}})
         cfg = write_config(tmp_path, {section: {field: draws}})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, make_epsilon_law
 from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, direction_index,
-                                   sample_environment)
+                                   direction_vectors, sample_environment)
 from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
@@ -278,7 +278,7 @@ class TestRatePoint:
         expect_a = -math.log(0.5)
         expect_q = -(0.5 * math.log(0.4) + 0.5 * math.log(0.6))
         assert est.I_a == pytest.approx(expect_a, abs=1e-12)
-        assert est.I_q == pytest.approx(expect_q, abs=0.01)
+        assert est.I_q == pytest.approx(expect_q, abs=1e-15)
         assert est.I_a < est.I_q
 
     def test_boundary_point_off_the_lattice_directions_goes_through_the_dp(self):
@@ -294,10 +294,10 @@ class TestRatePoint:
 
     def test_lattice_direction_keeps_its_closed_forms_in_2d(self):
         law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
-        est = rate_point(law, [1.0, 0.0], seed=2, boundary_sites=2000)
+        est = rate_point(law, [1.0, 0.0], seed=2)
         assert est.method == "boundary"
         assert est.I_a == pytest.approx(-math.log(0.25), abs=1e-12)
-        assert est.I_q == pytest.approx(-0.5 * (math.log(0.3) + math.log(0.2)), abs=0.02)
+        assert est.I_q == pytest.approx(-0.5 * (math.log(0.3) + math.log(0.2)), abs=1e-15)
 
     def test_interior_ordering_with_disorder(self):
         est = rate_point(TWO_ATOM, [0.5], seed=3, horizon=200, env_replicas=12)
@@ -325,37 +325,46 @@ class TestRatePoint:
         assert est.horizon == 40 and math.isfinite(est.I_a) and math.isfinite(est.I_q)
         assert regions == [box] * 3
 
-    def test_boundary_field_rows_realized_on_their_own_box(self, monkeypatch):
-        # the short-product rows read 64 ray sites, so each is realized on the
-        # 64-site box, not on the whole boundary_sites ray
-        regions = []
+    @pytest.mark.parametrize("law", [
+        TWO_ATOM,
+        IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.15, 0.35]], [0.3, 0.7], 0.1),
+        MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]], kappa=0.1, beta=2.0),
+        MarkovFieldLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.1, 0.4]], kappa=0.1,
+                       beta=0.5, range_r=2),
+    ], ids=["product-1d", "product-2d", "field-1d", "field-2d"])
+    def test_boundary_rates_are_the_closed_forms(self, law):
+        # I_q(e) = -E log omega(0, e) for every law; I_a(e) = -log E omega(0, e)
+        # for a product law, and none for a field, whose sites are correlated
+        for e, vec in enumerate(direction_vectors(law.dimension).astype(float)):
+            est = rate_point(law, vec, seed=4)
+            assert direction_index(est.x) == e and est.method == "boundary"
+            assert est.I_q == -math.fsum(law.weights * np.log(law.table[:, e]))
+            assert est.stderr_q == 0.0 and est.horizon is None
+            if isinstance(law, IIDProductLaw):
+                assert (est.I_a, est.stderr_a) == (-math.log(law.marginal_mean(e)), 0.0)
+            else:
+                assert est.I_a is None and est.stderr_a is None
 
-        def spy(law, seed, region):
-            regions.append(region)
-            return sample_environment(law, seed, region)
+    def test_boundary_rates_ignore_the_seed_and_the_sign(self):
+        # the default law's two atoms mirror each other, so -e1 has the rates of +e1
+        plus, minus = (rate_point(TWO_ATOM, [s], seed=seed) for s, seed in ((1.0, 1), (-1.0, 2)))
+        assert (plus.I_a, plus.I_q) == (minus.I_a, minus.I_q)
+        assert rate_point(TWO_ATOM, [1.0], seed=3) == plus
 
-        monkeypatch.setattr("rwre_lab.environments.sample_environment", spy)
-        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.3, sweeps=4)
-        est = rate_point(field, [-1.0], seed=1, boundary_sites=300)
-        assert math.isfinite(est.I_a) and math.isfinite(est.I_q)
-        assert regions == [Box((-299,), (0,))] + [Box((-63,), (0,))] * 32
+    def test_boundary_point_draws_no_site(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a boundary rate point drew a site")
 
-    @pytest.mark.parametrize("law, x", [
-        (IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1),
-         [0.0, -1.0]),
-        (MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]], kappa=0.1, beta=0.3, sweeps=4),
-         [-1.0]),
-    ], ids=["product-2d", "field-1d"])
-    def test_boundary_iq_reads_replica_0_of_the_ray_source(self, law, x):
-        # the quenched boundary rate is the mean of -log omega over the ray
-        # states the gap rows would read as replica 0 at seed derive_seed(seed, 21)
-        n, ell = 500, direction_index(x)
-        est = rate_point(law, x, seed=4, boundary_sites=n)
-        states = np.concatenate(list(law.ray_states(derive_seed(4, 21), ell, [0], n, 64)))
-        logs = np.log(law.table[states[:, 0], ell])
-        assert len(logs) == n
-        assert est.I_q == float(-logs.mean())
-        assert est.stderr_q == float(logs.std(ddof=1) / math.sqrt(n))
+        for target in ("rwre_lab.estimators.sample_environment",
+                       "rwre_lab.environments.sample_environment",
+                       "rwre_lab.environments.IIDProductLaw.ray_states",
+                       "rwre_lab.environments.MarkovFieldLaw.ray_states",
+                       "rwre_lab.environments._FiniteLaw.atom_blocks"):
+            monkeypatch.setattr(target, refuse)
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.5)
+        for law in (TWO_ATOM, field):
+            for x in ([1.0], [-1.0]):
+                assert math.isfinite(rate_point(law, x, seed=1).I_q)
 
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -16,6 +16,7 @@ from rwre_lab.tilting import TiltParams, scale_function, solve_tilt, tilt_invari
 from envhelpers import constant_law, mean_environment, omega
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
+FLAT_1D = constant_law(1, [0.5, 0.5], 0.1)  # means 1/2 each way
 
 
 def random_law(rng, d):
@@ -35,7 +36,7 @@ def random_velocity(rng, d):
 
 class TestSolveTilt:
     def test_closed_form_d1(self):
-        tp = solve_tilt(np.array([0.5, 0.5]), [0.5])
+        tp = solve_tilt(FLAT_1D, [0.5])
         assert tp.C == pytest.approx(0.75, abs=1e-12)
         assert tp.u[0] == pytest.approx(0.75, abs=1e-12)
         assert tp.u[1] == pytest.approx(0.25, abs=1e-12)
@@ -45,7 +46,7 @@ class TestSolveTilt:
 
     def test_closed_form_d2(self):
         # means all 1/4, z = (1/2, 0): the scale equation solves to C = 9/16
-        tp = solve_tilt(np.full(4, 0.25), [0.5, 0.0])
+        tp = solve_tilt(constant_law(2, [0.25] * 4, 0.1), [0.5, 0.0])
         assert tp.C == pytest.approx(9.0 / 16.0, abs=1e-12)
         assert tp.u[0] == pytest.approx(9.0 / 16.0, abs=1e-12)
         assert tp.u[1] == pytest.approx(1.0 / 16.0, abs=1e-12)
@@ -64,7 +65,7 @@ class TestSolveTilt:
         assert coarse[ix - 1] <= tp.C <= coarse[ix]
 
     def test_near_zero_velocity_symmetric(self):
-        tp = solve_tilt(np.array([0.5, 0.5]), [1e-9])
+        tp = solve_tilt(FLAT_1D, [1e-9])
         assert tp.C == pytest.approx(1.0, abs=1e-6)
         assert tp.u[0] == pytest.approx(0.5, abs=1e-6)
         assert abs(tp.theta[0]) < 1e-6
@@ -77,6 +78,10 @@ class TestSolveTilt:
     def test_rejects_velocity_outside_ball(self):
         with pytest.raises(ValueError, match="must be < 1"):
             solve_tilt(TWO_ATOM, [1.0])
+
+    def test_rejects_velocity_of_another_dimension(self):
+        with pytest.raises(ValueError, match="law.dimension = 1 entries"):
+            solve_tilt(TWO_ATOM, [0.2, 0.1])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_randomized_invariants(self, d):
@@ -93,7 +98,7 @@ class TestSolveTilt:
 
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
         tp_field = solve_tilt(field, [0.5])
-        tp_flat = solve_tilt(np.array([0.5, 0.5]), [0.5])
+        tp_flat = solve_tilt(FLAT_1D, [0.5])
         assert tp_field.C == pytest.approx(tp_flat.C, abs=1e-12)
         assert tp_field.u == pytest.approx(tp_flat.u, abs=1e-12)
 
@@ -106,7 +111,7 @@ class TestSolveTilt:
 
 class TestStepDistribution:
     def test_values(self):
-        tp = solve_tilt(np.array([0.5, 0.5]), [0.5])
+        tp = solve_tilt(FLAT_1D, [0.5])
         u = tp.u_array
         assert u[0] == pytest.approx(0.75, abs=1e-12)
         assert u[1] == pytest.approx(0.25, abs=1e-12)

@@ -73,13 +73,9 @@ DEFAULT_CONFIG = {
     "gap": {"replicas": 20000, "horizon": None, "tail": 1e-4},
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
              "env_replicas": 8},
-    "verify": {"n_max": 6, "theta_count": 5, "theta_scale": 0.5, "psi_n_max": 4,
-               "tau_draws": 200000},
+    "verify": {"n_max": 6, "theta_count": 5, "psi_n_max": 4, "tau_draws": 200000},
     "tau": {"draws": 1000000, "configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
     "env_sample": {"lo": [-10], "hi": [10]},
-    "tolerances": {"tilt_residual": 1e-10, "identity_rel": 1e-10,
-                   "onestep_abs": 1e-12, "coincidence_abs": 1e-10,
-                   "tau_sigmas": 4.0},
 }
 LAW_KEYS = {"iid-product": {"kind", "dimension", "kappa", "atoms", "weights"},
             "markov-field": {"kind", "dimension", "kappa", "range", "beta", "states", "sweeps"}}
@@ -138,18 +134,12 @@ SCHEMA = {
     "rate.env_replicas": (COUNT, ()),  # a standard error needs two draws
     "verify.n_max": (POSITIVE, ()),
     "verify.theta_count": (POSITIVE, ()),
-    "verify.theta_scale": (NON_NEGATIVE, ()),
     "verify.psi_n_max": (POSITIVE, ()),
     "verify.tau_draws": (COUNT, ()),
     "tau.draws": (COUNT, ()),
     "tau.configs": ([KBAR, POSITIVE], (ANY, 2)),  # [kbar, L] pairs
     "env_sample.lo": (INTEGER, (D,)),
     "env_sample.hi": (INTEGER, (D,)),
-    "tolerances.tilt_residual": (NON_NEGATIVE, ()),
-    "tolerances.identity_rel": (NON_NEGATIVE, ()),
-    "tolerances.onestep_abs": (NON_NEGATIVE, ()),
-    "tolerances.coincidence_abs": (NON_NEGATIVE, ()),
-    "tolerances.tau_sigmas": (NON_NEGATIVE, ()),
 }
 NULLABLE = {"kbar", "gap.horizon"}  # null: the default kbar, the horizon from gap.tail
 
@@ -267,15 +257,16 @@ def _write_json(path: str, payload: dict):
 def _write_csv(path: str, cfg: dict, header: list, rows):
     """A CSV artifact: the config-hash meta line, then the header, then the rows.
 
-    A float cell is its repr, which reads back to the same float, and None
-    an empty cell.
+    A float cell, a numpy float included, is the repr of its float, which
+    reads back to the same float, and None an empty cell.
     """
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                    for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +282,21 @@ def _tau_z(taus: np.ndarray, expect: float) -> tuple:
     return mean, se, (mean - expect) / se
 
 
-def _run_verify(cfg: dict):
-    """Run the six identity families; returns (n_max, rows, all_pass).
+# verify's pass thresholds, like its size budgets, are constants: an exact
+# identity holds to rounding, relative for the change of measure and psi's
+# enumeration, absolute for the endpoint laws and psi's one-step algebra
+TILT_RESIDUAL = IDENTITY_REL = COINCIDENCE_ABS = 1e-10
+ONESTEP_ABS = 1e-12
+TAU_SIGMAS = 4.0  # the sampled mean of tau lies within this many standard errors of E[tau]
+THETA_SCALE = 0.5
 
-    n_max is the longest path length the identity families enumerated:
-    verify.n_max, capped at 6 for d > 1.
-    """
-    tol = cfg["tolerances"]
+
+def _run_verify(cfg: dict):
+    """Run the six identity families up to verify.n_max; returns (rows, all_pass)."""
     law, tp, eps, stop = build_problem(cfg)
     d = tp.dimension
     seed = cfg["seed"]
-    n_max = cfg["verify"]["n_max"] if d == 1 else min(cfg["verify"]["n_max"], 6)
+    n_max = cfg["verify"]["n_max"]
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
     _cli.check_paths(n_max, d, "verify.n_max")
@@ -310,36 +305,33 @@ def _run_verify(cfg: dict):
                      f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
     _cli.check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
-    # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-scale, scale)
+    # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-THETA_SCALE, THETA_SCALE)
     shape = (cfg["verify"]["theta_count"], d)
     u = site_uniforms(derive_seed(seed, 100), np.indices(shape).reshape(2, -1).T)
-    thetas = cfg["verify"]["theta_scale"] * (2.0 * u.reshape(shape) - 1.0)
+    thetas = THETA_SCALE * (2.0 * u.reshape(shape) - 1.0)
     rows = []
 
-    def add(family, metric, tolerance):
+    def add(family, metric, tolerance, **detail):
         rows.append({"family": family, "metric": float(metric),
-                     "tolerance": float(tolerance), "passed": bool(metric <= tolerance)})
+                     "tolerance": float(tolerance), "passed": bool(metric <= tolerance), **detail})
 
     res = _cli.tilt_invariant_residuals(tp)
     worst = max(res.items(), key=lambda kv: kv[1])
-    rows.append({"family": "tilt-invariants", "metric": float(worst[1]),
-                 "tolerance": float(tol["tilt_residual"]),
-                 "passed": bool(worst[1] <= tol["tilt_residual"]),
-                 "detail": worst[0]})
+    add("tilt-invariants", worst[1], TILT_RESIDUAL, detail=worst[0])
 
     # one call per n enumerates the paths once for every theta
     worst_a = 0.0
     for n in range(1, n_max + 1):
         for lhs, rhs in zip(*_cli.verify_identity_annealed(law, tp, thetas, n)):
             worst_a = max(worst_a, abs(lhs - rhs) / abs(rhs))
-    add("identity-annealed", worst_a, tol["identity_rel"])
+    add("identity-annealed", worst_a, IDENTITY_REL)
 
     env = sample_environment(law, derive_seed(seed, 101), centered_box(d, n_max + 1))
     worst_q = 0.0
     for n in range(1, n_max + 1):
         for lhs, rhs in zip(*_cli.verify_identity_quenched(env, tp, thetas, n)):
             worst_q = max(worst_q, abs(lhs - rhs) / abs(rhs))
-    add("identity-quenched", worst_q, tol["identity_rel"])
+    add("identity-quenched", worst_q, IDENTITY_REL)
 
     worst_c = 0.0
     for n in range(1, min(n_max, 5 if d == 1 else 3) + 1):
@@ -350,7 +342,7 @@ def _run_verify(cfg: dict):
     # one-step marginal identity kbar + (1 - 2d kbar) * leftover = u
     marg = eps.kbar + eps.free_prob * _cli.conditional_step_probs(tp, eps, eps.free_symbol)
     worst_c = max(worst_c, float(np.max(np.abs(marg - tp.u_array))))
-    add("decomposition-coincidence", worst_c, tol["coincidence_abs"])
+    add("decomposition-coincidence", worst_c, COINCIDENCE_ABS)
 
     # one-step reweighting algebra for randomized xi, then small-n enumeration;
     # both checks live in one family
@@ -364,22 +356,20 @@ def _run_verify(cfg: dict):
         lhs, rhs = _cli.verify_psi_identity(tp, eps, env2, thetas[0], n)
         worst_n = max(worst_n, abs(lhs - rhs) / abs(rhs))
     rows.append({"family": "psi-identity", "metric": float(max(worst_n, worst_p)),
-                 "tolerance": float(tol["identity_rel"]),
-                 "passed": bool(worst_n <= tol["identity_rel"]
-                                and worst_p <= tol["onestep_abs"])})
+                 "tolerance": IDENTITY_REL,
+                 "passed": bool(worst_n <= IDENTITY_REL and worst_p <= ONESTEP_ABS)})
 
     taus = _cli.sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"], derive_seed(seed, 104))
-    add("tau-waiting-time", abs(_tau_z(taus, _cli.expected_tau(eps, stop))[2]), tol["tau_sigmas"])
+    add("tau-waiting-time", abs(_tau_z(taus, _cli.expected_tau(eps, stop))[2]), TAU_SIGMAS)
 
-    return n_max, rows, all(r["passed"] for r in rows)
+    return rows, all(r["passed"] for r in rows)
 
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
-    n_max, rows, ok = _run_verify(cfg)
+    rows, ok = _run_verify(cfg)
     width = max(len(r["family"]) for r in rows)
-    asked = cfg["verify"]["n_max"]
-    capped = "" if n_max == asked else f" (verify.n_max = {asked}, capped for d > 1)"
-    print(f"identity families enumerated paths up to n_max = {n_max}{capped}")
+    n_max = cfg["verify"]["n_max"]
+    print(f"identity families enumerated paths up to n_max = {n_max}")
     print(f"{'family':<{width}}  {'metric':>12}  {'tolerance':>10}  result")
     for r in rows:
         status = "PASS" if r["passed"] else "FAIL"
@@ -412,7 +402,7 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
     if out_dir:
         _write_json(os.path.join(out_dir, "gap_report.json"), payload)
         _write_csv(os.path.join(out_dir, "gap_trace.csv"), cfg, ["replica", "log_inner"],
-                   ([i, repr(float(v))] for i, v in enumerate(report.trace)))
+                   enumerate(report.trace))
     return {"certified": EXIT_OK, "falsified": EXIT_FALSIFIED,
             "inconclusive": EXIT_INCONCLUSIVE}[report.verdict]
 
@@ -456,8 +446,7 @@ def cmd_env_sample(cfg: dict, out_dir: str) -> int:
     _write_csv(path, cfg,
                [f"x{a + 1}" for a in range(d)]
                + [lbl for a in range(d) for lbl in (f"p_plus_e{a + 1}", f"p_minus_e{a + 1}")],
-               ([int(c) for c in s] + [repr(float(p)) for p in v]
-                for s, v in zip(sites, env.omega_many(sites))))
+               (s.tolist() + v.tolist() for s, v in zip(sites, env.omega_many(sites))))
     print(f"wrote {box.n_sites} sites to {path}")
     return EXIT_OK
 
@@ -514,7 +503,7 @@ def main(argv=None) -> int:
         dispatch = {"verify": cmd_verify, "gap": cmd_gap, "rate": cmd_rate,
                     "env-sample": cmd_env_sample, "tau-stats": cmd_tau_stats}
         return dispatch[args.command](cfg, args.out)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:

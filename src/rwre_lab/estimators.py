@@ -53,8 +53,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .environments import IIDProductLaw, direction_index, direction_vectors, sample_environment
-from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
-                      jackknife_stderr_logmean, logmeanexp)
+from .numutil import (BudgetError, check_memory, deferred_names, derive_seed, jackknife_stderr,
+                      logmeanexp, loo_logmeanexp)
 
 if TYPE_CHECKING:  # these appear in annotations only
     from .decomposition import EpsilonLaw, StoppingConfig
@@ -70,9 +70,9 @@ __getattr__ = deferred_names(globals(), {
 _estimators = sys.modules[__name__]
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
-# peak floats certify_gap holds per replica: the block values, their
-# concatenation and their logs (the trace) make 3; a field law's jackknife
-# over the logs adds 4 temporaries, and the concatenation is freed by then
+# floats certify_gap may hold per replica: the block values, their concatenation
+# and their logs (the trace) make 3; a field law's jackknives, run once the first
+# two are freed, add the leave-one-out values and 3 temporaries to the trace
 _REPLICA_FLOATS = 6
 
 
@@ -388,6 +388,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
                                           h - cfg.L) for start, size in _blocks(budget)))
     steps_read = max(read)
     log_inner = _log_positive(np.concatenate(values))
+    del values
     if np.ptp(log_inner) == 0.0:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0
@@ -395,14 +396,17 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         q_side = float(log_inner.mean()) / et
         q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et
     if isinstance(law, IIDProductLaw):
-        a_side = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et
-        a_se = 0.0
+        a_side, a_se = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et, 0.0
+        se = q_se
     else:
-        # same environment rows on both sides (common random numbers)
-        a_side = float(logmeanexp(log_inner)) / et
-        a_se = float(jackknife_stderr_logmean(log_inner)) / et
+        # both sides read the same replicas, so the gap's error bar is the jackknife of
+        # the gap: leave-one-out log-mean-exps less the means mean + (mean - x_i) / (n - 1)
+        a_side, mean = float(logmeanexp(log_inner)) / et, float(log_inner.mean())
+        loo = loo_logmeanexp(log_inner)
+        a_se = jackknife_stderr(loo) / et
+        loo -= mean + (mean - log_inner) / (budget - 1)
+        se = jackknife_stderr(loo) / et
     gap = a_side - q_side
-    se = math.hypot(q_se, a_se)
     if se == 0.0:
         sig = 0.0 if gap == 0.0 else math.copysign(float("inf"), gap)
     else:
@@ -523,6 +527,6 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     for r in range(reps):
         keep = np.arange(reps) != r
         loo[r] = 2.0 * (-logmeanexp(logp2[keep]) / n2) - (-logmeanexp(logp1[keep]) / n1)
-    se_a = float(math.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2)))
+    se_a = jackknife_stderr(loo)
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,
                              "enumeration", n2)

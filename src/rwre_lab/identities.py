@@ -160,32 +160,29 @@ def path_omegas(env: Environment, steps: np.ndarray) -> np.ndarray:
     return np.take_along_axis(omegas, steps[..., None], axis=2)[..., 0]
 
 
-def _identity_sides(tp: TiltParams, theta, n: int, block_terms) -> tuple:
+def _identity_sides(tp: TiltParams, thetas, n: int, block_terms) -> tuple:
     """Both sides of a change-of-measure identity, summed over the paths of length n in blocks.
 
     ``block_terms(steps)`` reads one batch of paths (``step_blocks``) and
     returns a function of one (d,) theta giving the batch's lhs and rhs terms.
     Each side carries its exact expansion (``fsum_parts``) from block to block,
     so it is the ``fsum`` of all its terms at once, whatever the block size;
-    rhs is then scaled by D^n. ``theta`` is one (d,) vector, which gives two
-    floats, or a (T, d) stack, which gives two (T,) arrays whose entries
-    equal the T single calls bit for bit: every batch is read once per call.
+    rhs is then scaled by D^n. ``thetas`` is a (T, d) stack, which gives two
+    (T,) arrays; every batch is read once per call, and each theta's sums
+    are its own, so a row is the one its one-row stack gives, bit for bit.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    stack = np.atleast_2d(theta)
-    sums = [[[], []] for _ in stack]  # the lhs and rhs expansions of each theta
+    thetas = np.asarray(thetas, dtype=np.float64)
+    sums = [[[], []] for _ in thetas]  # the lhs and rhs expansions of each theta
     for steps in step_blocks(n, tp.dimension):
         terms = block_terms(steps)
-        for th, sides in zip(stack, sums):
+        for th, sides in zip(thetas, sums):
             for side, values in enumerate(terms(th)):
                 sides[side] = fsum_parts(values, sides[side])
     pairs = np.array([(fsum(lhs), tp.D**n * fsum(rhs)) for lhs, rhs in sums])
-    if theta.ndim == 1:
-        return float(pairs[0, 0]), float(pairs[0, 1])
     return pairs[:, 0], pairs[:, 1]
 
 
-def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
+def verify_identity_annealed(law, tp: TiltParams, thetas, n: int) -> tuple:
     """Both sides of the annealed change-of-measure identity, by enumeration.
 
     lhs: auxiliary-walk expectation of exp(<theta, Z_n>) times the exact
@@ -193,7 +190,7 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
     rhs: D^n times the annealed expectation of exp(<theta + theta_tilt, X_n>),
     computed from the original walk with exact annealed path weights.
     Both moments close atom by atom, so the law must be an i.i.d. product law.
-    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; both moments are
+    ``thetas`` is a (T, d) stack as in ``_identity_sides``; both moments are
     grouped once per block of paths.
     """
     if not isinstance(law, IIDProductLaw):
@@ -208,7 +205,7 @@ def verify_identity_annealed(law, tp: TiltParams, theta, n: int) -> tuple:
         return lambda th: (uw * np.exp(xi_log + ordered_dot(ends, th)),
                            np.exp(om_log + ordered_dot(ends, th + tp.theta_array)))
 
-    return _identity_sides(tp, theta, n, block_terms)
+    return _identity_sides(tp, thetas, n, block_terms)
 
 
 def annealed_identity_bytes(n_atoms: int, n: int, d: int) -> int:
@@ -224,11 +221,11 @@ def annealed_identity_bytes(n_atoms: int, n: int, d: int) -> int:
     return 8 * min(PATH_BLOCK, (2 * d) ** n) * n * (4 * n_atoms + 16 + 4 * d)
 
 
-def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) -> tuple:
+def verify_identity_quenched(env: Environment, tp: TiltParams, thetas, n: int) -> tuple:
     """Quenched version: xi and omega read from one fixed realization.
 
-    ``theta`` is (d,) or (T, d) as in ``_identity_sides``; omega is read along
-    each block of paths once per call.
+    ``thetas`` is a (T, d) stack as in ``_identity_sides``; omega is read
+    along each block of paths once per call.
     """
     def block_terms(steps):
         ends = path_positions(steps, tp.dimension)[:, -1]
@@ -239,7 +236,7 @@ def verify_identity_quenched(env: Environment, tp: TiltParams, theta, n: int) ->
         return lambda th: (uw * xi_prod * np.exp(ordered_dot(ends, th)),
                            om_prod * np.exp(ordered_dot(ends, th + tp.theta_array)))
 
-    return _identity_sides(tp, theta, n, block_terms)
+    return _identity_sides(tp, thetas, n, block_terms)
 
 
 def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):

@@ -90,20 +90,17 @@ def logmeanexp(a) -> float:
 
 
 def words(k: int, n: int) -> np.ndarray:
-    """Every length-n word over the letters 0..k-1, in lexicographic order.
-
-    Row i of the (k^n, n) int64 array spells i in base k, most significant
-    letter first: the order of ``itertools.product(range(k), repeat=n)``.
-    Callers bound k^n themselves.
-    """
-    return np.ascontiguousarray(np.indices((k,) * n).reshape(n, k**n).T)
+    """Every length-n word over 0..k-1: the one block of ``word_blocks``; callers bound k^n."""
+    return next(word_blocks(k, n, k**n))
 
 
 def word_blocks(k: int, n: int, rows: int):
-    """Yield the rows of ``words(k, n)`` in order, ``rows`` of them at a time.
+    """The k^n words of length n over 0..k-1 in lexicographic order, ``rows`` at a time.
 
-    Each block is an (m, n) int64 array, m <= rows, whose row i spells its
-    index in the whole list in base k; no block depends on the others.
+    Each block is an (m, n) C-contiguous int64 array, m <= rows, whose row i
+    spells its index in the whole list in base k, most significant letter
+    first: the order of ``itertools.product(range(k), repeat=n)``. At n = 0
+    the one block is the (1, 0) empty word.
     """
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, k**n, rows):
@@ -130,24 +127,26 @@ def ordered_dot(a, b) -> np.ndarray:
     return out[..., 0] if b.ndim == 1 else out
 
 
-def jackknife_stderr_logmean(logw: np.ndarray) -> float:
-    """Jackknife standard error of log-mean-exp over one replica axis."""
+def loo_logmeanexp(logw) -> np.ndarray:
+    """Leave-one-out log-mean-exp of (n,) logs, n >= 2: entry i omits entry i.
+
+    log(e^total - e^w_i) is taken stably; only the largest entry, which may
+    hold more than half the total, can cancel, so its sum is taken directly.
+    """
     logw = np.asarray(logw, dtype=np.float64)
-    n = logw.size
-    if n < 2:
-        return float("nan")
     total = logsumexp(logw)
-    # leave-one-out log sums, log(e^total - e^wi) done stably; every replica
-    # but the largest holds at most half the total, so only that one can
-    # cancel catastrophically, and its leave-one-out sum is taken directly
     with np.errstate(divide="ignore"):
         loo = total + np.log1p(-np.exp(logw - total))
     top = int(np.argmax(logw))
     loo[top] = logsumexp(np.delete(logw, top))
-    loo -= math.log(n - 1)
-    center = loo.mean()
-    var = (n - 1) / n * np.sum((loo - center) ** 2)
-    return float(math.sqrt(var))
+    loo -= math.log(logw.size - 1)
+    return loo
+
+
+def jackknife_stderr(loo) -> float:
+    """Jackknife standard error from the n leave-one-out values of an estimate; NaN if n < 2."""
+    loo, n = np.asarray(loo, dtype=np.float64), np.size(loo)
+    return float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))) if n > 1 else math.nan
 
 
 def fsum(values) -> float:

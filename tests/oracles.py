@@ -14,13 +14,17 @@ from the route it judges:
 * ``exact_gap_oracle``, both sides of the gap at a small horizon by
   enumeration over every ray environment, each valued by a plain run-length
   transfer loop with no rescaling and no early stop (it judges
-  ``certify_gap``).
+  ``certify_gap``);
+* ``jackknife_by_deletion``, a jackknife that recomputes its estimate on
+  each sample with one entry deleted, O(n^2) (it judges the leave-one-out
+  log-mean-exp and the field-law gap's error bars).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -259,3 +263,34 @@ def exact_gap_oracle(tp, eps, cfg, law, horizon: int) -> tuple:
     quenched = float(probs @ log_inner) / et
     annealed = float(logsumexp(np.log(probs) + log_inner)) / et
     return quenched, annealed
+
+
+def jackknife_by_deletion(sample, estimate) -> float:
+    """Jackknife standard error of ``estimate``, recomputed on each leave-one-out sample.
+
+    sqrt((n - 1) / n * sum_i (e_i - mean_i e_i)^2), e_i = estimate(sample
+    without entry i); every e_i takes a fresh pass over n - 1 entries.
+    """
+    sample = np.asarray(sample, dtype=np.float64)
+    loo = np.array([estimate(np.delete(sample, i)) for i in range(sample.size)])
+    n = sample.size
+    return math.sqrt((n - 1) / n * math.fsum(((loo - loo.mean()) ** 2).tolist()))
+
+
+def log_mean_exp(logs) -> float:
+    return logsumexp(logs) - math.log(len(logs))
+
+
+def field_gap_stderrs(log_inner, expected_block) -> tuple:
+    """(quenched, annealed, gap) error bars of a field-law gap from its (n,) trace, by deletion.
+
+    The sides are the mean and the log-mean-exp of the logs over E[tau_1],
+    the gap their difference; the quenched side takes the plain standard
+    error of a mean.
+    """
+    logs = np.asarray(log_inner, dtype=np.float64)
+    quenched = math.sqrt(math.fsum(((logs - logs.mean()) ** 2).tolist())
+                         / (logs.size - 1) / logs.size)
+    annealed = jackknife_by_deletion(logs, log_mean_exp)
+    gap = jackknife_by_deletion(logs, lambda r: log_mean_exp(r) - math.fsum(r.tolist()) / r.size)
+    return quenched / expected_block, annealed / expected_block, gap / expected_block

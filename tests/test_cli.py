@@ -123,6 +123,11 @@ class TestVerify:
         ({"verify": {"n_max": 24}}, "verify.n_max = 24 enumerates"),  # 2^24 paths
         ({"verify": {"tau_draws": 10**10}}, "verify.tau_draws = 10000000000"),
         ({"verify": {"psi_n_max": 40}}, "verify.psi_n_max = 40 enumerates"),
+        ({"law": {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
+                  "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
+                  "weights": [0.5, 0.5]},
+          "z": [0.2, 0.1], "ell": [1, 0], "verify": {"n_max": 40}},
+         "verify.n_max = 40 enumerates"),  # 4^40 paths: no d > 1 cap runs 6 instead
     ])
     def test_budgets_refused_before_any_family(self, tmp_path, capsys, monkeypatch, payload,
                                                key):
@@ -157,9 +162,9 @@ class TestVerify:
             assert err.startswith(f"budget error: {key}") and "Traceback" not in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("dimension,n_max,ran", [(1, 3, 3), (2, 40, 6)])
+    @pytest.mark.parametrize("dimension,n_max,ran", [(1, 3, 3), (2, 7, 7)])
     def test_report_records_the_n_max_it_ran(self, tmp_path, capsys, dimension, n_max, ran):
-        # in d > 1 n_max is capped at 6: stdout and the report say so
+        # every dimension runs verify.n_max itself, 2-D beyond the 6 it was once capped at
         law = {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
                "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], "weights": [0.5, 0.5]}
         payload = {"verify": {"n_max": n_max, "theta_count": 2, "tau_draws": 30000}}
@@ -170,8 +175,7 @@ class TestVerify:
         out = capsys.readouterr().out
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["n_max"] == ran and report["passed"] is True
-        assert f"n_max = {ran}" in out.splitlines()[0]
-        assert ("capped" in out) == (ran != n_max)
+        assert out.splitlines()[0].endswith(f"n_max = {ran}")
 
     def test_tau_stats_draws_over_the_memory_budget_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": {"draws": 10**10}})
@@ -181,14 +185,38 @@ class TestVerify:
         assert err.startswith("budget error: tau.draws = 10000000000 draws")
         assert not (out / "tau_stats.csv").exists()
 
-    @pytest.mark.parametrize("scale", ["a", -0.5, True, None, [0.5]])
+    @pytest.mark.parametrize("scale", ["a", -0.5, True, None, [0.5], 0.5])
     def test_theta_scale_must_be_a_number(self, tmp_path, capsys, scale):
+        # the theta range is the constant THETA_SCALE; no config value moves
+        # it, a number or not: verify.theta_scale is refused as an unknown key
         cfg = write_config(tmp_path, {"verify": {"theta_scale": scale}})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("error: verify.theta_scale must be a number >= 0")
+        assert err == "error: unknown config key verify.theta_scale\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_row_passes_by_its_tolerance(self, tmp_path, capsys, monkeypatch, seed):
+        # passed == (metric <= tolerance) row by row, except psi's two-part rule:
+        # its metric is the larger of two errors, the one-step algebra's held to
+        # ONESTEP_ABS. Halving or doubling psi_factor's correction makes both fail
+        cfg = write_config(tmp_path, {"verify": {"n_max": 3, "psi_n_max": 2,
+                                                 "tau_draws": 2000}, "seed": seed})
+        for scale in (1.0, 0.5, 2.0):
+            real = rwre_lab.cli.psi_factor
+            monkeypatch.setattr("rwre_lab.cli.psi_factor", lambda tp, eps, xi, step:
+                                xi + scale * (real(tp, eps, xi, step) - xi))
+            main(["--config", cfg, "--out", str(tmp_path), "verify"])
+            monkeypatch.undo()
+            rows = json.loads((tmp_path / "verify_report.json").read_text())["families"]
+            for row in rows:
+                if row["family"] != "psi-identity":
+                    assert row["passed"] == (row["metric"] <= row["tolerance"]), row
+            psi = next(row for row in rows if row["family"] == "psi-identity")
+            assert psi["tolerance"] == rwre_lab.cli.IDENTITY_REL
+            assert psi["passed"] == (scale == 1.0)
+            assert psi["passed"] <= (psi["metric"] <= psi["tolerance"])
 
     def test_two_dimensional_suite_within_a_minute(self, tmp_path, capsys):
         import time

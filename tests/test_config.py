@@ -97,7 +97,7 @@ PINNED = [  # (key named in the error, subcommand, config)
     ("law.atoms", "gap", {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                                   "weights": [1.0]}}),  # a KeyError traceback before
     ("rate.velocities[0]", "rate", {"rate": {"velocities": [0.5]}}),  # a TypeError traceback
-    ("tolerances.tau_sigmas", "verify", {"tolerances": {"tau_sigmas": -1}}),  # exit 1
+    ("tolerances", "verify", {"tolerances": {"tau_sigmas": -1}}),  # exit 1, then unknown
     ("law.kappa", "gap", {"law": {**DEFAULT_CONFIG["law"], "kappa": "0.1"}}),
     ("seed", "gap", {"seed": 2**70}),  # ran as seed 0
     ("seed", "gap", {"seed": -1}),  # ran as seed 2^64 - 1
@@ -115,7 +115,26 @@ def test_refused_by_name_before_any_artifact(tmp_path, capsys, key, command, pay
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), command]) == 64
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} ") and "Traceback" not in err
+    assert re.match(f"error: (unknown config key )?{re.escape(key)}\\s", err)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["tolerances.tilt_residual", "tolerances.identity_rel",
+                                 "tolerances.onestep_abs", "tolerances.coincidence_abs",
+                                 "tolerances.tau_sigmas", "verify.theta_scale"])
+def test_removed_verify_key_is_unknown(tmp_path, capsys, key):
+    # verify's thresholds and theta range are module constants; setting one,
+    # even to its old default, is refused by name before verify runs
+    section, leaf = key.split(".")
+    value = {"theta_scale": 0.5, "onestep_abs": 1e-12, "tau_sigmas": 4.0}.get(leaf, 1e-10)
+    assert key not in SCHEMA
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {leaf: value}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 64
+    want = "tolerances" if section == "tolerances" else key
+    assert capsys.readouterr().err == f"error: unknown config key {want}\n"
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from rwre_lab.identities import psi_factor, verify_identity_annealed
 from rwre_lab.tilting import solve_tilt
 
 from envhelpers import constant_law
-from oracles import ORACLE_CAP, exact_gap_oracle, sample_ray_block_values
+from oracles import ORACLE_CAP, exact_gap_oracle, field_gap_stderrs, sample_ray_block_values
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -252,15 +252,31 @@ class TestCertifyGap:
         assert abs(rep_f.gap - rep_i.gap) < 6 * math.hypot(rep_f.stderr, rep_i.stderr) + 1e-5
         assert rep_f.significance > 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_field_gap_stderr_is_the_jackknife_of_the_gap(self, seed):
+        # both sides read the same replicas, so the gap's error bar is the
+        # jackknife of the gap itself, below the hypot of the side error bars
+        # that ignored their correlation; the side error bars stay as they were
+        field = MarkovFieldLaw(1, [[0.3, 0.7], [0.5, 0.5], [0.7, 0.3]], kappa=0.1, beta=0.5)
+        tp = solve_tilt(field, [0.5])
+        rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), field, budget=60,
+                          horizon=200, seed=seed)
+        q_se, a_se, gap_se = field_gap_stderrs(rep.trace, rep.expected_block)
+        assert rep.stderr == pytest.approx(gap_se, rel=1e-9)
+        assert rep.quenched_stderr == pytest.approx(q_se, rel=1e-9)
+        assert rep.annealed_stderr == pytest.approx(a_se, rel=1e-9)
+        assert rep.stderr < math.hypot(rep.quenched_stderr, rep.annealed_stderr)
+        assert rep.significance == rep.gap / rep.stderr
+
 
 class TestFreeEnergy:
     def test_limit_consistency_reported(self, capsys):
         # finite-horizon trend toward the infinite-horizon level; reported,
         # not asserted, because the drift at these horizons is real
-        theta = [0.3]
+        theta = [[0.3]]
         values = []
         for n in range(4, 11):
-            lhs, _ = verify_identity_annealed(TWO_ATOM, TP, theta, n)
+            [lhs], _ = verify_identity_annealed(TWO_ATOM, TP, theta, n)
             values.append(math.log(lhs) / n)
         print("finite-horizon free energies:", np.round(values, 6))
         assert np.all(np.isfinite(values))

@@ -131,7 +131,7 @@ class TestIdentityAnnealed:
     def test_zero_disorder_collapse(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
-        lhs, rhs = verify_identity_annealed(law, tp, [0.7], 4)
+        [lhs], [rhs] = verify_identity_annealed(law, tp, [[0.7]], 4)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         # both sides equal the bare tilted walk expectation when xi == 1
         direct = (0.75 * math.exp(0.7) + 0.25 * math.exp(-0.7)) ** 4  # i.i.d. steps
@@ -139,12 +139,12 @@ class TestIdentityAnnealed:
 
     def test_two_atom_identity(self):
         tp = solve_tilt(TWO_ATOM, [0.5])
-        lhs, rhs = verify_identity_annealed(TWO_ATOM, tp, [0.3], 5)
+        [lhs], [rhs] = verify_identity_annealed(TWO_ATOM, tp, [[0.3]], 5)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
     def test_cancelling_tilt_gives_power_of_D(self):
         tp = solve_tilt(TWO_ATOM, [0.5])
-        lhs, rhs = verify_identity_annealed(TWO_ATOM, tp, -np.asarray(tp.theta), 3)
+        [lhs], [rhs] = verify_identity_annealed(TWO_ATOM, tp, -np.asarray([tp.theta]), 3)
         assert rhs == pytest.approx(tp.D**3, rel=1e-12)
         assert lhs == pytest.approx(tp.D**3, rel=1e-10)
 
@@ -152,8 +152,8 @@ class TestIdentityAnnealed:
     def test_identity_many_horizons(self, n):
         rng = np.random.default_rng(n)
         tp = solve_tilt(TWO_ATOM, [0.4])
-        theta = rng.uniform(-2, 2, size=1)
-        lhs, rhs = verify_identity_annealed(TWO_ATOM, tp, theta, n)
+        theta = rng.uniform(-2, 2, size=(1, 1))
+        [lhs], [rhs] = verify_identity_annealed(TWO_ATOM, tp, theta, n)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
 
@@ -162,22 +162,22 @@ class TestIdentityQuenched:
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
         env = mean_environment(law, centered_box(1, 5))
-        lhs_q, rhs_q = verify_identity_quenched(env, tp, [0.2], 4)
-        lhs_a, rhs_a = verify_identity_annealed(law, tp, [0.2], 4)
+        [lhs_q], [rhs_q] = verify_identity_quenched(env, tp, [[0.2]], 4)
+        [lhs_a], [rhs_a] = verify_identity_annealed(law, tp, [[0.2]], 4)
         assert lhs_q == pytest.approx(lhs_a, rel=1e-12)
         assert rhs_q == pytest.approx(rhs_a, rel=1e-12)
 
     def test_random_environment(self):
         tp = solve_tilt(TWO_ATOM, [0.5])
         env = sample_environment(TWO_ATOM, 31, centered_box(1, 6))
-        lhs, rhs = verify_identity_quenched(env, tp, [0.0], 5)
+        [lhs], [rhs] = verify_identity_quenched(env, tp, [[0.0]], 5)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
     def test_single_step_term_by_term(self):
         tp = solve_tilt(TWO_ATOM, [0.5])
         env = sample_environment(TWO_ATOM, 8, centered_box(1, 2))
         theta = 0.45
-        lhs, rhs = verify_identity_quenched(env, tp, [theta], 1)
+        [lhs], [rhs] = verify_identity_quenched(env, tp, [[theta]], 1)
         means = TWO_ATOM.marginal_means()
         by_hand_lhs = sum(
             tp.u[k] * math.exp(theta * v) * float(omega(env, (0,))[k]) / means[k]
@@ -194,7 +194,7 @@ class TestIdentityQuenched:
                             [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.3, -0.1])
         env = sample_environment(law, 5, centered_box(2, 5))
-        lhs, rhs = verify_identity_quenched(env, tp, [0.2, -0.4], 4)
+        [lhs], [rhs] = verify_identity_quenched(env, tp, [[0.2, -0.4]], 4)
         assert abs(lhs - rhs) / abs(rhs) <= 1e-10
 
 
@@ -202,8 +202,8 @@ class TestStackedTheta:
     @pytest.mark.parametrize("d,z,n_max", [(1, [0.5], 6), (2, [0.2, 0.1], 4),
                                            (3, [0.2, 0.1, 0.1], 3)])
     def test_rows_equal_single_calls_bit_for_bit(self, d, z, n_max):
-        # one enumeration per call serves every theta: a (T, d) theta gives
-        # (T,) sides equal to the T single calls, ==, not approx
+        # one enumeration per call serves every theta: a (T, d) stack gives
+        # (T,) sides whose rows equal the T one-row stacks, ==, not approx
         rng = np.random.default_rng(d)
         law = random_law(rng, d)
         tp = solve_tilt(law, z)
@@ -214,10 +214,10 @@ class TestStackedTheta:
                                   (verify_identity_quenched, env)):
                 lhs, rhs = oracle(first, tp, thetas, n)
                 assert lhs.shape == rhs.shape == (4,)
-                singles = [oracle(first, tp, th, n) for th in thetas]
-                assert all(isinstance(v, float) for pair in singles for v in pair)
-                assert lhs.tolist() == [s[0] for s in singles]
-                assert rhs.tolist() == [s[1] for s in singles]
+                singles = [oracle(first, tp, th[None], n) for th in thetas]
+                assert all(side.shape == (1,) for pair in singles for side in pair)
+                assert lhs.tolist() == [s[0][0] for s in singles]
+                assert rhs.tolist() == [s[1][0] for s in singles]
 
 
 class TestPathBlocks:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
                            sample_environment)
-from .numutil import BudgetError, check_memory, deferred_names, derive_seed, site_uniforms
+from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
+                      lattice_denominator, site_uniforms)
 
 # A subcommand loads only the modules it runs (README, "Start-up"). Each name
 # below loads its module on first use, and is read as an attribute of this
@@ -68,9 +69,8 @@ DEFAULT_CONFIG = {
     "z": [0.5],
     "ell": [1],
     "L": 3,
-    "kbar": None,
     "seed": 20260808,
-    "gap": {"replicas": 20000, "horizon": None, "tail": 1e-4},
+    "gap": {"replicas": 20000, "horizon": None},
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
              "env_replicas": 8},
     "verify": {"n_max": 6, "theta_count": 5, "psi_n_max": 4, "tau_draws": 200000},
@@ -123,11 +123,9 @@ SCHEMA = {
     "z": (NUMBER, (D,)),
     "ell": (INTEGER, (D,)),
     "L": (POSITIVE, ()),
-    "kbar": (PROBABILITY, ()),
     "seed": (SEED, ()),
     "gap.replicas": (INTEGER, ()),  # certify_gap refuses < 2 and counts over the memory budget
     "gap.horizon": (POSITIVE, ()),
-    "gap.tail": (PROBABILITY, ()),
     "rate.velocities": (NUMBER, (ANY, D)),
     "rate.method": (_one_of("enumeration"), ()),  # the exact forward DP
     "rate.horizon": (POSITIVE, ()),
@@ -141,7 +139,7 @@ SCHEMA = {
     "env_sample.lo": (INTEGER, (D,)),
     "env_sample.hi": (INTEGER, (D,)),
 }
-NULLABLE = {"kbar", "gap.horizon"}  # null: the default kbar, the horizon from gap.tail
+NULLABLE = {"gap.horizon"}  # null: the horizon decomposition.choose_horizon picks
 
 
 def _check(key: str, val, rule, shape: tuple, d: int):
@@ -196,6 +194,7 @@ def normalize_config(raw: dict) -> dict:
     for i, x in enumerate(out["rate"]["velocities"]):  # the whole grid, before any point
         if sum(map(abs, x)) > 1.0 + 1e-12:
             raise ConfigError(f"rate.velocities[{i}] = {x} lies outside the unit l1 ball")
+        lattice_denominator(x, f"rate.velocities[{i}]")
     return out
 
 
@@ -241,7 +240,7 @@ def build_problem(cfg: dict):
     """law, tilt parameters, symbol law and stopping config from one config."""
     law = build_law(cfg)
     tp = _cli.solve_tilt(law, np.asarray(cfg["z"], dtype=np.float64))
-    eps = _cli.make_epsilon_law(tp, cfg["kbar"])
+    eps = _cli.make_epsilon_law(tp)
     stop = _cli.StoppingConfig.from_vector(cfg["L"], cfg["ell"])
     return law, tp, eps, stop
 
@@ -293,6 +292,9 @@ THETA_SCALE = 0.5
 
 def _run_verify(cfg: dict):
     """Run the six identity families up to verify.n_max; returns (rows, all_pass)."""
+    if (kind := cfg["law"]["kind"]) != "iid-product":
+        raise ConfigError(f"law.kind = {kind!r}: verify's annealed identity closes atom by "
+                          "atom, so it needs an i.i.d. product law ('iid-product')")
     law, tp, eps, stop = build_problem(cfg)
     d = tp.dimension
     seed = cfg["seed"]
@@ -300,9 +302,8 @@ def _run_verify(cfg: dict):
     psi_n_max = cfg["verify"]["psi_n_max"]
     # the oracles' own checks at the longest runs, before any family runs
     _cli.check_paths(n_max, d, "verify.n_max")
-    if isinstance(law, IIDProductLaw):  # the one law kind the annealed identity takes
-        check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
-                     f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
+    check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
+                 f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
     _cli.check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-THETA_SCALE, THETA_SCALE)
@@ -389,8 +390,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 def cmd_gap(cfg: dict, out_dir: str) -> int:
     law, tp, eps, stop = build_problem(cfg)
     report = _cli.certify_gap(tp, eps, stop, law, cfg["gap"]["replicas"],
-                              horizon=cfg["gap"]["horizon"], tail=float(cfg["gap"]["tail"]),
-                              seed=cfg["seed"])
+                              horizon=cfg["gap"]["horizon"], seed=cfg["seed"])
     payload = report.to_dict()
     payload["config_hash"] = config_hash(cfg)
     payload["tilt"] = tp.to_dict()
@@ -452,15 +452,14 @@ def cmd_env_sample(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
-    stop = build_problem(cfg)[3]
     draws = cfg["tau"]["draws"]
     for _, lval in cfg["tau"]["configs"]:
         _cli.check_tau_memory(draws, lval, "tau.draws")
     rows = []
     for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
-        # tau needs only the success probability k; an EpsilonLaw would also
-        # demand 2d * k < 1, which the default k = 0.25 breaks in 2-D
-        c = _cli.StoppingConfig(lval, stop.ell)
+        # tau reads only the run length L and the success probability k: no law,
+        # tilt or direction enters, and an EpsilonLaw would also demand 2d * k < 1
+        c = _cli.StoppingConfig(lval, 0)
         taus = _cli.sample_tau_batch(kb, c, draws, derive_seed(cfg["seed"], 300 + i))
         expect = _cli.expected_tau(kb, c)
         mean, se, z = _tau_z(taus, expect)

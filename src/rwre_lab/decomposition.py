@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # TiltParams appears in annotations only
     from .tilting import TiltParams
 
 TAU_HORIZON = 10**7
+HORIZON_TAIL = 1e-4  # the chosen horizon H is the first with P(tau_1 > H) below this
 TAU_BLOCK = 2**12  # tau draws located by one searchsorted
 TAIL_STEPS = 2**12  # tail entries from one product with the block transfer
 
@@ -82,8 +83,9 @@ def default_kbar(tp: TiltParams) -> float:
     return min(1.0 / (4 * tp.dimension), tp.c_z / 2.0)
 
 
-def make_epsilon_law(tp: TiltParams, kbar: float | None = None) -> EpsilonLaw:
-    eps = EpsilonLaw(default_kbar(tp) if kbar is None else float(kbar), tp.dimension)
+def make_epsilon_law(tp: TiltParams) -> EpsilonLaw:
+    """The symbol law at ``default_kbar``; ``EpsilonLaw`` itself takes any other kbar."""
+    eps = EpsilonLaw(default_kbar(tp), tp.dimension)
     eps.validate_against(tp)
     return eps
 
@@ -164,27 +166,25 @@ def _run_length_transfer(k: float, L: int) -> np.ndarray:
     return transfer
 
 
-def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> int:
-    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < tail, by binary lifting over the exact tail.
+def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig) -> int:
+    """Smallest H <= TAU_HORIZON with P(tau_1 > H) < HORIZON_TAIL, by binary lifting of the tail.
 
     A hopeless search is refused first. The events "no run of L ends at s"
     are decreasing in the symbols, so by Harris's inequality P(tau_1 > T) >=
-    (1 - k^L)^T; where that bound is 2 tail or more at T = TAU_HORIZON, the
-    search could only fail.
+    (1 - k^L)^T; where that bound is 2 HORIZON_TAIL or more at T =
+    TAU_HORIZON, the search could only fail.
 
     P(tau_1 > t) is the mass of v_t = M^t e_0, with M the L x L transfer of
     the run-length chain (``_run_length_transfer``), and it never increases in t.
     From the squares M^(2^j), j high to low, the search jumps 2^j ahead
-    wherever the mass after the jump is still >= tail; it ends at the last
-    such t, and H = t + 1. That is O(L^3 log TAU_HORIZON) work, where a scan
-    of the tail takes H steps.
+    wherever the mass after the jump is still >= HORIZON_TAIL; it ends at the
+    last such t, and H = t + 1. That is O(L^3 log TAU_HORIZON) work, where a
+    scan of the tail takes H steps.
     """
     k = _kbar_of(eps)
-    if (bound := math.exp(TAU_HORIZON * math.log1p(-k**cfg.L))) >= 2 * tail:
+    if (bound := math.exp(TAU_HORIZON * math.log1p(-k**cfg.L))) >= 2 * HORIZON_TAIL:
         raise BudgetError(f"at L = {cfg.L}, P(tau_1 > {TAU_HORIZON}) >= {bound:.2g}: the tau tail "
-                          f"stays above {tail} within the {TAU_HORIZON}-symbol cap")
-    if tail > 1.0:
-        return 0  # P(tau_1 > 0) = 1
+                          f"stays above {HORIZON_TAIL} within the {TAU_HORIZON}-symbol cap")
     squares = [_run_length_transfer(k, cfg.L)]
     for _ in range(TAU_HORIZON.bit_length() - 1):
         squares.append(squares[-1] @ squares[-1])
@@ -192,10 +192,11 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig, tail: float = 1e-4) -> 
     v[0] = 1.0
     t = 0
     for j in reversed(range(len(squares))):
-        if (ahead := squares[j] @ v).sum() >= tail:
+        if (ahead := squares[j] @ v).sum() >= HORIZON_TAIL:
             v, t = ahead, t + 2**j
     if t >= TAU_HORIZON:
-        raise BudgetError(f"tau tail stays above {tail} within the {TAU_HORIZON}-symbol cap")
+        raise BudgetError(f"tau tail stays above {HORIZON_TAIL} within the "
+                          f"{TAU_HORIZON}-symbol cap")
     return t + 1
 
 

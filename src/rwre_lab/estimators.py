@@ -54,7 +54,7 @@ import numpy as np
 
 from .environments import IIDProductLaw, direction_index, direction_vectors, sample_environment
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed, jackknife_stderr,
-                      logmeanexp, loo_logmeanexp)
+                      lattice_denominator, logmeanexp, loo_logmeanexp)
 
 if TYPE_CHECKING:  # these appear in annotations only
     from .decomposition import EpsilonLaw, StoppingConfig
@@ -347,21 +347,21 @@ class GapReport:
 
 
 def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
-                budget: int, *, horizon: int | None = None, tail: float = 1e-4,
-                seed: int = 0) -> GapReport:
+                budget: int, *, horizon: int | None = None, seed: int = 0) -> GapReport:
     """Estimate both sides of the block-level mean-log versus log-mean split.
 
     Common truncation horizon and, where the annealed side needs sampling,
     common environment draws keep the two sides comparable term by term. The
     strict inequality is declared certified at significance > 5, falsified
     below -3, and inconclusive in between. Without a fixed ``horizon``, the
-    horizon is the smallest H with P(tau_1 > H) < ``tail``; a fixed one above
-    TAU_HORIZON, the cap of that search, raises BudgetError. Replicas are
-    evaluated CHUNK at a time with their factors drawn inside the recursion,
-    for a product law one random byte per replica and step, so memory does
-    not grow with the horizon. It grows with the replica count only by the
-    _REPLICA_FLOATS floats kept per replica, the trace among them; a count
-    whose floats pass MEMORY_BUDGET raises BudgetError before any row is drawn.
+    horizon is ``choose_horizon``'s, the smallest H with P(tau_1 > H) below
+    HORIZON_TAIL; a fixed one above TAU_HORIZON, the cap of that search,
+    raises BudgetError. Replicas are evaluated CHUNK at a time with their
+    factors drawn inside the recursion, for a product law one random byte per
+    replica and step, so memory does not grow with the horizon. It grows with
+    the replica count only by the _REPLICA_FLOATS floats kept per replica, the
+    trace among them; a count whose floats pass MEMORY_BUDGET raises
+    BudgetError before any row is drawn.
     Each block's recursion stops once the rest of its sums is below rounding,
     with the values of the full horizon; ``steps_read`` is the most steps a
     block ran. The horizon is chosen, and refused, before E[tau_1] is taken.
@@ -380,7 +380,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if horizon is not None and horizon < cfg.L:
         raise ValueError(f"gap.horizon = {horizon} is below L = {cfg.L}: no block completes "
                          "within it, so the inner block expectation is not positive")
-    h = horizon or _estimators.choose_horizon(eps, cfg, tail)
+    h = horizon or _estimators.choose_horizon(eps, cfg)
     et, w = _estimators.expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     table = float(tp.u_array[cfg.ell]) * law.xi_values()[:, cfg.ell] - eps.kbar
     rows = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), table)
@@ -441,13 +441,6 @@ class RatePointEstimate:
         return _reported(self)
 
 
-def _rationalize(x: np.ndarray, max_den: int = 64) -> int:
-    for q in range(1, max_den + 1):
-        if np.all(np.abs(x * q - np.round(x * q)) < 1e-9):
-            return q
-    raise ValueError(f"velocity {x} has no small rational representation for lattice targets")
-
-
 def rate_point(law, x, *, seed: int = 0, horizon: int = 400,
                env_replicas: int = 8) -> RatePointEstimate:
     """Paired annealed/quenched rate estimates at one velocity.
@@ -495,7 +488,7 @@ def _rate_point_boundary(law, x) -> RatePointEstimate:
 
 def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> RatePointEstimate:
     d = law.dimension
-    q = _rationalize(x)
+    q = lattice_denominator(x)
     base = q if (int(round(q * np.abs(x).sum())) - q) % 2 == 0 else 2 * q
     n2 = max(2 * base, 2 * base * round(horizon / (2 * base)))
     n1 = n2 // 2
@@ -504,29 +497,24 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     target1, target2 = (np.round(n * x).astype(np.int64) for n in (n1, n2))
     region = _estimators.light_cone(d, n2, target2)
     reps = 1 if zero_dis else env_replicas
-    i_r = np.empty(reps)
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):
         env = sample_environment(law, derive_seed(seed, 31, r), region)
-        log2, log1 = _estimators.log_point_probability_dp(env, n2, target2, at=(n1, target1))
-        a1, a2 = -log1 / n1, -log2 / n2
-        i_r[r] = 2.0 * a2 - a1  # first-order extrapolation in 1/N
-        logp1[r] = -a1 * n1
-        logp2[r] = -a2 * n2
+        logp2[r], logp1[r] = _estimators.log_point_probability_dp(env, n2, target2,
+                                                                  at=(n1, target1))
+
+    def extrapolated(log1, log2):  # the decays at n1 and n2, first-order in 1/N
+        return 2.0 * (-log2 / n2) - (-log1 / n1)
+
+    i_r = extrapolated(logp1, logp2)
     i_q = float(i_r.mean())
     se_q = float(i_r.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     if zero_dis:
         return RatePointEstimate(tuple(float(v) for v in x), i_q, i_q, 0.0, 0.0,
                                  "enumeration", n2)
     # annealed decay: environment average of the quenched point probability
-    a1 = -logmeanexp(logp1) / n1
-    a2 = -logmeanexp(logp2) / n2
-    i_a = float(2.0 * a2 - a1)
-    loo = np.empty(reps)
-    for r in range(reps):
-        keep = np.arange(reps) != r
-        loo[r] = 2.0 * (-logmeanexp(logp2[keep]) / n2) - (-logmeanexp(logp1[keep]) / n1)
-    se_a = jackknife_stderr(loo)
+    i_a = float(extrapolated(logmeanexp(logp1), logmeanexp(logp2)))
+    se_a = jackknife_stderr(extrapolated(loo_logmeanexp(logp1), loo_logmeanexp(logp2)))
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, se_q,
                              "enumeration", n2)

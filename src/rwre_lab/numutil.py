@@ -89,6 +89,16 @@ def logmeanexp(a) -> float:
     return logsumexp(a) - math.log(a.size)
 
 
+def lattice_denominator(x, what: str = "velocity") -> int:
+    """The least q <= 64 with q x on the integer lattice, to 1e-9; ValueError, led by ``what``, if none."""
+    x = np.asarray(x, dtype=np.float64)
+    for q in range(1, 65):
+        if np.all(np.abs(x * q - np.round(x * q)) < 1e-9):
+            return q
+    raise ValueError(f"{what} = {x.tolist()} has no lattice denominator q <= 64: q x is off "
+                     "the lattice for every such q")
+
+
 def words(k: int, n: int) -> np.ndarray:
     """Every length-n word over 0..k-1: the one block of ``word_blocks``; callers bound k^n."""
     return next(word_blocks(k, n, k**n))

@@ -205,7 +205,7 @@ def test_criterion_7_ordering_never_violated(tmp_path):
     for name, payload, want in [
         ("two_atom", {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                               "atoms": [[0.4, 0.6], [0.6, 0.4]], "weights": [0.5, 0.5]},
-                      "z": [0.5], "ell": [1], "L": 2, "kbar": 0.125, "seed": 77,
+                      "z": [0.5], "ell": [1], "L": 2, "seed": 77,
                       "gap": {"replicas": 4000}}, 0),
         ("zero_dis", {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                               "atoms": [[0.5, 0.5]], "weights": [1.0]},
@@ -225,7 +225,7 @@ def test_criterion_8_byte_identical_replay(tmp_path):
     t0 = time.perf_counter()
     payload = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                        "atoms": [[0.4, 0.6], [0.6, 0.4]], "weights": [0.5, 0.5]},
-               "z": [0.5], "ell": [1], "L": 2, "kbar": 0.125, "seed": 8,
+               "z": [0.5], "ell": [1], "L": 2, "seed": 8,
                "gap": {"replicas": 4000}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))

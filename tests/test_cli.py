@@ -13,7 +13,7 @@ import pytest
 import rwre_lab
 from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
                           config_hash, load_config, main, normalize_config)
-from rwre_lab.decomposition import EpsilonLaw, StoppingConfig, choose_horizon
+from rwre_lab.decomposition import HORIZON_TAIL, EpsilonLaw, StoppingConfig, choose_horizon
 from rwre_lab.estimators import RatePointEstimate
 from rwre_lab.identities import annealed_identity_bytes
 from rwre_lab.tilting import solve_tilt
@@ -23,7 +23,7 @@ from oracles import tau_survival
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
             "atoms": [[0.4, 0.6], [0.6, 0.4]], "weights": [0.5, 0.5]},
-    "z": [0.5], "ell": [1], "L": 2, "kbar": 0.125, "seed": 777,
+    "z": [0.5], "ell": [1], "L": 2, "seed": 777,
     "gap": {"replicas": 4000},
 }
 
@@ -102,16 +102,22 @@ class TestVerify:
         failed = {f["family"] for f in report["families"] if not f["passed"]}
         assert failed == {"psi-identity"}
 
-    def test_field_law_usage_error(self, tmp_path, capsys):
-        # the annealed identity closes atom by atom; a field law is a usage error
+    def test_field_law_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the annealed identity closes atom by atom; a field law is a usage error,
+        # named by law.kind before any family runs (the tilt family ran first before)
+        monkeypatch.setattr("rwre_lab.cli.tilt_invariant_residuals",
+                            lambda tp: pytest.fail("a family ran"))
         payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
                            "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.5},
                    "verify": {"n_max": 2, "psi_n_max": 2, "tau_draws": 1000}}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 64
-        assert "i.i.d. product law" in capsys.readouterr().err
-        assert not (out / "verify_report.json").exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: law.kind = 'markov-field'")
+        assert "i.i.d. product law" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_budget_violation_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"verify": {"psi_n_max": 40}})
@@ -281,14 +287,15 @@ class TestGap:
         assert not path.exists()
 
     def test_tail_sets_the_horizon(self, tmp_path, capsys):
-        payload = {**TWO_ATOM_GAP, "gap": {"replicas": 4000, "tail": 1e-3}}
-        cfg = write_config(tmp_path, payload)
+        # without gap.horizon, H is the first horizon whose tau tail is below HORIZON_TAIL
+        cfg = write_config(tmp_path, TWO_ATOM_GAP)
         assert main(["--config", cfg, "--out", str(tmp_path), "gap"]) == 0
-        h = json.loads((tmp_path / "gap_report.json").read_text())["horizon"]
-        eps, stop = EpsilonLaw(0.125, 1), StoppingConfig(2, 1)
+        report = json.loads((tmp_path / "gap_report.json").read_text())
+        h = report["horizon"]
+        eps, stop = EpsilonLaw(report["kbar"], 1), StoppingConfig(2, 1)
         surv = tau_survival(eps, stop, h)
-        assert surv[h] < 1e-3 <= surv[h - 1]
-        assert h < choose_horizon(eps, stop, tail=1e-4)
+        assert surv[h] < HORIZON_TAIL <= surv[h - 1]
+        assert h == choose_horizon(eps, stop)
 
     def test_hopeless_horizon_exits_2_at_once(self, tmp_path, capsys):
         # L = 7 at the default kbar 1/8 scanned for 14 s before exit 2
@@ -300,15 +307,19 @@ class TestGap:
         assert capsys.readouterr().err.startswith("budget error: at L = 7, P(tau_1 > 10000000)")
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload, err", [
-        ({"L": 400}, "budget error: at L = 400, P(tau_1 > 10000000) >= 1"),
-        ({"kbar": 1e-300}, "budget error: at L = 3, P(tau_1 > 10000000) >= 1"),
-        ({"L": 400, "gap": {"horizon": 1000}}, "budget error: at L = 400 and kbar = 0.1249"),
-        ({"kbar": 1e-300, "gap": {"horizon": 1000}}, "budget error: at L = 3 and kbar = 1e-300"),
+    @pytest.mark.parametrize("payload, kbar, err", [
+        ({"L": 400}, None, "budget error: at L = 400, P(tau_1 > 10000000) >= 1"),
+        ({}, 1e-300, "budget error: at L = 3, P(tau_1 > 10000000) >= 1"),
+        ({"L": 400, "gap": {"horizon": 1000}}, None, "budget error: at L = 400 and kbar = 0.1249"),
+        ({"gap": {"horizon": 1000}}, 1e-300, "budget error: at L = 3 and kbar = 1e-300"),
     ], ids=["L-400", "kbar-1e-300", "L-400-fixed-horizon", "kbar-1e-300-fixed-horizon"])
-    def test_expected_tau_out_of_range_exits_2(self, tmp_path, capsys, payload, err):
+    def test_expected_tau_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               payload, kbar, err):
         # each ended in an OverflowError traceback from E[tau_1], exit 1; the
-        # horizon search now refuses first, and E[tau_1] itself refuses a fixed horizon
+        # horizon search now refuses first, and E[tau_1] itself refuses a fixed horizon.
+        # kbar is no config key, so a tiny kbar comes in through the default rule
+        if kbar is not None:
+            monkeypatch.setattr("rwre_lab.decomposition.default_kbar", lambda tp: kbar)
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "gap"]) == 2
@@ -317,13 +328,13 @@ class TestGap:
 
     def test_tail_outside_the_unit_interval_refused(self, tmp_path, capsys):
         # -1 and 0 scanned up to the 1e7-symbol cap before exit 2, and 1.5
-        # exited 64 blaming the disorder: each is refused as a config error
+        # exited 64 blaming the disorder; the cut is now the constant HORIZON_TAIL,
+        # so gap.tail, at these values as at any other, is an unknown key
         for tail in (-1, 0, 1.5):
             cfg = write_config(tmp_path, {"gap": {"tail": tail}})
             out = tmp_path / "out"
             assert main(["--config", cfg, "--out", str(out), "gap"]) == 64
-            assert f"error: gap.tail must be a probability in (0, 1), got {tail}" in \
-                capsys.readouterr().err
+            assert capsys.readouterr().err == "error: unknown config key gap.tail\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("ell", [[0, -1], [1, 0]], ids=["past-the-table", "read-as-[1]"])
@@ -529,6 +540,20 @@ class TestEnvSampleAndTau:
         kb, L, draws, mean, se, expect, z = lines[2].split(",")
         assert float(expect) == pytest.approx(72.0)
         assert abs(float(z)) < 5
+
+    def test_tau_stats_reads_no_law(self, tmp_path, capsys, monkeypatch):
+        # tau reads only tau.* and the seed: |z|_1 = 1 has no tilt, which exited 64
+        # before, yet the draws are those of the default z, and no tilt is solved
+        monkeypatch.setattr("rwre_lab.cli.solve_tilt", lambda *a: pytest.fail("a tilt was solved"))
+        tables = []
+        for name, payload in (("default", {}), ("z-1", {"z": [1.0]})):
+            cfg = write_config(tmp_path, {**payload, "tau": {"draws": 2000}})
+            assert main(["--config", cfg, "--out", str(tmp_path / name), "tau-stats"]) == 0
+            tables.append((tmp_path / name / "tau_stats.csv").read_text().splitlines()[1:])
+        assert tables[0] == tables[1]
+        monkeypatch.undo()
+        assert main(["--config", cfg, "gap"]) == 64
+        assert "|z|_1 = 1.0 must be < 1" in capsys.readouterr().err
 
     def test_tau_stats_default_configs_in_2d(self, tmp_path, capsys):
         # the default k = 0.25 fills the whole 2-D alphabet (2d * k = 1); tau only needs k

@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
              "states": [[0.4, 0.6], [0.6, 0.4]]}
 FIELD_ONLY = LAW_KEYS["markov-field"] - LAW_KEYS["iid-product"]
+REMOVED = ("gap.tail", "kbar")  # tuning keys that became constants
 
 
 def with_key(key: str, val) -> dict:
@@ -53,7 +54,11 @@ def relengthed(val: list, shape: tuple) -> list:
 
 def mutations(key: str):
     """Values of ``key`` that its rule refuses: a wrong type, one below the bound,
-    or, for a list, a wrong type in an entry and a wrong length."""
+    or, for a list, a wrong type in an entry and a wrong length. A removed key
+    refuses every value."""
+    if key in REMOVED:
+        return st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                         st.text(alphabet="ab1.", max_size=3))
     rule, shape = SCHEMA[key]
     wrong = st.one_of(st.text(alphabet="ab1.", max_size=3), st.booleans(), st.just({}))
     whole = wrong if key in NULLABLE else st.one_of(wrong, st.none())
@@ -73,7 +78,7 @@ def mutations(key: str):
     return st.one_of(options)
 
 
-@pytest.mark.parametrize("key", sorted(SCHEMA))
+@pytest.mark.parametrize("key", sorted([*SCHEMA, *REMOVED]))
 @settings(max_examples=6, deadline=None, database=None)
 @given(data=st.data())
 def test_one_bad_key_is_refused_by_name(key, data):
@@ -88,7 +93,8 @@ def test_one_bad_key_is_refused_by_name(key, data):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["--config", path, "--out", out, "tau-stats"])
         assert code == 64
-        assert err.getvalue().startswith(f"error: {key}")
+        named = f"unknown config key {key}" if key in REMOVED else key
+        assert err.getvalue().startswith(f"error: {named}")
         assert "Traceback" not in err.getvalue()
         assert not os.path.exists(out)
 
@@ -138,6 +144,22 @@ def test_removed_verify_key_is_unknown(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,values", [("kbar", [0.125, None, 0.1, 1e-300]),
+                                        ("gap.tail", [1e-4, 1e-3, 0, 1.5])], ids=["kbar", "gap.tail"])
+def test_removed_tuning_key_is_unknown(tmp_path, capsys, key, values):
+    # kbar is always default_kbar and the horizon cut the constant HORIZON_TAIL;
+    # setting either, to its old default or to any other value, is refused by name
+    # before gap runs
+    assert key not in SCHEMA and len(SCHEMA) == 27 and NULLABLE == {"gap.horizon"}
+    section, _, leaf = key.partition(".")
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    for value in values:
+        cfg.write_text(json.dumps({section: {leaf: value}} if leaf else {key: value}))
+        assert main(["--config", str(cfg), "--out", str(out), "gap"]) == 64
+        assert capsys.readouterr().err == f"error: unknown config key {key}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [str(2**70), str(2**64), "-1"])
 def test_seed_flag_outside_64_bits_refused(tmp_path, capsys, seed):
     out = tmp_path / "out"
@@ -173,6 +195,21 @@ def test_velocity_grid_is_refused_before_any_point(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # the point at 0.5 is not computed first
     assert captured.err.startswith("error: rate.velocities[1] = [1.5] lies outside the unit l1")
+
+
+def test_off_lattice_velocity_is_refused_before_any_point(tmp_path, capsys):
+    # the 0.5 point was printed before 0.013 exited 64 with an error naming no key
+    with pytest.raises(ValueError, match=re.escape("rate.velocities[1] = [0.013] has no lattice")):
+        normalize_config({"rate": {"velocities": [[0.5], [0.013]]}})
+    assert normalize_config({"rate": {"velocities": [[0.25], [1 / 3], [-5 / 64]]}})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rate": {"velocities": [[0.5], [0.013]]}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "rate"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rate.velocities[1] = [0.013] has no lattice denominator")
+    assert not out.exists()
 
 
 def test_seed_bounds_are_inclusive_below():

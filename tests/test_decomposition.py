@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rwre_lab.decomposition import (TAIL_STEPS, TAU_BLOCK, TAU_HORIZON, EpsilonLaw,
-                                    StoppingConfig, _tail_blocks, check_tau_memory,
+from rwre_lab.decomposition import (HORIZON_TAIL, TAIL_STEPS, TAU_BLOCK, TAU_HORIZON,
+                                    EpsilonLaw, StoppingConfig, _tail_blocks, check_tau_memory,
                                     choose_horizon, conditional_step_probs, default_kbar,
                                     expected_tau, make_epsilon_law, sample_tau_batch,
                                     validate_stopping)
@@ -250,25 +250,25 @@ class TestSampleTau:
         # k = 1/8 and L = 7, over 2 tail; the scan took 14 s to fail
         t0 = time.perf_counter()
         with pytest.raises(BudgetError, match="at L = 7, P\\(tau_1 > 10000000\\) >= 0.0085"):
-            choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(7, 0), tail=1e-4)
+            choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(7, 0))
         assert time.perf_counter() - t0 < 1.0
 
     def test_choose_horizon_contract(self):
         eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(2, 0)
-        h = choose_horizon(eps, cfg, tail=1e-4)
+        h = choose_horizon(eps, cfg)
         surv = tau_survival(eps, cfg, h)
-        assert surv[h] < 1e-4
-        assert surv[h - 1] >= 1e-4
+        assert surv[h] < HORIZON_TAIL == 1e-4
+        assert surv[h - 1] >= HORIZON_TAIL
 
     @settings(max_examples=40, deadline=None)
-    @given(kbar=st.floats(0.15, 0.5), L=st.integers(1, 5), tail_log10=st.floats(-6.0, -0.01))
-    def test_lifted_horizon_is_the_scanned_one(self, kbar, L, tail_log10):
+    @given(kbar=st.floats(0.15, 0.5), L=st.integers(1, 5))
+    def test_lifted_horizon_is_the_scanned_one(self, kbar, L):
         # the binary lifting over squares of the transfer lands on the first t
         # where the scanned exact tail falls below the cut
-        tail, cfg = 10.0**tail_log10, StoppingConfig(L, 0)
-        h = choose_horizon(kbar, cfg, tail)
+        cfg = StoppingConfig(L, 0)
+        h = choose_horizon(kbar, cfg)
         surv = tau_survival(kbar, cfg, h)
-        assert surv[h] < tail <= surv[h - 1]
+        assert surv[h] < HORIZON_TAIL <= surv[h - 1]
 
     def test_long_horizon_search_takes_no_scan(self):
         # L = 6 at k = 1/8 ends at H = 2 759 300, which the scan took about 3 s to reach
@@ -400,7 +400,7 @@ class TestJointPathWeights:
         # cannot change a weight: the two agree bit for bit
         law = TWO_ATOM if d == 1 else LAW_2D
         tp = solve_tilt(law, z)
-        eps = make_epsilon_law(tp, tp.c_z / 3)
+        eps = EpsilonLaw(tp.c_z / 3, tp.dimension)
         env = sample_environment(law, 7, centered_box(d, n + 1)) if with_env else None
         steps, ends, xi, weights = joint_weights(tp, eps, n, env)
         assert (xi is None) == (env is None)

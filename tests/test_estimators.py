@@ -12,11 +12,13 @@ from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, direction
 from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
+from rwre_lab.evolution import log_point_probability_dp
 from rwre_lab.identities import psi_factor, verify_identity_annealed
 from rwre_lab.tilting import solve_tilt
 
 from envhelpers import constant_law
-from oracles import ORACLE_CAP, exact_gap_oracle, field_gap_stderrs, sample_ray_block_values
+from oracles import (ORACLE_CAP, exact_gap_oracle, field_gap_stderrs, jackknife_by_deletion,
+                     log_mean_exp, sample_ray_block_values)
 
 TWO_ATOM = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
 TP = solve_tilt(TWO_ATOM, [0.5])
@@ -385,6 +387,38 @@ class TestRatePoint:
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             rate_point(TWO_ATOM, [1.2])
+
+    def test_off_lattice_velocity_rejected(self):
+        with pytest.raises(ValueError, match=r"velocity = \[0.013\] has no lattice denominator"):
+            rate_point(TWO_ATOM, [0.013])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dp_rates_and_annealed_jackknife(self, monkeypatch, seed):
+        # I_q is the mean of each environment's extrapolated decay, I_a the decay
+        # of the averaged probabilities, and stderr_a the jackknife of I_a, here
+        # recomputed on each leave-one-out set of environments
+        logs = []
+
+        def spy(*args, **kwargs):
+            logs.append(log_point_probability_dp(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr("rwre_lab.estimators.log_point_probability_dp", spy)
+        est = rate_point(TWO_ATOM, [0.5], seed=seed, horizon=60, env_replicas=6)
+        n2 = est.horizon
+        n1 = n2 // 2
+        logp2, logp1 = map(np.array, zip(*logs))
+
+        def rate(keep):
+            keep = np.asarray(keep, dtype=np.int64)
+            return (2.0 * (-log_mean_exp(logp2[keep]) / n2)
+                    - (-log_mean_exp(logp1[keep]) / n1))
+
+        assert len(logs) == 6
+        assert est.I_q == float(np.mean(2.0 * (-logp2 / n2) - (-logp1 / n1)))
+        assert est.I_a == pytest.approx(rate(np.arange(6)), rel=1e-14)
+        assert est.stderr_a == pytest.approx(jackknife_by_deletion(np.arange(6.0), rate),
+                                             rel=1e-10)
 
     def test_bound_vs_rate_reported(self, capsys):
         # the block-normalized value is reported next to the boundary rate; no

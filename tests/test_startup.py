@@ -27,11 +27,11 @@ TINY = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
 
 BASE = {"rwre_lab", "rwre_lab.numutil", "rwre_lab.environments"}
 MODULES = {
-    "env-sample": BASE,
+    "env-sample": BASE,  # the config walk, velocity denominators included, loads no more
     "gap": BASE | {"rwre_lab.tilting", "rwre_lab.decomposition", "rwre_lab.estimators"},
     "rate": BASE | {"rwre_lab.estimators", "rwre_lab.evolution"},
     "verify": BASE | {"rwre_lab.tilting", "rwre_lab.decomposition", "rwre_lab.identities"},
-    "tau-stats": BASE | {"rwre_lab.tilting", "rwre_lab.decomposition"},
+    "tau-stats": BASE | {"rwre_lab.decomposition"},  # tau reads no law, tilt or symbol law
 }
 IMPORT_LINE = re.compile(r"^import time:\s*\d+ \|\s*\d+ \|\s*(\S+)$")
 

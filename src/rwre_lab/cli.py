@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box,
+from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box, check_sites,
                            sample_environment)
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
                       lattice_denominator, site_uniforms)
@@ -73,7 +73,7 @@ DEFAULT_CONFIG = {
     "gap": {"replicas": 20000, "horizon": None},
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
              "env_replicas": 8},
-    "verify": {"n_max": 6, "theta_count": 5, "psi_n_max": 4, "tau_draws": 200000},
+    "verify": {"n_max": 6, "theta_count": 5, "tau_draws": 200000},
     "tau": {"draws": 1000000, "configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
     "env_sample": {"lo": [-10], "hi": [10]},
 }
@@ -132,7 +132,6 @@ SCHEMA = {
     "rate.env_replicas": (COUNT, ()),  # a standard error needs two draws
     "verify.n_max": (POSITIVE, ()),
     "verify.theta_count": (POSITIVE, ()),
-    "verify.psi_n_max": (POSITIVE, ()),
     "verify.tau_draws": (COUNT, ()),
     "tau.draws": (COUNT, ()),
     "tau.configs": ([KBAR, POSITIVE], (ANY, 2)),  # [kbar, L] pairs
@@ -186,8 +185,6 @@ def normalize_config(raw: dict) -> dict:
     if "law" in raw and (missing := sorted(law_keys - {f"law.{k}" for k in LAW_OPTIONAL}
                                            - set(given))):
         raise ConfigError(f"{missing[0]} is required by law kind {kind!r}")
-    for key in ("z", "ell"):  # every problem reads them, so their 1-D defaults are checked
-        given.setdefault(key, out[key])  # too; the subcommands that read the others check them
     for key, (rule, shape) in SCHEMA.items():  # law.dimension is checked before any D shape
         if key in given and not (key in NULLABLE and given[key] is None):
             _check(key, given[key], rule, shape, out["law"]["dimension"])
@@ -196,6 +193,18 @@ def normalize_config(raw: dict) -> dict:
             raise ConfigError(f"rate.velocities[{i}] = {x} lies outside the unit l1 ball")
         lattice_denominator(x, f"rate.velocities[{i}]")
     return out
+
+
+def _check_read(cfg: dict, *keys: str):
+    """Check the dimension-shaped ``keys`` a subcommand reads, set or defaulted, as the walk does.
+
+    The walk checks the keys a config sets; a defaulted one is 1-D, so only
+    the subcommand that reads it checks it against law.dimension.
+    """
+    for key in keys:
+        section, _, leaf = key.partition(".")
+        _check(key, cfg[section][leaf] if leaf else cfg[key], *SCHEMA[key],
+               cfg["law"]["dimension"])
 
 
 def canonical_json(obj) -> str:
@@ -227,17 +236,26 @@ def load_config(path: str) -> dict:
 
 
 def build_law(cfg: dict):
-    """The environment law of a normalized config, whose law keys are checked."""
+    """The environment law of a normalized config, whose law keys are checked.
+
+    A refusal of the law's constructor, whose checks span keys (weights that
+    sum to 1, kappa below 1/(2d)), is re-raised as a ConfigError led by ``law``.
+    """
     law_cfg = cfg["law"]
-    if law_cfg["kind"] == "iid-product":
-        return IIDProductLaw(law_cfg["dimension"], law_cfg["atoms"], law_cfg["weights"],
-                             law_cfg["kappa"])
-    options = {("range_r" if k == "range" else k): law_cfg[k] for k in LAW_OPTIONAL & set(law_cfg)}
-    return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"], **options)
+    try:
+        if law_cfg["kind"] == "iid-product":
+            return IIDProductLaw(law_cfg["dimension"], law_cfg["atoms"], law_cfg["weights"],
+                                 law_cfg["kappa"])
+        options = {("range_r" if k == "range" else k): law_cfg[k]
+                   for k in LAW_OPTIONAL & set(law_cfg)}
+        return MarkovFieldLaw(law_cfg["dimension"], law_cfg["states"], law_cfg["kappa"], **options)
+    except ValueError as exc:
+        raise ConfigError(f"law: {exc}") from exc
 
 
 def build_problem(cfg: dict):
     """law, tilt parameters, symbol law and stopping config from one config."""
+    _check_read(cfg, "z", "ell")
     law = build_law(cfg)
     tp = _cli.solve_tilt(law, np.asarray(cfg["z"], dtype=np.float64))
     eps = _cli.make_epsilon_law(tp)
@@ -288,6 +306,9 @@ TILT_RESIDUAL = IDENTITY_REL = COINCIDENCE_ABS = 1e-10
 ONESTEP_ABS = 1e-12
 TAU_SIGMAS = 4.0  # the sampled mean of tau lies within this many standard errors of E[tau]
 THETA_SCALE = 0.5
+# the two families that enumerate (path, symbol word) pairs, psi and the endpoint
+# coincidence, run n = 1 .. min(verify.n_max, JOINT_N_MAX)
+JOINT_N_MAX = 4
 
 
 def _run_verify(cfg: dict):
@@ -299,12 +320,14 @@ def _run_verify(cfg: dict):
     d = tp.dimension
     seed = cfg["seed"]
     n_max = cfg["verify"]["n_max"]
-    psi_n_max = cfg["verify"]["psi_n_max"]
+    n_joint = min(n_max, JOINT_N_MAX)
     # the oracles' own checks at the longest runs, before any family runs
     _cli.check_paths(n_max, d, "verify.n_max")
     check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
                  f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
-    _cli.check_joint_pairs(tp, eps, psi_n_max, "verify.psi_n_max")
+    _cli.check_joint_pairs(tp, eps, n_joint, "verify.n_max")
+    box = centered_box(d, n_max + 1)  # the quenched family's; psi's box lies inside it
+    check_sites(box, f"verify.n_max = {n_max}: the quenched realization")
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-THETA_SCALE, THETA_SCALE)
     shape = (cfg["verify"]["theta_count"], d)
@@ -327,7 +350,7 @@ def _run_verify(cfg: dict):
             worst_a = max(worst_a, abs(lhs - rhs) / abs(rhs))
     add("identity-annealed", worst_a, IDENTITY_REL)
 
-    env = sample_environment(law, derive_seed(seed, 101), centered_box(d, n_max + 1))
+    env = sample_environment(law, derive_seed(seed, 101), box)
     worst_q = 0.0
     for n in range(1, n_max + 1):
         for lhs, rhs in zip(*_cli.verify_identity_quenched(env, tp, thetas, n)):
@@ -335,7 +358,7 @@ def _run_verify(cfg: dict):
     add("identity-quenched", worst_q, IDENTITY_REL)
 
     worst_c = 0.0
-    for n in range(1, min(n_max, 5 if d == 1 else 3) + 1):
+    for n in range(1, n_joint + 1):
         ref = _cli.qz_endpoint_distribution(tp, n)
         dec = _cli.decomposed_endpoint_distribution(tp, eps, n)
         keys = set(ref) | set(dec)
@@ -352,8 +375,8 @@ def _run_verify(cfg: dict):
     total = eps.kbar + (u - eps.kbar) * _cli.psi_factor(tp, eps, xi, np.arange(2 * d))
     worst_p = float(np.max(np.abs(total - u * xi)))
     worst_n = 0.0
-    env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, psi_n_max + 1))
-    for n in range(1, psi_n_max + 1):
+    env2 = sample_environment(law, derive_seed(seed, 103), centered_box(d, n_joint + 1))
+    for n in range(1, n_joint + 1):
         lhs, rhs = _cli.verify_psi_identity(tp, eps, env2, thetas[0], n)
         worst_n = max(worst_n, abs(lhs - rhs) / abs(rhs))
     rows.append({"family": "psi-identity", "metric": float(max(worst_n, worst_p)),
@@ -412,6 +435,7 @@ def cmd_gap(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(cfg: dict, out_dir: str) -> int:
+    _check_read(cfg, "rate.velocities")
     law = build_law(cfg)
     r = cfg["rate"]
     points = []
@@ -437,8 +461,13 @@ def cmd_rate(cfg: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_env_sample(cfg: dict, out_dir: str) -> int:
+    _check_read(cfg, "env_sample.lo", "env_sample.hi")
+    lo, hi = cfg["env_sample"]["lo"], cfg["env_sample"]["hi"]
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if b < a:
+            raise ConfigError(f"env_sample.hi[{i}] = {b} is below env_sample.lo[{i}] = {a}")
     law = build_law(cfg)
-    box = Box(tuple(cfg["env_sample"]["lo"]), tuple(cfg["env_sample"]["hi"]))
+    box = Box(tuple(lo), tuple(hi))
     env = sample_environment(law, cfg["seed"], box)
     path = os.path.join(out_dir or ".", "env.csv")
     d = law.dimension

@@ -166,13 +166,20 @@ def _run_length_transfer(k: float, L: int) -> np.ndarray:
     return transfer
 
 
+def _harris_floor(k: float, L: int) -> float:
+    """(1 - k^L)^TAU_HORIZON, Harris's lower bound on P(tau_1 > TAU_HORIZON).
+
+    The events "no run of L ends at s" are decreasing in the symbols, so by
+    Harris's inequality P(tau_1 > T) >= (1 - k^L)^T.
+    """
+    return math.exp(TAU_HORIZON * math.log1p(-k**L))
+
+
 def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig) -> int:
     """Smallest H <= TAU_HORIZON with P(tau_1 > H) < HORIZON_TAIL, by binary lifting of the tail.
 
-    A hopeless search is refused first. The events "no run of L ends at s"
-    are decreasing in the symbols, so by Harris's inequality P(tau_1 > T) >=
-    (1 - k^L)^T; where that bound is 2 HORIZON_TAIL or more at T =
-    TAU_HORIZON, the search could only fail.
+    A hopeless search is refused first: where Harris's bound
+    (``_harris_floor``) is 2 HORIZON_TAIL or more, the search could only fail.
 
     P(tau_1 > t) is the mass of v_t = M^t e_0, with M the L x L transfer of
     the run-length chain (``_run_length_transfer``), and it never increases in t.
@@ -182,7 +189,7 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig) -> int:
     scan of the tail takes H steps.
     """
     k = _kbar_of(eps)
-    if (bound := math.exp(TAU_HORIZON * math.log1p(-k**cfg.L))) >= 2 * HORIZON_TAIL:
+    if (bound := _harris_floor(k, cfg.L)) >= 2 * HORIZON_TAIL:
         raise BudgetError(f"at L = {cfg.L}, P(tau_1 > {TAU_HORIZON}) >= {bound:.2g}: the tau tail "
                           f"stays above {HORIZON_TAIL} within the {TAU_HORIZON}-symbol cap")
     squares = [_run_length_transfer(k, cfg.L)]
@@ -200,18 +207,18 @@ def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig) -> int:
     return t + 1
 
 
-def check_tau_memory(draws: int, L: int, key: str = "n", horizon: int = TAU_HORIZON):
+def check_tau_memory(draws: int, L: int, key: str = "n"):
     """Raise BudgetError, naming ``key``, if ``sample_tau_batch`` of ``draws`` passes MEMORY_BUDGET.
 
     The sampler holds the (draws,) int64 result; the tail table, up to
-    ``horizon`` + 1 doubles, and its copy while the table grows; the
+    TAU_HORIZON + 1 doubles, and its copy while the table grows; the
     (TAIL_STEPS, L) rows of the block transfer; and one block of TAU_BLOCK
     draws, whose uniforms, hash words, site keys and positions take at most
     six 8-byte arrays, 192 KiB at 4096 draws. A draw is a pure function of
     (seed, i), so the block size moves no draw, only the memory and the
     count of ``searchsorted`` calls.
     """
-    need = 8 * (draws + 2 * (horizon + 1) + TAIL_STEPS * L + 6 * TAU_BLOCK)
+    need = 8 * (draws + 2 * (TAU_HORIZON + 1) + TAIL_STEPS * L + 6 * TAU_BLOCK)
     check_memory(need, f"{key} = {draws} draws at L = {L}")
 
 
@@ -238,8 +245,7 @@ def _tail_blocks(k: float, L: int):
         state = ordered_dot(power, state)
 
 
-def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
-                     horizon: int = TAU_HORIZON) -> np.ndarray:
+def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int) -> np.ndarray:
     """n independent run-completion times, by inversion of the exact tail.
 
     Draw i reads the uniform u_i = ``site_uniforms(seed, (i,))`` and returns
@@ -256,18 +262,18 @@ def sample_tau_batch(eps, cfg: StoppingConfig, n: int, seed: int,
     TAU_BLOCK, each with one searchsorted on the table.
 
     Raises BudgetError before drawing when n draws would pass MEMORY_BUDGET
-    (``check_tau_memory``), and otherwise iff some tau exceeds ``horizon``,
-    naming how many; the horizon never changes a draw. A hopeless block is
-    refused before the table grows: by Harris's inequality S(horizon) >=
-    (1 - k^L)^horizon, so where that bound exceeds the block's smallest u by
-    a relative 2^-30, far more than the table's rounding, that draw's tau
-    exceeds the horizon. The refusal then names the draws of the block the
+    (``check_tau_memory``), and otherwise iff some tau exceeds TAU_HORIZON,
+    naming how many; the cap never changes a draw. A hopeless block is
+    refused before the table grows: S(TAU_HORIZON) is at least Harris's
+    bound (``_harris_floor``), so where that bound exceeds the block's
+    smallest u by a relative 2^-30, far more than the table's rounding, that
+    draw's tau exceeds the cap. The refusal then names the draws of the block the
     bound alone settles, as "at least" that many unless they are all n.
     """
     k = _kbar_of(eps)
-    L = cfg.L
-    check_tau_memory(n, L, horizon=horizon)
-    harris = math.exp(horizon * math.log1p(-k**L)) / (1.0 + 2.0**-30)
+    L, horizon = cfg.L, TAU_HORIZON
+    check_tau_memory(n, L)
+    harris = _harris_floor(k, L) / (1.0 + 2.0**-30)
     tau = np.empty(n, dtype=np.int64)
     blocks, table = _tail_blocks(k, L), np.empty(0)  # -S(t) for t < len(table), nondecreasing
     for start in range(0, n, TAU_BLOCK):

@@ -123,6 +123,12 @@ def centered_box(d: int, radius: int) -> Box:
     return Box((-radius,) * d, (radius,) * d)
 
 
+def check_sites(box: Box, what: str = "realization"):
+    """Raise BudgetError, naming ``what``, if ``box`` holds more than MATERIALIZE_CAP sites."""
+    if box.n_sites > MATERIALIZE_CAP:
+        raise BudgetError(f"{what} of {box.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
+
+
 class _FiniteLaw:
     """K site states: state k carries the row ``table[k]`` and has weight ``weights[k]``."""
 
@@ -342,8 +348,7 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         raise TypeError(f"unsupported law type {type(law)!r}")
     coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0  # only sweeps need a buffer
     work = region.expand(max(law.range_r, 5)) if coupled else region
-    if work.n_sites > MATERIALIZE_CAP:
-        raise BudgetError(f"realization of {work.n_sites} sites exceeds cap {MATERIALIZE_CAP}")
+    check_sites(work)
     # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
     # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
     *head, n = shape = work.shape

@@ -369,7 +369,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     _estimators.validate_stopping(tp, cfg)
     eps.validate_against(tp)
     if cfg.L < 2:
-        raise ValueError("block estimators need L >= 2")
+        raise ValueError(f"L = {cfg.L}: block estimators need L >= 2")
     if budget < 2:
         raise ValueError(f"gap.replicas = {budget}: the gap needs at least 2 replicas for a "
                          "standard error")

@@ -35,6 +35,15 @@ ZERO_DIS_GAP = {
 }
 
 
+def wide_law_config(d: int, kappa: float, tilt: float) -> dict:
+    """A d-dimensional two-atom law, uniform rows moved by +-tilt on +-e1, with z = 0.2 e1."""
+    rows = [[1 / (2 * d) + s * tilt, 1 / (2 * d) - s * tilt] + [1 / (2 * d)] * (2 * d - 2)
+            for s in (1, -1)]
+    return {"law": {"kind": "iid-product", "dimension": d, "kappa": kappa, "atoms": rows,
+                    "weights": [0.5, 0.5]},
+            "z": [0.2] + [0.0] * (d - 1), "ell": [1] + [0] * (d - 1)}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -94,8 +103,7 @@ class TestVerify:
     def test_wrong_psi_factor_fails_the_psi_family(self, tmp_path, monkeypatch, capsys):
         # the one-step check must evaluate psi_factor itself: drop its correction term
         monkeypatch.setattr("rwre_lab.cli.psi_factor", lambda tp, eps, xi, step: xi)
-        cfg = write_config(tmp_path, {"verify": {"n_max": 2, "psi_n_max": 2,
-                                                 "tau_draws": 20_000}})
+        cfg = write_config(tmp_path, {"verify": {"n_max": 2, "tau_draws": 20_000}})
         code = main(["--config", cfg, "--out", str(tmp_path), "verify"])
         assert code == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
@@ -109,7 +117,7 @@ class TestVerify:
                             lambda tp: pytest.fail("a family ran"))
         payload = {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
                            "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.5},
-                   "verify": {"n_max": 2, "psi_n_max": 2, "tau_draws": 1000}}
+                   "verify": {"n_max": 2, "tau_draws": 1000}}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 64
@@ -120,15 +128,23 @@ class TestVerify:
         assert not out.exists()
 
     def test_budget_violation_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"verify": {"psi_n_max": 40}})
-        code = main(["--config", cfg, "verify"])
-        assert code == 2
+        # the 12^6 paths of this 6-D law fit the path budget, but the quenched
+        # family's box of 15^6 sites does not: it ran for 10 s, then exited 2
+        # naming no key
+        t0 = time.perf_counter()
+        cfg = write_config(tmp_path, wide_law_config(6, 0.05, 0.02))
+        assert main(["--config", cfg, "verify"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert capsys.readouterr().err == ("budget error: verify.n_max = 6: the quenched "
+                                           "realization of 11390625 sites exceeds cap 10000000\n")
 
     @pytest.mark.parametrize("payload,key", [
         ({"verify": {"n_max": 40}}, "verify.n_max = 40 enumerates"),  # 2^40 paths
         ({"verify": {"n_max": 24}}, "verify.n_max = 24 enumerates"),  # 2^24 paths
         ({"verify": {"tau_draws": 10**10}}, "verify.tau_draws = 10000000000"),
-        ({"verify": {"psi_n_max": 40}}, "verify.psi_n_max = 40 enumerates"),
+        # 30^4 paths fit the path budget, but not times the 2^4 symbol words of psi
+        ({**wide_law_config(15, 0.01, 0.005), "verify": {"n_max": 4}},
+         "verify.n_max = 4 enumerates (2d)^n = 810000 paths times"),
         ({"law": {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
                   "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
                   "weights": [0.5, 0.5]},
@@ -207,8 +223,7 @@ class TestVerify:
         # passed == (metric <= tolerance) row by row, except psi's two-part rule:
         # its metric is the larger of two errors, the one-step algebra's held to
         # ONESTEP_ABS. Halving or doubling psi_factor's correction makes both fail
-        cfg = write_config(tmp_path, {"verify": {"n_max": 3, "psi_n_max": 2,
-                                                 "tau_draws": 2000}, "seed": seed})
+        cfg = write_config(tmp_path, {"verify": {"n_max": 3, "tau_draws": 2000}, "seed": seed})
         for scale in (1.0, 0.5, 2.0):
             real = rwre_lab.cli.psi_factor
             monkeypatch.setattr("rwre_lab.cli.psi_factor", lambda tp, eps, xi, step:
@@ -232,7 +247,7 @@ class TestVerify:
                     "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
                     "weights": [0.5, 0.5]},
             "z": [0.3, 0.0], "ell": [1, 0], "L": 2, "seed": 5,
-            "verify": {"n_max": 5, "psi_n_max": 4, "theta_count": 3,
+            "verify": {"n_max": 5, "theta_count": 3,
                        "tau_draws": 100_000},
         }
         cfg = write_config(tmp_path, payload)
@@ -692,7 +707,7 @@ NOT_INTEGER = [  # (key named in the error, subcommand, config)
     ("verify.theta_count", "verify", {"verify": {"theta_count": 0}}),  # psi reads one theta
     ("verify.n_max", "verify", {"verify": {"n_max": 0}}),  # would pass having checked nothing
     ("verify.n_max", "verify", {"verify": {"n_max": -3}}),
-    ("verify.psi_n_max", "verify", {"verify": {"psi_n_max": -1}}),
+    ("verify.tau_draws", "verify", {"verify": {"tau_draws": 1}}),  # no standard error
     ("rate.horizon", "rate", {"rate": {"horizon": 0}}),
     ("rate.horizon", "rate", {"rate": {"horizon": -4}}),
 ]

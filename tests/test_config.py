@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
              "states": [[0.4, 0.6], [0.6, 0.4]]}
 FIELD_ONLY = LAW_KEYS["markov-field"] - LAW_KEYS["iid-product"]
-REMOVED = ("gap.tail", "kbar")  # tuning keys that became constants
+REMOVED = ("gap.tail", "kbar", "verify.psi_n_max")  # tuning keys that became constants
 
 
 def with_key(key: str, val) -> dict:
@@ -55,9 +55,11 @@ def relengthed(val: list, shape: tuple) -> list:
 def mutations(key: str):
     """Values of ``key`` that its rule refuses: a wrong type, one below the bound,
     or, for a list, a wrong type in an entry and a wrong length. A removed key
-    refuses every value."""
+    refuses every value that JSON writes; the loader refuses an infinity before
+    any key is read."""
     if key in REMOVED:
-        return st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+        return st.one_of(st.none(), st.booleans(),
+                         st.floats(allow_nan=False, allow_infinity=False),
                          st.text(alphabet="ab1.", max_size=3))
     rule, shape = SCHEMA[key]
     wrong = st.one_of(st.text(alphabet="ab1.", max_size=3), st.booleans(), st.just({}))
@@ -128,12 +130,14 @@ def test_refused_by_name_before_any_artifact(tmp_path, capsys, key, command, pay
 
 @pytest.mark.parametrize("key", ["tolerances.tilt_residual", "tolerances.identity_rel",
                                  "tolerances.onestep_abs", "tolerances.coincidence_abs",
-                                 "tolerances.tau_sigmas", "verify.theta_scale"])
+                                 "tolerances.tau_sigmas", "verify.theta_scale",
+                                 "verify.psi_n_max"])
 def test_removed_verify_key_is_unknown(tmp_path, capsys, key):
-    # verify's thresholds and theta range are module constants; setting one,
-    # even to its old default, is refused by name before verify runs
+    # verify's thresholds, theta range and joint length are module constants;
+    # setting one, even to its old default, is refused by name before verify runs
     section, leaf = key.split(".")
-    value = {"theta_scale": 0.5, "onestep_abs": 1e-12, "tau_sigmas": 4.0}.get(leaf, 1e-10)
+    value = {"theta_scale": 0.5, "onestep_abs": 1e-12, "tau_sigmas": 4.0,
+             "psi_n_max": 4}.get(leaf, 1e-10)
     assert key not in SCHEMA
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({section: {leaf: value}}))
@@ -150,7 +154,7 @@ def test_removed_tuning_key_is_unknown(tmp_path, capsys, key, values):
     # kbar is always default_kbar and the horizon cut the constant HORIZON_TAIL;
     # setting either, to its old default or to any other value, is refused by name
     # before gap runs
-    assert key not in SCHEMA and len(SCHEMA) == 27 and NULLABLE == {"gap.horizon"}
+    assert key not in SCHEMA and len(SCHEMA) == 26 and NULLABLE == {"gap.horizon"}
     section, _, leaf = key.partition(".")
     cfg, out = tmp_path / "config.json", tmp_path / "out"
     for value in values:
@@ -181,11 +185,51 @@ def test_dotted_top_level_key_is_unknown(payload):
     ("z", {"ell": [1, 0]}),  # the default z [0.5] failed in solve_tilt, unnamed
 ])
 def test_defaulted_z_and_ell_are_checked_against_the_dimension(tmp_path, capsys, key, payload):
+    # the subcommands that build the problem check the 1-D default before any work
     law = {**DEFAULT_CONFIG["law"], "dimension": 2, "atoms": [[0.3, 0.2, 0.25, 0.25]] * 2}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"law": law, **payload}))
-    assert main(["--config", str(cfg), "tau-stats"]) == 64
-    assert capsys.readouterr().err.startswith(f"error: {key} must have law.dimension = 2 entries")
+    for command in ("gap", "verify"):
+        assert main(["--config", str(cfg), command]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must have law.dimension = 2 entries")
+
+
+def test_subcommands_check_only_the_defaults_they_read(tmp_path, capsys):
+    # rate, env-sample and tau-stats read no z or ell: a 2-D config that leaves
+    # them at their 1-D defaults runs all three. The 1-D defaults they do read
+    # are refused by name; they exited 64 naming no key before
+    law = {**DEFAULT_CONFIG["law"], "dimension": 2, "atoms": [[0.3, 0.2, 0.25, 0.25]] * 2}
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"law": law, "rate": {"velocities": [[0.2, 0.1]], "horizon": 40,
+                                                    "env_replicas": 2},
+                               "env_sample": {"lo": [-2, -2], "hi": [2, 2]},
+                               "tau": {"draws": 1000}}))
+    for command in ("rate", "env-sample", "tau-stats"):
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 0
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"law": law}))
+    for command, key in (("rate", "rate.velocities[0]"), ("env-sample", "env_sample.lo")):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / command), command]) == 64
+        assert capsys.readouterr().err.startswith(f"error: {key} must have law.dimension = 2")
+        assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("key,command,payload", [
+    ("env_sample.hi[0]", "env-sample", {"env_sample": {"lo": [5], "hi": [-5]}}),
+    ("L = 1", "gap", {"L": 1}),
+    ("law: weights", "gap", {"law": {**DEFAULT_CONFIG["law"], "weights": [0.3, 0.3]}}),
+    ("law: kappa", "gap", {"law": {**FIELD_LAW, "kappa": 0.6}}),
+], ids=["box", "L", "weights", "kappa"])
+def test_refusals_beyond_the_walk_name_their_key(tmp_path, capsys, key, command, payload):
+    # an empty box, L = 1 under gap, weights that are no probability vector and
+    # a field kappa of 1/(2d) or more exited 64 naming no key
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps(payload))
+    assert main(["--config", str(cfg), "--out", str(out), command]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_velocity_grid_is_refused_before_any_point(tmp_path, capsys):

@@ -108,6 +108,13 @@ class TestExpectedTau:
         assert abs(taus.mean() - expected_tau(eps, cfg)) < 4 * se
 
 
+def sample_to(horizon: int, *args) -> np.ndarray:
+    """``sample_tau_batch(*args)`` with its symbol cap TAU_HORIZON set to ``horizon``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rwre_lab.decomposition.TAU_HORIZON", horizon)
+        return sample_tau_batch(*args)
+
+
 def renewal_tau(k: float, L: int, n: int, rng) -> np.ndarray:
     """n run-completion times in renewal form: an independent judge of the sampler.
 
@@ -140,7 +147,7 @@ class TestSampleTau:
         # kbar^L = 1e-12: no stream completes a run within 10000 symbols
         eps, cfg = EpsilonLaw(1e-4, 1), StoppingConfig(3, 0)
         with pytest.raises(BudgetError, match="10000 symbols"):
-            sample_tau_batch(eps, cfg, 8, 0, horizon=10_000)
+            sample_to(10_000, eps, cfg, 8, 0)
 
     def test_draws_are_addressable(self, monkeypatch):
         # draw i is a function of (seed, i) alone: neither n nor the block of
@@ -188,16 +195,16 @@ class TestSampleTau:
             assert abs(emp - surv[t]) < 4 * se
 
     def test_horizon_boundary_is_exact(self):
-        # the horizon only decides whether to raise; it never changes the draws
+        # the cap only decides whether to raise; it never changes the draws
         eps, cfg = EpsilonLaw(0.125, 1), StoppingConfig(3, 0)
         taus = sample_tau_batch(eps, cfg, 5000, 11)
         top = int(taus.max())
-        again = sample_tau_batch(eps, cfg, 5000, 11, horizon=top)
+        again = sample_to(top, eps, cfg, 5000, 11)
         assert np.array_equal(again, taus)
         over = int(np.count_nonzero(taus == top))
         message = f"^{over} streams unfinished within {top - 1} symbols$"
         with pytest.raises(BudgetError, match=message):
-            sample_tau_batch(eps, cfg, 5000, 11, horizon=top - 1)
+            sample_to(top - 1, eps, cfg, 5000, 11)
 
     @pytest.mark.parametrize("L", [4, 6, 100])
     def test_unreachable_runs_fail_promptly(self, L):
@@ -235,10 +242,10 @@ class TestSampleTau:
         horizon = int(frac * full.max())
         over = int(np.count_nonzero(full > horizon))
         if over == 0:
-            assert np.array_equal(sample_tau_batch(kbar, cfg, n, seed, horizon=horizon), full)
+            assert np.array_equal(sample_to(horizon, kbar, cfg, n, seed), full)
             return
         with pytest.raises(BudgetError) as info:
-            sample_tau_batch(kbar, cfg, n, seed, horizon=horizon)
+            sample_to(horizon, kbar, cfg, n, seed)
         count = str(info.value).split(" streams")[0]
         if count.startswith("at least "):
             assert 1 <= int(count[len("at least "):]) <= over

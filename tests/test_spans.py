@@ -23,7 +23,7 @@ TINY = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                 "atoms": [[0.2, 0.8], [0.8, 0.2]], "weights": [0.5, 0.5]},
         "gap": {"replicas": 1000},
         "rate": {"horizon": 40, "env_replicas": 2},
-        "verify": {"n_max": 3, "psi_n_max": 2, "tau_draws": 1000}}
+        "verify": {"n_max": 3, "tau_draws": 1000}}
 
 LAYERS = {
     "gap": {"cli.build_problem", "tilting.solve_tilt", "decomposition.choose_horizon",

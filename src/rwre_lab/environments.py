@@ -13,7 +13,8 @@ values and disorder come from that pair alone.
 pure function of (seed, site) through a counter-based hash, one byte per
 site and one double where the byte's range straddles a cut of the weights.
 Every realization starts from it; a product law's, and a field's at beta =
-0, is nothing more. ``ray_states`` yields a law's states along a ray for a
+0 or with equal state rows, is nothing more, and the heat-bath sweeps read
+the same hash. ``ray_states`` yields a law's states along a ray for a
 block of replicas, and the estimators read every ray through it.
 
 A realization (``Environment``) is one array of state indices shaped like its
@@ -336,17 +337,20 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
 
     Every law starts from the product realization of its one-site weights
     by ``atom_blocks``, one line along the last axis per prefix of the
-    other coordinates; for a product law, or a Markov field at beta = 0,
-    that is the realization. A field at beta > 0 starts so on the region
-    expanded by a buffer of max(range, 5) sites, runs ``law.sweeps``
-    heat-bath sweeps there and keeps the states of the region. The box
+    other coordinates; that is all of a product law's, and of a field's at
+    beta = 0 or with equal state rows, where no sweep could change an omega.
+    Any other field starts so on the region expanded by max(range, 5) sites
+    and runs ``law.sweeps`` heat-bath sweeps there, each residue class mod
+    (range + 1) in turn by strided slices: in sweep s, site x inverts its
+    conditional law at ``site_uniforms(seed, (*x, s), stream=2)``. The box
     either kind materializes is held to MATERIALIZE_CAP sites.
     """
     if region.dimension != law.dimension:
         raise ValueError("region dimension does not match law dimension")
     if not isinstance(law, (IIDProductLaw, MarkovFieldLaw)):
         raise TypeError(f"unsupported law type {type(law)!r}")
-    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0  # only sweeps need a buffer
+    # only sweeps need a buffer; np.ptp is exact, where disorder() may round away from 0
+    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0 and np.ptp(law.table, 0).any()
     work = region.expand(max(law.range_r, 5)) if coupled else region
     check_sites(work)
     # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
@@ -364,34 +368,26 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     if not coupled:
         return Environment(law, region, states.reshape(shape))
 
-    # Heat-bath sweeps, vectorized over residue classes mod (range + 1): two
-    # distinct sites in one class are at l1 distance > range, so updating a
-    # whole class at once is still a valid single-site sampler. The class
-    # scan order and one rng draw per class per sweep keep this deterministic.
-    offsets = law._neighbor_offsets()
-    rng = np.random.default_rng(derive_seed(seed, 2))
-    d = law.dimension
-    pad = law.range_r
-    padded = np.full(tuple(s + 2 * pad for s in shape), -1, dtype=np.int64)
-    core = tuple(slice(pad, pad + s) for s in shape)
-    padded[core] = states.reshape(shape)
-    step = law.range_r + 1
-    classes = words(step, d).tolist()
-    class_axes = [[np.arange(c, s, step) + pad for c, s in zip(cls, shape)] for cls in classes]
-    for _ in range(law.sweeps):
-        for axes in class_axes:
-            if any(len(ax) == 0 for ax in axes):
-                continue
-            counts = np.zeros((law.n_states,) + tuple(len(ax) for ax in axes))
-            for off in offsets:
-                nb = padded[np.ix_(*[ax + o for ax, o in zip(axes, off)])]
-                for s in range(law.n_states):
-                    counts[s] += nb == s
+    # Two distinct sites of one residue class are at l1 distance > range, so
+    # updating a whole class at once is still a valid single-site sampler.
+    # ``inside`` views the box in the padded states, ``near`` the box shifted by each offset.
+    pad, n_states = law.range_r, law.n_states
+    padded = np.full([m + 2 * pad for m in shape], n_states, np.min_scalar_type(n_states))
+    inside, *near = (padded[tuple(slice(pad + o, pad + o + m) for o, m in zip(off, shape))]
+                     for off in [(0,) * len(shape)] + law._neighbor_offsets().tolist())
+    inside[...] = states.reshape(shape)
+    # the sites are hashed once, by the prefix rule; a sweep takes one mix64 a site
+    last = np.arange(work.lo[-1], work.hi[-1] + 1).astype(np.uint64)
+    keys = mix64(site_words(seed, prefix, stream=2)[:, None] ^ last).reshape(shape)
+    for s in range(law.sweeps):
+        u = (mix64(keys ^ np.uint64(s)) >> np.uint64(11)) * 2.0**-53  # site_uniforms' top bits
+        for cls in words(pad + 1, law.dimension).tolist():
+            at = tuple(slice(c, None, pad + 1) for c in cls)
+            counts = sum(np.equal.outer(range(n_states), view[at]) for view in near)
             w = np.exp(law.beta * (counts - counts.max(axis=0)))
-            cum = np.cumsum(w / w.sum(axis=0), axis=0)
-            u = rng.random(counts.shape[1:])
-            new = (u[None, ...] >= cum).sum(axis=0).clip(max=law.n_states - 1)
-            padded[np.ix_(*axes)] = new
-    crop = tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))
-    return Environment(law, region, padded[core][crop].astype(states.dtype))
-
+            cum = w / w.sum(axis=0)
+            for k in range(1, n_states):  # np.cumsum's sums, at a quarter of its time on axis 0
+                cum[k] += cum[k - 1]
+            inside[at] = (u[at] >= cum).sum(axis=0).clip(max=n_states - 1)
+    crop = tuple(slice(l - o, h - o + 1) for l, h, o in zip(region.lo, region.hi, work.lo))
+    return Environment(law, region, inside[crop].astype(states.dtype))

@@ -389,7 +389,8 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     steps_read = max(read)
     log_inner = _log_positive(np.concatenate(values))
     del values
-    if np.ptp(log_inner) == 0.0:
+    constant = np.ptp(log_inner) == 0.0
+    if constant:
         # degenerate environment: the mean is the common value, exactly
         q_side, q_se = float(log_inner[0]) / et, 0.0
     else:
@@ -398,6 +399,8 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     if isinstance(law, IIDProductLaw):
         a_side, a_se = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et, 0.0
         se = q_se
+    elif constant:  # so is the log-mean-exp, whose jackknife would measure only rounding
+        a_side, a_se, se = q_side, 0.0, 0.0
     else:
         # both sides read the same replicas, so the gap's error bar is the jackknife of
         # the gap: leave-one-out log-mean-exps less the means mean + (mean - x_i) / (n - 1)

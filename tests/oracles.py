@@ -29,11 +29,12 @@ import math
 import numpy as np
 
 from rwre_lab.decomposition import _kbar_of, expected_tau
-from rwre_lab.environments import IIDProductLaw, MarkovFieldLaw, centered_box
+from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
+                                   sample_environment)
 from rwre_lab.evolution import _site
 from rwre_lab.identities import (endpoint_law, path_omegas, path_positions, path_sites,
                                  site_grouped_log_moment, step_blocks)
-from rwre_lab.numutil import BudgetError, fsum, fsum_parts, logsumexp, words
+from rwre_lab.numutil import BudgetError, fsum, fsum_parts, logsumexp, site_uniforms, words
 
 ENUM_CONFIG_CAP = 2 * 10**6  # field configurations one Gibbs enumeration may hold
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
@@ -71,6 +72,36 @@ def gibbs_configurations(law: MarkovFieldLaw, box):
     w = np.exp(logw)
     w /= w.sum()
     return configs, sites, w
+
+
+def reference_heat_bath(law: MarkovFieldLaw, seed: int, region) -> np.ndarray:
+    """A field's states on ``region``, every heat-bath update made site by site.
+
+    The start is the law's beta = 0 realization of the region expanded by
+    max(range, 5) sites. Sweep s = 0, 1, ... visits the residue classes of
+    the box mod (range + 1) in lexicographic order, and the sites of each
+    class in lexicographic order. Site x counts its neighbors within range
+    inside the box by state, and takes the least state k with
+    u < P(state <= k), where u = site_uniforms(seed, (*x, s), stream=2);
+    it takes the last state if rounding leaves none.
+    """
+    work = region.expand(max(law.range_r, 5))
+    free = MarkovFieldLaw(law.dimension, law.table, law.kappa, law.range_r, beta=0.0)
+    states = sample_environment(free, seed, work).states.astype(np.int64)
+    step = law.range_r + 1
+    sites = work.all_sites()
+    for s in range(law.sweeps):
+        for cls in words(step, law.dimension):
+            for x in sites[np.all((sites - work.lo) % step == cls, axis=1)]:
+                counts = np.zeros(law.n_states)
+                for y in x + law._neighbor_offsets():
+                    if work.contains(y)[0]:
+                        counts[states[tuple(y - work.lo)]] += 1
+                w = np.exp(law.beta * (counts - counts.max()))
+                cum = np.cumsum(w / w.sum())
+                u = site_uniforms(seed, np.append(x, s), stream=2)[0]
+                states[tuple(x - work.lo)] = min(int(np.sum(u >= cum)), law.n_states - 1)
+    return states[tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))]
 
 
 # ---------------------------------------------------------------------------

@@ -756,8 +756,9 @@ class TestImports:
         # hashlib stay out of the process
         assert run_probe(tmp_path, command, {}) == ["0", "False", "False"]
 
-    def test_field_gap_still_runs(self, tmp_path):
-        # the field-law heat bath still draws from numpy.random
+    @pytest.mark.parametrize("command", ["gap", "rate", "env-sample"])
+    def test_field_law_runs_load_neither_numpy_random_nor_openssl(self, tmp_path, command):
+        # the heat bath draws its sweeps from the site hash too
         payload = {"law": {**FIELD_LAW, "states": [[0.15, 0.85], [0.85, 0.15]], "sweeps": 1},
                    "L": 2, "gap": {"replicas": 1000, "horizon": 60}}
-        assert run_probe(tmp_path, "gap", payload)[0] == "0"
+        assert run_probe(tmp_path, command, payload) == ["0", "False", "False"]

@@ -14,7 +14,7 @@ from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldL
 from rwre_lab.numutil import BudgetError, derive_seed
 
 from envhelpers import constant_law, mean_environment, omega, reference_states
-from oracles import gibbs_configurations
+from oracles import gibbs_configurations, reference_heat_bath
 
 
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
@@ -367,6 +367,54 @@ class TestMarkovField:
         a = sample_environment(law, 11, box).omega_many(box.all_sites())
         b = sample_environment(law, 11, box).omega_many(box.all_sites())
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d, range_r, region", [
+        (1, 1, Box((-7,), (12,))), (1, 2, Box((3,), (20,))),
+        (2, 1, Box((-2, 1), (3, 5))), (2, 2, Box((0, -4), (4, 0))),
+        (3, 1, Box((0, -1, 2), (1, 0, 3))),
+    ])
+    def test_heat_bath_matches_the_site_by_site_reference(self, d, range_r, region):
+        # sweep s at site x reads site_uniforms(seed, (*x, s), stream=2), whatever
+        # the class slices and the prefix hashing
+        states = [[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]] if d == 1 else \
+            [[0.3, 0.2] + [0.5 / (2 * d - 2)] * (2 * d - 2),
+             [0.2, 0.3] + [0.5 / (2 * d - 2)] * (2 * d - 2), [1 / (2 * d)] * (2 * d)]
+        law = MarkovFieldLaw(d, states, kappa=0.05, range_r=range_r, beta=0.8, sweeps=2)
+        env = sample_environment(law, 21, region)
+        want = reference_heat_bath(law, 21, region)
+        assert env.states.tobytes() == want.astype(env.states.dtype).tobytes()
+
+    @pytest.mark.parametrize("states", [[[0.4, 0.6]], [[0.4, 0.6], [0.4, 0.6]]],
+                             ids=["one-state", "equal-rows"])
+    def test_equal_rows_run_no_sweep(self, monkeypatch, states):
+        # every state carries one omega, so the heat bath could change none
+        law = MarkovFieldLaw(1, states, kappa=0.1, beta=0.5, sweeps=4)
+        box = Box((-3,), (40,))
+        want = law.table[reference_heat_bath(law, 5, box)]
+
+        def spy(self):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(MarkovFieldLaw, "_neighbor_offsets", spy)
+        env = sample_environment(law, 5, box)
+        np.testing.assert_array_equal(env.omega_many(box.all_sites()), want)
+
+    @pytest.mark.parametrize("n_states", [2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_heat_bath_agreement_matches_the_exact_chain(self, n_states, beta):
+        # the 1-D range-1 Potts chain has P(sigma_t = sigma_{t+k}) = lam^k + (1 - lam^k) / S,
+        # lam = (e^beta - 1) / (e^beta + S - 1); 100 sites are trimmed at each free end
+        states = [[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]][:n_states]
+        law = MarkovFieldLaw(1, states, kappa=0.1, beta=beta)
+        lags = np.array([1, 2, 4])
+        agree = np.empty((20, len(lags)))
+        for r in range(20):
+            sigma = sample_environment(law, r, Box((0,), (4999,))).states[100:-100]
+            agree[r] = [np.mean(sigma[:-k] == sigma[k:]) for k in lags]
+        lam = (math.exp(beta) - 1) / (math.exp(beta) + n_states - 1)
+        want = lam**lags + (1 - lam**lags) / n_states
+        se = agree.std(axis=0, ddof=1) / math.sqrt(len(agree))
+        assert np.all(np.abs(agree.mean(axis=0) - want) < 4 * se)
 
     def test_positive_beta_correlates(self):
         law = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, range_r=1,

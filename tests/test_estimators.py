@@ -270,6 +270,19 @@ class TestCertifyGap:
         assert rep.stderr < math.hypot(rep.quenched_stderr, rep.annealed_stderr)
         assert rep.significance == rep.gap / rep.stderr
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_constant_field_sample_reports_exact_error_bars(self, seed):
+        # equal state rows give every replica one log inner value: both sides
+        # are that value, and no error bar is made up from rounding
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.4, 0.6]], kappa=0.1, beta=0.5)
+        tp = solve_tilt(field, [0.5])
+        rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(3, 0), field, budget=7,
+                          seed=seed)
+        assert np.ptp(rep.trace) == 0.0
+        assert rep.annealed_side == rep.quenched_side
+        assert (rep.gap, rep.stderr, rep.annealed_stderr, rep.quenched_stderr) == (0, 0, 0, 0)
+        assert rep.significance == 0.0
+
 
 class TestFreeEnergy:
     def test_limit_consistency_reported(self, capsys):

@@ -438,11 +438,12 @@ def cmd_rate(cfg: dict, out_dir: str) -> int:
     _check_read(cfg, "rate.velocities")
     law = build_law(cfg)
     r = cfg["rate"]
-    points = []
-    for x in r["velocities"]:
-        est = _cli.rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
-                              horizon=r["horizon"], env_replicas=r["env_replicas"])
-        points.append(est.to_dict())
+    # every point is computed before any is printed, so a refused point prints none
+    ests = [_cli.rate_point(law, np.asarray(x, dtype=np.float64), seed=cfg["seed"],
+                            horizon=r["horizon"], env_replicas=r["env_replicas"])
+            for x in r["velocities"]]
+    points = [est.to_dict() for est in ests]
+    for x, est in zip(r["velocities"], ests):
         i_a = "n/a" if est.I_a is None else f"{est.I_a:.6f}+-{est.stderr_a:.1e}"
         print(f"x={x} I_a={i_a} I_q={est.I_q:.6f}+-{est.stderr_q:.1e}")
     if out_dir:

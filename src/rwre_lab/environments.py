@@ -42,8 +42,6 @@ COORD_CAP = 1 << 62
 
 def direction_vectors(d: int) -> np.ndarray:
     """The 2d signed unit vectors, ordered [+e1, -e1, +e2, -e2, ...]."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     out = np.zeros((2 * d, d), dtype=np.int64)
     for axis in range(d):
         out[2 * axis, axis] = 1
@@ -61,10 +59,8 @@ def direction_index(vec) -> int:
     return 2 * axis + (0 if v[axis] > 0 else 1)
 
 
-def validate_prob_vector(p, kappa: float, d: int) -> np.ndarray:
+def validate_prob_vector(p, kappa: float) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (2 * d,):
-        raise ValueError(f"probability vector must have length {2 * d}, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"probability vector {p.tolist()} has non-finite entries")
     if abs(p.sum() - 1.0) > PROB_ATOL:
@@ -82,10 +78,7 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(int(v) for v in np.atleast_1d(np.asarray(self.lo, dtype=object)))
-        hi = tuple(int(v) for v in np.atleast_1d(np.asarray(self.hi, dtype=object)))
-        if len(lo) != len(hi) or not lo:
-            raise ValueError("box corners must be 1-d and of equal length")
+        lo, hi = tuple(map(int, self.lo)), tuple(map(int, self.hi))
         if any(abs(v) >= COORD_CAP for v in lo + hi):
             raise BudgetError("box exceeds the addressable coordinate range")
         if any(h < l for l, h in zip(lo, hi)):
@@ -140,7 +133,7 @@ class _FiniteLaw:
             raise ValueError("kappa must lie in (0, 1/(2d))")
         table = np.atleast_2d(np.asarray(table, dtype=np.float64))
         for row in table:
-            validate_prob_vector(row, self.kappa, self.dimension)
+            validate_prob_vector(row, self.kappa)
         self.table = table
         self.weights = np.asarray(weights, dtype=np.float64)
         # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
@@ -259,12 +252,8 @@ class MarkovFieldLaw(_FiniteLaw):
         self.range_r = int(range_r)
         self.beta = float(beta)
         self.sweeps = int(sweeps)
-        if self.range_r < 1:
-            raise ValueError("range must be >= 1")
         if not self.beta >= 0 or math.isinf(self.beta):
             raise ValueError("interaction strength must be finite and >= 0")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
         n_states = len(np.atleast_2d(state_probs))
         super().__init__(dimension, state_probs, np.full(n_states, 1.0 / n_states), kappa)
         self.n_states = n_states
@@ -303,8 +292,6 @@ class Environment:
     """
 
     def __init__(self, law, box: Box, states: np.ndarray):
-        if states.shape != box.shape:
-            raise ValueError(f"states of shape {states.shape} do not cover a box of {box.shape}")
         self.law = law
         self.box = box
         self.states = states
@@ -345,10 +332,6 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     conditional law at ``site_uniforms(seed, (*x, s), stream=2)``. The box
     either kind materializes is held to MATERIALIZE_CAP sites.
     """
-    if region.dimension != law.dimension:
-        raise ValueError("region dimension does not match law dimension")
-    if not isinstance(law, (IIDProductLaw, MarkovFieldLaw)):
-        raise TypeError(f"unsupported law type {type(law)!r}")
     # only sweeps need a buffer; np.ptp is exact, where disorder() may round away from 0
     coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0 and np.ptp(law.table, 0).any()
     work = region.expand(max(law.range_r, 5)) if coupled else region

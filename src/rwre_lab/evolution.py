@@ -170,10 +170,11 @@ def _cell(plan: tuple, z, j: int) -> int:
     return int((_rotate(z, j) - j // 2 * u) @ stride) + base
 
 
-def _log_scaled(value: float, exponent: int) -> float:
+def _log_scaled(value: float, exponent: int, n: int, site) -> float:
     """log(value * 2^exponent) as (exponent + e) log 2 + log m, with (m, e) = frexp(value)."""
-    if value <= 0.0:
-        return float("-inf")
+    if value == 0.0:  # a config's rows are positive, so at a reachable site 0 is underflow
+        raise BudgetError(f"P(X_{n} = {site.tolist()}) underflows: its mass fell more than "
+                          "2^1074 below the peak of a step's window")
     m, e = math.frexp(float(value))
     return (exponent + e) * math.log(2.0) + math.log(m)
 
@@ -181,7 +182,8 @@ def _log_scaled(value: float, exponent: int) -> float:
 def log_point_probability_dp(env: Environment, n: int, target, at=None):
     """log P_{0,omega}(X_n = target) by scaled forward evolution on the two-sided light cone.
 
-    -inf, without evolving, when the target is out of reach in n steps.
+    -inf, without evolving, when the target is out of reach in n steps;
+    BudgetError when its mass, or the readout's, underflows to 0.
 
     With ``at=(m, target_m)`` it returns the pair (log P(X_n = target),
     log P(X_m = target_m)), the second read at step m of the same evolution;
@@ -242,7 +244,7 @@ def log_point_probability_dp(env: Environment, n: int, target, at=None):
     exponent = 0
     if at is not None:
         cell_m = _cell(plan, target_m, m)
-        log_m = _log_scaled(grid[cell_m], 0)  # read again at step m > 0
+        log_m = 0.0  # log P(X_0 = 0); a step m > 0 reads again
     for step, (parity, write, moves, strips) in enumerate(steps, 1):
         flow = flows[parity]
         new[write] = 0.0
@@ -253,10 +255,11 @@ def log_point_probability_dp(env: Environment, n: int, target, at=None):
             rows[strip] = 0.0
         live = new[write]
         _, e = math.frexp(np.maximum.reduce(live))
-        np.ldexp(live, -e, out=live)
-        exponent += e
+        if e:  # ldexp by 0 is the identity
+            np.ldexp(live, -e, out=live)
+            exponent += e
         grid, new = new, grid
         if step == m:
-            log_m = _log_scaled(grid[cell_m], exponent)
-    log_n = _log_scaled(grid[_cell(plan, target, n)], exponent)
+            log_m = _log_scaled(grid[cell_m], exponent, m, target_m)
+    log_n = _log_scaled(grid[_cell(plan, target, n)], exponent, n, target)
     return log_n if at is None else (log_n, log_m)

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .decomposition import EpsilonLaw, conditional_step_probs
-from .environments import Environment, IIDProductLaw, direction_vectors
+from .environments import Environment, direction_vectors
 from .numutil import BudgetError, fsum, fsum_parts, ordered_dot, word_blocks, words
 from .tilting import TiltParams
 
@@ -193,9 +193,6 @@ def verify_identity_annealed(law, tp: TiltParams, thetas, n: int) -> tuple:
     ``thetas`` is a (T, d) stack as in ``_identity_sides``; both moments are
     grouped once per block of paths.
     """
-    if not isinstance(law, IIDProductLaw):
-        raise ValueError(f"the annealed identity needs an i.i.d. product law (law kind "
-                         f"'iid-product'), not {type(law).__name__}")
     tables = np.stack([law.xi_values(), law.table])
 
     def block_terms(steps):

@@ -20,11 +20,13 @@ enumeration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environments import direction_vectors
+from .environments import IIDProductLaw, direction_vectors
+from .numutil import BudgetError
 
 SOLVE_RESIDUAL_TOL = 1e-12
 MAX_BISECT_ITER = 200
@@ -95,7 +97,9 @@ def solve_tilt(law, z) -> TiltParams:
     """Solve the scale equation for the marginal means of ``law`` and assemble the tilt.
 
     z has ``law.dimension`` entries. Rejects z = 0 and |z|_1 >= 1, where the
-    construction degenerates.
+    construction degenerates. f(C) >= sqrt(C) S with S = sum_e sqrt(m(e) m(-e)),
+    so doubling from C = 1 brackets the root by 1/S^2, and f's 4 C stays below
+    4/S^2; where that is no finite double, BudgetError names the law's rows.
     """
     z = np.asarray(z, dtype=np.float64)
     d = law.dimension
@@ -107,13 +111,16 @@ def solve_tilt(law, z) -> TiltParams:
     if z1 >= 1.0:
         raise ValueError(f"|z|_1 = {z1} must be < 1")
     means = law.marginal_means()
+    opp = means[np.arange(2 * d) ^ 1]
+    if not (S := float(np.sqrt(means * opp).sum())) ** 2 >= 4.0 / sys.float_info.max:
+        key = "law.atoms" if isinstance(law, IIDProductLaw) else "law.states"
+        raise BudgetError(f"{key}: the scale root lies below 1/S^2, where S = sum_e "
+                          f"sqrt(m(e) m(-e)) = {S:.3g} makes 4/S^2 no finite double")
 
     # bracket the root, then bisect; f is monotone so this cannot fail
     lo, hi = 0.0, 1.0
     while scale_function(hi, z, means) < 1.0:
         hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the scale root")
     for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if scale_function(mid, z, means) < 1.0:
@@ -128,7 +135,6 @@ def solve_tilt(law, z) -> TiltParams:
         raise RuntimeError(f"scale root residual {residual} above tolerance")
 
     zd = _zdots(z, d)
-    opp = means[np.arange(2 * d) ^ 1]
     u = 0.5 * (zd + np.sqrt(zd**2 + 4.0 * C * means * opp))
     D = math.sqrt(C)
     theta = np.log(u[0::2] / (D * means[0::2]))  # components read off the +e_j directions

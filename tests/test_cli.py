@@ -656,6 +656,67 @@ class TestUsage:
                                               "weights": [1.0]}})
         assert main(["--config", cfg, "verify"]) == 64
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"gap": 5}', "gap must be an object, got 5"),
+        (json.dumps({"law": {**TWO_ATOM_GAP["law"],
+                             "atoms": [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]]}}),
+         "law: weights must align with atoms"),
+    ], ids=["array", "section-not-object", "three-atoms-two-weights"])
+    def test_refused_before_any_artifact(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "gap"]) == 64
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err and not out.exists()
+
+
+# the scale root of this law at z 0.5 is C = (1 - z^2) / (4 m+ m-) = 1.875e15, 51
+# doublings from where the bracket starts; with a row entry of 1e-310, 4/S^2 bounding
+# the root is past the largest double
+EXTREME_LAW = {"kind": "iid-product", "dimension": 1, "kappa": 1e-300,
+               "atoms": [[0.9999999999999999, 1e-16]], "weights": [1.0]}
+BEYOND_DOUBLES_LAW = {**EXTREME_LAW, "kappa": 1e-310, "atoms": [[0.9999999999999, 1e-310]]}
+# the readout P(X_200 = 100) of rate's 400-step evolution falls more than 2^1074 below
+# its step's peak in some of the eight environments
+UNDERFLOW_RATE = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 1e-10,
+                          "atoms": [[0.9999999, 1e-7], [1e-7, 0.9999999]], "weights": [0.5, 0.5]},
+                  "rate": {"velocities": [[0.5]]}}
+
+
+class TestExtremeLaws:
+    @pytest.mark.parametrize("command,code", [("gap", 3), ("verify", 0)])
+    def test_scale_root_of_1e15_solves(self, tmp_path, capsys, command, code):
+        cfg = write_config(tmp_path, {"law": EXTREME_LAW, "z": [0.5]})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == code
+        report = json.loads((out / f"{command}_report.json").read_text())
+        if command == "gap":  # one atom: no disorder, so no gap
+            assert report["gap"] == 0.0 and report["stderr"] == 0.0
+            assert report["tilt"]["C"] == pytest.approx(1.875e15, rel=1e-12)
+        else:
+            assert len(report["families"]) == 6 and report["passed"]
+
+    @pytest.mark.parametrize("command", ["gap", "verify"])
+    def test_root_bound_past_the_doubles_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"law": BEYOND_DOUBLES_LAW, "z": [0.5]})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: law.atoms: the scale root lies below 1/S^2")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_underflowing_rate_readout_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, UNDERFLOW_RATE)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "rate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget error: P(X_200 = [100]) underflows")
+        assert not out.exists()
+
 
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
              "states": [[0.4, 0.6], [0.6, 0.4]], "beta": 0.5}

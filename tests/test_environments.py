@@ -49,21 +49,21 @@ class TestDirections:
 
 class TestProbVectors:
     def test_accepts_valid(self):
-        validate_prob_vector([0.3, 0.7], kappa=0.1, d=1)
+        validate_prob_vector([0.3, 0.7], kappa=0.1)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):
-            validate_prob_vector([0.3, 0.6], kappa=0.1, d=1)
+            validate_prob_vector([0.3, 0.6], kappa=0.1)
 
     def test_rejects_ellipticity(self):
         with pytest.raises(ValueError, match="ellipticity"):
-            validate_prob_vector([0.05, 0.95], kappa=0.1, d=1)
+            validate_prob_vector([0.05, 0.95], kappa=0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         # nan passes the sum and floor comparisons; it is refused by name
         with pytest.raises(ValueError, match="non-finite"):
-            validate_prob_vector([bad, 0.7], kappa=0.1, d=1)
+            validate_prob_vector([bad, 0.7], kappa=0.1)
 
 
 class TestIIDProductLaw:

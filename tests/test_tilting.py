@@ -11,6 +11,7 @@ from rwre_lab.identities import (PATH_BLOCK, annealed_identity_bytes,
                                  decomposed_endpoint_distribution, qz_endpoint_distribution,
                                  verify_identity_annealed, verify_identity_quenched,
                                  verify_psi_identity)
+from rwre_lab.numutil import BudgetError
 from rwre_lab.tilting import TiltParams, scale_function, solve_tilt, tilt_invariant_residuals
 
 from envhelpers import constant_law, mean_environment, omega
@@ -52,6 +53,20 @@ class TestSolveTilt:
         assert tp.u[1] == pytest.approx(1.0 / 16.0, abs=1e-12)
         assert tp.u[2] == pytest.approx(3.0 / 16.0, abs=1e-12)
         assert tp.D == pytest.approx(0.75, abs=1e-12)
+
+    @pytest.mark.parametrize("row,z", [([0.4, 0.6], 0.3), ([0.7, 0.3], -0.6),
+                                       ([0.9999999999999999, 1e-16], 0.5)])
+    def test_closed_form_scale_in_d1(self, row, z):
+        # f(C) = sqrt(z^2 + 4 C m+ m-) = 1 in d = 1; the last root is 1.875e15
+        tp = solve_tilt(constant_law(1, row, min(row) / 2), [z])
+        assert tp.C == pytest.approx((1 - z**2) / (4 * row[0] * row[1]), rel=1e-12)
+        assert tp.residual <= 1e-12
+
+    def test_refuses_a_law_whose_root_bound_is_no_double(self):
+        # S = 2 sqrt(m+ m-) = 2e-155, so 4/S^2 = 1e310 is past the largest double
+        law = constant_law(1, [0.9999999999999, 1e-310], 1e-310)
+        with pytest.raises(BudgetError, match=r"^law\.atoms: the scale root lies below 1/S\^2"):
+            solve_tilt(law, [0.5])
 
     def test_bisection_against_grid_scan(self):
         # independent oracle: locate the unit crossing of the scale function

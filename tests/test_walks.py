@@ -6,7 +6,7 @@ import pytest
 
 from rwre_lab.environments import (IIDProductLaw, MarkovFieldLaw, centered_box,
                                    direction_vectors, sample_environment)
-from rwre_lab.evolution import log_point_probability_dp
+from rwre_lab.evolution import light_cone, log_point_probability_dp
 from rwre_lab.identities import path_positions, step_blocks
 from rwre_lab.numutil import BudgetError, words
 
@@ -109,6 +109,15 @@ class TestQuenchedProbabilities:
         env = sample_environment(two_atom_law(), 19, centered_box(1, 9))
         p = quenched_point_probability(env, 8, (2,))
         assert log_point_probability_dp(env, 8, (2,)) == pytest.approx(math.log(p), rel=1e-12)
+
+    def test_log_dp_readout_underflow_raises(self):
+        # at step 200 of this 400-step evolution the readout's mass lies more than
+        # 2^1074 below the window's peak and reads 0; every step has probability
+        # kappa > 0 or more, so that 0 is underflow, not the answer
+        law = IIDProductLaw(1, [[0.9999999, 1e-7], [1e-7, 0.9999999]], [0.5, 0.5], 1e-10)
+        env = sample_environment(law, 0, light_cone(1, 400, (200,)))
+        with pytest.raises(BudgetError, match=r"^P\(X_200 = \[100\]\) underflows"):
+            log_point_probability_dp(env, 400, (200,), at=(200, (100,)))
 
     def test_log_dp_unreachable(self):
         env = sample_environment(two_atom_law(), 19, centered_box(1, 9))

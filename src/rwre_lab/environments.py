@@ -3,7 +3,8 @@
 An environment assigns to every lattice site a probability vector over the 2d
 nearest-neighbor steps. Both laws are finite-state: state k carries the vector
 ``table[k]`` and has one-site probability ``weights[k]``, and the means, xi
-values and disorder come from that pair alone.
+values and fixed directions (those on which every state's row agrees) come
+from that pair alone.
 
 * ``IIDProductLaw``: sites are i.i.d. draws from the weights.
 * ``MarkovFieldLaw``: a finite-range Potts-type field sampled by heat-bath
@@ -65,7 +66,7 @@ def validate_prob_vector(p, kappa: float) -> np.ndarray:
         raise ValueError(f"probability vector {p.tolist()} has non-finite entries")
     if abs(p.sum() - 1.0) > PROB_ATOL:
         raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within {PROB_ATOL}")
-    if p.min() < kappa - PROB_ATOL:
+    if p.min() <= 0.0 or p.min() < kappa - PROB_ATOL:  # below 1e-12, the tolerance would pass 0
         raise ValueError(f"entry {p.min()!r} below ellipticity floor {kappa}")
     return p
 
@@ -85,10 +86,6 @@ class Box:
             raise ValueError("empty box")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lo)
 
     @property
     def shape(self) -> tuple:
@@ -135,6 +132,7 @@ class _FiniteLaw:
         for row in table:
             validate_prob_vector(row, self.kappa)
         self.table = table
+        self.fixed = np.ptp(table, 0) == 0  # (2d,): the directions every state's row agrees on
         self.weights = np.asarray(weights, dtype=np.float64)
         # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
         # straddles a cut when its two ends differ, and such a byte has the code K
@@ -155,10 +153,6 @@ class _FiniteLaw:
     def xi_values(self) -> np.ndarray:
         """Per-state ratio omega/E[omega], shape (K, 2d)."""
         return self.table / self.marginal_means()
-
-    def disorder(self) -> float:
-        """sup over the states of |omega(x,e)/E[omega(x,e)] - 1|."""
-        return float(np.max(np.abs(self.xi_values() - 1.0)))
 
     def atom_blocks(self, seed: int, prefix, lo: int, n: int, rows: int):
         """Yield the atoms of the sites (prefix[p], x), x = lo .. lo + n - 1, in (rows, P) blocks.
@@ -332,8 +326,8 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     conditional law at ``site_uniforms(seed, (*x, s), stream=2)``. The box
     either kind materializes is held to MATERIALIZE_CAP sites.
     """
-    # only sweeps need a buffer; np.ptp is exact, where disorder() may round away from 0
-    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0 and np.ptp(law.table, 0).any()
+    # only sweeps need a buffer, and none changes an omega when every direction is fixed
+    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0 and not law.fixed.all()
     work = region.expand(max(law.range_r, 5)) if coupled else region
     check_sites(work)
     # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of

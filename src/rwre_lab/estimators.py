@@ -31,10 +31,11 @@ law's memory does not grow with the horizon (a field's holds one byte per
 ray site of a block).
 For a product law the annealed side is the same recursion on the mean row,
 free factor u(ell) - kbar, in a pass of its own that reads one constant
-block over and over. The block bounds are W minus each side. The tests
-judge the recursion against a symbol-by-symbol Monte Carlo of the same
-truncated functional and against an enumeration of every ray environment
-at small horizons.
+block over and over; where the law fixes the ray direction, every replica
+reads one row, and one such pass gives both sides. The block bounds are W
+minus each side. The tests judge the recursion against a symbol-by-symbol
+Monte Carlo of the same truncated functional and against an enumeration of
+every ray environment at small horizons.
 
 ``rate_point`` evaluates the two rate functions at one velocity: closed forms
 in the one-site law at the lattice directions +-e_i and, everywhere else in
@@ -245,16 +246,17 @@ def ray_inner_values(free_factors: np.ndarray, kbar: float, L: int) -> np.ndarra
     return _inner_recursion([cols], cols.shape[1], kbar, L, cols, len(cols) - L)[0]
 
 
+def _constant_pass(f: float, kbar: float, L: int, steps: int) -> tuple:
+    """``_inner_recursion`` of one replica whose every factor is f: one block read over and over."""
+    w = np.full((_FLUSH_ROWS, 1), f)
+    return _inner_recursion(itertools.repeat(w), 1, kbar, L, w[0], steps)
+
+
 def ray_log_inner_annealed_iid(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig,
                                horizon: int) -> float:
-    """Exact annealed inner value: free-symbol factor u(ell) - kbar at every site.
-
-    The recursion reads one constant block over and over, so nothing of the
-    horizon's length is held, and it stops once the rest is below rounding.
-    """
-    w = np.full((_FLUSH_ROWS, 1), float(tp.u_array[cfg.ell]) - eps.kbar)
-    val, _ = _inner_recursion(itertools.repeat(w), 1, eps.kbar, cfg.L, w[0], horizon - cfg.L)
-    return math.log(val[0])
+    """Exact annealed inner value: free-symbol factor u(ell) - kbar at every site."""
+    f = float(tp.u_array[cfg.ell]) - eps.kbar
+    return math.log(_constant_pass(f, eps.kbar, cfg.L, horizon - cfg.L)[0][0])
 
 
 def _ray_rows(law, ell: int, horizon: int, seed: int, table: np.ndarray):
@@ -353,15 +355,16 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     Common truncation horizon and, where the annealed side needs sampling,
     common environment draws keep the two sides comparable term by term. The
     strict inequality is declared certified at significance > 5, falsified
-    below -3, and inconclusive in between. Without a fixed ``horizon``, the
-    horizon is ``choose_horizon``'s, the smallest H with P(tau_1 > H) below
-    HORIZON_TAIL; a fixed one above TAU_HORIZON, the cap of that search,
-    raises BudgetError. Replicas are evaluated CHUNK at a time with their
-    factors drawn inside the recursion, for a product law one random byte per
-    replica and step, so memory does not grow with the horizon. It grows with
-    the replica count only by the _REPLICA_FLOATS floats kept per replica, the
-    trace among them; a count whose floats pass MEMORY_BUDGET raises
-    BudgetError before any row is drawn.
+    below -3, and inconclusive in between; a zero error bar gives significance
+    0, as on a ray direction the law fixes or at H = L, where no row is drawn.
+    Without a fixed ``horizon``, the horizon is ``choose_horizon``'s, the
+    smallest H with P(tau_1 > H) below HORIZON_TAIL; a fixed one above
+    TAU_HORIZON, the cap of that search, raises BudgetError. Replicas are
+    evaluated CHUNK at a time with their factors drawn inside the recursion,
+    for a product law one random byte per replica and step, so memory does not
+    grow with the horizon. It grows with the replica count only by the
+    _REPLICA_FLOATS floats kept per replica, the trace among them; a count
+    whose floats pass MEMORY_BUDGET raises BudgetError before a row is drawn.
     Each block's recursion stops once the rest of its sums is below rounding,
     with the values of the full horizon; ``steps_read`` is the most steps a
     block ran. The horizon is chosen, and refused, before E[tau_1] is taken.
@@ -383,37 +386,35 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
     h = horizon or _estimators.choose_horizon(eps, cfg)
     et, w = _estimators.expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
     table = float(tp.u_array[cfg.ell]) * law.xi_values()[:, cfg.ell] - eps.kbar
-    rows = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), table)
-    values, read = zip(*(_inner_recursion(rows(start, size), size, eps.kbar, cfg.L, table,
-                                          h - cfg.L) for start, size in _blocks(budget)))
-    steps_read = max(read)
-    log_inner = _log_positive(np.concatenate(values))
-    del values
-    constant = np.ptp(log_inner) == 0.0
-    if constant:
-        # degenerate environment: the mean is the common value, exactly
-        q_side, q_se = float(log_inner[0]) / et, 0.0
+    if law.fixed[cfg.ell] or h == cfg.L:
+        # every replica reads table[0] at every step, or reads no row: both sides are one value
+        val, steps_read = _constant_pass(table[0], eps.kbar, cfg.L, h - cfg.L)
+        log_inner = np.full(budget, _log_positive(val)[0])
+        q_side = a_side = float(log_inner[0]) / et
+        q_se = a_se = se = 0.0
     else:
+        rows = _ray_rows(law, cfg.ell, h, derive_seed(seed, 1), table)
+        values, read = zip(*(_inner_recursion(rows(start, size), size, eps.kbar, cfg.L, table,
+                                              h - cfg.L) for start, size in _blocks(budget)))
+        steps_read = max(read)
+        log_inner = _log_positive(np.concatenate(values))
+        del values
         q_side = float(log_inner.mean()) / et
-        q_se = float(log_inner.std(ddof=1) / math.sqrt(budget)) / et
-    if isinstance(law, IIDProductLaw):
-        a_side, a_se = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et, 0.0
-        se = q_se
-    elif constant:  # so is the log-mean-exp, whose jackknife would measure only rounding
-        a_side, a_se, se = q_side, 0.0, 0.0
-    else:
-        # both sides read the same replicas, so the gap's error bar is the jackknife of
-        # the gap: leave-one-out log-mean-exps less the means mean + (mean - x_i) / (n - 1)
-        a_side, mean = float(logmeanexp(log_inner)) / et, float(log_inner.mean())
-        loo = loo_logmeanexp(log_inner)
-        a_se = jackknife_stderr(loo) / et
-        loo -= mean + (mean - log_inner) / (budget - 1)
-        se = jackknife_stderr(loo) / et
+        # the spread about replica 0 is 0 for a constant sample, not an ulp of its mean
+        q_se = float((log_inner - log_inner[0]).std(ddof=1) / math.sqrt(budget)) / et
+        if isinstance(law, IIDProductLaw):
+            a_side, a_se = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et, 0.0
+            se = q_se
+        else:
+            # both sides read the same replicas, so the gap's error bar is the jackknife of
+            # the gap: leave-one-out log-mean-exps less the means mean + (mean - x_i) / (n - 1)
+            a_side, mean = float(logmeanexp(log_inner)) / et, float(log_inner.mean())
+            loo = loo_logmeanexp(log_inner)
+            a_se = jackknife_stderr(loo) / et
+            loo -= mean + (mean - log_inner) / (budget - 1)
+            se = jackknife_stderr(loo) / et
     gap = a_side - q_side
-    if se == 0.0:
-        sig = 0.0 if gap == 0.0 else math.copysign(float("inf"), gap)
-    else:
-        sig = gap / se
+    sig = gap / se if se > 0.0 else 0.0
     verdict = "certified" if sig > 5.0 else ("falsified" if sig < -3.0 else "inconclusive")
     return GapReport(
         ell=tuple(int(v) for v in direction_vectors(tp.dimension)[cfg.ell]),
@@ -459,7 +460,8 @@ def rate_point(law, x, *, seed: int = 0, horizon: int = 400,
     quenched rate averages the per-environment decays over ``env_replicas``
     environments, the annealed rate takes the decay of their averaged
     probabilities with a leave-one-out jackknife error; the method is
-    reported as "enumeration".
+    reported as "enumeration". A law that fixes every direction has one
+    environment, and both rates are its decay with no error bar.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.abs(x).sum() > 1.0 + 1e-12:
@@ -491,11 +493,11 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     base = q if (int(round(q * np.abs(x).sum())) - q) % 2 == 0 else 2 * q
     n2 = max(2 * base, 2 * base * round(horizon / (2 * base)))
     n1 = n2 // 2
-    zero_dis = law.disorder() == 0.0
+    fixed = law.fixed.all()
     # n1 x lies on a path to n2 x: one evolution on the n2 cone reads both
     target1, target2 = (np.round(n * x).astype(np.int64) for n in (n1, n2))
     region = _estimators.light_cone(d, n2, target2)
-    reps = 1 if zero_dis else env_replicas
+    reps = 1 if fixed else env_replicas
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):
@@ -509,7 +511,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     i_r = extrapolated(logp1, logp2)
     i_q = float(i_r.mean())
     se_q = float(i_r.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    if zero_dis:
+    if fixed:
         return RatePointEstimate(tuple(float(v) for v in x), i_q, i_q, 0.0, 0.0,
                                  "enumeration", n2)
     # annealed decay: environment average of the quenched point probability

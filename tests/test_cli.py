@@ -679,6 +679,9 @@ class TestUsage:
 EXTREME_LAW = {"kind": "iid-product", "dimension": 1, "kappa": 1e-300,
                "atoms": [[0.9999999999999999, 1e-16]], "weights": [1.0]}
 BEYOND_DOUBLES_LAW = {**EXTREME_LAW, "kappa": 1e-310, "atoms": [[0.9999999999999, 1e-310]]}
+# S^2 = 1.0e-308 lies between 1/max (5.6e-309) and 4/max (2.2e-308): the root is below
+# 1/S^2, whose quadruple is past the largest double
+BAND_LAW = {**EXTREME_LAW, "kappa": 1e-309, "atoms": [[0.9999999999999999, 2.5e-309]]}
 # the readout P(X_200 = 100) of rate's 400-step evolution falls more than 2^1074 below
 # its step's peak in some of the eight environments
 UNDERFLOW_RATE = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 1e-10,
@@ -699,9 +702,12 @@ class TestExtremeLaws:
         else:
             assert len(report["families"]) == 6 and report["passed"]
 
-    @pytest.mark.parametrize("command", ["gap", "verify"])
-    def test_root_bound_past_the_doubles_exits_2(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, {"law": BEYOND_DOUBLES_LAW, "z": [0.5]})
+    @pytest.mark.parametrize("command, law", [
+        pytest.param(command, law, id=prefix + command)
+        for prefix, law in (("", BEYOND_DOUBLES_LAW), ("band-", BAND_LAW))
+        for command in ("gap", "verify")])
+    def test_root_bound_past_the_doubles_exits_2(self, tmp_path, capsys, command, law):
+        cfg = write_config(tmp_path, {"law": law, "z": [0.5]})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), command]) == 2
         err = capsys.readouterr().err
@@ -716,6 +722,68 @@ class TestExtremeLaws:
         assert captured.out == ""
         assert captured.err.startswith("budget error: P(X_200 = [100]) underflows")
         assert not out.exists()
+
+
+# laws whose every row agrees on the ray direction +e1: each replica's ray reads one row
+FIXED_RAY = {
+    "two-equal": {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+                          "atoms": [[0.33, 0.67], [0.33, 0.67]], "weights": [0.7, 0.3]},
+                  "gap": {"replicas": 100}},
+    "five-equal": {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+                           "atoms": [[0.45, 0.55]] * 5, "weights": [0.2] * 5},
+                   "gap": {"replicas": 100}},
+    "fixed-e1": {"law": {"kind": "iid-product", "dimension": 2, "kappa": 0.05,
+                         "atoms": [[0.31, 0.2, 0.2, 0.29], [0.31, 0.2, 0.29, 0.2]],
+                         "weights": [0.1, 0.9]},
+                 "z": [0.2, 0.1], "ell": [1, 0], "gap": {"replicas": 100}},
+    "field-one-state": {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
+                                "states": [[0.4, 0.6]], "beta": 0.5}},
+    "field-fixed-e1": {"law": {"kind": "markov-field", "dimension": 2, "kappa": 0.05,
+                               "states": [[0.3, 0.2, 0.2, 0.3], [0.3, 0.2, 0.3, 0.2]],
+                               "beta": 0.5},
+                       "z": [0.2, 0.1], "ell": [1, 0]},
+}
+
+
+class TestFixedDirections:
+    @pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("case", sorted(FIXED_RAY))
+    def test_gap_is_an_exact_zero(self, tmp_path, capsys, monkeypatch, case, with_out):
+        # the two sides are one value, so the gap is 0 +- 0 at significance 0, with no
+        # verdict either way; no replica's row is drawn, and the JSON holds no inf
+        monkeypatch.setattr("rwre_lab.estimators._ray_rows",
+                            lambda *args, **kwargs: pytest.fail("a row was drawn"))
+        cfg = write_config(tmp_path, FIXED_RAY[case])
+        out = tmp_path / "out"
+        args = ["--config", cfg] + (["--out", str(out)] if with_out else [])
+        assert main(args + ["gap"]) == 3
+        assert capsys.readouterr().out == ("gap = 0.000000e+00 +- 0.00e+00 "
+                                           "(significance 0.00, verdict inconclusive)\n")
+        if with_out:
+            report = json.loads((out / "gap_report.json").read_text())
+            assert report["quenched_side"] == report["annealed_side"]
+            assert report["gap"] == report["stderr"] == report["significance"] == 0.0
+            trace = (out / "gap_trace.csv").read_text().splitlines()[2:]
+            assert len(trace) == report["replicas"] and len({t.split(",")[1] for t in trace}) == 1
+
+    @pytest.mark.parametrize("replicas", [100, 200])
+    @pytest.mark.parametrize("law", ["product", "field"])
+    def test_horizon_at_l_reads_no_row(self, tmp_path, capsys, monkeypatch, law, replicas):
+        # at gap.horizon = L no block reads a row: every replica's value is kbar^L,
+        # so the gap is 0 +- 0, not a verdict on the rounding of a constant sample
+        monkeypatch.setattr("rwre_lab.estimators._ray_rows",
+                            lambda *args, **kwargs: pytest.fail("a row was drawn"))
+        config = {"L": 3, "gap": {"horizon": 3, "replicas": replicas}}
+        cfg = write_config(tmp_path, {**config, **({"law": FIELD_LAW} if law == "field" else {})})
+        assert main(["--config", cfg, "gap"]) == 3
+        assert capsys.readouterr().out == ("gap = 0.000000e+00 +- 0.00e+00 "
+                                           "(significance 0.00, verdict inconclusive)\n")
+
+    def test_rate_has_one_environment(self, tmp_path, capsys):
+        # five equal atoms: the means round, but every environment is the same one
+        cfg = write_config(tmp_path, {**FIXED_RAY["five-equal"], "rate": {"velocities": [[0.5]]}})
+        assert main(["--config", cfg, "rate"]) == 0
+        assert capsys.readouterr().out == "x=[0.5] I_a=0.187733+-0.0e+00 I_q=0.187733+-0.0e+00\n"
 
 
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,

@@ -17,6 +17,11 @@ from envhelpers import constant_law, mean_environment, omega, reference_states
 from oracles import gibbs_configurations, reference_heat_bath
 
 
+def disorder(law) -> float:
+    """sup over the states of |omega(x, e) / E[omega(x, e)] - 1|."""
+    return float(np.max(np.abs(law.xi_values() - 1.0)))
+
+
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
     base = np.full(2 * d, (1.0 - (lo + hi) / 2 if d == 1 else None))
     if d == 1:
@@ -59,6 +64,13 @@ class TestProbVectors:
         with pytest.raises(ValueError, match="ellipticity"):
             validate_prob_vector([0.05, 0.95], kappa=0.1)
 
+    def test_rejects_a_zero_entry_below_the_tolerance(self):
+        # at kappa below PROB_ATOL the floor's tolerance alone would pass an exact 0
+        with pytest.raises(ValueError, match="ellipticity"):
+            IIDProductLaw(1, [[1.0, 0.0]], [1.0], 1e-13)
+        law = IIDProductLaw(1, [[0.9999999999999, 1e-310]], [1.0], 1e-310)
+        assert law.table.min() == 1e-310
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         # nan passes the sum and floor comparisons; it is refused by name
@@ -75,18 +87,33 @@ class TestIIDProductLaw:
         assert two_atom_law().marginal_mean(0) == pytest.approx(0.5, abs=1e-15)
 
     def test_disorder_single_atom_zero(self):
-        assert constant_law(1, [0.6, 0.4], 0.1).disorder() == 0.0
+        law = constant_law(1, [0.6, 0.4], 0.1)
+        np.testing.assert_array_equal(law.xi_values(), [[1.0, 1.0]])
+        np.testing.assert_array_equal(law.fixed, [True, True])
 
     def test_disorder_two_point_support(self):
         # oracle: max |omega/mean - 1| over the four support values
         law = two_atom_law()
         expect = max(abs(v / 0.5 - 1.0) for v in (0.4, 0.6))
-        assert law.disorder() == pytest.approx(expect, abs=1e-12)
-        assert law.disorder() == pytest.approx(0.2, abs=1e-12)
+        assert disorder(law) == pytest.approx(expect, abs=1e-12)
+        assert disorder(law) == pytest.approx(0.2, abs=1e-12)
 
     def test_disorder_wider_support(self):
         law = two_atom_law(lo=0.25, hi=0.75, kappa=0.05)
-        assert law.disorder() == pytest.approx(0.5, abs=1e-12)
+        assert disorder(law) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("atoms, weights, fixed", [
+        ([[0.45, 0.55]] * 5, [0.2] * 5, [True, True]),  # xi rounds 1.1e-16 from 1
+        ([[0.33, 0.67]] * 2, [0.7, 0.3], [True, True]),
+        ([[0.31, 0.2, 0.2, 0.29], [0.31, 0.2, 0.29, 0.2]], [0.1, 0.9],
+         [True, True, False, False]),
+        ([[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], [False, False]),
+    ], ids=["five-equal", "two-equal", "fixed-e1", "random"])
+    def test_fixed_directions_are_exact(self, atoms, weights, fixed):
+        # a direction is fixed when every atom's row agrees on it, whatever the
+        # rounding of the means and the xi values
+        law = IIDProductLaw(len(atoms[0]) // 2, atoms, weights, 0.05)
+        np.testing.assert_array_equal(law.fixed, fixed)
 
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
@@ -296,7 +323,8 @@ class TestMarkovField:
         law = MarkovFieldLaw(2, [[0.1, 0.4, 0.25, 0.25], [0.4, 0.1, 0.25, 0.25]], kappa=0.05,
                              range_r=2, beta=0.5)
         np.testing.assert_array_equal(law.marginal_means(), [0.25, 0.25, 0.25, 0.25])
-        assert law.disorder() == pytest.approx(0.6, abs=1e-12)
+        assert disorder(law) == pytest.approx(0.6, abs=1e-12)
+        np.testing.assert_array_equal(law.fixed, [False, False, True, True])
 
     def test_beta_zero_pair_correlation(self):
         # at zero coupling, neighbor states decorrelate; compare against an
@@ -428,7 +456,7 @@ class TestMarkovField:
 
     def test_disorder_over_state_image(self):
         law = self.law()
-        assert law.disorder() == pytest.approx(0.4, abs=1e-12)
+        assert disorder(law) == pytest.approx(0.4, abs=1e-12)
 
     def test_exact_enumeration_budget(self):
         law = MarkovFieldLaw(1, [[0.3, 0.7]] * 3, kappa=0.1, range_r=1, beta=0.1)

@@ -12,7 +12,7 @@ from rwre_lab.environments import (Box, IIDProductLaw, MarkovFieldLaw, direction
 from rwre_lab.estimators import (_log_positive, certify_gap, log_w_const, rate_point,
                                  ray_inner_values, ray_log_inner_annealed_iid, sample_ray_xi)
 from rwre_lab.numutil import BudgetError, derive_seed
-from rwre_lab.evolution import log_point_probability_dp
+from rwre_lab.evolution import light_cone, log_point_probability_dp
 from rwre_lab.identities import psi_factor, verify_identity_annealed
 from rwre_lab.tilting import solve_tilt
 
@@ -165,6 +165,17 @@ class TestCertifyGap:
         assert abs(rep.gap) <= 3 * rep.stderr
         assert rep.verdict == "inconclusive"
         assert rep.significance == 0.0
+
+    def test_constant_sample_has_no_error_bar(self):
+        # a random law whose 100 replicas all read the first atom: the sample's
+        # spread is 0 exactly, so the gap to the annealed side carries no verdict
+        law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.9999999, 1e-7], 0.1)
+        tp = solve_tilt(law, [0.1])
+        rep = certify_gap(tp, make_epsilon_law(tp), StoppingConfig(2, 0), law, budget=100,
+                          seed=1)
+        assert np.ptp(rep.trace) == 0.0 and rep.gap != 0.0
+        assert rep.quenched_stderr == rep.stderr == rep.significance == 0.0
+        assert rep.verdict == "inconclusive"
 
     def test_two_atom_certified(self):
         rep = certify_gap(TP, EPS, CFG, TWO_ATOM, budget=6000, seed=6)
@@ -404,6 +415,26 @@ class TestRatePoint:
     def test_off_lattice_velocity_rejected(self):
         with pytest.raises(ValueError, match=r"velocity = \[0.013\] has no lattice denominator"):
             rate_point(TWO_ATOM, [0.013])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_quenched_stderr_is_the_sample_stderr(self, seed):
+        # the benchmark's 2-D law: each environment's extrapolated decay, recomputed
+        # from its own forward evolution, and their sample standard error (n - 1)
+        law = IIDProductLaw(2, [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]], [0.5, 0.5], 0.1)
+        x, reps = np.array([0.2, 0.1]), 8
+        est = rate_point(law, x, seed=seed, horizon=160, env_replicas=reps)
+        n2 = est.horizon
+        n1 = n2 // 2
+        target1, target2 = np.round(n1 * x).astype(int), np.round(n2 * x).astype(int)
+        rows = []
+        for r in range(reps):
+            env = sample_environment(law, derive_seed(seed, 31, r), light_cone(2, n2, target2))
+            log2, log1 = log_point_probability_dp(env, n2, target2, at=(n1, target1))
+            rows.append(2.0 * (-log2 / n2) + log1 / n1)
+        mean = math.fsum(rows) / reps
+        sample_se = math.sqrt(math.fsum((v - mean) ** 2 for v in rows) / (reps - 1) / reps)
+        assert est.I_q == pytest.approx(mean, rel=1e-12)
+        assert est.stderr_q == pytest.approx(sample_se, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_dp_rates_and_annealed_jackknife(self, monkeypatch, seed):

@@ -65,9 +65,9 @@ def validate_prob_vector(p, kappa: float) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError(f"probability vector {p.tolist()} has non-finite entries")
     if abs(p.sum() - 1.0) > PROB_ATOL:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1 within {PROB_ATOL}")
+        raise ValueError(f"probabilities sum to {float(p.sum())}, not 1 within {PROB_ATOL}")
     if p.min() <= 0.0 or p.min() < kappa - PROB_ATOL:  # below 1e-12, the tolerance would pass 0
-        raise ValueError(f"entry {p.min()!r} below ellipticity floor {kappa}")
+        raise ValueError(f"entry {float(p.min())} below ellipticity floor {kappa}")
     return p
 
 
@@ -121,7 +121,7 @@ def check_sites(box: Box, what: str = "realization"):
 
 
 class _FiniteLaw:
-    """K site states: state k carries the row ``table[k]`` and has weight ``weights[k]``."""
+    """K site states: state k carries the row ``table[k]`` and has weight ``weights[k]`` > 0."""
 
     def __init__(self, dimension: int, table, weights, kappa: float):
         self.dimension = int(dimension)
@@ -131,9 +131,9 @@ class _FiniteLaw:
         table = np.atleast_2d(np.asarray(table, dtype=np.float64))
         for row in table:
             validate_prob_vector(row, self.kappa)
-        self.table = table
-        self.fixed = np.ptp(table, 0) == 0  # (2d,): the directions every state's row agrees on
-        self.weights = np.asarray(weights, dtype=np.float64)
+        drawn = weights > 0  # rows of weight 0 are checked above but never drawn: not kept
+        self.table, self.weights = table[drawn], weights[drawn]
+        self.fixed = np.ptp(self.table, 0) == 0  # (2d,): the directions every state's row agrees on
         # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
         # straddles a cut when its two ends differ, and such a byte has the code K
         self._cuts = np.cumsum(self.weights)[:-1]
@@ -197,7 +197,7 @@ class IIDProductLaw(_FiniteLaw):
     ----------
     dimension : lattice dimension d >= 1.
     atoms : array-like (K, 2d), each row a probability vector over directions;
-        held as ``table``.
+        every row is validated, and those of positive weight are ``table``.
     weights : array-like (K,), mixture weights summing to 1.
     kappa : declared ellipticity floor; every atom entry must be >= kappa.
     """

@@ -8,7 +8,8 @@ from the route it judges:
   (they judge ``log_point_probability_dp`` and the identity oracles), and the
   Gibbs measure of a field on a small box;
 * the survival P(tau_1 > t) of the run-length chain, scanned step by step
-  (it judges ``choose_horizon`` and the tau sampler);
+  (it judges ``_tail_blocks``, the blocked tail table that ``choose_horizon``
+  scans for the horizon and the tau sampler inverts);
 * ``sample_ray_block_values``, the symbol-by-symbol Monte Carlo of a stopped
   block on a ray (it judges the run-length recursion);
 * ``exact_gap_oracle``, both sides of the gap at a small horizon by

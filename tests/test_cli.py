@@ -313,7 +313,7 @@ class TestGap:
         assert h == choose_horizon(eps, stop)
 
     def test_hopeless_horizon_exits_2_at_once(self, tmp_path, capsys):
-        # L = 7 at the default kbar 1/8 scanned for 14 s before exit 2
+        # L = 7 at the default kbar 1/8: Harris's bound refuses before the scan to the cap
         cfg = write_config(tmp_path, {"L": 7})
         out = tmp_path / "out"
         t0 = time.perf_counter()
@@ -662,7 +662,9 @@ class TestUsage:
         (json.dumps({"law": {**TWO_ATOM_GAP["law"],
                              "atoms": [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]]}}),
          "law: weights must align with atoms"),
-    ], ids=["array", "section-not-object", "three-atoms-two-weights"])
+        (json.dumps({"law": {**TWO_ATOM_GAP["law"], "atoms": [[0.05, 0.95], [0.6, 0.4]]}}),
+         "law: entry 0.05 below ellipticity floor 0.1"),
+    ], ids=["array", "section-not-object", "three-atoms-two-weights", "entry-below-kappa"])
     def test_refused_before_any_artifact(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -724,6 +726,8 @@ class TestExtremeLaws:
         assert not out.exists()
 
 
+ZERO_WEIGHT_2D = {"kind": "iid-product", "dimension": 2, "kappa": 0.05,
+                  "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]]}
 # laws whose every row agrees on the ray direction +e1: each replica's ray reads one row
 FIXED_RAY = {
     "two-equal": {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -736,6 +740,15 @@ FIXED_RAY = {
                          "atoms": [[0.31, 0.2, 0.2, 0.29], [0.31, 0.2, 0.29, 0.2]],
                          "weights": [0.1, 0.9]},
                  "z": [0.2, 0.1], "ell": [1, 0], "gap": {"replicas": 100}},
+    # a row of weight 0 is never drawn, so it cannot break the agreement
+    "zero-weight-first": {"law": {**TWO_ATOM_GAP["law"], "weights": [0.0, 1.0]},
+                          "gap": {"replicas": 100}},
+    "zero-weight-last": {"law": {**TWO_ATOM_GAP["law"], "weights": [1.0, 0.0]},
+                         "gap": {"replicas": 100}},
+    "zero-weight-2d-first": {"law": {**ZERO_WEIGHT_2D, "weights": [0.0, 1.0]},
+                             "z": [0.2, 0.1], "ell": [1, 0], "gap": {"replicas": 100}},
+    "zero-weight-2d-last": {"law": {**ZERO_WEIGHT_2D, "weights": [1.0, 0.0]},
+                            "z": [0.2, 0.1], "ell": [1, 0], "gap": {"replicas": 100}},
     "field-one-state": {"law": {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
                                 "states": [[0.4, 0.6]], "beta": 0.5}},
     "field-fixed-e1": {"law": {"kind": "markov-field", "dimension": 2, "kappa": 0.05,

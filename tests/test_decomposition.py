@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwre_lab.decomposition import (HORIZON_TAIL, TAIL_STEPS, TAU_BLOCK, TAU_HORIZON,
-                                    EpsilonLaw, StoppingConfig, _tail_blocks, check_tau_memory,
-                                    choose_horizon, conditional_step_probs, default_kbar,
-                                    expected_tau, make_epsilon_law, sample_tau_batch,
-                                    validate_stopping)
+                                    EpsilonLaw, StoppingConfig, _harris_floor, _tail_blocks,
+                                    check_tau_memory, choose_horizon, conditional_step_probs,
+                                    default_kbar, expected_tau, make_epsilon_law,
+                                    sample_tau_batch, validate_stopping)
 from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
 from rwre_lab.identities import (_joint_path_weights, decomposed_endpoint_distribution,
@@ -254,7 +254,7 @@ class TestSampleTau:
 
     def test_hopeless_horizon_search_refused_before_the_scan(self):
         # by Harris's inequality P(tau_1 > 1e7) >= (1 - k^L)^1e7 = 0.0085 at
-        # k = 1/8 and L = 7, over 2 tail; the scan took 14 s to fail
+        # k = 1/8 and L = 7, over 2 tail; the scan to the cap takes about 0.3 s
         t0 = time.perf_counter()
         with pytest.raises(BudgetError, match="at L = 7, P\\(tau_1 > 10000000\\) >= 0.0085"):
             choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(7, 0))
@@ -269,20 +269,29 @@ class TestSampleTau:
 
     @settings(max_examples=40, deadline=None)
     @given(kbar=st.floats(0.15, 0.5), L=st.integers(1, 5))
-    def test_lifted_horizon_is_the_scanned_one(self, kbar, L):
-        # the binary lifting over squares of the transfer lands on the first t
-        # where the scanned exact tail falls below the cut
+    def test_scanned_horizon_matches_the_judge(self, kbar, L):
+        # the scan of the blocked tail table lands on the first t where the
+        # judge's step-by-step exact tail falls below the cut
         cfg = StoppingConfig(L, 0)
         h = choose_horizon(kbar, cfg)
         surv = tau_survival(kbar, cfg, h)
         assert surv[h] < HORIZON_TAIL <= surv[h - 1]
 
-    def test_long_horizon_search_takes_no_scan(self):
-        # L = 6 at k = 1/8 ends at H = 2 759 300, which the scan took about 3 s to reach
+    def test_long_horizon_scan_is_prompt(self):
+        # L = 6 at k = 1/8 ends at H = 2 759 300, 674 blocks of the tail table
         t0 = time.perf_counter()
         assert [choose_horizon(EpsilonLaw(0.125, 1), StoppingConfig(L, 0))
                 for L in (3, 4, 5, 6)] == [5359, 43077, 344873, 2759300]
         assert time.perf_counter() - t0 < 1.0
+
+    def test_harris_band_is_refused_by_the_scan(self):
+        # at k = 9.4e-4 and L = 2 Harris's bound is 1.45e-4, inside [tail, 2 tail):
+        # the pre-refusal passes, and the scan reaches the cap before the cut
+        k, cfg = 9.4e-4, StoppingConfig(2, 0)
+        assert HORIZON_TAIL <= _harris_floor(k, cfg.L) < 2 * HORIZON_TAIL
+        with pytest.raises(BudgetError, match=f"^tau tail stays above {HORIZON_TAIL} within the "
+                                              f"{TAU_HORIZON}-symbol cap$"):
+            choose_horizon(k, cfg)
 
 
 class TestPsiFactor:

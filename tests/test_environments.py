@@ -71,6 +71,16 @@ class TestProbVectors:
         law = IIDProductLaw(1, [[0.9999999999999, 1e-310]], [1.0], 1e-310)
         assert law.table.min() == 1e-310
 
+    @pytest.mark.parametrize("atoms,kappa,message", [
+        ([[1.0, 0.0]], 1e-13, "entry 0.0 below ellipticity floor 1e-13"),
+        ([[0.5, 0.6]], 0.1, "probabilities sum to 1.1, not 1 within 1e-12"),
+        ([[0.05, 0.95]], 0.1, "entry 0.05 below ellipticity floor 0.1"),
+    ], ids=["zero-entry", "sum", "below-kappa"])
+    def test_refusals_print_plain_floats(self, atoms, kappa, message):
+        with pytest.raises(ValueError) as info:
+            IIDProductLaw(1, atoms, [1.0], kappa)
+        assert str(info.value) == message and "np.float64(" not in str(info.value)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         # nan passes the sum and floor comparisons; it is refused by name
@@ -108,7 +118,8 @@ class TestIIDProductLaw:
         ([[0.31, 0.2, 0.2, 0.29], [0.31, 0.2, 0.29, 0.2]], [0.1, 0.9],
          [True, True, False, False]),
         ([[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], [False, False]),
-    ], ids=["five-equal", "two-equal", "fixed-e1", "random"])
+        ([[0.4, 0.6], [0.6, 0.4]], [1.0, 0.0], [True, True]),
+    ], ids=["five-equal", "two-equal", "fixed-e1", "random", "zero-weight"])
     def test_fixed_directions_are_exact(self, atoms, weights, fixed):
         # a direction is fixed when every atom's row agrees on it, whatever the
         # rounding of the means and the xi values
@@ -126,6 +137,14 @@ class TestIIDProductLaw:
     def test_atom_outside_kappa_rejected(self):
         with pytest.raises(ValueError):
             IIDProductLaw(1, [[0.05, 0.95]], [1.0], 0.1)
+
+    def test_zero_weight_atom_is_checked_then_dropped(self):
+        # a row the law never draws is still refused when invalid, and is not kept
+        with pytest.raises(ValueError, match="entry 0.05 below ellipticity floor 0.1"):
+            IIDProductLaw(1, [[0.4, 0.6], [0.05, 0.95]], [1.0, 0.0], 0.1)
+        law = IIDProductLaw(1, [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]], [0.0, 0.7, 0.3], 0.1)
+        np.testing.assert_array_equal(law.table, [[0.4, 0.6], [0.5, 0.5]])
+        np.testing.assert_array_equal(law.weights, [0.7, 0.3])
 
 
 class TestEnvironmentRealization:

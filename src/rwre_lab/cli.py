@@ -1,20 +1,10 @@
 """Command line front end: declarative configs, verification and estimation runs.
 
-Subcommands
------------
-verify      run the exact-oracle identity suite on an i.i.d. product law;
-            exit 0 iff all families pass
-gap         certify the quenched/annealed block gap; writes JSON + CSV trace
-rate        evaluate rate-function points on a velocity grid; writes CSV
-env-sample  realize an environment and export it as CSV
-tau-stats   sample run-completion times and compare with the closed form
-
-Exit codes: 0 pass/certified, 1 falsification (an identity or ordering failed),
-2 budget exceeded, 3 inconclusive (statistics too weak to certify), 64 usage or
-config error.
+``COMMANDS`` lists the subcommands, and the ``EXIT_*`` constants their exit
+codes. README states what each subcommand computes, refuses and writes.
 
 Config: one JSON object. ``SCHEMA`` below holds the rule of every key, and
-README ("Config schema") shows each key with its default. Omitted keys take
+README ("Config") shows each key with its default. Omitted keys take
 ``DEFAULT_CONFIG``; an unknown key, or a value against its rule, exits 64
 and the refusal names the key.
 Every output artifact embeds the config hash and root seed; fixed seeds give
@@ -34,7 +24,7 @@ import sys
 import numpy as np
 
 from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box, check_sites,
-                           sample_environment)
+                           direction_index, sample_environment)
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
                       lattice_denominator, site_uniforms)
 
@@ -256,11 +246,14 @@ def build_law(cfg: dict):
 def build_problem(cfg: dict):
     """law, tilt parameters, symbol law and stopping config from one config."""
     _check_read(cfg, "z", "ell")
+    try:
+        ell = direction_index(cfg["ell"])
+    except ValueError as exc:
+        raise ConfigError(f"ell: {exc}") from exc
     law = build_law(cfg)
     tp = _cli.solve_tilt(law, np.asarray(cfg["z"], dtype=np.float64))
     eps = _cli.make_epsilon_law(tp)
-    stop = _cli.StoppingConfig.from_vector(cfg["L"], cfg["ell"])
-    return law, tp, eps, stop
+    return law, tp, eps, _cli.StoppingConfig(cfg["L"], ell)
 
 
 def _write_json(path: str, payload: dict):
@@ -331,6 +324,10 @@ def _run_verify(cfg: dict):
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-THETA_SCALE, THETA_SCALE)
     shape = (cfg["verify"]["theta_count"], d)
+    # a theta's d coordinates peak at 5 doubles each while hashed, and an identity
+    # family's exact sums keep 500-520 bytes of Python lists per theta (tracemalloc):
+    # 1024 bytes covers those twice
+    check_memory(shape[0] * (40 * d + 1024), f"verify.theta_count = {shape[0]} thetas in {d}-D")
     u = site_uniforms(derive_seed(seed, 100), np.indices(shape).reshape(2, -1).T)
     thetas = THETA_SCALE * (2.0 * u.reshape(shape) - 1.0)
     rows = []
@@ -505,6 +502,16 @@ def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# subcommand -> (handler, help): argparse, dispatch and tests/test_readme.py read this table
+COMMANDS = {
+    "verify": (cmd_verify, "run the exact identity suite"),
+    "gap": (cmd_gap, "certify the quenched/annealed block gap"),
+    "rate": (cmd_rate, "rate-function grid"),
+    "env-sample": (cmd_env_sample, "realize an environment as CSV"),
+    "tau-stats": (cmd_tau_stats, "run-completion time statistics"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="rwre-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="path to a JSON config file")
@@ -514,11 +521,8 @@ def main(argv=None) -> int:
                              "subcommand runs on one thread")
     parser.add_argument("--out", default="", help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", help="run the exact identity suite")
-    sub.add_parser("gap", help="certify the quenched/annealed block gap")
-    sub.add_parser("rate", help="rate-function grid")
-    sub.add_parser("env-sample", help="realize an environment as CSV")
-    sub.add_parser("tau-stats", help="run-completion time statistics")
+    for name, (_, text) in COMMANDS.items():
+        sub.add_parser(name, help=text)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -529,9 +533,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _check("seed", args.seed, *SCHEMA["seed"], 0)
             cfg["seed"] = args.seed
-        dispatch = {"verify": cmd_verify, "gap": cmd_gap, "rate": cmd_rate,
-                    "env-sample": cmd_env_sample, "tau-stats": cmd_tau_stats}
-        return dispatch[args.command](cfg, args.out)
+        return COMMANDS[args.command][0](cfg, args.out)
     except (ValueError, FileNotFoundError) as exc:  # ConfigError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

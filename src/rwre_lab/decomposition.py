@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .environments import direction_index
 from .numutil import BudgetError, check_memory, ordered_dot, site_uniforms
 
 if TYPE_CHECKING:  # TiltParams appears in annotations only
@@ -94,10 +93,6 @@ class StoppingConfig:
 
     L: int
     ell: int  # direction index
-
-    @classmethod
-    def from_vector(cls, L: int, ell_vec) -> "StoppingConfig":
-        return cls(int(L), direction_index(ell_vec))
 
 
 def validate_stopping(tp: TiltParams, cfg: StoppingConfig):

@@ -75,6 +75,9 @@ CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 # and their logs (the trace) make 3; a field law's jackknives, run once the first
 # two are freed, add the leave-one-out values and 3 temporaries to the trace
 _REPLICA_FLOATS = 6
+# floats a rate point holds per environment: the two log probabilities, their
+# decays and the leave-one-out temporaries of the annealed jackknife (tracemalloc: 8.0)
+_ENV_FLOATS = 8
 
 
 def _blocks(n_items: int) -> list:
@@ -498,6 +501,7 @@ def _rate_point_dp(law, x, *, seed: int, horizon: int, env_replicas: int) -> Rat
     target1, target2 = (np.round(n * x).astype(np.int64) for n in (n1, n2))
     region = _estimators.light_cone(d, n2, target2)
     reps = 1 if fixed else env_replicas
+    check_memory(8 * _ENV_FLOATS * reps, f"rate.env_replicas = {reps} of {_ENV_FLOATS} floats")
     logp1 = np.empty(reps)
     logp2 = np.empty(reps)
     for r in range(reps):

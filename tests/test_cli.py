@@ -150,6 +150,7 @@ class TestVerify:
                   "weights": [0.5, 0.5]},
           "z": [0.2, 0.1], "ell": [1, 0], "verify": {"n_max": 40}},
          "verify.n_max = 40 enumerates"),  # 4^40 paths: no d > 1 cap runs 6 instead
+        ({"verify": {"theta_count": 10**9}}, "verify.theta_count = 1000000000"),
     ])
     def test_budgets_refused_before_any_family(self, tmp_path, capsys, monkeypatch, payload,
                                                key):
@@ -432,6 +433,18 @@ class TestRate:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "rate"]) == 64
         assert capsys.readouterr().err.startswith("error: unknown config key rate.boundary_sites")
+        assert not out.exists()
+
+    def test_env_replicas_over_the_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 10^9 environments ended in a numpy allocation traceback and exit 1
+        monkeypatch.setattr("rwre_lab.estimators.sample_environment",
+                            lambda *args: pytest.fail("an environment was realized"))
+        cfg = write_config(tmp_path, {"rate": {"env_replicas": 10**9}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "rate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget error: rate.env_replicas = 1000000000 of 8 floats")
         assert not out.exists()
 
     def test_field_boundary_annealed_rate_is_null(self, tmp_path, capsys):

@@ -6,7 +6,6 @@ import json
 import os
 import re
 import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from rwre_lab.cli import (ANY, DEFAULT_CONFIG, INTEGER, LAW_KEYS, NULLABLE, NUMBER, SCHEMA,
                           ConfigError, main, normalize_config)
 
-ROOT = Path(__file__).resolve().parent.parent
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
              "states": [[0.4, 0.6], [0.6, 0.4]]}
 FIELD_ONLY = LAW_KEYS["markov-field"] - LAW_KEYS["iid-product"]
@@ -220,10 +218,16 @@ def test_subcommands_check_only_the_defaults_they_read(tmp_path, capsys):
     ("L = 1", "gap", {"L": 1}),
     ("law: weights", "gap", {"law": {**DEFAULT_CONFIG["law"], "weights": [0.3, 0.3]}}),
     ("law: kappa", "gap", {"law": {**FIELD_LAW, "kappa": 0.6}}),
-], ids=["box", "L", "weights", "kappa"])
+    ("ell: not a signed unit vector", "gap", {"ell": [2]}),
+    ("ell: not a signed unit vector", "verify", {"ell": [0]}),
+    ("ell: not a signed unit vector", "gap",
+     {"law": {**DEFAULT_CONFIG["law"], "dimension": 2, "atoms": [[0.3, 0.2, 0.25, 0.25]] * 2},
+      "z": [0.2, 0.1], "ell": [1, 1]}),
+], ids=["box", "L", "weights", "kappa", "ell-2", "ell-0", "ell-2d"])
 def test_refusals_beyond_the_walk_name_their_key(tmp_path, capsys, key, command, payload):
-    # an empty box, L = 1 under gap, weights that are no probability vector and
-    # a field kappa of 1/(2d) or more exited 64 naming no key
+    # an empty box, L = 1 under gap, weights that are no probability vector, a
+    # field kappa of 1/(2d) or more and an ell that is no signed unit vector
+    # exited 64 naming no key
     cfg, out = tmp_path / "config.json", tmp_path / "out"
     cfg.write_text(json.dumps(payload))
     assert main(["--config", str(cfg), "--out", str(out), command]) == 64
@@ -283,16 +287,3 @@ def test_refusal_makes_no_out_directory(tmp_path, capsys, command, payload, code
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), command]) == code
     assert not out.exists()
-
-
-def readme_keys() -> set:
-    text = (ROOT / "README.md").read_text()
-    block = text.split("### Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
-    keys = set()
-    for key, val in json.loads(re.sub(r"//.*", "", block)).items():
-        keys |= {f"{key}.{leaf}" for leaf in val} if isinstance(val, dict) else {key}
-    return keys
-
-
-def test_readme_config_block_lists_the_table_keys():
-    assert readme_keys() == set(SCHEMA)

@@ -36,7 +36,7 @@ __getattr__ = deferred_names(globals(), {
     "decomposition": ("StoppingConfig", "check_tau_memory", "conditional_step_probs",
                       "expected_tau", "make_epsilon_law", "sample_tau_batch"),
     "estimators": ("certify_gap", "rate_point"),
-    "identities": ("annealed_identity_bytes", "check_joint_pairs", "check_paths",
+    "identities": ("annealed_identity_bytes", "check_folds", "check_joint_pairs", "check_paths",
                    "decomposed_endpoint_distribution", "psi_factor", "qz_endpoint_distribution",
                    "verify_identity_annealed", "verify_identity_quenched", "verify_psi_identity"),
 })
@@ -306,18 +306,20 @@ JOINT_N_MAX = 4
 
 def _run_verify(cfg: dict):
     """Run the six identity families up to verify.n_max; returns (rows, all_pass)."""
-    if (kind := cfg["law"]["kind"]) != "iid-product":
-        raise ConfigError(f"law.kind = {kind!r}: verify's annealed identity closes atom by "
-                          "atom, so it needs an i.i.d. product law ('iid-product')")
     law, tp, eps, stop = build_problem(cfg)
+    if not law.independent:  # the annealed identity closes atom by atom
+        raise ConfigError(f"law.kind = {cfg['law']['kind']!r} at law.beta = {law.beta}: verify "
+                          "needs independent sites: an i.i.d. product law, or a field at beta 0")
     d = tp.dimension
     seed = cfg["seed"]
     n_max = cfg["verify"]["n_max"]
     n_joint = min(n_max, JOINT_N_MAX)
     # the oracles' own checks at the longest runs, before any family runs
     _cli.check_paths(n_max, d, "verify.n_max")
+    _cli.check_folds(cfg["verify"]["theta_count"], n_max, d, "verify.theta_count")
+    rows_key = "law.atoms" if cfg["law"]["kind"] == "iid-product" else "law.states"
     check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
-                 f"law.atoms = {len(law.table)} atoms at verify.n_max = {n_max}")
+                 f"{rows_key} = {len(law.table)} atoms at verify.n_max = {n_max}")
     _cli.check_joint_pairs(tp, eps, n_joint, "verify.n_max")
     box = centered_box(d, n_max + 1)  # the quenched family's; psi's box lies inside it
     check_sites(box, f"verify.n_max = {n_max}: the quenched realization")

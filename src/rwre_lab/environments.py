@@ -4,7 +4,8 @@ An environment assigns to every lattice site a probability vector over the 2d
 nearest-neighbor steps. Both laws are finite-state: state k carries the vector
 ``table[k]`` and has one-site probability ``weights[k]``, and the means, xi
 values and fixed directions (those on which every state's row agrees) come
-from that pair alone.
+from that pair alone. ``independent`` says whether distinct sites' omegas
+are independent; the estimators read it, never a law's type.
 
 * ``IIDProductLaw``: sites are i.i.d. draws from the weights.
 * ``MarkovFieldLaw``: a finite-range Potts-type field sampled by heat-bath
@@ -13,10 +14,9 @@ from that pair alone.
 ``atom_blocks``, on both laws, is the one i.i.d. site sampler: each site is a
 pure function of (seed, site) through a counter-based hash, one byte per
 site and one double where the byte's range straddles a cut of the weights.
-Every realization starts from it; a product law's, and a field's at beta =
-0 or with equal state rows, is nothing more, and the heat-bath sweeps read
-the same hash. ``ray_states`` yields a law's states along a ray for a
-block of replicas, and the estimators read every ray through it.
+Every realization starts from it; an independent law's is nothing more, and
+the heat-bath sweeps read the same hash. ``ray_states`` yields a law's states
+along a ray for a block of replicas; the estimators read every ray through it.
 
 A realization (``Environment``) is one array of state indices shaped like its
 box, of at most MATERIALIZE_CAP sites whatever the law.
@@ -123,7 +123,7 @@ def check_sites(box: Box, what: str = "realization"):
 class _FiniteLaw:
     """K site states: state k carries the row ``table[k]`` and has weight ``weights[k]`` > 0."""
 
-    def __init__(self, dimension: int, table, weights, kappa: float):
+    def __init__(self, dimension: int, table, weights, kappa: float, coupled: bool = False):
         self.dimension = int(dimension)
         self.kappa = float(kappa)
         if not (0.0 < self.kappa < 1.0 / (2 * self.dimension)):
@@ -134,6 +134,9 @@ class _FiniteLaw:
         drawn = weights > 0  # rows of weight 0 are checked above but never drawn: not kept
         self.table, self.weights = table[drawn], weights[drawn]
         self.fixed = np.ptp(self.table, 0) == 0  # (2d,): the directions every state's row agrees on
+        self.means = self.weights @ self.table  # E[omega(x, e)] for every direction, exact
+        self.xi = self.table / self.means  # per-state ratio omega / E[omega], shape (K, 2d)
+        self.independent = not coupled or bool(self.fixed.all())  # one row: no omega is coupled
         # a draw's atom is the number of cuts <= it; byte b's range [b/256, (b+1)/256)
         # straddles a cut when its two ends differ, and such a byte has the code K
         self._cuts = np.cumsum(self.weights)[:-1]
@@ -142,17 +145,6 @@ class _FiniteLaw:
         straddles = first != np.searchsorted(self._cuts, edges[1:], side="left")
         self._byte_codes = np.where(straddles, len(self.weights), first).astype(
             np.min_scalar_type(len(self.weights)))
-
-    def marginal_means(self) -> np.ndarray:
-        """E[omega(x, e)] for every direction, exact."""
-        return self.weights @ self.table
-
-    def marginal_mean(self, e: int) -> float:
-        return float(self.marginal_means()[e])
-
-    def xi_values(self) -> np.ndarray:
-        """Per-state ratio omega/E[omega], shape (K, 2d)."""
-        return self.table / self.marginal_means()
 
     def atom_blocks(self, seed: int, prefix, lo: int, n: int, rows: int):
         """Yield the atoms of the sites (prefix[p], x), x = lo .. lo + n - 1, in (rows, P) blocks.
@@ -189,6 +181,14 @@ class _FiniteLaw:
                 atoms[step, col] = np.count_nonzero(u[:, None] >= edge, axis=1)
             yield atoms
 
+    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
+        """Yield the states of replicas x steps t < n in (rows, R) time blocks.
+
+        Replica i at step t is the site (i, t) of ``atom_blocks``, whatever
+        the direction ``ell``, so a block holds O(rows * R) numbers.
+        """
+        return self.atom_blocks(seed, np.asarray(replicas)[:, None], 0, n, rows)
+
 
 class IIDProductLaw(_FiniteLaw):
     """Finite-atom product law: each site independently draws one atom.
@@ -210,18 +210,9 @@ class IIDProductLaw(_FiniteLaw):
                 or weights.min() < 0):
             raise ValueError("weights must form a probability vector")
         super().__init__(dimension, atoms, weights, kappa)
-        means = self.marginal_means()
         hi = 1.0 - (2 * self.dimension - 1) * self.kappa
-        if means.min() < self.kappa - PROB_ATOL or means.max() > hi + PROB_ATOL:
+        if self.means.min() < self.kappa - PROB_ATOL or self.means.max() > hi + PROB_ATOL:
             raise ValueError("marginal means outside [kappa, 1-(2d-1)kappa]")
-
-    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
-        """Yield the states of replicas x steps t < n in (rows, R) time blocks.
-
-        Replica i at step t is the site (i, t) of ``atom_blocks``, whatever
-        the direction ``ell``, so a block holds O(rows * R) numbers.
-        """
-        return self.atom_blocks(seed, np.asarray(replicas)[:, None], 0, n, rows)
 
 
 class MarkovFieldLaw(_FiniteLaw):
@@ -231,8 +222,9 @@ class MarkovFieldLaw(_FiniteLaw):
     site proportional to exp(beta * #{neighbors within l1-distance range_r in
     the same state}); missing neighbors outside the sampling box are dropped
     (free boundary). Site x then carries the probability vector
-    ``table[sigma_x]``, given as ``state_probs``. beta = 0 makes sites i.i.d.
-    uniform over states.
+    ``table[sigma_x]``, given as ``state_probs``. At beta = 0, or with equal
+    state rows, its omegas are independent and it realizes exactly what the
+    product law of its rows at weights 1/S does.
 
     The one-site weights are 1/S at every beta: the Potts interaction, the
     uniform start and the heat-bath kernel are all invariant under
@@ -248,18 +240,20 @@ class MarkovFieldLaw(_FiniteLaw):
         self.sweeps = int(sweeps)
         if not self.beta >= 0 or math.isinf(self.beta):
             raise ValueError("interaction strength must be finite and >= 0")
-        n_states = len(np.atleast_2d(state_probs))
-        super().__init__(dimension, state_probs, np.full(n_states, 1.0 / n_states), kappa)
-        self.n_states = n_states
+        k = len(np.atleast_2d(state_probs))
+        super().__init__(dimension, state_probs, np.full(k, 1.0 / k), kappa, self.beta > 0.0)
 
     def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
-        """Yield the states of replicas x ray sites t * ell, t < n, in (rows, R) time blocks.
+        """The states of replicas x ray sites t * ell, t < n, in (rows, R) time blocks.
 
-        Replica i is realized on the ray box from derive_seed(seed, i) by
+        An independent field's are its product law's. Otherwise replica i is
+        realized on the ray box from derive_seed(seed, i) by
         ``sample_environment``. The (n, R) states are held at one byte each
         for at most 256 states; BudgetError is raised before the first
         realization when they would exceed MEMORY_BUDGET.
         """
+        if self.independent:
+            return super().ray_states(seed, ell, replicas, n, rows)
         dtype = np.min_scalar_type(len(self.table) - 1)
         check_memory(dtype.itemsize * len(replicas) * n, f"{len(replicas)} x {n} ray states")
         end = (n - 1) * direction_vectors(self.dimension)[ell]
@@ -268,8 +262,7 @@ class MarkovFieldLaw(_FiniteLaw):
         for j, i in enumerate(replicas):
             line = sample_environment(self, derive_seed(seed, int(i)), box).states.reshape(-1)
             states[:, j] = line if ell % 2 == 0 else line[::-1]  # -e_i runs from hi down
-        for t in range(0, n, rows):
-            yield states[t:t + rows]
+        return (states[t:t + rows] for t in range(0, n, rows))
 
     def _neighbor_offsets(self) -> np.ndarray:
         offs = words(2 * self.range_r + 1, self.dimension) - self.range_r
@@ -318,17 +311,14 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
 
     Every law starts from the product realization of its one-site weights
     by ``atom_blocks``, one line along the last axis per prefix of the
-    other coordinates; that is all of a product law's, and of a field's at
-    beta = 0 or with equal state rows, where no sweep could change an omega.
-    Any other field starts so on the region expanded by max(range, 5) sites
+    other coordinates; that is all of an independent law's. A coupled field
+    starts so on the region expanded by max(range, 5) sites
     and runs ``law.sweeps`` heat-bath sweeps there, each residue class mod
     (range + 1) in turn by strided slices: in sweep s, site x inverts its
     conditional law at ``site_uniforms(seed, (*x, s), stream=2)``. The box
     either kind materializes is held to MATERIALIZE_CAP sites.
     """
-    # only sweeps need a buffer, and none changes an omega when every direction is fixed
-    coupled = isinstance(law, MarkovFieldLaw) and law.beta > 0.0 and not law.fixed.all()
-    work = region.expand(max(law.range_r, 5)) if coupled else region
+    work = region if law.independent else region.expand(max(law.range_r, 5))  # sweeps need a buffer
     check_sites(work)
     # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
     # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
@@ -342,14 +332,14 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         for atoms in law.atom_blocks(seed, lines, work.lo[-1], n, rows):
             states[p:p + len(lines), t:t + len(atoms)] = atoms.T
             t += len(atoms)
-    if not coupled:
+    if law.independent:
         return Environment(law, region, states.reshape(shape))
 
     # Two distinct sites of one residue class are at l1 distance > range, so
     # updating a whole class at once is still a valid single-site sampler.
     # ``inside`` views the box in the padded states, ``near`` the box shifted by each offset.
-    pad, n_states = law.range_r, law.n_states
-    padded = np.full([m + 2 * pad for m in shape], n_states, np.min_scalar_type(n_states))
+    pad, k = law.range_r, len(law.table)
+    padded = np.full([m + 2 * pad for m in shape], k, np.min_scalar_type(k))
     inside, *near = (padded[tuple(slice(pad + o, pad + o + m) for o, m in zip(off, shape))]
                      for off in [(0,) * len(shape)] + law._neighbor_offsets().tolist())
     inside[...] = states.reshape(shape)
@@ -360,11 +350,11 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
         u = (mix64(keys ^ np.uint64(s)) >> np.uint64(11)) * 2.0**-53  # site_uniforms' top bits
         for cls in words(pad + 1, law.dimension).tolist():
             at = tuple(slice(c, None, pad + 1) for c in cls)
-            counts = sum(np.equal.outer(range(n_states), view[at]) for view in near)
+            counts = sum(np.equal.outer(range(k), view[at]) for view in near)
             w = np.exp(law.beta * (counts - counts.max(axis=0)))
             cum = w / w.sum(axis=0)
-            for k in range(1, n_states):  # np.cumsum's sums, at a quarter of its time on axis 0
-                cum[k] += cum[k - 1]
-            inside[at] = (u[at] >= cum).sum(axis=0).clip(max=n_states - 1)
+            for j in range(1, k):  # np.cumsum's sums, at a quarter of its time on axis 0
+                cum[j] += cum[j - 1]
+            inside[at] = (u[at] >= cum).sum(axis=0).clip(max=k - 1)
     crop = tuple(slice(l - o, h - o + 1) for l, h, o in zip(region.lo, region.hi, work.lo))
     return Environment(law, region, inside[crop].astype(states.dtype))

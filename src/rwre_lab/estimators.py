@@ -11,29 +11,20 @@ The inner block expectation itself is computed without Monte Carlo error:
 conditioning on the forced/free symbol pattern and the stay-on-ray event
 collapses the block functional to a run-length transfer recursion whose step
 factors are kbar (forced symbol) and u(ell) * xi_site - kbar (free symbol).
-The recursion carries a_s, the mass that enters a free symbol at time s; each
-step sums the last L of them, weighted by the powers of kbar, in a fixed
-order, and multiplies by the time row of free factors. Every few steps the
-new a's are summed into the value, and the last L are rescaled by a power of
-two and moved to the top of their buffer. The recursion stops before the horizon once the
-rest cannot change the value: with fhat the largest |free factor| a row can
-take, any rho with rho^L >= fhat * sum_{j<L} kbar^j rho^(L-1-j) gives
-|a_{t+n}| <= rho^n * max_{j<L} rho^j |a_{t-j}|. A block stops at the first
-flush where this bound, summed over the steps left, is below 2^-56 of every
-replica's value; each later flush would add less than half an ulp, so the
-values are those of the full horizon bit for bit, and no later row is drawn
-or read. ``certify_gap`` is the one exact evaluation of the two block bounds.
-It feeds the recursion CHUNK replicas at a time, their rows in short time
-blocks: the law's ``ray_states`` read through a table (``_ray_rows``), the
-free factors here and xi in ``sample_ray_xi``. Each factor is a function of
-(seed, replica, step) alone, no block size changes a value, and a product
-law's memory does not grow with the horizon (a field's holds one byte per
-ray site of a block).
-For a product law the annealed side is the same recursion on the mean row,
-free factor u(ell) - kbar, in a pass of its own that reads one constant
-block over and over; where the law fixes the ray direction, every replica
-reads one row, and one such pass gives both sides. The block bounds are W
-minus each side. The tests judge the recursion against a symbol-by-symbol
+The recursion (``_inner_recursion``) carries a_s, the mass that enters a
+free symbol at time s, rescales it by powers of two, and stops before the
+horizon once the rest provably cannot change any replica's value, so the
+values are those of the full horizon bit for bit and no later row is drawn
+or read. ``certify_gap`` is the one exact evaluation of the two block
+bounds, W minus each side. It feeds the recursion CHUNK replicas at a time,
+their rows in short time blocks: the law's ``ray_states`` read through a
+table (``_ray_rows``), the free factors here and xi in ``sample_ray_xi``.
+Each factor is a function of (seed, replica, step) alone, so no block size
+changes a value. Where the law's sites are independent, the annealed side is
+the same recursion on the mean row, free factor u(ell) - kbar, in a pass of
+its own; a coupled field's is the log-mean-exp of its replicas. Where the
+law fixes the ray direction, every replica reads one row, and one such pass
+gives both sides. The tests judge the recursion against a symbol-by-symbol
 Monte Carlo of the same truncated functional and against an enumeration of
 every ray environment at small horizons.
 
@@ -53,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .environments import IIDProductLaw, direction_index, direction_vectors, sample_environment
+from .environments import direction_index, direction_vectors, sample_environment
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed, jackknife_stderr,
                       lattice_denominator, logmeanexp, loo_logmeanexp)
 
@@ -72,9 +63,10 @@ _estimators = sys.modules[__name__]
 
 CHUNK = 4096  # replicas per block: gap blocks and sample_ray_xi blocks
 # floats certify_gap may hold per replica: the block values, their concatenation
-# and their logs (the trace) make 3; a field law's jackknives, run once the first
+# and their logs (the trace) make 3; a coupled field's jackknives, run once the first
 # two are freed, add the leave-one-out values and 3 temporaries to the trace
 _REPLICA_FLOATS = 6
+CERTIFY_SIGNIFICANCE, FALSIFY_SIGNIFICANCE = 5.0, -3.0  # certify_gap's verdict cut-offs
 # floats a rate point holds per environment: the two log probabilities, their
 # decays and the leave-one-out temporaries of the annealed jackknife (tracemalloc: 8.0)
 _ENV_FLOATS = 8
@@ -288,7 +280,7 @@ def sample_ray_xi(law, ell: int, n_rows: int, horizon: int, seed: int) -> np.nda
     allocated, when that buffer would exceed MEMORY_BUDGET.
     """
     check_memory(8 * n_rows * horizon, f"{n_rows} x {horizon} ray factors")
-    rows = _ray_rows(law, ell, horizon, seed, law.xi_values()[:, ell])
+    rows = _ray_rows(law, ell, horizon, seed, law.xi[:, ell])
     out = np.empty((horizon, n_rows))
     for start, size in _blocks(n_rows):
         t = 0
@@ -357,15 +349,16 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
 
     Common truncation horizon and, where the annealed side needs sampling,
     common environment draws keep the two sides comparable term by term. The
-    strict inequality is declared certified at significance > 5, falsified
-    below -3, and inconclusive in between; a zero error bar gives significance
-    0, as on a ray direction the law fixes or at H = L, where no row is drawn.
+    strict inequality is declared certified above CERTIFY_SIGNIFICANCE,
+    falsified below FALSIFY_SIGNIFICANCE, and inconclusive in between; a zero
+    error bar gives significance 0, as on a ray direction the law fixes or at
+    H = L, where no row is drawn.
     Without a fixed ``horizon``, the horizon is ``choose_horizon``'s, the
     smallest H with P(tau_1 > H) below HORIZON_TAIL; a fixed one above
     TAU_HORIZON, the cap of that search, raises BudgetError. Replicas are
     evaluated CHUNK at a time with their factors drawn inside the recursion,
-    for a product law one random byte per replica and step, so memory does not
-    grow with the horizon. It grows with the replica count only by the
+    for independent sites one random byte per replica and step, so memory does
+    not grow with the horizon. It grows with the replica count only by the
     _REPLICA_FLOATS floats kept per replica, the trace among them; a count
     whose floats pass MEMORY_BUDGET raises BudgetError before a row is drawn.
     Each block's recursion stops once the rest of its sums is below rounding,
@@ -388,7 +381,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
                          "within it, so the inner block expectation is not positive")
     h = horizon or _estimators.choose_horizon(eps, cfg)
     et, w = _estimators.expected_tau(eps, cfg), log_w_const(tp, cfg.ell)
-    table = float(tp.u_array[cfg.ell]) * law.xi_values()[:, cfg.ell] - eps.kbar
+    table = float(tp.u_array[cfg.ell]) * law.xi[:, cfg.ell] - eps.kbar
     if law.fixed[cfg.ell] or h == cfg.L:
         # every replica reads table[0] at every step, or reads no row: both sides are one value
         val, steps_read = _constant_pass(table[0], eps.kbar, cfg.L, h - cfg.L)
@@ -405,7 +398,7 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
         q_side = float(log_inner.mean()) / et
         # the spread about replica 0 is 0 for a constant sample, not an ulp of its mean
         q_se = float((log_inner - log_inner[0]).std(ddof=1) / math.sqrt(budget)) / et
-        if isinstance(law, IIDProductLaw):
+        if law.independent:
             a_side, a_se = ray_log_inner_annealed_iid(tp, eps, cfg, h) / et, 0.0
             se = q_se
         else:
@@ -418,7 +411,8 @@ def certify_gap(tp: TiltParams, eps: EpsilonLaw, cfg: StoppingConfig, law,
             se = jackknife_stderr(loo) / et
     gap = a_side - q_side
     sig = gap / se if se > 0.0 else 0.0
-    verdict = "certified" if sig > 5.0 else ("falsified" if sig < -3.0 else "inconclusive")
+    verdict = ("certified" if sig > CERTIFY_SIGNIFICANCE
+               else "falsified" if sig < FALSIFY_SIGNIFICANCE else "inconclusive")
     return GapReport(
         ell=tuple(int(v) for v in direction_vectors(tp.dimension)[cfg.ell]),
         L=cfg.L, kbar=eps.kbar, horizon=h, W=w, expected_block=et,
@@ -479,14 +473,14 @@ def _rate_point_boundary(law, x) -> RatePointEstimate:
 
     I_q(e) = -E log omega(0, e) = -sum_k w_k log omega_k(e) for every law; a
     field's w_k are 1/S, as ``MarkovFieldLaw`` shows. I_a(e) = -log E omega(0, e)
-    needs independent sites, so only a product law has it; a field's stays
-    None. Neither has a horizon or a standard error, and no seed enters.
+    needs independent sites, so a coupled field's stays None. Neither has a
+    horizon or a standard error, and no seed enters.
     """
     ell = direction_index(np.round(x).astype(np.int64))
     i_q = -math.fsum(law.weights * np.log(law.table[:, ell]))
     i_a = se_a = None
-    if isinstance(law, IIDProductLaw):
-        i_a, se_a = float(-math.log(law.marginal_mean(ell))), 0.0
+    if law.independent:
+        i_a, se_a = -math.log(law.means[ell]), 0.0
     return RatePointEstimate(tuple(float(v) for v in x), i_a, i_q, se_a, 0.0, "boundary", None)
 
 

@@ -44,6 +44,7 @@ from .tilting import TiltParams
 
 PATH_BUDGET = 10**7  # paths one enumeration may hold
 PATH_BLOCK = 2**10  # paths an oracle holds at once
+FOLD_BUDGET = 10**5  # (theta, path block) folds of verify's identities, 0.35-0.55 ms each
 JOINT_BUDGET = 10**7  # (path, symbol word) pairs one joint enumeration may hold
 
 
@@ -55,6 +56,17 @@ def check_paths(n: int, d: int, key: str = "n"):
     if n >= PATH_BUDGET.bit_length() or (2 * d) ** n > PATH_BUDGET:
         raise BudgetError(f"{key} = {n} enumerates (2d)^n = {2 * d}^{n} paths, over the "
                           f"{PATH_BUDGET}-path budget")
+
+
+def check_folds(thetas: int, n_max: int, d: int, key: str):
+    """Raise BudgetError, naming ``key``, if thetas x path blocks at n = 1..n_max pass FOLD_BUDGET.
+
+    ``_identity_sides`` folds each block into each theta's sums; n_max has passed ``check_paths``.
+    """
+    blocks = sum(-(-(2 * d) ** n // PATH_BLOCK) for n in range(1, n_max + 1))
+    if thetas * blocks > FOLD_BUDGET:
+        raise BudgetError(f"{key} = {thetas} thetas x {blocks} path blocks = {thetas * blocks} "
+                          f"folds, over the {FOLD_BUDGET}-fold budget")
 
 
 def step_blocks(n: int, d: int):
@@ -189,11 +201,11 @@ def verify_identity_annealed(law, tp: TiltParams, thetas, n: int) -> tuple:
     annealed moment of the xi-product along the path.
     rhs: D^n times the annealed expectation of exp(<theta + theta_tilt, X_n>),
     computed from the original walk with exact annealed path weights.
-    Both moments close atom by atom, so the law must be an i.i.d. product law.
+    Both moments close atom by atom, so the law's sites must be independent.
     ``thetas`` is a (T, d) stack as in ``_identity_sides``; both moments are
     grouped once per block of paths.
     """
-    tables = np.stack([law.xi_values(), law.table])
+    tables = np.stack([law.xi, law.table])
 
     def block_terms(steps):
         flat, ends = path_sites(steps, tp.dimension)

@@ -17,6 +17,7 @@ _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 MEMORY_BUDGET = 2**30  # bytes one dense buffer (ray factors, tau draws) may hold
+LATTICE_Q_MAX = 64  # the largest denominator lattice_denominator tries
 
 
 class BudgetError(RuntimeError):
@@ -90,13 +91,13 @@ def logmeanexp(a) -> float:
 
 
 def lattice_denominator(x, what: str = "velocity") -> int:
-    """The least q <= 64 with q x on the integer lattice, to 1e-9; ValueError, led by ``what``, if none."""
+    """The least q <= LATTICE_Q_MAX with q x on the lattice, to 1e-9; ValueError (``what``) if none."""
     x = np.asarray(x, dtype=np.float64)
-    for q in range(1, 65):
+    for q in range(1, LATTICE_Q_MAX + 1):
         if np.all(np.abs(x * q - np.round(x * q)) < 1e-9):
             return q
-    raise ValueError(f"{what} = {x.tolist()} has no lattice denominator q <= 64: q x is off "
-                     "the lattice for every such q")
+    raise ValueError(f"{what} = {x.tolist()} has no lattice denominator q <= {LATTICE_Q_MAX}: "
+                     "q x is off the lattice for every such q")
 
 
 def words(k: int, n: int) -> np.ndarray:

@@ -110,7 +110,7 @@ def solve_tilt(law, z) -> TiltParams:
         raise ValueError("z = 0 is rejected; the construction needs a nonzero velocity")
     if z1 >= 1.0:
         raise ValueError(f"|z|_1 = {z1} must be < 1")
-    means = law.marginal_means()
+    means = law.means
     opp = means[np.arange(2 * d) ^ 1]
     if not (S := float(np.sqrt(means * opp).sum())) ** 2 >= 4.0 / sys.float_info.max:
         key = "law.atoms" if isinstance(law, IIDProductLaw) else "law.states"

@@ -13,7 +13,7 @@ def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
 
 def mean_environment(law, region: Box) -> Environment:
     """Deterministic environment whose every site equals the marginal means."""
-    means = law.marginal_means()
+    means = law.means
     return sample_environment(constant_law(law.dimension, means, min(law.kappa, means.min())),
                               0, region)
 

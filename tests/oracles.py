@@ -52,7 +52,7 @@ def gibbs_configurations(law: MarkovFieldLaw, box):
     the count explodes quickly.
     """
     n = box.n_sites
-    if law.n_states > 8 or n > 16 or law.n_states**n > ENUM_CONFIG_CAP:
+    if len(law.table) > 8 or n > 16 or len(law.table)**n > ENUM_CONFIG_CAP:
         raise BudgetError(
             f"exact field enumeration needs S<=8, sites<=16 and S^sites<={ENUM_CONFIG_CAP}")
     sites = box.all_sites()
@@ -64,7 +64,7 @@ def gibbs_configurations(law: MarkovFieldLaw, box):
             j = index.get(tuple(s + off))
             if j is not None and j > i:
                 pairs.append((i, j))
-    configs = words(law.n_states, n)
+    configs = words(len(law.table), n)
     energy = np.zeros(len(configs))
     for i, j in pairs:
         energy += (configs[:, i] == configs[:, j]).astype(np.float64)
@@ -94,14 +94,14 @@ def reference_heat_bath(law: MarkovFieldLaw, seed: int, region) -> np.ndarray:
     for s in range(law.sweeps):
         for cls in words(step, law.dimension):
             for x in sites[np.all((sites - work.lo) % step == cls, axis=1)]:
-                counts = np.zeros(law.n_states)
+                counts = np.zeros(len(law.table))
                 for y in x + law._neighbor_offsets():
                     if work.contains(y)[0]:
                         counts[states[tuple(y - work.lo)]] += 1
                 w = np.exp(law.beta * (counts - counts.max()))
                 cum = np.cumsum(w / w.sum())
                 u = site_uniforms(seed, np.append(x, s), stream=2)[0]
-                states[tuple(x - work.lo)] = min(int(np.sum(u >= cum)), law.n_states - 1)
+                states[tuple(x - work.lo)] = min(int(np.sum(u >= cum)), len(law.table) - 1)
     return states[tuple(slice(l - w, h - w + 1) for l, h, w in zip(region.lo, region.hi, work.lo))]
 
 
@@ -286,7 +286,7 @@ def exact_gap_oracle(tp, eps, cfg, law, horizon: int) -> tuple:
         raise BudgetError(f"{k}^{horizon} ray environments exceed the oracle cap {ORACLE_CAP}")
     idx = words(k, horizon)  # (K^H, H)
     probs = np.prod(law.weights[idx], axis=1)
-    free = float(tp.u_array[cfg.ell]) * law.xi_values()[:, cfg.ell] - eps.kbar
+    free = float(tp.u_array[cfg.ell]) * law.xi[:, cfg.ell] - eps.kbar
     values = run_length_values(free[idx], eps.kbar, cfg.L)
     if np.any(values <= 0.0):
         raise ValueError("inner block expectation is not positive")

@@ -185,6 +185,32 @@ class TestVerify:
             assert err.startswith(f"budget error: {key}") and "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("payload,thetas,blocks", [
+        ({"verify": {"tau_draws": 2000}}, 5, 6),  # one path block at each n = 1 .. 6
+        # n = 11 spans two blocks of 1024 paths
+        ({"verify": {"n_max": 11, "theta_count": 1, "tau_draws": 2000}}, 1, 12),
+        # 4^6 = 4096 paths make four blocks
+        ({**wide_law_config(2, 0.1, 0.05), "verify": {"theta_count": 2, "tau_draws": 2000}},
+         2, 9),
+    ])
+    def test_fold_budget_edge(self, tmp_path, capsys, monkeypatch, payload, thetas, blocks):
+        # a run of exactly FOLD_BUDGET folds runs; one fold more is refused,
+        # naming verify.theta_count, before any family runs
+        folds = thetas * blocks
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.setattr("rwre_lab.identities.FOLD_BUDGET", folds)
+        assert main(["--config", cfg, "verify"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("rwre_lab.identities.FOLD_BUDGET", folds - 1)
+        monkeypatch.setattr("rwre_lab.cli.tilt_invariant_residuals",
+                            lambda tp: pytest.fail("a family ran"))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "verify"]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == (f"budget error: verify.theta_count = {thetas} thetas x {blocks} "
+                               f"path blocks = {folds} folds, over the {folds - 1}-fold budget\n")
+        assert printed.out == "" and not out.exists()
+
     @pytest.mark.parametrize("dimension,n_max,ran", [(1, 3, 3), (2, 7, 7)])
     def test_report_records_the_n_max_it_ran(self, tmp_path, capsys, dimension, n_max, ran):
         # every dimension runs verify.n_max itself, 2-D beyond the 6 it was once capped at
@@ -769,6 +795,45 @@ FIXED_RAY = {
                                "beta": 0.5},
                        "z": [0.2, 0.1], "ell": [1, 0]},
 }
+
+
+# (field, its product twin): the field's state rows as atoms, at weights 1/S
+THREE_ROWS = [[0.3, 0.7], [0.5, 0.5], [0.7, 0.3]]
+INDEPENDENT_FIELDS = {
+    "beta-0": ({"kind": "markov-field", "dimension": 1, "kappa": 0.1, "states": THREE_ROWS},
+               {"kind": "iid-product", "dimension": 1, "kappa": 0.1, "atoms": THREE_ROWS,
+                "weights": [1 / 3] * 3}),
+    "equal-rows": ({"kind": "markov-field", "dimension": 1, "kappa": 0.1, "beta": 0.5,
+                    "states": [[0.4, 0.6]] * 2},
+                   {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
+                    "atoms": [[0.4, 0.6]] * 2, "weights": [0.5, 0.5]}),
+}
+
+
+class TestIndependentFields:
+    @pytest.mark.parametrize("case", sorted(INDEPENDENT_FIELDS))
+    def test_artifacts_are_the_product_twins(self, tmp_path, capsys, case):
+        # an independent field is its product twin: every subcommand prints and
+        # writes the same bytes, the config hash aside, the boundary I_a and
+        # verify included
+        runs = {}
+        for name, law in zip(("field", "twin"), INDEPENDENT_FIELDS[case]):
+            cfg = write_config(tmp_path, {
+                "law": law, "seed": 1, "gap": {"replicas": 300},
+                "rate": {"velocities": [[0.25], [1.0], [-1.0]], "horizon": 80,
+                         "env_replicas": 3},
+                "verify": {"n_max": 4, "tau_draws": 2000},
+                "env_sample": {"lo": [-40], "hi": [40]}}, name=f"{name}.json")
+            out = tmp_path / name
+            codes = [main(["--config", cfg, "--out", str(out), cmd])
+                     for cmd in ("gap", "rate", "verify", "env-sample")]
+            runs[name] = codes, capsys.readouterr().out.replace(str(out), "OUT"), {
+                f.name: [line for line in f.read_text().splitlines()
+                         if "config_hash" not in line] for f in sorted(out.iterdir())}
+        assert runs["field"] == runs["twin"]
+        codes, printed, artifacts = runs["field"]
+        assert codes[1:] == [0, 0, 0] and len(artifacts) == 6
+        assert "I_a=n/a" not in printed
 
 
 class TestFixedDirections:

@@ -309,13 +309,13 @@ class TestPsiFactor:
     def test_zero_disorder_free_symbol_is_one(self):
         law = constant_law(1, [0.5, 0.5], 0.1)
         tp = solve_tilt(law, [0.5])
-        xi = omega(mean_environment(law, centered_box(1, 2)), (0,))[0] / law.marginal_mean(0)
+        xi = omega(mean_environment(law, centered_box(1, 2)), (0,))[0] / law.means[0]
         assert psi_factor(tp, EpsilonLaw(0.125, 1), xi, 0) == pytest.approx(1.0, abs=1e-14)
 
     def test_formula_evaluation(self):
         # xi = 1.2, u = 3/4, kbar = 1/8 -> 1.2 + (1/8)/(5/8) * 0.2 = 1.24
         env = sample_environment(TWO_ATOM, 1, centered_box(1, 3))
-        xi = {s: omega(env, (s,))[0] / TWO_ATOM.marginal_mean(0) for s in range(-2, 3)}
+        xi = {s: omega(env, (s,))[0] / TWO_ATOM.means[0] for s in range(-2, 3)}
         sites = [s for s, x in xi.items() if abs(x - 1.2) < 1e-12]
         assert sites, "need a site carrying the high atom"
         assert psi_factor(TP, eps_eighth(), xi[sites[0]], 0) == pytest.approx(1.24, abs=1e-12)
@@ -496,7 +496,7 @@ class TestCoincidence:
 
 def annealed_ray_factor(tp, eps, law, ell):
     """Environment mean of the psi factor on the ell column."""
-    return float(law.weights @ psi_factor(tp, eps, law.xi_values()[:, ell], ell))
+    return float(law.weights @ psi_factor(tp, eps, law.xi[:, ell], ell))
 
 
 class TestRayBlocks:
@@ -507,7 +507,7 @@ class TestRayBlocks:
         cfg = StoppingConfig(2, 0)
         h = 4000
         env = mean_environment(law, centered_box(1, h))
-        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.marginal_mean(0)
+        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.means[0]
         vals = sample_ray_block_values(psi_factor(tp, eps, xi, 0), eps.kbar, tp.u[0], cfg.L,
                                        4000, np.random.default_rng(3))
         on = vals != 0.0
@@ -539,7 +539,7 @@ class TestRayBlocks:
         cfg = StoppingConfig(2, 0)
         h = 400
         env = mean_environment(law, centered_box(1, h))
-        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.marginal_mean(0)
+        xi = env.omega_many(np.arange(h)[:, None])[:, 0] / law.means[0]
         quenched = sample_ray_block_values(psi_factor(tp, eps, xi, 0), eps.kbar, tp.u[0],
                                            cfg.L, 2000, np.random.default_rng(9))
         annealed = sample_ray_block_values(np.full(h, annealed_ray_factor(tp, eps, law, 0)),

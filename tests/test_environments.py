@@ -19,7 +19,7 @@ from oracles import gibbs_configurations, reference_heat_bath
 
 def disorder(law) -> float:
     """sup over the states of |omega(x, e) / E[omega(x, e)] - 1|."""
-    return float(np.max(np.abs(law.xi_values() - 1.0)))
+    return float(np.max(np.abs(law.xi - 1.0)))
 
 
 def two_atom_law(d=1, lo=0.4, hi=0.6, kappa=0.1):
@@ -91,14 +91,14 @@ class TestProbVectors:
 class TestIIDProductLaw:
     def test_marginal_mean_single_atom(self):
         law = constant_law(1, [0.6, 0.4], 0.1)
-        assert law.marginal_mean(0) == pytest.approx(0.6, abs=0)
+        assert law.means[0] == pytest.approx(0.6, abs=0)
 
     def test_marginal_mean_two_atoms(self):
-        assert two_atom_law().marginal_mean(0) == pytest.approx(0.5, abs=1e-15)
+        assert two_atom_law().means[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_disorder_single_atom_zero(self):
         law = constant_law(1, [0.6, 0.4], 0.1)
-        np.testing.assert_array_equal(law.xi_values(), [[1.0, 1.0]])
+        np.testing.assert_array_equal(law.xi, [[1.0, 1.0]])
         np.testing.assert_array_equal(law.fixed, [True, True])
 
     def test_disorder_two_point_support(self):
@@ -191,7 +191,7 @@ class TestEnvironmentRealization:
         law = two_atom_law()
         env = sample_environment(law, seed=17, region=Box((0,), (99_999,)))
         sites = np.arange(100_000)[:, None]
-        xi = env.omega_many(sites)[:, 0] / law.marginal_mean(0)
+        xi = env.omega_many(sites)[:, 0] / law.means[0]
         se = xi.std(ddof=1) / math.sqrt(len(xi))
         assert abs(xi.mean() - 1.0) < 4 * se
 
@@ -199,11 +199,11 @@ class TestEnvironmentRealization:
         law = two_atom_law()
         env = sample_environment(law, seed=1, region=centered_box(1, 50))
         for s in range(-50, 51):
-            x = omega(env, (s,))[0] / law.marginal_mean(0)
+            x = omega(env, (s,))[0] / law.means[0]
             assert x in (pytest.approx(0.8, abs=1e-12), pytest.approx(1.2, abs=1e-12))
         zero = constant_law(1, [0.5, 0.5], 0.1)
         env0 = sample_environment(zero, seed=1, region=centered_box(1, 5))
-        assert omega(env0, (2,))[0] / zero.marginal_mean(0) == pytest.approx(1.0, abs=0)
+        assert omega(env0, (2,))[0] / zero.means[0] == pytest.approx(1.0, abs=0)
 
     def test_lookup_outside_region_raises(self):
         env = sample_environment(two_atom_law(), seed=1, region=centered_box(1, 5))
@@ -294,7 +294,7 @@ class TestMarkovField:
     def test_beta_zero_marginals_exact(self):
         # decoupled field: the marginal is the plain average over states
         law = self.law()
-        means = law.marginal_means()
+        means = law.means
         assert means[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("d, n_states, range_r, radius", [
@@ -309,7 +309,7 @@ class TestMarkovField:
             configs, sites, w = gibbs_configurations(law, centered_box(d, radius))
             center = int(np.where((sites == 0).all(axis=1))[0][0])
             marginal = np.bincount(configs[:, center], weights=w, minlength=n_states)
-            np.testing.assert_allclose(marginal @ law.table, law.marginal_means(),
+            np.testing.assert_allclose(marginal @ law.table, law.means,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -336,12 +336,12 @@ class TestMarkovField:
     def test_means_realize_no_environment(self, monkeypatch):
         # a 2-D range-2 field's means come from the state map alone
         def spy(*args, **kwargs):
-            raise AssertionError("marginal_means realized an environment")
+            raise AssertionError("the means realized an environment")
 
         monkeypatch.setattr("rwre_lab.environments.sample_environment", spy)
         law = MarkovFieldLaw(2, [[0.1, 0.4, 0.25, 0.25], [0.4, 0.1, 0.25, 0.25]], kappa=0.05,
                              range_r=2, beta=0.5)
-        np.testing.assert_array_equal(law.marginal_means(), [0.25, 0.25, 0.25, 0.25])
+        np.testing.assert_array_equal(law.means, [0.25, 0.25, 0.25, 0.25])
         assert disorder(law) == pytest.approx(0.6, abs=1e-12)
         np.testing.assert_array_equal(law.fixed, [False, False, True, True])
 
@@ -385,7 +385,8 @@ class TestMarkovField:
 
     @pytest.mark.parametrize("d, ell, beta", [(1, 1, 0.0), (1, 0, 0.5), (2, 2, 0.5), (2, 1, 0.5)])
     def test_ray_states_are_the_ray_of_each_replicas_realization(self, d, ell, beta):
-        # replica i is realized on the ray box from derive_seed(seed, i)
+        # a coupled field's replica i is realized on the ray box from
+        # derive_seed(seed, i); an independent field's rays are its product law's
         states = [[0.3, 0.7], [0.7, 0.3], [0.5, 0.5]] if d == 1 else \
             [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25], [0.25] * 4]
         law = MarkovFieldLaw(d, states, kappa=0.05, beta=beta, sweeps=4)
@@ -393,6 +394,11 @@ class TestMarkovField:
         blocks = list(law.ray_states(17, ell, replicas, n, 8))
         assert [len(b) for b in blocks] == [8, 8, 8, 6]
         got = np.concatenate(blocks)
+        if law.independent:
+            twin = IIDProductLaw(d, states, [1 / 3] * 3, 0.05)
+            want = np.concatenate(list(twin.ray_states(17, ell, replicas, n, 8)))
+            np.testing.assert_array_equal(got, want)
+            return
         sites = np.arange(n)[:, None] * direction_vectors(d)[ell]
         box = Box(tuple(sites.min(axis=0)), tuple(sites.max(axis=0)))
         for j, i in enumerate(replicas):

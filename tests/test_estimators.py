@@ -146,10 +146,10 @@ class TestBounds:
         assert sample_ray_xi(TWO_ATOM, 0, 99, 50, seed=1).shape == (99, 50)
 
     def test_field_block_respects_the_memory_budget(self, monkeypatch):
-        # a field-law block is realized into one (horizon, replicas) buffer of
-        # one-byte states
+        # a coupled field's block is realized into one (horizon, replicas)
+        # buffer of one-byte states
         monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 8 * 50 - 1)
-        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
+        field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.5, sweeps=2)
         with pytest.raises(BudgetError, match="budget"):
             certify_gap(TP, EPS, CFG, field, budget=8, horizon=50)
         assert certify_gap(TP, EPS, CFG, field, budget=7, horizon=50).replicas == 7
@@ -216,7 +216,7 @@ class TestCertifyGap:
         law = IIDProductLaw(1, [[p, 1.0 - p] for p in right], weights, 0.1)
         tp = solve_tilt(law, [z])
         eps, cfg = EpsilonLaw(kbar_share * min(tp.c_z, 0.5), 1), StoppingConfig(L, 0)
-        assume(np.all(tp.u_array[0] * law.xi_values()[:, 0] - eps.kbar > 0.0))
+        assume(np.all(tp.u_array[0] * law.xi[:, 0] - eps.kbar > 0.0))
         h = data.draw(st.integers(L, 10), label="horizon")
         assert len(right) ** h <= ORACLE_CAP
         quenched, annealed = exact_gap_oracle(tp, eps, cfg, law, h)
@@ -251,18 +251,16 @@ class TestCertifyGap:
         assert a.to_dict() == b.to_dict()
 
     def test_field_law_gap_tracks_equivalent_product_law(self):
-        # a decoupled field equals the uniform product mixture, so the gap
-        # estimated through the field branch (shared environment rows on both
-        # sides) must agree with the exact-annealed product branch
+        # a decoupled field is the uniform product mixture: it reads the same
+        # rows and takes the same exact annealed side, so its report is the
+        # product law's, trace included
         field = MarkovFieldLaw(1, [[0.4, 0.6], [0.6, 0.4]], kappa=0.1, beta=0.0)
         iid = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4]], [0.5, 0.5], 0.1)
-        h = 200
-        rep_f = certify_gap(TP, EPS, CFG, field, budget=3000, horizon=h, seed=12)
-        rep_i = certify_gap(TP, EPS, CFG, iid, budget=3000, horizon=h, seed=12)
-        assert rep_f.annealed_stderr > 0.0  # field branch estimates both sides
-        assert abs(rep_f.quenched_side - rep_i.quenched_side) < 4 * math.hypot(
-            rep_f.quenched_stderr, rep_i.quenched_stderr)
-        assert abs(rep_f.gap - rep_i.gap) < 6 * math.hypot(rep_f.stderr, rep_i.stderr) + 1e-5
+        assert field.independent and iid.independent
+        rep_f = certify_gap(TP, EPS, CFG, field, budget=3000, horizon=200, seed=12)
+        rep_i = certify_gap(TP, EPS, CFG, iid, budget=3000, horizon=200, seed=12)
+        assert rep_f.to_dict() == rep_i.to_dict() and rep_f.annealed_stderr == 0.0
+        assert np.array_equal(rep_f.trace, rep_i.trace)
         assert rep_f.significance > 0.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -376,14 +374,14 @@ class TestRatePoint:
     ], ids=["product-1d", "product-2d", "field-1d", "field-2d"])
     def test_boundary_rates_are_the_closed_forms(self, law):
         # I_q(e) = -E log omega(0, e) for every law; I_a(e) = -log E omega(0, e)
-        # for a product law, and none for a field, whose sites are correlated
+        # for independent sites, and none for a coupled field
         for e, vec in enumerate(direction_vectors(law.dimension).astype(float)):
             est = rate_point(law, vec, seed=4)
             assert direction_index(est.x) == e and est.method == "boundary"
             assert est.I_q == -math.fsum(law.weights * np.log(law.table[:, e]))
             assert est.stderr_q == 0.0 and est.horizon is None
-            if isinstance(law, IIDProductLaw):
-                assert (est.I_a, est.stderr_a) == (-math.log(law.marginal_mean(e)), 0.0)
+            if law.independent:
+                assert (est.I_a, est.stderr_a) == (-math.log(law.means[e]), 0.0)
             else:
                 assert est.I_a is None and est.stderr_a is None
 

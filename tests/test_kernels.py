@@ -247,3 +247,19 @@ def test_homogeneous_large_deviations_match_the_closed_form(drift):
         env = sample_environment(law, 0, light_cone(2, n, target))
         want = homogeneous_log_probability(p, n, target)
         assert log_point_probability_dp(env, n, target) == pytest.approx(want, rel=REL)
+
+
+@pytest.mark.xfail(strict=True, reason="the DP rescales each step by the window's peak, and the "
+                   "target's paths fall more than 2**1074 below it and are lost")
+def test_one_atom_point_probability_matches_the_binomial_closed_form():
+    # at x = 0 every path takes n/2 steps of each kind: the DP reads -1476.805
+    # for -1476.056 at n = 200, and -7721.125 for -7369.581 at n = 1000
+    p, q = 0.9999999, 1e-7
+    law = IIDProductLaw(1, [[p, q]], [1.0], 1e-10)
+    got, want = [], []
+    for n in (200, 1000):
+        env = sample_environment(law, 0, light_cone(1, n, (0,)))
+        got.append(log_point_probability_dp(env, n, (0,)))
+        want.append(math.lgamma(n + 1) - 2 * math.lgamma(n / 2 + 1)
+                    + n / 2 * (math.log(p) + math.log(q)))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -156,7 +156,7 @@ def number(text: str):
     return float(text) if any(c in text for c in ".e") else int(text)
 
 
-CONSTANT = re.compile(r"`(\w+)\.(_?[A-Z][A-Z0-9_]*)`(?:\s*=\s*([0-9][0-9.e*+-]*))?")
+CONSTANT = re.compile(r"`(\w+)\.(_?[A-Z][A-Z0-9_]*)`(?:\s*=\s*(-?[0-9][0-9.e*+-]*))?")
 
 
 @pytest.mark.parametrize("dotted", sorted({f"{m}.{n}" for m, n, _ in CONSTANT.findall(README)}))

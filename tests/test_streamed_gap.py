@@ -136,7 +136,7 @@ def test_row_stream_is_pinned(monkeypatch, law_name, replicas):
     # the time block does not divide; the three-atom law's cuts 0.2 and 0.7
     # straddle bytes
     law, horizon, seed, L = LAWS[law_name], 46, 5, 3
-    xi = law.xi_values()[:, 0]
+    xi = law.xi[:, 0]
     want = reference_rows(law, xi, derive_seed(seed, 1), replicas, horizon)
     assert sample_ray_xi(law, 0, replicas, horizon, derive_seed(seed, 1)).T.tobytes() == \
         want.tobytes()
@@ -196,7 +196,7 @@ def test_batching_changes_no_value(monkeypatch, chunk, row_block):
 def atom_counts(law, draws, seed=11):
     """How often each atom is drawn in one replica block of ``draws`` product-law draws."""
     size = 4096
-    xi = law.xi_values()[:, 0]
+    xi = law.xi[:, 0]
     rows = estimators._ray_rows(law, 0, -(-draws // size), seed, xi)
     counts = np.zeros(len(xi), dtype=np.int64)
     for block in rows(0, size):
@@ -245,7 +245,7 @@ def test_byte_edge_weights_draw_no_double(monkeypatch, law_name, doubles):
 
     monkeypatch.setattr(environments, "site_uniforms", counting)
     law = LAWS[law_name]
-    rows = estimators._ray_rows(law, 0, 5000, 13, law.xi_values()[:, 0])
+    rows = estimators._ray_rows(law, 0, 5000, 13, law.xi[:, 0])
     for _ in rows(0, 4096):
         pass
     assert (sum(drawn) > 0) == doubles

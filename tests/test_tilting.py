@@ -71,7 +71,7 @@ class TestSolveTilt:
     def test_bisection_against_grid_scan(self):
         # independent oracle: locate the unit crossing of the scale function
         # on a fine grid and check the returned root lies inside that cell
-        means = TWO_ATOM.marginal_means()
+        means = TWO_ATOM.means
         tp = solve_tilt(TWO_ATOM, [0.3])
         grid = np.linspace(0.0, 4.0, 400_001)
         vals = np.array([scale_function(c, np.array([0.3]), means) for c in grid[::400]])
@@ -118,7 +118,7 @@ class TestSolveTilt:
         assert tp_field.u == pytest.approx(tp_flat.u, abs=1e-12)
 
     def test_scale_function_increasing(self):
-        means = TWO_ATOM.marginal_means()
+        means = TWO_ATOM.means
         z = np.array([0.4])
         vals = [scale_function(c, z, means) for c in np.linspace(0.0, 5.0, 200)]
         assert np.all(np.diff(vals) > 0)
@@ -193,7 +193,7 @@ class TestIdentityQuenched:
         env = sample_environment(TWO_ATOM, 8, centered_box(1, 2))
         theta = 0.45
         [lhs], [rhs] = verify_identity_quenched(env, tp, [[theta]], 1)
-        means = TWO_ATOM.marginal_means()
+        means = TWO_ATOM.means
         by_hand_lhs = sum(
             tp.u[k] * math.exp(theta * v) * float(omega(env, (0,))[k]) / means[k]
             for k, v in ((0, 1.0), (1, -1.0)))

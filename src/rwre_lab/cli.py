@@ -273,7 +273,7 @@ def _write_csv(path: str, cfg: dict, header: list, rows):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg['seed']}\n")
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
                     for row in rows)
@@ -320,7 +320,7 @@ def _run_verify(cfg: dict):
     rows_key = "law.atoms" if cfg["law"]["kind"] == "iid-product" else "law.states"
     check_memory(_cli.annealed_identity_bytes(len(law.table), n_max, d),
                  f"{rows_key} = {len(law.table)} atoms at verify.n_max = {n_max}")
-    _cli.check_joint_pairs(tp, eps, n_joint, "verify.n_max")
+    _cli.check_joint_pairs(d, n_joint, "verify.n_max")
     box = centered_box(d, n_max + 1)  # the quenched family's; psi's box lies inside it
     check_sites(box, f"verify.n_max = {n_max}: the quenched realization")
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
@@ -515,16 +515,21 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="rwre-lab", description=__doc__.splitlines()[0])
+    # one parser: the subcommands take no options, so the options may follow them
+    width = max(map(len, COMMANDS))
+    parser = argparse.ArgumentParser(
+        prog="rwre-lab", description=__doc__.splitlines()[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="subcommands:\n" + "\n".join(f"  {name:<{width}}  {text}"
+                                            for name, (_, text) in COMMANDS.items()))
+    parser.add_argument("command", choices=COMMANDS, metavar="SUBCOMMAND",
+                        help="one of the subcommands below")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and has no effect: every "
                              "subcommand runs on one thread")
     parser.add_argument("--out", default="", help="output directory for artifacts")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in COMMANDS.items():
-        sub.add_parser(name, help=text)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

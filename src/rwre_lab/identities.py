@@ -262,34 +262,16 @@ def psi_factor(tp: TiltParams, eps: EpsilonLaw, xi, step):
     return xi + eps.kbar / denom * (xi - 1.0)
 
 
-def _joint_support(tp: TiltParams, eps: EpsilonLaw) -> tuple:
-    """(joint, support): the (2d, 2d+1) symbol-step weights and each step's symbols.
-
-    joint[step, symbol] is the symbol probability times the conditional step
-    probability; support[step] lists the symbols whose joint weight with the
-    step is nonzero, padded with symbols of weight 0 there to one common
-    width (kbar = u(step) leaves a step no free symbol).
-    """
-    d = tp.dimension
-    joint = (eps.symbol_probs()[:, None]
-             * np.stack([conditional_step_probs(tp, eps, s) for s in range(2 * d + 1)])).T
-    support = [np.flatnonzero(row) for row in joint]
-    width = max(len(sup) for sup in support)
-    support = np.array([np.r_[sup, np.flatnonzero(row == 0)[:width - len(sup)]]
-                        for sup, row in zip(support, joint)])
-    return joint, support
-
-
-def check_joint_pairs(tp: TiltParams, eps: EpsilonLaw, n: int, key: str = "n"):
+def check_joint_pairs(d: int, n: int, key: str = "n"):
     """Raise BudgetError, naming ``key``, if the (path, word) pairs at length n pass JOINT_BUDGET.
 
-    2d >= 2, so an n of JOINT_BUDGET.bit_length() or more is refused before any power is taken.
+    A path of length n has 2^n symbol words (``_joint_path_weights``): (4d)^n pairs. 4d >= 4,
+    so an n of JOINT_BUDGET.bit_length() or more is refused before any power is taken.
     """
-    d, width = tp.dimension, _joint_support(tp, eps)[1].shape[1]
     small = n < JOINT_BUDGET.bit_length()
-    if not small or (2 * d * width) ** n > JOINT_BUDGET:
-        paths, words_n = ((2 * d) ** n, width**n) if small else (f"{2 * d}^{n}", f"{width}^{n}")
-        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {paths} paths times {width}^n = "
+    if not small or (4 * d) ** n > JOINT_BUDGET:
+        paths, words_n = ((2 * d) ** n, 2**n) if small else (f"{2 * d}^{n}", f"2^{n}")
+        raise BudgetError(f"{key} = {n} enumerates (2d)^n = {paths} paths times 2^n = "
                           f"{words_n} symbol words, over the {JOINT_BUDGET}-pair budget")
 
 
@@ -301,28 +283,30 @@ def _joint_path_weights(tp: TiltParams, eps: EpsilonLaw, n: int,
     the call. weights[p] is the fsum over the symbol words of prod_j
     P(symbol_j) * P(step_j | symbol_j), each free symbol further weighted by
     psi of the xi realized in ``env`` when one is given (xi is then the
-    (P, n) array of xi along the batch, else None), or by 1. Each step
-    enumerates only the symbols whose joint weight with it is nonzero, read
-    off the joint table, so every word left out has product exactly 0 and the
-    exact sum is unchanged; the budget counts the (path, word) pairs
-    enumerated. Each word's product is taken left to right over its steps,
-    so a path's weight does not depend on its batch.
+    (P, n) array of xi along the batch, else None), or by 1. A step s has
+    weight with two symbols only, its own forced symbol s and the free
+    symbol 2d; any other symbol forces another step, so every word left out
+    has product exactly 0 and the exact sum is unchanged. Each word's
+    product is taken left to right over its steps, so a path's weight does
+    not depend on its batch.
     """
     d = tp.dimension
-    check_joint_pairs(tp, eps, n)
-    joint, support = _joint_support(tp, eps)
-    choice = words(support.shape[1], n)  # (W, n): each step's symbol, by its place in the support
+    check_joint_pairs(d, n)
+    # step s's joint weight with its forced symbol (whose step law is 1 at s), and with the free one
+    probs = eps.symbol_probs()
+    pair = np.stack([probs[:-1], probs[-1] * conditional_step_probs(tp, eps, eps.free_symbol)],
+                    axis=1)
+    choice = words(2, n)  # (W, n): each step's symbol, 0 the forced one and 1 the free one
 
     def weigh(steps):
         ends = path_positions(steps, d)[:, -1]
         xi = None if env is None else path_omegas(env, steps) / tp.means_array[steps]
-        per_step = joint[steps]  # (P, n, n_sym)
+        per_step = pair[steps]  # (P, n, 2)
         if xi is not None:
-            per_step[..., -1] *= psi_factor(tp, eps, xi, steps)
+            per_step[..., 1] *= psi_factor(tp, eps, xi, steps)
         prod = np.ones((len(steps), len(choice)))
         for j in range(n):
-            symbols = support[steps[:, j]][:, choice[:, j]]  # (P, W)
-            prod *= np.take_along_axis(per_step[:, j, :], symbols, axis=1)
+            prod *= per_step[:, j, choice[:, j]]
         weights = np.array([math.fsum(row) for row in prod.tolist()])
         return steps, ends, xi, weights
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import rwre_lab
-from rwre_lab.cli import (DEFAULT_CONFIG, ConfigError, _tau_z, _write_json, canonical_json,
-                          config_hash, load_config, main, normalize_config)
+from rwre_lab.cli import (COMMANDS, DEFAULT_CONFIG, ConfigError, _tau_z, _write_json,
+                          canonical_json, config_hash, load_config, main, normalize_config)
 from rwre_lab.decomposition import HORIZON_TAIL, EpsilonLaw, StoppingConfig, choose_horizon
 from rwre_lab.estimators import RatePointEstimate
 from rwre_lab.identities import annealed_identity_bytes
@@ -688,6 +688,29 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 64
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"], ["gap", "rate"]],
+                             ids=["none", "options-only", "two"])
+    def test_a_missing_or_unknown_subcommand_exits_64(self, capsys, argv):
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rwre-lab") and "Traceback" not in err
+
+    def test_options_may_follow_the_subcommand(self, tmp_path, capsys):
+        after, before = tmp_path / "after", tmp_path / "before"
+        assert main(["gap", "--seed", "3", "--out", str(after)]) == 0
+        assert main(["--seed", "3", "--out", str(before), "gap"]) == 0
+        names = sorted(path.name for path in after.iterdir())
+        assert names == ["gap_report.json", "gap_trace.csv"]
+        assert names == sorted(path.name for path in before.iterdir())
+        for name in names:
+            assert (after / name).read_bytes() == (before / name).read_bytes()
+
+    def test_help_lists_each_subcommand_in_order(self, capsys):
+        assert main(["--help"]) == 0
+        listed = capsys.readouterr().out.split("\nsubcommands:\n", 1)[1].splitlines()
+        assert [tuple(line.split(None, 1)) for line in listed] == [
+            (name, text) for name, (_, text) in COMMANDS.items()]
 
     def test_invalid_law_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"law": {"kind": "iid-product", "dimension": 1,

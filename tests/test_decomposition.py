@@ -16,8 +16,9 @@ from rwre_lab.decomposition import (HORIZON_TAIL, TAIL_STEPS, TAU_BLOCK, TAU_HOR
                                     sample_tau_batch, validate_stopping)
 from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
-from rwre_lab.identities import (_joint_path_weights, decomposed_endpoint_distribution,
-                                 psi_factor, qz_endpoint_distribution, verify_psi_identity)
+from rwre_lab.identities import (_joint_path_weights, check_joint_pairs,
+                                 decomposed_endpoint_distribution, psi_factor,
+                                 qz_endpoint_distribution, verify_psi_identity)
 from rwre_lab.numutil import MEMORY_BUDGET, BudgetError, derive_seed
 from rwre_lab.tilting import solve_tilt
 
@@ -424,8 +425,8 @@ class TestJointPathWeights:
 
     @pytest.mark.parametrize("d,z", [(1, [0.5]), (2, [0.2, 0.1])])
     def test_a_step_without_a_free_symbol(self, d, z):
-        # kbar = min u leaves that step only its forced symbol, fewer than the
-        # others carry; its padded words weigh 0
+        # kbar = min u leaves that step only its forced symbol: the words that
+        # give it the free symbol weigh 0
         tp = solve_tilt(TWO_ATOM if d == 1 else LAW_2D, z)
         eps = EpsilonLaw(tp.c_z, d)
         assert np.count_nonzero(conditional_step_probs(tp, eps, eps.free_symbol)) == 2 * d - 1
@@ -433,15 +434,40 @@ class TestJointPathWeights:
         assert weights.tolist() == every_word_weights(tp, eps, steps, None)
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2]), n=st.integers(1, 3))
+    def test_any_product_law_and_kbar_equal_the_sum_over_every_symbol_word(self, data, d, n):
+        # a product law and a symbol law built here, its kbar up to the smallest
+        # u (that step then has no free symbol), are held to every (2d+1)^n word
+        row = st.lists(st.floats(0.05, 1.0), min_size=2 * d, max_size=2 * d)
+        rows = [[v / sum(r) for v in r] for r in data.draw(st.lists(row, min_size=1, max_size=3))]
+        law = IIDProductLaw(d, rows, [1 / len(rows)] * len(rows), 0.01)
+        z = data.draw(st.lists(st.floats(-0.4 / d, 0.4 / d), min_size=d, max_size=d))
+        assume(sum(map(abs, z)) > 0.01)
+        tp = solve_tilt(law, z)
+        kbar = tp.c_z if data.draw(st.booleans()) else data.draw(st.floats(0.01, 1.0)) * tp.c_z
+        assume(2 * d * kbar < 1.0)
+        eps = EpsilonLaw(kbar, d)
+        steps, _, xi, weights = joint_weights(tp, eps, n)
+        assert xi is None and len(steps) == (2 * d) ** n
+        assert weights.tolist() == every_word_weights(tp, eps, steps, None)
+
     def test_budget_counts_the_enumerated_words(self, monkeypatch):
         # two symbols can carry each step (its forced one and the free one):
-        # (2d)^n paths times 2^n words, 4^11 = 4194304 within 10^7, 4^12 over
+        # (2d)^n paths times 2^n words, (4d)^n pairs; the check reads d and n alone
         eps = eps_eighth()
         monkeypatch.setattr("rwre_lab.identities.JOINT_BUDGET", 16)
+        check_joint_pairs(1, 2)
         _joint_path_weights(TP, eps, 2)
+        check_joint_pairs(2, 1, "verify.n_max")  # 4 paths times 2 words
+        with pytest.raises(BudgetError, match="verify.n_max = 2 enumerates .* = 16 paths times "
+                                              "2\\^n = 4 symbol words, over the 16-pair budget"):
+            check_joint_pairs(2, 2, "verify.n_max")
         monkeypatch.setattr("rwre_lab.identities.JOINT_BUDGET", 15)
         with pytest.raises(BudgetError, match="2\\^n = 4 symbol words"):
             _joint_path_weights(TP, eps, 2)
+        with pytest.raises(BudgetError, match="n = 2 enumerates"):
+            check_joint_pairs(1, 2)
 
 
 class TestCoincidence:

@@ -125,6 +125,14 @@ def test_each_artifact_lists_the_fields_a_default_run_writes(runs, artifact, fie
     assert sorted(quoted(fields)) == sorted(keys)
 
 
+def test_no_csv_line_ends_in_a_carriage_return(runs):
+    written = [path for command in cli.COMMANDS
+               for path in runs[f"defaults-{command}"][1].glob("*.csv")]
+    assert sorted(path.name for path in written) == sorted(
+        name for files in ARTIFACTS.values() for name in files if name.endswith(".csv"))
+    assert all(b"\r" not in path.read_bytes() for path in written)
+
+
 def test_the_family_table_is_what_verify_reports(runs):
     report = json.loads((runs["defaults-verify"][1] / "verify_report.json").read_text())
     rows = table("family | metric")

@@ -326,10 +326,6 @@ def _run_verify(cfg: dict):
     _cli.check_tau_memory(cfg["verify"]["tau_draws"], stop.L, "verify.tau_draws")
     # theta (i, a) is the site hash's uniform at site (i, a), scaled to [-THETA_SCALE, THETA_SCALE)
     shape = (cfg["verify"]["theta_count"], d)
-    # a theta's d coordinates peak at 5 doubles each while hashed, and an identity
-    # family's exact sums keep 500-520 bytes of Python lists per theta (tracemalloc):
-    # 1024 bytes covers those twice
-    check_memory(shape[0] * (40 * d + 1024), f"verify.theta_count = {shape[0]} thetas in {d}-D")
     u = site_uniforms(derive_seed(seed, 100), np.indices(shape).reshape(2, -1).T)
     thetas = THETA_SCALE * (2.0 * u.reshape(shape) - 1.0)
     rows = []
@@ -532,6 +528,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="", help="output directory for artifacts")
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: {args.threads} is below 1")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 

@@ -410,6 +410,19 @@ class TestGap:
         assert err.startswith("budget error: gap.replicas = 10000000000")
         assert not (out / "gap_report.json").exists()
 
+    def test_replica_budget_edge(self, tmp_path, capsys, monkeypatch):
+        # a replica holds _REPLICA_FLOATS = 6 floats, 48 bytes: a budget of 48 R bytes
+        # runs R replicas, and one byte less refuses them
+        replicas = 1000
+        cfg = write_config(tmp_path, {"gap": {"replicas": replicas}})
+        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 48 * replicas)
+        assert main(["--config", cfg, "gap"]) != 2
+        assert capsys.readouterr().err.startswith("recursion read")
+        monkeypatch.setattr("rwre_lab.numutil.MEMORY_BUDGET", 48 * replicas - 1)
+        assert main(["--config", cfg, "gap"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"budget error: gap.replicas = {replicas} of 6 floats")
+
     def test_replay_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, TWO_ATOM_GAP)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -705,6 +718,15 @@ class TestUsage:
         assert names == sorted(path.name for path in before.iterdir())
         for name in names:
             assert (after / name).read_bytes() == (before / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--threads", "-3", "tau-stats"],
+                                      ["env-sample", "--threads", "0"]])
+    def test_threads_below_one_exits_64(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # env-sample writes into the current directory
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument --threads: " in captured.err
+        assert not any(tmp_path.iterdir())
 
     def test_help_lists_each_subcommand_in_order(self, capsys):
         assert main(["--help"]) == 0

@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from .environments import (Box, IIDProductLaw, MarkovFieldLaw, centered_box, check_sites,
-                           direction_index, sample_environment)
+from .environments import (HASH_BLOCK, Box, IIDProductLaw, MarkovFieldLaw, centered_box,
+                           check_sites, direction_index, sample_environment)
 from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
                       lattice_denominator, site_uniforms)
 
@@ -33,8 +33,9 @@ from .numutil import (BudgetError, check_memory, deferred_names, derive_seed,
 # module, where perfbench/spans.py and the tests rebind it.
 __getattr__ = deferred_names(globals(), {
     "tilting": ("solve_tilt", "tilt_invariant_residuals"),
-    "decomposition": ("StoppingConfig", "check_tau_memory", "conditional_step_probs",
-                      "expected_tau", "make_epsilon_law", "sample_tau_batch"),
+    "decomposition": ("StoppingConfig", "check_tau_memory", "choose_horizon",
+                      "conditional_step_probs", "expected_tau", "make_epsilon_law",
+                      "sample_tau_batch", "tau_sd"),
     "estimators": ("certify_gap", "rate_point"),
     "identities": ("annealed_identity_bytes", "check_folds", "check_joint_pairs", "check_paths",
                    "decomposed_endpoint_distribution", "psi_factor", "qz_endpoint_distribution",
@@ -64,7 +65,7 @@ DEFAULT_CONFIG = {
     "rate": {"velocities": [[0.5]], "method": "enumeration", "horizon": 400,
              "env_replicas": 8},
     "verify": {"n_max": 6, "theta_count": 5, "tau_draws": 200000},
-    "tau": {"draws": 1000000, "configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
+    "tau": {"configs": [[0.125, 1], [0.125, 2], [0.25, 2]]},
     "env_sample": {"lo": [-10], "hi": [10]},
 }
 LAW_KEYS = {"iid-product": {"kind", "dimension", "kappa", "atoms", "weights"},
@@ -123,7 +124,6 @@ SCHEMA = {
     "verify.n_max": (POSITIVE, ()),
     "verify.theta_count": (POSITIVE, ()),
     "verify.tau_draws": (COUNT, ()),
-    "tau.draws": (COUNT, ()),
     "tau.configs": ([KBAR, POSITIVE], (ANY, 2)),  # [kbar, L] pairs
     "env_sample.lo": (INTEGER, (D,)),
     "env_sample.hi": (INTEGER, (D,)),
@@ -283,21 +283,12 @@ def _write_csv(path: str, cfg: dict, header: list, rows):
 # verify
 # ---------------------------------------------------------------------------
 
-def _tau_z(taus: np.ndarray, expect: float) -> tuple:
-    """(mean, standard error, z) of sampled run-completion times against E[tau]."""
-    mean = float(taus.mean())
-    se = float(taus.std(ddof=1)) / math.sqrt(len(taus))
-    if se == 0.0:
-        raise ValueError(f"all {len(taus)} tau draws equal {mean:g}; no standard error")
-    return mean, se, (mean - expect) / se
-
-
 # verify's pass thresholds, like its size budgets, are constants: an exact
 # identity holds to rounding, relative for the change of measure and psi's
 # enumeration, absolute for the endpoint laws and psi's one-step algebra
 TILT_RESIDUAL = IDENTITY_REL = COINCIDENCE_ABS = 1e-10
 ONESTEP_ABS = 1e-12
-TAU_SIGMAS = 4.0  # the sampled mean of tau lies within this many standard errors of E[tau]
+TAU_SIGMAS = 4.0  # the sampled mean of tau lies within this many sd[tau] / sqrt(n) of E[tau]
 THETA_SCALE = 0.5
 # the two families that enumerate (path, symbol word) pairs, psi and the endpoint
 # coincidence, run n = 1 .. min(verify.n_max, JOINT_N_MAX)
@@ -378,8 +369,10 @@ def _run_verify(cfg: dict):
                  "tolerance": IDENTITY_REL,
                  "passed": bool(worst_n <= IDENTITY_REL and worst_p <= ONESTEP_ABS)})
 
-    taus = _cli.sample_tau_batch(eps, stop, cfg["verify"]["tau_draws"], derive_seed(seed, 104))
-    add("tau-waiting-time", abs(_tau_z(taus, _cli.expected_tau(eps, stop))[2]), TAU_SIGMAS)
+    draws = cfg["verify"]["tau_draws"]
+    taus = _cli.sample_tau_batch(eps, stop, draws, derive_seed(seed, 104))
+    error = float(taus.mean()) - _cli.expected_tau(eps, stop)
+    add("tau-waiting-time", abs(error) * math.sqrt(draws) / _cli.tau_sd(eps, stop), TAU_SIGMAS)
 
     return rows, all(r["passed"] for r in rows)
 
@@ -464,35 +457,37 @@ def cmd_env_sample(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"env_sample.hi[{i}] = {b} is below env_sample.lo[{i}] = {a}")
     law = build_law(cfg)
     box = Box(tuple(lo), tuple(hi))
-    env = sample_environment(law, cfg["seed"], box)
+    states = sample_environment(law, cfg["seed"], box).states.reshape(-1)
+
+    def rows():  # HASH_BLOCK sites at a time, in the C order of the box
+        for start in range(0, len(states), HASH_BLOCK):
+            flat = np.arange(start, min(start + HASH_BLOCK, len(states)))
+            sites = np.column_stack(np.unravel_index(flat, box.shape)) + box.lo
+            yield from map(list.__add__, sites.tolist(), law.table[states[flat]].tolist())
+
     path = os.path.join(out_dir or ".", "env.csv")
     d = law.dimension
-    sites = box.all_sites()
     _write_csv(path, cfg,
                [f"x{a + 1}" for a in range(d)]
                + [lbl for a in range(d) for lbl in (f"p_plus_e{a + 1}", f"p_minus_e{a + 1}")],
-               (s.tolist() + v.tolist() for s, v in zip(sites, env.omega_many(sites))))
+               rows())
     print(f"wrote {box.n_sites} sites to {path}")
     return EXIT_OK
 
 
 def cmd_tau_stats(cfg: dict, out_dir: str) -> int:
-    draws = cfg["tau"]["draws"]
-    for _, lval in cfg["tau"]["configs"]:
-        _cli.check_tau_memory(draws, lval, "tau.draws")
+    # tau reads only L and the success probability k (an EpsilonLaw would demand
+    # 2d * k < 1): no law, tilt or seed. A refused row prints none, as all come first
     rows = []
-    for i, (kb, lval) in enumerate(cfg["tau"]["configs"]):
-        # tau reads only the run length L and the success probability k: no law,
-        # tilt or direction enters, and an EpsilonLaw would also demand 2d * k < 1
+    for kb, lval in cfg["tau"]["configs"]:
         c = _cli.StoppingConfig(lval, 0)
-        taus = _cli.sample_tau_batch(kb, c, draws, derive_seed(cfg["seed"], 300 + i))
-        expect = _cli.expected_tau(kb, c)
-        mean, se, z = _tau_z(taus, expect)
-        rows.append([kb, lval, draws, mean, se, expect, z])
-        print(f"kbar={kb} L={lval}: mean={mean:.4f} expected={expect:.4f} z={z:+.2f}")
+        rows.append([kb, lval, _cli.expected_tau(kb, c), _cli.tau_sd(kb, c),
+                     _cli.choose_horizon(kb, c)])
+    for kb, lval, expect, sd, horizon in rows:
+        print(f"kbar={kb} L={lval}: expected={expect:.4f} sd={sd:.4f} horizon={horizon}")
     if out_dir:
         _write_csv(os.path.join(out_dir, "tau_stats.csv"), cfg,
-                   ["kbar", "L", "draws", "mean", "stderr", "expected", "z"], rows)
+                   ["kbar", "L", "expected", "sd", "horizon"], rows)
     return EXIT_OK
 
 

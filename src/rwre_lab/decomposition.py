@@ -10,11 +10,12 @@ rewrite is that runs of forced symbols create stretches where the walk moves
 deterministically, which the stopping machinery below exploits.
 
 Blocks end at tau, the first time a run of L forced-ell symbols completes.
-Its law has the closed-form mean ``expected_tau`` and an exact tail from the
-L x L transfer of the run-length chain (``_run_length_transfer``), tabled
-once by ``_tail_blocks``: ``choose_horizon`` scans that table for the
-horizon, and ``sample_tau_batch`` draws tau by inverting it at one uniform
-of the counter-based site hash per draw, so draw i is a function of (seed, i).
+Its law has the closed-form mean ``expected_tau`` and standard deviation
+``tau_sd``, and an exact tail from the L x L transfer of the run-length
+chain (``_run_length_transfer``), tabled once by ``_tail_blocks``:
+``choose_horizon`` scans that table for the horizon, and
+``sample_tau_batch`` draws tau by inverting it at one uniform of the
+counter-based site hash per draw, so draw i is a function of (seed, i).
 
 The reweighting ``psi_factor`` that restores the environment dependence
 inside the decomposed mechanism, and the enumerations that check the
@@ -122,6 +123,17 @@ def _kbar_of(eps) -> float:
     return eps.kbar if isinstance(eps, EpsilonLaw) else float(eps)
 
 
+def _finite(what: str, k: float, L: int, value) -> float:
+    """``value()``, or a BudgetError naming L, kbar and ``what`` where it is not a finite float."""
+    try:
+        out = value()
+    except OverflowError:  # float ** raises where * and / round to inf
+        out = math.inf
+    if math.isinf(out):
+        raise BudgetError(f"at L = {L} and kbar = {k}, {what} is not a finite float")
+    return out
+
+
 def expected_tau(eps, cfg: StoppingConfig) -> float:
     """Expected symbols until the first run of L forced-ell symbols completes.
 
@@ -130,14 +142,35 @@ def expected_tau(eps, cfg: StoppingConfig) -> float:
     is not a finite float.
     """
     k = _kbar_of(eps)
-    try:
-        et = (k**-cfg.L - 1.0) / (1.0 - k)
-    except OverflowError:  # float ** raises where / rounds to inf
-        et = math.inf
-    if math.isinf(et):
-        raise BudgetError(f"at L = {cfg.L} and kbar = {k}, E[tau_1] = (kbar^-L - 1) / (1 - kbar) "
-                          "is not a finite float")
-    return et
+    return _finite("E[tau_1] = (kbar^-L - 1) / (1 - kbar)", k, cfg.L,
+                   lambda: (k**-cfg.L - 1.0) / (1.0 - k))
+
+
+def tau_sd(eps, cfg: StoppingConfig) -> float:
+    """Standard deviation of tau_1 in closed form (Feller, Vol. 1, XIII.7); BudgetError as above.
+
+    tau_1 = L + sum_{i <= N} (J_i + 1): N ~ Geometric(x = kbar^L) failures, J_i of law
+    kbar^j (1 - kbar) / (1 - x) on j < L. So Var tau_1 = E[N] Var J + Var N E[J + 1]^2
+    = (1 - kbar) / x (m2 + w (1 + mean)^2 / x), with w, mean and m2 the weight, mean and
+    squared deviations of kbar^j on j < L, grown over the bits of L by pairwise updates
+    (Chan, Golub and LeVeque 1979) of positive terms only. The textbook form cancels.
+    """
+    k = _kbar_of(eps)
+    w, mean, m2, m = 1.0, 0.0, 0.0, 1  # of kbar^j on j < m
+    for bit in bin(cfg.L)[3:]:
+        # j < 2m: j < m and its copy shifted by m, of weight kbar^m times
+        km = k**m
+        h = km / (1.0 + km)
+        mean, m2, w = mean + m * h, (1.0 + km) * m2 + m * m * w * h, (1.0 + km) * w
+        m *= 2
+        if bit == "1":  # and j = m, of weight kbar^m
+            km = k**m
+            delta, grown = m - mean, w + km
+            mean, m2, w = mean + delta * km / grown, m2 + delta * delta * w * km / grown, grown
+            m += 1
+    # two square roots: Var tau_1 passes the floats long before sd does
+    return _finite("sd[tau_1]", k, cfg.L, lambda: math.sqrt((1.0 - k) * k**-cfg.L)
+                   * math.sqrt(m2 + w * (1.0 + mean)**2 * k**-cfg.L))
 
 
 def _run_length_transfer(k: float, L: int) -> np.ndarray:
@@ -160,7 +193,7 @@ def _harris_floor(k: float, L: int) -> float:
     return math.exp(TAU_HORIZON * math.log1p(-k**L))
 
 
-def choose_horizon(eps: EpsilonLaw, cfg: StoppingConfig) -> int:
+def choose_horizon(eps, cfg: StoppingConfig) -> int:
     """Smallest H <= TAU_HORIZON with P(tau_1 > H) < HORIZON_TAIL, by a scan of the tail table.
 
     A hopeless search is refused first: where Harris's bound

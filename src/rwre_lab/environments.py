@@ -37,7 +37,7 @@ from .numutil import (BudgetError, check_memory, derive_seed, mix64, site_unifor
 
 PROB_ATOL = 1e-12
 MATERIALIZE_CAP = 10**7
-HASH_BLOCK = 4096  # lines a product realization hashes per call, and about its sites per block
+HASH_BLOCK = 4096  # lines a product realization hashes per call, and about the sites of a block
 COORD_CAP = 1 << 62
 
 
@@ -104,14 +104,14 @@ class Box:
     def expand(self, margin: int) -> "Box":
         return Box(tuple(l - margin for l in self.lo), tuple(h + margin for h in self.hi))
 
-    def all_sites(self) -> np.ndarray:
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(self.lo, self.hi)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grid], axis=1)
-
 
 def centered_box(d: int, radius: int) -> Box:
     return Box((-radius,) * d, (radius,) * d)
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` sites a sampler block holds: a multiple of 8, about HASH_BLOCK sites."""
+    return 8 * max(1, HASH_BLOCK // (8 * width))
 
 
 def check_sites(box: Box, what: str = "realization"):
@@ -146,7 +146,7 @@ class _FiniteLaw:
         self._byte_codes = np.where(straddles, len(self.weights), first).astype(
             np.min_scalar_type(len(self.weights)))
 
-    def atom_blocks(self, seed: int, prefix, lo: int, n: int, rows: int):
+    def atom_blocks(self, seed: int, prefix, lo: int, n: int):
         """Yield the atoms of the sites (prefix[p], x), x = lo .. lo + n - 1, in (rows, P) blocks.
 
         ``prefix`` is a (P, d - 1) integer array, (1, 0) for d = 1. Site (y, x)
@@ -159,11 +159,11 @@ class _FiniteLaw:
         Weights that are multiples of 1/256 leave no such byte; otherwise at
         most K - 1 of the 256 values are, and every atom keeps its weight to
         2**-53. Each prefix is hashed once per call, then each word takes one
-        mix64, so a block holds O(rows * P) numbers and every atom is a pure
-        function of (seed, site).
+        mix64, so a block of ``_block_rows(P)`` rows holds about max(HASH_BLOCK,
+        8 P) numbers, and every atom is a pure function of (seed, site).
         """
         prefix = np.asarray(prefix, dtype=np.int64)
-        keys = site_words(seed, prefix)
+        keys, rows = site_words(seed, prefix), _block_rows(len(prefix))
         for t in range(lo, lo + n, rows):
             m = min(rows, lo + n - t)
             # the word of (y, x div 8) is mix64(key_y ^ (x div 8)), and its bytes are 8 sites
@@ -181,13 +181,13 @@ class _FiniteLaw:
                 atoms[step, col] = np.count_nonzero(u[:, None] >= edge, axis=1)
             yield atoms
 
-    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
-        """Yield the states of replicas x steps t < n in (rows, R) time blocks.
+    def ray_states(self, seed: int, ell: int, replicas, n: int):
+        """Yield the states of replicas x steps t < n in (``_block_rows(R)``, R) time blocks.
 
         Replica i at step t is the site (i, t) of ``atom_blocks``, whatever
-        the direction ``ell``, so a block holds O(rows * R) numbers.
+        the direction ``ell``.
         """
-        return self.atom_blocks(seed, np.asarray(replicas)[:, None], 0, n, rows)
+        return self.atom_blocks(seed, np.asarray(replicas)[:, None], 0, n)
 
 
 class IIDProductLaw(_FiniteLaw):
@@ -243,8 +243,8 @@ class MarkovFieldLaw(_FiniteLaw):
         k = len(np.atleast_2d(state_probs))
         super().__init__(dimension, state_probs, np.full(k, 1.0 / k), kappa, self.beta > 0.0)
 
-    def ray_states(self, seed: int, ell: int, replicas, n: int, rows: int):
-        """The states of replicas x ray sites t * ell, t < n, in (rows, R) time blocks.
+    def ray_states(self, seed: int, ell: int, replicas, n: int):
+        """The states of replicas x ray sites t * ell, t < n, in (``_block_rows(R)``, R) blocks.
 
         An independent field's are its product law's. Otherwise replica i is
         realized on the ray box from derive_seed(seed, i) by
@@ -253,7 +253,7 @@ class MarkovFieldLaw(_FiniteLaw):
         realization when they would exceed MEMORY_BUDGET.
         """
         if self.independent:
-            return super().ray_states(seed, ell, replicas, n, rows)
+            return super().ray_states(seed, ell, replicas, n)
         dtype = np.min_scalar_type(len(self.table) - 1)
         check_memory(dtype.itemsize * len(replicas) * n, f"{len(replicas)} x {n} ray states")
         end = (n - 1) * direction_vectors(self.dimension)[ell]
@@ -262,6 +262,7 @@ class MarkovFieldLaw(_FiniteLaw):
         for j, i in enumerate(replicas):
             line = sample_environment(self, derive_seed(seed, int(i)), box).states.reshape(-1)
             states[:, j] = line if ell % 2 == 0 else line[::-1]  # -e_i runs from hi down
+        rows = _block_rows(len(replicas))
         return (states[t:t + rows] for t in range(0, n, rows))
 
     def _neighbor_offsets(self) -> np.ndarray:
@@ -320,16 +321,15 @@ def sample_environment(law, seed: int, region: Box) -> Environment:
     """
     work = region if law.independent else region.expand(max(law.range_r, 5))  # sweeps need a buffer
     check_sites(work)
-    # lines along the last axis, at most HASH_BLOCK of them per call, in blocks of
-    # 8 rows or more and about HASH_BLOCK sites, so the scratch stays small whatever the box
+    # lines along the last axis, at most HASH_BLOCK of them per call, so the
+    # scratch of a block stays small whatever the box
     *head, n = shape = work.shape
     prefix = np.indices(head).reshape(len(head), math.prod(head)).T + work.lo[:-1]
     states = np.empty((len(prefix), n), dtype=np.min_scalar_type(len(law.table) - 1))
     for p in range(0, len(prefix), HASH_BLOCK):
         lines = prefix[p:p + HASH_BLOCK]
-        rows = 8 * max(1, HASH_BLOCK // (8 * len(lines)))
         t = 0
-        for atoms in law.atom_blocks(seed, lines, work.lo[-1], n, rows):
+        for atoms in law.atom_blocks(seed, lines, work.lo[-1], n):
             states[p:p + len(lines), t:t + len(atoms)] = atoms.T
             t += len(atoms)
     if law.independent:

@@ -89,7 +89,6 @@ def log_w_const(tp: TiltParams, ell: int) -> float:
 
 _LOG_RANGE = 900 * math.log(2.0)  # state entries stay within 2**+-900 between rescales
 _FLUSH_ROWS = 32  # recursion steps between flushes of the entry-mass buffer
-_ROW_BLOCK = 2**14  # draws per time block of a product-law row source
 _STOP_BITS = 56  # a block stops once the rest of every sum is below 2**-56 of it
 
 
@@ -258,15 +257,14 @@ def _ray_rows(law, ell: int, horizon: int, seed: int, table: np.ndarray):
     """rows(start, size), which yields ``table[state]`` at the ray sites t * ell, t < horizon.
 
     The rows of replicas start..start+size-1 come as (n, size) arrays of n
-    consecutive time rows, read from ``law.ray_states`` in blocks of a
-    multiple of 8 rows and about _ROW_BLOCK entries, into one buffer that
-    each block refills. Every row is a pure function of (seed, replica,
-    step), so no block size changes a value.
+    consecutive time rows, one per block of ``law.ray_states``, into one
+    buffer that each block refills. Every row is a pure function of (seed,
+    replica, step), so no block size changes a value.
     """
     def rows(start, size):
-        k = 8 * max(1, _ROW_BLOCK // (8 * size))
-        out = np.empty((k, size))
-        for states in law.ray_states(seed, ell, np.arange(start, start + size), horizon, k):
+        out = None
+        for states in law.ray_states(seed, ell, np.arange(start, start + size), horizon):
+            out = np.empty(states.shape) if out is None else out  # no later block is longer
             yield np.take(table, states, out=out[:len(states)], mode="clip")
 
     return rows

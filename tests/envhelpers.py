@@ -5,6 +5,8 @@ import numpy as np
 from rwre_lab.environments import Box, Environment, IIDProductLaw, sample_environment
 from rwre_lab.numutil import site_uniforms, site_words
 
+from oracles import all_sites
+
 
 def constant_law(dimension: int, prob, kappa: float) -> IIDProductLaw:
     """Single-atom law: the deterministic environment equal to ``prob`` everywhere."""
@@ -30,7 +32,7 @@ def reference_states(law, seed, box):
     byte whose range [b/256, (b+1)/256) holds a cut stands for the draw
     (b + u') / 256 with u' the stream-1 uniform of (y, x), any other for b / 256.
     """
-    sites = box.all_sites()
+    sites = all_sites(box)
     x = sites[:, -1]
     words = site_words(seed, np.column_stack([sites[:, :-1], x // 8]))
     drawn = ((words >> (8 * (x % 8)).astype(np.uint64)) & np.uint64(255)).astype(np.float64)

@@ -133,6 +133,11 @@ ROWS = [
          "z": [0.2, 0.1], "ell": [1, 0],
          "rate": {"velocities": [[-0.2, 0.6]], "horizon": 800, "env_replicas": 2}}),
     Row("large-box", ("-c", LARGE_BOX), wall=10, rss_mb=64),
+    # 10^6 sites written a block of rows at a time: 33.3 MiB peak, 93 MiB when
+    # every site's row was gathered first
+    Row("env-2d-1e6", cli(*CONFIG, *OUT, "env-sample"),
+        {"law": LAW_2D, "env_sample": {"lo": [-500, -500], "hi": [499, 499]}}, wall=60,
+        rss_mb=40, slow=True),
 
     # field laws
     *(Row(f"field-1d-beta-{beta}-{command}", cli(*CONFIG, *OUT, command),
@@ -167,7 +172,7 @@ ROWS = [
       for law in TWINS for command in ("gap", "rate", "verify", "env-sample")),
 
     # refusals: each exits 2 or 64 naming its key, with no traceback and no --out
-    refused("tau-hopeless", "tau-stats", {"tau": {"configs": [[0.5, 30]], "draws": 8}}, 2,
+    refused("tau-hopeless", "tau-stats", {"tau": {"configs": [[0.5, 30]]}}, 2,
             r"^budget error: ", wall=5, rss_mb=64),
     refused("env-1e8", "env-sample", {"env_sample": {"lo": [-10], "hi": [100000000]}}, 2,
             r"^budget error: ", wall=30),
@@ -194,6 +199,8 @@ ROWS = [
     refused("removed-tail", "gap", {"gap": {"tail": 1e-3}}, 64, r"gap\.tail", wall=30),
     refused("removed-tolerances", "verify", {"tolerances": {}}, 64,
             r"^error: unknown config key tolerances", wall=30),
+    refused("removed-tau-draws", "tau-stats", {"tau": {"draws": 1000000}}, 64,
+            r"unknown config key tau\.draws", wall=30),
     refused("coupled-field-verify", "verify", {"law": FIELD_1D}, 64,
             r"^error: law\.kind = 'markov-field'", wall=30),
     refused("velocity-denominator", "rate", {"rate": {"velocities": [[0.5], [0.013]]}}, 64,

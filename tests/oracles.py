@@ -41,6 +41,12 @@ ENUM_CONFIG_CAP = 2 * 10**6  # field configurations one Gibbs enumeration may ho
 ORACLE_CAP = 2**21  # ray environments exact_gap_oracle may enumerate
 
 
+def all_sites(box) -> np.ndarray:
+    """Every site of ``box``, shape (n, d), in the C order of its shape."""
+    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(box.lo, box.hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # field measure on a small box
 # ---------------------------------------------------------------------------
@@ -55,7 +61,7 @@ def gibbs_configurations(law: MarkovFieldLaw, box):
     if len(law.table) > 8 or n > 16 or len(law.table)**n > ENUM_CONFIG_CAP:
         raise BudgetError(
             f"exact field enumeration needs S<=8, sites<=16 and S^sites<={ENUM_CONFIG_CAP}")
-    sites = box.all_sites()
+    sites = all_sites(box)
     index = {tuple(s): i for i, s in enumerate(sites)}
     offsets = law._neighbor_offsets()
     pairs = []
@@ -90,7 +96,7 @@ def reference_heat_bath(law: MarkovFieldLaw, seed: int, region) -> np.ndarray:
     free = MarkovFieldLaw(law.dimension, law.table, law.kappa, law.range_r, beta=0.0)
     states = sample_environment(free, seed, work).states.astype(np.int64)
     step = law.range_r + 1
-    sites = work.all_sites()
+    sites = all_sites(work)
     for s in range(law.sweeps):
         for cls in words(step, law.dimension):
             for x in sites[np.all((sites - work.lo) % step == cls, axis=1)]:
@@ -145,7 +151,7 @@ def annealed_path_weights(law, steps: np.ndarray) -> np.ndarray:
     radius = int(np.abs(departures).max()) if departures.size else 0
     box = centered_box(d, radius)
     configs, _, probs = gibbs_configurations(law, box)
-    # box.all_sites() is in C order, so a site's column is its raveled offset
+    # all_sites(box) is in C order, so a site's column is its raveled offset
     columns = np.ravel_multi_index(np.moveaxis(departures + radius, 2, 0), box.shape)
     return np.array([probs @ np.prod(law.table[configs[:, cols], path], axis=1)
                      for cols, path in zip(columns, steps)])

@@ -11,14 +11,16 @@ import numpy as np
 import pytest
 
 import rwre_lab
-from rwre_lab.cli import (COMMANDS, DEFAULT_CONFIG, ConfigError, _tau_z, _write_json,
+from rwre_lab.cli import (COMMANDS, DEFAULT_CONFIG, ConfigError, _write_json, build_law,
                           canonical_json, config_hash, load_config, main, normalize_config)
-from rwre_lab.decomposition import HORIZON_TAIL, EpsilonLaw, StoppingConfig, choose_horizon
+from rwre_lab.decomposition import (HORIZON_TAIL, EpsilonLaw, StoppingConfig, choose_horizon,
+                                    expected_tau, tau_sd)
+from rwre_lab.environments import Box, sample_environment
 from rwre_lab.estimators import RatePointEstimate
 from rwre_lab.identities import annealed_identity_bytes
 from rwre_lab.tilting import solve_tilt
 
-from oracles import tau_survival
+from oracles import all_sites, tau_survival
 
 TWO_ATOM_GAP = {
     "law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
@@ -99,6 +101,16 @@ class TestVerify:
         assert "FAIL" in out
         assert "tilt-invariants" in out
         assert "factorization" in out
+
+    @pytest.mark.parametrize("seed", [9, 24, 36])
+    def test_equal_tau_draws_are_judged_by_the_exact_sd(self, tmp_path, capsys, seed):
+        # at L = 1 both tau draws are equal at these seeds: a sample standard error of 0
+        # exited 64; the z of the tau row divides by the closed-form sd instead
+        cfg = write_config(tmp_path, {"L": 1, "seed": seed, "verify": {"n_max": 2,
+                                                                       "tau_draws": 2}})
+        assert main(["--config", cfg, "--out", str(tmp_path), "verify"]) in (0, 1)
+        row = json.loads((tmp_path / "verify_report.json").read_text())["families"][-1]
+        assert row["family"] == "tau-waiting-time" and math.isfinite(row["metric"])
 
     def test_wrong_psi_factor_fails_the_psi_family(self, tmp_path, monkeypatch, capsys):
         # the one-step check must evaluate psi_factor itself: drop its correction term
@@ -225,14 +237,6 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["n_max"] == ran and report["passed"] is True
         assert out.splitlines()[0].endswith(f"n_max = {ran}")
-
-    def test_tau_stats_draws_over_the_memory_budget_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"tau": {"draws": 10**10}})
-        out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "tau-stats"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("budget error: tau.draws = 10000000000 draws")
-        assert not (out / "tau_stats.csv").exists()
 
     @pytest.mark.parametrize("scale", ["a", -0.5, True, None, [0.5], 0.5])
     def test_theta_scale_must_be_a_number(self, tmp_path, capsys, scale):
@@ -597,24 +601,61 @@ class TestEnvSampleAndTau:
             _, p, q = row.split(",")
             assert float(p) + float(q) == pytest.approx(1.0, abs=1e-12)
 
+    def test_env_sample_writes_every_site_in_blocks(self, tmp_path, capsys, monkeypatch):
+        # the rows are written 7 sites at a time, so blocks end inside a line of
+        # the box, yet the file lists every site in C order with its omega, as at
+        # the default block
+        box = {"lo": [-2, 3], "hi": [3, 6]}
+        cfg = write_config(tmp_path, {**wide_law_config(2, 0.1, 0.05), "env_sample": box})
+        assert main(["--config", cfg, "--out", str(tmp_path / "a"), "env-sample"]) == 0
+        monkeypatch.setattr("rwre_lab.cli.HASH_BLOCK", 7)
+        assert main(["--config", cfg, "--out", str(tmp_path / "b"), "env-sample"]) == 0
+        text = (tmp_path / "b" / "env.csv").read_text()
+        assert text == (tmp_path / "a" / "env.csv").read_text()
+        cfg = load_config(cfg)
+        region = Box(tuple(box["lo"]), tuple(box["hi"]))
+        sites = all_sites(region)
+        omegas = sample_environment(build_law(cfg), cfg["seed"], region).omega_many(sites)
+        assert text.splitlines()[2:] == [",".join(map(repr, s.tolist() + v.tolist()))
+                                         for s, v in zip(sites, omegas)]
+
     def test_tau_stats(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"tau": {"draws": 30_000,
-                                              "configs": [[0.125, 2], [0.25, 1]]}})
+        cfg = write_config(tmp_path, {"tau": {"configs": [[0.125, 2], [0.25, 1]]}})
         code = main(["--config", cfg, "--out", str(tmp_path), "tau-stats"])
         assert code == 0
         lines = (tmp_path / "tau_stats.csv").read_text().splitlines()
+        assert lines[1] == "kbar,L,expected,sd,horizon"
         assert len(lines) == 4
-        kb, L, draws, mean, se, expect, z = lines[2].split(",")
-        assert float(expect) == pytest.approx(72.0)
-        assert abs(float(z)) < 5
+        for row, (kbar, L) in zip(lines[2:], [(0.125, 2), (0.25, 1)]):
+            kb, lval, expect, sd, horizon = row.split(",")
+            stop = StoppingConfig(L, 0)
+            assert (float(kb), int(lval)) == (kbar, L)
+            assert (float(expect), float(sd)) == (expected_tau(kbar, stop), tau_sd(kbar, stop))
+            # the first H whose tail, scanned symbol by symbol, is below the cut
+            survival = tau_survival(kbar, stop, int(horizon))
+            assert survival[-1] < HORIZON_TAIL <= survival[-2]
+        assert float(lines[2].split(",")[2]) == 72.0
+
+    def test_tau_stats_samples_nothing_and_reads_no_seed(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("tau-stats drew tau")
+
+        for name in ("sample_tau_batch", "check_tau_memory"):
+            monkeypatch.setattr(f"rwre_lab.cli.{name}", refuse)
+        tables = []
+        for seed in ("5", "6"):
+            assert main(["--seed", seed, "--out", str(tmp_path / seed), "tau-stats"]) == 0
+            tables.append((tmp_path / seed / "tau_stats.csv").read_text().splitlines())
+        assert tables[0][0] != tables[1][0]  # the meta line names the seed
+        assert tables[0][1:] == tables[1][1:]
 
     def test_tau_stats_reads_no_law(self, tmp_path, capsys, monkeypatch):
-        # tau reads only tau.* and the seed: |z|_1 = 1 has no tilt, which exited 64
-        # before, yet the draws are those of the default z, and no tilt is solved
+        # tau reads only tau.*: |z|_1 = 1 has no tilt, which exited 64 before,
+        # yet the rows are those of the default z, and no tilt is solved
         monkeypatch.setattr("rwre_lab.cli.solve_tilt", lambda *a: pytest.fail("a tilt was solved"))
         tables = []
         for name, payload in (("default", {}), ("z-1", {"z": [1.0]})):
-            cfg = write_config(tmp_path, {**payload, "tau": {"draws": 2000}})
+            cfg = write_config(tmp_path, payload)
             assert main(["--config", cfg, "--out", str(tmp_path / name), "tau-stats"]) == 0
             tables.append((tmp_path / name / "tau_stats.csv").read_text().splitlines()[1:])
         assert tables[0] == tables[1]
@@ -628,17 +669,16 @@ class TestEnvSampleAndTau:
             "law": {"kind": "iid-product", "dimension": 2, "kappa": 0.1,
                     "atoms": [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25]],
                     "weights": [0.5, 0.5]},
-            "z": [0.2, 0.1], "ell": [1, 0], "tau": {"draws": 30_000}})
+            "z": [0.2, 0.1], "ell": [1, 0]})
         code = main(["--config", cfg, "--out", str(tmp_path), "tau-stats"])
         assert code == 0
         rows = [r.split(",") for r in (tmp_path / "tau_stats.csv").read_text().splitlines()[2:]]
         assert [(float(r[0]), int(r[1])) for r in rows] == [(0.125, 1), (0.125, 2), (0.25, 2)]
-        assert float(rows[2][5]) == pytest.approx(20.0)
-        assert all(abs(float(r[6])) < 5 for r in rows)
+        assert float(rows[2][2]) == pytest.approx(20.0)
+        assert [int(r[4]) for r in rows] == [69, 652, 173]
 
     @pytest.mark.parametrize("command,artifact,payload", [
         ("verify", "verify_report.json", {"verify": {"n_max": 3, "tau_draws": 20_000}}),
-        ("tau-stats", "tau_stats.csv", {"tau": {"draws": 20_000}}),
     ])
     def test_replay_is_byte_identical(self, tmp_path, capsys, command, artifact, payload):
         # thetas, xi and taus are pure functions of the seed; a new seed moves them
@@ -652,7 +692,6 @@ class TestEnvSampleAndTau:
         assert runs[2] != runs[0].replace("seed=5", "seed=6").replace('"seed": 5', '"seed": 6')
 
     @pytest.mark.parametrize("command,section,field", [("verify", "verify", "tau_draws"),
-                                                       ("tau-stats", "tau", "draws"),
                                                        ("rate", "rate", "env_replicas")])
     @pytest.mark.parametrize("draws", [0, 1, 2.5])
     def test_fewer_than_two_draws_rejected(self, tmp_path, capsys, command, section, field,
@@ -669,7 +708,7 @@ class TestEnvSampleAndTau:
 
     @pytest.mark.parametrize("kbar", [0.0, 1.0, 1.5, True, "0.125"])
     def test_tau_kbar_outside_the_unit_interval_rejected(self, tmp_path, capsys, kbar):
-        cfg = write_config(tmp_path, {"tau": {"draws": 1000, "configs": [[kbar, 2]]}})
+        cfg = write_config(tmp_path, {"tau": {"configs": [[kbar, 2]]}})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "tau-stats"]) == 64
         assert "error: tau.configs[0][0] must be a kbar in (0, 1)" in capsys.readouterr().err
@@ -682,12 +721,6 @@ class TestEnvSampleAndTau:
         assert main(["--config", cfg, "--out", str(out), "env-sample"]) == 2
         assert "exceeds cap" in capsys.readouterr().err
         assert not (out / "env.csv").exists()
-
-    def test_equal_draws_have_no_standard_error(self):
-        with pytest.raises(ValueError, match="no standard error"):
-            _tau_z(np.array([3, 3]), 2.0)
-        mean, se, z = _tau_z(np.array([1, 3]), 1.0)
-        assert (mean, se, z) == (2.0, 1.0, 1.0)
 
 
 class TestUsage:
@@ -966,8 +999,8 @@ NOT_INTEGER = [  # (key named in the error, subcommand, config)
     ("law.range", "env-sample", {"law": {**FIELD_LAW, "range": 2.0}}),
     ("law.sweeps", "env-sample", {"law": {**FIELD_LAW, "sweeps": True}}),
     ("env_sample.lo[0]", "env-sample", {"env_sample": {"lo": [-1.5], "hi": [3]}}),
-    ("tau.draws", "tau-stats", {"tau": {"draws": True}}),
-    ("tau.configs[0][1]", "tau-stats", {"tau": {"draws": 1000, "configs": [[0.125, 2.7]]}}),
+    ("tau.configs[0][1]", "tau-stats", {"tau": {"configs": [[0.125, True]]}}),
+    ("tau.configs[0][1]", "tau-stats", {"tau": {"configs": [[0.125, 2.7]]}}),
     ("ell[0]", "gap", {"ell": [True]}),
     ("verify.theta_count", "verify", {"verify": {"theta_count": 0}}),  # psi reads one theta
     ("verify.n_max", "verify", {"verify": {"n_max": 0}}),  # would pass having checked nothing

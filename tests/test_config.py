@@ -17,7 +17,8 @@ from rwre_lab.cli import (ANY, DEFAULT_CONFIG, INTEGER, LAW_KEYS, NULLABLE, NUMB
 FIELD_LAW = {"kind": "markov-field", "dimension": 1, "kappa": 0.1,
              "states": [[0.4, 0.6], [0.6, 0.4]]}
 FIELD_ONLY = LAW_KEYS["markov-field"] - LAW_KEYS["iid-product"]
-REMOVED = ("gap.tail", "kbar", "verify.psi_n_max")  # tuning keys that became constants
+# tuning keys that became constants, and tau.draws, which tau-stats no longer reads
+REMOVED = ("gap.tail", "kbar", "tau.draws", "verify.psi_n_max")
 
 
 def with_key(key: str, val) -> dict:
@@ -152,7 +153,7 @@ def test_removed_tuning_key_is_unknown(tmp_path, capsys, key, values):
     # kbar is always default_kbar and the horizon cut the constant HORIZON_TAIL;
     # setting either, to its old default or to any other value, is refused by name
     # before gap runs
-    assert key not in SCHEMA and len(SCHEMA) == 26 and NULLABLE == {"gap.horizon"}
+    assert key not in SCHEMA and len(SCHEMA) == 25 and NULLABLE == {"gap.horizon"}
     section, _, leaf = key.partition(".")
     cfg, out = tmp_path / "config.json", tmp_path / "out"
     for value in values:
@@ -201,8 +202,7 @@ def test_subcommands_check_only_the_defaults_they_read(tmp_path, capsys):
     cfg, out = tmp_path / "config.json", tmp_path / "out"
     cfg.write_text(json.dumps({"law": law, "rate": {"velocities": [[0.2, 0.1]], "horizon": 40,
                                                     "env_replicas": 2},
-                               "env_sample": {"lo": [-2, -2], "hi": [2, 2]},
-                               "tau": {"draws": 1000}}))
+                               "env_sample": {"lo": [-2, -2], "hi": [2, 2]}}))
     for command in ("rate", "env-sample", "tau-stats"):
         assert main(["--config", str(cfg), "--out", str(out), command]) == 0
     capsys.readouterr()

@@ -2,18 +2,19 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rwre_lab.decomposition import (HORIZON_TAIL, TAIL_STEPS, TAU_BLOCK, TAU_HORIZON,
                                     EpsilonLaw, StoppingConfig, _harris_floor, _tail_blocks,
                                     check_tau_memory, choose_horizon, conditional_step_probs,
                                     default_kbar, expected_tau, make_epsilon_law,
-                                    sample_tau_batch, validate_stopping)
+                                    sample_tau_batch, tau_sd, validate_stopping)
 from rwre_lab.environments import IIDProductLaw, centered_box, sample_environment
 from rwre_lab.estimators import ray_inner_values, ray_log_inner_annealed_iid
 from rwre_lab.identities import (_joint_path_weights, check_joint_pairs,
@@ -31,6 +32,32 @@ TP = solve_tilt(TWO_ATOM, [0.5])
 
 def eps_eighth():
     return EpsilonLaw(0.125, 1)
+
+
+U = 2.0**-53  # the unit roundoff of a double
+
+
+def sd_rounding_bound(L: int) -> float:
+    """A first-order bound, in units of U, on the relative error of ``tau_sd`` at L.
+
+    It follows tau_sd's arithmetic step by step. Every operand is positive;
+    k ** m is within 1 ulp, 2 U; a sum keeps the larger relative error of its
+    terms, and a product or quotient the sum of its factors', each plus U for
+    its own rounding; and delta = m - mean at most repeats mean's error plus
+    U, because mean <= m / 2 for the nonincreasing weights k^j. ``ew``, ``em``
+    and ``e2`` bound the errors of w, mean and m2.
+    """
+    ew = em = e2 = 0
+    for bit in bin(L)[3:]:
+        # h = km / (1 + km) carries 6; mean + m h, (1 + km) m2 + m m w h, (1 + km) w
+        em, e2, ew = max(em, 7) + 1, max(e2 + 4, ew + 8) + 1, ew + 4
+        if bit == "1":
+            ed, eg = em + 1, max(ew, 2) + 1  # delta, and grown = w + km
+            em, e2, ew = max(em, ed + eg + 4) + 1, max(e2, 2 * ed + ew + eg + 6) + 1, eg
+    # sqrt((1 - k) odds) sqrt(m2 + w (1 + mean) ** 2 odds), with odds and the square
+    # each within 1 ulp: a square root halves the error of its argument and rounds
+    # once, and the product rounds once more
+    return (4 / 2 + 1) + (max(e2, ew + 2 * em + 8) + 1) / 2 + 1 + 1
 
 
 def expected_tau_linear_solve(kbar, L):
@@ -101,6 +128,14 @@ class TestExpectedTau:
         assert math.isfinite(expected_tau(0.125, StoppingConfig(341, 0)))
         with pytest.raises(BudgetError, match=f"at L = {L} and kbar = {kbar}, E\\[tau_1\\]"):
             expected_tau(kbar, StoppingConfig(L, 0))
+
+    def test_sd_out_of_range_is_a_budget_error(self):
+        # at kbar 1/8 and L = 200, Var tau_1, about 8^400, passes the floats, yet
+        # sd[tau_1] is about E[tau_1] (tau_1 is nearly geometric) and is given
+        stop = StoppingConfig(200, 0)
+        assert tau_sd(0.125, stop) == pytest.approx(expected_tau(0.125, stop), rel=1e-15)
+        with pytest.raises(BudgetError, match=r"^at L = 342 and kbar = 0\.125, sd\[tau_1\] "):
+            tau_sd(0.125, StoppingConfig(342, 0))
 
     def test_against_monte_carlo(self):
         eps, cfg = EpsilonLaw(0.25, 1), StoppingConfig(2, 0)
@@ -584,6 +619,42 @@ class TestRayBlocks:
     def test_stopping_requires_positive_projection(self):
         with pytest.raises(ValueError, match="> 0"):
             validate_stopping(TP, StoppingConfig(2, 1))  # -e1 against drift +z
+
+
+@settings(max_examples=300, deadline=None)
+@given(kbar=st.floats(1e-3, 0.99999999), L=st.integers(1, 40))
+@example(kbar=0.9999, L=2).via("the textbook variance lost 1.1e-5 here")
+@example(kbar=0.999, L=1).via("the textbook variance lost 2.8e-8 here")
+@example(kbar=0.99999999, L=3).via("expected_tau loses 1.5e-9 here")
+def test_tau_moments_match_exact_rational_arithmetic(kbar, L):
+    """E[tau_1] and sd[tau_1] against the closed forms in exact rationals.
+
+    No pair of the range is refused: at most (1e-3)^-80 = 1e240 enters. The
+    tolerances are the forms' rounding bounds, each with a factor 1 + tol
+    for the second-order terms. In expected_tau, k ** -L is within 2 U, so
+    k^-L - 1 carries 2 U k^-L / (k^-L - 1) plus its rounding, and 1 - k and
+    the quotient round once each. ``sd_rounding_bound`` bounds tau_sd, and
+    sd^2 doubles it.
+    """
+    cfg, k = StoppingConfig(L, 0), Fraction(kbar)
+    odds = k**-L
+    tol = (3 + 2 * float(odds / (odds - 1))) * U
+    assert abs(Fraction(expected_tau(kbar, cfg)) / ((odds - 1) / (1 - k)) - 1) <= tol * (1 + tol)
+    variance = ((1 - (2 * L + 1) * (1 - k) * k**L - k**(2 * L + 1))
+                / ((1 - k)**2 * k**(2 * L)))
+    tol = sd_rounding_bound(L) * U
+    assert abs(Fraction(tau_sd(kbar, cfg))**2 / variance - 1) <= 2 * tol * (1 + tol)
+
+
+@pytest.mark.parametrize("kbar,L", [(0.125, 1), (0.125, 2), (0.25, 2), (0.125, 3)])
+def test_tau_sd_matches_the_summed_tail(kbar, L):
+    # sd^2 = sum_t (2t + 1) P(tau_1 > t) - E^2, over the tail the oracle scans symbol by
+    # symbol; past 60 E[tau_1] the tail holds below 1e-20 of the sum
+    stop = StoppingConfig(L, 0)
+    mean = expected_tau(kbar, stop)
+    tail = tau_survival(kbar, stop, 60 * math.ceil(mean))
+    second = math.fsum((2 * np.arange(len(tail)) + 1) * tail)
+    assert tau_sd(kbar, stop) == pytest.approx(math.sqrt(second - mean**2), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -14,7 +14,7 @@ from rwre_lab.environments import (Box, Environment, IIDProductLaw, MarkovFieldL
 from rwre_lab.numutil import BudgetError, derive_seed
 
 from envhelpers import constant_law, mean_environment, omega, reference_states
-from oracles import gibbs_configurations, reference_heat_bath
+from oracles import all_sites, gibbs_configurations, reference_heat_bath
 
 
 def disorder(law) -> float:
@@ -151,7 +151,7 @@ class TestEnvironmentRealization:
     def test_single_atom_constant_everywhere(self):
         law = constant_law(2, [0.3, 0.2, 0.25, 0.25], 0.1)
         env = sample_environment(law, seed=5, region=centered_box(2, 4))
-        sites = env.box.all_sites()
+        sites = all_sites(env.box)
         vals = env.omega_many(sites)
         assert np.all(vals == np.asarray([0.3, 0.2, 0.25, 0.25]))
 
@@ -160,16 +160,16 @@ class TestEnvironmentRealization:
         box = centered_box(1, 1000)
         a = sample_environment(law, seed=42, region=box)
         b = sample_environment(law, seed=42, region=box)
-        sa = a.omega_many(box.all_sites())
-        sb = b.omega_many(box.all_sites())
+        sa = a.omega_many(all_sites(box))
+        sb = b.omega_many(all_sites(box))
         assert np.array_equal(sa, sb)
         c = sample_environment(law, seed=43, region=box)
-        assert not np.array_equal(sa, c.omega_many(box.all_sites()))
+        assert not np.array_equal(sa, c.omega_many(all_sites(box)))
 
     def test_site_invariants_on_realization(self):
         law = two_atom_law(d=2, kappa=0.05)
         env = sample_environment(law, seed=9, region=centered_box(2, 20))
-        vals = env.omega_many(env.box.all_sites())
+        vals = env.omega_many(all_sites(env.box))
         assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
         assert vals.min() >= law.kappa
 
@@ -179,7 +179,7 @@ class TestEnvironmentRealization:
             law = IIDProductLaw(1, [[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]][:len(weights)], weights,
                                 0.1)
             n = 200_000
-            blocks = law.atom_blocks(3, np.arange(4)[:, None], -9, n // 4, 4096)
+            blocks = law.atom_blocks(3, np.arange(4)[:, None], -9, n // 4)
             idx = np.concatenate([b.ravel() for b in blocks])
             assert len(idx) == n
             freq = np.bincount(idx, minlength=len(weights)) / n
@@ -224,7 +224,7 @@ class TestEnvironmentRealization:
         law = two_atom_law(d=2, kappa=0.05)
         a = sample_environment(law, seed=8, region=Box((-6, -2), (3, 7)))
         b = sample_environment(law, seed=8, region=Box((0, 0), (9, 9)))
-        overlap = Box((0, 0), (3, 7)).all_sites()
+        overlap = all_sites(Box((0, 0), (3, 7)))
         np.testing.assert_array_equal(a.omega_many(overlap), b.omega_many(overlap))
 
     @pytest.mark.parametrize("law", [two_atom_law(d=2, kappa=0.05),
@@ -236,7 +236,7 @@ class TestEnvironmentRealization:
         box = Box((-2, 1), (3, 4))
         env = sample_environment(law, seed=3, region=box)
         assert env.states.shape == box.shape and not env.states.flags.writeable
-        np.testing.assert_array_equal(env.omega_many(box.all_sites()),
+        np.testing.assert_array_equal(env.omega_many(all_sites(box)),
                                       law.table[env.states.reshape(-1)])
 
     def test_realization_over_cap_rejected(self):
@@ -282,7 +282,7 @@ def test_product_realization_matches_the_per_site_reference(case):
     lo = np.maximum(boxes[0].lo, boxes[1].lo)
     hi = np.minimum(boxes[0].hi, boxes[1].hi)
     if np.all(lo <= hi):
-        overlap = Box(tuple(lo), tuple(hi)).all_sites()
+        overlap = all_sites(Box(tuple(lo), tuple(hi)))
         np.testing.assert_array_equal(envs[0].omega_many(overlap), envs[1].omega_many(overlap))
 
 
@@ -365,7 +365,7 @@ class TestMarkovField:
     def test_beta_zero_matches_uniform_iid_law(self):
         law = self.law()
         env = sample_environment(law, seed=4, region=centered_box(1, 2000))
-        vals = env.omega_many(env.box.all_sites())[:, 0]
+        vals = env.omega_many(all_sites(env.box))[:, 0]
         frac = float(np.mean(vals == 0.3))
         assert abs(frac - 0.5) < 4 * math.sqrt(0.25 / len(vals))
 
@@ -391,12 +391,13 @@ class TestMarkovField:
             [[0.3, 0.2, 0.25, 0.25], [0.2, 0.3, 0.25, 0.25], [0.25] * 4]
         law = MarkovFieldLaw(d, states, kappa=0.05, beta=beta, sweeps=4)
         n, replicas = 30, [5, 0, 2]
-        blocks = list(law.ray_states(17, ell, replicas, n, 8))
+        with mock.patch.object(environments, "HASH_BLOCK", 24):  # 8 rows of 3 replicas
+            blocks = list(law.ray_states(17, ell, replicas, n))
         assert [len(b) for b in blocks] == [8, 8, 8, 6]
         got = np.concatenate(blocks)
         if law.independent:
             twin = IIDProductLaw(d, states, [1 / 3] * 3, 0.05)
-            want = np.concatenate(list(twin.ray_states(17, ell, replicas, n, 8)))
+            want = np.concatenate(list(twin.ray_states(17, ell, replicas, n)))
             np.testing.assert_array_equal(got, want)
             return
         sites = np.arange(n)[:, None] * direction_vectors(d)[ell]
@@ -417,8 +418,8 @@ class TestMarkovField:
         law = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], kappa=0.1, range_r=1,
                              beta=0.7, sweeps=16)
         box = centered_box(1, 40)
-        a = sample_environment(law, 11, box).omega_many(box.all_sites())
-        b = sample_environment(law, 11, box).omega_many(box.all_sites())
+        a = sample_environment(law, 11, box).omega_many(all_sites(box))
+        b = sample_environment(law, 11, box).omega_many(all_sites(box))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("d, range_r, region", [
@@ -450,7 +451,7 @@ class TestMarkovField:
 
         monkeypatch.setattr(MarkovFieldLaw, "_neighbor_offsets", spy)
         env = sample_environment(law, 5, box)
-        np.testing.assert_array_equal(env.omega_many(box.all_sites()), want)
+        np.testing.assert_array_equal(env.omega_many(all_sites(box)), want)
 
     @pytest.mark.parametrize("n_states", [2, 3])
     @pytest.mark.parametrize("beta", [0.5, 1.0])
@@ -502,7 +503,7 @@ class TestHelpers:
     def test_mean_environment_is_constant(self):
         law = two_atom_law()
         env = mean_environment(law, centered_box(1, 10))
-        vals = env.omega_many(env.box.all_sites())
+        vals = env.omega_many(all_sites(env.box))
         assert np.all(vals == 0.5)
 
     def test_empty_box_rejected(self):

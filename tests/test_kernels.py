@@ -14,7 +14,7 @@ from rwre_lab.environments import IIDProductLaw, centered_box, direction_vectors
 from rwre_lab.evolution import light_cone, log_point_probability_dp
 from rwre_lab.identities import path_sites, site_grouped_log_moment
 
-from oracles import quenched_endpoint_distribution
+from oracles import all_sites, quenched_endpoint_distribution
 
 REL = 1e-12
 TINY = sys.float_info.min  # below it the linear-space oracle rounds in absolute terms
@@ -181,7 +181,7 @@ def box_log_probability(env, n: int, target) -> float:
     """log P_{0,omega}(X_n = target) by evolving the whole radius-n box, rescaled every step."""
     d = env.law.dimension
     box = centered_box(d, n)
-    omega = env.omega_many(box.all_sites()).reshape(box.shape + (2 * d,))
+    omega = env.omega_many(all_sites(box)).reshape(box.shape + (2 * d,))
     grid = np.zeros(box.shape)
     grid[(n,) * d] = 1.0
     log_scale = 0.0

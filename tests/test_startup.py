@@ -22,8 +22,7 @@ TINY = {"law": {"kind": "iid-product", "dimension": 1, "kappa": 0.1,
                 "atoms": [[0.2, 0.8], [0.8, 0.2]], "weights": [0.5, 0.5]},
         "gap": {"replicas": 1000},
         "rate": {"horizon": 40, "env_replicas": 2},
-        "verify": {"n_max": 3, "tau_draws": 1000},
-        "tau": {"draws": 1000}}
+        "verify": {"n_max": 3, "tau_draws": 1000}}
 
 BASE = {"rwre_lab", "rwre_lab.numutil", "rwre_lab.environments"}
 MODULES = {

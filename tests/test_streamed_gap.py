@@ -171,8 +171,8 @@ FIELD = MarkovFieldLaw(1, [[0.3, 0.7], [0.7, 0.3]], 0.1, beta=0.5, sweeps=2)
 
 
 @pytest.mark.parametrize("chunk", [4096, 1000, 7])
-@pytest.mark.parametrize("row_block", [2**14, 64])
-def test_batching_changes_no_value(monkeypatch, chunk, row_block):
+@pytest.mark.parametrize("hash_block", [2**14, 64])
+def test_batching_changes_no_value(monkeypatch, chunk, hash_block):
     # every row is a pure function of (seed, replica, step): neither the replica
     # blocks nor the time blocks change a byte of the rows or of the report
     def run():
@@ -189,7 +189,7 @@ def test_batching_changes_no_value(monkeypatch, chunk, row_block):
 
     want = run()
     monkeypatch.setattr(estimators, "CHUNK", chunk)
-    monkeypatch.setattr(estimators, "_ROW_BLOCK", row_block)
+    monkeypatch.setattr(environments, "HASH_BLOCK", hash_block)
     assert run() == want
 
 

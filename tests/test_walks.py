@@ -11,7 +11,7 @@ from rwre_lab.identities import path_positions, step_blocks
 from rwre_lab.numutil import BudgetError, words
 
 from envhelpers import constant_law, omega
-from oracles import (annealed_path_weights, annealed_point_probability,
+from oracles import (all_sites, annealed_path_weights, annealed_point_probability,
                      quenched_endpoint_distribution, quenched_point_probability)
 
 
@@ -28,7 +28,7 @@ def simulate_quenched(env, start, n: int, rng_seed: int, walks: int = 1) -> np.n
     """
     d = env.law.dimension
     shape, lo = env.box.shape, np.asarray(env.box.lo)
-    cum = np.cumsum(env.omega_many(env.box.all_sites()), axis=-1)
+    cum = np.cumsum(env.omega_many(all_sites(env.box)), axis=-1)
     vecs = direction_vectors(d)
     us = np.random.default_rng(rng_seed).random((n, walks))
     pos = np.empty((walks, n + 1, d), dtype=np.int64)
